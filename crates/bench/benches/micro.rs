@@ -159,23 +159,27 @@ fn bench_copartitioned_loop(h: &mut Harness) {
 }
 
 /// The workload narrow-stage fusion targets: a six-op shuffle-free chain
-/// over a materialized base, measured with fusion on and off (the ablation
-/// EXPERIMENTS.md reports). The chain is bound before the action so it is
-/// exclusively owned at eval time and actually fuses.
+/// over a materialized base (the ablation EXPERIMENTS.md reports). The fused
+/// arm drops the five intermediates before the action, so the chain is
+/// exclusively owned at eval time and runs as one pass; the unfused arm
+/// keeps them bound, which makes every operator a barrier for the next and
+/// yields one pass and one materialization per operator.
 fn bench_narrow_chain(h: &mut Harness) {
     let n = h.size(1_000_000, 10_000);
-    for (label, fuse) in [("narrow_chain/fused", true), ("narrow_chain/unfused", false)] {
-        let e = Engine::new(ClusterConfig { fuse_narrow: fuse, ..ClusterConfig::local_test() });
+    for (label, hold) in [("narrow_chain/fused", false), ("narrow_chain/unfused", true)] {
+        let e = engine();
         let base = e.generate(n, 8, |i| i);
         base.count().unwrap(); // materialize once; measure the chain alone
         h.bench(label, n, || {
-            let tail = base
-                .map(|&x| x.wrapping_mul(0x9E37_79B9))
-                .filter(|&x| x % 5 != 0)
-                .map(|&x| x >> 3)
-                .filter(|&x| x % 3 != 0)
-                .map(|&x| x ^ 0xFF)
-                .flat_map(|&x| if x % 2 == 0 { Some(x) } else { None });
+            let a = base.map(|&x| x.wrapping_mul(0x9E37_79B9));
+            let b = a.filter(|&x| x % 5 != 0);
+            let c = b.map(|&x| x >> 3);
+            let d = c.filter(|&x| x % 3 != 0);
+            let f = d.map(|&x| x ^ 0xFF);
+            let tail = f.flat_map(|&x| if x % 2 == 0 { Some(x) } else { None });
+            if !hold {
+                drop((a, b, c, d, f));
+            }
             tail.count().unwrap()
         });
     }

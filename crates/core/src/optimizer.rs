@@ -312,64 +312,6 @@ pub fn cross_side(
     }
 }
 
-// --- logical reordering (read/write sets) ------------------------------
-//
-// Besides the physical choices above, the lowering phase can reorder
-// logical operators when UDF read/write sets prove it safe (in the style
-// of Hueske et al., "Opening the Black Boxes in Data Flow Optimization").
-// The *extraction* of these sets from UDF bodies lives with the IR's
-// static analyzer (`matryoshka-ir::analyze::rw`); this module owns the
-// engine-agnostic data model and the safety predicate so that any
-// front-end can feed it.
-
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Which fields of its input tuple a UDF reads (its *read set*).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UdfFieldUse {
-    /// The UDF consumes its whole input (passes it on, compares it,
-    /// tuples it, ...), so no per-field reasoning applies.
-    pub reads_whole: bool,
-    /// Indices of the tuple fields the UDF projects out of its input.
-    pub reads: BTreeSet<usize>,
-}
-
-impl UdfFieldUse {
-    /// A read set for a UDF that consumes its whole input.
-    pub fn whole() -> UdfFieldUse {
-        UdfFieldUse { reads_whole: true, reads: BTreeSet::new() }
-    }
-}
-
-/// How a map UDF *forwards* input fields into its output tuple (the
-/// write-set complement: output positions that are verbatim copies of
-/// input fields).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MapForwards {
-    /// The UDF is the identity: its output *is* its input.
-    pub identity: bool,
-    /// `forwards[j] = i`: output field `j` is a verbatim copy of input
-    /// field `i`.
-    pub forwards: BTreeMap<usize, usize>,
-}
-
-/// Is `filter(map(xs, m), p)` equivalent to `map(filter(xs, p'), m)`?
-///
-/// Safe exactly when every field the predicate reads from the *map output*
-/// is a verbatim forward of some *map input* field — then `p'` is `p` with
-/// each output-field projection rewritten through [`MapForwards::forwards`].
-/// An identity map is trivially safe. A predicate that consumes its whole
-/// input is only safe under an identity map.
-pub fn filter_before_map_safe(pred_reads: &UdfFieldUse, map_fwd: &MapForwards) -> bool {
-    if map_fwd.identity {
-        return true;
-    }
-    if pred_reads.reads_whole {
-        return false;
-    }
-    pred_reads.reads.iter().all(|f| map_fwd.forwards.contains_key(f))
-}
-
 #[cfg(test)]
 pub(crate) fn tests_gb() -> u64 {
     1 << 30
@@ -485,24 +427,6 @@ mod tests {
         tag_join_algorithm(&b, &e, 1 << 40, 1 << 40);
         let log = e.decisions();
         assert_eq!(log.last().unwrap().detail, "forced by config");
-    }
-
-    #[test]
-    fn filter_pushdown_safety_predicate() {
-        // Identity map: always safe, even for whole-input predicates.
-        let id = MapForwards { identity: true, ..Default::default() };
-        assert!(filter_before_map_safe(&UdfFieldUse::whole(), &id));
-
-        // Projecting map forwarding output 0 <- input 1.
-        let fwd = MapForwards { identity: false, forwards: [(0, 1)].into_iter().collect() };
-        let reads0 = UdfFieldUse { reads_whole: false, reads: [0].into_iter().collect() };
-        let reads1 = UdfFieldUse { reads_whole: false, reads: [1].into_iter().collect() };
-        assert!(filter_before_map_safe(&reads0, &fwd));
-        assert!(!filter_before_map_safe(&reads1, &fwd), "field 1 is computed, not forwarded");
-        assert!(!filter_before_map_safe(&UdfFieldUse::whole(), &fwd));
-
-        // Predicate reading no fields at all (constant predicate): safe.
-        assert!(filter_before_map_safe(&UdfFieldUse::default(), &fwd));
     }
 
     #[test]

@@ -1,35 +1,45 @@
-//! Narrow-chain operator fusion: single-pass pipelined execution of
-//! shuffle-free lineage.
+//! Narrow operators: every one runs as a batch-transducer step, and maximal
+//! runs of them fuse into a single pass.
 //!
-//! Every fusible narrow operator (`map`, `filter`, `flat_map`, `map_indexed`,
-//! `zip_with_unique_id`, `sample`, `map_values`, and `key_by` via `map`)
-//! carries a [`FuseHook`]: a recipe for assembling the *maximal run* of
-//! narrow ancestors ending at that operator into one composed batch-transducer
-//! chain. When such an operator evaluates and the assembled chain has two or
-//! more stages, the whole run executes as **one** `parallel_map_range` pass per
-//! partition: one pool dispatch total, and per partition each operator is a
-//! single dynamic call whose body is the operator's own *monomorphized* tight
-//! loop over the whole [`Batch`]. Mid-chain batches are owned `Vec`s handed
-//! from stage to stage, so `into_iter().collect()` reuses the allocation in
-//! place where layouts allow, record clones are elided (ownership moves),
-//! and none of the elided middles ever becomes a cached partition set
-//! (`Arc<Vec<Arc<Vec<_>>>>`) in the lineage.
+//! Every narrow operator built by [`fusible`] (`map`, `filter`, `flat_map`,
+//! `map_indexed`, `zip_with_unique_id`, `sample`, `map_values`, and `key_by`
+//! via `map`) states its per-partition logic exactly once, as a [`Step`],
+//! and carries a [`FuseHook`]: a recipe for assembling the *maximal run* of
+//! narrow ancestors ending at that operator into one composed transducer
+//! chain. Evaluating such an operator assembles its chain and executes it as
+//! **one** `parallel_map_range` pass per partition: one pool dispatch total,
+//! and per partition each operator is a single dynamic call whose body is the
+//! operator's own *monomorphized* tight loop over the whole [`Batch`].
+//! Mid-chain batches are owned `Vec`s handed from step to step, so
+//! `into_iter().collect()` reuses the allocation in place where layouts
+//! allow, record clones are elided (ownership moves), and none of the elided
+//! middles ever becomes a cached partition set (`Arc<Vec<Arc<Vec<_>>>>`) in
+//! the lineage.
+//!
+//! # Chains of length 1
+//!
+//! An operator whose parent is a barrier (below) assembles a chain of just
+//! itself and runs through the same driver and charge replay. That is *not*
+//! a fusion: the bag keeps its own operator name, and no `StageFused` event,
+//! `stages_fused`/`intermediates_elided` bump or `narrow_fusion` decision is
+//! emitted.
 //!
 //! # Sim-transparency invariant
 //!
-//! Fusion changes *wall-clock* execution only. The fused pass tallies each
-//! operator's per-partition input/output record counts ([`OpTally`]) while it
-//! runs and then replays **exactly** the `charge_compute` calls the unfused
-//! chain would have issued: same source-first order, same per-partition
-//! counts (via each operator's [`ChargeRule`]), same record sizes, same
-//! `current_operator` attribution. Simulated time, `StatsSnapshot` counters
-//! (other than the fusion counters themselves), `Stage` trace events and
-//! fault-model draws are bit-identical with fusion on or off (`golden_sim`
-//! and the `fusion` property tests pin this).
+//! Chain length changes *wall-clock* execution only. The pass records the
+//! size of every intermediate batch per partition while it runs and then
+//! issues one `charge_compute` call per operator: source-first, per-partition
+//! counts read off the operator's two boundaries by its [`ChargeRule`], the
+//! operator's own record size and `current_operator` attribution. That is
+//! the sequence a run of length-1 chains over the same operators issues, so
+//! simulated time, `StatsSnapshot` counters (other than the two fusion
+//! counters), `Stage` trace events and fault-model draws do not depend on
+//! where chains are cut (`golden_sim` and the `fusion` property tests pin
+//! this).
 //!
 //! # Fusion barriers
 //!
-//! A fusible operator materializes its parent (starting a fresh chain there)
+//! A narrow operator materializes its parent (starting a fresh chain there)
 //! instead of fusing through it when the parent is:
 //!
 //! - a **wide** operator, a source, `checkpoint`, `cache`, `coalesce`,
@@ -41,17 +51,19 @@
 //! - **multi-consumer**: any other live handle to the parent (a user
 //!   binding, a second downstream operator, or a still-live temporary of the
 //!   enclosing statement) keeps the shared prefix materialized. That handle
-//!   could evaluate the parent later and must find it cached exactly as an
-//!   unfused run would have left it; fusing through it would make the later
-//!   evaluation re-charge the prefix and diverge from the unfused schedule.
+//!   could evaluate the parent later and must find it cached; fusing through
+//!   it would make the later evaluation re-charge the prefix.
 //!
-//! Exclusivity is detected by `Arc` strong count: a fusible child holds
-//! exactly two references to its parent (one in its assemble hook, one in
-//! its compute closure), so a count of 2 proves no other handle exists.
-//! The materialized/multi-consumer check is the shared barrier predicate
-//! [`Bag::absorbable`](super::Bag::absorbable), which the IR plan-rewrite
-//! pass also leans on: its hoist/CSE auto-caching inserts `cache` nodes so
-//! shared subplans stay materialized under exactly the same rule.
+//! Exclusivity is detected by `Arc` strong count: a narrow child holds
+//! exactly one reference to its parent (inside its assemble hook), so a
+//! count of 1 proves no other handle exists. Binding every intermediate of a
+//! chain to a live handle therefore forces length-1 chains throughout, which
+//! is how the tests and the `narrow_chain/unfused` bench row reach the
+//! operator-at-a-time schedule. The materialized/multi-consumer check is the
+//! shared barrier predicate [`Bag::absorbable`](super::Bag::absorbable),
+//! which the IR plan-rewrite pass also leans on: its hoist/CSE auto-caching
+//! inserts `cache` nodes so shared subplans stay materialized under exactly
+//! the same rule.
 //!
 //! # Iteration stability
 //!
@@ -63,27 +75,16 @@
 //! length) closure allocations with zero leaked memory after the first
 //! iteration.
 
-use std::cell::Cell;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use super::{to_parts, Bag, Partitioning, Parts};
+use super::{to_parts, Bag, Node, Partitioning, Parts};
 use crate::error::Result;
 use crate::pool::parallel_map_range;
 use crate::trace::EngineEvent;
 use crate::types::Data;
 use crate::Engine;
 
-/// Per-operator record counts observed by the fused pass in one partition.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct OpTally {
-    /// Records the operator consumed.
-    pub input: u64,
-    /// Records the operator emitted.
-    pub output: u64,
-}
-
-/// Which tally an operator's unfused `charge_compute` call would have used
-/// as its per-partition count.
+/// Which side of an operator its `charge_compute` call counts per partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChargeRule {
     /// Charged on emitted records (`map`, `map_indexed`, `map_values`,
@@ -97,39 +98,38 @@ pub(crate) enum ChargeRule {
 }
 
 impl ChargeRule {
-    fn count(self, t: OpTally) -> usize {
-        (match self {
-            ChargeRule::Output => t.output,
-            ChargeRule::Input => t.input,
-            ChargeRule::MaxSide => t.input.max(t.output),
-        }) as usize
+    fn count(self, input: usize, output: usize) -> usize {
+        match self {
+            ChargeRule::Output => output,
+            ChargeRule::Input => input,
+            ChargeRule::MaxSide => input.max(output),
+        }
     }
 }
 
 /// Static description of one operator inside an assembled chain — everything
-/// the charge replay needs.
+/// its `charge_compute` call needs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FusedOpMeta {
     /// The operator's own name (`map`, `filter`, ...).
     pub name: &'static str,
-    /// The `record_bytes` its unfused `charge_compute` call would pass.
+    /// The `record_bytes` its `charge_compute` call passes.
     pub bytes: f64,
-    /// Which tally its unfused per-partition counts correspond to.
+    /// Which side its per-partition counts come from.
     pub charge: ChargeRule,
 }
 
-/// One operator's whole-partition input inside a fused chain: borrowed from
-/// the materialized base partition at the chain head, owned (handed off by
-/// the upstream stage) everywhere else. Operators that re-emit their input
+/// One operator's whole-partition input inside a chain: borrowed from the
+/// materialized base partition at the chain head, owned (handed off by the
+/// upstream step) everywhere else. Operators that re-emit their input
 /// (`filter`, `sample`, `zip_with_unique_id`, `map_values`' keys) clone in
-/// the `Shared` head position — exactly the clone the unfused operator
-/// performs — and consume the `Owned` vector by value mid-chain, eliding the
-/// per-stage clones the unfused pipeline pays and letting
-/// `into_iter().collect()` reuse the allocation in place.
+/// the `Shared` head position — records must leave the shared partition —
+/// and consume the `Owned` vector by value mid-chain, so only a chain's head
+/// ever clones and `into_iter().collect()` can reuse the allocation in place.
 pub(crate) enum Batch<'a, T> {
     /// Borrowed view of the head's materialized input partition.
     Shared(&'a [T]),
-    /// Produced (and owned) by the upstream fused operator.
+    /// Produced (and owned) by the upstream step.
     Owned(Vec<T>),
 }
 
@@ -146,16 +146,19 @@ impl<T> Batch<'_, T> {
 
 /// One operator's batch transducer step: receives the partition index and
 /// the operator's entire per-partition input stream (so `enumerate`
-/// positions inside the step equal the unfused per-partition offsets that
-/// `map_indexed`/`zip_with_unique_id`/`sample` observe), and returns the
-/// operator's output batch. One dynamic call per operator per partition; the
-/// loop inside is the operator's own monomorphized code.
+/// positions inside the step are the per-partition offsets that
+/// `map_indexed`/`zip_with_unique_id`/`sample` observe wherever the chain is
+/// cut), and returns the operator's output batch. One dynamic call per
+/// operator per partition; the loop inside is the operator's own
+/// monomorphized code.
 pub(crate) type Step<I, O> = Arc<dyn Fn(usize, Batch<'_, I>) -> Vec<O> + Send + Sync>;
 
 /// Drives one partition of an assembled chain: threads the base partition
-/// through the composed steps, crediting each operator's [`OpTally`] cell
-/// with its batch sizes.
-type DriveFn<T> = Box<dyn Fn(usize, &[Cell<OpTally>]) -> Vec<T> + Send + Sync>;
+/// through the composed steps, pushing the size of every *intermediate*
+/// batch (source-first) so each operator's input and output counts can be
+/// read off afterwards. A chain of one has no intermediates and pushes
+/// nothing.
+type DriveFn<T> = Box<dyn Fn(usize, &mut Vec<usize>) -> Vec<T> + Send + Sync>;
 
 /// A maximal narrow run, assembled at evaluation time: the per-operator
 /// metadata (source-first) and a per-partition driver over the materialized
@@ -163,38 +166,28 @@ type DriveFn<T> = Box<dyn Fn(usize, &[Cell<OpTally>]) -> Vec<T> + Send + Sync>;
 pub(crate) struct Assembled<T> {
     /// Chain operators, source-first; the evaluating tail is last.
     pub metas: Vec<FusedOpMeta>,
-    /// Actual partition count of the materialized base input.
-    pub partitions: usize,
+    /// Record count of every partition of the materialized base input.
+    pub base_counts: Vec<usize>,
     /// Per-partition driver.
     pub drive: DriveFn<T>,
 }
 
-/// The fusion recipe carried by every fusible node: assembles the maximal
+/// The fusion recipe carried by every narrow node: assembles the maximal
 /// chain ending at that node, plus the slot its composite name lands in when
-/// the node executes fused.
+/// the node executes as the tail of a chain of two or more.
 pub(crate) struct FuseHook<T> {
     /// Assemble the maximal chain ending at this operator.
     pub assemble: Arc<dyn Fn() -> Result<Assembled<T>> + Send + Sync>,
-    /// Composite name (`fused(map|filter)`), set by the fused executor;
+    /// Composite name (`fused(map|filter)`), set by [`run_chain`];
     /// shared with the node so `op_name()` and the execution trace report
     /// provenance after evaluation.
     pub fused_name: Arc<OnceLock<&'static str>>,
 }
 
-/// Credit one operator's tally with a processed batch.
-#[inline]
-fn add_tally(t: &Cell<OpTally>, input: usize, output: usize) {
-    let v = t.get();
-    t.set(OpTally { input: v.input + input as u64, output: v.output + output as u64 });
-}
-
-/// Construct a fusible narrow operator.
-///
-/// `step` is the operator's per-record transducer (used when the operator
-/// runs inside a fused chain); `unfused` is its classic whole-partition
-/// compute, kept monomorphized and byte-for-byte identical to the pre-fusion
-/// implementation so the `fuse_narrow = false` A/B baseline pays no dynamic
-/// dispatch. The chain-length-1 case also falls through to `unfused`.
+/// Construct a narrow operator from its transducer `step`, the only
+/// statement of its per-partition logic: evaluating the returned bag
+/// assembles the maximal chain ending here (length 1 behind a barrier) and
+/// runs it through [`run_chain`].
 pub(crate) fn fusible<P: Data, T: Data>(
     parent: &Bag<P>,
     name: &'static str,
@@ -202,47 +195,38 @@ pub(crate) fn fusible<P: Data, T: Data>(
     partitioning: Partitioning,
     charge: ChargeRule,
     step: Step<P, T>,
-    unfused: impl Fn(&Bag<P>) -> Result<Parts<T>> + Send + Sync + 'static,
 ) -> Bag<T> {
     let engine = parent.engine().clone();
     let partitions = parent.num_partitions();
     let fused_name: Arc<OnceLock<&'static str>> = Arc::new(OnceLock::new());
 
+    // The hook owns this node's only handle to its parent (see the module
+    // docs on exclusivity).
     let assemble: Arc<dyn Fn() -> Result<Assembled<T>> + Send + Sync> = {
         let parent = parent.clone();
-        let step = Arc::clone(&step);
         Arc::new(move || {
             let meta = FusedOpMeta { name, bytes: record_bytes, charge };
             if let Some(hook) = parent.fuse_through() {
-                // Exclusive fusible parent: extend its chain with this step.
-                let assembled = (hook.assemble)()?;
-                let k = assembled.metas.len();
-                let mut metas = assembled.metas;
+                // Exclusive narrow parent: extend its chain with this step.
+                let Assembled { mut metas, base_counts, drive: upstream } = (hook.assemble)()?;
                 metas.push(meta);
-                let upstream = assembled.drive;
                 let step = Arc::clone(&step);
-                let drive: DriveFn<T> = Box::new(move |pi, tallies| {
-                    let input = upstream(pi, tallies);
-                    let consumed = input.len();
-                    let out = step(pi, Batch::Owned(input));
-                    add_tally(&tallies[k], consumed, out.len());
-                    out
+                let drive: DriveFn<T> = Box::new(move |pi, mids| {
+                    let input = upstream(pi, mids);
+                    mids.push(input.len());
+                    step(pi, Batch::Owned(input))
                 });
-                Ok(Assembled { metas, partitions: assembled.partitions, drive })
+                Ok(Assembled { metas, base_counts, drive })
             } else {
-                // Barrier: materialize the parent (memoized and charged
-                // exactly as the unfused chain would) and start a fresh
-                // chain reading its shared partitions by reference.
+                // Barrier: materialize the parent (memoized, charged by its
+                // own evaluation) and start a fresh chain reading its shared
+                // partitions by reference.
                 let parts = parent.eval()?;
-                let base_partitions = parts.len();
+                let base_counts = parts.iter().map(|p| p.len()).collect();
                 let step = Arc::clone(&step);
-                let drive: DriveFn<T> = Box::new(move |pi, tallies| {
-                    let input = parts[pi].as_slice();
-                    let out = step(pi, Batch::Shared(input));
-                    add_tally(&tallies[0], input.len(), out.len());
-                    out
-                });
-                Ok(Assembled { metas: vec![meta], partitions: base_partitions, drive })
+                let drive: DriveFn<T> =
+                    Box::new(move |pi, _| step(pi, Batch::Shared(parts[pi].as_slice())));
+                Ok(Assembled { metas: vec![meta], base_counts, drive })
             }
         })
     };
@@ -251,75 +235,79 @@ pub(crate) fn fusible<P: Data, T: Data>(
         let engine = engine.clone();
         let assemble = Arc::clone(&assemble);
         let fused_name = Arc::clone(&fused_name);
-        let parent = parent.clone();
-        move || {
-            // Fusing is only worth entering when the parent itself joins the
-            // chain; a chain of length 1 runs the classic monomorphized
-            // whole-partition pass.
-            if engine.config().fuse_narrow && parent.fuse_through().is_some() {
-                let assembled = assemble()?;
-                debug_assert!(assembled.metas.len() >= 2, "fuse-through implies a chain");
-                return run_fused(&engine, assembled, &fused_name);
-            }
-            unfused(&parent)
-        }
+        move || run_chain(&engine, assemble()?, &fused_name)
     };
 
-    Bag::new_fusible(
-        engine,
-        name,
-        record_bytes,
-        partitions,
-        partitioning,
-        FuseHook { assemble, fused_name },
-        compute,
-    )
+    Bag {
+        node: Arc::new(Node {
+            engine,
+            name,
+            record_bytes,
+            partitions,
+            partitioning,
+            compute: Box::new(compute),
+            cache: OnceLock::new(),
+            map_output: Arc::new(OnceLock::new()),
+            fuse: Some(FuseHook { assemble, fused_name }),
+        }),
+    }
 }
 
 /// Execute an assembled chain: one pool dispatch over the base partitions,
-/// then the sim-transparent charge replay, fusion counters, `StageFused`
-/// trace event, and decision-log entry.
-fn run_fused<T: Data>(
+/// then one `charge_compute` per operator. A chain of two or more is a
+/// fusion and additionally bumps the fusion counters, emits the `StageFused`
+/// trace event and logs a `narrow_fusion` decision.
+fn run_chain<T: Data>(
     engine: &Engine,
     assembled: Assembled<T>,
     fused_name: &OnceLock<&'static str>,
 ) -> Result<Parts<T>> {
-    let Assembled { metas, partitions, drive } = assembled;
-    let ops = metas.len();
-    let per_part: Vec<(Vec<T>, Vec<OpTally>)> = parallel_map_range(partitions, |pi| {
-        let tallies: Vec<Cell<OpTally>> = (0..ops).map(|_| Cell::new(OpTally::default())).collect();
-        let out = drive(pi, &tallies);
-        (out, tallies.into_iter().map(Cell::into_inner).collect())
+    let Assembled { metas, base_counts, drive } = assembled;
+    let (ops, partitions) = (metas.len(), base_counts.len());
+    let per_part: Vec<(Vec<T>, Vec<usize>)> = parallel_map_range(partitions, |pi| {
+        let mut mids = Vec::with_capacity(ops - 1);
+        let out = drive(pi, &mut mids);
+        (out, mids)
     });
-    // Charge replay: the exact sequence the unfused chain would have issued,
-    // source-first, attributed to each operator's own name.
+    // Source-first, each charge attributed to its operator's own name.
+    // Operator `j` reads boundary `j` and writes boundary `j + 1`, where
+    // boundary 0 is the base input and boundary `ops` the final output.
     for (j, meta) in metas.iter().enumerate() {
-        let counts: Vec<usize> =
-            per_part.iter().map(|(_, tallies)| meta.charge.count(tallies[j])).collect();
+        let counts: Vec<usize> = per_part
+            .iter()
+            .zip(&base_counts)
+            .map(|((out, mids), &base)| {
+                let input = if j == 0 { base } else { mids[j - 1] };
+                let output = if j + 1 == ops { out.len() } else { mids[j] };
+                meta.charge.count(input, output)
+            })
+            .collect();
         engine.push_current_op(meta.name);
         let charged = engine.charge_compute(&counts, meta.bytes, false);
         engine.pop_current_op();
         charged?;
     }
-    let composite = *fused_name.get_or_init(|| intern_fused_name(&metas));
-    let elided = (ops - 1) as u64;
-    engine.core.stats.add_stage_fused(elided);
-    let at = engine.sim_time();
-    engine.record_event(|| EngineEvent::StageFused {
-        ops: composite,
-        ops_fused: ops as u64,
-        intermediates_elided: elided,
-        partitions: partitions as u64,
-        at,
-    });
-    let records: u64 = per_part.iter().map(|(out, _)| out.len() as u64).sum();
-    engine.record_decision(
-        "narrow_fusion",
-        composite.to_string(),
-        records,
-        0,
-        format!("{ops} narrow ops in one pass over {partitions} partitions; {elided} intermediate materializations elided"),
-    );
+    if ops > 1 {
+        let composite = *fused_name.get_or_init(|| intern_fused_name(&metas));
+        let elided = (ops - 1) as u64;
+        engine.core.stats.add_stage_fused(elided);
+        let at = engine.sim_time();
+        engine.record_event(|| EngineEvent::StageFused {
+            ops: composite,
+            ops_fused: ops as u64,
+            intermediates_elided: elided,
+            partitions: partitions as u64,
+            at,
+        });
+        let records: u64 = per_part.iter().map(|(out, _)| out.len() as u64).sum();
+        engine.record_decision(
+            "narrow_fusion",
+            composite.to_string(),
+            records,
+            0,
+            format!("{ops} narrow ops in one pass over {partitions} partitions; {elided} intermediate materializations elided"),
+        );
+    }
     Ok(to_parts(per_part.into_iter().map(|(out, _)| out).collect()))
 }
 
@@ -367,13 +355,11 @@ mod tests {
     }
 
     #[test]
-    fn fuse_charge_rules_pick_the_unfused_count() {
-        let t = OpTally { input: 10, output: 4 };
-        assert_eq!(ChargeRule::Output.count(t), 4);
-        assert_eq!(ChargeRule::Input.count(t), 10);
-        assert_eq!(ChargeRule::MaxSide.count(t), 10);
-        let expanding = OpTally { input: 3, output: 9 };
-        assert_eq!(ChargeRule::MaxSide.count(expanding), 9);
+    fn fuse_charge_rules_pick_the_charged_count() {
+        assert_eq!(ChargeRule::Output.count(10, 4), 4);
+        assert_eq!(ChargeRule::Input.count(10, 4), 10);
+        assert_eq!(ChargeRule::MaxSide.count(10, 4), 10);
+        assert_eq!(ChargeRule::MaxSide.count(3, 9), 9, "expansion is priced by its output");
     }
 
     #[test]
@@ -383,13 +369,5 @@ mod tests {
         assert_eq!(shared.as_slice(), &[1, 2, 3]);
         let owned: Batch<'_, u32> = Batch::Owned(v.clone());
         assert_eq!(owned.as_slice(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn fuse_tallies_accumulate_batch_sizes() {
-        let cell = Cell::new(OpTally::default());
-        add_tally(&cell, 10, 4);
-        add_tally(&cell, 5, 5);
-        assert_eq!(cell.get(), OpTally { input: 15, output: 9 });
     }
 }

@@ -66,9 +66,9 @@ pub(crate) struct Node<T> {
     /// when their shuffle scatters on first evaluation. Shared with the
     /// compute closure (which runs without access to the node).
     map_output: Arc<OnceLock<MapOutputStats>>,
-    /// Fusion recipe, present on fusible narrow operators only: lets a
-    /// downstream narrow operator extend this node's transducer chain
-    /// instead of materializing it (see `bag/fuse.rs`). `None` marks a
+    /// Fusion recipe, present on narrow operators only (`fuse::fusible`
+    /// builds those nodes): lets a downstream narrow operator extend this
+    /// node's transducer chain instead of materializing it. `None` marks a
     /// fusion barrier (sources, wide ops, `checkpoint`, `map_with_work`,
     /// ...).
     fuse: Option<fuse::FuseHook<T>>,
@@ -150,58 +150,29 @@ impl<T: Data> Bag<T> {
         }
     }
 
-    /// Constructor used by fusible narrow operators (see `bag/fuse.rs`):
-    /// like [`Bag::new_with_partitioning`] but carrying the fusion recipe a
-    /// downstream narrow operator uses to extend this node's chain.
-    pub(crate) fn new_fusible(
-        engine: Engine,
-        name: &'static str,
-        record_bytes: f64,
-        partitions: usize,
-        partitioning: Partitioning,
-        fuse: fuse::FuseHook<T>,
-        compute: impl Fn() -> Result<Parts<T>> + Send + Sync + 'static,
-    ) -> Bag<T> {
-        Bag {
-            node: Arc::new(Node {
-                engine,
-                name,
-                record_bytes,
-                partitions: partitions.max(1),
-                partitioning,
-                compute: Box::new(compute),
-                cache: OnceLock::new(),
-                map_output: Arc::new(OnceLock::new()),
-                fuse: Some(fuse),
-            }),
-        }
-    }
-
     /// The shared reuse-barrier predicate for chain-extending rewrites:
     /// a node may be absorbed into a longer chain only while it is
-    /// **unmaterialized** and **exclusively owned**. Already-evaluated
-    /// nodes (including `checkpoint` and `cache` parents, whose whole point
-    /// is a stable materialization) and multi-consumer nodes must stay as
-    /// they are so every consumer finds the shared partitions cached.
-    /// `expected_refs` is the number of handles the single downstream
-    /// consumer legitimately holds (fusion holds two: assemble hook +
-    /// compute closure). Used by operator fusion here and relied upon by
-    /// the IR plan-rewrite pass (`matryoshka-ir::analyze::plan`), whose
-    /// hoist/CSE auto-caching inserts `cache` nodes precisely so this
-    /// predicate keeps them materialized instead of re-deriving the rule.
-    pub(crate) fn absorbable(&self, expected_refs: usize) -> bool {
-        self.node.cache.get().is_none() && Arc::strong_count(&self.node) == expected_refs
+    /// **unmaterialized** and **exclusively owned** — the one handle being
+    /// the single downstream consumer asking. Already-evaluated nodes
+    /// (including `checkpoint` and `cache` parents, whose whole point is a
+    /// stable materialization) and multi-consumer nodes must stay as they
+    /// are so every consumer finds the shared partitions cached. Used by
+    /// operator fusion here and relied upon by the IR plan-rewrite pass
+    /// (`matryoshka-ir::analyze::plan`), whose hoist/CSE auto-caching
+    /// inserts `cache` nodes precisely so this predicate keeps them
+    /// materialized instead of re-deriving the rule.
+    pub(crate) fn absorbable(&self) -> bool {
+        self.node.cache.get().is_none() && Arc::strong_count(&self.node) == 1
     }
 
     /// The fusion recipe of this bag, if a downstream narrow operator may
-    /// extend its chain: requires a fusible node that passes the shared
-    /// [`Bag::absorbable`] barrier predicate. Any third handle — a user
-    /// binding, a second consumer, a still-live temporary of the enclosing
+    /// extend its chain: requires a narrow node that passes the shared
+    /// [`Bag::absorbable`] barrier predicate. Any second handle — a user
+    /// binding, another consumer, a still-live temporary of the enclosing
     /// statement — keeps the shared prefix materialized so a later
-    /// evaluation finds it cached exactly as an unfused run would have
-    /// left it.
+    /// evaluation finds it cached.
     pub(crate) fn fuse_through(&self) -> Option<&fuse::FuseHook<T>> {
-        if self.absorbable(2) {
+        if self.absorbable() {
             self.node.fuse.as_ref()
         } else {
             None
@@ -249,9 +220,9 @@ impl<T: Data> Bag<T> {
     }
 
     /// Operator name of the defining node (diagnostics). After a bag has
-    /// evaluated as the tail of a fused narrow chain
-    /// ([`ClusterConfig::fuse_narrow`](crate::ClusterConfig::fuse_narrow)),
-    /// this reports the composite provenance, e.g. `fused(map|filter)`.
+    /// evaluated as the tail of a fused narrow chain (two or more
+    /// operators in one pass), this reports the composite provenance, e.g.
+    /// `fused(map|filter)`.
     pub fn op_name(&self) -> &'static str {
         self.node
             .fuse
@@ -453,9 +424,7 @@ mod tests {
     #[test]
     fn cache_and_checkpoint_parents_block_fusion() {
         let run = |wrap: fn(&crate::Bag<i32>) -> crate::Bag<i32>| {
-            let mut cfg = ClusterConfig::local_test();
-            cfg.fuse_narrow = true;
-            let e = Engine::new(cfg);
+            let e = Engine::new(ClusterConfig::local_test());
             let b = wrap(&e.parallelize((0..100).collect::<Vec<i32>>(), 4).map(|x| x + 1));
             let out = b.map(|x| x * 2).filter(|x| x % 4 == 0);
             out.count().unwrap();

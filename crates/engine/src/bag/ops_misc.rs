@@ -21,8 +21,6 @@ impl<T: Data> Bag<T> {
     /// `fraction`, decided by a stable per-record hash of `(seed, index)` so
     /// the sample is reproducible across runs and engines.
     pub fn sample(&self, fraction: f64, seed: u64) -> Bag<T> {
-        let engine = self.engine().clone();
-        let bytes = self.record_bytes();
         let threshold = (fraction.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
         let step: Step<T, T> = Arc::new(move |pi, batch: Batch<'_, T>| {
             let keep = move |i: usize| stable_hash(&(seed, pi as u64, i as u64)) <= threshold;
@@ -38,21 +36,8 @@ impl<T: Data> Bag<T> {
                 }
             }
         });
-        fusible(self, "sample", bytes, Partitioning::Arbitrary, ChargeRule::Input, step, {
-            move |parent: &Bag<T>| {
-                let input = parent.eval()?;
-                let in_counts: Vec<usize> = input.iter().map(|p| p.len()).collect();
-                let out: Vec<Vec<T>> = parallel_map(input.to_vec(), |pi, p: Arc<Vec<T>>| {
-                    p.iter()
-                        .enumerate()
-                        .filter(|(i, _)| stable_hash(&(seed, pi as u64, *i as u64)) <= threshold)
-                        .map(|(_, x)| x.clone())
-                        .collect()
-                });
-                engine.charge_compute(&in_counts, bytes, false)?;
-                Ok(to_parts(out))
-            }
-        })
+        let bytes = self.record_bytes();
+        fusible(self, "sample", bytes, Partitioning::Arbitrary, ChargeRule::Input, step)
     }
 
     /// Total sort by a key function: range-partition by sampled split
@@ -213,30 +198,14 @@ impl<K: Key, V: Data> Bag<(K, V)> {
     /// bag's hash partitioning (a narrow op that keeps co-partitioned joins
     /// co-partitioned, like Spark `mapValues`).
     pub fn map_values<W: Data>(&self, f: impl Fn(&V) -> W + Send + Sync + 'static) -> Bag<(K, W)> {
-        let engine = self.engine().clone();
+        // Keys clone out of the shared partition at a chain's head and move
+        // for free mid-chain.
+        let step: Step<(K, V), (K, W)> = Arc::new(move |_, batch: Batch<'_, (K, V)>| match batch {
+            Batch::Shared(xs) => xs.iter().map(|(k, v)| (k.clone(), f(v))).collect(),
+            Batch::Owned(xs) => xs.into_iter().map(|(k, v)| (k, f(&v))).collect(),
+        });
         let bytes = self.record_bytes();
-        let f = Arc::new(f);
-        let step: Step<(K, V), (K, W)> = {
-            let f = Arc::clone(&f);
-            // Keys clone only at the chain head (what the unfused pass pays)
-            // and move for free mid-chain.
-            Arc::new(move |_, batch: Batch<'_, (K, V)>| match batch {
-                Batch::Shared(xs) => xs.iter().map(|(k, v)| (k.clone(), f(v))).collect(),
-                Batch::Owned(xs) => xs.into_iter().map(|(k, v)| (k, f(&v))).collect(),
-            })
-        };
-        fusible(self, "map_values", bytes, self.partitioning(), ChargeRule::Output, step, {
-            move |parent: &Bag<(K, V)>| {
-                let input = parent.eval()?;
-                let out: Vec<Vec<(K, W)>> =
-                    parallel_map(input.to_vec(), |_, p: Arc<Vec<(K, V)>>| {
-                        p.iter().map(|(k, v)| (k.clone(), f(v))).collect()
-                    });
-                let counts: Vec<usize> = out.iter().map(Vec::len).collect();
-                engine.charge_compute(&counts, bytes, false)?;
-                Ok(to_parts(out))
-            }
-        })
+        fusible(self, "map_values", bytes, self.partitioning(), ChargeRule::Output, step)
     }
 
     /// Spark `combineByKey`/`aggregateByKey`: per-key aggregation with a

@@ -26,23 +26,9 @@ pub struct WorkEstimate {
 impl<T: Data> Bag<T> {
     /// Element-wise transformation.
     pub fn map<U: Data>(&self, f: impl Fn(&T) -> U + Send + Sync + 'static) -> Bag<U> {
-        let engine = self.engine().clone();
-        let bytes = self.record_bytes();
-        let f = Arc::new(f);
-        let step: Step<T, U> = {
-            let f = Arc::clone(&f);
-            Arc::new(move |_, batch: Batch<'_, T>| batch.as_slice().iter().map(&*f).collect())
-        };
-        fusible(self, "map", bytes, Partitioning::Arbitrary, ChargeRule::Output, step, {
-            move |parent: &Bag<T>| {
-                let input = parent.eval()?;
-                let out: Vec<Vec<U>> =
-                    parallel_map(input.to_vec(), |_, p: Arc<Vec<T>>| p.iter().map(&*f).collect());
-                let counts: Vec<usize> = out.iter().map(Vec::len).collect();
-                engine.charge_compute(&counts, bytes, false)?;
-                Ok(to_parts(out))
-            }
-        })
+        let step: Step<T, U> =
+            Arc::new(move |_, batch: Batch<'_, T>| batch.as_slice().iter().map(&f).collect());
+        fusible(self, "map", self.record_bytes(), Partitioning::Arbitrary, ChargeRule::Output, step)
     }
 
     /// Element-wise transformation that also sees the record's position:
@@ -53,26 +39,11 @@ impl<T: Data> Bag<T> {
         &self,
         f: impl Fn(usize, usize, &T) -> U + Send + Sync + 'static,
     ) -> Bag<U> {
-        let engine = self.engine().clone();
+        let step: Step<T, U> = Arc::new(move |pi, batch: Batch<'_, T>| {
+            batch.as_slice().iter().enumerate().map(|(i, x)| f(pi, i, x)).collect()
+        });
         let bytes = self.record_bytes();
-        let f = Arc::new(f);
-        let step: Step<T, U> = {
-            let f = Arc::clone(&f);
-            Arc::new(move |pi, batch: Batch<'_, T>| {
-                batch.as_slice().iter().enumerate().map(|(i, x)| f(pi, i, x)).collect()
-            })
-        };
-        fusible(self, "map_indexed", bytes, Partitioning::Arbitrary, ChargeRule::Output, step, {
-            move |parent: &Bag<T>| {
-                let input = parent.eval()?;
-                let out: Vec<Vec<U>> = parallel_map(input.to_vec(), |pi, p: Arc<Vec<T>>| {
-                    p.iter().enumerate().map(|(i, x)| f(pi, i, x)).collect()
-                });
-                let counts: Vec<usize> = out.iter().map(Vec::len).collect();
-                engine.charge_compute(&counts, bytes, false)?;
-                Ok(to_parts(out))
-            }
-        })
+        fusible(self, "map_indexed", bytes, Partitioning::Arbitrary, ChargeRule::Output, step)
     }
 
     /// Element-wise transformation that also reports a simulated resource
@@ -118,30 +89,15 @@ impl<T: Data> Bag<T> {
 
     /// Keep records satisfying the predicate.
     pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Bag<T> {
-        let engine = self.engine().clone();
+        // Survivors clone out of the shared partition at a chain's head and
+        // move for free mid-chain, where the in-place
+        // `into_iter().collect()` also reuses the batch's allocation.
+        let step: Step<T, T> = Arc::new(move |_, batch: Batch<'_, T>| match batch {
+            Batch::Shared(xs) => xs.iter().filter(|x| f(x)).cloned().collect(),
+            Batch::Owned(xs) => xs.into_iter().filter(|x| f(x)).collect(),
+        });
         let bytes = self.record_bytes();
-        let f = Arc::new(f);
-        let step: Step<T, T> = {
-            let f = Arc::clone(&f);
-            // Survivors clone at the chain head (what the unfused pass pays
-            // per survivor) and move for free mid-chain, where the in-place
-            // `into_iter().collect()` also reuses the batch's allocation.
-            Arc::new(move |_, batch: Batch<'_, T>| match batch {
-                Batch::Shared(xs) => xs.iter().filter(|x| f(x)).cloned().collect(),
-                Batch::Owned(xs) => xs.into_iter().filter(|x| f(x)).collect(),
-            })
-        };
-        fusible(self, "filter", bytes, Partitioning::Arbitrary, ChargeRule::Input, step, {
-            move |parent: &Bag<T>| {
-                let input = parent.eval()?;
-                let in_counts: Vec<usize> = input.iter().map(|p| p.len()).collect();
-                let out: Vec<Vec<T>> = parallel_map(input.to_vec(), |_, p: Arc<Vec<T>>| {
-                    p.iter().filter(|x| f(x)).cloned().collect()
-                });
-                engine.charge_compute(&in_counts, bytes, false)?;
-                Ok(to_parts(out))
-            }
-        })
+        fusible(self, "filter", bytes, Partitioning::Arbitrary, ChargeRule::Input, step)
     }
 
     /// Element-to-many transformation. Cost is charged on
@@ -151,32 +107,15 @@ impl<T: Data> Bag<T> {
     where
         I: IntoIterator<Item = U>,
     {
-        let engine = self.engine().clone();
+        let step: Step<T, U> =
+            Arc::new(move |_, batch: Batch<'_, T>| batch.as_slice().iter().flat_map(&f).collect());
         let bytes = self.record_bytes();
-        let f = Arc::new(f);
-        let step: Step<T, U> = {
-            let f = Arc::clone(&f);
-            Arc::new(move |_, batch: Batch<'_, T>| batch.as_slice().iter().flat_map(&*f).collect())
-        };
-        fusible(self, "flat_map", bytes, Partitioning::Arbitrary, ChargeRule::MaxSide, step, {
-            move |parent: &Bag<T>| {
-                let input = parent.eval()?;
-                let out: Vec<Vec<U>> = parallel_map(input.to_vec(), |_, p: Arc<Vec<T>>| {
-                    p.iter().flat_map(&*f).collect()
-                });
-                let counts: Vec<usize> =
-                    input.iter().zip(out.iter()).map(|(i, o)| i.len().max(o.len())).collect();
-                engine.charge_compute(&counts, bytes, false)?;
-                Ok(to_parts(out))
-            }
-        })
+        fusible(self, "flat_map", bytes, Partitioning::Arbitrary, ChargeRule::MaxSide, step)
     }
 
     /// Pair every record with a unique id (Spark `zipWithUniqueId`:
     /// `index_in_partition * num_partitions + partition_index`).
     pub fn zip_with_unique_id(&self) -> Bag<(T, u64)> {
-        let engine = self.engine().clone();
-        let bytes = self.record_bytes();
         let nparts = self.num_partitions() as u64;
         let step: Step<T, (T, u64)> = Arc::new(move |pi, batch: Batch<'_, T>| match batch {
             Batch::Shared(xs) => xs
@@ -190,6 +129,7 @@ impl<T: Data> Bag<T> {
                 .map(|(i, x)| (x, i as u64 * nparts + pi as u64))
                 .collect(),
         });
+        let bytes = self.record_bytes();
         fusible(
             self,
             "zip_with_unique_id",
@@ -197,18 +137,6 @@ impl<T: Data> Bag<T> {
             Partitioning::Arbitrary,
             ChargeRule::Output,
             step,
-            move |parent: &Bag<T>| {
-                let input = parent.eval()?;
-                let out: Vec<Vec<(T, u64)>> = parallel_map(input.to_vec(), |pi, p: Arc<Vec<T>>| {
-                    p.iter()
-                        .enumerate()
-                        .map(|(i, x)| (x.clone(), i as u64 * nparts + pi as u64))
-                        .collect()
-                });
-                let counts: Vec<usize> = out.iter().map(Vec::len).collect();
-                engine.charge_compute(&counts, bytes, false)?;
-                Ok(to_parts(out))
-            },
         )
     }
 

@@ -138,15 +138,6 @@ pub struct ClusterConfig {
     /// atomic load, keeping untraced runs within measurement noise. Can also
     /// be toggled later via [`Engine::enable_tracing`](crate::Engine::enable_tracing).
     pub trace_events: bool,
-    /// Collapse maximal runs of narrow (shuffle-free) operators into a
-    /// single per-partition pass at evaluation time (on by default). Fusion
-    /// is *sim-transparent* — simulated time and [`StatsSnapshot`] counters
-    /// are bit-identical either way (see `DESIGN.md`, "Narrow-stage
-    /// fusion") — so this switch exists purely as a wall-clock A/B
-    /// escape hatch for benchmarks and tests.
-    ///
-    /// [`StatsSnapshot`]: crate::StatsSnapshot
-    pub fuse_narrow: bool,
 }
 
 impl ClusterConfig {
@@ -169,7 +160,6 @@ impl ClusterConfig {
             costs: CostModel::default(),
             faults: FaultConfig::default(),
             trace_events: false,
-            fuse_narrow: true,
         }
     }
 
@@ -186,7 +176,6 @@ impl ClusterConfig {
             costs: CostModel::default(),
             faults: FaultConfig::default(),
             trace_events: false,
-            fuse_narrow: true,
         }
     }
 
@@ -202,7 +191,6 @@ impl ClusterConfig {
             costs: CostModel::default(),
             faults: FaultConfig::default(),
             trace_events: false,
-            fuse_narrow: true,
         }
     }
 

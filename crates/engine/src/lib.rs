@@ -13,12 +13,13 @@
 //! network transfer, disk spilling and per-worker memory limits (with
 //! simulated `OutOfMemory` failures). Experiments read [`Engine::sim_time`].
 //!
-//! Maximal runs of narrow operators (`map`, `filter`, `flat_map`, ...) are
-//! **fused** into a single pass per partition, eliding the intermediate
-//! materializations, while the simulated cost model still charges each
-//! operator exactly as if it ran unfused (sim-transparency; see
-//! `DESIGN.md` § "Narrow-stage fusion"). Disable with
-//! [`ClusterConfig::fuse_narrow`] `= false`.
+//! Narrow operators (`map`, `filter`, `flat_map`, ...) execute as batch
+//! transducer steps, and a maximal run of them is **fused** into a single
+//! pass per partition, eliding the intermediate materializations. The
+//! simulated cost model charges each operator separately wherever chains
+//! are cut (sim-transparency; see `DESIGN.md` § "Narrow-stage fusion"). A
+//! bag that another live handle still refers to is never fused through, so
+//! keeping every intermediate bound yields the operator-at-a-time schedule.
 //!
 //! Execution is observable: always-on counters ([`StatsSnapshot`]), opt-in
 //! structured events ([`EngineEvent`], via [`Engine::enable_tracing`] or

@@ -456,19 +456,30 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::Relaxed), 256, "each item dropped exactly once");
     }
 
+    /// A second thread *can* join a batch: item 0 holds its claimant (for
+    /// at most 5 s) until another thread has recorded itself, so the batch
+    /// cannot be drained by one thread before the other wakes up.
     #[test]
-    fn actually_uses_multiple_threads_for_many_items() {
+    fn a_second_thread_joins_a_batch_in_progress() {
         use std::collections::HashSet;
-        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let _ = parallel_map((0..64).collect::<Vec<i32>>(), |_, x| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            // A little work so threads overlap.
-            (0..1000).fold(x, |a, b| a.wrapping_add(b))
-        });
-        // On a multi-core host more than one thread should have participated.
-        if host_parallelism() > 1 {
-            assert!(seen.lock().unwrap().len() > 1);
+        use std::time::Duration;
+        if host_parallelism() < 2 {
+            return; // the sequential fast path never touches the pool
         }
+        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let joined = Condvar::new();
+        let _ = parallel_map((0..64).collect::<Vec<i32>>(), |i, x| {
+            let mut ids = seen.lock().unwrap();
+            ids.insert(std::thread::current().id());
+            joined.notify_all();
+            if i == 0 {
+                let _ = joined
+                    .wait_timeout_while(ids, Duration::from_secs(5), |ids| ids.len() < 2)
+                    .unwrap();
+            }
+            x
+        });
+        assert!(seen.lock().unwrap().len() > 1, "no second thread joined within 5 s");
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub struct StatsSnapshot {
     /// Modeled bytes written to replicated checkpoint storage by
     /// `Bag::checkpoint` (lineage truncation).
     pub checkpoint_bytes: u64,
-    /// Narrow operator chains executed as one fused per-partition pass
-    /// (`ClusterConfig::fuse_narrow`). Host-side only: fusion never changes
-    /// the simulated clock or the other counters.
+    /// Narrow operator chains of two or more executed as one fused
+    /// per-partition pass. Host-side only: fusion never changes the
+    /// simulated clock or the other counters.
     pub stages_fused: u64,
     /// Intermediate per-operator materializations elided by fusion (for a
     /// fused chain of `k` operators, `k - 1` intermediates are elided).

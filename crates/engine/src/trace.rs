@@ -20,6 +20,10 @@
 //! 3. **Exporters** — [`export_json`] dumps a run as a self-contained JSON
 //!    document; [`export_chrome_trace`] emits the Chrome Trace Event Format
 //!    consumed by Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`.
+//!    Both read events through one descriptor — [`EngineEvent::kind`],
+//!    [`EngineEvent::when`] and [`EngineEvent::fields`], all generated from
+//!    the single table that defines the enum — so a variant's field list is
+//!    spelled exactly once ([`EngineEvent::SCHEMA`] exposes it statically).
 //!
 //! [`TraceSummary::from_events`] aggregates an event stream back into the
 //! counters of [`StatsSnapshot`](crate::StatsSnapshot), so a traced run can
@@ -32,32 +36,189 @@ use std::sync::Mutex;
 
 use crate::sim::SimTime;
 
-/// One structured event of a traced run, in recording order.
-///
-/// Interval events carry simulated `start`/`end` times; instantaneous events
-/// carry a single `at` timestamp. All times come from the engine's simulated
-/// clock, so durations are *modeled* cluster time, not host wall-clock.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EngineEvent {
+/// When an event happened on the simulated clock: a single instant or an
+/// interval. Generic so [`EngineEvent::when_mut`] can hand out the stamps
+/// for in-place adjustment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum When<T = SimTime> {
+    /// Instantaneous event (the variant's `at` field).
+    At(T),
+    /// Interval event (the variant's `start` and `end` fields).
+    Span(T, T),
+}
+
+impl<T> From<[T; 1]> for When<T> {
+    fn from([at]: [T; 1]) -> Self {
+        When::At(at)
+    }
+}
+
+impl<T> From<[T; 2]> for When<T> {
+    fn from([start, end]: [T; 2]) -> Self {
+        When::Span(start, end)
+    }
+}
+
+/// One payload value of an event, as yielded by [`EngineEvent::fields`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldValue<'a> {
+    /// Counter, id or size.
+    U64(u64),
+    /// Flag.
+    Bool(bool),
+    /// Operator, pool, job name or reason.
+    Str(&'a str),
+    /// Simulated *duration* (the event's position on the clock is its
+    /// [`When`], not a field).
+    Time(SimTime),
+}
+
+impl From<&u64> for FieldValue<'_> {
+    fn from(v: &u64) -> Self {
+        FieldValue::U64(*v)
+    }
+}
+
+impl From<&u32> for FieldValue<'_> {
+    fn from(v: &u32) -> Self {
+        FieldValue::U64(u64::from(*v))
+    }
+}
+
+impl From<&bool> for FieldValue<'_> {
+    fn from(v: &bool) -> Self {
+        FieldValue::Bool(*v)
+    }
+}
+
+impl<'a> From<&'a &'static str> for FieldValue<'a> {
+    fn from(v: &'a &'static str) -> Self {
+        FieldValue::Str(v)
+    }
+}
+
+impl<'a> From<&'a String> for FieldValue<'a> {
+    fn from(v: &'a String) -> Self {
+        FieldValue::Str(v)
+    }
+}
+
+impl From<&SimTime> for FieldValue<'_> {
+    fn from(v: &SimTime) -> Self {
+        FieldValue::Time(*v)
+    }
+}
+
+/// The static shape of one [`EngineEvent`] variant (see
+/// [`EngineEvent::SCHEMA`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventSchema {
+    /// Rust variant name (`JobStart`).
+    pub variant: &'static str,
+    /// Wire name: the `"type"` of the JSON export (`job_start`).
+    pub kind: &'static str,
+    /// Payload field names, in export order.
+    pub fields: &'static [&'static str],
+    /// Time-stamp field names: `["at"]` or `["start", "end"]`.
+    pub when: &'static [&'static str],
+}
+
+/// Defines [`EngineEvent`] from the one table that describes every variant —
+/// wire kind, payload fields in export order, time stamps — and derives the
+/// descriptor API ([`EngineEvent::SCHEMA`], `kind`, `when`, `when_mut`,
+/// `fields`) that the exporters and [`EngineEvent::shifted`] are written
+/// against.
+macro_rules! engine_events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $kind:literal {
+            $($(#[$fmeta:meta])* $field:ident: $ty:ty,)+
+        } when {
+            $($(#[$tmeta:meta])* $tfield:ident,)+
+        }
+    )+) => {
+        /// One structured event of a traced run, in recording order.
+        ///
+        /// Interval events carry simulated `start`/`end` times; instantaneous
+        /// events carry a single `at` timestamp. All times come from the
+        /// engine's simulated clock, so durations are *modeled* cluster time,
+        /// not host wall-clock.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EngineEvent {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $($(#[$fmeta])* $field: $ty,)+
+                    $($(#[$tmeta])* $tfield: SimTime,)+
+                },
+            )+
+        }
+
+        impl EngineEvent {
+            /// The shape of every variant, in declaration order.
+            pub const SCHEMA: &'static [EventSchema] = &[$(EventSchema {
+                variant: stringify!($variant),
+                kind: $kind,
+                fields: &[$(stringify!($field)),+],
+                when: &[$(stringify!($tfield)),+],
+            }),+];
+
+            /// Wire name of this event (the `"type"` of the JSON export).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(EngineEvent::$variant { .. } => $kind,)+
+                }
+            }
+
+            /// The event's instant or interval on the simulated clock.
+            pub fn when(&self) -> When {
+                match self {
+                    $(EngineEvent::$variant { $($tfield,)+ .. } => [$(*$tfield),+].into(),)+
+                }
+            }
+
+            /// Mutable access to the event's time stamp(s).
+            pub fn when_mut(&mut self) -> When<&mut SimTime> {
+                match self {
+                    $(EngineEvent::$variant { $($tfield,)+ .. } => [$($tfield),+].into(),)+
+                }
+            }
+
+            /// Visit the payload fields (everything but the time stamps) as
+            /// `(name, value)` pairs, in export order.
+            pub fn fields<'a>(&'a self, mut visit: impl FnMut(&'static str, FieldValue<'a>)) {
+                match self {
+                    $(EngineEvent::$variant { $($field,)+ .. } => {
+                        $(visit(stringify!($field), $field.into());)+
+                    })+
+                }
+            }
+        }
+    };
+}
+
+engine_events! {
     /// An action began executing (one simulated job).
-    JobStart {
+    JobStart = "job_start" {
         /// Job sequence number, unique per engine.
         job: u64,
         /// The action that launched the job (`collect`, `count`, ...).
         action: &'static str,
+    } when {
         /// Simulated time when the driver started the job (before the
         /// job-launch overhead is charged).
-        at: SimTime,
-    },
+        at,
+    }
     /// The matching end of a [`EngineEvent::JobStart`].
-    JobEnd {
+    JobEnd = "job_end" {
         /// Job sequence number.
         job: u64,
-        /// Simulated completion (or failure) time.
-        at: SimTime,
         /// Whether the action succeeded.
         ok: bool,
-    },
+    } when {
+        /// Simulated completion (or failure) time.
+        at,
+    }
     /// One stage-like unit of compute charged onto the simulated cores.
     ///
     /// `scheduled == true` marks a real stage boundary (a source or shuffle
@@ -65,7 +226,7 @@ pub enum EngineEvent {
     /// [`StatsSnapshot::stages`](crate::StatsSnapshot::stages) counts);
     /// `scheduled == false` is the pipelined compute of a narrow operator
     /// riding inside an already-scheduled stage.
-    Stage {
+    Stage = "stage" {
         /// Stage counter value at charge time (stable within a run).
         stage: u64,
         /// Operator being evaluated when the charge happened (`map`,
@@ -75,125 +236,135 @@ pub enum EngineEvent {
         tasks: u64,
         /// True for stage starts (scheduling + task-launch overhead paid).
         scheduled: bool,
-        /// Simulated start time.
-        start: SimTime,
-        /// Simulated end time.
-        end: SimTime,
         /// Total task time (sum over tasks, before LPT packing).
         busy: SimTime,
-    },
+    } when {
+        /// Simulated start time.
+        start,
+        /// Simulated end time.
+        end,
+    }
     /// Records crossed a shuffle boundary.
-    Shuffle {
+    Shuffle = "shuffle" {
         /// Operator that shuffled.
         operator: &'static str,
         /// Records shuffled.
         records: u64,
         /// Total bytes shuffled.
         bytes: u64,
+    } when {
         /// Simulated start time.
-        start: SimTime,
+        start,
         /// Simulated end time.
-        end: SimTime,
-    },
+        end,
+    }
     /// A broadcast variable was shipped to every worker.
-    Broadcast {
+    Broadcast = "broadcast" {
         /// Operator that broadcast (`broadcast`, `broadcast_join`, ...).
         operator: &'static str,
         /// Serialized bytes shipped.
         bytes: u64,
+    } when {
         /// Simulated start time.
-        start: SimTime,
+        start,
         /// Simulated end time.
-        end: SimTime,
-    },
+        end,
+    }
     /// A stage's working set exceeded the spill threshold.
-    Spill {
+    Spill = "spill" {
         /// Operator that spilled.
         operator: &'static str,
         /// Bytes written to (and re-read from) simulated disk.
         bytes: u64,
+    } when {
         /// Simulated start time.
-        start: SimTime,
+        start,
         /// Simulated end time.
-        end: SimTime,
-    },
+        end,
+    }
     /// Records were moved to the driver.
-    Collect {
+    Collect = "collect" {
         /// Records transferred.
         records: u64,
         /// Total bytes transferred.
         bytes: u64,
+    } when {
         /// Simulated start time.
-        start: SimTime,
+        start,
         /// Simulated end time.
-        end: SimTime,
-    },
+        end,
+    }
     /// Peak concurrent working-set memory of a stage on the heaviest worker.
-    MemoryPeak {
+    MemoryPeak = "memory_peak" {
         /// Operator whose stage was memory-checked.
         operator: &'static str,
         /// Peak bytes concurrently resident on the heaviest machine.
         peak_bytes: u64,
+    } when {
         /// Simulated time of the check.
-        at: SimTime,
-    },
+        at,
+    }
     /// A task attempt failed under the fault model and was re-run.
-    TaskRetry {
+    TaskRetry = "task_retry" {
         /// Stage whose task failed.
         stage: u64,
         /// Index of the failing task within the stage.
         task: u64,
         /// Attempt number that failed (1 = the first run failed once).
         attempt: u32,
+    } when {
         /// Simulated start time of the stage being retried.
-        at: SimTime,
-    },
+        at,
+    }
     /// A simulated machine was lost at a stage boundary, invalidating the
     /// materialized partitions placed on it (`FaultConfig::machine_loss_rate`;
     /// see `docs/FAULTS.md`).
-    MachineLost {
+    MachineLost = "machine_lost" {
         /// Index of the lost machine.
         machine: u64,
         /// Stage boundary at which the loss was detected.
         stage: u64,
         /// Materialized partitions invalidated by the loss.
         partitions_lost: u64,
+    } when {
         /// Simulated time of the loss.
-        at: SimTime,
-    },
+        at,
+    }
     /// Lineage replay recomputed the partitions lost with a machine, on the
     /// surviving cluster. One event per recovery (aggregated over the lost
     /// partitions, not one per partition).
-    PartitionRecomputed {
+    PartitionRecomputed = "partition_recomputed" {
         /// Machine whose partitions were recomputed.
         machine: u64,
         /// Stage boundary that triggered the recovery.
         stage: u64,
         /// Partitions recomputed.
         partitions: u64,
+    } when {
         /// Simulated start of the replay.
-        start: SimTime,
+        start,
         /// Simulated end of the replay.
-        end: SimTime,
-    },
+        end,
+    }
     /// A bag was checkpointed to replicated storage, truncating its lineage
     /// for the fault model (`Bag::checkpoint`).
-    Checkpoint {
+    Checkpoint = "checkpoint" {
         /// Operator that checkpointed.
         operator: &'static str,
         /// Modeled bytes written (records x record_bytes).
         bytes: u64,
+    } when {
         /// Simulated start of the write.
-        start: SimTime,
+        start,
         /// Simulated end of the write.
-        end: SimTime,
-    },
-    /// A maximal run of narrow operators executed as one fused per-partition
-    /// pass (`ClusterConfig::fuse_narrow`; see `DESIGN.md`, "Narrow-stage
-    /// fusion"). Host-side only: the chain's simulated charges are replayed
+        end,
+    }
+    /// A maximal run of two or more narrow operators executed as one fused
+    /// per-partition pass (see `DESIGN.md`, "Narrow-stage fusion").
+    /// Host-side only: each operator's simulated charge is issued
     /// unchanged, so the matching [`EngineEvent::Stage`] events still appear
     /// one per fused operator.
-    StageFused {
+    StageFused = "stage_fused" {
         /// Composite operator name, e.g. `fused(map|filter|flat_map)`.
         ops: &'static str,
         /// Number of narrow operators collapsed into the pass.
@@ -202,12 +373,13 @@ pub enum EngineEvent {
         intermediates_elided: u64,
         /// Partitions processed by the single pass.
         partitions: u64,
+    } when {
         /// Simulated time when the fused pass finished charging.
-        at: SimTime,
-    },
+        at,
+    }
     /// Map-output partition-size distribution of one shuffle (per-wide-stage
     /// histogram digest; see `MapOutputStats`).
-    PartitionStats {
+    PartitionStats = "partition_stats" {
         /// Operator that shuffled.
         operator: &'static str,
         /// Number of reduce-side partitions.
@@ -224,38 +396,41 @@ pub enum EngineEvent {
         max_bytes: u64,
         /// Skew ratio (max/mean partition bytes) in thousandths.
         skew_ratio_milli: u64,
+    } when {
         /// Simulated time of the scatter.
-        at: SimTime,
-    },
+        at,
+    }
     /// A service-level job passed admission control and entered the
     /// multi-tenant scheduler's queue (see `docs/SERVICE.md`). All `Job*`
     /// lifecycle events below are recorded by the job service on its own
     /// event stream, in scheduler virtual time — not by a directly-driven
     /// engine.
-    JobQueued {
+    JobQueued = "job_queued" {
         /// Service job id (unique per service, submission order).
         job: u64,
         /// Client-supplied job name.
         name: String,
         /// Scheduler pool the job was admitted to.
         pool: String,
+    } when {
         /// Virtual arrival time.
-        at: SimTime,
-    },
+        at,
+    }
     /// A queued service-level job was granted its core slots and began
     /// executing.
-    JobStarted {
+    JobStarted = "job_started" {
         /// Service job id.
         job: u64,
         /// Scheduler pool the job ran in.
         pool: String,
         /// Time spent queued ([`EngineEvent::JobQueued`] to this event).
         queue_wait: SimTime,
+    } when {
         /// Virtual start time.
-        at: SimTime,
-    },
+        at,
+    }
     /// A running service-level job released its core slots with an outcome.
-    JobFinished {
+    JobFinished = "job_finished" {
         /// Service job id.
         job: u64,
         /// Whether the program succeeded (`false` covers simulated OOM and
@@ -265,30 +440,33 @@ pub enum EngineEvent {
         /// The job's own simulated execution time in nanoseconds
         /// (engine-local, excludes queue wait).
         sim_nanos: u64,
+    } when {
         /// Virtual completion time.
-        at: SimTime,
-    },
+        at,
+    }
     /// A service-level job was cancelled — client request, or a deadline
     /// missed in queue or (deterministically, on the simulated clock) during
     /// execution.
-    JobCancelled {
+    JobCancelled = "job_cancelled" {
         /// Service job id.
         job: u64,
         /// Why the job was cancelled.
         reason: String,
+    } when {
         /// Virtual cancellation time.
-        at: SimTime,
-    },
+        at,
+    }
     /// Admission control turned a submission away before it was queued
     /// (saturated queue, unknown pool, or static-analysis errors).
-    JobRejected {
+    JobRejected = "job_rejected" {
         /// Service job id assigned to the rejected submission.
         job: u64,
         /// Why admission refused the job.
         reason: String,
+    } when {
         /// Virtual rejection time.
-        at: SimTime,
-    },
+        at,
+    }
 }
 
 impl EngineEvent {
@@ -300,26 +478,9 @@ impl EngineEvent {
     /// timeline for merged exports ([`export_chrome_trace_multi`]).
     pub fn shifted(&self, offset: SimTime) -> EngineEvent {
         let mut ev = self.clone();
-        match &mut ev {
-            EngineEvent::JobStart { at, .. }
-            | EngineEvent::JobEnd { at, .. }
-            | EngineEvent::MemoryPeak { at, .. }
-            | EngineEvent::TaskRetry { at, .. }
-            | EngineEvent::MachineLost { at, .. }
-            | EngineEvent::StageFused { at, .. }
-            | EngineEvent::PartitionStats { at, .. }
-            | EngineEvent::JobQueued { at, .. }
-            | EngineEvent::JobStarted { at, .. }
-            | EngineEvent::JobFinished { at, .. }
-            | EngineEvent::JobCancelled { at, .. }
-            | EngineEvent::JobRejected { at, .. } => *at += offset,
-            EngineEvent::Stage { start, end, .. }
-            | EngineEvent::Shuffle { start, end, .. }
-            | EngineEvent::Broadcast { start, end, .. }
-            | EngineEvent::Spill { start, end, .. }
-            | EngineEvent::Collect { start, end, .. }
-            | EngineEvent::PartitionRecomputed { start, end, .. }
-            | EngineEvent::Checkpoint { start, end, .. } => {
+        match ev.when_mut() {
+            When::At(at) => *at += offset,
+            When::Span(start, end) => {
                 *start += offset;
                 *end += offset;
             }
@@ -530,8 +691,15 @@ fn micros(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e3
 }
 
-fn span(out: &mut String, start: SimTime, end: SimTime) {
-    let _ = write!(out, "\"start_us\":{:.3},\"end_us\":{:.3}", micros(start), micros(end));
+/// Append `"name":value` — the one place a [`FieldValue`] becomes JSON
+/// (durations gain a `_us` suffix and print as fractional microseconds).
+fn write_field(out: &mut String, name: &str, value: FieldValue<'_>) {
+    let _ = match value {
+        FieldValue::U64(v) => write!(out, "\"{name}\":{v}"),
+        FieldValue::Bool(v) => write!(out, "\"{name}\":{v}"),
+        FieldValue::Str(v) => write!(out, "\"{name}\":\"{}\"", esc(v)),
+        FieldValue::Time(v) => write!(out, "\"{name}_us\":{:.3}", micros(v)),
+    };
 }
 
 /// Serialize events, decisions and the derived [`TraceSummary`] as one
@@ -566,179 +734,17 @@ pub fn export_json(events: &[EngineEvent], decisions: &[Decision]) -> String {
     );
     out.push_str("},\n  \"events\": [\n");
     for (i, ev) in events.iter().enumerate() {
-        out.push_str("    {");
-        match ev {
-            EngineEvent::JobStart { job, action, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"job_start\",\"job\":{job},\"action\":\"{}\",\"at_us\":{:.3}",
-                    esc(action),
-                    micros(*at)
-                );
+        let _ = write!(out, "    {{\"type\":\"{}\"", ev.kind());
+        ev.fields(|name, value| {
+            out.push(',');
+            write_field(&mut out, name, value);
+        });
+        let _ = match ev.when() {
+            When::At(at) => write!(out, ",\"at_us\":{:.3}", micros(at)),
+            When::Span(start, end) => {
+                write!(out, ",\"start_us\":{:.3},\"end_us\":{:.3}", micros(start), micros(end))
             }
-            EngineEvent::JobEnd { job, at, ok } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"job_end\",\"job\":{job},\"ok\":{ok},\"at_us\":{:.3}",
-                    micros(*at)
-                );
-            }
-            EngineEvent::Stage { stage, operator, tasks, scheduled, start, end, busy } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"stage\",\"stage\":{stage},\"operator\":\"{}\",\"tasks\":{tasks},\
-                     \"scheduled\":{scheduled},\"busy_us\":{:.3},",
-                    esc(operator),
-                    micros(*busy)
-                );
-                span(&mut out, *start, *end);
-            }
-            EngineEvent::Shuffle { operator, records, bytes, start, end } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"shuffle\",\"operator\":\"{}\",\"records\":{records},\"bytes\":{bytes},",
-                    esc(operator)
-                );
-                span(&mut out, *start, *end);
-            }
-            EngineEvent::Broadcast { operator, bytes, start, end } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"broadcast\",\"operator\":\"{}\",\"bytes\":{bytes},",
-                    esc(operator)
-                );
-                span(&mut out, *start, *end);
-            }
-            EngineEvent::Spill { operator, bytes, start, end } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"spill\",\"operator\":\"{}\",\"bytes\":{bytes},",
-                    esc(operator)
-                );
-                span(&mut out, *start, *end);
-            }
-            EngineEvent::Collect { records, bytes, start, end } => {
-                let _ =
-                    write!(out, "\"type\":\"collect\",\"records\":{records},\"bytes\":{bytes},");
-                span(&mut out, *start, *end);
-            }
-            EngineEvent::MemoryPeak { operator, peak_bytes, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"memory_peak\",\"operator\":\"{}\",\"peak_bytes\":{peak_bytes},\
-                     \"at_us\":{:.3}",
-                    esc(operator),
-                    micros(*at)
-                );
-            }
-            EngineEvent::TaskRetry { stage, task, attempt, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"task_retry\",\"stage\":{stage},\"task\":{task},\
-                     \"attempt\":{attempt},\"at_us\":{:.3}",
-                    micros(*at)
-                );
-            }
-            EngineEvent::MachineLost { machine, stage, partitions_lost, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"machine_lost\",\"machine\":{machine},\"stage\":{stage},\
-                     \"partitions_lost\":{partitions_lost},\"at_us\":{:.3}",
-                    micros(*at)
-                );
-            }
-            EngineEvent::PartitionRecomputed { machine, stage, partitions, start, end } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"partition_recomputed\",\"machine\":{machine},\"stage\":{stage},\
-                     \"partitions\":{partitions},"
-                );
-                span(&mut out, *start, *end);
-            }
-            EngineEvent::Checkpoint { operator, bytes, start, end } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"checkpoint\",\"operator\":\"{}\",\"bytes\":{bytes},",
-                    esc(operator)
-                );
-                span(&mut out, *start, *end);
-            }
-            EngineEvent::StageFused { ops, ops_fused, intermediates_elided, partitions, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"stage_fused\",\"ops\":\"{}\",\"ops_fused\":{ops_fused},\
-                     \"intermediates_elided\":{intermediates_elided},\"partitions\":{partitions},\
-                     \"at_us\":{:.3}",
-                    esc(ops),
-                    micros(*at)
-                );
-            }
-            EngineEvent::PartitionStats {
-                operator,
-                partitions,
-                records,
-                bytes,
-                p50_bytes,
-                p99_bytes,
-                max_bytes,
-                skew_ratio_milli,
-                at,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"partition_stats\",\"operator\":\"{}\",\"partitions\":{partitions},\
-                     \"records\":{records},\"bytes\":{bytes},\"p50_bytes\":{p50_bytes},\
-                     \"p99_bytes\":{p99_bytes},\"max_bytes\":{max_bytes},\
-                     \"skew_ratio_milli\":{skew_ratio_milli},\"at_us\":{:.3}",
-                    esc(operator),
-                    micros(*at)
-                );
-            }
-            EngineEvent::JobQueued { job, name, pool, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"job_queued\",\"job\":{job},\"name\":\"{}\",\"pool\":\"{}\",\
-                     \"at_us\":{:.3}",
-                    esc(name),
-                    esc(pool),
-                    micros(*at)
-                );
-            }
-            EngineEvent::JobStarted { job, pool, queue_wait, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"job_started\",\"job\":{job},\"pool\":\"{}\",\
-                     \"queue_wait_us\":{:.3},\"at_us\":{:.3}",
-                    esc(pool),
-                    micros(*queue_wait),
-                    micros(*at)
-                );
-            }
-            EngineEvent::JobFinished { job, ok, sim_nanos, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"job_finished\",\"job\":{job},\"ok\":{ok},\
-                     \"sim_nanos\":{sim_nanos},\"at_us\":{:.3}",
-                    micros(*at)
-                );
-            }
-            EngineEvent::JobCancelled { job, reason, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"job_cancelled\",\"job\":{job},\"reason\":\"{}\",\"at_us\":{:.3}",
-                    esc(reason),
-                    micros(*at)
-                );
-            }
-            EngineEvent::JobRejected { job, reason, at } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"job_rejected\",\"job\":{job},\"reason\":\"{}\",\"at_us\":{:.3}",
-                    esc(reason),
-                    micros(*at)
-                );
-            }
-        }
+        };
         out.push('}');
         if i + 1 < events.len() {
             out.push(',');
@@ -839,24 +845,52 @@ pub fn export_chrome_trace_multi(lanes: &[ChromeLane<'_>]) -> String {
 }
 
 /// Write one lane's events and decisions (no metadata, no array brackets).
+///
+/// The match below is presentation only — what a mark is called, which
+/// category and lane it lands in, slice vs. instant, and how job starts pair
+/// with their ends; every mark's `args` are the event's
+/// [`fields`](EngineEvent::fields).
 fn write_chrome_lane(out: &mut String, pid: u32, events: &[EngineEvent], decisions: &[Decision]) {
-    let complete = |out: &mut String,
-                    name: String,
-                    cat: &str,
-                    tid: u32,
-                    start: SimTime,
-                    end: SimTime,
-                    args: String| {
+    // Close a mark whose head has been written: `"args":{<fields>}},`.
+    let args = |out: &mut String, ev: &EngineEvent| {
+        out.push_str("\"args\":{");
+        let mut sep = "";
+        ev.fields(|name, value| {
+            out.push_str(sep);
+            sep = ",";
+            write_field(out, name, value);
+        });
+        out.push_str("}},\n");
+    };
+    let slice = |out: &mut String,
+                 ev: &EngineEvent,
+                 name: String,
+                 cat: &str,
+                 tid: u32,
+                 start: SimTime,
+                 end: SimTime| {
         let dur = (micros(end) - micros(start)).max(0.001);
-        let _ = writeln!(
+        let _ = write!(
             out,
             "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-             \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}},",
+             \"pid\":{pid},\"tid\":{tid},",
             esc(&name),
             micros(start),
             dur
         );
+        args(out, ev);
     };
+    let instant =
+        |out: &mut String, ev: &EngineEvent, name: String, cat: &str, tid: u32, at: SimTime| {
+            let _ = write!(
+                out,
+                "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\
+                 \"tid\":{tid},\"s\":\"t\",",
+                esc(&name),
+                micros(at)
+            );
+            args(out, ev);
+        };
     // Pair job starts with their ends to draw one slice per job.
     let mut open_jobs: Vec<(u64, &'static str, SimTime)> = Vec::new();
     // Pair service job-started events with their finish/cancel.
@@ -864,78 +898,32 @@ fn write_chrome_lane(out: &mut String, pid: u32, events: &[EngineEvent], decisio
     for ev in events {
         match ev {
             EngineEvent::JobStart { job, action, at } => open_jobs.push((*job, action, *at)),
-            EngineEvent::JobEnd { job, at, ok } => {
+            EngineEvent::JobEnd { job, at, .. } => {
                 if let Some(pos) = open_jobs.iter().rposition(|(j, _, _)| j == job) {
                     let (j, action, start) = open_jobs.remove(pos);
-                    complete(
-                        out,
-                        format!("job {j}: {action}"),
-                        "job",
-                        TID_JOBS,
-                        start,
-                        *at,
-                        format!("\"job\":{j},\"ok\":{ok}"),
-                    );
+                    slice(out, ev, format!("job {j}: {action}"), "job", TID_JOBS, start, *at);
                 }
             }
-            EngineEvent::Stage { stage, operator, tasks, scheduled, start, end, busy } => {
-                complete(
-                    out,
-                    format!("{operator} [{tasks} tasks]"),
-                    if *scheduled { "stage" } else { "narrow" },
-                    TID_STAGES,
-                    *start,
-                    *end,
-                    format!(
-                        "\"stage\":{stage},\"tasks\":{tasks},\"scheduled\":{scheduled},\"busy_us\":{:.3}",
-                        micros(*busy)
-                    ),
-                );
+            EngineEvent::Stage { operator, tasks, scheduled, start, end, .. } => {
+                let cat = if *scheduled { "stage" } else { "narrow" };
+                let name = format!("{operator} [{tasks} tasks]");
+                slice(out, ev, name, cat, TID_STAGES, *start, *end);
             }
-            EngineEvent::Shuffle { operator, records, bytes, start, end } => {
-                complete(
-                    out,
-                    format!("shuffle: {operator}"),
-                    "shuffle",
-                    TID_SHUFFLE,
-                    *start,
-                    *end,
-                    format!("\"records\":{records},\"bytes\":{bytes}"),
-                );
+            EngineEvent::Shuffle { operator, start, end, .. } => {
+                let name = format!("shuffle: {operator}");
+                slice(out, ev, name, "shuffle", TID_SHUFFLE, *start, *end);
             }
-            EngineEvent::Broadcast { operator, bytes, start, end } => {
-                complete(
-                    out,
-                    format!("broadcast: {operator}"),
-                    "broadcast",
-                    TID_IO,
-                    *start,
-                    *end,
-                    format!("\"bytes\":{bytes}"),
-                );
+            EngineEvent::Broadcast { operator, start, end, .. } => {
+                slice(out, ev, format!("broadcast: {operator}"), "broadcast", TID_IO, *start, *end);
             }
-            EngineEvent::Spill { operator, bytes, start, end } => {
-                complete(
-                    out,
-                    format!("spill: {operator}"),
-                    "spill",
-                    TID_IO,
-                    *start,
-                    *end,
-                    format!("\"bytes\":{bytes}"),
-                );
+            EngineEvent::Spill { operator, start, end, .. } => {
+                slice(out, ev, format!("spill: {operator}"), "spill", TID_IO, *start, *end);
             }
-            EngineEvent::Collect { records, bytes, start, end } => {
-                complete(
-                    out,
-                    "collect".to_string(),
-                    "collect",
-                    TID_IO,
-                    *start,
-                    *end,
-                    format!("\"records\":{records},\"bytes\":{bytes}"),
-                );
+            EngineEvent::Collect { start, end, .. } => {
+                slice(out, ev, "collect".to_string(), "collect", TID_IO, *start, *end);
             }
+            // A counter track: its `args` are the plotted series, so they
+            // stay the single `bytes` value rather than the full field list.
             EngineEvent::MemoryPeak { operator, peak_bytes, at } => {
                 let _ = writeln!(
                     out,
@@ -945,153 +933,58 @@ fn write_chrome_lane(out: &mut String, pid: u32, events: &[EngineEvent], decisio
                     esc(operator)
                 );
             }
-            EngineEvent::TaskRetry { stage, task, attempt, at } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"task retry: stage {stage} task {task}\",\"cat\":\"retry\",\
-                     \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":{TID_STAGES},\"s\":\"t\",\
-                     \"args\":{{\"stage\":{stage},\"task\":{task},\"attempt\":{attempt}}}}},",
-                    micros(*at)
-                );
+            EngineEvent::TaskRetry { stage, task, at, .. } => {
+                let name = format!("task retry: stage {stage} task {task}");
+                instant(out, ev, name, "retry", TID_STAGES, *at);
             }
-            EngineEvent::MachineLost { machine, stage, partitions_lost, at } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"machine {machine} lost at stage {stage}\",\"cat\":\"fault\",\
-                     \"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\"tid\":{TID_STAGES},\"s\":\"t\",\
-                     \"args\":{{\"machine\":{machine},\"stage\":{stage},\
-                     \"partitions_lost\":{partitions_lost}}}}},",
-                    micros(*at)
-                );
+            EngineEvent::MachineLost { machine, stage, at, .. } => {
+                let name = format!("machine {machine} lost at stage {stage}");
+                instant(out, ev, name, "fault", TID_STAGES, *at);
             }
-            EngineEvent::PartitionRecomputed { machine, stage, partitions, start, end } => {
-                complete(
-                    out,
-                    format!("lineage replay: machine {machine} [{partitions} partitions]"),
-                    "recovery",
-                    TID_STAGES,
-                    *start,
-                    *end,
-                    format!("\"machine\":{machine},\"stage\":{stage},\"partitions\":{partitions}"),
-                );
+            EngineEvent::PartitionRecomputed { machine, partitions, start, end, .. } => {
+                let name = format!("lineage replay: machine {machine} [{partitions} partitions]");
+                slice(out, ev, name, "recovery", TID_STAGES, *start, *end);
             }
-            EngineEvent::Checkpoint { operator, bytes, start, end } => {
-                complete(
-                    out,
-                    format!("checkpoint: {operator}"),
-                    "checkpoint",
-                    TID_IO,
-                    *start,
-                    *end,
-                    format!("\"bytes\":{bytes}"),
-                );
+            EngineEvent::Checkpoint { operator, start, end, .. } => {
+                let name = format!("checkpoint: {operator}");
+                slice(out, ev, name, "checkpoint", TID_IO, *start, *end);
             }
-            EngineEvent::StageFused { ops, ops_fused, intermediates_elided, partitions, at } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"{}\",\"cat\":\"fusion\",\"ph\":\"i\",\"ts\":{:.3},\"pid\":{pid},\
-                     \"tid\":{TID_STAGES},\"s\":\"t\",\"args\":{{\"ops_fused\":{ops_fused},\
-                     \"intermediates_elided\":{intermediates_elided},\
-                     \"partitions\":{partitions}}}}},",
-                    esc(ops),
-                    micros(*at)
-                );
+            EngineEvent::StageFused { ops, at, .. } => {
+                instant(out, ev, ops.to_string(), "fusion", TID_STAGES, *at);
             }
-            EngineEvent::PartitionStats {
-                operator,
-                partitions,
-                records,
-                bytes,
-                p50_bytes,
-                p99_bytes,
-                max_bytes,
-                skew_ratio_milli,
-                at,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"partitions: {}\",\"cat\":\"partition_stats\",\"ph\":\"i\",\
-                     \"ts\":{:.3},\"pid\":{pid},\"tid\":{TID_SHUFFLE},\"s\":\"t\",\
-                     \"args\":{{\"partitions\":{partitions},\"records\":{records},\
-                     \"bytes\":{bytes},\"p50_bytes\":{p50_bytes},\"p99_bytes\":{p99_bytes},\
-                     \"max_bytes\":{max_bytes},\"skew_ratio_milli\":{skew_ratio_milli}}}}},",
-                    esc(operator),
-                    micros(*at)
-                );
+            EngineEvent::PartitionStats { operator, at, .. } => {
+                let name = format!("partitions: {operator}");
+                instant(out, ev, name, "partition_stats", TID_SHUFFLE, *at);
             }
-            EngineEvent::JobQueued { job, name, pool, at } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"job {job} queued [{}]\",\"cat\":\"service\",\"ph\":\"i\",\
-                     \"ts\":{:.3},\"pid\":{pid},\"tid\":{TID_JOBS},\"s\":\"t\",\
-                     \"args\":{{\"job\":{job},\"name\":\"{}\",\"pool\":\"{}\"}}}},",
-                    esc(pool),
-                    micros(*at),
-                    esc(name),
-                    esc(pool)
-                );
+            EngineEvent::JobQueued { job, pool, at, .. } => {
+                instant(out, ev, format!("job {job} queued [{pool}]"), "service", TID_JOBS, *at);
             }
             EngineEvent::JobStarted { job, pool, queue_wait, at } => {
                 // Draw the queue wait as its own slice ending at the start.
                 if queue_wait.as_nanos() > 0 {
-                    complete(
-                        out,
-                        format!("queued: job {job}"),
-                        "queue",
-                        TID_JOBS,
-                        at.saturating_sub(*queue_wait),
-                        *at,
-                        format!("\"job\":{job},\"queue_wait_us\":{:.3}", micros(*queue_wait)),
-                    );
+                    let queued = at.saturating_sub(*queue_wait);
+                    slice(out, ev, format!("queued: job {job}"), "queue", TID_JOBS, queued, *at);
                 }
                 open_service.push((*job, pool.clone(), *at));
             }
-            EngineEvent::JobFinished { job, ok, sim_nanos, at } => {
+            EngineEvent::JobFinished { job, at, .. } => {
                 if let Some(pos) = open_service.iter().rposition(|(j, _, _)| j == job) {
                     let (j, pool, start) = open_service.remove(pos);
-                    complete(
-                        out,
-                        format!("job {j} [{pool}]"),
-                        "service_job",
-                        TID_JOBS,
-                        start,
-                        *at,
-                        format!("\"job\":{j},\"ok\":{ok},\"sim_nanos\":{sim_nanos}"),
-                    );
+                    let name = format!("job {j} [{pool}]");
+                    slice(out, ev, name, "service_job", TID_JOBS, start, *at);
                 }
             }
-            EngineEvent::JobCancelled { job, reason, at } => {
+            EngineEvent::JobCancelled { job, at, .. } => {
                 if let Some(pos) = open_service.iter().rposition(|(j, _, _)| j == job) {
                     let (j, pool, start) = open_service.remove(pos);
-                    complete(
-                        out,
-                        format!("job {j} [{pool}] (cancelled)"),
-                        "service_job",
-                        TID_JOBS,
-                        start,
-                        *at,
-                        format!("\"job\":{j},\"reason\":\"{}\"", esc(reason)),
-                    );
+                    let name = format!("job {j} [{pool}] (cancelled)");
+                    slice(out, ev, name, "service_job", TID_JOBS, start, *at);
                 } else {
-                    let _ = writeln!(
-                        out,
-                        "{{\"name\":\"job {job} cancelled\",\"cat\":\"service\",\"ph\":\"i\",\
-                         \"ts\":{:.3},\"pid\":{pid},\"tid\":{TID_JOBS},\"s\":\"t\",\
-                         \"args\":{{\"job\":{job},\"reason\":\"{}\"}}}},",
-                        micros(*at),
-                        esc(reason)
-                    );
+                    instant(out, ev, format!("job {job} cancelled"), "service", TID_JOBS, *at);
                 }
             }
-            EngineEvent::JobRejected { job, reason, at } => {
-                let _ = writeln!(
-                    out,
-                    "{{\"name\":\"job {job} rejected\",\"cat\":\"service\",\"ph\":\"i\",\
-                     \"ts\":{:.3},\"pid\":{pid},\"tid\":{TID_JOBS},\"s\":\"t\",\
-                     \"args\":{{\"job\":{job},\"reason\":\"{}\"}}}},",
-                    micros(*at),
-                    esc(reason)
-                );
+            EngineEvent::JobRejected { job, at, .. } => {
+                instant(out, ev, format!("job {job} rejected"), "service", TID_JOBS, *at);
             }
         }
     }
@@ -1232,61 +1125,8 @@ mod tests {
         assert_eq!(c.events().len(), 1);
     }
 
-    #[test]
-    fn json_export_is_balanced_and_contains_fields() {
-        let decisions = vec![Decision {
-            site: "tag_join",
-            choice: "broadcast".into(),
-            cardinality: 12,
-            bytes: 96,
-            detail: "scalar smaller than 2 x cores".into(),
-            at: t(1),
-        }];
-        let json = export_json(&sample_events(), &decisions);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for needle in [
-            "\"summary\"",
-            "\"job_start\"",
-            "\"shuffle\"",
-            "\"tag_join\"",
-            "\"broadcast\"",
-            "\"stages\":2",
-            "\"task_retry\"",
-            "\"partition_stats\"",
-            "\"skew_ratio_milli\":2000",
-            "\"machine_lost\"",
-            "\"partition_recomputed\"",
-            "\"checkpoint\"",
-            "\"checkpoint_bytes\":512",
-            "\"stage_fused\"",
-            "\"ops\":\"fused(map|filter)\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-    }
-
-    #[test]
-    fn chrome_export_has_complete_events_and_thread_names() {
-        let chrome = export_chrome_trace(&sample_events(), &[]);
-        assert!(chrome.starts_with("[\n"));
-        assert!(chrome.trim_end().ends_with(']'));
-        assert_eq!(chrome.matches('{').count(), chrome.matches('}').count());
-        assert!(chrome.contains("\"ph\":\"X\""), "needs complete events");
-        assert!(chrome.contains("\"ph\":\"C\""), "needs the memory counter");
-        assert!(chrome.contains("thread_name"));
-        assert!(chrome.contains("job 0: count"));
-        assert!(chrome.contains("task retry: stage 1 task 2"), "retries must be visible");
-        assert!(chrome.contains("partitions: reduce_by_key"));
-        assert!(chrome.contains("machine 1 lost at stage 1"), "losses must be visible");
-        assert!(chrome.contains("lineage replay: machine 1"));
-        assert!(chrome.contains("checkpoint: checkpoint"));
-        assert!(chrome.contains("fused(map|filter)"), "fusions must be visible");
-    }
-
-    #[test]
-    fn service_lifecycle_events_export_and_summarize() {
-        let evs = vec![
+    fn service_events() -> Vec<EngineEvent> {
+        vec![
             EngineEvent::JobQueued {
                 job: 1,
                 name: "wordcount".into(),
@@ -1302,30 +1142,79 @@ mod tests {
                 at: t(4),
             },
             EngineEvent::JobRejected { job: 3, reason: "queue full".into(), at: t(5) },
-        ];
-        let s = TraceSummary::from_events(&evs);
+        ]
+    }
+
+    fn sample_decisions() -> Vec<Decision> {
+        vec![Decision {
+            site: "tag_join",
+            choice: "broadcast".into(),
+            cardinality: 12,
+            bytes: 96,
+            detail: "scalar smaller than 2 x cores".into(),
+            at: t(1),
+        }]
+    }
+
+    /// Every variant once (engine events, then the service lifecycle): the
+    /// stream the golden documents under `tests/golden/` were exported from.
+    fn golden_events() -> Vec<EngineEvent> {
+        let mut events = sample_events();
+        events.extend(service_events());
+        let kinds: std::collections::BTreeSet<_> = events.iter().map(EngineEvent::kind).collect();
+        assert_eq!(kinds.len(), EngineEvent::SCHEMA.len(), "samples must cover every variant");
+        events
+    }
+
+    /// The JSON export is a wire format: byte-identical to the document
+    /// captured from the hand-written exporter this schema replaced.
+    #[test]
+    fn json_export_matches_the_golden_document() {
+        assert_eq!(
+            export_json(&golden_events(), &sample_decisions()),
+            include_str!("../tests/golden/trace.json")
+        );
+    }
+
+    /// Split one Chrome-trace line into everything outside its `args`
+    /// object and the `args` key/value pairs. The sample values contain no
+    /// `}` or `,`, so plain splitting is exact.
+    fn split_args(line: &str) -> (String, Vec<&str>) {
+        let open = line.find("\"args\":{").expect("every trace line has args") + 8;
+        let close = open + line[open..].find('}').expect("args object closes");
+        let pairs = line[open..close].split(',').filter(|p| !p.is_empty()).collect();
+        (format!("{}{}", &line[..open], &line[close..]), pairs)
+    }
+
+    /// Chrome export against the captured golden document: every mark keeps
+    /// its name, category, phase, timestamps, pid and tid; `args` may only
+    /// gain keys.
+    #[test]
+    fn chrome_export_keeps_the_golden_slices() {
+        let chrome = export_chrome_trace(&golden_events(), &sample_decisions());
+        let golden = include_str!("../tests/golden/trace.chrome.json");
+        assert_eq!(chrome.lines().count(), golden.lines().count(), "{chrome}");
+        for (new, old) in chrome.lines().zip(golden.lines()) {
+            if !old.contains("\"args\"") {
+                assert_eq!(new, old);
+                continue;
+            }
+            let (new_shell, new_args) = split_args(new);
+            let (old_shell, old_args) = split_args(old);
+            assert_eq!(new_shell, old_shell);
+            for pair in old_args {
+                assert!(new_args.contains(&pair), "lost arg {pair} in {new}");
+            }
+        }
+    }
+
+    #[test]
+    fn service_lifecycle_events_summarize() {
+        let s = TraceSummary::from_events(&service_events());
         assert_eq!(s.jobs_completed, 1);
         assert_eq!(s.jobs_cancelled, 1);
         assert_eq!(s.jobs_rejected, 1);
         assert_eq!(s.queue_wait_nanos, 2_000_000);
-        let json = export_json(&evs, &[]);
-        for needle in [
-            "\"job_queued\"",
-            "\"job_started\"",
-            "\"job_finished\"",
-            "\"job_cancelled\"",
-            "\"job_rejected\"",
-            "\"jobs_completed\":1",
-            "\"queue_wait_nanos\":2000000",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        let chrome = export_chrome_trace(&evs, &[]);
-        assert!(chrome.contains("job 1 [batch]"), "started/finished must pair into a slice");
-        assert!(chrome.contains("queued: job 1"), "queue wait must be a slice");
-        assert!(chrome.contains("job 2 cancelled"), "queue-cancel must be an instant");
-        assert!(chrome.contains("job 3 rejected"));
-        assert_eq!(chrome.matches('{').count(), chrome.matches('}').count());
     }
 
     #[test]

@@ -1,11 +1,18 @@
-//! Randomized fusion-equivalence tests: collapsing a narrow chain into one
-//! fused pass must be *observationally identical* to the unfused run — same
-//! results, same simulated time, same [`StatsSnapshot`] (up to the fusion
-//! counters themselves). Chains of length 1–8 mix every fusible operator,
-//! and a third of the cases hang a second consumer off a mid-chain node to
-//! exercise the multi-consumer barrier.
+//! Randomized fusion-equivalence tests: where a narrow chain is cut must be
+//! *unobservable* — same results, same simulated time, same
+//! [`StatsSnapshot`] (up to the two fusion counters). Every seed builds its
+//! chain twice on fresh engines: once dropping the intermediates (the chain
+//! fuses) and once keeping every intermediate bound, which trips the
+//! multi-consumer barrier at each node and forces the operator-at-a-time
+//! schedule of length-1 chains. Both must also equal a sequential `Vec`
+//! interpretation of the same op list. Chains of length 1–8 mix every narrow
+//! operator, and a third of the cases hang a second consumer off a mid-chain
+//! node.
 
-use matryoshka_engine::{Bag, ClusterConfig, Engine, StatsSnapshot};
+use std::any::Any;
+
+use matryoshka_engine::partitioner::stable_hash;
+use matryoshka_engine::{Bag, ClusterConfig, Data, Engine, EngineEvent, StatsSnapshot};
 
 /// splitmix64: a tiny, seedable generator so every case is reproducible
 /// from its seed alone.
@@ -17,15 +24,46 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Build and run one randomized chain; everything about the chain's shape is
-/// derived from `seed`, so the `fuse` on/off runs see the identical program.
-fn run_case(seed: u64, fuse: bool) -> (Vec<u64>, Option<u64>, u64, StatsSnapshot) {
+/// One randomly drawn link of a chain (some expand to two or three engine
+/// operators).
+enum Op {
+    Add(u64),
+    DropMultiples(u64),
+    Expand(u64),
+    KeyRotate,
+    Positional,
+    ZipAdd,
+    Sample(u64),
+    KeyedAdd,
+}
+
+const SAMPLE_FRACTION: f64 = 0.6;
+
+fn expand(x: u64, c: u64) -> Vec<u64> {
+    if x.is_multiple_of(3) {
+        vec![x, x ^ c]
+    } else if x.is_multiple_of(7) {
+        vec![]
+    } else {
+        vec![x]
+    }
+}
+
+/// Everything about a case is derived from its seed.
+struct Case {
+    n: u64,
+    parts: usize,
+    mul: u64,
+    ops: Vec<Op>,
+    fork_at: Option<usize>,
+    fork_before_collect: bool,
+}
+
+fn draw_case(seed: u64) -> Case {
     let mut rng = seed;
-    let e = Engine::new(ClusterConfig { fuse_narrow: fuse, ..ClusterConfig::local_test() });
     let n = 64 + splitmix64(&mut rng) % 200;
     let parts = 1 + (splitmix64(&mut rng) % 8) as usize;
     let mul = splitmix64(&mut rng) | 1;
-    let mut bag = e.generate(n, parts, move |i| i.wrapping_mul(mul));
     let len = 1 + (splitmix64(&mut rng) % 8) as usize;
     let fork_at = if splitmix64(&mut rng).is_multiple_of(3) {
         Some((splitmix64(&mut rng) % len as u64) as usize)
@@ -33,52 +71,117 @@ fn run_case(seed: u64, fuse: bool) -> (Vec<u64>, Option<u64>, u64, StatsSnapshot
         None
     };
     let fork_before_collect = splitmix64(&mut rng).is_multiple_of(2);
+    let ops = (0..len)
+        .map(|_| match splitmix64(&mut rng) % 8 {
+            0 => Op::Add(splitmix64(&mut rng)),
+            1 => Op::DropMultiples(2 + splitmix64(&mut rng) % 5),
+            2 => Op::Expand(splitmix64(&mut rng)),
+            3 => Op::KeyRotate,
+            4 => Op::Positional,
+            5 => Op::ZipAdd,
+            6 => Op::Sample(splitmix64(&mut rng)),
+            _ => Op::KeyedAdd,
+        })
+        .collect();
+    Case { n, parts, mul, ops, fork_at, fork_before_collect }
+}
+
+/// Live handles to a chain's intermediates. While `on`, every intermediate
+/// stays bound until the case ends, so no operator can fuse through its
+/// parent.
+struct Held {
+    on: bool,
+    bags: Vec<Box<dyn Any>>,
+}
+
+impl Held {
+    fn keep<T: Data>(&mut self, bag: Bag<T>) -> Bag<T> {
+        if self.on {
+            self.bags.push(Box::new(bag.clone()));
+        }
+        bag
+    }
+}
+
+fn apply(bag: &Bag<u64>, op: &Op, held: &mut Held) -> Bag<u64> {
+    match *op {
+        Op::Add(c) => bag.map(move |&x| x.wrapping_add(c)),
+        Op::DropMultiples(m) => bag.filter(move |&x| x % m != 0),
+        Op::Expand(c) => bag.flat_map(move |&x| expand(x, c)),
+        Op::KeyRotate => held.keep(bag.key_by(|&x| x % 13)).map(|&(k, v)| v.rotate_left(1) ^ k),
+        Op::Positional => bag.map_indexed(|pi, i, &x| x ^ ((pi as u64) << 32) ^ (i as u64)),
+        Op::ZipAdd => held.keep(bag.zip_with_unique_id()).map(|&(x, id)| x.wrapping_add(id)),
+        Op::Sample(s) => bag.sample(SAMPLE_FRACTION, s),
+        Op::KeyedAdd => {
+            let keyed = held.keep(bag.key_by(|&x| x % 11));
+            held.keep(keyed.map_values(|&v| v.wrapping_add(7))).map(|&(k, v)| k ^ v)
+        }
+    }
+}
+
+/// The sequential oracle: one link applied to plain per-partition vectors.
+fn reference(parts: Vec<Vec<u64>>, op: &Op) -> Vec<Vec<u64>> {
+    let nparts = parts.len() as u64;
+    let threshold = (SAMPLE_FRACTION * u64::MAX as f64) as u64;
+    parts
+        .into_iter()
+        .zip(0u64..)
+        .map(|(p, pi)| {
+            let indexed = p.iter().copied().zip(0u64..);
+            match *op {
+                Op::Add(c) => p.iter().map(|x| x.wrapping_add(c)).collect(),
+                Op::DropMultiples(m) => p.iter().copied().filter(|x| x % m != 0).collect(),
+                Op::Expand(c) => p.iter().flat_map(|&x| expand(x, c)).collect(),
+                Op::KeyRotate => p.iter().map(|x| x.rotate_left(1) ^ (x % 13)).collect(),
+                Op::Positional => indexed.map(|(x, i)| x ^ (pi << 32) ^ i).collect(),
+                Op::ZipAdd => indexed.map(|(x, i)| x.wrapping_add(i * nparts + pi)).collect(),
+                Op::Sample(s) => indexed
+                    .filter(|(_, i)| stable_hash(&(s, pi, *i)) <= threshold)
+                    .map(|(x, _)| x)
+                    .collect(),
+                Op::KeyedAdd => p.iter().map(|x| (x % 11) ^ x.wrapping_add(7)).collect(),
+            }
+        })
+        .collect()
+}
+
+fn run_reference(case: &Case) -> Vec<u64> {
+    let chunk = case.n.div_ceil(case.parts as u64);
+    let base: Vec<Vec<u64>> = (0..case.parts as u64)
+        .map(|p| {
+            ((p * chunk).min(case.n)..((p + 1) * chunk).min(case.n))
+                .map(|i| i.wrapping_mul(case.mul))
+                .collect()
+        })
+        .collect();
+    case.ops.iter().fold(base, reference).concat()
+}
+
+/// Build and run the case's chain on a fresh engine, with the intermediates
+/// either dropped (`hold == false`) or all kept alive.
+fn run_case(case: &Case, hold: bool) -> (Vec<u64>, Option<u64>, u64, StatsSnapshot) {
+    let e = Engine::new(ClusterConfig::local_test());
+    let mul = case.mul;
+    let mut held = Held { on: hold, bags: Vec::new() };
+    let mut bag = e.generate(case.n, case.parts, move |i| i.wrapping_mul(mul));
     let mut side: Option<Bag<u64>> = None;
-    for k in 0..len {
-        if fork_at == Some(k) {
+    for (k, op) in case.ops.iter().enumerate() {
+        if case.fork_at == Some(k) {
             // Second consumer: this node now has an external handle, so the
             // ops on either side of it must not fuse across it.
             side = Some(bag.clone());
         }
-        bag = match splitmix64(&mut rng) % 8 {
-            0 => {
-                let c = splitmix64(&mut rng);
-                bag.map(move |&x| x.wrapping_add(c))
-            }
-            1 => {
-                let m = 2 + splitmix64(&mut rng) % 5;
-                bag.filter(move |&x| x % m != 0)
-            }
-            2 => {
-                let c = splitmix64(&mut rng);
-                bag.flat_map(move |&x| {
-                    if x % 3 == 0 {
-                        vec![x, x ^ c]
-                    } else if x % 7 == 0 {
-                        vec![]
-                    } else {
-                        vec![x]
-                    }
-                })
-            }
-            3 => bag.key_by(|&x| x % 13).map(|&(k, v)| v.rotate_left(1) ^ k),
-            4 => bag.map_indexed(|pi, i, &x| x ^ ((pi as u64) << 32) ^ (i as u64)),
-            5 => bag.zip_with_unique_id().map(|&(x, id)| x.wrapping_add(id)),
-            6 => {
-                let s = splitmix64(&mut rng);
-                bag.sample(0.6, s)
-            }
-            _ => bag.key_by(|&x| x % 11).map_values(|&v| v.wrapping_add(7)).map(|&(k, v)| k ^ v),
-        };
+        let next = apply(&bag, op, &mut held);
+        bag = held.keep(next);
     }
     let mut side_count = None;
-    if fork_before_collect {
+    if case.fork_before_collect {
         if let Some(s) = &side {
             side_count = Some(s.count().unwrap());
         }
     }
     let out = bag.collect().unwrap();
-    if !fork_before_collect {
+    if !case.fork_before_collect {
         if let Some(s) = &side {
             side_count = Some(s.count().unwrap());
         }
@@ -87,22 +190,27 @@ fn run_case(seed: u64, fuse: bool) -> (Vec<u64>, Option<u64>, u64, StatsSnapshot
 }
 
 #[test]
-fn fused_and_unfused_runs_are_observationally_identical() {
+fn chain_cuts_are_unobservable() {
+    let mut fused_somewhere = false;
     for seed in 0..220u64 {
-        let (r_u, s_u, nanos_u, stats_u) = run_case(seed, false);
-        let (r_f, s_f, nanos_f, mut stats_f) = run_case(seed, true);
-        assert_eq!(r_u, r_f, "seed {seed}: results diverge");
-        assert_eq!(s_u, s_f, "seed {seed}: side-consumer counts diverge");
-        assert_eq!(nanos_u, nanos_f, "seed {seed}: simulated time diverges");
+        let case = draw_case(seed);
+        let (r_h, s_h, nanos_h, stats_h) = run_case(&case, true);
+        let (r_f, s_f, nanos_f, mut stats_f) = run_case(&case, false);
+        assert_eq!(r_f, run_reference(&case), "seed {seed}: result differs from the oracle");
+        assert_eq!(r_h, r_f, "seed {seed}: results diverge");
+        assert_eq!(s_h, s_f, "seed {seed}: side-consumer counts diverge");
+        assert_eq!(nanos_h, nanos_f, "seed {seed}: simulated time diverges");
         assert_eq!(
-            stats_u.stages_fused, 0,
-            "seed {seed}: fusion must be fully disabled when fuse_narrow is off"
+            (stats_h.stages_fused, stats_h.intermediates_elided),
+            (0, 0),
+            "seed {seed}: a held intermediate was fused through"
         );
-        assert_eq!(stats_u.intermediates_elided, 0, "seed {seed}");
+        fused_somewhere |= stats_f.stages_fused > 0;
         stats_f.stages_fused = 0;
         stats_f.intermediates_elided = 0;
-        assert_eq!(stats_u, stats_f, "seed {seed}: stats diverge beyond the fusion counters");
+        assert_eq!(stats_h, stats_f, "seed {seed}: stats diverge beyond the fusion counters");
     }
+    assert!(fused_somewhere, "the dropped-intermediates arm never fused");
 }
 
 /// The fused tail advertises its composite provenance after evaluation, and
@@ -124,13 +232,17 @@ fn fused_tail_reports_composite_name_and_logs_a_decision() {
     );
 }
 
-/// With fusion disabled, op names and decisions stay exactly as before.
+/// A chain of length 1 runs through the same executor but is not a fusion:
+/// own op name, no `StageFused` event, no counters, no decision.
 #[test]
-fn disabled_fusion_leaves_names_and_decisions_untouched() {
-    let e = Engine::new(ClusterConfig { fuse_narrow: false, ..ClusterConfig::local_test() });
-    let base = e.generate(100, 4, |i| i);
-    let tail = base.map(|&x| x + 1).filter(|&x| x % 2 == 0);
-    tail.count().unwrap();
-    assert_eq!(tail.op_name(), "filter");
+fn a_chain_of_one_is_not_a_fusion() {
+    let e = Engine::new(ClusterConfig { trace_events: true, ..ClusterConfig::local_test() });
+    let mapped = e.generate(100, 4, |i| i).map(|&x| x + 1);
+    assert_eq!(mapped.count().unwrap(), 100);
+    assert_eq!(mapped.op_name(), "map");
+    let events = e.events();
+    assert!(events.iter().any(|ev| matches!(ev, EngineEvent::Stage { operator: "map", .. })));
+    assert!(!events.iter().any(|ev| matches!(ev, EngineEvent::StageFused { .. })), "{events:?}");
     assert!(e.decisions().iter().all(|d| d.site != "narrow_fusion"));
+    assert_eq!((e.stats().stages_fused, e.stats().intermediates_elided), (0, 0));
 }

@@ -77,33 +77,51 @@ fn interleaved_jobs_do_not_oversubscribe_cores() {
     assert!(peak >= 1, "work must have run");
 }
 
+/// Two sequential "jobs" are served by the same persistent, named pool
+/// workers — never by threads spawned per call. Item 0 of each job holds its
+/// claimant (for at most 5 s) until a second thread has joined, so a worker
+/// provably takes part in both jobs instead of racing the caller for them.
 #[test]
 fn two_jobs_share_the_same_worker_threads() {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
+    use std::collections::HashMap;
+    use std::sync::{Condvar, Mutex};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
-    // Worker-thread identities seen by two sequential "jobs": with one
-    // process-wide pool, the persistent workers overlap across calls.
-    let seen_a: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-    let seen_b: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-    let me = std::thread::current().id();
-    let _ = parallel_map((0..4096u64).collect(), |_, x| {
-        seen_a.lock().unwrap().insert(std::thread::current().id());
-        x
-    });
-    let _ = parallel_map((0..4096u64).collect(), |_, x| {
-        seen_b.lock().unwrap().insert(std::thread::current().id());
-        x
-    });
-    let a = seen_a.into_inner().unwrap();
-    let b = seen_b.into_inner().unwrap();
-    if shared_pool_workers() >= 1 {
-        let shared: Vec<_> = a.intersection(&b).filter(|id| **id != me).collect();
-        assert!(
-            !shared.is_empty() || a.len() == 1,
-            "persistent pool workers should serve both calls (a={}, b={})",
-            a.len(),
-            b.len()
-        );
+    if shared_pool_workers() == 0 {
+        return; // 1-core host: the caller runs everything itself
     }
+    let me = std::thread::current().id();
+    let job = || {
+        let seen: Mutex<HashMap<ThreadId, String>> = Mutex::new(HashMap::new());
+        let joined = Condvar::new();
+        let _ = parallel_map((0..4096u64).collect(), |i, x| {
+            let current = std::thread::current();
+            let mut ids = seen.lock().unwrap();
+            ids.insert(current.id(), current.name().unwrap_or("<unnamed>").to_string());
+            joined.notify_all();
+            if i == 0 {
+                let _ = joined
+                    .wait_timeout_while(ids, Duration::from_secs(5), |ids| ids.len() < 2)
+                    .unwrap();
+            }
+            x
+        });
+        let mut helpers = seen.into_inner().unwrap();
+        helpers.remove(&me);
+        assert!(!helpers.is_empty(), "no pool worker joined the job within 5 s");
+        helpers
+    };
+    let mut helpers = job();
+    helpers.extend(job());
+    assert!(
+        helpers.values().all(|name| name.starts_with("matryoshka-pool-")),
+        "only the caller and persistent pool workers may run a job's items: {helpers:?}"
+    );
+    assert!(
+        helpers.len() <= shared_pool_workers(),
+        "{} distinct helper threads across two jobs, but the pool has {} workers",
+        helpers.len(),
+        shared_pool_workers()
+    );
 }

@@ -116,37 +116,43 @@ tracked!(FusedVal, FUSED_CLONES);
 
 /// A fused narrow chain clones each record at most once — when the *head* op
 /// lifts it out of the shared base partition — and never again in the elided
-/// middle stages. Unfused, the same three-filter chain clones every survivor
-/// at every stage (500 + 167 + 34 here); fused, only the head's 500.
+/// middle stages. With every intermediate kept bound (so each filter runs as
+/// its own length-1 chain), the same three-filter chain clones every
+/// survivor at every stage (500 + 167 + 34 here); fused, only the head's 500.
 #[test]
 fn fused_filter_chain_clones_only_at_the_head() {
     const N: u64 = 1_000;
-    let run = |fuse: bool| {
-        let e = Engine::new(ClusterConfig { fuse_narrow: fuse, ..ClusterConfig::local_test() });
+    let run = |hold: bool| {
+        let e = engine();
         let base = e.parallelize((0..N).map(FusedVal).collect::<Vec<_>>(), 8);
         base.count().unwrap();
         let s0 = e.stats();
         FUSED_CLONES.store(0, Ordering::Relaxed);
-        // Bind the tail in its own statement: the middles' temporaries die
-        // here, so at eval time the chain is exclusively owned and fuses.
-        let tail = base.filter(|v| v.0 % 2 == 0).filter(|v| v.0 % 3 == 0).filter(|v| v.0 % 5 == 0);
+        let by2 = base.filter(|v| v.0 % 2 == 0);
+        let by6 = by2.filter(|v| v.0 % 3 == 0);
+        let tail = by6.filter(|v| v.0 % 5 == 0);
+        if !hold {
+            // Without these handles the chain is exclusively owned at eval
+            // time and fuses.
+            drop((by2, by6));
+        }
         assert_eq!(tail.count().unwrap(), 34, "multiples of 30 in 0..1000");
         (FUSED_CLONES.load(Ordering::Relaxed), e.stats().since(&s0))
     };
-    let (unfused_clones, unfused_stats) = run(false);
-    let (fused_clones, fused_stats) = run(true);
+    let (held_clones, held_stats) = run(true);
+    let (fused_clones, fused_stats) = run(false);
     assert_eq!(
-        unfused_clones,
+        held_clones,
         500 + 167 + 34,
-        "unfused: every filter stage clones its survivors into a fresh partition"
+        "held: every filter clones its survivors out of its parent's shared partitions"
     );
     assert_eq!(
         fused_clones, 500,
         "fused: only the head filter clones records out of the shared base partition; \
          the two elided middles pass ownership through"
     );
-    assert_eq!(unfused_stats.stages_fused, 0);
-    assert_eq!(unfused_stats.intermediates_elided, 0);
+    assert_eq!(held_stats.stages_fused, 0);
+    assert_eq!(held_stats.intermediates_elided, 0);
     assert_eq!(fused_stats.stages_fused, 1, "three filters collapse into one fused pass");
     assert_eq!(fused_stats.intermediates_elided, 2);
 }

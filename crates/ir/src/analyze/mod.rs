@@ -13,9 +13,6 @@
 //!    [`UdfSummary`] records): each UDF is classified pure-scalar vs
 //!    bag-launching, its captures are enumerated and classified, and
 //!    inner-bag escapes are diagnosed statically.
-//! 3. **Read/write-set extraction** ([`rw`]): per-UDF field reads and map
-//!    forwarding tables, which feed the safe-reordering pass ([`reorder`])
-//!    and `matryoshka_core::optimizer::filter_before_map_safe`.
 //!
 //! The analyzer is *total*: it never stops at the first defect (ill-typed
 //! subtrees continue as [`Ty::Unknown`]), so one run reports every
@@ -23,14 +20,12 @@
 //! phase calls: it turns error-severity diagnostics into
 //! [`IrError::Analysis`].
 //!
-//! See `docs/ANALYSIS.md` for the pass ordering, the full error-code table
-//! and how the optimizer consumes the summaries.
+//! See `docs/ANALYSIS.md` for the pass ordering and the full error-code
+//! table.
 
 pub mod captures;
 mod diag;
 pub mod plan;
-pub mod reorder;
-pub mod rw;
 mod ty;
 
 pub use diag::{codes, Diagnostic, Diagnostics, Severity};
@@ -39,8 +34,6 @@ pub use ty::{ScalarKind, Ty};
 use crate::ast::{Expr, Span};
 use crate::error::{IrError, IrResult};
 use crate::parse::Dialect;
-
-use rw::{MapForwards, UdfFieldUse};
 
 /// What the effect analysis learned about one UDF.
 #[derive(Debug, Clone)]
@@ -61,10 +54,6 @@ pub struct UdfSummary {
     /// The UDF launches nested bag operations, so the rewriter must lift it
     /// (`MapWithLiftedUdf`).
     pub bag_launching: bool,
-    /// Which input tuple fields the body reads.
-    pub reads: UdfFieldUse,
-    /// For map UDFs: which input fields the output forwards verbatim.
-    pub forwards: Option<MapForwards>,
 }
 
 /// The result of one analyzer run over a program.

@@ -44,11 +44,10 @@ use std::sync::Arc;
 
 use matryoshka_core::PlanRewriteConfig;
 
-use crate::ast::{Expr, Lambda};
+use crate::ast::{Expr, Lambda, Lambda2};
 use crate::pretty;
 
 use super::diag::{codes, Diagnostic, Diagnostics};
-use super::reorder::rebuild_with;
 
 /// One applied (or refused) rewrite, for the decision log, `--explain`, and
 /// tests.
@@ -421,6 +420,52 @@ fn canon_go(e: &Expr, binds: &mut Vec<String>, out: &mut String) {
             binds.pop();
             out.push(')');
         }
+    }
+}
+
+/// Rebuild `e` with `f` applied to every direct child expression.
+fn rebuild_with(e: &Expr, f: &mut impl FnMut(&Expr) -> Expr) -> Expr {
+    let lam = |l: &Lambda, f: &mut dyn FnMut(&Expr) -> Expr| Lambda {
+        param: l.param.clone(),
+        body: Arc::new(f(&l.body)),
+    };
+    let lam2 = |l: &Lambda2, f: &mut dyn FnMut(&Expr) -> Expr| Lambda2 {
+        a: l.a.clone(),
+        b: l.b.clone(),
+        body: Arc::new(f(&l.body)),
+    };
+    match e {
+        Expr::Spanned(sp, inner) => Expr::Spanned(*sp, Box::new(f(inner))),
+        Expr::Const(_) | Expr::Var(_) | Expr::Source(_) => e.clone(),
+        Expr::Tuple(items) => Expr::Tuple(items.iter().map(&mut *f).collect()),
+        Expr::Proj(x, i) => Expr::Proj(Box::new(f(x)), *i),
+        Expr::Bin(op, a, b) => Expr::Bin(*op, Box::new(f(a)), Box::new(f(b))),
+        Expr::Un(op, a) => Expr::Un(*op, Box::new(f(a))),
+        Expr::Let(n, v, b) => Expr::Let(n.clone(), Box::new(f(v)), Box::new(f(b))),
+        Expr::If(c, t, el) => Expr::If(Box::new(f(c)), Box::new(f(t)), Box::new(f(el))),
+        Expr::Loop { init, cond, step, result } => Expr::Loop {
+            init: init.iter().map(|(n, x)| (n.clone(), f(x))).collect(),
+            cond: Box::new(f(cond)),
+            step: step.iter().map(&mut *f).collect(),
+            result: Box::new(f(result)),
+        },
+        Expr::Map(x, l) => Expr::Map(Box::new(f(x)), lam(l, f)),
+        Expr::Filter(x, l) => Expr::Filter(Box::new(f(x)), lam(l, f)),
+        Expr::FlatMapTuple(x, l) => Expr::FlatMapTuple(Box::new(f(x)), lam(l, f)),
+        Expr::GroupByKey(x) => Expr::GroupByKey(Box::new(f(x))),
+        Expr::ReduceByKey(x, l) => Expr::ReduceByKey(Box::new(f(x)), lam2(l, f)),
+        Expr::Join(a, b) => Expr::Join(Box::new(f(a)), Box::new(f(b))),
+        Expr::Distinct(x) => Expr::Distinct(Box::new(f(x))),
+        Expr::Union(a, b) => Expr::Union(Box::new(f(a)), Box::new(f(b))),
+        Expr::Count(x) => Expr::Count(Box::new(f(x))),
+        Expr::Cache(x) => Expr::Cache(Box::new(f(x))),
+        Expr::Fold(x, z, l) => Expr::Fold(Box::new(f(x)), Box::new(f(z)), lam2(l, f)),
+        Expr::GroupByKeyIntoNestedBag(x) => Expr::GroupByKeyIntoNestedBag(Box::new(f(x))),
+        Expr::MapWithLiftedUdf { input, udf, closures } => Expr::MapWithLiftedUdf {
+            input: Box::new(f(input)),
+            udf: lam(udf, f),
+            closures: closures.clone(),
+        },
     }
 }
 

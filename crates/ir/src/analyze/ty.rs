@@ -21,7 +21,7 @@ use crate::ast::{BinOp, Expr, Lambda, Lambda2, Span};
 use crate::parse::Dialect;
 
 use super::diag::{codes, Diagnostic, Diagnostics};
-use super::{rw, UdfSummary};
+use super::UdfSummary;
 
 /// The type a program expression evaluates to, as far as the flattening
 /// machinery is concerned. Element types of bags are dynamic (records are
@@ -911,8 +911,6 @@ impl<'a> Checker<'a> {
             captures,
             pure_scalar: !l.body.contains_bag_ops(),
             bag_launching,
-            reads: rw::field_reads(l),
-            forwards: if op.contains("map") { Some(rw::map_forwards(l)) } else { None },
         });
     }
 }

@@ -1,4 +1,4 @@
-//! Docs that can't rot. Two gates over the repository's Markdown
+//! Docs that can't rot. Three gates over the repository's Markdown
 //! (`*.md` at the root plus `docs/*.md`), run as part of the normal test
 //! suite and of `scripts/ci.sh`:
 //!
@@ -10,11 +10,16 @@
 //!    the `examples/programs/` corpus — documentation snippets are programs
 //!    and must keep passing `matryoshka-check`.
 //!
-//! Both are std-only, like everything else in the workspace.
+//! 3. **Event-schema checking**: the "Event schema" table of
+//!    `docs/OBSERVABILITY.md` must list exactly the variants, JSON types and
+//!    field names of `EngineEvent::SCHEMA`.
+//!
+//! All are std-only, like everything else in the workspace.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use matryoshka::engine::EngineEvent;
 use matryoshka::ir::{analyze, check, parse_program, Dialect};
 
 /// The documentation surface under test: root Markdown + `docs/`.
@@ -203,4 +208,33 @@ fn documented_mat_examples_pass_the_analyzer() {
         total >= 2,
         "expected documented mat examples (docs/FAULTS.md has them), found {total}"
     );
+}
+
+/// The backticked names of one table cell (`` `a`, `b` `` -> `["a", "b"]`).
+fn cell_names(cell: &str) -> Vec<&str> {
+    cell.split(',').map(|name| name.trim().trim_matches('`')).collect()
+}
+
+#[test]
+fn event_schema_table_matches_the_engine_descriptor() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/OBSERVABILITY.md");
+    let src = std::fs::read_to_string(&path).unwrap();
+    let rows: Vec<&str> = src
+        .lines()
+        .skip_while(|line| line.trim() != "## Event schema")
+        .skip(1)
+        .take_while(|line| !line.starts_with("## "))
+        .filter(|line| line.starts_with("| `"))
+        .collect();
+    assert_eq!(rows.len(), EngineEvent::SCHEMA.len(), "one table row per EngineEvent variant");
+    for (row, schema) in rows.iter().zip(EngineEvent::SCHEMA) {
+        // `| Event | JSON type | Fields | Emitted when |`; only the last
+        // column may contain (escaped) pipes.
+        let cells: Vec<&str> = row.splitn(5, '|').collect();
+        assert_eq!(cell_names(cells[1]), [schema.variant], "row order follows the enum");
+        assert_eq!(cell_names(cells[2]), [schema.kind], "{}: JSON type", schema.variant);
+        let documented = cell_names(cells[3]);
+        let described: Vec<&str> = schema.fields.iter().chain(schema.when).copied().collect();
+        assert_eq!(documented, described, "{}: fields", schema.variant);
+    }
 }

@@ -1,36 +1,45 @@
 //! Narrow-stage fusion inside lifted control flow: a `lifted_while` whose
 //! body builds a fresh narrow chain every iteration must (a) compute the
-//! same answer and the same simulated cost with fusion on and off, and
-//! (b) fuse every iteration's chain without allocating a new composite name
-//! per iteration (DESIGN.md "Narrow-stage fusion": iteration stability).
+//! same answer and the same simulated cost whether the body's chain fuses or
+//! its intermediates are kept bound (which forces one pass per operator),
+//! and (b) fuse every iteration's chain without allocating a new composite
+//! name per iteration (DESIGN.md "Narrow-stage fusion": iteration stability).
 
 use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use matryoshka::core::{group_by_key_into_nested_bag, lifted_while, InnerBag, MatryoshkaConfig};
 use matryoshka::engine::{ClusterConfig, Engine};
 
+const BODY_CHAIN: &str = "fused(map|filter|map)";
+
 /// Run a grouped iterative shrink: each iteration maps and filters every
 /// group's survivors through a three-op narrow chain until a group drops to
-/// 40 elements or fewer. Returns the flattened survivors, the simulated
-/// time, the fusion counters, and the distinct fused-chain names logged.
-#[allow(clippy::type_complexity)]
-fn run(fuse: bool) -> (Vec<(u32, u64)>, u64, u64, u64, BTreeSet<String>) {
-    let e = Engine::new(ClusterConfig { fuse_narrow: fuse, ..ClusterConfig::local_test() });
+/// 40 elements or fewer. With `hold`, every iteration's two intermediates
+/// stay alive past the run, so the multi-consumer barrier keeps the body's
+/// chain from fusing. Returns the flattened survivors, the simulated time,
+/// the number of fused stages, and the distinct fused-chain names logged.
+fn run(hold: bool) -> (Vec<(u32, u64)>, u64, u64, BTreeSet<String>) {
+    let e = Engine::new(ClusterConfig::local_test());
     let data: Vec<(u32, u64)> = (0..600u64).map(|i| ((i % 6) as u32, i)).collect();
     let bag = e.parallelize(data, 4);
     let nested = group_by_key_into_nested_bag(&e, &bag, MatryoshkaConfig::optimized()).unwrap();
+    // Owned out here so the handles outlive the closure and the final collect.
+    let held: Arc<Mutex<Vec<InnerBag<u32, u64>>>> = Arc::default();
+    let keeper = Arc::clone(&held);
     let survivors = nested
-        .map_with_lifted_udf(|_g, group: &InnerBag<u32, u64>| {
+        .map_with_lifted_udf(move |_g, group: &InnerBag<u32, u64>| {
+            let keeper = Arc::clone(&keeper);
             lifted_while(
                 group,
-                |state: &InnerBag<u32, u64>| {
-                    // A fresh map -> filter -> map chain per iteration; the
-                    // intermediates die at the end of this statement, so the
-                    // chain is exclusively owned and fuses at eval time.
-                    let next = state
-                        .map(|&x| x.wrapping_mul(3).wrapping_add(1))
-                        .filter(|&x| x % 4 != 0)
-                        .map(|&x| x >> 1);
+                move |state: &InnerBag<u32, u64>| {
+                    // A fresh map -> filter -> map chain per iteration.
+                    let mapped = state.map(|&x| x.wrapping_mul(3).wrapping_add(1));
+                    let filtered = mapped.filter(|&x| x % 4 != 0);
+                    let next = filtered.map(|&x| x >> 1);
+                    if hold {
+                        keeper.lock().unwrap().extend([mapped, filtered]);
+                    }
                     let cond = next.count().map(|c| *c > 40);
                     Ok((next, cond))
                 },
@@ -40,31 +49,25 @@ fn run(fuse: bool) -> (Vec<(u32, u64)>, u64, u64, u64, BTreeSet<String>) {
         .unwrap();
     let mut out = survivors.collect().unwrap();
     out.sort_unstable();
-    let stats = e.stats();
     let fused_names: BTreeSet<String> =
         e.decisions().into_iter().filter(|d| d.site == "narrow_fusion").map(|d| d.choice).collect();
-    (out, e.sim_time().as_nanos(), stats.stages_fused, stats.intermediates_elided, fused_names)
+    (out, e.sim_time().as_nanos(), e.stats().stages_fused, fused_names)
 }
 
 #[test]
-fn lifted_loop_is_identical_with_and_without_fusion() {
-    let (out_u, nanos_u, fused_u, elided_u, names_u) = run(false);
-    let (out_f, nanos_f, fused_f, elided_f, names_f) = run(true);
-    assert_eq!(out_u, out_f, "fusion changed a lifted loop's results");
-    assert_eq!(nanos_u, nanos_f, "fusion changed a lifted loop's simulated cost");
-    assert_eq!((fused_u, elided_u), (0, 0), "fusion-disabled run must not fuse");
-    assert!(names_u.is_empty());
+fn lifted_loop_is_identical_however_the_body_chain_is_cut() {
+    let (out_h, nanos_h, fused_h, names_h) = run(true);
+    let (out_f, nanos_f, fused_f, names_f) = run(false);
+    assert_eq!(out_h, out_f, "fusion changed a lifted loop's results");
+    assert_eq!(nanos_h, nanos_f, "fusion changed a lifted loop's simulated cost");
+    assert!(!names_h.contains(BODY_CHAIN), "held intermediates were fused through: {names_h:?}");
     // Every iteration's body chain fused (several iterations ran), and the
     // per-iteration chains — identical in shape — share one interned
     // composite name instead of minting a new one per iteration.
+    assert!(names_f.contains(BODY_CHAIN), "the loop body's chain must fuse, got {names_f:?}");
     assert!(
-        fused_f >= 3,
-        "expected one fused stage per loop iteration, got {fused_f} (names: {names_f:?})"
-    );
-    assert!(elided_f >= fused_f, "every fused stage elides at least one intermediate");
-    assert!(
-        names_f.contains("fused(map|filter|map)"),
-        "the loop body's chain must fuse under one name, got {names_f:?}"
+        fused_f >= fused_h + 3,
+        "expected one more fused stage per loop iteration: {fused_f} vs {fused_h} held"
     );
     // Iteration stability: many fused stages, but only as many interned
     // names as there are distinct chain *shapes* (the loop body's, plus the
