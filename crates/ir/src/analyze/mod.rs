@@ -65,6 +65,10 @@ pub struct Analysis {
     pub diagnostics: Diagnostics,
     /// One summary per UDF, in the order the walk reached them.
     pub udfs: Vec<UdfSummary>,
+    /// One entry per [`Expr::Map`], in the order a walk that visits a map's
+    /// input, then the map, then its UDF body meets them: must the
+    /// parsing phase turn it into [`Expr::MapWithLiftedUdf`]?
+    pub lifts: Vec<bool>,
 }
 
 impl Analysis {
@@ -79,7 +83,7 @@ impl Analysis {
 pub fn analyze(program: &Expr, sources: &[&str], dialect: Dialect) -> Analysis {
     let mut checker = ty::Checker::new(sources, dialect);
     let program_ty = checker.infer(program, 0, program.span());
-    Analysis { program_ty, diagnostics: checker.diags, udfs: checker.udfs }
+    Analysis { program_ty, diagnostics: checker.diags, udfs: checker.udfs, lifts: checker.lifts }
 }
 
 /// Analyze and *gate*: error-severity diagnostics become
@@ -312,6 +316,18 @@ mod tests {
         let d = a.diagnostics.iter().next().expect("one diagnostic");
         assert!(d.span.is_none());
         assert!(d.snippet.as_deref().unwrap_or("").contains("count"), "{d}");
+    }
+
+    #[test]
+    fn snippets_cut_long_non_ascii_text_on_a_char_boundary() {
+        let long = Expr::Const(crate::value::Value::Str("é".repeat(80).into()));
+        let e = Expr::proj(Expr::Tuple(vec![long, Expr::long(1)]), 5);
+        let a = analyze(&e, &[], Dialect::Matryoshka);
+        let d = a.diagnostics.iter().next().expect("MAT014");
+        assert_eq!(d.code, codes::PROJ_OUT_OF_BOUNDS);
+        let snippet = d.snippet.as_deref().expect("span-less ASTs get snippets");
+        assert_eq!(snippet.chars().count(), 73, "{snippet}");
+        assert!(snippet.ends_with('…'), "{snippet}");
     }
 
     #[test]

@@ -40,12 +40,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use matryoshka_core::PlanRewriteConfig;
 
-use crate::ast::{Expr, Lambda, Lambda2};
-use crate::pretty;
+use crate::ast::{Expr, Slot};
+use crate::pretty::snippet;
 
 use super::diag::{codes, Diagnostic, Diagnostics};
 
@@ -132,21 +131,8 @@ struct HoistSite {
 /// A candidate root: an operator whose subtree is worth materializing.
 /// (`source` alone is excluded — it is already materialized input.)
 fn is_plan_root(e: &Expr) -> bool {
-    matches!(
-        e.unspanned(),
-        Expr::Map(..)
-            | Expr::Filter(..)
-            | Expr::FlatMapTuple(..)
-            | Expr::GroupByKey(..)
-            | Expr::ReduceByKey(..)
-            | Expr::Join(..)
-            | Expr::Distinct(..)
-            | Expr::Union(..)
-            | Expr::Count(..)
-            | Expr::Fold(..)
-            | Expr::GroupByKeyIntoNestedBag(..)
-            | Expr::MapWithLiftedUdf { .. }
-    )
+    let e = e.unspanned();
+    e.is_bag_op() && !matches!(e, Expr::Source(_))
 }
 
 /// Scalar-valued candidate roots are evaluated *eagerly* by the driver, so
@@ -227,19 +213,6 @@ fn impurity_reason(e: &Expr) -> Option<String> {
     None
 }
 
-/// One-line, whitespace-collapsed source snippet for diagnostics.
-fn snippet(e: &Expr) -> String {
-    let s = pretty::to_source(e);
-    let s = s.split_whitespace().collect::<Vec<_>>().join(" ");
-    if s.chars().count() > 72 {
-        let mut t: String = s.chars().take(72).collect();
-        t.push('…');
-        t
-    } else {
-        s
-    }
-}
-
 /// Node count, used to prefer merging the largest shared subplan first.
 fn size(e: &Expr) -> usize {
     let mut n = 0;
@@ -255,276 +228,55 @@ fn canon(e: &Expr) -> String {
     out
 }
 
-fn canon_go(e: &Expr, binds: &mut Vec<String>, out: &mut String) {
+/// `tag(child,child,..)`, the head carrying whatever the variant holds
+/// besides children.
+fn canon_go<'a>(e: &'a Expr, binds: &mut Vec<&'a str>, out: &mut String) {
     match e {
-        Expr::Spanned(_, inner) => canon_go(inner, binds, out),
-        Expr::Const(v) => {
-            let _ = write!(out, "c({v:?})");
-        }
-        Expr::Var(n) => match binds.iter().rev().position(|b| b == n) {
-            Some(i) => {
+        Expr::Spanned(_, inner) => return canon_go(inner, binds, out),
+        Expr::Var(n) => {
+            if let Some(i) = binds.iter().rev().position(|b| b == n) {
                 let _ = write!(out, "b{i}");
+                return;
             }
-            None => {
-                let _ = write!(out, "v({n})");
-            }
-        },
-        Expr::Source(n) => {
-            let _ = write!(out, "s({n})");
         }
-        Expr::Tuple(items) => {
-            out.push_str("t(");
-            for x in items {
-                canon_go(x, binds, out);
-                out.push(',');
-            }
-            out.push(')');
-        }
-        Expr::Proj(x, i) => {
-            let _ = write!(out, "p{i}(");
-            canon_go(x, binds, out);
-            out.push(')');
-        }
-        Expr::Bin(op, a, b) => {
-            let _ = write!(out, "bin({op:?},");
-            canon_go(a, binds, out);
-            out.push(',');
-            canon_go(b, binds, out);
-            out.push(')');
-        }
-        Expr::Un(op, a) => {
-            let _ = write!(out, "un({op:?},");
-            canon_go(a, binds, out);
-            out.push(')');
-        }
-        Expr::Let(n, v, b) => {
-            out.push_str("let(");
-            canon_go(v, binds, out);
-            out.push(',');
-            binds.push(n.clone());
-            canon_go(b, binds, out);
-            binds.pop();
-            out.push(')');
-        }
-        Expr::If(c, t, el) => {
-            out.push_str("if(");
-            canon_go(c, binds, out);
-            out.push(',');
-            canon_go(t, binds, out);
-            out.push(',');
-            canon_go(el, binds, out);
-            out.push(')');
-        }
-        Expr::Loop { init, cond, step, result } => {
-            out.push_str("loop(");
-            let n0 = binds.len();
-            for (n, x) in init {
-                canon_go(x, binds, out);
-                out.push(',');
-                binds.push(n.clone());
-            }
-            out.push(';');
-            canon_go(cond, binds, out);
-            out.push(';');
-            for s in step {
-                canon_go(s, binds, out);
-                out.push(',');
-            }
-            out.push(';');
-            canon_go(result, binds, out);
-            binds.truncate(n0);
-            out.push(')');
-        }
-        Expr::Map(x, l) | Expr::Filter(x, l) | Expr::FlatMapTuple(x, l) => {
-            out.push_str(match e {
-                Expr::Map(..) => "map(",
-                Expr::Filter(..) => "fil(",
-                _ => "fmt(",
-            });
-            canon_go(x, binds, out);
-            out.push(',');
-            binds.push(l.param.clone());
-            canon_go(&l.body, binds, out);
-            binds.pop();
-            out.push(')');
-        }
-        Expr::GroupByKey(x) => {
-            out.push_str("gbk(");
-            canon_go(x, binds, out);
-            out.push(')');
-        }
-        Expr::ReduceByKey(x, l2) => {
-            out.push_str("rbk(");
-            canon_go(x, binds, out);
-            out.push(',');
-            binds.push(l2.a.clone());
-            binds.push(l2.b.clone());
-            canon_go(&l2.body, binds, out);
-            binds.pop();
-            binds.pop();
-            out.push(')');
-        }
-        Expr::Join(a, b) => {
-            out.push_str("join(");
-            canon_go(a, binds, out);
-            out.push(',');
-            canon_go(b, binds, out);
-            out.push(')');
-        }
-        Expr::Distinct(x) => {
-            out.push_str("dis(");
-            canon_go(x, binds, out);
-            out.push(')');
-        }
-        Expr::Union(a, b) => {
-            out.push_str("uni(");
-            canon_go(a, binds, out);
-            out.push(',');
-            canon_go(b, binds, out);
-            out.push(')');
-        }
-        Expr::Count(x) => {
-            out.push_str("cnt(");
-            canon_go(x, binds, out);
-            out.push(')');
-        }
-        Expr::Cache(x) => {
-            out.push_str("cache(");
-            canon_go(x, binds, out);
-            out.push(')');
-        }
-        Expr::Fold(x, z, l2) => {
-            out.push_str("fold(");
-            canon_go(x, binds, out);
-            out.push(',');
-            canon_go(z, binds, out);
-            out.push(',');
-            binds.push(l2.a.clone());
-            binds.push(l2.b.clone());
-            canon_go(&l2.body, binds, out);
-            binds.pop();
-            binds.pop();
-            out.push(')');
-        }
-        Expr::GroupByKeyIntoNestedBag(x) => {
-            out.push_str("gbkn(");
-            canon_go(x, binds, out);
-            out.push(')');
-        }
-        Expr::MapWithLiftedUdf { input, udf, closures } => {
-            let _ = write!(out, "mwlu[{}](", closures.join(","));
-            canon_go(input, binds, out);
-            out.push(',');
-            binds.push(udf.param.clone());
-            canon_go(&udf.body, binds, out);
-            binds.pop();
-            out.push(')');
-        }
+        _ => {}
     }
-}
-
-/// Rebuild `e` with `f` applied to every direct child expression.
-fn rebuild_with(e: &Expr, f: &mut impl FnMut(&Expr) -> Expr) -> Expr {
-    let lam = |l: &Lambda, f: &mut dyn FnMut(&Expr) -> Expr| Lambda {
-        param: l.param.clone(),
-        body: Arc::new(f(&l.body)),
+    out.push_str(e.tag());
+    let _ = match e {
+        Expr::Const(v) => write!(out, "({v:?}"),
+        Expr::Var(n) | Expr::Source(n) => write!(out, "({n}"),
+        Expr::Proj(_, i) => write!(out, "{i}("),
+        Expr::Bin(op, ..) => write!(out, "({op:?},"),
+        Expr::Un(op, _) => write!(out, "({op:?},"),
+        Expr::Loop { init, .. } => write!(out, "{}(", init.len()),
+        Expr::MapWithLiftedUdf { closures, .. } => write!(out, "[{}](", closures.join(",")),
+        _ => write!(out, "("),
     };
-    let lam2 = |l: &Lambda2, f: &mut dyn FnMut(&Expr) -> Expr| Lambda2 {
-        a: l.a.clone(),
-        b: l.b.clone(),
-        body: Arc::new(f(&l.body)),
-    };
-    match e {
-        Expr::Spanned(sp, inner) => Expr::Spanned(*sp, Box::new(f(inner))),
-        Expr::Const(_) | Expr::Var(_) | Expr::Source(_) => e.clone(),
-        Expr::Tuple(items) => Expr::Tuple(items.iter().map(&mut *f).collect()),
-        Expr::Proj(x, i) => Expr::Proj(Box::new(f(x)), *i),
-        Expr::Bin(op, a, b) => Expr::Bin(*op, Box::new(f(a)), Box::new(f(b))),
-        Expr::Un(op, a) => Expr::Un(*op, Box::new(f(a))),
-        Expr::Let(n, v, b) => Expr::Let(n.clone(), Box::new(f(v)), Box::new(f(b))),
-        Expr::If(c, t, el) => Expr::If(Box::new(f(c)), Box::new(f(t)), Box::new(f(el))),
-        Expr::Loop { init, cond, step, result } => Expr::Loop {
-            init: init.iter().map(|(n, x)| (n.clone(), f(x))).collect(),
-            cond: Box::new(f(cond)),
-            step: step.iter().map(&mut *f).collect(),
-            result: Box::new(f(result)),
-        },
-        Expr::Map(x, l) => Expr::Map(Box::new(f(x)), lam(l, f)),
-        Expr::Filter(x, l) => Expr::Filter(Box::new(f(x)), lam(l, f)),
-        Expr::FlatMapTuple(x, l) => Expr::FlatMapTuple(Box::new(f(x)), lam(l, f)),
-        Expr::GroupByKey(x) => Expr::GroupByKey(Box::new(f(x))),
-        Expr::ReduceByKey(x, l) => Expr::ReduceByKey(Box::new(f(x)), lam2(l, f)),
-        Expr::Join(a, b) => Expr::Join(Box::new(f(a)), Box::new(f(b))),
-        Expr::Distinct(x) => Expr::Distinct(Box::new(f(x))),
-        Expr::Union(a, b) => Expr::Union(Box::new(f(a)), Box::new(f(b))),
-        Expr::Count(x) => Expr::Count(Box::new(f(x))),
-        Expr::Cache(x) => Expr::Cache(Box::new(f(x))),
-        Expr::Fold(x, z, l) => Expr::Fold(Box::new(f(x)), Box::new(f(z)), lam2(l, f)),
-        Expr::GroupByKeyIntoNestedBag(x) => Expr::GroupByKeyIntoNestedBag(Box::new(f(x))),
-        Expr::MapWithLiftedUdf { input, udf, closures } => Expr::MapWithLiftedUdf {
-            input: Box::new(f(input)),
-            udf: lam(udf, f),
-            closures: closures.clone(),
-        },
-    }
+    let mut first = true;
+    e.for_each_child(|c, bound, _| {
+        if !std::mem::take(&mut first) {
+            out.push(',');
+        }
+        bound.scoped(binds, |binds| canon_go(c, binds, out));
+    });
+    out.push(')');
 }
 
 /// Occurrence count of `name` as a free variable in `e` (shadowing-aware).
 /// A lifted UDF's `closures` list counts as a use: the lowering resolves
 /// those names from the environment at launch time.
 fn count_uses(name: &str, e: &Expr) -> usize {
-    match e {
-        Expr::Spanned(_, inner) => count_uses(name, inner),
+    let mut total = match e {
         Expr::Var(n) => usize::from(n == name),
-        Expr::Const(_) | Expr::Source(_) => 0,
-        Expr::Tuple(items) => items.iter().map(|x| count_uses(name, x)).sum(),
-        Expr::Proj(x, _) | Expr::Un(_, x) => count_uses(name, x),
-        Expr::Bin(_, a, b) | Expr::Join(a, b) | Expr::Union(a, b) => {
-            count_uses(name, a) + count_uses(name, b)
+        Expr::MapWithLiftedUdf { closures, .. } => closures.iter().filter(|c| *c == name).count(),
+        _ => 0,
+    };
+    e.for_each_child(|c, binds, _| {
+        if !binds.iter().any(|b| b == name) {
+            total += count_uses(name, c);
         }
-        Expr::Let(n, v, b) => count_uses(name, v) + if n == name { 0 } else { count_uses(name, b) },
-        Expr::If(c, t, el) => count_uses(name, c) + count_uses(name, t) + count_uses(name, el),
-        Expr::Loop { init, cond, step, result } => {
-            let mut total = 0;
-            let mut shadowed = false;
-            for (n, x) in init {
-                if !shadowed {
-                    total += count_uses(name, x);
-                }
-                if n == name {
-                    shadowed = true;
-                }
-            }
-            if !shadowed {
-                total += count_uses(name, cond);
-                total += step.iter().map(|s| count_uses(name, s)).sum::<usize>();
-                total += count_uses(name, result);
-            }
-            total
-        }
-        Expr::Map(x, l) | Expr::Filter(x, l) | Expr::FlatMapTuple(x, l) => {
-            count_uses(name, x) + if l.param == name { 0 } else { count_uses(name, &l.body) }
-        }
-        Expr::GroupByKey(x)
-        | Expr::Distinct(x)
-        | Expr::Count(x)
-        | Expr::Cache(x)
-        | Expr::GroupByKeyIntoNestedBag(x) => count_uses(name, x),
-        Expr::ReduceByKey(x, l2) => {
-            count_uses(name, x)
-                + if l2.a == name || l2.b == name { 0 } else { count_uses(name, &l2.body) }
-        }
-        Expr::Fold(x, z, l2) => {
-            count_uses(name, x)
-                + count_uses(name, z)
-                + if l2.a == name || l2.b == name { 0 } else { count_uses(name, &l2.body) }
-        }
-        Expr::MapWithLiftedUdf { input, udf, closures } => {
-            count_uses(name, input)
-                + closures.iter().filter(|c| c.as_str() == name).count()
-                + if udf.param == name { 0 } else { count_uses(name, &udf.body) }
-        }
-    }
+    });
+    total
 }
 
 // ---------------------------------------------------------------------------
@@ -538,19 +290,13 @@ impl Pass {
     /// stay lazy.
     fn hoist(&mut self, e: &Expr, lifted: bool) -> Expr {
         match e {
-            Expr::Spanned(sp, inner) => Expr::Spanned(*sp, Box::new(self.hoist(inner, lifted))),
-            Expr::MapWithLiftedUdf { input, udf, closures } => Expr::MapWithLiftedUdf {
-                input: Box::new(self.hoist(input, lifted)),
-                udf: Lambda {
-                    param: udf.param.clone(),
-                    body: Arc::new(self.hoist(&udf.body, true)),
-                },
-                closures: closures.clone(),
-            },
             Expr::Loop { init, cond, step, result } => {
                 self.hoist_loop(init, cond, step, result, lifted)
             }
-            _ => rebuild_with(e, &mut |c| self.hoist(c, lifted)),
+            Expr::MapWithLiftedUdf { .. } => {
+                e.map_children(|c, _, slot| self.hoist(c, lifted || slot == Slot::Udf))
+            }
+            _ => e.map_children(|c, _, _| self.hoist(c, lifted)),
         }
     }
 
@@ -668,8 +414,7 @@ impl Pass {
             }
             // Safe: invariant, pure, barrier-free. Hoist (or reuse an
             // already-hoisted structurally identical subtree).
-            let stripped = e.strip_spans();
-            let key = canon(&stripped);
+            let key = canon(e);
             if let Some(name) = site.keymap.get(&key) {
                 return Expr::var(name);
             }
@@ -695,7 +440,7 @@ impl Pass {
                 site: snippet(e),
                 justification,
             });
-            site.hoisted.push((name.clone(), stripped));
+            site.hoisted.push((name.clone(), e.strip_spans()));
             Expr::var(&name)
         } else {
             self.hoist_slot_children(e, slot, bound, site, lifted, guarded, suppress)
@@ -717,80 +462,18 @@ impl Pass {
         guarded: bool,
         suppress: bool,
     ) -> Expr {
-        match e {
-            Expr::Let(n, v, b) => {
-                let v2 = self.hoist_slot(v, slot, bound, site, lifted, guarded, suppress);
-                bound.push(n.clone());
-                let b2 = self.hoist_slot(b, slot, bound, site, lifted, guarded, suppress);
-                bound.pop();
-                Expr::Let(n.clone(), Box::new(v2), Box::new(b2))
-            }
-            Expr::If(c, t, el) => {
-                let c2 = self.hoist_slot(c, slot, bound, site, lifted, guarded, suppress);
-                let t2 = self.hoist_slot(t, slot, bound, site, lifted, true, suppress);
-                let el2 = self.hoist_slot(el, slot, bound, site, lifted, true, suppress);
-                Expr::If(Box::new(c2), Box::new(t2), Box::new(el2))
-            }
-            Expr::Loop { init, cond, step, result } => {
-                // A nested loop's variables block hoisting past it; the
-                // outer hoist pass revisits the loop itself afterwards.
-                let n0 = bound.len();
-                let mut init2 = Vec::new();
-                for (n, x) in init {
-                    init2.push((
-                        n.clone(),
-                        self.hoist_slot(x, slot, bound, site, lifted, guarded, suppress),
-                    ));
-                    bound.push(n.clone());
-                }
-                let cond2 = self.hoist_slot(cond, slot, bound, site, lifted, guarded, suppress);
-                let step2: Vec<Expr> = step
-                    .iter()
-                    .map(|s| {
-                        self.hoist_slot(s, slot, bound, site, lifted, guarded || !lifted, suppress)
-                    })
-                    .collect();
-                let result2 = self.hoist_slot(result, slot, bound, site, lifted, guarded, suppress);
-                bound.truncate(n0);
-                Expr::Loop {
-                    init: init2,
-                    cond: Box::new(cond2),
-                    step: step2,
-                    result: Box::new(result2),
-                }
-            }
-            Expr::Map(x, l) => Expr::Map(
-                Box::new(self.hoist_slot(x, slot, bound, site, lifted, guarded, suppress)),
-                l.clone(),
-            ),
-            Expr::Filter(x, l) => Expr::Filter(
-                Box::new(self.hoist_slot(x, slot, bound, site, lifted, guarded, suppress)),
-                l.clone(),
-            ),
-            Expr::FlatMapTuple(x, l) => Expr::FlatMapTuple(
-                Box::new(self.hoist_slot(x, slot, bound, site, lifted, guarded, suppress)),
-                l.clone(),
-            ),
-            Expr::ReduceByKey(x, l2) => Expr::ReduceByKey(
-                Box::new(self.hoist_slot(x, slot, bound, site, lifted, guarded, suppress)),
-                l2.clone(),
-            ),
-            Expr::Fold(x, z, l2) => Expr::Fold(
-                Box::new(self.hoist_slot(x, slot, bound, site, lifted, guarded, suppress)),
-                Box::new(self.hoist_slot(z, slot, bound, site, lifted, guarded, suppress)),
-                l2.clone(),
-            ),
-            Expr::MapWithLiftedUdf { input, udf, closures } => Expr::MapWithLiftedUdf {
-                input: Box::new(
-                    self.hoist_slot(input, slot, bound, site, lifted, guarded, suppress),
-                ),
-                udf: udf.clone(),
-                closures: closures.clone(),
-            },
-            _ => rebuild_with(e, &mut |c| {
+        e.map_children(|c, binds, kind| {
+            let guarded = match kind {
+                Slot::Udf => return c.clone(),
+                Slot::Branch => true,
+                // A nested driver `while` step may run zero times.
+                Slot::Step => guarded || !lifted,
+                Slot::Operand => guarded,
+            };
+            binds.scoped(bound, |bound| {
                 self.hoist_slot(c, slot, bound, site, lifted, guarded, suppress)
-            }),
-        }
+            })
+        })
     }
 }
 
@@ -820,19 +503,15 @@ impl Pass {
     }
 
     fn cse_udf_regions(&mut self, e: &Expr) -> Expr {
-        match e {
-            Expr::MapWithLiftedUdf { input, udf, closures } => {
-                let input = Box::new(self.cse_udf_regions(input));
-                let body = self.cse_udf_regions(&udf.body);
-                let body = self.cse_region(body, vec![udf.param.clone()], true);
-                Expr::MapWithLiftedUdf {
-                    input,
-                    udf: Lambda { param: udf.param.clone(), body: Arc::new(body) },
-                    closures: closures.clone(),
-                }
+        let lifted_udf = matches!(e, Expr::MapWithLiftedUdf { .. });
+        e.map_children(|c, binds, slot| {
+            let c = self.cse_udf_regions(c);
+            if lifted_udf && slot == Slot::Udf {
+                self.cse_region(c, binds.iter().map(String::from).collect(), true)
+            } else {
+                c
             }
-            _ => rebuild_with(e, &mut |c| self.cse_udf_regions(c)),
-        }
+        })
     }
 
     /// Repeatedly merge the largest shared subplan until none is shared.
@@ -886,7 +565,7 @@ impl Pass {
     /// explicit cache node, so the engine shares one set of `Arc`
     /// partitions across consumers instead of ever recomputing.
     fn auto_cache(&mut self, e: &Expr) -> Expr {
-        let e2 = rebuild_with(e, &mut |c| self.auto_cache(c));
+        let e2 = e.map_children(|c, _, _| self.auto_cache(c));
         if let Expr::Let(n, v, b) = &e2 {
             let uses = count_uses(n, b);
             if uses >= 2 && is_bag_valued_root(v) && !is_rewrite_barrier(v) {
@@ -928,7 +607,7 @@ impl Pass {
     /// observable effect. Unused *scalar* bindings are left to the checker's
     /// MAT090 warning.
     fn dce(&mut self, e: &Expr) -> Expr {
-        let e2 = rebuild_with(e, &mut |c| self.dce(c));
+        let e2 = e.map_children(|c, _, _| self.dce(c));
         if let Expr::Let(n, v, b) = &e2 {
             if v.contains_bag_ops() && count_uses(n, b) == 0 {
                 let justification = format!(
@@ -957,6 +636,15 @@ impl Pass {
     }
 }
 
+/// May the subplan at `e` be merged with a structurally identical one? It
+/// must be an operator subtree that passes the purity/barrier gate and
+/// reads no binder introduced inside the region.
+fn cse_candidate(e: &Expr, bound: &[String]) -> bool {
+    is_plan_root(e)
+        && impurity_reason(e).is_none()
+        && !e.free_vars().iter().any(|v| bound.contains(v))
+}
+
 /// Collect CSE candidate occurrences. `trigger` is true on paths evaluated
 /// at least once per program run.
 fn cse_collect(
@@ -967,147 +655,56 @@ fn cse_collect(
     occ: &mut BTreeMap<String, CseOcc>,
 ) {
     match e {
+        // `is_plan_root` peels spans: count the node, not its wrapper too.
         Expr::Spanned(_, inner) => return cse_collect(inner, bound, trigger, lifted, occ),
         Expr::Cache(_) => return, // barrier: opaque
         _ => {}
     }
-    if is_plan_root(e)
-        && impurity_reason(e).is_none()
-        && !e.free_vars().iter().any(|v| bound.contains(v))
-    {
-        let stripped = e.strip_spans();
-        let entry = occ.entry(canon(&stripped)).or_insert_with(|| CseOcc {
+    if cse_candidate(e, bound) {
+        let entry = occ.entry(canon(e)).or_insert_with(|| CseOcc {
             trigger: 0,
             total: 0,
             size: size(e),
             bag_rooted: is_bag_valued_root(e),
-            example: stripped,
+            example: e.strip_spans(),
         });
         entry.total += 1;
         entry.trigger += usize::from(trigger);
     }
-    match e {
-        Expr::Const(_) | Expr::Var(_) | Expr::Source(_) | Expr::Spanned(..) | Expr::Cache(_) => {}
-        Expr::Tuple(items) => {
-            items.iter().for_each(|x| cse_collect(x, bound, trigger, lifted, occ))
-        }
-        Expr::Proj(x, _) | Expr::Un(_, x) => cse_collect(x, bound, trigger, lifted, occ),
-        Expr::Bin(_, a, b) | Expr::Join(a, b) | Expr::Union(a, b) => {
-            cse_collect(a, bound, trigger, lifted, occ);
-            cse_collect(b, bound, trigger, lifted, occ);
-        }
-        Expr::Let(n, v, b) => {
-            cse_collect(v, bound, trigger, lifted, occ);
-            bound.push(n.clone());
-            cse_collect(b, bound, trigger, lifted, occ);
-            bound.pop();
-        }
-        Expr::If(c, t, el) => {
-            cse_collect(c, bound, trigger, lifted, occ);
-            cse_collect(t, bound, false, lifted, occ);
-            cse_collect(el, bound, false, lifted, occ);
-        }
-        Expr::Loop { init, cond, step, result } => {
-            let n0 = bound.len();
-            for (n, x) in init {
-                cse_collect(x, bound, trigger, lifted, occ);
-                bound.push(n.clone());
-            }
-            cse_collect(cond, bound, trigger, lifted, occ);
+    e.for_each_child(|c, binds, slot| {
+        let trigger = match slot {
+            // UDF bodies are opaque: leaf lambdas are scalar, and lifted
+            // UDF bodies are separate regions.
+            Slot::Udf => return,
+            Slot::Branch => false,
             // A driver `while` step may run zero times; a lifted do-while
             // step always runs.
-            let step_trigger = trigger && lifted;
-            step.iter().for_each(|s| cse_collect(s, bound, step_trigger, lifted, occ));
-            cse_collect(result, bound, trigger, lifted, occ);
-            bound.truncate(n0);
-        }
-        // UDF bodies are opaque: leaf lambdas are scalar, and lifted UDF
-        // bodies are separate regions.
-        Expr::Map(x, _) | Expr::Filter(x, _) | Expr::FlatMapTuple(x, _) => {
-            cse_collect(x, bound, trigger, lifted, occ)
-        }
-        Expr::ReduceByKey(x, _) => cse_collect(x, bound, trigger, lifted, occ),
-        Expr::Fold(x, z, _) => {
-            cse_collect(x, bound, trigger, lifted, occ);
-            cse_collect(z, bound, trigger, lifted, occ);
-        }
-        Expr::MapWithLiftedUdf { input, .. } => cse_collect(input, bound, trigger, lifted, occ),
-        Expr::GroupByKey(x)
-        | Expr::Distinct(x)
-        | Expr::Count(x)
-        | Expr::GroupByKeyIntoNestedBag(x) => cse_collect(x, bound, trigger, lifted, occ),
-    }
+            Slot::Step => trigger && lifted,
+            Slot::Operand => trigger,
+        };
+        binds.scoped(bound, |bound| cse_collect(c, bound, trigger, lifted, occ));
+    });
 }
 
 /// Replace every eligible occurrence of the subplan keyed `key` with a
 /// reference to `name`. Mirrors the traversal of [`cse_collect`].
 fn cse_replace(e: &Expr, bound: &mut Vec<String>, key: &str, name: &str) -> Expr {
     match e {
-        Expr::Spanned(sp, inner) => {
-            return Expr::Spanned(*sp, Box::new(cse_replace(inner, bound, key, name)))
-        }
         Expr::Cache(_) => return e.clone(),
+        Expr::Spanned(..) => {}
+        _ if cse_candidate(e, bound) && canon(e) == key => return Expr::var(name),
         _ => {}
     }
-    if is_plan_root(e)
-        && impurity_reason(e).is_none()
-        && !e.free_vars().iter().any(|v| bound.contains(v))
-        && canon(&e.strip_spans()) == key
-    {
-        return Expr::var(name);
-    }
-    match e {
-        Expr::Let(n, v, b) => {
-            let v2 = cse_replace(v, bound, key, name);
-            bound.push(n.clone());
-            let b2 = cse_replace(b, bound, key, name);
-            bound.pop();
-            Expr::Let(n.clone(), Box::new(v2), Box::new(b2))
-        }
-        Expr::Loop { init, cond, step, result } => {
-            let n0 = bound.len();
-            let mut init2 = Vec::new();
-            for (n, x) in init {
-                init2.push((n.clone(), cse_replace(x, bound, key, name)));
-                bound.push(n.clone());
-            }
-            let cond2 = cse_replace(cond, bound, key, name);
-            let step2: Vec<Expr> = step.iter().map(|s| cse_replace(s, bound, key, name)).collect();
-            let result2 = cse_replace(result, bound, key, name);
-            bound.truncate(n0);
-            Expr::Loop {
-                init: init2,
-                cond: Box::new(cond2),
-                step: step2,
-                result: Box::new(result2),
-            }
-        }
-        Expr::Map(x, l) => Expr::Map(Box::new(cse_replace(x, bound, key, name)), l.clone()),
-        Expr::Filter(x, l) => Expr::Filter(Box::new(cse_replace(x, bound, key, name)), l.clone()),
-        Expr::FlatMapTuple(x, l) => {
-            Expr::FlatMapTuple(Box::new(cse_replace(x, bound, key, name)), l.clone())
-        }
-        Expr::ReduceByKey(x, l2) => {
-            Expr::ReduceByKey(Box::new(cse_replace(x, bound, key, name)), l2.clone())
-        }
-        Expr::Fold(x, z, l2) => Expr::Fold(
-            Box::new(cse_replace(x, bound, key, name)),
-            Box::new(cse_replace(z, bound, key, name)),
-            l2.clone(),
-        ),
-        Expr::MapWithLiftedUdf { input, udf, closures } => Expr::MapWithLiftedUdf {
-            input: Box::new(cse_replace(input, bound, key, name)),
-            udf: udf.clone(),
-            closures: closures.clone(),
-        },
-        _ => rebuild_with(e, &mut |c| cse_replace(c, bound, key, name)),
-    }
+    e.map_children(|c, binds, slot| match slot {
+        Slot::Udf => c.clone(),
+        _ => binds.scoped(bound, |bound| cse_replace(c, bound, key, name)),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::BinOp;
+    use crate::ast::{BinOp, Lambda};
 
     fn cfg_on() -> PlanRewriteConfig {
         PlanRewriteConfig::enabled()

@@ -3,11 +3,10 @@
 //! preconditions of the paper's Theorem 1 *before* lowering, and records a
 //! [`UdfSummary`] (captures, effects, field reads) for every UDF.
 //!
-//! Unlike [`crate::parse::shape_of`] — which the rewriter still uses as a
-//! local oracle — this checker is *total*: it never stops at the first
-//! problem. Ill-typed subtrees get [`Ty::Unknown`] and the walk continues,
-//! so a single run reports every independent defect with a stable `MAT0xx`
-//! code and (for text programs) a byte span.
+//! The checker is *total*: it never stops at the first problem. Ill-typed
+//! subtrees get [`Ty::Unknown`] and the walk continues, so a single run
+//! reports every independent defect with a stable `MAT0xx` code and (for
+//! text programs) a byte span.
 //!
 //! The depth discipline mirrors the runtime exactly: the lowering's lifted
 //! interpreter supports two levels of parallelism (driver + one lifted
@@ -17,8 +16,9 @@
 
 use std::fmt;
 
-use crate::ast::{BinOp, Expr, Lambda, Lambda2, Span};
+use crate::ast::{Expr, Lambda, Lambda2, Span};
 use crate::parse::Dialect;
+use crate::pretty::snippet;
 
 use super::diag::{codes, Diagnostic, Diagnostics};
 use super::UdfSummary;
@@ -146,6 +146,7 @@ pub(super) struct Checker<'a> {
     env: Vec<Binding>,
     pub(super) diags: Diagnostics,
     pub(super) udfs: Vec<UdfSummary>,
+    pub(super) lifts: Vec<bool>,
 }
 
 const TOO_DEEP_MSG: &str = "more than two levels of parallel operations in the IR dialect \
@@ -167,7 +168,14 @@ impl<'a> Checker<'a> {
                 warn_unused: false,
             })
             .collect();
-        Checker { sources, dialect, env, diags: Diagnostics::new(), udfs: Vec::new() }
+        Checker {
+            sources,
+            dialect,
+            env,
+            diags: Diagnostics::new(),
+            udfs: Vec::new(),
+            lifts: Vec::new(),
+        }
     }
 
     // --- environment ---------------------------------------------------
@@ -339,7 +347,7 @@ impl<'a> Checker<'a> {
                         self.error(
                             codes::KIND_MISMATCH,
                             side.span().or(sp),
-                            format!("the scalar operator `{}` is applied to {t}", bin_symbol(*op)),
+                            format!("the scalar operator `{}` is applied to {t}", op.symbol()),
                             side,
                         );
                     }
@@ -641,6 +649,7 @@ impl<'a> Checker<'a> {
             );
         }
         let needs_lift = l.body.contains_bag_ops() || matches!(tin, Ty::Bag(d) if d >= 2);
+        self.lifts.push(needs_lift);
         if needs_lift && level >= 1 {
             self.error(codes::TOO_DEEP, sp, TOO_DEEP_MSG.to_string(), node);
         }
@@ -912,30 +921,5 @@ impl<'a> Checker<'a> {
             pure_scalar: !l.body.contains_bag_ops(),
             bag_launching,
         });
-    }
-}
-
-pub(super) fn bin_symbol(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Eq => "==",
-        BinOp::Lt => "<",
-        BinOp::Gt => ">",
-        BinOp::And => "&&",
-        BinOp::Or => "||",
-    }
-}
-
-/// A short, single-line re-rendering of `e` for span-less diagnostics.
-fn snippet(e: &Expr) -> String {
-    let s = crate::pretty::to_source(e);
-    let s = s.split_whitespace().collect::<Vec<_>>().join(" ");
-    if s.len() > 60 {
-        format!("{}…", &s[..s.char_indices().take_while(|(i, _)| *i < 57).count()])
-    } else {
-        s
     }
 }

@@ -58,6 +58,23 @@ pub enum BinOp {
     Or,
 }
 
+impl BinOp {
+    /// The operator's surface-syntax symbol.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+            BinOp::Eq => "==",
+            BinOp::Lt => "<",
+            BinOp::Gt => ">",
+            BinOp::And => "&&",
+            BinOp::Or => "||",
+        }
+    }
+}
+
 /// Unary scalar operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnOp {
@@ -104,7 +121,7 @@ impl Lambda2 {
 }
 
 /// Expressions of the nested-parallel language. Scalar- and bag-typed
-/// expressions share one syntax; the parsing phase's shape analysis tells
+/// expressions share one syntax; the analyzer ([`crate::analyze()`]) tells
 /// them apart.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -197,6 +214,59 @@ pub enum Expr {
     },
 }
 
+/// How a parent evaluates one of its children (see
+/// [`Expr::for_each_child`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// Evaluated once whenever the parent is.
+    Operand,
+    /// An `if` arm: evaluated at most once.
+    Branch,
+    /// A loop step: evaluated once per iteration, so zero times when a
+    /// driver-level `while` exits at once (a lifted loop is a do-while).
+    Step,
+    /// A UDF body: evaluated per record, in the UDF's own environment.
+    Udf,
+}
+
+/// The names a parent binds around one child, outermost first: lambda
+/// parameters, a `let` name, or the loop variables in scope.
+#[derive(Debug, Clone, Copy)]
+pub struct Binds<'a> {
+    params: [Option<&'a str>; 2],
+    loop_vars: &'a [(String, Expr)],
+}
+
+impl<'a> Binds<'a> {
+    const NONE: Binds<'static> = Binds { params: [None, None], loop_vars: &[] };
+
+    fn params(a: &'a str, b: Option<&'a str>) -> Binds<'a> {
+        Binds { params: [Some(a), b], loop_vars: &[] }
+    }
+
+    fn loop_vars(vars: &'a [(String, Expr)]) -> Binds<'a> {
+        Binds { params: [None, None], loop_vars: vars }
+    }
+
+    /// Run `f` with the bound names pushed on the scope stack `scope`.
+    pub fn scoped<T: From<&'a str>, R>(
+        self,
+        scope: &mut Vec<T>,
+        f: impl FnOnce(&mut Vec<T>) -> R,
+    ) -> R {
+        let outer = scope.len();
+        scope.extend(self.iter().map(T::from));
+        let out = f(scope);
+        scope.truncate(outer);
+        out
+    }
+
+    /// The bound names, outermost first.
+    pub fn iter(self) -> impl Iterator<Item = &'a str> {
+        self.params.into_iter().flatten().chain(self.loop_vars.iter().map(|(n, _)| n.as_str()))
+    }
+}
+
 impl Expr {
     /// `let`-builder.
     pub fn let_(name: &str, value: Expr, body: Expr) -> Expr {
@@ -236,220 +306,226 @@ impl Expr {
         }
     }
 
-    /// A copy of the expression with every [`Expr::Spanned`] annotation
-    /// removed (spans carry no semantics; this normalizes parsed programs
-    /// for structural comparison with hand-built ASTs).
-    pub fn strip_spans(&self) -> Expr {
-        fn lam(l: &Lambda) -> Lambda {
-            Lambda { param: l.param.clone(), body: Arc::new(l.body.strip_spans()) }
-        }
-        fn lam2(l: &Lambda2) -> Lambda2 {
-            Lambda2 { a: l.a.clone(), b: l.b.clone(), body: Arc::new(l.body.strip_spans()) }
-        }
+    /// Call `f` on each direct child, in evaluation order, with the names
+    /// this node binds around that child and the [`Slot`] it fills. Together
+    /// with [`Expr::map_children`] this is the only statement of which
+    /// children and binders a variant has; every structural pass (free
+    /// variables, canonical keys, span stripping, the plan rewrites, the
+    /// parsing-phase rewrite) is written against the two.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr, Binds<'a>, Slot)) {
+        use Slot::{Branch, Operand, Step, Udf};
+        const NONE: Binds<'static> = Binds::NONE;
         match self {
-            Expr::Spanned(_, inner) => inner.strip_spans(),
-            Expr::Const(_) | Expr::Var(_) | Expr::Source(_) => self.clone(),
-            Expr::Tuple(items) => Expr::Tuple(items.iter().map(Expr::strip_spans).collect()),
-            Expr::Proj(x, i) => Expr::Proj(Box::new(x.strip_spans()), *i),
-            Expr::Bin(op, a, b) => {
-                Expr::Bin(*op, Box::new(a.strip_spans()), Box::new(b.strip_spans()))
+            Expr::Const(_) | Expr::Var(_) | Expr::Source(_) => {}
+            Expr::Spanned(_, x)
+            | Expr::Proj(x, _)
+            | Expr::Un(_, x)
+            | Expr::GroupByKey(x)
+            | Expr::Distinct(x)
+            | Expr::Count(x)
+            | Expr::Cache(x)
+            | Expr::GroupByKeyIntoNestedBag(x) => f(x, NONE, Operand),
+            Expr::Tuple(items) => items.iter().for_each(|x| f(x, NONE, Operand)),
+            Expr::Bin(_, a, b) | Expr::Join(a, b) | Expr::Union(a, b) => {
+                f(a, NONE, Operand);
+                f(b, NONE, Operand);
             }
-            Expr::Un(op, a) => Expr::Un(*op, Box::new(a.strip_spans())),
             Expr::Let(n, v, b) => {
-                Expr::Let(n.clone(), Box::new(v.strip_spans()), Box::new(b.strip_spans()))
+                f(v, NONE, Operand);
+                f(b, Binds::params(n, None), Operand);
             }
-            Expr::If(c, t, e) => Expr::If(
-                Box::new(c.strip_spans()),
-                Box::new(t.strip_spans()),
-                Box::new(e.strip_spans()),
-            ),
-            Expr::Loop { init, cond, step, result } => Expr::Loop {
-                init: init.iter().map(|(n, x)| (n.clone(), x.strip_spans())).collect(),
-                cond: Box::new(cond.strip_spans()),
-                step: step.iter().map(Expr::strip_spans).collect(),
-                result: Box::new(result.strip_spans()),
-            },
-            Expr::Map(x, l) => Expr::Map(Box::new(x.strip_spans()), lam(l)),
-            Expr::Filter(x, l) => Expr::Filter(Box::new(x.strip_spans()), lam(l)),
-            Expr::FlatMapTuple(x, l) => Expr::FlatMapTuple(Box::new(x.strip_spans()), lam(l)),
-            Expr::GroupByKey(x) => Expr::GroupByKey(Box::new(x.strip_spans())),
-            Expr::ReduceByKey(x, l) => Expr::ReduceByKey(Box::new(x.strip_spans()), lam2(l)),
-            Expr::Join(a, b) => Expr::Join(Box::new(a.strip_spans()), Box::new(b.strip_spans())),
-            Expr::Distinct(x) => Expr::Distinct(Box::new(x.strip_spans())),
-            Expr::Union(a, b) => Expr::Union(Box::new(a.strip_spans()), Box::new(b.strip_spans())),
-            Expr::Count(x) => Expr::Count(Box::new(x.strip_spans())),
-            Expr::Fold(x, z, l) => {
-                Expr::Fold(Box::new(x.strip_spans()), Box::new(z.strip_spans()), lam2(l))
+            Expr::If(c, t, e) => {
+                f(c, NONE, Operand);
+                f(t, NONE, Branch);
+                f(e, NONE, Branch);
             }
-            Expr::Cache(x) => Expr::Cache(Box::new(x.strip_spans())),
-            Expr::GroupByKeyIntoNestedBag(x) => {
-                Expr::GroupByKeyIntoNestedBag(Box::new(x.strip_spans()))
+            Expr::Loop { init, cond, step, result } => {
+                for (i, (_, x)) in init.iter().enumerate() {
+                    f(x, Binds::loop_vars(&init[..i]), Operand);
+                }
+                let all = Binds::loop_vars(init);
+                f(cond, all, Operand);
+                step.iter().for_each(|x| f(x, all, Step));
+                f(result, all, Operand);
             }
+            Expr::Map(x, l)
+            | Expr::Filter(x, l)
+            | Expr::FlatMapTuple(x, l)
+            | Expr::MapWithLiftedUdf { input: x, udf: l, .. } => {
+                f(x, NONE, Operand);
+                f(&l.body, Binds::params(&l.param, None), Udf);
+            }
+            Expr::ReduceByKey(x, l2) => {
+                f(x, NONE, Operand);
+                f(&l2.body, Binds::params(&l2.a, Some(&l2.b)), Udf);
+            }
+            Expr::Fold(x, z, l2) => {
+                f(x, NONE, Operand);
+                f(z, NONE, Operand);
+                f(&l2.body, Binds::params(&l2.a, Some(&l2.b)), Udf);
+            }
+        }
+    }
+
+    /// Rebuild this node with `f` applied to each direct child: the same
+    /// enumeration as [`Expr::for_each_child`] (same order, binders and
+    /// slots), everything that is not a child copied over.
+    pub fn map_children<'a>(
+        &'a self,
+        mut f: impl FnMut(&'a Expr, Binds<'a>, Slot) -> Expr,
+    ) -> Expr {
+        use Slot::{Branch, Operand, Step, Udf};
+        const NONE: Binds<'static> = Binds::NONE;
+        type F<'a, 'f> = &'f mut dyn FnMut(&'a Expr, Binds<'a>, Slot) -> Expr;
+        fn op<'a>(f: F<'a, '_>, x: &'a Expr) -> Box<Expr> {
+            Box::new(f(x, NONE, Operand))
+        }
+        fn lam<'a>(f: F<'a, '_>, l: &'a Lambda) -> Lambda {
+            let body = f(&l.body, Binds::params(&l.param, None), Udf);
+            Lambda { param: l.param.clone(), body: Arc::new(body) }
+        }
+        fn lam2<'a>(f: F<'a, '_>, l: &'a Lambda2) -> Lambda2 {
+            let body = f(&l.body, Binds::params(&l.a, Some(&l.b)), Udf);
+            Lambda2 { a: l.a.clone(), b: l.b.clone(), body: Arc::new(body) }
+        }
+        let f: F<'a, '_> = &mut f;
+        match self {
+            Expr::Const(_) | Expr::Var(_) | Expr::Source(_) => self.clone(),
+            Expr::Spanned(sp, x) => Expr::Spanned(*sp, op(f, x)),
+            Expr::Tuple(items) => Expr::Tuple(items.iter().map(|x| f(x, NONE, Operand)).collect()),
+            Expr::Proj(x, i) => Expr::Proj(op(f, x), *i),
+            Expr::Bin(o, a, b) => Expr::Bin(*o, op(f, a), op(f, b)),
+            Expr::Un(o, x) => Expr::Un(*o, op(f, x)),
+            Expr::Let(n, v, b) => {
+                let v = op(f, v);
+                Expr::Let(n.clone(), v, Box::new(f(b, Binds::params(n, None), Operand)))
+            }
+            Expr::If(c, t, e) => {
+                Expr::If(op(f, c), Box::new(f(t, NONE, Branch)), Box::new(f(e, NONE, Branch)))
+            }
+            Expr::Loop { init, cond, step, result } => {
+                let all = Binds::loop_vars(init);
+                Expr::Loop {
+                    init: init
+                        .iter()
+                        .enumerate()
+                        .map(|(i, (n, x))| (n.clone(), f(x, Binds::loop_vars(&init[..i]), Operand)))
+                        .collect(),
+                    cond: Box::new(f(cond, all, Operand)),
+                    step: step.iter().map(|x| f(x, all, Step)).collect(),
+                    result: Box::new(f(result, all, Operand)),
+                }
+            }
+            Expr::Map(x, l) => Expr::Map(op(f, x), lam(f, l)),
+            Expr::Filter(x, l) => Expr::Filter(op(f, x), lam(f, l)),
+            Expr::FlatMapTuple(x, l) => Expr::FlatMapTuple(op(f, x), lam(f, l)),
+            Expr::GroupByKey(x) => Expr::GroupByKey(op(f, x)),
+            Expr::ReduceByKey(x, l) => Expr::ReduceByKey(op(f, x), lam2(f, l)),
+            Expr::Join(a, b) => Expr::Join(op(f, a), op(f, b)),
+            Expr::Distinct(x) => Expr::Distinct(op(f, x)),
+            Expr::Union(a, b) => Expr::Union(op(f, a), op(f, b)),
+            Expr::Count(x) => Expr::Count(op(f, x)),
+            Expr::Fold(x, z, l) => Expr::Fold(op(f, x), op(f, z), lam2(f, l)),
+            Expr::Cache(x) => Expr::Cache(op(f, x)),
+            Expr::GroupByKeyIntoNestedBag(x) => Expr::GroupByKeyIntoNestedBag(op(f, x)),
             Expr::MapWithLiftedUdf { input, udf, closures } => Expr::MapWithLiftedUdf {
-                input: Box::new(input.strip_spans()),
-                udf: lam(udf),
+                input: op(f, input),
+                udf: lam(f, udf),
                 closures: closures.clone(),
             },
         }
     }
 
-    /// Does this expression *contain* any bag operation? (Used by the
-    /// parsing phase to decide which map UDFs must be lifted: "the
-    /// operation's UDF contains bag operations", Sec. 7.)
+    /// A short, stable name for the variant: the head of the plan rewriter's
+    /// canonical keys ([`crate::analyze::plan`]).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            Expr::Spanned(..) => "span",
+            Expr::Const(_) => "c",
+            Expr::Var(_) => "v",
+            Expr::Tuple(_) => "t",
+            Expr::Proj(..) => "p",
+            Expr::Bin(..) => "bin",
+            Expr::Un(..) => "un",
+            Expr::Let(..) => "let",
+            Expr::If(..) => "if",
+            Expr::Loop { .. } => "loop",
+            Expr::Source(_) => "s",
+            Expr::Map(..) => "map",
+            Expr::Filter(..) => "fil",
+            Expr::FlatMapTuple(..) => "fmt",
+            Expr::GroupByKey(_) => "gbk",
+            Expr::ReduceByKey(..) => "rbk",
+            Expr::Join(..) => "join",
+            Expr::Distinct(_) => "dis",
+            Expr::Union(..) => "uni",
+            Expr::Count(_) => "cnt",
+            Expr::Fold(..) => "fold",
+            Expr::Cache(_) => "cache",
+            Expr::GroupByKeyIntoNestedBag(_) => "gbkn",
+            Expr::MapWithLiftedUdf { .. } => "mwlu",
+        }
+    }
+
+    /// A copy of the expression with every [`Expr::Spanned`] annotation
+    /// removed (spans carry no semantics; this normalizes parsed programs
+    /// for structural comparison with hand-built ASTs).
+    pub fn strip_spans(&self) -> Expr {
+        match self {
+            Expr::Spanned(_, inner) => inner.strip_spans(),
+            _ => self.map_children(|c, _, _| c.strip_spans()),
+        }
+    }
+
+    /// Is this node itself a bag operation (a source or an operator over
+    /// bags)? `cache` is not: it is the identity on whatever it wraps.
+    pub fn is_bag_op(&self) -> bool {
+        matches!(
+            self,
+            Expr::Source(_)
+                | Expr::Map(..)
+                | Expr::Filter(..)
+                | Expr::FlatMapTuple(..)
+                | Expr::GroupByKey(..)
+                | Expr::ReduceByKey(..)
+                | Expr::Join(..)
+                | Expr::Distinct(..)
+                | Expr::Union(..)
+                | Expr::Count(..)
+                | Expr::Fold(..)
+                | Expr::GroupByKeyIntoNestedBag(..)
+                | Expr::MapWithLiftedUdf { .. }
+        )
+    }
+
+    /// Does this expression *contain* any bag operation? (Decides which map
+    /// UDFs must be lifted: "the operation's UDF contains bag operations",
+    /// Sec. 7.)
     pub fn contains_bag_ops(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |e| {
-            if matches!(
-                e,
-                Expr::Source(_)
-                    | Expr::Map(..)
-                    | Expr::Filter(..)
-                    | Expr::FlatMapTuple(..)
-                    | Expr::GroupByKey(..)
-                    | Expr::ReduceByKey(..)
-                    | Expr::Join(..)
-                    | Expr::Distinct(..)
-                    | Expr::Union(..)
-                    | Expr::Count(..)
-                    | Expr::Fold(..)
-                    | Expr::GroupByKeyIntoNestedBag(..)
-                    | Expr::MapWithLiftedUdf { .. }
-            ) {
-                found = true;
-            }
-        });
+        let mut found = self.is_bag_op();
+        self.for_each_child(|c, _, _| found = found || c.contains_bag_ops());
         found
     }
 
     /// Visit every sub-expression (pre-order). [`Expr::Spanned`] wrappers
     /// are visited like any other node (peel with [`Expr::unspanned`] when
     /// matching on shapes).
-    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
-        match self {
-            Expr::Spanned(_, inner) => inner.visit(f),
-            Expr::Const(_) | Expr::Var(_) | Expr::Source(_) => {}
-            Expr::Tuple(items) => items.iter().for_each(|e| e.visit(f)),
-            Expr::Proj(e, _) | Expr::Un(_, e) => e.visit(f),
-            Expr::Bin(_, a, b) | Expr::Join(a, b) | Expr::Union(a, b) => {
-                a.visit(f);
-                b.visit(f);
-            }
-            Expr::Let(_, v, b) => {
-                v.visit(f);
-                b.visit(f);
-            }
-            Expr::If(c, t, e) => {
-                c.visit(f);
-                t.visit(f);
-                e.visit(f);
-            }
-            Expr::Loop { init, cond, step, result } => {
-                init.iter().for_each(|(_, e)| e.visit(f));
-                cond.visit(f);
-                step.iter().for_each(|e| e.visit(f));
-                result.visit(f);
-            }
-            Expr::Map(e, l) | Expr::Filter(e, l) | Expr::FlatMapTuple(e, l) => {
-                e.visit(f);
-                l.body.visit(f);
-            }
-            Expr::GroupByKey(e)
-            | Expr::Distinct(e)
-            | Expr::Count(e)
-            | Expr::Cache(e)
-            | Expr::GroupByKeyIntoNestedBag(e) => e.visit(f),
-            Expr::ReduceByKey(e, l2) => {
-                e.visit(f);
-                l2.body.visit(f);
-            }
-            Expr::Fold(e, z, l2) => {
-                e.visit(f);
-                z.visit(f);
-                l2.body.visit(f);
-            }
-            Expr::MapWithLiftedUdf { input, udf, .. } => {
-                input.visit(f);
-                udf.body.visit(f);
-            }
-        }
+        self.for_each_child(|c, _, _| c.visit(f));
     }
 
     /// Free variables of the expression (everything not bound by a `let`,
-    /// lambda parameter, or loop variable), excluding source names.
+    /// lambda parameter, or loop variable), excluding source names, in
+    /// first-use order.
     pub fn free_vars(&self) -> Vec<String> {
-        fn go(e: &Expr, bound: &mut Vec<String>, out: &mut Vec<String>) {
-            match e {
-                Expr::Spanned(_, inner) => go(inner, bound, out),
-                Expr::Var(n) => {
-                    if !bound.iter().any(|b| b == n) && !out.iter().any(|o| o == n) {
-                        out.push(n.clone());
-                    }
-                }
-                Expr::Const(_) | Expr::Source(_) => {}
-                Expr::Tuple(items) => items.iter().for_each(|x| go(x, bound, out)),
-                Expr::Proj(x, _) | Expr::Un(_, x) => go(x, bound, out),
-                Expr::Bin(_, a, b) | Expr::Join(a, b) | Expr::Union(a, b) => {
-                    go(a, bound, out);
-                    go(b, bound, out);
-                }
-                Expr::Let(n, v, b) => {
-                    go(v, bound, out);
-                    bound.push(n.clone());
-                    go(b, bound, out);
-                    bound.pop();
-                }
-                Expr::If(c, t, el) => {
-                    go(c, bound, out);
-                    go(t, bound, out);
-                    go(el, bound, out);
-                }
-                Expr::Loop { init, cond, step, result } => {
-                    for (_, x) in init {
-                        go(x, bound, out);
-                    }
-                    let n0 = bound.len();
-                    bound.extend(init.iter().map(|(n, _)| n.clone()));
-                    go(cond, bound, out);
-                    step.iter().for_each(|x| go(x, bound, out));
-                    go(result, bound, out);
-                    bound.truncate(n0);
-                }
-                Expr::Map(x, l) | Expr::Filter(x, l) | Expr::FlatMapTuple(x, l) => {
-                    go(x, bound, out);
-                    bound.push(l.param.clone());
-                    go(&l.body, bound, out);
-                    bound.pop();
-                }
-                Expr::GroupByKey(x)
-                | Expr::Distinct(x)
-                | Expr::Count(x)
-                | Expr::Cache(x)
-                | Expr::GroupByKeyIntoNestedBag(x) => go(x, bound, out),
-                Expr::ReduceByKey(x, l2) => {
-                    go(x, bound, out);
-                    bound.push(l2.a.clone());
-                    bound.push(l2.b.clone());
-                    go(&l2.body, bound, out);
-                    bound.pop();
-                    bound.pop();
-                }
-                Expr::Fold(x, z, l2) => {
-                    go(x, bound, out);
-                    go(z, bound, out);
-                    bound.push(l2.a.clone());
-                    bound.push(l2.b.clone());
-                    go(&l2.body, bound, out);
-                    bound.pop();
-                    bound.pop();
-                }
-                Expr::MapWithLiftedUdf { input, udf, .. } => {
-                    go(input, bound, out);
-                    bound.push(udf.param.clone());
-                    go(&udf.body, bound, out);
-                    bound.pop();
+        fn go<'a>(e: &'a Expr, bound: &mut Vec<&'a str>, out: &mut Vec<String>) {
+            if let Expr::Var(n) = e {
+                if !bound.contains(&n.as_str()) && !out.contains(n) {
+                    out.push(n.clone());
                 }
             }
+            e.for_each_child(|c, binds, _| binds.scoped(bound, |bound| go(c, bound, out)));
         }
         let mut out = Vec::new();
         go(self, &mut Vec::new(), &mut out);
@@ -491,13 +567,18 @@ mod tests {
 
     #[test]
     fn loop_vars_are_bound_in_body() {
+        // The second initializer reads the first variable (bound) and its
+        // own name (not yet bound there).
         let e = Expr::Loop {
-            init: vec![("i".into(), Expr::long(0))],
+            init: vec![
+                ("i".into(), Expr::long(0)),
+                ("j".into(), Expr::bin(BinOp::Add, Expr::var("i"), Expr::var("j"))),
+            ],
             cond: Box::new(Expr::bin(BinOp::Lt, Expr::var("i"), Expr::var("limit"))),
-            step: vec![Expr::bin(BinOp::Add, Expr::var("i"), Expr::long(1))],
+            step: vec![Expr::bin(BinOp::Add, Expr::var("i"), Expr::long(1)), Expr::var("j")],
             result: Box::new(Expr::var("i")),
         };
-        assert_eq!(e.free_vars(), vec!["limit".to_string()]);
+        assert_eq!(e.free_vars(), vec!["j".to_string(), "limit".to_string()]);
     }
 
     #[test]

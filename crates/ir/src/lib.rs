@@ -67,7 +67,7 @@ pub use analyze::{
 pub use compile::CompiledUdf;
 pub use error::{IrError, IrResult};
 pub use lower::{apply_bin, apply_un, eval_pure, Lowering, RtVal};
-pub use parse::{parsing_phase, shape_of, Dialect, Shape};
+pub use parse::{parsing_phase, Dialect};
 pub use prepare::{prepare_program, PrepareError, PreparedProgram};
 pub use syntax::{parse_program, ParseError};
 pub use value::Value;

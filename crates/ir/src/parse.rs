@@ -4,27 +4,26 @@
 //! Operating on the program as data (the paper uses Scala macros; here the
 //! AST is explicit), this phase:
 //!
-//! 1. runs a *shape analysis* distinguishing scalar-, bag- and nested-bag-
-//!    typed expressions;
-//! 2. rewrites `GroupByKey` into the `GroupByKeyIntoNestedBag` primitive
+//! 1. rewrites `GroupByKey` into the `GroupByKeyIntoNestedBag` primitive
 //!    (the only flat-to-nested producer, Sec. 7 case 2);
-//! 3. rewrites every `Map` whose UDF contains bag operations — and every
+//! 2. rewrites every `Map` whose UDF contains bag operations — and every
 //!    `Map` over a nested bag — into `MapWithLiftedUdf` (Sec. 7 cases 1+3);
-//! 4. makes closures explicit: the free variables a lifted UDF captures are
-//!    recorded on the primitive (Sec. 5);
-//! 5. validates the completeness preconditions of Theorem 1 (no bags inside
-//!    tuples, no bag operations inside aggregation UDFs) and the dialect's
-//!    restrictions (a DIQL-like dialect rejects control flow inside lifted
-//!    UDFs, reproducing the limitation the paper evaluates in Sec. 9.4).
+//! 3. makes closures explicit: the free variables a lifted UDF captures are
+//!    recorded on the primitive (Sec. 5).
+//!
+//! Which maps those are is the analyzer's decision ([`Analysis::lifts`]),
+//! taken while it types the program; the analyzer also enforces the
+//! completeness preconditions of Theorem 1 and the dialect's restrictions
+//! (`MAT003`–`MAT009`), so the rewrite itself cannot fail.
 //!
 //! Control flow needs no syntactic change here because the AST's `Loop` is
 //! already the higher-order functional form of Sec. 6.1; the lowering phase
 //! gives it lifted semantics inside lifted UDFs.
 
-use std::collections::HashMap;
-
+use crate::analyze::captures::capture_names;
+use crate::analyze::Analysis;
 use crate::ast::{Expr, Lambda};
-use crate::error::{IrError, IrResult};
+use crate::error::IrResult;
 
 /// Which flattening system's capabilities to emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,86 +36,6 @@ pub enum Dialect {
     DiqlLike,
 }
 
-/// Shapes assigned by the analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shape {
-    /// A scalar (non-bag) value, including tuples of scalars.
-    Scalar,
-    /// A flat bag.
-    Bag,
-    /// A nested bag (`Bag[(K, Bag[V])]`, conceptually).
-    Nested,
-}
-
-/// Infer the shape of `e` under `env` (variable shapes).
-pub fn shape_of(e: &Expr, env: &HashMap<String, Shape>) -> IrResult<Shape> {
-    Ok(match e {
-        Expr::Spanned(_, inner) => shape_of(inner, env)?,
-        Expr::Const(_) | Expr::Bin(..) | Expr::Un(..) | Expr::Count(_) | Expr::Fold(..) => {
-            Shape::Scalar
-        }
-        Expr::Proj(inner, _) => {
-            // Projections apply to scalar tuples only.
-            match shape_of(inner, env)? {
-                Shape::Scalar => Shape::Scalar,
-                other => {
-                    return Err(IrError::Type(format!(
-                        "projection on a {other:?}-shaped expression"
-                    )))
-                }
-            }
-        }
-        Expr::Var(n) => *env.get(n).ok_or_else(|| IrError::Unbound(n.clone()))?,
-        Expr::Tuple(items) => {
-            for it in items {
-                if shape_of(it, env)? != Shape::Scalar {
-                    // Theorem 1 precondition: bags do not appear inside
-                    // other data structures.
-                    return Err(IrError::Unsupported(
-                        "bags may not appear inside tuples (Sec. 7 precondition)".into(),
-                    ));
-                }
-            }
-            Shape::Scalar
-        }
-        Expr::Let(n, v, b) => {
-            let sv = shape_of(v, env)?;
-            let mut env2 = env.clone();
-            env2.insert(n.clone(), sv);
-            shape_of(b, &env2)?
-        }
-        Expr::If(_, t, e2) => {
-            let st = shape_of(t, env)?;
-            let se = shape_of(e2, env)?;
-            if st != se {
-                return Err(IrError::Type(format!(
-                    "if branches have different shapes: {st:?} vs {se:?}"
-                )));
-            }
-            st
-        }
-        Expr::Loop { init, cond: _, step: _, result } => {
-            let mut env2 = env.clone();
-            for (n, x) in init {
-                let s = shape_of(x, &env2)?;
-                env2.insert(n.clone(), s);
-            }
-            shape_of(result, &env2)?
-        }
-        Expr::Cache(x) => shape_of(x, env)?,
-        Expr::Source(_)
-        | Expr::Map(..)
-        | Expr::Filter(..)
-        | Expr::FlatMapTuple(..)
-        | Expr::ReduceByKey(..)
-        | Expr::Join(..)
-        | Expr::Distinct(..)
-        | Expr::Union(..)
-        | Expr::MapWithLiftedUdf { .. } => Shape::Bag,
-        Expr::GroupByKey(_) | Expr::GroupByKeyIntoNestedBag(_) => Shape::Nested,
-    })
-}
-
 /// Run the parsing phase: rewrite `program` into its explicitly-nested form.
 ///
 /// `sources` names the input bags (everything else referenced free is an
@@ -127,197 +46,38 @@ pub fn shape_of(e: &Expr, env: &HashMap<String, Shape>) -> IrResult<Shape> {
 /// ill-typed programs are rejected here, with `MAT0xx` diagnostics, before
 /// any engine job can launch.
 pub fn parsing_phase(program: &Expr, sources: &[&str], dialect: Dialect) -> IrResult<Expr> {
-    crate::analyze::check(program, sources, dialect)?;
-    let mut env: HashMap<String, Shape> = HashMap::new();
-    for s in sources {
-        env.insert(s.to_string(), Shape::Bag);
-    }
-    let rewritten = rewrite(program, &env, dialect, false)?;
-    // Final validation sweep.
-    validate(&rewritten, dialect)?;
-    Ok(rewritten)
+    let analysis = crate::analyze::check(program, sources, dialect)?;
+    Ok(rewrite(program, &analysis))
 }
 
-fn rewrite(
-    e: &Expr,
-    env: &HashMap<String, Shape>,
-    dialect: Dialect,
-    inside_lifted: bool,
-) -> IrResult<Expr> {
-    Ok(match e {
-        Expr::Spanned(sp, inner) => {
-            Expr::Spanned(*sp, Box::new(rewrite(inner, env, dialect, inside_lifted)?))
-        }
-        Expr::Const(_) | Expr::Var(_) | Expr::Source(_) => e.clone(),
-        Expr::Tuple(items) => Expr::Tuple(
-            items
-                .iter()
-                .map(|x| rewrite(x, env, dialect, inside_lifted))
-                .collect::<IrResult<_>>()?,
-        ),
-        Expr::Proj(x, i) => Expr::Proj(Box::new(rewrite(x, env, dialect, inside_lifted)?), *i),
-        Expr::Bin(op, a, b) => Expr::Bin(
-            *op,
-            Box::new(rewrite(a, env, dialect, inside_lifted)?),
-            Box::new(rewrite(b, env, dialect, inside_lifted)?),
-        ),
-        Expr::Un(op, a) => Expr::Un(*op, Box::new(rewrite(a, env, dialect, inside_lifted)?)),
-        Expr::Let(n, v, b) => {
-            let rv = rewrite(v, env, dialect, inside_lifted)?;
-            let sv = shape_of(&rv, env)?;
-            let mut env2 = env.clone();
-            env2.insert(n.clone(), sv);
-            Expr::Let(n.clone(), Box::new(rv), Box::new(rewrite(b, &env2, dialect, inside_lifted)?))
-        }
-        Expr::If(c, t, el) => Expr::If(
-            Box::new(rewrite(c, env, dialect, inside_lifted)?),
-            Box::new(rewrite(t, env, dialect, inside_lifted)?),
-            Box::new(rewrite(el, env, dialect, inside_lifted)?),
-        ),
-        Expr::Loop { init, cond, step, result } => {
-            if inside_lifted && dialect == Dialect::DiqlLike {
-                return Err(IrError::Unsupported(
-                    "DIQL-like flattening does not support control flow at inner nesting levels"
-                        .into(),
-                ));
-            }
-            let mut env2 = env.clone();
-            let mut new_init = Vec::with_capacity(init.len());
-            for (n, x) in init {
-                let rx = rewrite(x, &env2, dialect, inside_lifted)?;
-                let s = shape_of(&rx, &env2)?;
-                env2.insert(n.clone(), s);
-                new_init.push((n.clone(), rx));
-            }
-            Expr::Loop {
-                init: new_init,
-                cond: Box::new(rewrite(cond, &env2, dialect, inside_lifted)?),
-                step: step
-                    .iter()
-                    .map(|x| rewrite(x, &env2, dialect, inside_lifted))
-                    .collect::<IrResult<_>>()?,
-                result: Box::new(rewrite(result, &env2, dialect, inside_lifted)?),
-            }
-        }
+/// The rewrite proper, for a `program` that `analysis` (an error-free
+/// analyzer run over this same tree) admitted.
+pub(crate) fn rewrite(program: &Expr, analysis: &Analysis) -> Expr {
+    let mut lifts = analysis.lifts.iter().copied();
+    let out = go(program, &mut lifts);
+    debug_assert!(lifts.next().is_none(), "a lift decision without a map");
+    out
+}
+
+fn go(e: &Expr, lifts: &mut impl Iterator<Item = bool>) -> Expr {
+    match e {
         // The nested-bag producer becomes the nesting primitive (Sec. 4.5).
-        Expr::GroupByKey(x) => {
-            Expr::GroupByKeyIntoNestedBag(Box::new(rewrite(x, env, dialect, inside_lifted)?))
-        }
-        Expr::GroupByKeyIntoNestedBag(x) => {
-            Expr::GroupByKeyIntoNestedBag(Box::new(rewrite(x, env, dialect, inside_lifted)?))
-        }
+        Expr::GroupByKey(x) => Expr::GroupByKeyIntoNestedBag(Box::new(go(x, lifts))),
         Expr::Map(input, udf) => {
-            let rin = rewrite(input, env, dialect, inside_lifted)?;
-            let in_shape = shape_of(&rin, env)?;
-            let needs_lift = udf.body.contains_bag_ops() || in_shape == Shape::Nested;
-            if needs_lift && !inside_lifted {
-                // Lift: rewrite the UDF body in lifted context, record the
-                // closures (free variables of the UDF, Sec. 5).
-                let mut env2 = env.clone();
-                env2.insert(udf.param.clone(), Shape::Scalar);
-                let body = rewrite(&udf.body, &env2, dialect, true)?;
-                let closures = crate::analyze::captures::capture_names(&body, &[&udf.param]);
-                Expr::MapWithLiftedUdf {
-                    input: Box::new(rin),
-                    udf: Lambda { param: udf.param.clone(), body: body.into() },
-                    closures,
-                }
-            } else if needs_lift && inside_lifted {
-                return Err(IrError::Unsupported(
-                    "more than two levels of parallel operations in the IR dialect \
-                     (the typed API in matryoshka-core supports deeper nesting)"
-                        .into(),
-                ));
+            // `lifts` is in the analyzer's order: a map's entry follows those
+            // of the maps in its input and precedes those in its UDF body.
+            let input = Box::new(go(input, lifts));
+            let lift = lifts.next().expect("the analyzer records one lift decision per map");
+            let udf = Lambda { param: udf.param.clone(), body: go(&udf.body, lifts).into() };
+            if lift {
+                // Closures are the free variables of the lifted UDF (Sec. 5).
+                let closures = capture_names(&udf.body, &[&udf.param]);
+                Expr::MapWithLiftedUdf { input, udf, closures }
             } else {
-                let mut env2 = env.clone();
-                env2.insert(udf.param.clone(), Shape::Scalar);
-                let body = rewrite(&udf.body, &env2, dialect, inside_lifted)?;
-                Expr::Map(Box::new(rin), Lambda { param: udf.param.clone(), body: body.into() })
+                Expr::Map(input, udf)
             }
         }
-        Expr::Filter(input, udf) => {
-            check_scalar_udf("filter", udf)?;
-            Expr::Filter(Box::new(rewrite(input, env, dialect, inside_lifted)?), udf.clone())
-        }
-        Expr::FlatMapTuple(input, udf) => {
-            check_scalar_udf("flatMap", udf)?;
-            Expr::FlatMapTuple(Box::new(rewrite(input, env, dialect, inside_lifted)?), udf.clone())
-        }
-        Expr::ReduceByKey(input, l2) => {
-            if l2.body.contains_bag_ops() {
-                return Err(IrError::Unsupported(
-                    "bag operations inside aggregation UDFs (Sec. 7 precondition)".into(),
-                ));
-            }
-            Expr::ReduceByKey(Box::new(rewrite(input, env, dialect, inside_lifted)?), l2.clone())
-        }
-        Expr::Fold(input, zero, l2) => {
-            if l2.body.contains_bag_ops() || zero.contains_bag_ops() {
-                return Err(IrError::Unsupported(
-                    "bag operations inside aggregation UDFs (Sec. 7 precondition)".into(),
-                ));
-            }
-            Expr::Fold(
-                Box::new(rewrite(input, env, dialect, inside_lifted)?),
-                zero.clone(),
-                l2.clone(),
-            )
-        }
-        Expr::Join(a, b) => Expr::Join(
-            Box::new(rewrite(a, env, dialect, inside_lifted)?),
-            Box::new(rewrite(b, env, dialect, inside_lifted)?),
-        ),
-        Expr::Union(a, b) => Expr::Union(
-            Box::new(rewrite(a, env, dialect, inside_lifted)?),
-            Box::new(rewrite(b, env, dialect, inside_lifted)?),
-        ),
-        Expr::Distinct(x) => Expr::Distinct(Box::new(rewrite(x, env, dialect, inside_lifted)?)),
-        Expr::Count(x) => Expr::Count(Box::new(rewrite(x, env, dialect, inside_lifted)?)),
-        Expr::Cache(x) => Expr::Cache(Box::new(rewrite(x, env, dialect, inside_lifted)?)),
-        Expr::MapWithLiftedUdf { input, udf, closures } => Expr::MapWithLiftedUdf {
-            input: Box::new(rewrite(input, env, dialect, inside_lifted)?),
-            udf: udf.clone(),
-            closures: closures.clone(),
-        },
-    })
-}
-
-fn check_scalar_udf(op: &str, udf: &Lambda) -> IrResult<()> {
-    if udf.body.contains_bag_ops() {
-        return Err(IrError::Unsupported(format!(
-            "bag operations inside a {op} UDF are eliminated by splitting in the paper \
-             (Sec. 4.6); this IR requires them to be expressed as a map"
-        )));
-    }
-    Ok(())
-}
-
-fn validate(e: &Expr, dialect: Dialect) -> IrResult<()> {
-    let mut err: Option<IrError> = None;
-    e.visit(&mut |node| {
-        if err.is_some() {
-            return;
-        }
-        if let Expr::MapWithLiftedUdf { udf, .. } = node {
-            if dialect == Dialect::DiqlLike {
-                let mut has_loop = false;
-                udf.body.visit(&mut |n| {
-                    if matches!(n, Expr::Loop { .. }) {
-                        has_loop = true;
-                    }
-                });
-                if has_loop {
-                    err = Some(IrError::Unsupported(
-                        "DIQL-like flattening does not support control flow at inner nesting levels"
-                            .into(),
-                    ));
-                }
-            }
-        }
-    });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
+        _ => e.map_children(|c, _, _| go(c, lifts)),
     }
 }
 
@@ -325,6 +85,7 @@ fn validate(e: &Expr, dialect: Dialect) -> IrResult<()> {
 mod tests {
     use super::*;
     use crate::ast::BinOp;
+    use crate::error::IrError;
 
     /// The bounce-rate program of the paper's Listing 1 (per-day groups,
     /// nested UDF with bag operations).
@@ -432,15 +193,6 @@ mod tests {
         let err = parsing_phase(&prog, &["xs", "ys"], Dialect::Matryoshka).unwrap_err();
         assert!(matches!(err, IrError::Analysis(_)), "{err:?}");
         assert!(err.to_string().contains("aggregation UDFs"), "{err}");
-    }
-
-    #[test]
-    fn tuples_of_bags_are_rejected() {
-        let prog = Expr::Tuple(vec![Expr::long(1), Expr::Source("xs".into())]);
-        // Shape analysis rejects on demand.
-        let mut env = HashMap::new();
-        env.insert("xs".to_string(), Shape::Bag);
-        assert!(matches!(shape_of(&prog, &env), Err(IrError::Unsupported(_))));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! whose text fails to parse, or that the static analyzer rejects with
 //! `MAT0xx` error diagnostics, is turned away at admission and never
 //! occupies scheduler state. [`prepare_program`] packages that gate — parse,
-//! analyze, and run the parsing phase — and returns a [`PreparedProgram`]
-//! that can later be executed on any engine, any number of times.
+//! analyze once, and rewrite on the analyzer's decisions — and returns a
+//! [`PreparedProgram`] that can later be executed on any engine, any number
+//! of times.
 
 use std::collections::HashMap;
 
@@ -15,9 +16,9 @@ use matryoshka_engine::{Bag, Engine};
 
 use crate::analyze::{analyze, source_names, Analysis, Diagnostics};
 use crate::ast::Expr;
-use crate::error::{IrError, IrResult};
+use crate::error::IrResult;
 use crate::lower::{Lowering, RtVal};
-use crate::parse::{parsing_phase, Dialect};
+use crate::parse::{rewrite, Dialect};
 use crate::syntax::{parse_program, ParseError};
 use crate::value::Value;
 
@@ -28,9 +29,6 @@ pub enum PrepareError {
     Parse(ParseError),
     /// The analyzer found error-severity `MAT0xx` diagnostics.
     Analysis(Diagnostics),
-    /// The parsing-phase rewrite itself failed (rare: analyzer-clean
-    /// programs normally rewrite successfully).
-    Rewrite(IrError),
 }
 
 impl PrepareError {
@@ -48,7 +46,6 @@ impl std::fmt::Display for PrepareError {
         match self {
             PrepareError::Parse(e) => write!(f, "{e}"),
             PrepareError::Analysis(d) => write!(f, "analysis rejected the program: {d}"),
-            PrepareError::Rewrite(e) => write!(f, "parsing phase failed: {e}"),
         }
     }
 }
@@ -97,10 +94,7 @@ pub fn prepare_program(src: &str, dialect: Dialect) -> Result<PreparedProgram, P
     if analysis.diagnostics.has_errors() {
         return Err(PrepareError::Analysis(analysis.diagnostics));
     }
-    let expr = parsing_phase(&ast, &refs, dialect).map_err(|e| match e {
-        IrError::Analysis(d) => PrepareError::Analysis(d),
-        other => PrepareError::Rewrite(other),
-    })?;
+    let expr = rewrite(&ast, &analysis);
     Ok(PreparedProgram { expr, sources, dialect, analysis })
 }
 

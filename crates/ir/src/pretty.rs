@@ -1,190 +1,24 @@
 //! Printers for nested-parallel programs and analyzer output:
 //!
-//! - [`pretty`]: a compact Scala-like rendering for humans (shows the
-//!   Listing 1 -> Listing 2 rewrite);
 //! - [`to_source`]: a *re-parseable* rendering in the [`crate::syntax`]
 //!   grammar (round-trips through `parse_program` for programs in the text
-//!   dialect — the nesting primitives have no surface syntax);
+//!   dialect — the nesting primitives have no surface syntax), and
+//!   [`snippet`], its one-line form for diagnostics;
+//! - [`plan_tree`]: one operator per line, the before/after view of the
+//!   Listing 1 -> Listing 2 rewrite and of the plan rewrites;
 //! - [`render_diagnostic`]: compiler-style caret rendering of analyzer
 //!   diagnostics against the original source text.
 
 use std::fmt::Write as _;
 
 use crate::analyze::{Diagnostic, Diagnostics};
-use crate::ast::{BinOp, Expr, UnOp};
+use crate::ast::{Expr, UnOp};
 use crate::value::Value;
-
-/// Render `e` as an indented, Scala-like program text.
-pub fn pretty(e: &Expr) -> String {
-    let mut out = String::new();
-    go(e, 0, &mut out);
-    out
-}
 
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
     }
-}
-
-fn bin_symbol(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Eq => "==",
-        BinOp::Lt => "<",
-        BinOp::Gt => ">",
-        BinOp::And => "&&",
-        BinOp::Or => "||",
-    }
-}
-
-fn go(e: &Expr, depth: usize, out: &mut String) {
-    match e {
-        Expr::Spanned(_, inner) => go(inner, depth, out),
-        Expr::Const(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Expr::Var(n) => out.push_str(n),
-        Expr::Source(n) => {
-            let _ = write!(out, "source({n})");
-        }
-        Expr::Tuple(items) => {
-            out.push('(');
-            for (i, x) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                go(x, depth, out);
-            }
-            out.push(')');
-        }
-        Expr::Proj(x, i) => {
-            go(x, depth, out);
-            let _ = write!(out, "._{i}");
-        }
-        Expr::Bin(op, a, b) => {
-            out.push('(');
-            go(a, depth, out);
-            let _ = write!(out, " {} ", bin_symbol(*op));
-            go(b, depth, out);
-            out.push(')');
-        }
-        Expr::Un(op, a) => {
-            let name = match op {
-                UnOp::Not => "!",
-                UnOp::Neg => "-",
-                UnOp::ToDouble => "toDouble ",
-            };
-            out.push_str(name);
-            go(a, depth, out);
-        }
-        Expr::Let(n, v, b) => {
-            let _ = write!(out, "val {n} = ");
-            go(v, depth, out);
-            out.push('\n');
-            indent(out, depth);
-            go(b, depth, out);
-        }
-        Expr::If(c, t, el) => {
-            out.push_str("if (");
-            go(c, depth, out);
-            out.push_str(") ");
-            go(t, depth, out);
-            out.push_str(" else ");
-            go(el, depth, out);
-        }
-        Expr::Loop { init, cond, step, result } => {
-            out.push_str("loop {\n");
-            for (n, x) in init {
-                indent(out, depth + 1);
-                let _ = write!(out, "var {n} = ");
-                go(x, depth + 1, out);
-                out.push('\n');
-            }
-            indent(out, depth + 1);
-            out.push_str("while (");
-            go(cond, depth + 1, out);
-            out.push_str(") step (");
-            for (i, s) in step.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                go(s, depth + 1, out);
-            }
-            out.push_str(")\n");
-            indent(out, depth + 1);
-            out.push_str("yield ");
-            go(result, depth + 1, out);
-            out.push('\n');
-            indent(out, depth);
-            out.push('}');
-        }
-        Expr::Map(x, l) => method(out, depth, x, "map", &l.param, &l.body),
-        Expr::Filter(x, l) => method(out, depth, x, "filter", &l.param, &l.body),
-        Expr::FlatMapTuple(x, l) => method(out, depth, x, "flatMap", &l.param, &l.body),
-        Expr::GroupByKey(x) => simple(out, depth, x, "groupByKey()"),
-        Expr::GroupByKeyIntoNestedBag(x) => simple(out, depth, x, "groupByKeyIntoNestedBag()"),
-        Expr::Distinct(x) => simple(out, depth, x, "distinct()"),
-        Expr::Count(x) => simple(out, depth, x, "count()"),
-        Expr::Cache(x) => simple(out, depth, x, "cache()"),
-        Expr::ReduceByKey(x, l2) => {
-            go(x, depth, out);
-            let _ = write!(out, ".reduceByKey(({}, {}) => ", l2.a, l2.b);
-            go(&l2.body, depth, out);
-            out.push(')');
-        }
-        Expr::Fold(x, z, l2) => {
-            go(x, depth, out);
-            out.push_str(".fold(");
-            go(z, depth, out);
-            let _ = write!(out, ")(({}, {}) => ", l2.a, l2.b);
-            go(&l2.body, depth, out);
-            out.push(')');
-        }
-        Expr::Join(a, b) => {
-            out.push('(');
-            go(a, depth, out);
-            out.push_str(" join ");
-            go(b, depth, out);
-            out.push(')');
-        }
-        Expr::Union(a, b) => {
-            out.push('(');
-            go(a, depth, out);
-            out.push_str(" union ");
-            go(b, depth, out);
-            out.push(')');
-        }
-        Expr::MapWithLiftedUdf { input, udf, closures } => {
-            go(input, depth, out);
-            out.push_str(".mapWithLiftedUDF");
-            if !closures.is_empty() {
-                let _ = write!(out, "[closures: {}]", closures.join(", "));
-            }
-            let _ = writeln!(out, " {{ {} =>", udf.param);
-            indent(out, depth + 1);
-            go(&udf.body, depth + 1, out);
-            out.push('\n');
-            indent(out, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn method(out: &mut String, depth: usize, x: &Expr, name: &str, param: &str, body: &Expr) {
-    go(x, depth, out);
-    let _ = write!(out, ".{name}({param} => ");
-    go(body, depth, out);
-    out.push(')');
-}
-
-fn simple(out: &mut String, depth: usize, x: &Expr, call: &str) {
-    go(x, depth, out);
-    out.push('.');
-    out.push_str(call);
 }
 
 /// Render `e` in the concrete text grammar of [`crate::syntax`], such that
@@ -227,7 +61,7 @@ fn src(e: &Expr, out: &mut String) {
         Expr::Bin(op, a, b) => {
             out.push('(');
             src(a, out);
-            let _ = write!(out, " {} ", bin_symbol(*op));
+            let _ = write!(out, " {} ", op.symbol());
             src(b, out);
             out.push(')');
         }
@@ -358,6 +192,20 @@ fn src_call1(out: &mut String, name: &str, x: &Expr, param: &str, body: &Expr) {
     out.push(')');
 }
 
+/// A one-line, whitespace-collapsed [`to_source`] rendering of `e`, cut to
+/// 72 characters, for diagnostics.
+pub fn snippet(e: &Expr) -> String {
+    let s = to_source(e);
+    let s = s.split_whitespace().collect::<Vec<_>>().join(" ");
+    if s.chars().count() > 72 {
+        let mut t: String = s.chars().take(72).collect();
+        t.push('…');
+        t
+    } else {
+        s
+    }
+}
+
 /// Render `e` as an indented operator tree, one node per line — the format
 /// `matryoshka-check --explain` prints for before/after plans. Spans are
 /// transparent; lambda parameters are shown on the operator line; loop
@@ -388,7 +236,7 @@ fn tree(e: &Expr, depth: usize, out: &mut String) {
             tree(x, depth + 1, out);
         }
         Expr::Bin(op, a, b) => {
-            tree_line(out, depth, &format!("bin {}", bin_symbol(*op)));
+            tree_line(out, depth, &format!("bin {}", op.symbol()));
             tree(a, depth + 1, out);
             tree(b, depth + 1, out);
         }
@@ -546,55 +394,6 @@ pub fn render_diagnostics(source: &str, ds: &Diagnostics) -> String {
 mod tests {
     use super::*;
     use crate::ast::Lambda;
-    use crate::value::Value;
-
-    #[test]
-    fn renders_the_listing1_to_listing2_rewrite() {
-        let program = Expr::Map(
-            Box::new(Expr::GroupByKey(Box::new(Expr::Source("visits".into())))),
-            Lambda::new("g", Expr::Count(Box::new(Expr::proj(Expr::var("g"), 1)))),
-        );
-        let before = pretty(&program);
-        assert!(before.contains("groupByKey()"));
-        assert!(before.contains(".map(g =>"));
-
-        let parsed =
-            crate::parse::parsing_phase(&program, &["visits"], crate::parse::Dialect::Matryoshka)
-                .unwrap();
-        let after = pretty(&parsed);
-        assert!(after.contains("groupByKeyIntoNestedBag()"), "{after}");
-        assert!(after.contains("mapWithLiftedUDF"), "{after}");
-    }
-
-    #[test]
-    fn renders_scalars_and_control_flow() {
-        let e = Expr::let_(
-            "x",
-            Expr::Const(Value::Long(2)),
-            Expr::If(
-                Box::new(Expr::bin(crate::ast::BinOp::Gt, Expr::var("x"), Expr::long(0))),
-                Box::new(Expr::var("x")),
-                Box::new(Expr::long(-1)),
-            ),
-        );
-        let s = pretty(&e);
-        assert!(s.contains("val x = 2"));
-        assert!(s.contains("if ((x > 0)) x else -1"));
-    }
-
-    #[test]
-    fn renders_loops() {
-        let e = Expr::Loop {
-            init: vec![("i".into(), Expr::long(0))],
-            cond: Box::new(Expr::bin(crate::ast::BinOp::Lt, Expr::var("i"), Expr::long(3))),
-            step: vec![Expr::bin(crate::ast::BinOp::Add, Expr::var("i"), Expr::long(1))],
-            result: Box::new(Expr::var("i")),
-        };
-        let s = pretty(&e);
-        assert!(s.contains("var i = 0"));
-        assert!(s.contains("while ((i < 3))"));
-        assert!(s.contains("yield i"));
-    }
 
     #[test]
     fn closures_are_shown_on_the_lifted_primitive() {
@@ -615,7 +414,7 @@ mod tests {
         );
         let parsed =
             crate::parse::parsing_phase(&prog, &["xs"], crate::parse::Dialect::Matryoshka).unwrap();
-        assert!(pretty(&parsed).contains("[closures: w]"));
+        assert!(plan_tree(&parsed).contains("[closures: w]"));
     }
 
     #[test]

@@ -319,3 +319,69 @@ fn lifted_join_through_the_ir() {
     let out = bag_of(run(&program, vec![("xs", xs)], &e));
     assert_eq!(out, vec![Value::Long(1), Value::Long(2)]);
 }
+
+/// Parse `src`, run it over `xs` (one source, `(key, value)` pairs) and
+/// return the sorted result bag.
+fn run_text(src: &str, xs: &[(i64, i64)]) -> Vec<Value> {
+    let program = matryoshka_ir::parse_program(src).expect("program parses");
+    let e = Engine::local();
+    let bag =
+        e.parallelize(xs.iter().map(|&(k, v)| pair(Value::Long(k), Value::Long(v))).collect(), 2);
+    bag_of(run(&program, vec![("xs", bag)], &e))
+}
+
+/// A `map` over the nested result of a bag-valued lifted `map` is itself
+/// lifted: the analyzer types the inner map `Bag(2)` and the rewriter takes
+/// its word for it.
+#[test]
+fn map_over_a_bag_valued_lifted_map_is_lifted() {
+    let xs = [(1, 2), (1, 5), (2, 7), (3, 1), (3, 9), (3, 4), (4, 0)];
+    // Reference: group, keep values > 3 per group, then one row per group.
+    let mut kept: Vec<(i64, Vec<i64>)> = Vec::new();
+    for &(k, v) in &xs {
+        if !kept.iter().any(|(g, _)| *g == k) {
+            kept.push((k, Vec::new()));
+        }
+        if v > 3 {
+            kept.iter_mut().find(|(g, _)| *g == k).unwrap().1.push(v);
+        }
+    }
+    let keys: Vec<Value> = kept.iter().map(|(k, _)| Value::Long(*k)).collect();
+    let sizes: Vec<Value> =
+        kept.iter().map(|(k, vs)| pair(Value::Long(*k), Value::Long(vs.len() as i64))).collect();
+
+    let nested = "map(groupByKey(source(xs)), g => filter(g.1, v => v > 3))";
+    assert_eq!(run_text(&format!("map({nested}, h => h.0)"), &xs), keys);
+    assert_eq!(run_text(&format!("let nb = {nested} in map(nb, h => h.0)"), &xs), keys);
+    assert_eq!(run_text(&format!("map({nested}, h => (h.0, count(h.1)))"), &xs), sizes);
+}
+
+/// A loop initializer may read the loop variables declared before it, in a
+/// leaf UDF and in a lifted one: they are bound, not captured.
+#[test]
+fn later_loop_initializers_read_earlier_loop_variables() {
+    let xs = [(1, 3), (1, 0), (2, 5)];
+    // i = n, acc = i; while i > 0 { (i, acc) = (i - 1, acc + i) }; acc
+    let triangle = |n: i64| {
+        let (mut i, mut acc) = (n, n);
+        while i > 0 {
+            (i, acc) = (i - 1, acc + i);
+        }
+        acc
+    };
+
+    let mut leaf: Vec<Value> = xs.iter().map(|&(_, v)| Value::Long(triangle(v))).collect();
+    leaf.sort();
+    let src = "map(source(xs), v => \
+               loop (i = v.1, acc = i) while i > 0 do (i - 1, acc + i) yield acc)";
+    assert_eq!(run_text(src, &xs), leaf);
+
+    // Per group, starting from the group's size: key 1 has 2 records, key 2 one.
+    let lifted = vec![
+        pair(Value::Long(1), Value::Long(triangle(2))),
+        pair(Value::Long(2), Value::Long(triangle(1))),
+    ];
+    let src = "map(groupByKey(source(xs)), g => \
+               loop (n = count(g.1), m = n) while n > 0 do (n - 1, m + n) yield (g.0, m))";
+    assert_eq!(run_text(src, &xs), lifted);
+}

@@ -1,4 +1,7 @@
-//! Parse -> pretty -> parse round-trip property tests.
+//! Parse -> pretty -> parse round-trip property tests, and — over the same
+//! generated trees — the properties every structural pass leans on: the two
+//! statements of an `Expr`'s children agree, the two statements of scope
+//! (`free_vars` and the analyzer) agree, and `strip_spans` normalizes.
 //!
 //! [`matryoshka_ir::pretty::to_source`] promises that its output re-parses
 //! to the same AST (modulo spans). The unit tests in `pretty.rs` check a
@@ -12,9 +15,10 @@
 //! would re-parse as `Un(Neg, ..)`), no one-element tuples (parentheses are
 //! grouping), and no post-parsing-phase primitives.
 
-use matryoshka_ir::ast::{BinOp, Expr, Lambda, Lambda2, UnOp};
+use matryoshka_ir::analyze::{codes, source_names};
+use matryoshka_ir::ast::{BinOp, Expr, Lambda, Lambda2, Slot, UnOp};
 use matryoshka_ir::pretty::to_source;
-use matryoshka_ir::{parse_program, Value};
+use matryoshka_ir::{analyze, parse_program, Dialect, Value};
 
 /// splitmix64: tiny, seedable, and good enough to shake the grammar.
 struct Rng(u64);
@@ -49,12 +53,14 @@ impl Gen {
     }
 
     fn leaf(&mut self) -> Expr {
-        match self.rng.below(6) {
+        match self.rng.below(7) {
             0 => Expr::long(self.rng.below(1000) as i64),
             1 => Expr::Const(Value::Bool(self.rng.below(2) == 0)),
             2 => Expr::Const(Value::Double([0.5, 1.25, 2.0, 10.75][self.rng.below(4) as usize])),
             3 => Expr::Const(Value::Str(["day", "ip", "k1"][self.rng.below(3) as usize].into())),
             4 => Expr::Source(["xs", "ys", "visits"][self.rng.below(3) as usize].into()),
+            // Any binder name issued so far, or the next one: in scope or not.
+            5 => Expr::var(&format!("v{}", 1 + self.rng.below(u64::from(self.fresh) + 1))),
             _ => match self.scope.is_empty() {
                 true => Expr::long(self.rng.below(10) as i64),
                 false => Expr::var(&self.scope[self.rng.below(self.scope.len() as u64) as usize]),
@@ -86,7 +92,7 @@ impl Gen {
             return self.leaf();
         }
         let d = depth - 1;
-        match self.rng.below(18) {
+        match self.rng.below(19) {
             0 | 1 => self.leaf(),
             2 => {
                 // Two- or three-element tuple (one element would re-parse
@@ -124,11 +130,12 @@ impl Gen {
             }
             7 => Expr::If(Box::new(self.expr(d)), Box::new(self.expr(d)), Box::new(self.expr(d))),
             8 => {
-                let n = 1 + self.rng.below(2);
+                // Each initializer sees the loop variables declared before it.
+                let n = 1 + self.rng.below(3);
                 let names: Vec<String> = (0..n).map(|_| self.fresh_name()).collect();
-                let init: Vec<(String, Expr)> =
-                    names.iter().map(|nm| (nm.clone(), self.expr(d))).collect();
+                let mut init = Vec::new();
                 for nm in &names {
+                    init.push((nm.clone(), self.expr(d)));
                     self.scope.push(nm.clone());
                 }
                 let cond = self.expr(d);
@@ -168,6 +175,17 @@ impl Gen {
                 let l2 = self.lambda2(d);
                 Expr::Fold(Box::new(x), Box::new(z), l2)
             }
+            17 => {
+                // A map over the (nested) result of a bag-valued lifted map.
+                let g = self.fresh_name();
+                let inner = Expr::Filter(Box::new(Expr::proj(Expr::var(&g), 1)), self.lambda(d));
+                let nested = Expr::Map(
+                    Box::new(Expr::GroupByKey(Box::new(self.expr(d)))),
+                    Lambda::new(&g, inner),
+                );
+                let l = self.lambda(d);
+                Expr::Map(Box::new(nested), l)
+            }
             _ => {
                 let a = self.expr(d);
                 let b = self.expr(d);
@@ -188,13 +206,72 @@ fn check_roundtrip(e: &Expr) {
     assert_eq!(&reparsed, e, "round-trip changed the tree for `{rendered}`");
 }
 
+fn random_tree(seed: u64) -> Expr {
+    let rng = Rng(seed.wrapping_mul(0x9e37) ^ xmatry_seed());
+    Gen { rng, scope: vec![], fresh: 0 }.expr(4)
+}
+
 #[test]
 fn random_trees_round_trip_through_source() {
     for seed in 0..2000u64 {
-        let mut g =
-            Gen { rng: Rng(seed.wrapping_mul(0x9e37) ^ xmatry_seed()), scope: vec![], fresh: 0 };
-        let e = g.expr(4);
-        check_roundtrip(&e);
+        check_roundtrip(&random_tree(seed));
+    }
+}
+
+/// `for_each_child` and `map_children` enumerate the same children, in the
+/// same order, under the same binders and slots — at every node — and
+/// mapping with the identity rebuilds the node.
+#[test]
+fn the_two_child_enumerations_agree() {
+    type Seen<'a> = Vec<(*const Expr, Vec<&'a str>, Slot)>;
+    for seed in 0..500u64 {
+        random_tree(seed).visit(&mut |node| {
+            let mut listed: Seen = Vec::new();
+            node.for_each_child(|c, binds, slot| listed.push((c, binds.iter().collect(), slot)));
+            let mut mapped: Seen = Vec::new();
+            let rebuilt = node.map_children(|c, binds, slot| {
+                mapped.push((c, binds.iter().collect(), slot));
+                c.clone()
+            });
+            assert_eq!(listed, mapped, "children of `{}`", to_source(node));
+            assert_eq!(&rebuilt, node);
+        });
+    }
+}
+
+/// Two independent statements of scope agree: with every source declared,
+/// the analyzer reports an unbound variable (MAT001) exactly when
+/// `free_vars` is non-empty. Both outcomes must occur for the test to mean
+/// anything. The analyzer also meets every `map` exactly once.
+#[test]
+fn free_vars_and_the_analyzer_agree_on_scope() {
+    let (mut closed, mut open) = (0, 0);
+    for seed in 0..2000u64 {
+        let e = random_tree(seed);
+        let sources = source_names(&e);
+        let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+        let analysis = analyze(&e, &refs, Dialect::Matryoshka);
+        let unbound = analysis.diagnostics.iter().any(|d| d.code == codes::UNBOUND_VAR);
+        let free = e.free_vars();
+        assert_eq!(unbound, !free.is_empty(), "free {free:?} in `{}`", to_source(&e));
+        *(if unbound { &mut open } else { &mut closed }) += 1;
+
+        let mut maps = 0;
+        e.visit(&mut |n| maps += usize::from(matches!(n, Expr::Map(..))));
+        assert_eq!(analysis.lifts.len(), maps, "`{}`", to_source(&e));
+    }
+    assert!(closed > 100 && open > 100, "{closed} closed, {open} open programs");
+}
+
+/// `strip_spans` leaves no span behind and is idempotent.
+#[test]
+fn strip_spans_is_idempotent_and_span_free() {
+    for seed in 0..500u64 {
+        let spanned = parse_program(&to_source(&random_tree(seed))).expect("re-parses");
+        assert!(matches!(spanned, Expr::Spanned(..)), "the parser attaches spans");
+        let stripped = spanned.strip_spans();
+        stripped.visit(&mut |n| assert!(!matches!(n, Expr::Spanned(..))));
+        assert_eq!(stripped.strip_spans(), stripped);
     }
 }
 

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use matryoshka::core::MatryoshkaConfig;
 use matryoshka::engine::Engine;
-use matryoshka::ir::pretty::pretty;
+use matryoshka::ir::pretty::{plan_tree, to_source};
 use matryoshka::ir::{parse_program, parsing_phase, Dialect, Lowering, RtVal, Value};
 
 fn main() {
@@ -26,11 +26,11 @@ fn main() {
     "#;
     let listing1 = parse_program(bounce_rate_src).expect("program parses");
 
-    println!("--- Listing 1: the nested-parallel program ---\n{}\n", pretty(&listing1));
+    println!("--- Listing 1: the nested-parallel program ---\n{}\n", to_source(&listing1));
 
     println!("--- phase 1: the parsing phase (compile time) ---");
     let listing2 = parsing_phase(&listing1, &["visits"], Dialect::Matryoshka).expect("flattens");
-    println!("{}\n", pretty(&listing2));
+    println!("{}", plan_tree(&listing2));
     println!("(groupByKey became GroupByKeyIntoNestedBag; the map became a\n mapWithLiftedUDF that runs its UDF exactly once, lifted.)\n");
 
     println!("--- phase 2: the lowering phase (runtime) ---");
@@ -67,7 +67,7 @@ fn main() {
           yield (g.0, steps))
     "#;
     let loop_prog = parse_program(loop_src).expect("loop program parses");
-    println!("\n--- control flow at an inner nesting level ---\n{}\n", pretty(&loop_prog));
+    println!("\n--- control flow at an inner nesting level ---\n{}\n", to_source(&loop_prog));
     match parsing_phase(&loop_prog, &["xs"], Dialect::DiqlLike) {
         Err(e) => println!("DIQL-like dialect: {e}"),
         Ok(_) => println!("DIQL-like dialect unexpectedly accepted the loop"),

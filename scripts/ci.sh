@@ -19,6 +19,12 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== benchmark builds and smoke-runs against these crates (benchmark/check.sh)"
+# benchmark/ is its own workspace, so nothing above compiles it: a changed
+# `pub` signature in a crate it names would otherwise go unnoticed until
+# the pipeline runs it.
+bash benchmark/check.sh
+
 echo "== static analyzer over shipped IR programs (matryoshka-check)"
 # Every example program and every built-in task workload must pass the
 # pre-lowering analyzer with no error-severity MAT0xx diagnostics.
