@@ -101,8 +101,11 @@ struct Inner {
     config: MatryoshkaConfig,
     seed: u64,
     state: Mutex<State>,
-    /// Signalled on submissions and completions.
-    cv: Condvar,
+    /// Signalled when a job is queued; the driver parks here
+    /// ([`JobService::wait_for_work`]).
+    work_cv: Condvar,
+    /// Signalled when a job reaches `Done`; [`JobService::wait`] parks here.
+    done_cv: Condvar,
     /// Serializes event-loop drivers (determinism needs exactly one).
     driver: Mutex<()>,
     /// Service-level counters (`jobs_completed`, `jobs_cancelled`,
@@ -158,7 +161,8 @@ impl JobService {
                     cancels: HashSet::new(),
                     engines: HashMap::new(),
                 }),
-                cv: Condvar::new(),
+                work_cv: Condvar::new(),
+                done_cv: Condvar::new(),
                 driver: Mutex::new(()),
                 stats: Stats::default(),
             }),
@@ -246,7 +250,7 @@ impl JobService {
             },
         );
         st.queued.push_back(QueuedJob { id, pool, slots, arrival, deadline_vt, payload });
-        self.inner.cv.notify_all();
+        self.inner.work_cv.notify_all();
         Ok(id)
     }
 
@@ -295,10 +299,9 @@ impl JobService {
     pub fn wait(&self, id: JobId) -> Option<JobOutcome> {
         let mut st = self.inner.state.lock().expect("service state poisoned");
         loop {
-            match st.jobs.get(&id).map(|e| e.status.clone()) {
-                None => return None,
-                Some(JobStatus::Done(outcome)) => return Some(outcome),
-                Some(_) => st = self.inner.cv.wait(st).expect("service state poisoned"),
+            match &st.jobs.get(&id)?.status {
+                JobStatus::Done(outcome) => return Some(outcome.clone()),
+                _ => st = self.inner.done_cv.wait(st).expect("service state poisoned"),
             }
         }
     }
@@ -315,7 +318,7 @@ impl JobService {
         if !st.queued.is_empty() {
             return true;
         }
-        let (st, _) = self.inner.cv.wait_timeout(st, timeout).expect("service state poisoned");
+        let (st, _) = self.inner.work_cv.wait_timeout(st, timeout).expect("service state poisoned");
         !st.queued.is_empty()
     }
 
@@ -566,7 +569,7 @@ impl JobService {
                 outcome: run.outcome,
                 stats: run.stats,
             });
-            self.inner.cv.notify_all();
+            self.inner.done_cv.notify_all();
         }
     }
 
@@ -618,7 +621,7 @@ impl JobService {
             outcome,
             stats: StatsSnapshot::default(),
         });
-        self.inner.cv.notify_all();
+        self.inner.done_cv.notify_all();
     }
 
     /// Index into the queue of the job to start now, if any.

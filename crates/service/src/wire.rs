@@ -11,6 +11,10 @@
 //! SUBMIT <name> <pool> <len> [slots=N] [deadline_ms=N]\n<len bytes>
 //! WAIT <id> | STATUS <id> | CANCEL <id> | STATS | PING | SHUTDOWN
 //! ```
+//!
+//! A request line is at most [`MAX_LINE_BYTES`] long, a `SUBMIT` body at
+//! most [`MAX_PROGRAM_BYTES`]; over either, the server replies `ERR ...`
+//! and closes the connection.
 
 use std::fmt;
 
@@ -50,6 +54,10 @@ pub enum Command {
 /// Upper bound on `SUBMIT` body size (1 MiB) — keeps a misbehaving client
 /// from ballooning server memory.
 pub const MAX_PROGRAM_BYTES: usize = 1 << 20;
+
+/// Upper bound on a request line, newline included (4 KiB): the server
+/// buffers no more than this while it looks for the end of a line.
+pub const MAX_LINE_BYTES: usize = 4096;
 
 fn parse_id(tok: Option<&str>, what: &str) -> Result<JobId, String> {
     tok.ok_or_else(|| format!("{what} requires a job id"))?

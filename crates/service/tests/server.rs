@@ -3,7 +3,9 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::ClusterConfig;
@@ -21,8 +23,9 @@ impl Client {
         Client { reader, writer }
     }
 
+    /// One request, one write (`docs/SERVICE.md`, "Framing and latency").
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").unwrap();
+        self.writer.write_all(format!("{line}\n").as_bytes()).unwrap();
     }
 
     fn recv(&mut self) -> String {
@@ -32,8 +35,7 @@ impl Client {
     }
 
     fn submit(&mut self, name: &str, pool: &str, program: &str) -> String {
-        write!(self.writer, "SUBMIT {name} {pool} {}\n{program}", program.len()).unwrap();
-        self.writer.flush().unwrap();
+        self.send(&format!("SUBMIT {name} {pool} {}\n{program}", program.len()));
         self.recv()
     }
 }
@@ -44,7 +46,11 @@ fn server_round_trip_over_tcp() {
         JobService::new(ClusterConfig::local_test(), MatryoshkaConfig::default(), 11).unwrap();
     let server = Server::bind(service, "127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
-    let handle = thread::spawn(move || server.run().unwrap());
+    let (returned, run_returned) = mpsc::channel();
+    let handle = thread::spawn(move || {
+        server.run().unwrap();
+        returned.send(()).unwrap();
+    });
 
     let mut c = Client::connect(addr);
     c.send("PING");
@@ -92,7 +98,27 @@ fn server_round_trip_over_tcp() {
     c2.send("STATUS 0");
     assert_eq!(c2.recv(), "OK 0 completed");
 
+    // Over a limit the reply is one ERR line, then the server hangs up: it
+    // cannot tell where the next request would start.
+    let mut c3 = Client::connect(addr);
+    c3.send(&format!("SUBMIT big default {}", usize::MAX));
+    assert!(c3.recv().starts_with("ERR SUBMIT: program too large"));
+    assert_eq!(c3.recv(), "", "connection closed after an over-long body");
+    // (Exactly the limit and no newline: the server has read all of it, so
+    // its close is a FIN, not the reset that unread input would cause.)
+    let mut c4 = Client::connect(addr);
+    c4.writer.write_all(&[b'A'; 4096]).unwrap();
+    assert_eq!(c4.recv(), "ERR request line longer than 4096 bytes");
+    assert_eq!(c4.recv(), "", "connection closed after an over-long line");
+
+    // SHUTDOWN wakes the acceptor out of its blocking `accept`: `run`
+    // returns with no further client connecting and with `c2` still open
+    // and idle. The timeout only turns a hang into a failure.
     c.send("SHUTDOWN");
     assert_eq!(c.recv(), "OK shutting down");
+    run_returned.recv_timeout(Duration::from_secs(60)).expect("run() returned after SHUTDOWN");
     handle.join().expect("server thread");
+    // The listener is gone: a fresh connection is refused, not queued.
+    assert!(TcpStream::connect(addr).is_err());
+    drop(c2);
 }

@@ -24,6 +24,14 @@ echo "== benchmark builds and smoke-runs against these crates (benchmark/check.s
 # `pub` signature in a crate it names would otherwise go unnoticed until
 # the pipeline runs it.
 bash benchmark/check.sh
+# Stall guard on that smoke run. A reply that leaves in pieces is held by
+# Nagle's algorithm until the client's delayed ACK, never under 40 ms; a
+# healthy request takes about 1 ms. The statistic is the *minimum* over the
+# window, which host load cannot push up to 20 ms, so this cannot flake.
+awk '/^metric service_tcp wall_ms_min = /{ms=$5}
+  END{ if (ms == "" || ms + 0 >= 20) { print "service_tcp wall_ms_min = " ms \
+    " ms (want < 20): a per-request Nagle/delayed-ACK stall is back" > "/dev/stderr"; exit 1 }
+    print "service_tcp wall_ms_min = " ms " ms: no per-request stall" }' benchmark/out/smoke.log
 
 echo "== static analyzer over shipped IR programs (matryoshka-check)"
 # Every example program and every built-in task workload must pass the
@@ -57,17 +65,21 @@ cargo run -q --bin matryoshka-check -- --adaptive-config \
 echo "== sanitizers (best effort: miri, then TSan, else skip)"
 # The container has no network, so missing toolchain components (miri,
 # rust-src for -Zbuild-std) cannot be installed on the fly; skip cleanly.
-# The filter covers the engine pool/fusion tests and the UDF compiler's
-# unit tests (thread-local frame reentrancy + take/replace discipline).
+# The filter covers the engine pool/fusion tests, the UDF compiler's unit
+# tests (thread-local frame reentrancy + take/replace discipline) and the
+# service's connection loop (one reply, one write; request limits).
 if cargo miri --version >/dev/null 2>&1 \
   && cargo miri test -p matryoshka-engine --lib pool fuse 2>/dev/null \
-  && cargo miri test -p matryoshka-ir --lib compile 2>/dev/null; then
-  echo "miri: engine pool + fusion + ir compile tests passed"
+  && cargo miri test -p matryoshka-ir --lib compile 2>/dev/null \
+  && cargo miri test -p matryoshka-service --lib server 2>/dev/null; then
+  echo "miri: engine pool + fusion + ir compile + service server tests passed"
 elif RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-engine --lib pool fuse \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null \
   && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-ir --lib compile \
+    -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null \
+  && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-service --lib server \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null; then
-  echo "TSan: engine pool + fusion + ir compile tests passed"
+  echo "TSan: engine pool + fusion + ir compile + service server tests passed"
 else
   echo "sanitizers unavailable in this toolchain (miri/rust-src not installed); skipping"
 fi

@@ -35,6 +35,7 @@ struct Connection {
 impl Connection {
     fn open(addr: &str) -> Result<Connection, String> {
         let writer = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        writer.set_nodelay(true).map_err(|e| format!("connect {addr}: {e}"))?;
         let reader =
             BufReader::new(writer.try_clone().map_err(|e| format!("connect {addr}: {e}"))?);
         Ok(Connection { reader, writer })
@@ -61,8 +62,12 @@ impl Connection {
         }
     }
 
-    fn send(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("write: {e}"))
+    /// Send one request, header line and (for `SUBMIT`) body, in one write:
+    /// a request split over several small segments waits on the server's
+    /// delayed ACK (`docs/SERVICE.md`, "Framing and latency").
+    fn send(&mut self, header: &str, body: &str) -> Result<(), String> {
+        let request = format!("{header}\n{body}");
+        self.writer.write_all(request.as_bytes()).map_err(|e| format!("write: {e}"))
     }
 }
 
@@ -148,9 +153,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         if let Some(d) = opts.deadline_ms {
             header.push_str(&format!(" deadline_ms={d}"));
         }
-        conn.send(&header)?;
-        write!(conn.writer, "{program}").map_err(|e| format!("write: {e}"))?;
-        conn.writer.flush().map_err(|e| format!("write: {e}"))?;
+        conn.send(&header, &program)?;
         let reply = conn.recv_final()?;
         if let Some(rest) = reply.strip_prefix("OK ") {
             let id: u64 = rest
@@ -173,7 +176,7 @@ fn run(opts: &Options) -> Result<bool, String> {
     }
     if opts.wait {
         for (name, id) in &submitted {
-            conn.send(&format!("WAIT {id}"))?;
+            conn.send(&format!("WAIT {id}"), "")?;
             let reply = conn.recv_final()?;
             println!("{name}: {reply}");
             let completed = reply
