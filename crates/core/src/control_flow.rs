@@ -155,6 +155,31 @@ impl<T: Key, A: LiftedData<T>, B: LiftedData<T>, C: LiftedData<T>> LiftedData<T>
     }
 }
 
+/// Any number of loop variables of one type (a dynamically typed front end
+/// has one lifted value type and learns the variable count at run time).
+impl<T: Key, A: LiftedData<T>> LiftedData<T> for Vec<A> {
+    fn ctx(&self) -> &LiftingContext<T> {
+        self.first().expect("a loop has at least one variable").ctx()
+    }
+    fn filter_by_cond(
+        &self,
+        cond: &InnerScalar<T, bool>,
+        keep: bool,
+        new_ctx: &LiftingContext<T>,
+    ) -> Self {
+        self.iter().map(|a| a.filter_by_cond(cond, keep, new_ctx)).collect()
+    }
+    fn union_with(&self, other: &Self) -> Self {
+        self.iter().zip(other).map(|(a, b)| a.union_with(b)).collect()
+    }
+    fn with_ctx(&self, ctx: &LiftingContext<T>) -> Self {
+        self.iter().map(|a| a.with_ctx(ctx)).collect()
+    }
+    fn checkpoint(&self) -> Self {
+        self.iter().map(A::checkpoint).collect()
+    }
+}
+
 /// A lifted do-while loop (paper Listing 4).
 ///
 /// `body` maps the loop state to `(next_state, continue_condition)`; the

@@ -41,26 +41,21 @@ pub enum CrossChoice {
     ForceBroadcastBag,
 }
 
-/// Knobs of the static plan-rewrite pass (`matryoshka-ir::analyze::plan`):
+/// Switch of the static plan-rewrite pass (`matryoshka-ir::analyze::plan`):
 /// loop-invariant hoisting, CSE with auto-caching, and dead-operator
 /// elimination. **Off by default** — default plans, decision logs, and the
 /// golden simulated times are bit-identical with the pass disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanRewriteConfig {
-    /// Master switch: when false the program is lowered verbatim.
+    /// When false the program is lowered verbatim; when true all three
+    /// rewrites run (hoist, then CSE + auto-caching, then DCE).
     pub enabled: bool,
-    /// Hoist loop-invariant subplans above loops and materialize them once.
-    pub hoist: bool,
-    /// Merge structurally identical subplans and cache multi-consumer ones.
-    pub cse: bool,
-    /// Drop pure operators whose outputs are never consumed.
-    pub dce: bool,
 }
 
 impl PlanRewriteConfig {
-    /// All three rewrites on.
+    /// The rewrites on.
     pub fn enabled() -> Self {
-        PlanRewriteConfig { enabled: true, hoist: true, cse: true, dce: true }
+        PlanRewriteConfig { enabled: true }
     }
 }
 

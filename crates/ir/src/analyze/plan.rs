@@ -87,8 +87,8 @@ pub fn is_rewrite_barrier(e: &Expr) -> bool {
     matches!(e.unspanned(), Expr::Cache(_))
 }
 
-/// Apply the configured plan rewrites to `program`. With the default
-/// (all-off) config this is the identity.
+/// Apply the plan rewrites to `program`. With the default (off) config this
+/// is the identity.
 ///
 /// Pass order: hoisting first (it exposes merged `let`s for CSE to count),
 /// then CSE + auto-caching, then dead-operator elimination (which cleans up
@@ -98,16 +98,10 @@ pub fn rewrite_plan(program: &Expr, cfg: &PlanRewriteConfig) -> PlanRewrite {
         Pass { diags: Diagnostics::new(), rewrites: Vec::new(), next_hoist: 0, next_cse: 0 };
     let mut e = program.clone();
     if cfg.enabled {
-        if cfg.hoist {
-            e = pass.hoist(&e, false);
-        }
-        if cfg.cse {
-            e = pass.cse(&e);
-            e = pass.auto_cache(&e);
-        }
-        if cfg.dce {
-            e = pass.dce(&e);
-        }
+        e = pass.hoist(&e, false);
+        e = pass.cse(&e);
+        e = pass.auto_cache(&e);
+        e = pass.dce(&e);
     }
     PlanRewrite { expr: e, diagnostics: pass.diags, rewrites: pass.rewrites }
 }

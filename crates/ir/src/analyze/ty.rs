@@ -8,11 +8,14 @@
 //! reports every independent defect with a stable `MAT0xx` code and (for
 //! text programs) a byte span.
 //!
-//! The depth discipline mirrors the runtime exactly: the lowering's lifted
-//! interpreter supports two levels of parallelism (driver + one lifted
+//! The depth discipline mirrors the runtime exactly: the lowering's
+//! evaluator supports two levels of parallelism (driver + one lifted
 //! level); `groupByKey`, `mapWithLiftedUDF` and lift-requiring `map`s inside
 //! an already-lifted UDF are the runtime's "more than two levels" errors,
-//! surfaced here statically as `MAT008`.
+//! surfaced here statically as `MAT008`. Inside a lifted UDF a flat bag and
+//! an inner bag are both `Bag(1)`: every bag operator of the evaluator has a
+//! cell for either (`crates/ir/tests/end_to_end.rs` runs the table), so an
+//! admitted program does not fail on an operand's kind at run time.
 
 use std::fmt;
 
@@ -393,11 +396,21 @@ impl<'a> Checker<'a> {
                         e,
                     );
                 }
-                if tt != Ty::Unknown {
-                    tt
-                } else {
-                    te
+                let ty = if tt != Ty::Unknown { tt } else { te };
+                // The lifted `if` selects per tag between two lifted
+                // scalars; a bag-valued one has no runtime cell.
+                if level >= 1 && ty.is_baggy() {
+                    self.error(
+                        codes::KIND_MISMATCH,
+                        sp,
+                        format!(
+                            "the branches of an `if` inside a lifted UDF must be scalars, \
+                             found {ty}"
+                        ),
+                        e,
+                    );
                 }
+                ty
             }
             Expr::Loop { init, cond, step, result } => {
                 self.infer_loop(init, cond, step, result, level, sp, e)
@@ -516,22 +529,21 @@ impl<'a> Checker<'a> {
                         zero,
                     );
                 }
-                // The runtime evaluates the zero in a *pure* environment:
-                // lifted (inner-scalar) state cannot flow into it.
+                // The runtime evaluates the zero once, at driver level:
+                // lifted state (the group parameter included) cannot flow
+                // into it.
                 if level >= 1 {
                     for name in super::captures::capture_names(zero, &[]) {
-                        if let Some((Ty::Scalar, bl)) = self.peek(&name) {
-                            if bl >= 1 {
-                                self.error(
-                                    codes::INNER_BAG_ESCAPE,
-                                    sp,
-                                    format!(
-                                        "the fold zero closure captures the lifted value \
-                                         `{name}`; fold zeros must not be lifted"
-                                    ),
-                                    zero,
-                                );
-                            }
+                        if self.peek(&name).is_some_and(|(_, bl)| bl >= 1) {
+                            self.error(
+                                codes::INNER_BAG_ESCAPE,
+                                sp,
+                                format!(
+                                    "the fold zero closure captures the lifted value \
+                                     `{name}`; fold zeros must not be lifted"
+                                ),
+                                zero,
+                            );
                         }
                     }
                 }
@@ -691,6 +703,9 @@ impl<'a> Checker<'a> {
                 return Ty::Bag(1);
             }
         }
+        if needs_lift {
+            self.check_lifted_result(tb, sp, node);
+        }
         match (tin, tb) {
             (Ty::Unknown, _) => Ty::Unknown,
             (_, Ty::Bag(_)) if needs_lift => Ty::Bag(2),
@@ -750,9 +765,18 @@ impl<'a> Checker<'a> {
             );
             return Ty::Bag(1);
         }
+        self.check_lifted_result(tb, sp, node);
         match tb {
             Ty::Bag(_) => Ty::Bag(2),
             _ => Ty::Bag(1),
+        }
+    }
+
+    /// A lifted UDF that returns a nested bag (it can only have captured
+    /// one) would produce three levels.
+    fn check_lifted_result(&mut self, tb: Ty, sp: Option<Span>, node: &Expr) {
+        if matches!(tb, Ty::Bag(2..)) {
+            self.error(codes::TOO_DEEP, sp, TOO_DEEP_MSG.to_string(), node);
         }
     }
 
@@ -773,11 +797,11 @@ impl<'a> Checker<'a> {
         let mut init_tys = Vec::with_capacity(init.len());
         for (n, x) in init {
             let t = self.infer(x, level, x.span().or(sp));
-            if level >= 1 && matches!(t, Ty::Group(_)) {
+            if level >= 1 && matches!(t, Ty::Group(_) | Ty::Bag(2..)) {
                 self.error(
                     codes::KIND_MISMATCH,
                     x.span().or(sp),
-                    format!("lifted loop variables must be scalars or inner bags, found {t}"),
+                    format!("lifted loop variables must be scalars or bags, found {t}"),
                     x,
                 );
             }

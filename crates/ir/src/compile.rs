@@ -49,7 +49,7 @@ use std::sync::Arc;
 use crate::analyze::ScalarKind;
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::error::{IrError, IrResult};
-use crate::lower::{apply_bin, apply_un, eval_pure_mut};
+use crate::lower::{apply_bin, apply_un, compare, eval_pure_mut};
 use crate::value::Value;
 
 type PureEnv = HashMap<String, Value>;
@@ -89,9 +89,8 @@ enum Op {
     Tuple(Vec<Op>),
     /// Generic binary operator (delegates to [`apply_bin`]).
     Bin(BinOp, Box<Op>, Box<Op>),
-    /// `Eq`/`Lt`/`Gt` inlined (byte-for-byte [`apply_bin`] semantics:
-    /// ordering compares through `as_f64`, equality is structural) — skips
-    /// the generic dispatch on the hottest loop-condition shape.
+    /// `Eq`/`Lt`/`Gt` through [`compare`], which [`apply_bin`] uses too —
+    /// skips the generic dispatch on the hottest loop-condition shape.
     Cmp(BinOp, Box<Op>, Box<Op>),
     /// `Add`/`Sub`/`Mul` with both operands statically `Long`.
     LongArith(BinOp, Box<Op>, Box<Op>),
@@ -254,14 +253,7 @@ impl Op {
                 Value::tuple(items.iter().map(|x| x.run(frame)).collect::<IrResult<_>>()?)
             }
             Op::Bin(op, a, b) => apply_bin(*op, &a.run(frame)?, &b.run(frame)?)?,
-            Op::Cmp(op, a, b) => {
-                let (av, bv) = (a.run(frame)?, b.run(frame)?);
-                Value::Bool(match op {
-                    BinOp::Lt => av.as_f64()? < bv.as_f64()?,
-                    BinOp::Gt => av.as_f64()? > bv.as_f64()?,
-                    _ => av == bv,
-                })
-            }
+            Op::Cmp(op, a, b) => Value::Bool(compare(*op, &a.run(frame)?, &b.run(frame)?)?),
             Op::LongArith(op, a, b) => match (a.run(frame)?, b.run(frame)?) {
                 (Value::Long(x), Value::Long(y)) => Value::Long(match op {
                     BinOp::Add => x + y,
@@ -303,13 +295,7 @@ impl Op {
                 }
             }
             Op::IfCmp { op, a, b, then, els } => {
-                let (av, bv) = (a.run(frame)?, b.run(frame)?);
-                let c = match op {
-                    BinOp::Lt => av.as_f64()? < bv.as_f64()?,
-                    BinOp::Gt => av.as_f64()? > bv.as_f64()?,
-                    _ => av == bv,
-                };
-                if c {
+                if compare(*op, &a.run(frame)?, &b.run(frame)?)? {
                     then.run(frame)?
                 } else {
                     els.run(frame)?
@@ -778,6 +764,37 @@ mod tests {
             c.eval1(&Value::str("x")).unwrap_err().to_string(),
             oracle(&body, &PureEnv::new(), &Value::str("x")).unwrap_err().to_string()
         );
+    }
+
+    #[test]
+    fn long_ordering_is_exact_beyond_two_to_the_53() {
+        // v.0 < v.1, v.0 > v.1 and the fused comparison-into-branch: the
+        // three sites that order values, each in both evaluators.
+        let (l, r) = (Expr::proj(Expr::var("v"), 0), Expr::proj(Expr::var("v"), 1));
+        let lt = Expr::bin(BinOp::Lt, l.clone(), r.clone());
+        let gt = Expr::bin(BinOp::Gt, r, l);
+        let fused = Expr::If(
+            Box::new(lt.clone()),
+            Box::new(Expr::Const(Value::Bool(true))),
+            Box::new(Expr::Const(Value::Bool(false))),
+        );
+        let big = 1i64 << 53;
+        for body in [lt, gt, fused] {
+            let c = compile1(body.clone(), PureEnv::new());
+            // `big` and `big + 1` are the same f64.
+            for (a, b) in [(big, big + 1), (-big - 1, -big), (i64::MAX - 1, i64::MAX)] {
+                for (a, b, want) in [(a, b, true), (b, a, false), (a, a, false)] {
+                    let v = Value::tuple(vec![Value::Long(a), Value::Long(b)]);
+                    assert_eq!(c.eval1(&v).unwrap(), Value::Bool(want), "{body:?} at {v}");
+                    assert_eq!(oracle(&body, &PureEnv::new(), &v).unwrap(), Value::Bool(want));
+                }
+            }
+            // A Double on either side still compares after widening.
+            let v = Value::tuple(vec![Value::Long(big), Value::Double(big as f64 + 2.0)]);
+            assert_eq!(c.eval1(&v).unwrap(), Value::Bool(true));
+            let v = Value::tuple(vec![Value::Long(big + 1), Value::Double(big as f64)]);
+            assert_eq!(c.eval1(&v).unwrap(), Value::Bool(false));
+        }
     }
 
     #[test]

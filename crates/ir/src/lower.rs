@@ -3,14 +3,29 @@
 //! primitives to flat operations of the engine via `matryoshka-core` — with
 //! the runtime optimizer's physical choices (Sec. 8) applied by that crate.
 //!
-//! The interpreter runs in two modes. *Driver mode* evaluates ordinary
-//! expressions over engine bags. When it reaches a `MapWithLiftedUdf`, it
-//! evaluates the UDF body **once** in *lifted mode*, where every value is an
-//! `InnerScalar`/`InnerBag` and every operation is the lifted operation:
-//! scalars become tag-joined bags (Sec. 4.3), bags become tagged flat bags
-//! (Sec. 4.4), loops become the lifted do-while (Sec. 6.2), closures become
-//! tag joins or half-lifted cross products (Sec. 5, 8.3).
+//! There is one evaluator, [`Lowering::eval`]: one walk over [`Expr`] in
+//! which every operator has one arm, and the arm dispatches on the *kind of
+//! its operand* — a driver scalar, a flat bag, a nested bag, or, inside a
+//! `MapWithLiftedUdf` (whose body runs **once**, Sec. 4.2), an
+//! `InnerScalar`, an `InnerBag` or the `(key, inner bag)` group pair. The
+//! lifted cell of an arm is the isomorphic image of its flat cell (Sec. 7):
+//! scalar operators become tag joins (Sec. 4.3), bag operators work on
+//! tagged flat bags and re-key by `(tag, key)` (Sec. 4.4), loops become the
+//! lifted do-while (Sec. 6.2), UDFs that read lifted scalars become
+//! `mapWithClosure` tag joins (Sec. 5.1).
+//!
+//! A value from outside the lifted UDF stays what it is — a `source(..)` or
+//! a driver `let`-bound bag is an ordinary flat bag, evaluated once, not per
+//! tag — until it meets lifted state. There, one of two promotions applies
+//! (Sec. 5.2): a scalar is replicated per tag ([`inner_scalar`]; done
+//! eagerly for every scalar leaf of a lifted body), a flat bag is replicated
+//! per tag through the half-lifted cross product of Sec. 8.3
+//! ([`inner_bag`]). Cells that can avoid the replication do: a flat bag
+//! mapped or filtered under lifted closures is that cross product directly,
+//! and a join with one flat side is the half-lifted join.
+//! `docs/ANALYSIS.md` has the operator × operand-kind table.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -25,7 +40,7 @@ use crate::compile::CompiledUdf;
 use crate::error::{IrError, IrResult};
 use crate::value::Value;
 
-/// A runtime value in driver mode.
+/// The result of running a program.
 #[derive(Clone)]
 pub enum RtVal {
     /// A driver-side scalar.
@@ -46,15 +61,46 @@ impl std::fmt::Debug for RtVal {
     }
 }
 
-/// A runtime value in lifted mode.
+type Ctx = LiftingContext<Value>;
+type IScalar = InnerScalar<Value, Value>;
+type IBag = InnerBag<Value, Value>;
+
+/// A value during evaluation: what [`RtVal`] can hold, plus the three kinds
+/// that exist only inside a lifted UDF.
 #[derive(Clone)]
-enum LVal {
-    Scalar(InnerScalar<Value, Value>),
-    Bag(InnerBag<Value, Value>),
-    /// The `(outer, inner)` parameter of a lifted UDF over a NestedBag.
-    Pair(Box<LVal>, Box<LVal>),
-    /// A closure from the driver environment, not yet lifted.
-    Driver(RtVal),
+enum Val {
+    Scalar(Value),
+    Bag(Bag<Value>),
+    Nested(NestedBag<Value, Value, Value>),
+    InnerScalar(IScalar),
+    InnerBag(IBag),
+    /// The `(key, inner bag)` parameter of a lifted UDF over a nested bag.
+    Group(IScalar, IBag),
+}
+
+impl Val {
+    fn kind(&self) -> &'static str {
+        match self {
+            Val::Scalar(_) => "a scalar",
+            Val::Bag(_) => "a bag",
+            Val::Nested(_) => "a nested bag",
+            Val::InnerScalar(_) => "a lifted scalar",
+            Val::InnerBag(_) => "an inner bag",
+            Val::Group(..) => "a group pair",
+        }
+    }
+
+    fn as_scalar(&self) -> Option<Value> {
+        match self {
+            Val::Scalar(v) => Some(v.clone()),
+            _ => None,
+        }
+    }
+}
+
+/// `op` was applied to an operand kind it has no cell for.
+fn no_cell(op: &str, operand: &Val) -> IrError {
+    IrError::Type(format!("{op} of {}", operand.kind()))
 }
 
 /// Executes parsed programs on an engine.
@@ -70,13 +116,13 @@ struct CachedCaptures {
     /// Pins the body alive so the pointer key can never be reused by a
     /// different (dropped-and-reallocated) expression.
     _body: Arc<Expr>,
-    /// The skip list the set was computed under (re-verified on each hit).
-    skip: Vec<String>,
+    /// The parameter the set was computed under (re-verified on each hit).
+    param: String,
     names: Arc<Vec<String>>,
 }
 
-type Env = HashMap<String, RtVal>;
-type LEnv = HashMap<String, LVal>;
+type Env = HashMap<String, Val>;
+type Inputs = HashMap<String, Bag<Value>>;
 type PureEnv = HashMap<String, Value>;
 
 /// Evaluate a scalar-only expression over plain values (used inside engine
@@ -200,11 +246,19 @@ pub fn apply_bin(op: BinOp, a: &Value, b: &Value) -> IrResult<Value> {
             }
         },
         BinOp::Div => Value::Double(a.as_f64()? / b.as_f64()?),
-        BinOp::Eq => Value::Bool(a == b),
-        BinOp::Lt => Value::Bool(a.as_f64()? < b.as_f64()?),
-        BinOp::Gt => Value::Bool(a.as_f64()? > b.as_f64()?),
+        BinOp::Eq | BinOp::Lt | BinOp::Gt => Value::Bool(compare(op, a, b)?),
         BinOp::And => Value::Bool(a.as_bool()? && b.as_bool()?),
         BinOp::Or => Value::Bool(a.as_bool()? || b.as_bool()?),
+    })
+}
+
+/// Whether `a op b` holds, for the comparison operators `==`, `<`, `>`:
+/// equality is structural, ordering is [`Value::num_cmp`].
+pub(crate) fn compare(op: BinOp, a: &Value, b: &Value) -> IrResult<bool> {
+    Ok(match op {
+        BinOp::Lt => a.num_cmp(b)? == Some(Ordering::Less),
+        BinOp::Gt => a.num_cmp(b)? == Some(Ordering::Greater),
+        _ => a == b,
     })
 }
 
@@ -220,90 +274,77 @@ pub fn apply_un(op: UnOp, a: &Value) -> IrResult<Value> {
     })
 }
 
-/// Split a bag of 2-tuples into engine `(key, value)` pairs.
-fn pairize(bag: &Bag<Value>) -> Bag<(Value, Value)> {
-    bag.map(|v| {
-        let k = v.proj(0).expect("pair-shaped record expected (parsing phase admits (k, v) bags)");
-        let w = v.proj(1).expect("pair-shaped record");
-        (k, w)
-    })
+/// Split a 2-tuple record into an engine `(key, value)` pair.
+fn kv(v: &Value) -> (Value, Value) {
+    let k = v.proj(0).expect("pair-shaped record expected (parsing phase admits (k, v) bags)");
+    (k, v.proj(1).expect("pair-shaped record"))
 }
 
-fn unpairize(bag: &Bag<(Value, Value)>) -> Bag<Value> {
-    bag.map(|(k, v)| Value::tuple(vec![k.clone(), v.clone()]))
+fn unkv((k, v): &(Value, Value)) -> Value {
+    Value::tuple(vec![k.clone(), v.clone()])
 }
 
-/// Resolve capture names against the lifted environment: every name must be
-/// a plain scalar (goes into the pure env) or a lifted scalar (returned
-/// separately for the tag join).
-fn resolve_lifted_captures(
-    names: &[String],
-    lenv: &LEnv,
-) -> IrResult<(PureEnv, Vec<(String, InnerScalar<Value, Value>)>)> {
-    let mut pure = PureEnv::new();
-    let mut lifted = Vec::new();
-    for name in names {
-        match lenv.get(name) {
-            Some(LVal::Scalar(s)) => lifted.push((name.clone(), s.clone())),
-            Some(LVal::Driver(RtVal::Scalar(v))) => {
-                pure.insert(name.clone(), v.clone());
-            }
-            Some(other) => {
-                let kind = match other {
-                    LVal::Bag(_) => "an inner bag",
-                    LVal::Pair(..) => "a nested value",
-                    LVal::Driver(_) => "a driver bag",
-                    LVal::Scalar(_) => unreachable!(),
-                };
-                return Err(IrError::Unsupported(format!(
-                    "UDF captures {kind} ({name}); only scalars can be captured by leaf UDFs"
-                )));
-            }
-            None => return Err(IrError::Unbound(name.clone())),
-        }
+/// One output record of a join: `(key, (left value, right value))`.
+fn joined(k: &Value, v: &Value, w: &Value) -> Value {
+    Value::tuple(vec![k.clone(), Value::tuple(vec![v.clone(), w.clone()])])
+}
+
+const UDF_OK: &str = "scalar UDF evaluation (validated at parse)";
+
+fn truth(v: IrResult<Value>) -> bool {
+    v.and_then(|v| v.as_bool()).expect("boolean filter UDF (validated at parse)")
+}
+
+/// A scalar result: plain at driver level; inside a lifted UDF replicated
+/// per tag, eagerly, which is the lifted-UDF closure case of Sec. 5.2.
+fn lift(v: Value, ctx: Option<&Ctx>) -> Val {
+    match ctx {
+        Some(ctx) => Val::InnerScalar(ctx.constant(v)),
+        None => Val::Scalar(v),
     }
-    Ok((pure, lifted))
 }
 
-/// Resolve capture names against the driver environment: every name must be
-/// a scalar.
-fn resolve_driver_captures(names: &[String], env: &Env) -> IrResult<PureEnv> {
-    let mut pure = PureEnv::new();
-    for name in names {
-        match env.get(name) {
-            Some(RtVal::Scalar(v)) => {
-                pure.insert(name.clone(), v.clone());
-            }
-            Some(_) => {
-                return Err(IrError::Unsupported(format!(
-                    "UDF captures the bag {name}; nested bag use requires lifting \
-                     (run the parsing phase)"
-                )))
-            }
-            None => return Err(IrError::Unbound(name.clone())),
-        }
+fn lifting(ctx: Option<&Ctx>) -> IrResult<&Ctx> {
+    ctx.ok_or_else(|| IrError::Type("a lifted value outside a lifted UDF".into()))
+}
+
+/// Promotion of a scalar operand that meets lifted state.
+fn inner_scalar(v: Val, ctx: Option<&Ctx>) -> IrResult<IScalar> {
+    match v {
+        Val::InnerScalar(s) => Ok(s),
+        Val::Scalar(x) => Ok(lifting(ctx)?.constant(x)),
+        other => Err(IrError::Type(format!("{} where a scalar is needed", other.kind()))),
     }
-    Ok(pure)
 }
 
-/// Zip several lifted scalars into one whose values are tuples (so a single
-/// tag join delivers all closure values, like the paper's single
-/// `mapWithClosure` argument).
-fn combine_scalars(scalars: &[(String, InnerScalar<Value, Value>)]) -> InnerScalar<Value, Value> {
-    let mut iter = scalars.iter();
-    let (_, first) = iter.next().expect("at least one lifted closure");
-    let mut combined = first.map(|v| Value::tuple(vec![v.clone()]));
-    for (_, s) in iter {
-        combined = combined.zip_with(s, |t, v| {
+/// Promotion of a bag operand that meets lifted state: every tag sees the
+/// whole flat bag, so it is the cross product of the tags with the bag.
+fn inner_bag(v: Val, ctx: Option<&Ctx>) -> IrResult<IBag> {
+    match v {
+        Val::InnerBag(b) => Ok(b),
+        Val::Bag(b) => {
+            Ok(lifting(ctx)?.tags_scalar().cross_with_bag(&b, |_, _, p| Some(p.clone()))?)
+        }
+        other => Err(IrError::Type(format!("{} where a bag is needed", other.kind()))),
+    }
+}
+
+/// Zip lifted scalars into one whose values are tuples (so a single tag
+/// join delivers all closure values, like the paper's single
+/// `mapWithClosure` argument). `None` for no scalars.
+fn combine_scalars<'a>(scalars: impl IntoIterator<Item = &'a IScalar>) -> Option<IScalar> {
+    let mut iter = scalars.into_iter();
+    let first = iter.next()?.map(|v| Value::tuple(vec![v.clone()]));
+    Some(iter.fold(first, |acc, s| {
+        acc.zip_with(s, |t, v| {
             let mut items = match t {
                 Value::Tuple(xs) => xs.as_ref().clone(),
-                _ => unreachable!("combined closure is a tuple"),
+                _ => unreachable!("the combined scalar is a tuple"),
             };
             items.push(v.clone());
             Value::tuple(items)
-        });
-    }
-    combined
+        })
+    }))
 }
 
 fn to_engine_err(e: IrError) -> EngineError {
@@ -313,73 +354,57 @@ fn to_engine_err(e: IrError) -> EngineError {
     }
 }
 
-/// Loop state for lifted `Loop`s: a vector of lifted values.
+/// One variable of a lifted loop (Sec. 6.2); the loop state is a `Vec` of
+/// these.
 #[derive(Clone)]
-struct LState(Vec<LStateItem>);
-
-#[derive(Clone)]
-enum LStateItem {
-    S(InnerScalar<Value, Value>),
-    B(InnerBag<Value, Value>),
+enum Lifted {
+    Scalar(IScalar),
+    Bag(IBag),
 }
 
-impl LiftedData<Value> for LState {
-    fn ctx(&self) -> &LiftingContext<Value> {
-        match self.0.first().expect("loop has at least one variable") {
-            LStateItem::S(s) => s.ctx(),
-            LStateItem::B(b) => b.ctx(),
+impl From<Lifted> for Val {
+    fn from(v: Lifted) -> Val {
+        match v {
+            Lifted::Scalar(s) => Val::InnerScalar(s),
+            Lifted::Bag(b) => Val::InnerBag(b),
         }
     }
-    fn filter_by_cond(
-        &self,
-        cond: &InnerScalar<Value, bool>,
-        keep: bool,
-        new_ctx: &LiftingContext<Value>,
-    ) -> Self {
-        LState(
-            self.0
-                .iter()
-                .map(|it| match it {
-                    LStateItem::S(s) => LStateItem::S(s.filter_by_cond(cond, keep, new_ctx)),
-                    LStateItem::B(b) => LStateItem::B(b.filter_by_cond(cond, keep, new_ctx)),
-                })
-                .collect(),
+}
+
+impl Lifted {
+    fn each(&self, s: impl FnOnce(&IScalar) -> IScalar, b: impl FnOnce(&IBag) -> IBag) -> Lifted {
+        match self {
+            Lifted::Scalar(x) => Lifted::Scalar(s(x)),
+            Lifted::Bag(x) => Lifted::Bag(b(x)),
+        }
+    }
+}
+
+impl LiftedData<Value> for Lifted {
+    fn ctx(&self) -> &Ctx {
+        match self {
+            Lifted::Scalar(s) => s.ctx(),
+            Lifted::Bag(b) => b.ctx(),
+        }
+    }
+    fn filter_by_cond(&self, cond: &InnerScalar<Value, bool>, keep: bool, new_ctx: &Ctx) -> Self {
+        self.each(
+            |s| s.filter_by_cond(cond, keep, new_ctx),
+            |b| b.filter_by_cond(cond, keep, new_ctx),
         )
     }
     fn union_with(&self, other: &Self) -> Self {
-        LState(
-            self.0
-                .iter()
-                .zip(&other.0)
-                .map(|(a, b)| match (a, b) {
-                    (LStateItem::S(x), LStateItem::S(y)) => LStateItem::S(x.union_with(y)),
-                    (LStateItem::B(x), LStateItem::B(y)) => LStateItem::B(x.union_with(y)),
-                    _ => unreachable!("loop variable shapes are stable"),
-                })
-                .collect(),
-        )
+        match (self, other) {
+            (Lifted::Scalar(x), Lifted::Scalar(y)) => Lifted::Scalar(x.union_with(y)),
+            (Lifted::Bag(x), Lifted::Bag(y)) => Lifted::Bag(x.union_with(y)),
+            _ => unreachable!("loop variable shapes are stable"),
+        }
     }
-    fn with_ctx(&self, ctx: &LiftingContext<Value>) -> Self {
-        LState(
-            self.0
-                .iter()
-                .map(|it| match it {
-                    LStateItem::S(s) => LStateItem::S(LiftedData::with_ctx(s, ctx)),
-                    LStateItem::B(b) => LStateItem::B(LiftedData::with_ctx(b, ctx)),
-                })
-                .collect(),
-        )
+    fn with_ctx(&self, ctx: &Ctx) -> Self {
+        self.each(|s| LiftedData::with_ctx(s, ctx), |b| LiftedData::with_ctx(b, ctx))
     }
     fn checkpoint(&self) -> Self {
-        LState(
-            self.0
-                .iter()
-                .map(|it| match it {
-                    LStateItem::S(s) => LStateItem::S(LiftedData::checkpoint(s)),
-                    LStateItem::B(b) => LStateItem::B(LiftedData::checkpoint(b)),
-                })
-                .collect(),
-        )
+        self.each(LiftedData::checkpoint, LiftedData::checkpoint)
     }
 }
 
@@ -389,45 +414,29 @@ impl Lowering {
         Lowering { engine, config, captures_memo: Mutex::new(HashMap::new()) }
     }
 
-    /// Closure capture names for a UDF body, memoized per `Arc`'d body node:
-    /// lifted loops re-lower the same bodies every iteration, and every
-    /// operator consults its UDF's capture set — so the free-variable walk
-    /// runs once per distinct body and is reused. The cached entry pins the
-    /// `Arc` so a pointer key can never be reused by a different expression,
-    /// and records the skip list it was computed under.
-    fn memo_capture_names(&self, body: &Arc<Expr>, skip: &[&str]) -> Arc<Vec<String>> {
-        let key = Arc::as_ptr(body) as usize;
+    /// Closure capture names of a leaf UDF, memoized per `Arc`'d body node:
+    /// lifted loops re-lower the same bodies every iteration, so the
+    /// free-variable walk runs once per distinct body and is reused. The
+    /// cached entry pins the `Arc` so a pointer key can never be reused by a
+    /// different expression, and records the parameter it was computed under.
+    fn memo_capture_names(&self, udf: &Lambda) -> Arc<Vec<String>> {
+        let key = Arc::as_ptr(&udf.body) as usize;
         let mut memo = self.captures_memo.lock().expect("captures memo poisoned");
         if let Some(c) = memo.get(&key) {
-            if c.skip.iter().map(String::as_str).eq(skip.iter().copied()) {
+            if c.param == udf.param {
                 return Arc::clone(&c.names);
             }
         }
-        let names = Arc::new(crate::analyze::captures::capture_names(body, skip));
+        let names = Arc::new(crate::analyze::captures::capture_names(&udf.body, &[&udf.param]));
         memo.insert(
             key,
             CachedCaptures {
-                _body: Arc::clone(body),
-                skip: skip.iter().map(|s| s.to_string()).collect(),
+                _body: Arc::clone(&udf.body),
+                param: udf.param.clone(),
                 names: Arc::clone(&names),
             },
         );
         names
-    }
-
-    /// Memoized capture split for lifted-mode UDFs.
-    fn split_captures(
-        &self,
-        body: &Arc<Expr>,
-        skip: &[&str],
-        lenv: &LEnv,
-    ) -> IrResult<(PureEnv, Vec<(String, InnerScalar<Value, Value>)>)> {
-        resolve_lifted_captures(&self.memo_capture_names(body, skip), lenv)
-    }
-
-    /// Memoized capture resolution for driver-mode UDFs (scalars only).
-    fn driver_captures(&self, body: &Arc<Expr>, skip: &[&str], env: &Env) -> IrResult<PureEnv> {
-        resolve_driver_captures(&self.memo_capture_names(body, skip), env)
     }
 
     /// Compile a UDF body once per lowering site for per-record evaluation;
@@ -448,19 +457,36 @@ impl Lowering {
         self.compile_udf(&l2.body, &[&l2.a, &l2.b], PureEnv::new())
     }
 
-    /// Compile a lifted-closure UDF: parameter 0 is the lambda's own
-    /// parameter, parameters 1.. are the lifted capture names, delivered per
-    /// record as one combined tuple ([`CompiledUdf::eval_with_combined`]).
-    fn compile_combined(
-        &self,
-        udf: &Lambda,
-        lifted: &[(String, InnerScalar<Value, Value>)],
-        pure: PureEnv,
-    ) -> Arc<CompiledUdf> {
-        let mut params: Vec<&str> = Vec::with_capacity(1 + lifted.len());
-        params.push(&udf.param);
-        params.extend(lifted.iter().map(|(n, _)| n.as_str()));
-        self.compile_udf(&udf.body, &params, pure)
+    /// Resolve the UDF of a `map`/`filter`/`flatMap` against the environment
+    /// and compile it. Plain scalar captures are inlined; lifted ones become
+    /// parameters 1.., delivered per record as the components of the one
+    /// combined scalar returned alongside
+    /// ([`CompiledUdf::eval_with_combined`]).
+    fn leaf_udf(&self, udf: &Lambda, env: &Env) -> IrResult<(Arc<CompiledUdf>, Option<IScalar>)> {
+        let names = self.memo_capture_names(udf);
+        let mut plain = PureEnv::new();
+        let mut params = vec![udf.param.as_str()];
+        let mut lifted = Vec::new();
+        for name in names.iter() {
+            match env.get(name) {
+                Some(Val::Scalar(v)) => {
+                    plain.insert(name.clone(), v.clone());
+                }
+                Some(Val::InnerScalar(s)) => {
+                    params.push(name);
+                    lifted.push(s);
+                }
+                Some(other) => {
+                    return Err(IrError::Unsupported(format!(
+                        "UDF captures {} ({name}); only scalars can be captured by leaf UDFs",
+                        other.kind()
+                    )))
+                }
+                None => return Err(IrError::Unbound(name.clone())),
+            }
+        }
+        let closure = combine_scalars(lifted);
+        Ok((self.compile_udf(&udf.body, &params, plain), closure))
     }
 
     /// Execute a parsed program. `inputs` binds the program's `Source`
@@ -471,99 +497,204 @@ impl Lowering {
     /// [`crate::analyze::plan::rewrite_plan`] and each applied rewrite is
     /// recorded in the engine's decision log under the `plan_rewrite` site.
     pub fn run(&self, program: &Expr, inputs: &HashMap<String, Bag<Value>>) -> IrResult<RtVal> {
-        if self.config.plan.enabled {
-            let rewritten = crate::analyze::plan::rewrite_plan(program, &self.config.plan);
+        let rewritten;
+        let program = if self.config.plan.enabled {
+            rewritten = crate::analyze::plan::rewrite_plan(program, &self.config.plan);
             for r in &rewritten.rewrites {
                 self.engine.record_decision("plan_rewrite", r.code, 0, 0, r.to_string());
             }
-            return self.eval(&rewritten.expr, &Env::new(), inputs);
+            &rewritten.expr
+        } else {
+            program
+        };
+        match self.eval(program, &Env::new(), None, inputs)? {
+            Val::Scalar(v) => Ok(RtVal::Scalar(v)),
+            Val::Bag(b) => Ok(RtVal::Bag(b)),
+            Val::Nested(nb) => Ok(RtVal::Nested(nb)),
+            other => Err(IrError::Type(format!("the program evaluates to {}", other.kind()))),
         }
-        self.eval(program, &Env::new(), inputs)
     }
 
-    fn eval(&self, e: &Expr, env: &Env, inputs: &HashMap<String, Bag<Value>>) -> IrResult<RtVal> {
+    /// Evaluate `e`. `ctx` is the lifting context of the enclosing lifted
+    /// UDF, `None` at driver level. Under `Some`, no arm returns
+    /// `Val::Scalar`: scalar leaves and reductions of flat bags go through
+    /// [`lift`], so a scalar operator sees plain operands only at driver
+    /// level.
+    fn eval(&self, e: &Expr, env: &Env, ctx: Option<&Ctx>, inputs: &Inputs) -> IrResult<Val> {
+        let ev = |x: &Expr| self.eval(x, env, ctx, inputs);
         Ok(match e {
-            Expr::Spanned(_, inner) => self.eval(inner, env, inputs)?,
-            Expr::Const(v) => RtVal::Scalar(v.clone()),
-            Expr::Var(n) => env.get(n).cloned().ok_or_else(|| IrError::Unbound(n.clone()))?,
-            Expr::Source(n) => RtVal::Bag(
+            Expr::Spanned(_, inner) => ev(inner)?,
+            Expr::Const(v) => lift(v.clone(), ctx),
+            Expr::Var(n) => match env.get(n).cloned().ok_or_else(|| IrError::Unbound(n.clone()))? {
+                Val::Scalar(v) => lift(v, ctx),
+                other => other,
+            },
+            // Also inside a lifted UDF (the hyperparameter-optimization
+            // shape of Sec. 2.3): a flat bag, the same for every tag.
+            Expr::Source(n) => Val::Bag(
                 inputs.get(n).cloned().ok_or_else(|| IrError::Unbound(format!("source {n}")))?,
             ),
             Expr::Tuple(items) => {
-                let vals: Vec<Value> = items
-                    .iter()
-                    .map(|x| match self.eval(x, env, inputs)? {
-                        RtVal::Scalar(v) => Ok(v),
-                        _ => Err(IrError::Unsupported("bag inside tuple".into())),
-                    })
-                    .collect::<IrResult<_>>()?;
-                RtVal::Scalar(Value::tuple(vals))
-            }
-            Expr::Proj(x, i) => match self.eval(x, env, inputs)? {
-                RtVal::Scalar(v) => RtVal::Scalar(v.proj(*i)?),
-                _ => return Err(IrError::Type("projection on a bag".into())),
-            },
-            Expr::Bin(op, a, b) => {
-                let (a, b) = (self.scalar(a, env, inputs)?, self.scalar(b, env, inputs)?);
-                RtVal::Scalar(apply_bin(*op, &a, &b)?)
-            }
-            Expr::Un(op, a) => RtVal::Scalar(apply_un(*op, &self.scalar(a, env, inputs)?)?),
-            Expr::Let(n, v, b) => {
-                let rv = self.eval(v, env, inputs)?;
-                let mut env2 = env.clone();
-                env2.insert(n.clone(), rv);
-                self.eval(b, &env2, inputs)?
-            }
-            Expr::If(c, t, el) => {
-                if self.scalar(c, env, inputs)?.as_bool()? {
-                    self.eval(t, env, inputs)?
-                } else {
-                    self.eval(el, env, inputs)?
-                }
-            }
-            Expr::Loop { init, cond, step, result } => {
-                let mut env2 = env.clone();
-                let names: Vec<&String> = init.iter().map(|(n, _)| n).collect();
-                for (n, x) in init {
-                    let v = self.eval(x, &env2, inputs)?;
-                    env2.insert(n.clone(), v);
-                }
-                while self.scalar(cond, &env2, inputs)?.as_bool()? {
-                    let next: Vec<RtVal> = step
-                        .iter()
-                        .map(|x| self.eval(x, &env2, inputs))
-                        .collect::<IrResult<_>>()?;
-                    for (n, v) in names.iter().zip(next) {
-                        env2.insert((*n).clone(), v);
+                let vals: Vec<Val> = items.iter().map(ev).collect::<IrResult<_>>()?;
+                match vals.iter().map(Val::as_scalar).collect::<Option<Vec<_>>>() {
+                    Some(plain) => lift(Value::tuple(plain), ctx),
+                    None => {
+                        let parts: Vec<IScalar> = vals
+                            .into_iter()
+                            .map(|v| inner_scalar(v, ctx))
+                            .collect::<IrResult<_>>()?;
+                        Val::InnerScalar(combine_scalars(&parts).expect("a component is lifted"))
                     }
                 }
-                self.eval(result, &env2, inputs)?
             }
+            Expr::Proj(x, i) => match (ev(x)?, *i) {
+                (Val::Scalar(v), i) => Val::Scalar(v.proj(i)?),
+                (Val::InnerScalar(s), i) => {
+                    Val::InnerScalar(s.map(move |v| v.proj(i).expect("lifted projection")))
+                }
+                (Val::Group(key, _), 0) => Val::InnerScalar(key),
+                (Val::Group(_, inner), 1) => Val::InnerBag(inner),
+                (other, i) => return Err(no_cell(&format!("projection .{i}"), &other)),
+            },
+            Expr::Bin(op, a, b) => {
+                let op = *op;
+                match (ev(a)?, ev(b)?) {
+                    (Val::Scalar(a), Val::Scalar(b)) => Val::Scalar(apply_bin(op, &a, &b)?),
+                    // binaryScalarOp (Sec. 4.3): a tag join.
+                    (a, b) => Val::InnerScalar(
+                        inner_scalar(a, ctx)?.zip_with(&inner_scalar(b, ctx)?, move |x, y| {
+                            apply_bin(op, x, y).expect("lifted scalar op")
+                        }),
+                    ),
+                }
+            }
+            Expr::Un(op, a) => {
+                let op = *op;
+                match ev(a)? {
+                    Val::Scalar(a) => Val::Scalar(apply_un(op, &a)?),
+                    // unaryScalarOp (Sec. 4.3): a tagged map.
+                    a => Val::InnerScalar(
+                        inner_scalar(a, ctx)?
+                            .map(move |x| apply_un(op, x).expect("lifted scalar op")),
+                    ),
+                }
+            }
+            Expr::Let(n, v, b) => {
+                let mut env2 = env.clone();
+                env2.insert(n.clone(), ev(v)?);
+                self.eval(b, &env2, ctx, inputs)?
+            }
+            Expr::If(c, t, el) => {
+                match ev(c)? {
+                    Val::Scalar(c) => ev(if c.as_bool()? { t } else { el })?,
+                    // Lifted if over pure expressions: evaluate both branches
+                    // for all tags and select per tag (Sec. 6.2; selection is
+                    // equivalent to the join+filter routing because the language
+                    // is side-effect free).
+                    c => {
+                        let c = inner_scalar(c, ctx)?;
+                        let t = inner_scalar(ev(t)?, ctx)?;
+                        let el = inner_scalar(ev(el)?, ctx)?;
+                        Val::InnerScalar(
+                            c.zip_with(&t, |c, t| Value::tuple(vec![c.clone(), t.clone()]))
+                                .zip_with(&el, |ct, e| {
+                                    let c = ct.proj(0).expect("cond");
+                                    if c.as_bool().expect("boolean condition") {
+                                        ct.proj(1).expect("then")
+                                    } else {
+                                        e.clone()
+                                    }
+                                }),
+                        )
+                    }
+                }
+            }
+            Expr::Loop { init, cond, step, result } => match ctx {
+                Some(ctx) => self.lifted_loop(init, cond, step, result, env, ctx, inputs)?,
+                None => {
+                    let mut env2 = env.clone();
+                    for (n, x) in init {
+                        let v = self.eval(x, &env2, None, inputs)?;
+                        env2.insert(n.clone(), v);
+                    }
+                    while self
+                        .eval(cond, &env2, None, inputs)?
+                        .as_scalar()
+                        .ok_or_else(|| IrError::Type("a loop condition must be a scalar".into()))?
+                        .as_bool()?
+                    {
+                        let next: Vec<Val> = step
+                            .iter()
+                            .map(|x| self.eval(x, &env2, None, inputs))
+                            .collect::<IrResult<_>>()?;
+                        for ((n, _), v) in init.iter().zip(next) {
+                            env2.insert(n.clone(), v);
+                        }
+                    }
+                    self.eval(result, &env2, None, inputs)?
+                }
+            },
             Expr::Map(input, udf) => {
-                let bag = self.bag(input, env, inputs)?;
-                let pure = self.driver_captures(&udf.body, &[&udf.param], env)?;
-                let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                RtVal::Bag(
-                    bag.map(move |v| {
-                        f.eval1(v).expect("scalar UDF evaluation (validated at parse)")
-                    }),
-                )
+                let input = ev(input)?;
+                match (input, self.leaf_udf(udf, env)?) {
+                    (Val::Bag(b), (f, None)) => Val::Bag(b.map(move |v| f.eval1(v).expect(UDF_OK))),
+                    (Val::InnerBag(b), (f, None)) => {
+                        Val::InnerBag(b.map(move |v| f.eval1(v).expect(UDF_OK)))
+                    }
+                    // mapWithClosure (Sec. 5.1): the UDF reads lifted
+                    // scalars -> tag join.
+                    (Val::InnerBag(b), (f, Some(c))) => {
+                        Val::InnerBag(b.map_with_scalar(&c, move |v, c| {
+                            f.eval_with_combined(v, c).expect(UDF_OK)
+                        }))
+                    }
+                    // Half-lifted mapWithClosure (Sec. 5.2/8.3): a flat bag
+                    // under lifted closures is a cross product.
+                    (Val::Bag(b), (f, Some(c))) => {
+                        Val::InnerBag(c.cross_with_bag(&b, move |_, c, p| {
+                            Some(f.eval_with_combined(p, c).expect(UDF_OK))
+                        })?)
+                    }
+                    (other, _) => return Err(no_cell("map", &other)),
+                }
             }
             Expr::Filter(input, udf) => {
-                let bag = self.bag(input, env, inputs)?;
-                let pure = self.driver_captures(&udf.body, &[&udf.param], env)?;
-                let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                RtVal::Bag(bag.filter(move |v| {
-                    f.eval1(v)
-                        .and_then(|v| v.as_bool())
-                        .expect("boolean filter UDF (validated at parse)")
-                }))
+                let input = ev(input)?;
+                match (input, self.leaf_udf(udf, env)?) {
+                    (Val::Bag(b), (f, None)) => Val::Bag(b.filter(move |v| truth(f.eval1(v)))),
+                    (Val::InnerBag(b), (f, None)) => {
+                        Val::InnerBag(b.filter(move |v| truth(f.eval1(v))))
+                    }
+                    (Val::InnerBag(b), (f, Some(c))) => Val::InnerBag(
+                        b.filter_with_scalar(&c, move |v, c| truth(f.eval_with_combined(v, c))),
+                    ),
+                    // Half-lifted: the cross product keeps, per tag, the
+                    // records its closure values select.
+                    (Val::Bag(b), (f, Some(c))) => {
+                        Val::InnerBag(c.cross_with_bag(&b, move |_, c, p| {
+                            truth(f.eval_with_combined(p, c)).then(|| p.clone())
+                        })?)
+                    }
+                    (other, _) => return Err(no_cell("filter", &other)),
+                }
             }
             Expr::FlatMapTuple(input, udf) => {
-                let bag = self.bag(input, env, inputs)?;
-                let pure = self.driver_captures(&udf.body, &[&udf.param], env)?;
-                let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                RtVal::Bag(bag.flat_map(move |v| f.eval1(v).expect("scalar UDF").splat_tuple()))
+                let input = ev(input)?;
+                match (input, self.leaf_udf(udf, env)?) {
+                    (_, (_, Some(_))) => {
+                        return Err(IrError::Unsupported(
+                            "flatMap with lifted closures is not supported in the IR dialect"
+                                .into(),
+                        ))
+                    }
+                    (Val::Bag(b), (f, None)) => {
+                        Val::Bag(b.flat_map(move |v| f.eval1(v).expect(UDF_OK).splat_tuple()))
+                    }
+                    (Val::InnerBag(b), (f, None)) => {
+                        Val::InnerBag(b.flat_map(move |v| f.eval1(v).expect(UDF_OK).splat_tuple()))
+                    }
+                    (other, _) => return Err(no_cell("flatMap", &other)),
+                }
             }
             Expr::GroupByKey(_) => {
                 return Err(IrError::Unsupported(
@@ -572,529 +703,193 @@ impl Lowering {
                         .into(),
                 ))
             }
-            Expr::GroupByKeyIntoNestedBag(x) => {
-                let bag = self.bag(x, env, inputs)?;
-                RtVal::Nested(group_by_key_into_nested_bag(
-                    &self.engine,
-                    &pairize(&bag),
-                    self.config.clone(),
-                )?)
-            }
-            Expr::ReduceByKey(x, l2) => {
-                let bag = self.bag(x, env, inputs)?;
-                let f = self.compile_udf2(l2);
-                RtVal::Bag(unpairize(&pairize(&bag).reduce_by_key(move |a, b| {
-                    f.eval2(a, b).expect("scalar aggregation UDF (validated at parse)")
-                })))
-            }
-            Expr::Join(a, b) => {
-                let (a, b) = (self.bag(a, env, inputs)?, self.bag(b, env, inputs)?);
-                RtVal::Bag(pairize(&a).join(&pairize(&b)).map(|(k, (v, w))| {
-                    Value::tuple(vec![k.clone(), Value::tuple(vec![v.clone(), w.clone()])])
-                }))
-            }
-            Expr::Union(a, b) => {
-                RtVal::Bag(self.bag(a, env, inputs)?.union(&self.bag(b, env, inputs)?))
-            }
-            Expr::Distinct(x) => RtVal::Bag(self.bag(x, env, inputs)?.distinct()),
-            Expr::Count(x) => match self.eval(x, env, inputs)? {
-                RtVal::Bag(b) => RtVal::Scalar(Value::Long(b.count()? as i64)),
-                RtVal::Nested(nb) => RtVal::Scalar(Value::Long(nb.ctx().size() as i64)),
-                RtVal::Scalar(_) => return Err(IrError::Type("count of a scalar".into())),
-            },
-            Expr::Fold(x, zero, l2) => {
-                let bag = self.bag(x, env, inputs)?;
-                let z = self.scalar(zero, env, inputs)?;
-                let f = self.compile_udf2(l2);
-                RtVal::Scalar(bag.fold(z, move |acc, v| {
-                    f.eval2(&acc, v).expect("scalar aggregation UDF (validated at parse)")
-                })?)
-            }
-            Expr::MapWithLiftedUdf { input, udf, closures } => {
-                self.eval_map_with_lifted_udf(input, udf, closures, env, inputs)?
-            }
-            // Explicit materialization hint (inserted by the plan-rewrite
-            // pass or written as `cache(e)`): a dedicated engine node whose
-            // memoized partitions every consumer shares, and a fusion
-            // barrier so narrow chains cannot recompute the parent.
-            Expr::Cache(x) => match self.eval(x, env, inputs)? {
-                RtVal::Bag(b) => RtVal::Bag(b.cache()),
-                other => other,
-            },
-        })
-    }
-
-    fn scalar(&self, e: &Expr, env: &Env, inputs: &HashMap<String, Bag<Value>>) -> IrResult<Value> {
-        match self.eval(e, env, inputs)? {
-            RtVal::Scalar(v) => Ok(v),
-            _ => Err(IrError::Type("expected a scalar".into())),
-        }
-    }
-
-    fn bag(
-        &self,
-        e: &Expr,
-        env: &Env,
-        inputs: &HashMap<String, Bag<Value>>,
-    ) -> IrResult<Bag<Value>> {
-        match self.eval(e, env, inputs)? {
-            RtVal::Bag(b) => Ok(b),
-            _ => Err(IrError::Type("expected a flat bag".into())),
-        }
-    }
-
-    /// `mapWithLiftedUDF`: invoke the UDF once, in lifted mode (Sec. 4.2).
-    fn eval_map_with_lifted_udf(
-        &self,
-        input: &Expr,
-        udf: &Lambda,
-        closures: &[String],
-        env: &Env,
-        inputs: &HashMap<String, Bag<Value>>,
-    ) -> IrResult<RtVal> {
-        let (ctx, param_val) = match self.eval(input, env, inputs)? {
-            RtVal::Nested(nb) => {
-                let ctx = nb.ctx().clone();
-                let pv = LVal::Pair(
-                    Box::new(LVal::Scalar(nb.outer().clone())),
-                    Box::new(LVal::Bag(nb.inner().clone())),
-                );
-                (ctx, pv)
-            }
-            RtVal::Bag(b) => {
-                // Non-nested input: tags via zipWithUniqueId (Sec. 4.3).
-                let tagged =
-                    b.zip_with_unique_id().map(|(v, id)| (Value::Long(*id as i64), v.clone()));
-                let tags = tagged.map(|(t, _)| t.clone());
-                let ctx = LiftingContext::counted(self.engine.clone(), tags, self.config.clone())?;
-                (ctx.clone(), LVal::Scalar(InnerScalar::from_repr(tagged, ctx)))
-            }
-            RtVal::Scalar(_) => return Err(IrError::Type("mapWithLiftedUDF over a scalar".into())),
-        };
-        let mut lenv = LEnv::new();
-        lenv.insert(udf.param.clone(), param_val);
-        for name in closures {
-            let v = env.get(name).cloned().ok_or_else(|| IrError::Unbound(name.clone()))?;
-            lenv.insert(name.clone(), LVal::Driver(v));
-        }
-        match self.eval_lifted(&udf.body, &lenv, &ctx, inputs)? {
-            // A scalar-valued UDF: the map's result is the bag of per-tag
-            // results.
-            LVal::Scalar(s) => Ok(RtVal::Bag(s.repr().map(|(_, v)| v.clone()))),
-            LVal::Pair(a, b) => {
-                let s = self.pair_to_scalar(LVal::Pair(a, b), &ctx)?;
-                Ok(RtVal::Bag(s.repr().map(|(_, v)| v.clone())))
-            }
-            // A bag-valued UDF: the result is nested again.
-            LVal::Bag(b) => Ok(RtVal::Nested(NestedBag::from_parts(ctx.tags_scalar(), b))),
-            LVal::Driver(_) => Err(IrError::Type("lifted UDF returned a driver value".into())),
-        }
-    }
-
-    fn pair_to_scalar(
-        &self,
-        v: LVal,
-        ctx: &LiftingContext<Value>,
-    ) -> IrResult<InnerScalar<Value, Value>> {
-        match v {
-            LVal::Scalar(s) => Ok(s),
-            LVal::Driver(RtVal::Scalar(x)) => Ok(ctx.constant(x)),
-            LVal::Pair(a, b) => {
-                let a = self.pair_to_scalar(*a, ctx)?;
-                let b = self.pair_to_scalar(*b, ctx)?;
-                Ok(a.zip_with(&b, |x, y| Value::tuple(vec![x.clone(), y.clone()])))
-            }
-            LVal::Bag(_) => Err(IrError::Type("an inner bag where a scalar is needed".into())),
-            LVal::Driver(_) => Err(IrError::Type("a driver bag where a scalar is needed".into())),
-        }
-    }
-
-    fn eval_lifted(
-        &self,
-        e: &Expr,
-        lenv: &LEnv,
-        ctx: &LiftingContext<Value>,
-        inputs: &HashMap<String, Bag<Value>>,
-    ) -> IrResult<LVal> {
-        Ok(match e {
-            Expr::Spanned(_, inner) => self.eval_lifted(inner, lenv, ctx, inputs)?,
-            // A literal inside a lifted UDF is the lifted-UDF closure case
-            // of Sec. 5.2: replicate per tag.
-            Expr::Const(v) => LVal::Scalar(ctx.constant(v.clone())),
-            Expr::Var(n) => {
-                let v = lenv.get(n).cloned().ok_or_else(|| IrError::Unbound(n.clone()))?;
-                match v {
-                    LVal::Driver(RtVal::Scalar(x)) => LVal::Scalar(ctx.constant(x)),
-                    other => other,
-                }
-            }
-            // A source read inside a lifted UDF is a driver-side bag
-            // closure (the hyperparameter-optimization shape of Sec. 2.3):
-            // consumed via half-lifted operations.
-            Expr::Source(n) => LVal::Driver(RtVal::Bag(
-                inputs.get(n).cloned().ok_or_else(|| IrError::Unbound(format!("source {n}")))?,
-            )),
-            Expr::Tuple(items) => {
-                let parts: Vec<InnerScalar<Value, Value>> = items
-                    .iter()
-                    .map(|x| {
-                        let v = self.eval_lifted(x, lenv, ctx, inputs)?;
-                        self.pair_to_scalar(v, ctx)
-                    })
-                    .collect::<IrResult<_>>()?;
-                let mut iter = parts.into_iter();
-                let first = iter
-                    .next()
-                    .ok_or_else(|| IrError::Type("empty tuple".into()))?
-                    .map(|v| Value::tuple(vec![v.clone()]));
-                let combined = iter.fold(first, |acc, s| {
-                    acc.zip_with(&s, |t, v| {
-                        let mut items = match t {
-                            Value::Tuple(xs) => xs.as_ref().clone(),
-                            _ => unreachable!(),
-                        };
-                        items.push(v.clone());
-                        Value::tuple(items)
-                    })
-                });
-                LVal::Scalar(combined)
-            }
-            Expr::Proj(x, i) => match self.eval_lifted(x, lenv, ctx, inputs)? {
-                LVal::Pair(a, b) => match i {
-                    0 => *a,
-                    1 => *b,
-                    _ => return Err(IrError::Type("nested pair has two components".into())),
-                },
-                LVal::Scalar(s) => {
-                    let i = *i;
-                    LVal::Scalar(s.map(move |v| v.proj(i).expect("lifted projection")))
-                }
-                _ => return Err(IrError::Type("projection on an inner bag".into())),
-            },
-            Expr::Bin(op, a, b) => {
-                // binaryScalarOp (Sec. 4.3): a tag join.
-                let a = self.lifted_scalar(a, lenv, ctx, inputs)?;
-                let b = self.lifted_scalar(b, lenv, ctx, inputs)?;
-                let op = *op;
-                LVal::Scalar(
-                    a.zip_with(&b, move |x, y| apply_bin(op, x, y).expect("lifted scalar op")),
-                )
-            }
-            Expr::Un(op, a) => {
-                // unaryScalarOp (Sec. 4.3): a tagged map.
-                let a = self.lifted_scalar(a, lenv, ctx, inputs)?;
-                let op = *op;
-                LVal::Scalar(a.map(move |x| apply_un(op, x).expect("lifted scalar op")))
-            }
-            Expr::Let(n, v, b) => {
-                let rv = self.eval_lifted(v, lenv, ctx, inputs)?;
-                let mut lenv2 = lenv.clone();
-                lenv2.insert(n.clone(), rv);
-                self.eval_lifted(b, &lenv2, ctx, inputs)?
-            }
-            Expr::If(c, t, el) => {
-                // Lifted if over pure expressions: evaluate both branches
-                // for all tags and select per tag (Sec. 6.2; selection is
-                // equivalent to the join+filter routing because the language
-                // is side-effect free).
-                let c = self.lifted_scalar(c, lenv, ctx, inputs)?;
-                let t = self.lifted_scalar(t, lenv, ctx, inputs)?;
-                let el = self.lifted_scalar(el, lenv, ctx, inputs)?;
-                let picked = c
-                    .zip_with(&t, |c, t| Value::tuple(vec![c.clone(), t.clone()]))
-                    .zip_with(&el, |ct, e| {
-                        let c = ct.proj(0).expect("cond");
-                        if c.as_bool().expect("boolean condition") {
-                            ct.proj(1).expect("then")
-                        } else {
-                            e.clone()
-                        }
-                    });
-                LVal::Scalar(picked)
-            }
-            Expr::Loop { init, cond, step, result } => {
-                self.eval_lifted_loop(init, cond, step, result, lenv, ctx, inputs)?
-            }
-            Expr::Map(input, udf) => {
-                let inp = self.eval_lifted(input, lenv, ctx, inputs)?;
-                let (pure, lifted) = self.split_captures(&udf.body, &[&udf.param], lenv)?;
-                match inp {
-                    LVal::Bag(b) if lifted.is_empty() => {
-                        let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                        LVal::Bag(b.map(move |v| f.eval1(v).expect("lifted map UDF")))
-                    }
-                    // mapWithClosure (Sec. 5.1): the UDF reads lifted
-                    // scalars -> tag join. The compiled UDF binds the joined
-                    // closure tuple's components as parameters 1.. .
-                    LVal::Bag(b) => {
-                        let combined = combine_scalars(&lifted);
-                        let f = self.compile_combined(udf, &lifted, pure);
-                        LVal::Bag(b.map_with_scalar(&combined, move |v, c| {
-                            f.eval_with_combined(v, c).expect("mapWithClosure UDF")
-                        }))
-                    }
-                    // Half-lifted mapWithClosure (Sec. 5.2/8.3): mapping a
-                    // *driver* bag with lifted closures is a cross product.
-                    LVal::Driver(RtVal::Bag(db)) if !lifted.is_empty() => {
-                        let combined = combine_scalars(&lifted);
-                        let f = self.compile_combined(udf, &lifted, pure);
-                        LVal::Bag(combined.cross_with_bag(&db, move |_t, c, p| {
-                            Some(f.eval_with_combined(p, c).expect("half-lifted UDF"))
-                        })?)
-                    }
-                    LVal::Driver(RtVal::Bag(db)) => {
-                        // No lifted state involved: stays a driver map.
-                        let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                        LVal::Driver(RtVal::Bag(
-                            db.map(move |v| f.eval1(v).expect("driver map UDF")),
-                        ))
-                    }
-                    _ => return Err(IrError::Type("map over a non-bag".into())),
-                }
-            }
-            Expr::Filter(input, udf) => {
-                let b = self.lifted_bag(input, lenv, ctx, inputs)?;
-                let (pure, lifted) = self.split_captures(&udf.body, &[&udf.param], lenv)?;
-                if lifted.is_empty() {
-                    let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                    LVal::Bag(
-                        b.filter(move |v| {
-                            f.eval1(v).and_then(|v| v.as_bool()).expect("filter UDF")
-                        }),
-                    )
-                } else {
-                    let combined = combine_scalars(&lifted);
-                    let f = self.compile_combined(udf, &lifted, pure);
-                    LVal::Bag(b.filter_with_scalar(&combined, move |v, c| {
-                        f.eval_with_combined(v, c).and_then(|v| v.as_bool()).expect("filter UDF")
-                    }))
-                }
-            }
-            Expr::FlatMapTuple(input, udf) => {
-                let b = self.lifted_bag(input, lenv, ctx, inputs)?;
-                let (pure, lifted) = self.split_captures(&udf.body, &[&udf.param], lenv)?;
-                if !lifted.is_empty() {
-                    return Err(IrError::Unsupported(
-                        "flatMap with lifted closures is not supported in the IR dialect".into(),
-                    ));
-                }
-                let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                LVal::Bag(b.flat_map(move |v| f.eval1(v).expect("flatMap UDF").splat_tuple()))
-            }
-            Expr::ReduceByKey(input, l2) => {
-                // Lifted reduceByKey: composite (tag, key) re-keying
-                // (Sec. 4.4) via the typed layer.
-                let b = self.lifted_bag(input, lenv, ctx, inputs)?;
-                let f = self.compile_udf2(l2);
-                let pairs =
-                    b.map(|v| (v.proj(0).expect("(k,v) record"), v.proj(1).expect("(k,v) record")));
-                let reduced = pairs.reduce_by_key(move |a, b| {
-                    f.eval2(a, b).expect("scalar aggregation UDF (validated at parse)")
-                });
-                LVal::Bag(reduced.map(|(k, v)| Value::tuple(vec![k.clone(), v.clone()])))
-            }
-            Expr::Join(a, b) => {
-                let left = self.eval_lifted(a, lenv, ctx, inputs)?;
-                let right = self.eval_lifted(b, lenv, ctx, inputs)?;
-                match (left, right) {
-                    (LVal::Bag(l), LVal::Bag(r)) => {
-                        let lp = l.map(|v| (v.proj(0).expect("pair"), v.proj(1).expect("pair")));
-                        let rp = r.map(|v| (v.proj(0).expect("pair"), v.proj(1).expect("pair")));
-                        LVal::Bag(lp.join(&rp).map(|(k, (v, w))| {
-                            Value::tuple(vec![k.clone(), Value::tuple(vec![v.clone(), w.clone()])])
-                        }))
-                    }
-                    // Half-lifted join (Sec. 5.2): InnerBag x driver bag.
-                    (LVal::Bag(l), LVal::Driver(RtVal::Bag(r))) => {
-                        let lp = l.map(|v| (v.proj(0).expect("pair"), v.proj(1).expect("pair")));
-                        LVal::Bag(lp.half_lifted_join(&pairize(&r)).map(|(k, (v, w))| {
-                            Value::tuple(vec![k.clone(), Value::tuple(vec![v.clone(), w.clone()])])
-                        }))
-                    }
-                    _ => return Err(IrError::Unsupported(
-                        "lifted join requires inner bags (left) and inner or driver bags (right)"
-                            .into(),
-                    )),
-                }
-            }
-            Expr::Union(a, b) => {
-                let a = self.lifted_bag(a, lenv, ctx, inputs)?;
-                let b = self.lifted_bag(b, lenv, ctx, inputs)?;
-                LVal::Bag(a.union(&b))
-            }
-            Expr::Distinct(x) => LVal::Bag(self.lifted_bag(x, lenv, ctx, inputs)?.distinct()),
-            Expr::Count(x) => match self.eval_lifted(x, lenv, ctx, inputs)? {
-                LVal::Bag(b) => LVal::Scalar(InnerScalar::from_repr(
-                    b.count().repr().map(|(t, n)| (t.clone(), Value::Long(*n as i64))),
-                    b.ctx().clone(),
-                )),
-                LVal::Driver(RtVal::Bag(db)) => {
-                    LVal::Scalar(ctx.constant(Value::Long(db.count()? as i64)))
-                }
-                _ => return Err(IrError::Type("count of a non-bag".into())),
-            },
-            Expr::Fold(x, zero, l2) => {
-                let b = self.lifted_bag(x, lenv, ctx, inputs)?;
-                // The zero is evaluated once (not per record): the plain
-                // capture walk + interpreter is the right tool here.
-                let zero_names = crate::analyze::captures::capture_names(zero, &[]);
-                let (pure, lifted) = resolve_lifted_captures(&zero_names, lenv)?;
-                if !lifted.is_empty() {
-                    return Err(IrError::Unsupported("fold zero must not be lifted".into()));
-                }
-                let z = eval_pure(zero, &pure)?;
-                let f = self.compile_udf2(l2);
-                let g = Arc::clone(&f);
-                let folded = b.fold(
-                    z,
-                    move |a, v| f.eval2(a, v).expect("scalar aggregation UDF (validated at parse)"),
-                    move |a, b| g.eval2(a, b).expect("scalar aggregation UDF (validated at parse)"),
-                );
-                LVal::Scalar(folded)
-            }
-            // Lifted materialization hint: cache the tagged representation
-            // bag, so every consumer (and every loop iteration whose
-            // environment carries this value) shares one evaluation.
-            Expr::Cache(x) => match self.eval_lifted(x, lenv, ctx, inputs)? {
-                LVal::Scalar(s) => {
-                    LVal::Scalar(InnerScalar::from_repr(s.repr().cache(), s.ctx().clone()))
-                }
-                LVal::Bag(b) => LVal::Bag(InnerBag::from_repr(b.repr().cache(), b.ctx().clone())),
-                LVal::Driver(RtVal::Bag(db)) => LVal::Driver(RtVal::Bag(db.cache())),
-                other => other,
-            },
-            Expr::GroupByKey(_)
-            | Expr::GroupByKeyIntoNestedBag(_)
-            | Expr::MapWithLiftedUdf { .. } => {
+            Expr::GroupByKeyIntoNestedBag(_) | Expr::MapWithLiftedUdf { .. } if ctx.is_some() => {
                 return Err(IrError::Unsupported(
                     "more than two levels of parallel operations in the IR dialect \
                      (the typed API in matryoshka-core supports deeper nesting)"
                         .into(),
                 ))
             }
+            Expr::GroupByKeyIntoNestedBag(x) => match ev(x)? {
+                Val::Bag(b) => Val::Nested(group_by_key_into_nested_bag(
+                    &self.engine,
+                    &b.map(kv),
+                    self.config.clone(),
+                )?),
+                other => return Err(no_cell("groupByKey", &other)),
+            },
+            // `mapWithLiftedUDF`: invoke the UDF once, over lifted values
+            // (Sec. 4.2). Its closures are simply in `env`.
+            Expr::MapWithLiftedUdf { input, udf, .. } => {
+                let (ctx, param) = match ev(input)? {
+                    Val::Nested(nb) => {
+                        (nb.ctx().clone(), Val::Group(nb.outer().clone(), nb.inner().clone()))
+                    }
+                    Val::Bag(b) => {
+                        // Non-nested input: tags via zipWithUniqueId (Sec. 4.3).
+                        let tagged = b
+                            .zip_with_unique_id()
+                            .map(|(v, id)| (Value::Long(*id as i64), v.clone()));
+                        let tags = tagged.map(|(t, _)| t.clone());
+                        let ctx = LiftingContext::counted(
+                            self.engine.clone(),
+                            tags,
+                            self.config.clone(),
+                        )?;
+                        (ctx.clone(), Val::InnerScalar(InnerScalar::from_repr(tagged, ctx)))
+                    }
+                    other => return Err(no_cell("mapWithLiftedUDF", &other)),
+                };
+                let mut env2 = env.clone();
+                env2.insert(udf.param.clone(), param);
+                match self.eval(&udf.body, &env2, Some(&ctx), inputs)? {
+                    // A scalar-valued UDF: the map's result is the bag of
+                    // per-tag results.
+                    Val::InnerScalar(s) => Val::Bag(s.repr().map(|(_, v)| v.clone())),
+                    // A bag-valued UDF: the result is nested again.
+                    other => Val::Nested(NestedBag::from_parts(
+                        ctx.tags_scalar(),
+                        inner_bag(other, Some(&ctx))?,
+                    )),
+                }
+            }
+            Expr::ReduceByKey(x, l2) => {
+                let input = ev(x)?;
+                let f = self.compile_udf2(l2);
+                let f = move |a: &Value, b: &Value| f.eval2(a, b).expect(UDF_OK);
+                match input {
+                    Val::Bag(b) => Val::Bag(b.map(kv).reduce_by_key(f).map(unkv)),
+                    // Composite (tag, key) re-keying (Sec. 4.4) via the
+                    // typed layer.
+                    Val::InnerBag(b) => Val::InnerBag(b.map(kv).reduce_by_key(f).map(unkv)),
+                    other => return Err(no_cell("reduceByKey", &other)),
+                }
+            }
+            Expr::Join(a, b) => match (ev(a)?, ev(b)?) {
+                (Val::Bag(l), Val::Bag(r)) => {
+                    Val::Bag(l.map(kv).join(&r.map(kv)).map(|(k, (v, w))| joined(k, v, w)))
+                }
+                // Half-lifted join (Sec. 5.2): one side is a flat bag, which
+                // is joined by key as it is instead of being replicated.
+                (Val::InnerBag(l), Val::Bag(r)) => Val::InnerBag(
+                    l.map(kv).half_lifted_join(&r.map(kv)).map(|(k, (v, w))| joined(k, v, w)),
+                ),
+                (Val::Bag(l), Val::InnerBag(r)) => Val::InnerBag(
+                    r.map(kv).half_lifted_join(&l.map(kv)).map(|(k, (w, v))| joined(k, v, w)),
+                ),
+                // (tag, key) re-keying (Sec. 4.4).
+                (l, r) => Val::InnerBag(
+                    inner_bag(l, ctx)?
+                        .map(kv)
+                        .join(&inner_bag(r, ctx)?.map(kv))
+                        .map(|(k, (v, w))| joined(k, v, w)),
+                ),
+            },
+            Expr::Union(a, b) => match (ev(a)?, ev(b)?) {
+                (Val::Bag(a), Val::Bag(b)) => Val::Bag(a.union(&b)),
+                (a, b) => Val::InnerBag(inner_bag(a, ctx)?.union(&inner_bag(b, ctx)?)),
+            },
+            Expr::Distinct(x) => match ev(x)? {
+                Val::Bag(b) => Val::Bag(b.distinct()),
+                Val::InnerBag(b) => Val::InnerBag(b.distinct()),
+                other => return Err(no_cell("distinct", &other)),
+            },
+            Expr::Count(x) => match ev(x)? {
+                Val::Bag(b) => lift(Value::Long(b.count()? as i64), ctx),
+                Val::Nested(nb) => lift(Value::Long(nb.ctx().size() as i64), ctx),
+                Val::InnerBag(b) => Val::InnerScalar(b.count().map(|n| Value::Long(*n as i64))),
+                other => return Err(no_cell("count", &other)),
+            },
+            Expr::Fold(x, zero, l2) => {
+                let input = ev(x)?;
+                // One plain zero seeds every tag, so it is evaluated at
+                // driver level whatever level the fold is at.
+                let Val::Scalar(z) = self.eval(zero, env, None, inputs)? else {
+                    return Err(IrError::Unsupported("fold zero must not be lifted".into()));
+                };
+                let f = self.compile_udf2(l2);
+                match input {
+                    Val::Bag(b) => lift(b.fold(z, move |a, v| f.eval2(&a, v).expect(UDF_OK))?, ctx),
+                    Val::InnerBag(b) => {
+                        let g = Arc::clone(&f);
+                        Val::InnerScalar(b.fold(
+                            z,
+                            move |a, v| f.eval2(a, v).expect(UDF_OK),
+                            move |a, b| g.eval2(a, b).expect(UDF_OK),
+                        ))
+                    }
+                    other => return Err(no_cell("fold", &other)),
+                }
+            }
+            // Explicit materialization hint (inserted by the plan-rewrite
+            // pass or written as `cache(e)`): a dedicated engine node whose
+            // memoized partitions every consumer — and every loop iteration
+            // whose environment carries the value — shares, and a fusion
+            // barrier so narrow chains cannot recompute the parent. A lifted
+            // value caches its tagged representation.
+            Expr::Cache(x) => match ev(x)? {
+                Val::Bag(b) => Val::Bag(b.cache()),
+                Val::InnerScalar(s) => {
+                    Val::InnerScalar(InnerScalar::from_repr(s.repr().cache(), s.ctx().clone()))
+                }
+                Val::InnerBag(b) => {
+                    Val::InnerBag(InnerBag::from_repr(b.repr().cache(), b.ctx().clone()))
+                }
+                other => other,
+            },
         })
     }
 
+    /// A loop inside a lifted UDF (Sec. 6.2): the loop variables become
+    /// lifted state — a flat one promoted like any other operand, so every
+    /// tag iterates on its own copy — and all original loops run as one
+    /// lifted do-while.
     #[allow(clippy::too_many_arguments)]
-    fn eval_lifted_loop(
+    fn lifted_loop(
         &self,
         init: &[(String, Expr)],
         cond: &Expr,
         step: &[Expr],
         result: &Expr,
-        lenv: &LEnv,
-        ctx: &LiftingContext<Value>,
-        inputs: &HashMap<String, Bag<Value>>,
-    ) -> IrResult<LVal> {
-        // Evaluate initializers and gather the loop state (Sec. 6.2: loop
-        // variables become InnerScalars/InnerBags).
-        let mut lenv2 = lenv.clone();
-        let mut items = Vec::with_capacity(init.len());
-        for (n, x) in init {
-            let v = self.eval_lifted(x, &lenv2, ctx, inputs)?;
-            let item = match v {
-                LVal::Scalar(s) => LStateItem::S(s),
-                LVal::Bag(b) => LStateItem::B(b),
-                LVal::Driver(RtVal::Scalar(x)) => LStateItem::S(ctx.constant(x)),
-                _ => {
-                    return Err(IrError::Unsupported(
-                        "lifted loop variables must be scalars or inner bags".into(),
-                    ))
-                }
-            };
-            lenv2.insert(
-                n.clone(),
-                match &item {
-                    LStateItem::S(s) => LVal::Scalar(s.clone()),
-                    LStateItem::B(b) => LVal::Bag(b.clone()),
-                },
-            );
-            items.push(item);
+        env: &Env,
+        ctx: &Ctx,
+        inputs: &Inputs,
+    ) -> IrResult<Val> {
+        let ctx = Some(ctx);
+        let variable = |x: &Expr, env: &Env| match self.eval(x, env, ctx, inputs)? {
+            v @ (Val::Scalar(_) | Val::InnerScalar(_)) => inner_scalar(v, ctx).map(Lifted::Scalar),
+            v => inner_bag(v, ctx).map(Lifted::Bag),
+        };
+        // `env` with the first `state.len()` loop variables bound.
+        let bound = |state: &[Lifted]| {
+            let mut env = env.clone();
+            env.extend(init.iter().zip(state).map(|((n, _), v)| (n.clone(), v.clone().into())));
+            env
+        };
+        let mut state = Vec::with_capacity(init.len());
+        for (_, x) in init {
+            let v = variable(x, &bound(&state))?;
+            state.push(v);
         }
-        let names: Vec<String> = init.iter().map(|(n, _)| n.clone()).collect();
-        let state0 = LState(items);
-        let this = self;
-        let final_state = lifted_while(
-            &state0,
-            |state: &LState| {
-                let mut env = lenv.clone();
-                for (n, item) in names.iter().zip(&state.0) {
-                    env.insert(
-                        n.clone(),
-                        match item {
-                            LStateItem::S(s) => LVal::Scalar(s.clone()),
-                            LStateItem::B(b) => LVal::Bag(b.clone()),
-                        },
-                    );
-                }
-                let mut next = Vec::with_capacity(step.len());
-                for x in step {
-                    let v = this.eval_lifted(x, &env, ctx, inputs).map_err(to_engine_err)?;
-                    next.push(match v {
-                        LVal::Scalar(s) => LStateItem::S(s),
-                        LVal::Bag(b) => LStateItem::B(b),
-                        _ => {
-                            return Err(to_engine_err(IrError::Unsupported(
-                                "lifted loop step must produce scalars or inner bags".into(),
-                            )))
-                        }
-                    });
-                }
+        let last = lifted_while(
+            &state,
+            |state: &Vec<Lifted>| {
+                let env = bound(state);
+                let next: Vec<Lifted> = step
+                    .iter()
+                    .map(|x| variable(x, &env))
+                    .collect::<IrResult<_>>()
+                    .map_err(to_engine_err)?;
                 // The condition is evaluated on the *new* variable values
                 // (do-while semantics, Listing 4).
-                let mut env2 = lenv.clone();
-                for (n, item) in names.iter().zip(&next) {
-                    env2.insert(
-                        n.clone(),
-                        match item {
-                            LStateItem::S(s) => LVal::Scalar(s.clone()),
-                            LStateItem::B(b) => LVal::Bag(b.clone()),
-                        },
-                    );
-                }
-                let c = this.lifted_scalar(cond, &env2, ctx, inputs).map_err(to_engine_err)?;
-                let cond_bool = InnerScalar::from_repr(
-                    c.repr().map(|(t, v)| (t.clone(), v.as_bool().expect("loop condition"))),
-                    c.ctx().clone(),
-                );
-                Ok((LState(next), cond_bool))
+                let c = self
+                    .eval(cond, &bound(&next), ctx, inputs)
+                    .and_then(|c| inner_scalar(c, ctx))
+                    .map_err(to_engine_err)?;
+                Ok((next, c.map(|v| v.as_bool().expect("loop condition"))))
             },
             Some(10_000),
         )?;
-        let mut env = lenv.clone();
-        for (n, item) in names.iter().zip(&final_state.0) {
-            env.insert(
-                n.clone(),
-                match item {
-                    LStateItem::S(s) => LVal::Scalar(s.clone()),
-                    LStateItem::B(b) => LVal::Bag(b.clone()),
-                },
-            );
-        }
-        self.eval_lifted(result, &env, ctx, inputs)
-    }
-
-    fn lifted_scalar(
-        &self,
-        e: &Expr,
-        lenv: &LEnv,
-        ctx: &LiftingContext<Value>,
-        inputs: &HashMap<String, Bag<Value>>,
-    ) -> IrResult<InnerScalar<Value, Value>> {
-        let v = self.eval_lifted(e, lenv, ctx, inputs)?;
-        self.pair_to_scalar(v, ctx)
-    }
-
-    fn lifted_bag(
-        &self,
-        e: &Expr,
-        lenv: &LEnv,
-        ctx: &LiftingContext<Value>,
-        inputs: &HashMap<String, Bag<Value>>,
-    ) -> IrResult<InnerBag<Value, Value>> {
-        match self.eval_lifted(e, lenv, ctx, inputs)? {
-            LVal::Bag(b) => Ok(b),
-            _ => Err(IrError::Type("expected an inner bag".into())),
-        }
+        self.eval(result, &bound(&last), ctx, inputs)
     }
 }

@@ -94,6 +94,16 @@ impl Value {
             other => Err(IrError::Type(format!("expected number, got {other}"))),
         }
     }
+
+    /// The ordering behind the language's `<` and `>`: two `Long`s compare
+    /// as integers (exact beyond 2^53, where `f64` is not), anything else
+    /// numerically after widening; `None` when a NaN is involved.
+    pub fn num_cmp(&self, other: &Value) -> IrResult<Option<std::cmp::Ordering>> {
+        match (self, other) {
+            (Value::Long(a), Value::Long(b)) => Ok(Some(a.cmp(b))),
+            _ => Ok(self.as_f64()?.partial_cmp(&other.as_f64()?)),
+        }
+    }
 }
 
 impl PartialEq for Value {

@@ -171,6 +171,9 @@ fn differential_case(seed: u64, depth: u32) {
         (Value::Long(5), Value::Long(-3)),
         (Value::Double(2.5), Value::Long(1000)),
         (Value::tuple(vec![Value::Long(9), Value::Bool(true)]), Value::str("s")),
+        // Neighbours that are one f64: `<`/`>` must order them as integers.
+        (Value::Long(1 << 53), Value::Long((1 << 53) + 1)),
+        (Value::Long(-(1 << 53)), Value::Long(-(1 << 53) - 1)),
     ];
     for (p, q) in &args {
         let got = capture(|| compiled.eval2(p, q));

@@ -385,3 +385,182 @@ fn later_loop_initializers_read_earlier_loop_variables() {
                loop (n = count(g.1), m = n) while n > 0 do (n - 1, m + n) yield (g.0, m))";
     assert_eq!(run_text(src, &xs), lifted);
 }
+
+/// What a per-group reference sees: the group's size, its inner bag, the
+/// flat source `ys`, and the records of the operand under test.
+struct Group<'a> {
+    n: i64,
+    inner: &'a [(i64, i64)],
+    ys: &'a [(i64, i64)],
+    b: &'a [(i64, i64)],
+}
+
+fn sum(it: impl Iterator<Item = i64>) -> i64 {
+    it.sum()
+}
+
+fn distinct(it: impl Iterator<Item = (i64, i64)>) -> i64 {
+    it.collect::<std::collections::BTreeSet<_>>().len() as i64
+}
+
+/// Sum over the join of `l` and `r` of (left value - right value).
+fn join_diff(l: &[(i64, i64)], r: &[(i64, i64)]) -> i64 {
+    sum(l.iter().flat_map(|a| r.iter().filter(move |b| b.0 == a.0).map(move |b| a.1 - b.1)))
+}
+
+const SUM: &str = "0, (a, b) => a + b";
+
+/// Bag operator x operand kind inside a lifted UDF: `{B}` is replaced by
+/// each operand, `{SUM}` by the summing fold's tail.
+const OPERATOR_TABLE: &[(&str, fn(&Group) -> i64)] = &[
+    ("fold(map({B}, p => p.1 * 2), {SUM})", |g| sum(g.b.iter().map(|p| p.1 * 2))),
+    ("let n = count(g.1) in fold(map({B}, p => p.1 + n), {SUM})", |g| {
+        sum(g.b.iter().map(|p| p.1 + g.n))
+    }),
+    ("count(filter({B}, p => p.0 > 1))", |g| g.b.iter().filter(|p| p.0 > 1).count() as i64),
+    ("let n = count(g.1) in count(filter({B}, p => p.0 < n))", |g| {
+        g.b.iter().filter(|p| p.0 < g.n).count() as i64
+    }),
+    ("count(flatMap({B}, p => (p.0, p.1)))", |g| 2 * g.b.len() as i64),
+    ("fold(map(reduceByKey({B}, (a, b) => a + b), p => p.0 * p.1), {SUM})", |g| {
+        sum(g.b.iter().map(|p| p.0 * p.1))
+    }),
+    ("fold(map(join({B}, source(ys)), r => (r.1).0 - (r.1).1), {SUM})", |g| join_diff(g.b, g.ys)),
+    ("fold(map(join(source(ys), {B}), r => (r.1).0 - (r.1).1), {SUM})", |g| join_diff(g.ys, g.b)),
+    ("count(distinct(union(g.1, {B})))", |g| distinct(g.inner.iter().chain(g.b).copied())),
+    ("count(union({B}, g.1))", |g| (g.b.len() + g.inner.len()) as i64),
+    ("count(distinct({B}))", |g| distinct(g.b.iter().copied())),
+    ("count({B})", |g| g.b.len() as i64),
+    ("fold(map({B}, p => p.0), {SUM})", |g| sum(g.b.iter().map(|p| p.0))),
+    ("count(cache({B}))", |g| g.b.len() as i64),
+    // A bag as a lifted-loop variable: every group iterates on its own copy.
+    (
+        "loop (b = {B}, i = count(g.1)) while i > 0 do (map(b, p => (p.0, p.1 + 1)), i - 1) \
+         yield fold(map(b, p => p.1), {SUM})",
+        |g| sum(g.b.iter().map(|p| p.1 + g.n)),
+    ),
+    // The shapes ISSUE 15 lists (all but the second-to-last failed after
+    // admission with `expected an inner bag`, that one with `lifted join
+    // requires inner bags (left)`).
+    ("count(g.1) + count(distinct(source(ys)))", |g| g.n + distinct(g.ys.iter().copied())),
+    ("count(union(source(ys), source(ys)))", |g| 2 * g.ys.len() as i64),
+    ("count(union(g.1, map(source(ys), y => (y.1, y.0))))", |g| g.n + g.ys.len() as i64),
+    ("fold(map(source(ys), y => y.1), {SUM}) + count(g.1)", |g| {
+        sum(g.ys.iter().map(|y| y.1)) + g.n
+    }),
+    ("count(join(source(ys), map(g.1, v => (v.0, 1))))", |g| {
+        g.ys.iter().map(|y| g.inner.iter().filter(|v| v.0 == y.0).count() as i64).sum()
+    }),
+];
+
+/// Every bag operator, inside a lifted UDF, over an inner bag (`g.1`), a
+/// source read (`source(ys)`) and a driver `let`-bound bag, against a
+/// per-group `Vec` reference. Each program goes the way a service job
+/// does: `prepare_program` (no diagnostic at all), then `run`.
+#[test]
+fn bag_operators_over_every_operand_kind_inside_a_lifted_udf() {
+    // xs: (key, (a, b)), so all three operands are bags of pairs.
+    let xs: Vec<(i64, (i64, i64))> = vec![
+        (1, (1, 10)),
+        (1, (2, 20)),
+        (1, (2, 20)),
+        (2, (5, 7)),
+        (3, (1, 1)),
+        (3, (3, 30)),
+        (3, (4, 2)),
+        (3, (5, 50)),
+    ];
+    let ys: Vec<(i64, i64)> = vec![(1, 100), (2, 200), (2, 200), (3, 5), (9, 9)];
+    let big: Vec<(i64, i64)> = ys.iter().copied().filter(|y| y.1 > 50).collect();
+    let operands: [(&str, &str, Option<&[(i64, i64)]>); 3] = [
+        ("", "g.1", None),
+        ("", "source(ys)", Some(&ys)),
+        ("let big = filter(source(ys), y => y.1 > 50) in ", "big", Some(&big)),
+    ];
+    let long_pair = |p: &(i64, i64)| pair(Value::Long(p.0), Value::Long(p.1));
+    let run = |src: &str| -> Vec<Value> {
+        let p = matryoshka_ir::prepare_program(src, Dialect::Matryoshka)
+            .unwrap_or_else(|e| panic!("{src}: {e}"));
+        assert!(p.analysis.diagnostics.is_empty(), "{src}: {}", p.analysis.diagnostics);
+        let e = Engine::local();
+        let inputs = HashMap::from([
+            (
+                "xs".to_string(),
+                e.parallelize(
+                    xs.iter().map(|(k, v)| pair(Value::Long(*k), long_pair(v))).collect(),
+                    3,
+                ),
+            ),
+            ("ys".to_string(), e.parallelize(ys.iter().map(long_pair).collect(), 2)),
+        ]);
+        let out = p.run(e, MatryoshkaConfig::optimized(), &inputs);
+        bag_of(out.unwrap_or_else(|e| panic!("{src}: admitted, then failed: {e}")))
+    };
+
+    for (template, reference) in OPERATOR_TABLE {
+        let operands = if template.contains("{B}") { &operands[..] } else { &operands[..1] };
+        for (prefix, operand, records) in operands {
+            let body = template.replace("{B}", operand).replace("{SUM}", SUM);
+            let src = format!("{prefix}map(groupByKey(source(xs)), g => (g.0, {body}))");
+            let want: Vec<Value> = [1, 2, 3]
+                .iter()
+                .map(|&k| {
+                    let inner: Vec<(i64, i64)> =
+                        xs.iter().filter(|x| x.0 == k).map(|x| x.1).collect();
+                    let g = Group {
+                        n: inner.len() as i64,
+                        inner: &inner,
+                        ys: &ys,
+                        b: records.unwrap_or(&inner),
+                    };
+                    pair(Value::Long(k), Value::Long(reference(&g)))
+                })
+                .collect();
+            assert_eq!(run(&src), want, "{src}");
+        }
+    }
+
+    // A lifted UDF over a flat bag whose body filters another source under
+    // the lifted parameter.
+    let mut want: Vec<Value> = ys
+        .iter()
+        .map(|y| {
+            pair(Value::Long(y.0), Value::Long(xs.iter().filter(|x| x.0 == y.0).count() as i64))
+        })
+        .collect();
+    want.sort();
+    assert_eq!(
+        run("map(source(ys), y => (y.0, count(filter(source(xs), x => x.0 == y.0))))"),
+        want
+    );
+    // A lifted UDF that returns a flat bag: every group gets all of it.
+    let nested = "map(map(groupByKey(source(xs)), g => source(ys)), h => (h.0, count(h.1)))";
+    let want: Vec<Value> =
+        [1, 2, 3].iter().map(|&k| pair(Value::Long(k), Value::Long(ys.len() as i64))).collect();
+    assert_eq!(run(nested), want);
+}
+
+/// What the evaluator has no cell for is turned away at admission, not
+/// after it.
+#[test]
+fn shapes_without_a_runtime_cell_are_rejected_by_the_analyzer() {
+    let g = "map(groupByKey(source(xs)), g => ";
+    let nb = "let nb = groupByKey(source(ys)) in ";
+    for (src, code) in [
+        // The fold zero is evaluated once, outside the lifted UDF.
+        (format!("{g}fold(map(g.1, v => v.1), g.0, (a, b) => a + b))"), "MAT010"),
+        // The lifted `if` selects between scalars.
+        (format!("{g}count(if count(g.1) > 1 then g.1 else source(ys)))"), "MAT011"),
+        // A nested bag is neither a loop variable nor a lifted UDF's result.
+        (
+            format!("{nb}{g}loop (b = nb, i = 0) while i < 1 do (b, i + 1) yield count(b))"),
+            "MAT011",
+        ),
+        (format!("{nb}{g}nb)"), "MAT008"),
+    ] {
+        let err = matryoshka_ir::prepare_program(&src, Dialect::Matryoshka)
+            .expect_err(&format!("{src} must be rejected"));
+        let diags = err.diagnostics().unwrap_or_else(|| panic!("{src}: {err}"));
+        assert!(diags.iter().any(|d| d.code == code), "{src}: {diags}");
+    }
+}
