@@ -1,59 +1,20 @@
 //! Reproduces the paper experiment implemented in `figures::fig7` and emits
-//! the machine-readable `BENCH_skew.json` artifact.
-//!
-//! ```text
-//! fig7_skew                 run the full figure, print tables, write BENCH_skew.json
-//! fig7_skew --smoke         run only the adaptive skew sweep (fast CI gate)
-//! fig7_skew --validate [F]  parse-check an existing artifact (default BENCH_skew.json)
-//! ```
-//!
-//! The output path defaults to `BENCH_skew.json` in the current directory and
-//! can be overridden with the `BENCH_SKEW_OUT` environment variable.
+//! the machine-readable `BENCH_skew.json` artifact; `--smoke` runs only the
+//! adaptive skew sweep and writes its rows too (`scripts/ci.sh` re-reads
+//! them). Flags and output path: see `matryoshka_bench::sweep`
+//! (`BENCH_SKEW_OUT` overrides the path).
 
-use std::process::ExitCode;
+use matryoshka_bench::sweep::{sweep_main, Smoke, Sweep};
+use matryoshka_bench::{figures, json};
 
-use matryoshka_bench::{figures, json, print_rows, Profile};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--validate") => {
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_skew.json");
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match json::validate_bench_rows(&src) {
-                Ok(n) => {
-                    println!("ok: {path} ({n} rows)");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{path}: invalid benchmark records: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("--smoke") => run(figures::fig7::skew_sweep(Profile::from_env())),
-        None => run(figures::fig7::run(Profile::from_env())),
-        Some(other) => {
-            eprintln!("unknown flag {other}\nusage: fig7_skew [--smoke | --validate [FILE]]");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run(rows: Vec<matryoshka_bench::Row>) -> ExitCode {
-    print_rows(&rows);
-    let path = std::env::var("BENCH_SKEW_OUT").unwrap_or_else(|_| "BENCH_skew.json".to_string());
-    let doc = json::rows_to_json(&rows);
-    if let Err(e) = std::fs::write(&path, &doc) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("\nwrote {} rows to {path}", rows.len());
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    let sweep = Sweep {
+        bin: "fig7_skew",
+        artifact: "BENCH_skew.json",
+        out_env: "BENCH_SKEW_OUT",
+        spec: &json::SKEW_ROWS,
+        run: figures::fig7::run,
+        smoke: figures::fig7::skew_sweep,
+    };
+    sweep_main(&sweep, Smoke::Writes)
 }

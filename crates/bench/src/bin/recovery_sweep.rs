@@ -1,73 +1,20 @@
 //! Runs the recovery-overhead sweep implemented in `figures::recovery`
 //! (machine-loss rate × checkpoint interval, see `docs/FAULTS.md`) and emits
-//! the machine-readable `BENCH_recovery.json` artifact.
-//!
-//! ```text
-//! recovery_sweep                 run the full sweep, print tables, write BENCH_recovery.json
-//! recovery_sweep --smoke         run the reduced sweep (fast CI gate), no artifact
-//! recovery_sweep --validate [F]  parse-check an existing artifact (default BENCH_recovery.json)
-//! ```
-//!
-//! The output path defaults to `BENCH_recovery.json` in the current
-//! directory and can be overridden with the `BENCH_RECOVERY_OUT` environment
-//! variable.
+//! the machine-readable `BENCH_recovery.json` artifact. Flags and output
+//! path: see `matryoshka_bench::sweep` (`BENCH_RECOVERY_OUT` overrides the
+//! path).
 
-use std::process::ExitCode;
+use matryoshka_bench::sweep::{sweep_main, Smoke, Sweep};
+use matryoshka_bench::{figures, json};
 
-use matryoshka_bench::{figures, json, print_rows, Profile};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--validate") => {
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_recovery.json");
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match json::validate_recovery_rows(&src) {
-                Ok(n) => {
-                    println!("ok: {path} ({n} rows)");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{path}: invalid benchmark records: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("--smoke") => {
-            // The smoke sweep is a gate, not an artifact: print, don't write.
-            print_rows(&figures::recovery::smoke(Profile::from_env()));
-            ExitCode::SUCCESS
-        }
-        None => run(figures::recovery::run(Profile::from_env())),
-        Some(other) => {
-            eprintln!("unknown flag {other}\nusage: recovery_sweep [--smoke | --validate [FILE]]");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run(rows: Vec<matryoshka_bench::Row>) -> ExitCode {
-    print_rows(&rows);
-    let path =
-        std::env::var("BENCH_RECOVERY_OUT").unwrap_or_else(|_| "BENCH_recovery.json".to_string());
-    let doc = json::rows_to_json(&rows);
-    match json::validate_recovery_rows(&doc) {
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("refusing to write {path}: generated rows invalid: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(&path, &doc) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("\nwrote {} rows to {path}", rows.len());
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    let sweep = Sweep {
+        bin: "recovery_sweep",
+        artifact: "BENCH_recovery.json",
+        out_env: "BENCH_RECOVERY_OUT",
+        spec: &json::RECOVERY_ROWS,
+        run: figures::recovery::run,
+        smoke: figures::recovery::smoke,
+    };
+    sweep_main(&sweep, Smoke::Prints)
 }

@@ -1,73 +1,19 @@
 //! Runs the multi-tenant service sweep implemented in `figures::service`
 //! (scheduling policy × offered load, see `docs/SERVICE.md`) and emits the
-//! machine-readable `BENCH_service.json` artifact.
-//!
-//! ```text
-//! service_sweep                 run the full sweep, print tables, write BENCH_service.json
-//! service_sweep --smoke         run the reduced sweep (fast CI gate), no artifact
-//! service_sweep --validate [F]  parse-check an existing artifact (default BENCH_service.json)
-//! ```
-//!
-//! The output path defaults to `BENCH_service.json` in the current
-//! directory and can be overridden with the `BENCH_SERVICE_OUT` environment
-//! variable.
+//! machine-readable `BENCH_service.json` artifact. Flags and output path:
+//! see `matryoshka_bench::sweep` (`BENCH_SERVICE_OUT` overrides the path).
 
-use std::process::ExitCode;
+use matryoshka_bench::sweep::{sweep_main, Smoke, Sweep};
+use matryoshka_bench::{figures, json};
 
-use matryoshka_bench::{figures, json, print_rows, Profile};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--validate") => {
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_service.json");
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match json::validate_service_rows(&src) {
-                Ok(n) => {
-                    println!("ok: {path} ({n} rows)");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{path}: invalid benchmark records: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("--smoke") => {
-            // The smoke sweep is a gate, not an artifact: print, don't write.
-            print_rows(&figures::service::smoke(Profile::from_env()));
-            ExitCode::SUCCESS
-        }
-        None => run(figures::service::run(Profile::from_env())),
-        Some(other) => {
-            eprintln!("unknown flag {other}\nusage: service_sweep [--smoke | --validate [FILE]]");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run(rows: Vec<matryoshka_bench::Row>) -> ExitCode {
-    print_rows(&rows);
-    let path =
-        std::env::var("BENCH_SERVICE_OUT").unwrap_or_else(|_| "BENCH_service.json".to_string());
-    let doc = json::rows_to_json(&rows);
-    match json::validate_service_rows(&doc) {
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("refusing to write {path}: generated rows invalid: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(&path, &doc) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("\nwrote {} rows to {path}", rows.len());
-    ExitCode::SUCCESS
+fn main() -> std::process::ExitCode {
+    let sweep = Sweep {
+        bin: "service_sweep",
+        artifact: "BENCH_service.json",
+        out_env: "BENCH_SERVICE_OUT",
+        spec: &json::SERVICE_ROWS,
+        run: figures::service::run,
+        smoke: figures::service::smoke,
+    };
+    sweep_main(&sweep, Smoke::Prints)
 }

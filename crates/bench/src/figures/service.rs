@@ -119,13 +119,13 @@ pub fn smoke(profile: Profile) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{rows_to_json, validate_service_rows};
+    use crate::json::{rows_to_json, validate_rows, SERVICE_ROWS};
 
     #[test]
     fn smoke_rows_validate_and_are_deterministic() {
         let rows = smoke(Profile::Quick);
         let json = rows_to_json(&rows);
-        validate_service_rows(&json).expect("smoke rows satisfy the artifact contract");
+        validate_rows(&json, &SERVICE_ROWS).expect("smoke rows satisfy the artifact contract");
         let again = rows_to_json(&smoke(Profile::Quick));
         assert_eq!(json, again, "the sweep is a pure function of its config");
     }

@@ -1,8 +1,9 @@
 //! Machine-readable benchmark records: serialize figure [`Row`]s to a JSON
-//! array (the `BENCH_skew.json` artifact) and parse/validate such files
-//! without any external dependency. The parser is a minimal but complete
-//! recursive-descent JSON reader — enough to round-trip what [`rows_to_json`]
-//! emits and to reject truncated or hand-mangled files in CI.
+//! array (the `BENCH_*.json` artifacts) and parse/validate such files
+//! against one [`RowSpec`] per artifact, without any external dependency.
+//! The parser is a minimal but complete recursive-descent JSON reader —
+//! enough to round-trip what [`rows_to_json`] emits and to reject truncated
+//! or hand-mangled files in CI.
 
 use std::collections::BTreeMap;
 
@@ -283,218 +284,137 @@ impl Parser<'_> {
     }
 }
 
-/// Validate a `BENCH_skew.json` document: a non-empty array of row objects
-/// each carrying `figure`/`series` strings and a numeric `seconds`, with
-/// both the static and the adaptive Matryoshka series present. Returns the
-/// row count.
-pub fn validate_bench_rows(src: &str) -> Result<usize, String> {
-    let doc = parse(src)?;
-    let rows = match &doc {
-        Json::Arr(rows) if !rows.is_empty() => rows,
-        Json::Arr(_) => return Err("empty benchmark array".into()),
-        _ => return Err("top level is not a JSON array".into()),
-    };
-    let mut has_static = false;
-    let mut has_adaptive = false;
-    for (i, row) in rows.iter().enumerate() {
-        let series = row
-            .get("series")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string \"series\""))?;
-        row.get("figure")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string \"figure\""))?;
-        let secs = row
-            .get("seconds")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("row {i}: missing numeric \"seconds\""))?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(format!("row {i}: bad seconds {secs}"));
-        }
-        has_static |= series == "matryoshka";
-        has_adaptive |= series == "matryoshka-adaptive";
-    }
-    if !has_static || !has_adaptive {
-        return Err("missing matryoshka and/or matryoshka-adaptive series".into());
-    }
-    Ok(rows.len())
+/// One row of an artifact as a [`RowSpec`] sees it, after the shared checks
+/// (strings present, required numbers present) have passed.
+pub struct RowView<'a> {
+    /// The row's `series`.
+    pub series: &'a str,
+    row: &'a Json,
 }
 
-/// Validate a `BENCH_recovery.json` document (see `figures::recovery`): a
-/// non-empty array of row objects with `figure`/`series` strings, a numeric
-/// `seconds`, and numeric `partitions_lost`/`recompute_ms`/`checkpoint_bytes`
-/// recovery counters — including the fault-free `loss-0` baseline series, at
-/// least one lossy series, and at least one row that actually lost
-/// partitions (otherwise the sweep measured nothing). Returns the row count.
-pub fn validate_recovery_rows(src: &str) -> Result<usize, String> {
+impl RowView<'_> {
+    /// A numeric column (0 when the spec did not require it and it is absent).
+    pub fn num(&self, key: &str) -> f64 {
+        self.row.get(key).and_then(Json::as_num).unwrap_or(0.0)
+    }
+}
+
+/// What one sweep's artifact must contain beyond the shape every artifact
+/// shares (a non-empty array of objects with `figure`/`series` strings and a
+/// finite non-negative `seconds`).
+pub struct RowSpec {
+    /// Numeric columns every row must carry.
+    pub numeric: &'static [&'static str],
+    /// What is wrong with a row that must not appear, if anything.
+    pub bad_row: fn(&RowView) -> Option<String>,
+    /// Coverage: each predicate must hold for some row, or validation fails
+    /// with its message.
+    pub needs: &'static [(fn(&RowView) -> bool, &'static str)],
+}
+
+/// `BENCH_skew.json` (see `figures::fig7`): both the static and the
+/// adaptive Matryoshka series.
+pub const SKEW_ROWS: RowSpec = RowSpec {
+    numeric: &[],
+    bad_row: |_| None,
+    needs: &[
+        (|r| r.series == "matryoshka", "missing matryoshka and/or matryoshka-adaptive series"),
+        (
+            |r| r.series == "matryoshka-adaptive",
+            "missing matryoshka and/or matryoshka-adaptive series",
+        ),
+    ],
+};
+
+/// `BENCH_recovery.json` (see `figures::recovery`): the recovery counters,
+/// the fault-free `loss-0` baseline series, at least one lossy series, and
+/// at least one row that actually lost partitions (otherwise the sweep
+/// measured nothing).
+pub const RECOVERY_ROWS: RowSpec = RowSpec {
+    numeric: &["partitions_lost", "recompute_ms", "checkpoint_bytes"],
+    bad_row: |r| {
+        let lost = r.num("partitions_lost");
+        (r.series == "loss-0" && lost > 0.0)
+            .then(|| format!("loss-0 baseline lost {lost} partitions"))
+    },
+    needs: &[
+        (|r| r.series == "loss-0", "missing the loss-0 baseline series"),
+        (lossy, "missing a lossy series (loss-<permille> with permille > 0)"),
+        (
+            |r| lossy(r) && r.num("partitions_lost") > 0.0,
+            "no row lost any partitions; the sweep measured nothing",
+        ),
+    ],
+};
+
+fn lossy(r: &RowView) -> bool {
+    r.series != "loss-0" && r.series.starts_with("loss-")
+}
+
+/// `BENCH_service.json` (see `figures::service`): the multi-tenancy
+/// counters, both scheduling policies (`fifo` and a `fair-*` series), at
+/// least one row that completed jobs, one that queued (non-zero wait), and
+/// one where admission control rejected work.
+pub const SERVICE_ROWS: RowSpec = RowSpec {
+    numeric: &["jobs_completed", "jobs_cancelled", "jobs_rejected", "queue_wait_ms"],
+    bad_row: |r| {
+        (r.num("jobs_completed") + r.num("jobs_cancelled") == 0.0)
+            .then(|| "no job ran (completed + cancelled == 0)".to_string())
+    },
+    needs: &[
+        (|r| r.series == "fifo", "missing the fifo and/or fair-share series"),
+        (|r| r.series.starts_with("fair"), "missing the fifo and/or fair-share series"),
+        (|r| r.num("jobs_completed") > 0.0, "no row completed any job"),
+        (
+            |r| r.num("queue_wait_ms") > 0.0,
+            "no row had queue waits; the sweep never saturated the slots",
+        ),
+        (
+            |r| r.num("jobs_rejected") > 0.0,
+            "no row rejected any job; admission control was never exercised",
+        ),
+    ],
+};
+
+/// Validate an artifact against `spec`. Returns the row count.
+pub fn validate_rows(src: &str, spec: &RowSpec) -> Result<usize, String> {
     let doc = parse(src)?;
     let rows = match &doc {
         Json::Arr(rows) if !rows.is_empty() => rows,
         Json::Arr(_) => return Err("empty benchmark array".into()),
         _ => return Err("top level is not a JSON array".into()),
     };
-    let mut has_baseline = false;
-    let mut has_lossy = false;
-    let mut any_lost = false;
+    let mut views = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        let series = row
-            .get("series")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string \"series\""))?;
-        row.get("figure")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string \"figure\""))?;
-        let secs = row
-            .get("seconds")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("row {i}: missing numeric \"seconds\""))?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(format!("row {i}: bad seconds {secs}"));
-        }
-        for key in ["partitions_lost", "recompute_ms", "checkpoint_bytes"] {
+        let string = |key: &str| {
             row.get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("row {i}: missing numeric \"{key}\""))?;
-        }
-        let lost = row.get("partitions_lost").and_then(Json::as_num).unwrap_or(0.0);
-        if series == "loss-0" {
-            has_baseline = true;
-            if lost > 0.0 {
-                return Err(format!("row {i}: loss-0 baseline lost {lost} partitions"));
-            }
-        } else if series.starts_with("loss-") {
-            has_lossy = true;
-            any_lost |= lost > 0.0;
-        }
-    }
-    if !has_baseline {
-        return Err("missing the loss-0 baseline series".into());
-    }
-    if !has_lossy {
-        return Err("missing a lossy series (loss-<permille> with permille > 0)".into());
-    }
-    if !any_lost {
-        return Err("no row lost any partitions; the sweep measured nothing".into());
-    }
-    Ok(rows.len())
-}
-
-/// Validate a `BENCH_service.json` document (see `figures::service`): a
-/// non-empty array of row objects with `figure`/`series` strings, a numeric
-/// virtual-makespan `seconds`, and the multi-tenancy counters
-/// `jobs_completed`/`jobs_cancelled`/`jobs_rejected`/`queue_wait_ms` — with
-/// both scheduling policies present (`fifo` and a `fair-*` series), at least
-/// one row that completed jobs, one that queued (non-zero wait), and one
-/// where admission control rejected work. Returns the row count.
-pub fn validate_service_rows(src: &str) -> Result<usize, String> {
-    let doc = parse(src)?;
-    let rows = match &doc {
-        Json::Arr(rows) if !rows.is_empty() => rows,
-        Json::Arr(_) => return Err("empty benchmark array".into()),
-        _ => return Err("top level is not a JSON array".into()),
-    };
-    let mut has_fifo = false;
-    let mut has_fair = false;
-    let mut any_completed = false;
-    let mut any_waited = false;
-    let mut any_rejected = false;
-    for (i, row) in rows.iter().enumerate() {
-        let series = row
-            .get("series")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string \"series\""))?;
-        row.get("figure")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string \"figure\""))?;
-        let secs = row
-            .get("seconds")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("row {i}: missing numeric \"seconds\""))?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(format!("row {i}: bad seconds {secs}"));
-        }
-        let counter = |key: &str| -> Result<f64, String> {
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("row {i}: missing string \"{key}\""))
+        };
+        let number = |key: &str| {
             row.get(key)
                 .and_then(Json::as_num)
                 .ok_or_else(|| format!("row {i}: missing numeric \"{key}\""))
         };
-        let completed = counter("jobs_completed")?;
-        let cancelled = counter("jobs_cancelled")?;
-        let rejected = counter("jobs_rejected")?;
-        let wait_ms = counter("queue_wait_ms")?;
-        if completed + cancelled == 0.0 {
-            return Err(format!("row {i}: no job ran (completed + cancelled == 0)"));
+        let series = string("series")?;
+        string("figure")?;
+        let secs = number("seconds")?;
+        if !secs.is_finite() || secs < 0.0 {
+            return Err(format!("row {i}: bad seconds {secs}"));
         }
-        has_fifo |= series == "fifo";
-        has_fair |= series.starts_with("fair");
-        any_completed |= completed > 0.0;
-        any_waited |= wait_ms > 0.0;
-        any_rejected |= rejected > 0.0;
-    }
-    if !has_fifo || !has_fair {
-        return Err("missing the fifo and/or fair-share series".into());
-    }
-    if !any_completed {
-        return Err("no row completed any job".into());
-    }
-    if !any_waited {
-        return Err("no row had queue waits; the sweep never saturated the slots".into());
-    }
-    if !any_rejected {
-        return Err("no row rejected any job; admission control was never exercised".into());
-    }
-    Ok(rows.len())
-}
-
-/// Validate a `BENCH_micro.json` document: a non-empty array of row objects
-/// with an `op` string, a numeric `n`, and finite non-negative
-/// `median_ms`/`min_ms` timings. The `udf_eval` ablation pair must be
-/// present, and the compiled arm must beat the interpreted arm by a clear
-/// margin (>= 1.5x on the median) — the committed artifact targets >= 2x;
-/// the validator leaves slack for machine variance. Returns the row count.
-pub fn validate_micro_rows(src: &str) -> Result<usize, String> {
-    let doc = parse(src)?;
-    let rows = match &doc {
-        Json::Arr(rows) if !rows.is_empty() => rows,
-        Json::Arr(_) => return Err("empty benchmark array".into()),
-        _ => return Err("top level is not a JSON array".into()),
-    };
-    let mut interpreted = None;
-    let mut compiled = None;
-    for (i, row) in rows.iter().enumerate() {
-        let op = row
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string \"op\""))?;
-        row.get("n")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("row {i}: missing numeric \"n\""))?;
-        let median = row
-            .get("median_ms")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("row {i}: missing numeric \"median_ms\""))?;
-        let min = row
-            .get("min_ms")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("row {i}: missing numeric \"min_ms\""))?;
-        if !median.is_finite() || median < 0.0 || !min.is_finite() || min < 0.0 {
-            return Err(format!("row {i}: bad timings median={median} min={min}"));
+        for key in spec.numeric {
+            number(key)?;
         }
-        match op {
-            "udf_eval/interpreted" => interpreted = Some(median),
-            "udf_eval/compiled" => compiled = Some(median),
-            _ => {}
+        let view = RowView { series, row };
+        if let Some(what) = (spec.bad_row)(&view) {
+            return Err(format!("row {i}: {what}"));
         }
+        views.push(view);
     }
-    let interpreted = interpreted.ok_or("missing the udf_eval/interpreted row".to_string())?;
-    let compiled = compiled.ok_or("missing the udf_eval/compiled row".to_string())?;
-    if compiled * 1.5 > interpreted {
-        return Err(format!(
-            "compiled UDF evaluation ({compiled:.3} ms) does not clearly beat the \
-             interpreter ({interpreted:.3} ms); expected >= 1.5x"
-        ));
+    match spec.needs.iter().find(|(holds, _)| !views.iter().any(holds)) {
+        Some((_, missing)) => Err(missing.to_string()),
+        None => Ok(rows.len()),
     }
-    Ok(rows.len())
 }
 
 #[cfg(test)]
@@ -516,7 +436,7 @@ mod tests {
     fn rows_round_trip_and_validate() {
         let rows = vec![row("matryoshka", 100, 12.5), row("matryoshka-adaptive", 100, 7.25)];
         let json = rows_to_json(&rows);
-        assert_eq!(validate_bench_rows(&json).unwrap(), 2);
+        assert_eq!(validate_rows(&json, &SKEW_ROWS).unwrap(), 2);
         let doc = parse(&json).unwrap();
         let Json::Arr(items) = &doc else { panic!("not an array") };
         assert_eq!(items[1].get("series").unwrap().as_str().unwrap(), "matryoshka-adaptive");
@@ -525,19 +445,22 @@ mod tests {
 
     #[test]
     fn validator_rejects_mangled_documents() {
-        assert!(validate_bench_rows("[").is_err(), "truncated");
-        assert!(validate_bench_rows("{}").is_err(), "not an array");
-        assert!(validate_bench_rows("[]").is_err(), "empty");
+        assert!(validate_rows("[", &SKEW_ROWS).is_err(), "truncated");
+        assert!(validate_rows("{}", &SKEW_ROWS).is_err(), "not an array");
+        assert_eq!(validate_rows("[]", &SKEW_ROWS).unwrap_err(), "empty benchmark array");
         assert!(
-            validate_bench_rows(r#"[{"figure": "f", "series": "matryoshka", "seconds": 1.0}]"#)
-                .is_err(),
+            validate_rows(
+                r#"[{"figure": "f", "series": "matryoshka", "seconds": 1.0}]"#,
+                &SKEW_ROWS
+            )
+            .is_err(),
             "adaptive series missing"
         );
         let both = r#"[
             {"figure": "f", "series": "matryoshka", "seconds": 1.0},
             {"figure": "f", "series": "matryoshka-adaptive", "seconds": 0.5}
         ]"#;
-        assert_eq!(validate_bench_rows(both).unwrap(), 2);
+        assert_eq!(validate_rows(both, &SKEW_ROWS).unwrap(), 2);
     }
 
     #[test]
@@ -556,17 +479,26 @@ mod tests {
             }
         };
         let good = rows_to_json(&[lossy_row("loss-0", 0), lossy_row("loss-30", 4)]);
-        assert_eq!(validate_recovery_rows(&good).unwrap(), 2);
+        assert_eq!(validate_rows(&good, &RECOVERY_ROWS).unwrap(), 2);
         // A skew artifact is not a recovery artifact: right shape, wrong series.
         let skew = rows_to_json(&[lossy_row("matryoshka", 0), lossy_row("matryoshka-adaptive", 0)]);
-        assert!(validate_recovery_rows(&skew).is_err(), "missing loss series must fail");
+        assert!(validate_rows(&skew, &RECOVERY_ROWS).is_err(), "missing loss series must fail");
         let no_losses = rows_to_json(&[lossy_row("loss-0", 0), lossy_row("loss-30", 0)]);
-        assert!(validate_recovery_rows(&no_losses).is_err(), "a sweep with no losses must fail");
+        assert_eq!(
+            validate_rows(&no_losses, &RECOVERY_ROWS).unwrap_err(),
+            "no row lost any partitions; the sweep measured nothing"
+        );
         let lossy_baseline = rows_to_json(&[lossy_row("loss-0", 2), lossy_row("loss-30", 4)]);
-        assert!(validate_recovery_rows(&lossy_baseline).is_err(), "lossy baseline must fail");
+        assert_eq!(
+            validate_rows(&lossy_baseline, &RECOVERY_ROWS).unwrap_err(),
+            "row 0: loss-0 baseline lost 2 partitions"
+        );
         assert!(
-            validate_recovery_rows(r#"[{"figure": "f", "series": "loss-0", "seconds": 1.0}]"#)
-                .is_err(),
+            validate_rows(
+                r#"[{"figure": "f", "series": "loss-0", "seconds": 1.0}]"#,
+                &RECOVERY_ROWS
+            )
+            .is_err(),
             "recovery counters must be present"
         );
     }
@@ -591,39 +523,24 @@ mod tests {
             service_row("fifo", 24, 8, 1_000_000),
             service_row("fair-1:3", 24, 8, 500_000),
         ]);
-        assert_eq!(validate_service_rows(&good).unwrap(), 2);
+        assert_eq!(validate_rows(&good, &SERVICE_ROWS).unwrap(), 2);
         let one_policy = rows_to_json(&[service_row("fifo", 24, 8, 1_000_000)]);
-        assert!(validate_service_rows(&one_policy).is_err(), "needs both policies");
+        assert_eq!(
+            validate_rows(&one_policy, &SERVICE_ROWS).unwrap_err(),
+            "missing the fifo and/or fair-share series"
+        );
         let never_saturated =
             rows_to_json(&[service_row("fifo", 24, 8, 0), service_row("fair-1:3", 24, 8, 0)]);
-        assert!(validate_service_rows(&never_saturated).is_err(), "needs queue waits");
+        assert!(validate_rows(&never_saturated, &SERVICE_ROWS).is_err(), "needs queue waits");
         let never_rejected =
             rows_to_json(&[service_row("fifo", 24, 0, 1), service_row("fair-1:3", 24, 0, 1)]);
-        assert!(validate_service_rows(&never_rejected).is_err(), "needs admission rejections");
+        assert!(
+            validate_rows(&never_rejected, &SERVICE_ROWS).is_err(),
+            "needs admission rejections"
+        );
         // A recovery artifact is not a service artifact.
         let recovery = rows_to_json(&[service_row("loss-0", 1, 1, 1)]);
-        assert!(validate_service_rows(&recovery).is_err());
-    }
-
-    #[test]
-    fn micro_rows_validate() {
-        let good = r#"[
-          {"op": "engine_ops/join", "n": 1000, "median_ms": 5.0, "min_ms": 4.0},
-          {"op": "udf_eval/interpreted", "n": 1000, "median_ms": 30.0, "min_ms": 29.0},
-          {"op": "udf_eval/compiled", "n": 1000, "median_ms": 10.0, "min_ms": 9.5}
-        ]"#;
-        assert_eq!(validate_micro_rows(good).unwrap(), 3);
-        let missing_arm = r#"[
-          {"op": "udf_eval/interpreted", "n": 1000, "median_ms": 30.0, "min_ms": 29.0}
-        ]"#;
-        assert!(validate_micro_rows(missing_arm).is_err(), "needs both ablation arms");
-        let no_speedup = r#"[
-          {"op": "udf_eval/interpreted", "n": 1000, "median_ms": 12.0, "min_ms": 11.0},
-          {"op": "udf_eval/compiled", "n": 1000, "median_ms": 10.0, "min_ms": 9.5}
-        ]"#;
-        assert!(validate_micro_rows(no_speedup).is_err(), "needs a clear speedup");
-        assert!(validate_micro_rows("[]").is_err());
-        assert!(validate_micro_rows(r#"[{"op": "x"}]"#).is_err(), "rows need timings");
+        assert!(validate_rows(&recovery, &SERVICE_ROWS).is_err());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # matryoshka-bench
 //!
 //! Experiment harnesses reproducing every figure of the paper's evaluation
-//! (Sec. 9) on the simulated cluster, plus Criterion microbenchmarks of the
-//! engine's real (wall-clock) performance.
+//! (Sec. 9) on the simulated cluster. Host (wall-clock) performance is not
+//! measured here: that is the repository benchmark (`BENCHMARK.json`,
+//! `benchmark/`).
 //!
 //! Each figure module builds the paper's workload at a modeled data volume,
 //! runs every strategy the figure compares on a fresh simulated cluster, and
@@ -16,10 +17,8 @@ pub mod figures;
 pub mod harness;
 pub mod json;
 pub mod profile;
+pub mod sweep;
 
 pub use harness::{print_csv, print_rows, run_case, Measurement, Outcome, Row};
-pub use json::{
-    rows_to_json, validate_bench_rows, validate_micro_rows, validate_recovery_rows,
-    validate_service_rows,
-};
+pub use json::{rows_to_json, validate_rows};
 pub use profile::Profile;

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use matryoshka_engine::{Bag, Engine, JoinAlgorithm, Key, Result};
 
 use crate::adaptive::AdaptivePlanner;
-use crate::optimizer::{self, MatryoshkaConfig};
+use crate::optimizer::{self, JoinChoice, MatryoshkaConfig};
 
 struct CtxInner<T: Key> {
     engine: Engine,
@@ -98,7 +98,10 @@ impl<T: Key> LiftingContext<T> {
         right: &Bag<(T, B)>,
     ) -> Bag<(T, (A, B))> {
         let acfg = &self.config().adaptive;
-        let algorithm = if acfg.enabled && acfg.switch_joins {
+        // A forced `JoinChoice` wins over the adaptive re-decision.
+        let adaptive_choice =
+            acfg.enabled && acfg.switch_joins && self.config().tag_join == JoinChoice::Auto;
+        let algorithm = if adaptive_choice {
             self.adaptive_tag_join_algorithm(left.size_estimate(), right)
         } else {
             self.tag_join_algorithm(right.record_bytes())
@@ -292,5 +295,27 @@ mod tests {
         let sub = ctx.narrowed(e.parallelize(vec![1u64, 2], 1), 2);
         assert_eq!(sub.size(), 2);
         assert!(sub.config().partition_tuning);
+    }
+
+    #[test]
+    fn forced_join_choice_wins_over_adaptive_switching() {
+        let e = Engine::new(ClusterConfig::local_test());
+        let cfg = MatryoshkaConfig {
+            tag_join: JoinChoice::ForceRepartition,
+            ..MatryoshkaConfig::adaptive()
+        };
+        let ctx = LiftingContext::new(e.clone(), e.parallelize((0..4u64).collect(), 2), 4, cfg);
+        let left = e.parallelize((0..40u64).map(|i| (i % 4, i)).collect(), 4);
+        let right = e.parallelize((0..4u64).map(|t| (t, t * 10)).collect(), 2);
+        // Four tiny scalars: the adaptive rule (and `Auto`) would broadcast.
+        assert_eq!(ctx.tag_join(&left, &right).count().unwrap(), 40);
+        let log = e.decisions();
+        let forced: Vec<_> = log.iter().filter(|d| d.site == "tag_join").collect();
+        assert_eq!(forced.len(), 1, "{log:?}");
+        assert_eq!(
+            (forced[0].choice.as_str(), forced[0].detail.as_str()),
+            ("repartition", "forced by config")
+        );
+        assert!(log.iter().all(|d| d.site != "adaptive_tag_join"), "{log:?}");
     }
 }

@@ -41,25 +41,24 @@ pub enum CrossChoice {
     ForceBroadcastBag,
 }
 
-/// Switch of the static plan-rewrite pass (`matryoshka-ir::analyze::plan`):
-/// loop-invariant hoisting, CSE with auto-caching, and dead-operator
-/// elimination. **Off by default** — default plans, decision logs, and the
-/// golden simulated times are bit-identical with the pass disabled.
+/// Kept for the benchmark's pinned call (`PlanRewriteConfig::enabled()`
+/// handed to `matryoshka-ir`'s `rewrite_plan`). The plan rewrites — hoist,
+/// then CSE + auto-caching, then DCE — are a step of lowering with no switch,
+/// so this carries nothing and is ignored wherever it is accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanRewriteConfig {
-    /// When false the program is lowered verbatim; when true all three
-    /// rewrites run (hoist, then CSE + auto-caching, then DCE).
-    pub enabled: bool,
-}
+pub struct PlanRewriteConfig;
 
 impl PlanRewriteConfig {
-    /// The rewrites on.
+    /// Kept for the benchmark's pinned call; the same value as `default()`.
     pub fn enabled() -> Self {
-        PlanRewriteConfig { enabled: true }
+        PlanRewriteConfig
     }
 }
 
-/// Knobs of the lowering phase. The defaults are the full optimizer; the
+/// Knobs of the lowering phase. [`MatryoshkaConfig::optimized`] is the full
+/// optimizer; the derived `Default` is the same except that
+/// `partition_tuning` is off (every lifted operator at the engine's default
+/// parallelism), which is what the job service and its tests run on. The
 /// forced variants exist for the ablation experiments.
 #[derive(Debug, Clone, Default)]
 pub struct MatryoshkaConfig {
@@ -80,22 +79,10 @@ pub struct MatryoshkaConfig {
     /// disables periodic checkpointing: plans, decision logs, and simulated
     /// times are unchanged.
     pub checkpoint_interval: usize,
-    /// Static plan rewrites (hoist/CSE/DCE) applied by the IR lowering
-    /// before execution. Off by default.
-    pub plan: PlanRewriteConfig,
     /// Multi-tenant job-service scheduler and admission control (see
     /// [`crate::scheduler`] and `docs/SERVICE.md`). Only read by the
     /// service; a directly-driven lowering ignores it.
     pub scheduler: crate::scheduler::SchedulerConfig,
-    /// Force the IR lowering's per-record scalar UDFs through the
-    /// tree-walking `eval_pure` interpreter instead of the slot-resolved
-    /// `CompiledUdf` evaluator (see `docs/ANALYSIS.md`, "UDF compilation").
-    /// `false` (the default, including under [`MatryoshkaConfig::default`]
-    /// and [`MatryoshkaConfig::optimized`]) compiles UDFs; `true` exists for
-    /// the `udf_eval` ablation and for differential debugging. Compilation
-    /// is value- and sim-transparent, so this knob never changes results,
-    /// charge sequences, or simulated times.
-    pub interpret_udfs: bool,
 }
 
 impl MatryoshkaConfig {
@@ -107,9 +94,7 @@ impl MatryoshkaConfig {
             partition_tuning: true,
             adaptive: AdaptiveConfig::default(),
             checkpoint_interval: 0,
-            plan: PlanRewriteConfig::default(),
             scheduler: crate::scheduler::SchedulerConfig::default(),
-            interpret_udfs: false,
         }
     }
 

@@ -267,6 +267,33 @@ impl<'a> Binds<'a> {
     }
 }
 
+/// What the callback of [`Expr::map_children`] may return for a child.
+pub trait MappedChild {
+    /// The new child, given the old one.
+    fn child(self, old: &Expr) -> Expr;
+    /// The new UDF body, given the old one.
+    fn body(self, old: &Arc<Expr>) -> Arc<Expr>;
+}
+
+impl MappedChild for Expr {
+    fn child(self, _: &Expr) -> Expr {
+        self
+    }
+    fn body(self, _: &Arc<Expr>) -> Arc<Expr> {
+        Arc::new(self)
+    }
+}
+
+/// `None` keeps the old child.
+impl MappedChild for Option<Expr> {
+    fn child(self, old: &Expr) -> Expr {
+        self.unwrap_or_else(|| old.clone())
+    }
+    fn body(self, old: &Arc<Expr>) -> Arc<Expr> {
+        self.map_or_else(|| Arc::clone(old), Arc::new)
+    }
+}
+
 impl Expr {
     /// `let`-builder.
     pub fn let_(name: &str, value: Expr, body: Expr) -> Expr {
@@ -369,51 +396,59 @@ impl Expr {
 
     /// Rebuild this node with `f` applied to each direct child: the same
     /// enumeration as [`Expr::for_each_child`] (same order, binders and
-    /// slots), everything that is not a child copied over.
-    pub fn map_children<'a>(
+    /// slots), everything that is not a child copied over. `f` returns the
+    /// new child as an `Expr`, or as an `Option<Expr>` whose `None` keeps
+    /// the child — a kept UDF body keeps its `Arc` instead of being copied.
+    pub fn map_children<'a, R: MappedChild>(
         &'a self,
-        mut f: impl FnMut(&'a Expr, Binds<'a>, Slot) -> Expr,
+        mut f: impl FnMut(&'a Expr, Binds<'a>, Slot) -> R,
     ) -> Expr {
         use Slot::{Branch, Operand, Step, Udf};
         const NONE: Binds<'static> = Binds::NONE;
-        type F<'a, 'f> = &'f mut dyn FnMut(&'a Expr, Binds<'a>, Slot) -> Expr;
-        fn op<'a>(f: F<'a, '_>, x: &'a Expr) -> Box<Expr> {
-            Box::new(f(x, NONE, Operand))
+        type F<'a, 'f, R> = &'f mut dyn FnMut(&'a Expr, Binds<'a>, Slot) -> R;
+        fn op<'a, R: MappedChild>(f: F<'a, '_, R>, x: &'a Expr) -> Box<Expr> {
+            Box::new(f(x, NONE, Operand).child(x))
         }
-        fn lam<'a>(f: F<'a, '_>, l: &'a Lambda) -> Lambda {
-            let body = f(&l.body, Binds::params(&l.param, None), Udf);
-            Lambda { param: l.param.clone(), body: Arc::new(body) }
+        fn lam<'a, R: MappedChild>(f: F<'a, '_, R>, l: &'a Lambda) -> Lambda {
+            let body = f(&l.body, Binds::params(&l.param, None), Udf).body(&l.body);
+            Lambda { param: l.param.clone(), body }
         }
-        fn lam2<'a>(f: F<'a, '_>, l: &'a Lambda2) -> Lambda2 {
-            let body = f(&l.body, Binds::params(&l.a, Some(&l.b)), Udf);
-            Lambda2 { a: l.a.clone(), b: l.b.clone(), body: Arc::new(body) }
+        fn lam2<'a, R: MappedChild>(f: F<'a, '_, R>, l: &'a Lambda2) -> Lambda2 {
+            let body = f(&l.body, Binds::params(&l.a, Some(&l.b)), Udf).body(&l.body);
+            Lambda2 { a: l.a.clone(), b: l.b.clone(), body }
         }
-        let f: F<'a, '_> = &mut f;
+        let f: F<'a, '_, R> = &mut f;
         match self {
             Expr::Const(_) | Expr::Var(_) | Expr::Source(_) => self.clone(),
             Expr::Spanned(sp, x) => Expr::Spanned(*sp, op(f, x)),
-            Expr::Tuple(items) => Expr::Tuple(items.iter().map(|x| f(x, NONE, Operand)).collect()),
+            Expr::Tuple(items) => {
+                Expr::Tuple(items.iter().map(|x| f(x, NONE, Operand).child(x)).collect())
+            }
             Expr::Proj(x, i) => Expr::Proj(op(f, x), *i),
             Expr::Bin(o, a, b) => Expr::Bin(*o, op(f, a), op(f, b)),
             Expr::Un(o, x) => Expr::Un(*o, op(f, x)),
             Expr::Let(n, v, b) => {
                 let v = op(f, v);
-                Expr::Let(n.clone(), v, Box::new(f(b, Binds::params(n, None), Operand)))
+                Expr::Let(n.clone(), v, Box::new(f(b, Binds::params(n, None), Operand).child(b)))
             }
-            Expr::If(c, t, e) => {
-                Expr::If(op(f, c), Box::new(f(t, NONE, Branch)), Box::new(f(e, NONE, Branch)))
-            }
+            Expr::If(c, t, e) => Expr::If(
+                op(f, c),
+                Box::new(f(t, NONE, Branch).child(t)),
+                Box::new(f(e, NONE, Branch).child(e)),
+            ),
             Expr::Loop { init, cond, step, result } => {
                 let all = Binds::loop_vars(init);
                 Expr::Loop {
                     init: init
                         .iter()
                         .enumerate()
-                        .map(|(i, (n, x))| (n.clone(), f(x, Binds::loop_vars(&init[..i]), Operand)))
+                        .map(|(i, (n, x))| {
+                            (n.clone(), f(x, Binds::loop_vars(&init[..i]), Operand).child(x))
+                        })
                         .collect(),
-                    cond: Box::new(f(cond, all, Operand)),
-                    step: step.iter().map(|x| f(x, all, Step)).collect(),
-                    result: Box::new(f(result, all, Operand)),
+                    cond: Box::new(f(cond, all, Operand).child(cond)),
+                    step: step.iter().map(|x| f(x, all, Step).child(x)).collect(),
+                    result: Box::new(f(result, all, Operand).child(result)),
                 }
             }
             Expr::Map(x, l) => Expr::Map(op(f, x), lam(f, l)),
@@ -591,5 +626,23 @@ mod tests {
         let mut n = 0;
         e.visit(&mut |_| n += 1);
         assert_eq!(n, 6); // if, c, 1, tuple, 2, 3
+    }
+
+    #[test]
+    fn kept_udf_bodies_share_their_arc() {
+        let e = Expr::Map(
+            Box::new(Expr::Source("xs".into())),
+            Lambda::new("p", Expr::bin(BinOp::Add, Expr::var("p"), Expr::long(1))),
+        );
+        let kept = e.map_children(|c, _, slot| match slot {
+            Slot::Udf => None,
+            _ => Some(Expr::Distinct(Box::new(c.clone()))),
+        });
+        let (Expr::Map(_, before), Expr::Map(input, after)) = (&e, &kept) else { panic!() };
+        assert!(Arc::ptr_eq(&before.body, &after.body));
+        assert!(matches!(**input, Expr::Distinct(_)));
+        // A callback that returns the child itself always rebuilds the body.
+        let Expr::Map(_, rebuilt) = e.map_children(|c, _, _| c.clone()) else { panic!() };
+        assert!(!Arc::ptr_eq(&before.body, &rebuilt.body) && before.body == rebuilt.body);
     }
 }

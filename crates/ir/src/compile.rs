@@ -36,11 +36,11 @@
 //! (bag operations in a scalar context, unbound names) compile to ops that
 //! reproduce the interpreter's exact runtime error *if and when they are
 //! reached* — an `if` whose untaken branch contains a bag op behaves
-//! identically in both engines. `eval_pure` stays as the differential-
-//! testing oracle (`crates/ir/tests/compiled_udf.rs` pins compiled ==
-//! interpreted over hundreds of seeded random expression trees), and
-//! `MatryoshkaConfig::interpret_udfs` forces the interpreted path for the
-//! `udf_eval` bench ablation. See `docs/ANALYSIS.md`, "UDF compilation".
+//! identically in both engines. The lowering has no interpreted path:
+//! `eval_pure` stays only as the differential-testing oracle
+//! (`crates/ir/tests/compiled_udf.rs` pins compiled == interpreted over
+//! hundreds of seeded random expression trees, through all three entry
+//! points). See `docs/ANALYSIS.md`, "UDF compilation".
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -49,7 +49,7 @@ use std::sync::Arc;
 use crate::analyze::ScalarKind;
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::error::{IrError, IrResult};
-use crate::lower::{apply_bin, apply_un, compare, eval_pure_mut};
+use crate::lower::{apply_bin, apply_un, compare};
 use crate::value::Value;
 
 type PureEnv = HashMap<String, Value>;
@@ -61,18 +61,11 @@ type PureEnv = HashMap<String, Value>;
 /// [`CompiledUdf::eval_with_combined`] (lifted `mapWithClosure` shapes where
 /// the closure values arrive as one combined tuple per tag).
 pub struct CompiledUdf {
-    /// Parameter names, in slot order (`params[i]` lives in frame slot `i`).
-    params: Vec<String>,
-    mode: Mode,
-}
-
-enum Mode {
-    /// The compiled program and the frame size it needs.
-    Compiled { code: Op, frame_len: usize },
-    /// The ablation/debug path: per-record `eval_pure` interpretation, with
-    /// the same per-record cost profile the lowering had before compilation
-    /// (fresh capture-env clone + name insertion per record).
-    Interpreted { body: Arc<Expr>, captures: PureEnv },
+    /// Number of parameters; they live in frame slots `0..arity`.
+    arity: usize,
+    code: Op,
+    /// The frame size `code` needs.
+    frame_len: usize,
 }
 
 /// A compiled scalar operation over a register frame.
@@ -138,18 +131,11 @@ fn with_frame<R>(frame_len: usize, f: impl FnOnce(&mut [Value]) -> R) -> R {
 
 impl CompiledUdf {
     /// Compile `body` with the given parameter names (slot order) and
-    /// closure captures (inlined as constants). When `interpret` is set the
-    /// UDF instead evaluates through the [`crate::eval_pure`] interpreter —
-    /// the `udf_eval` ablation arm. Never fails: shapes the compiler cannot
-    /// translate become ops that reproduce the interpreter's behaviour.
-    pub fn new(body: &Arc<Expr>, params: &[&str], captures: PureEnv, interpret: bool) -> Self {
-        let params_owned: Vec<String> = params.iter().map(|p| p.to_string()).collect();
-        if interpret {
-            return CompiledUdf {
-                params: params_owned,
-                mode: Mode::Interpreted { body: Arc::clone(body), captures },
-            };
-        }
+    /// closure captures (inlined as constants). Never fails: shapes the
+    /// compiler cannot translate become ops that reproduce the interpreter's
+    /// behaviour. The fourth parameter is kept for the benchmark's pinned
+    /// call and ignored: there is no interpreted mode.
+    pub fn new(body: &Arc<Expr>, params: &[&str], captures: PureEnv, _interpret: bool) -> Self {
         let mut c = Compiler {
             captures: &captures,
             scope: params
@@ -160,79 +146,45 @@ impl CompiledUdf {
             next_slot: params.len(),
         };
         let (code, _) = c.compile(body);
-        let frame_len = c.next_slot.max(params.len());
-        CompiledUdf { params: params_owned, mode: Mode::Compiled { code, frame_len } }
+        CompiledUdf { arity: params.len(), code, frame_len: c.next_slot }
     }
 
     /// Number of parameters (frame slots `0..arity` are arguments).
     pub fn arity(&self) -> usize {
-        self.params.len()
+        self.arity
     }
 
     /// Evaluate a one-parameter UDF on one record.
     pub fn eval1(&self, v: &Value) -> IrResult<Value> {
-        debug_assert_eq!(self.params.len(), 1);
-        match &self.mode {
-            Mode::Compiled { code, frame_len } => with_frame(*frame_len, |frame| {
-                frame[0] = v.clone();
-                code.run(frame)
-            }),
-            Mode::Interpreted { body, captures } => {
-                let mut env = captures.clone();
-                env.insert(self.params[0].clone(), v.clone());
-                eval_pure_mut(body, &mut env)
-            }
-        }
+        debug_assert_eq!(self.arity, 1);
+        with_frame(self.frame_len, |frame| {
+            frame[0] = v.clone();
+            self.code.run(frame)
+        })
     }
 
     /// Evaluate a two-parameter UDF (a `reduceByKey`/`fold` combiner).
     pub fn eval2(&self, a: &Value, b: &Value) -> IrResult<Value> {
-        debug_assert_eq!(self.params.len(), 2);
-        match &self.mode {
-            Mode::Compiled { code, frame_len } => with_frame(*frame_len, |frame| {
-                frame[0] = a.clone();
-                frame[1] = b.clone();
-                code.run(frame)
-            }),
-            Mode::Interpreted { body, captures } => {
-                let mut env = captures.clone();
-                env.insert(self.params[0].clone(), a.clone());
-                env.insert(self.params[1].clone(), b.clone());
-                eval_pure_mut(body, &mut env)
-            }
-        }
+        debug_assert_eq!(self.arity, 2);
+        with_frame(self.frame_len, |frame| {
+            frame[0] = a.clone();
+            frame[1] = b.clone();
+            self.code.run(frame)
+        })
     }
 
     /// Evaluate a lifted-closure UDF: parameter 0 is the record, parameters
     /// `1..` receive the components of the per-tag `combined` closure tuple
     /// (the single tag-joined `mapWithClosure` argument of paper Sec. 5.1).
     pub fn eval_with_combined(&self, v: &Value, combined: &Value) -> IrResult<Value> {
-        debug_assert!(self.params.len() >= 2);
-        match &self.mode {
-            Mode::Compiled { code, frame_len } => with_frame(*frame_len, |frame| {
-                frame[0] = v.clone();
-                for (i, slot) in frame.iter_mut().enumerate().take(self.params.len()).skip(1) {
-                    *slot = combined.proj(i - 1).expect("combined closure arity");
-                }
-                code.run(frame)
-            }),
-            Mode::Interpreted { body, captures } => {
-                let mut env = captures.clone();
-                for i in 1..self.params.len() {
-                    env.insert(
-                        self.params[i].clone(),
-                        combined.proj(i - 1).expect("combined closure arity"),
-                    );
-                }
-                env.insert(self.params[0].clone(), v.clone());
-                eval_pure_mut(body, &mut env)
+        debug_assert!(self.arity >= 2);
+        with_frame(self.frame_len, |frame| {
+            frame[0] = v.clone();
+            for (i, slot) in frame.iter_mut().enumerate().take(self.arity).skip(1) {
+                *slot = combined.proj(i - 1).expect("combined closure arity");
             }
-        }
-    }
-
-    /// Is this UDF actually compiled (vs. the interpreted ablation path)?
-    pub fn is_compiled(&self) -> bool {
-        matches!(self.mode, Mode::Compiled { .. })
+            self.code.run(frame)
+        })
     }
 }
 
@@ -701,23 +653,6 @@ mod tests {
         );
         let c = compile1(body, PureEnv::new()); // must not panic here
         assert_eq!(c.eval1(&Value::Long(5)).unwrap(), Value::Long(1));
-    }
-
-    #[test]
-    fn interpreted_mode_matches_compiled() {
-        let body = Arc::new(Expr::let_(
-            "a",
-            Expr::bin(BinOp::Mul, Expr::var("v"), Expr::long(3)),
-            Expr::bin(BinOp::Add, Expr::var("a"), Expr::var("n")),
-        ));
-        let captures = PureEnv::from([("n".to_string(), Value::Long(4))]);
-        let compiled = CompiledUdf::new(&body, &["v"], captures.clone(), false);
-        let interp = CompiledUdf::new(&body, &["v"], captures, true);
-        assert!(compiled.is_compiled() && !interp.is_compiled());
-        for x in [-2i64, 0, 9] {
-            let v = Value::Long(x);
-            assert_eq!(compiled.eval1(&v).unwrap(), interp.eval1(&v).unwrap());
-        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use matryoshka_core::{
     group_by_key_into_nested_bag, lifted_while, InnerBag, InnerScalar, LiftedData, LiftingContext,
-    MatryoshkaConfig, NestedBag,
+    MatryoshkaConfig, NestedBag, PlanRewriteConfig,
 };
 use matryoshka_engine::{Bag, Engine, EngineError};
 
@@ -129,10 +129,9 @@ type PureEnv = HashMap<String, Value>;
 /// UDF closures, where the parsing phase guarantees no bag operations
 /// remain). Loops and conditionals over scalars are allowed.
 ///
-/// This is the *reference* interpreter: per-record UDF hot paths run
-/// slot-compiled programs instead ([`crate::compile::CompiledUdf`]), with
-/// this function kept as the differential-testing oracle and as the
-/// `MatryoshkaConfig::interpret_udfs` ablation path.
+/// This is the *reference* interpreter, kept as the differential-testing
+/// oracle with no runtime caller: every per-record UDF runs a slot-compiled
+/// program ([`crate::compile::CompiledUdf`]).
 pub fn eval_pure(e: &Expr, env: &PureEnv) -> IrResult<Value> {
     let mut scratch = env.clone();
     eval_pure_mut(e, &mut scratch)
@@ -141,7 +140,7 @@ pub fn eval_pure(e: &Expr, env: &PureEnv) -> IrResult<Value> {
 /// [`eval_pure`] over a mutable environment: each binder inserts in place
 /// and restores the shadowed value on scope exit, instead of cloning the
 /// whole map per binding (which made deep `let`-chains quadratic).
-pub(crate) fn eval_pure_mut(e: &Expr, env: &mut PureEnv) -> IrResult<Value> {
+fn eval_pure_mut(e: &Expr, env: &mut PureEnv) -> IrResult<Value> {
     Ok(match e {
         Expr::Spanned(_, inner) => eval_pure_mut(inner, env)?,
         Expr::Const(v) => v.clone(),
@@ -347,6 +346,12 @@ fn combine_scalars<'a>(scalars: impl IntoIterator<Item = &'a IScalar>) -> Option
     }))
 }
 
+/// Compile a two-parameter combiner (reduceByKey/fold; captures are empty —
+/// aggregation UDFs close over nothing, validated at parse).
+fn compile_udf2(l2: &Lambda2) -> Arc<CompiledUdf> {
+    Arc::new(CompiledUdf::new(&l2.body, &[&l2.a, &l2.b], PureEnv::new(), false))
+}
+
 fn to_engine_err(e: IrError) -> EngineError {
     match e {
         IrError::Engine(e) => e,
@@ -439,24 +444,6 @@ impl Lowering {
         names
     }
 
-    /// Compile a UDF body once per lowering site for per-record evaluation;
-    /// `MatryoshkaConfig::interpret_udfs` forces the interpreted path (the
-    /// `udf_eval` ablation arm).
-    fn compile_udf(
-        &self,
-        body: &Arc<Expr>,
-        params: &[&str],
-        captures: PureEnv,
-    ) -> Arc<CompiledUdf> {
-        Arc::new(CompiledUdf::new(body, params, captures, self.config.interpret_udfs))
-    }
-
-    /// Compile a two-parameter combiner (reduceByKey/fold; captures are
-    /// empty — aggregation UDFs close over nothing, validated at parse).
-    fn compile_udf2(&self, l2: &Lambda2) -> Arc<CompiledUdf> {
-        self.compile_udf(&l2.body, &[&l2.a, &l2.b], PureEnv::new())
-    }
-
     /// Resolve the UDF of a `map`/`filter`/`flatMap` against the environment
     /// and compile it. Plain scalar captures are inlined; lifted ones become
     /// parameters 1.., delivered per record as the components of the one
@@ -486,27 +473,34 @@ impl Lowering {
             }
         }
         let closure = combine_scalars(lifted);
-        Ok((self.compile_udf(&udf.body, &params, plain), closure))
+        Ok((Arc::new(CompiledUdf::new(&udf.body, &params, plain, false)), closure))
     }
 
     /// Execute a parsed program. `inputs` binds the program's `Source`
     /// names to engine bags.
     ///
-    /// When plan rewrites are enabled in the config (they are off by
-    /// default), the program first runs through
-    /// [`crate::analyze::plan::rewrite_plan`] and each applied rewrite is
-    /// recorded in the engine's decision log under the `plan_rewrite` site.
+    /// The program first goes through the plan rewrites
+    /// ([`crate::analyze::plan::rewrite_plan`]: hoist, CSE + auto-caching,
+    /// DCE); each applied rewrite is recorded in the engine's decision log
+    /// under the `plan_rewrite` site. The pass runs here rather than in
+    /// [`crate::prepare_program`] so that a hand-assembled
+    /// [`crate::PreparedProgram`] lowers the same plan as a prepared one.
     pub fn run(&self, program: &Expr, inputs: &HashMap<String, Bag<Value>>) -> IrResult<RtVal> {
-        let rewritten;
-        let program = if self.config.plan.enabled {
-            rewritten = crate::analyze::plan::rewrite_plan(program, &self.config.plan);
-            for r in &rewritten.rewrites {
-                self.engine.record_decision("plan_rewrite", r.code, 0, 0, r.to_string());
-            }
-            &rewritten.expr
-        } else {
-            program
-        };
+        let rewritten = crate::analyze::plan::rewrite_plan(program, &PlanRewriteConfig);
+        for r in &rewritten.rewrites {
+            self.engine.record_decision("plan_rewrite", r.code, 0, 0, r.to_string());
+        }
+        self.run_verbatim(&rewritten.expr, inputs)
+    }
+
+    /// Execute a parsed program exactly as written, skipping the plan
+    /// rewrites of [`Lowering::run`]: the reference arm the rewrite
+    /// equivalence suites compare against.
+    pub fn run_verbatim(
+        &self,
+        program: &Expr,
+        inputs: &HashMap<String, Bag<Value>>,
+    ) -> IrResult<RtVal> {
         match self.eval(program, &Env::new(), None, inputs)? {
             Val::Scalar(v) => Ok(RtVal::Scalar(v)),
             Val::Bag(b) => Ok(RtVal::Bag(b)),
@@ -755,7 +749,7 @@ impl Lowering {
             }
             Expr::ReduceByKey(x, l2) => {
                 let input = ev(x)?;
-                let f = self.compile_udf2(l2);
+                let f = compile_udf2(l2);
                 let f = move |a: &Value, b: &Value| f.eval2(a, b).expect(UDF_OK);
                 match input {
                     Val::Bag(b) => Val::Bag(b.map(kv).reduce_by_key(f).map(unkv)),
@@ -807,7 +801,7 @@ impl Lowering {
                 let Val::Scalar(z) = self.eval(zero, env, None, inputs)? else {
                     return Err(IrError::Unsupported("fold zero must not be lifted".into()));
                 };
-                let f = self.compile_udf2(l2);
+                let f = compile_udf2(l2);
                 match input {
                     Val::Bag(b) => lift(b.fold(z, move |a, v| f.eval2(&a, v).expect(UDF_OK))?, ctx),
                     Val::InnerBag(b) => {

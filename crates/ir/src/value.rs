@@ -62,7 +62,7 @@ impl Value {
 
     /// Flatten for `flatMap`: a tuple's components individually, any other
     /// value as a singleton (the `FlatMapTuple` emission rule, shared by the
-    /// interpreted and compiled UDF paths in [`crate::Lowering`]).
+    /// flat and lifted cells of [`crate::Lowering`]).
     pub fn splat_tuple(self) -> Vec<Value> {
         match self {
             Value::Tuple(items) => items.as_ref().clone(),

@@ -7,9 +7,10 @@
 //! chains, shadowing, guaranteed-terminating `loop`s, mixed Long/Double
 //! arithmetic, and deliberately ill-typed or bag-containing subtrees — the
 //! two evaluators must agree *exactly*: same `Value` bit-for-bit (doubles
-//! compare by bit pattern), same error message, or same panic. A final
-//! end-to-end test runs whole programs through the [`Lowering`] twice
-//! (compiled vs. `interpret_udfs`) and compares results.
+//! compare by bit pattern), same error message, or same panic — through
+//! each of the compiled UDF's three entry points. A final end-to-end test
+//! runs a whole program through the [`Lowering`] and compares it with a
+//! sequential reference.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -164,8 +165,14 @@ fn differential_case(seed: u64, depth: u32) {
         ("cb".to_string(), Value::Double(0.25)),
         ("cc".to_string(), Value::tuple(vec![Value::Long(1), Value::str("t")])),
     ]);
-    let compiled = CompiledUdf::new(&body, &["p", "q"], captures.clone(), false);
-    assert!(compiled.is_compiled());
+    // The three shapes the lowering compiles: a combiner over (p, q); a
+    // lifted-closure UDF that receives `ca` and `q` as the components of one
+    // combined tuple; and (per argument pair, below) a one-parameter UDF
+    // with `q` inlined as a capture.
+    let combiner = CompiledUdf::new(&body, &["p", "q"], captures.clone(), false);
+    let mut unlifted = captures.clone();
+    let ca = unlifted.remove("ca").unwrap();
+    let with_closure = CompiledUdf::new(&body, &["p", "ca", "q"], unlifted, false);
 
     let args = [
         (Value::Long(5), Value::Long(-3)),
@@ -176,17 +183,22 @@ fn differential_case(seed: u64, depth: u32) {
         (Value::Long(-(1 << 53)), Value::Long(-(1 << 53) - 1)),
     ];
     for (p, q) in &args {
-        let got = capture(|| compiled.eval2(p, q));
-        let want = capture(|| {
-            let mut env = captures.clone();
-            env.insert("p".to_string(), p.clone());
-            env.insert("q".to_string(), q.clone());
-            eval_pure(&body, &env)
-        });
-        assert_eq!(
-            got, want,
-            "seed {seed}: compiled and interpreted disagree on {body:?} at p={p}, q={q}"
-        );
+        let mut env = captures.clone();
+        env.insert("q".to_string(), q.clone());
+        let leaf = CompiledUdf::new(&body, &["p"], env.clone(), false);
+        env.insert("p".to_string(), p.clone());
+        let want = capture(|| eval_pure(&body, &env));
+        let combined = Value::tuple(vec![ca.clone(), q.clone()]);
+        for (entry, got) in [
+            ("eval2", capture(|| combiner.eval2(p, q))),
+            ("eval1", capture(|| leaf.eval1(p))),
+            ("eval_with_combined", capture(|| with_closure.eval_with_combined(p, &combined))),
+        ] {
+            assert_eq!(
+                got, want,
+                "seed {seed}: {entry} and the interpreter disagree on {body:?} at p={p}, q={q}"
+            );
+        }
     }
 }
 
@@ -241,8 +253,8 @@ fn deep_let_chain_is_linear_and_exact() {
         .unwrap();
 }
 
-/// End-to-end: the same program lowered twice — compiled UDFs vs. the
-/// `interpret_udfs` ablation — must produce identical bags.
+/// End-to-end: a lowered program, whose per-record UDFs all run compiled,
+/// against the same computation interpreted by hand, group by group.
 #[test]
 fn lowering_results_identical_compiled_vs_interpreted() {
     let program = matryoshka_ir::parse_program(
@@ -252,30 +264,26 @@ fn lowering_results_identical_compiled_vs_interpreted() {
     )
     .unwrap();
     let parsed = parsing_phase(&program, &["visits"], Dialect::Matryoshka).unwrap();
+    let visits: Vec<(i64, i64)> = (0..40).map(|i| (i % 4, i)).collect();
 
-    let run_with = |interpret: bool| -> Vec<Value> {
-        let engine = Engine::local();
-        let visits: Bag<Value> = engine.parallelize(
-            (0..40i64).map(|i| Value::tuple(vec![Value::Long(i % 4), Value::Long(i)])).collect(),
-            4,
-        );
-        let mut cfg = MatryoshkaConfig::optimized();
-        cfg.interpret_udfs = interpret;
-        let out = Lowering::new(engine, cfg)
-            .run(&parsed, &HashMap::from([("visits".to_string(), visits)]))
-            .unwrap();
-        match out {
-            RtVal::Bag(b) => {
-                let mut rows = b.collect().unwrap();
-                rows.sort();
-                rows
-            }
-            other => panic!("expected a bag, got {other:?}"),
-        }
-    };
+    let engine = Engine::local();
+    let bag: Bag<Value> = engine.parallelize(
+        visits.iter().map(|&(k, ip)| Value::tuple(vec![Value::Long(k), Value::Long(ip)])).collect(),
+        4,
+    );
+    let out = Lowering::new(engine, MatryoshkaConfig::optimized())
+        .run(&parsed, &HashMap::from([("visits".to_string(), bag)]))
+        .unwrap();
+    let RtVal::Bag(out) = out else { panic!("expected a bag, got {out:?}") };
+    let mut compiled = out.collect().unwrap();
+    compiled.sort();
 
-    let compiled = run_with(false);
-    let interpreted = run_with(true);
+    let interpreted: Vec<Value> = (0..4i64)
+        .map(|k| {
+            let group: Vec<i64> = visits.iter().filter(|v| v.0 == k).map(|v| v.1).collect();
+            let total: i64 = group.iter().map(|ip| ip * 2 + 1).sum();
+            Value::tuple(vec![Value::Long(k), Value::Double(total as f64 / group.len() as f64)])
+        })
+        .collect();
     assert_eq!(compiled, interpreted);
-    assert_eq!(compiled.len(), 4);
 }

@@ -6,6 +6,8 @@ use matryoshka_core::scheduler::{PoolConfig, SchedulerConfig, SchedulingPolicy};
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::sim::SimTime;
 use matryoshka_engine::{ClusterConfig, Engine};
+use matryoshka_ir::{prepare_program, Dialect, Lowering, RtVal};
+use matryoshka_service::datasets::source_bag;
 use matryoshka_service::{JobOutcome, JobService, JobSpec, JobStatus};
 
 /// SplitMix64, for seeded job-cost variation in the property tests.
@@ -335,6 +337,39 @@ fn analyzer_errors_reject_before_admission() {
     );
     assert_eq!(svc.stats().jobs_rejected, 1);
     assert!(svc.is_idle(), "nothing was admitted");
+}
+
+// ---------------------------------------------------------------------------
+// Plan rewrites
+// ---------------------------------------------------------------------------
+
+#[test]
+fn served_programs_go_through_the_plan_rewrites() {
+    let src = include_str!("../../../examples/programs/invariant_loop.mat");
+    let svc =
+        JobService::new(ClusterConfig::local_test(), MatryoshkaConfig::default(), 11).unwrap();
+    let id = svc.submit(JobSpec::program("invariant_loop", src)).unwrap();
+    svc.run_until_idle();
+    let report = svc.report(id).unwrap();
+    let JobOutcome::Completed { result, .. } = &report.outcome else {
+        panic!("the job should complete: {:?}", report.outcome);
+    };
+
+    // The same program on the same dataset, lowered as written.
+    let engine = Engine::new(ClusterConfig::local_test());
+    let program = prepare_program(src, Dialect::Matryoshka).unwrap();
+    let inputs = [("edges".to_string(), source_bag(&engine, 11, "edges"))].into();
+    let verbatim = Lowering::new(engine.clone(), MatryoshkaConfig::default())
+        .run_verbatim(&program.expr, &inputs)
+        .unwrap();
+    let RtVal::Bag(rows) = verbatim else { panic!("expected a bag, got {verbatim:?}") };
+    assert_eq!(*result, format!("bag with {} records", rows.count().unwrap()));
+
+    let (served, written) = (report.stats.stages, engine.stats().stages);
+    assert!(served < written, "hoisting saves stages: served {served}, verbatim {written}");
+    assert!(engine.decisions().iter().all(|d| d.site != "plan_rewrite"));
+    // The job's engine log (its lane of the Chrome export) names the hoist.
+    assert!(svc.export_chrome_trace().contains("plan_rewrite: MAT093"));
 }
 
 // ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@
 //!   --builtin            also check the tasks crate's built-in IR workloads
 //!   --sources a,b,c      input bag names (default: derived from source(..) uses)
 //!   --dialect NAME       matryoshka (default) | diql
-//!   --explain            run the plan-rewrite pass (hoist/CSE/DCE, all on)
-//!                        and print the before/after plan trees plus one
-//!                        line per applied rewrite with its safety
-//!                        justification; no engine job is launched
+//!   --explain            run the plan-rewrite pass (hoist/CSE/DCE, as the
+//!                        lowering does for every job) and print the
+//!                        before/after plan trees plus one line per applied
+//!                        rewrite with its safety justification; no engine
+//!                        job is launched
 //!   --adaptive-config S  validate an adaptive-execution config: S is
 //!                        `default` or comma-separated key=value overrides
 //!                        (salt_factor=8, skew_threshold_milli=4000, ...);
@@ -152,9 +153,9 @@ fn print_tree(heading: &str, tree: &str) {
     }
 }
 
-/// `--explain`: run the parsing phase and the plan-rewrite pass (all
-/// rewrites on) and report the before/after plan with one line per applied
-/// rewrite, including the safety justification the pass proved.
+/// `--explain`: run the parsing phase and the plan-rewrite pass and report
+/// the before/after plan with one line per applied rewrite, including the
+/// safety justification the pass proved.
 fn explain_program(
     label: &str,
     ast: &matryoshka::ir::ast::Expr,
@@ -168,7 +169,7 @@ fn explain_program(
             return;
         }
     };
-    let rewrite = rewrite_plan(&lowered, &PlanRewriteConfig::enabled());
+    let rewrite = rewrite_plan(&lowered, &PlanRewriteConfig);
     println!("plan: {label}");
     print_tree("before", &plan_tree(&lowered));
     if rewrite.rewrites.is_empty() {
