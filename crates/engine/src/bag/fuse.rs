@@ -255,8 +255,8 @@ pub(crate) fn fusible<P: Data, T: Data>(
 
 /// Execute an assembled chain: one pool dispatch over the base partitions,
 /// then one `charge_compute` per operator. A chain of two or more is a
-/// fusion and additionally bumps the fusion counters, emits the `StageFused`
-/// trace event and logs a `narrow_fusion` decision.
+/// fusion and additionally emits the `StageFused` event (which feeds the
+/// fusion counters) and logs a `narrow_fusion` decision.
 fn run_chain<T: Data>(
     engine: &Engine,
     assembled: Assembled<T>,
@@ -290,14 +290,12 @@ fn run_chain<T: Data>(
     if ops > 1 {
         let composite = *fused_name.get_or_init(|| intern_fused_name(&metas));
         let elided = (ops - 1) as u64;
-        engine.core.stats.add_stage_fused(elided);
-        let at = engine.sim_time();
-        engine.record_event(|| EngineEvent::StageFused {
+        engine.observe(EngineEvent::StageFused {
             ops: composite,
             ops_fused: ops as u64,
             intermediates_elided: elided,
             partitions: partitions as u64,
-            at,
+            at: engine.sim_time(),
         });
         let records: u64 = per_part.iter().map(|(out, _)| out.len() as u64).sum();
         engine.record_decision(

@@ -38,6 +38,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::error::Result;
 use crate::map_output::MapOutputStats;
+use crate::trace::EngineEvent;
 use crate::types::Data;
 use crate::Engine;
 
@@ -185,8 +186,8 @@ impl<T: Data> Bag<T> {
     }
 
     /// Evaluate (or fetch memoized) partitions, charging simulated costs on
-    /// the first evaluation only (which also appends the operator to the
-    /// engine's execution trace).
+    /// the first evaluation only (which also emits the node's `Operator`
+    /// event).
     pub(crate) fn eval(&self) -> Result<Parts<T>> {
         self.node
             .cache
@@ -199,15 +200,14 @@ impl<T: Data> Bag<T> {
                     Ok(parts) => (parts.iter().map(|p| p.len() as u64).sum(), true),
                     Err(_) => (0, false),
                 };
-                self.node.engine.record_trace(crate::TraceEvent {
+                self.node.engine.observe(EngineEvent::Operator {
                     // A tail that executed as a fused chain reports its
                     // composite provenance (`fused(map|filter)`).
                     op: self.op_name(),
-                    partitions: self.node.partitions,
-                    record_bytes: self.node.record_bytes,
+                    partitions: self.node.partitions as u64,
                     records,
-                    completed_at: self.node.engine.sim_time(),
                     ok,
+                    at: self.node.engine.sim_time(),
                 });
                 result
             })
@@ -350,7 +350,22 @@ impl<T: Data> Bag<T> {
 #[cfg(test)]
 mod tests {
     use crate::config::ClusterConfig;
-    use crate::Engine;
+    use crate::{Engine, EngineEvent};
+
+    fn traced_engine(cfg: ClusterConfig) -> Engine {
+        Engine::new(ClusterConfig { trace_events: true, ..cfg })
+    }
+
+    /// The `Operator` events of a traced run as `(op, records, ok)`.
+    fn operators(e: &Engine) -> Vec<(&'static str, u64, bool)> {
+        e.events()
+            .iter()
+            .filter_map(|ev| match ev {
+                EngineEvent::Operator { op, records, ok, .. } => Some((*op, *records, *ok)),
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn bags_are_lazy_until_action() {
@@ -382,30 +397,26 @@ mod tests {
 
     #[test]
     fn trace_records_each_operator_once_in_topological_order() {
-        let e = Engine::new(ClusterConfig::local_test());
+        let e = traced_engine(ClusterConfig::local_test());
         let b = e.parallelize((0..100u32).map(|i| (i % 5, i)).collect::<Vec<_>>(), 4);
         let r = b.map(|(k, v)| (*k, v + 1)).reduce_by_key(|a, b| a + b);
         r.count().unwrap();
-        r.count().unwrap(); // memoized: no new trace entries
-        let trace = e.trace();
-        let names: Vec<&str> = trace.iter().map(|ev| ev.op).collect();
-        assert_eq!(names, vec!["parallelize", "map", "reduce_by_key"]);
-        assert!(trace.iter().all(|ev| ev.ok));
-        assert_eq!(trace[0].records, 100);
-        assert_eq!(trace[2].records, 5);
-        let report = e.trace_report();
-        assert!(report.contains("reduce_by_key"));
+        r.count().unwrap(); // memoized: no new operator events
+        assert_eq!(
+            operators(&e),
+            [("parallelize", 100, true), ("map", 100, true), ("reduce_by_key", 5, true)]
+        );
+        assert!(e.trace_json().contains("\"type\":\"operator\",\"op\":\"reduce_by_key\""));
     }
 
     #[test]
     fn trace_marks_failed_operators() {
         let mut cfg = ClusterConfig::local_test();
         cfg.memory_per_machine = 1; // everything OOMs
-        let e = Engine::new(cfg);
+        let e = traced_engine(cfg);
         let b = e.parallelize((0..100u32).map(|i| (0u8, i)).collect::<Vec<_>>(), 2).group_by_key();
         assert!(b.collect().is_err());
-        let trace = e.trace();
-        assert!(trace.iter().any(|ev| ev.op == "group_by_key" && !ev.ok));
+        assert!(operators(&e).contains(&("group_by_key", 0, false)));
     }
 
     #[test]
@@ -424,11 +435,12 @@ mod tests {
     #[test]
     fn cache_and_checkpoint_parents_block_fusion() {
         let run = |wrap: fn(&crate::Bag<i32>) -> crate::Bag<i32>| {
-            let e = Engine::new(ClusterConfig::local_test());
+            let e = traced_engine(ClusterConfig::local_test());
             let b = wrap(&e.parallelize((0..100).collect::<Vec<i32>>(), 4).map(|x| x + 1));
             let out = b.map(|x| x * 2).filter(|x| x % 4 == 0);
             out.count().unwrap();
-            (out.collect().unwrap(), e.trace().iter().map(|ev| ev.op).collect::<Vec<_>>())
+            let ops = operators(&e).into_iter().map(|(op, _, _)| op).collect::<Vec<_>>();
+            (out.collect().unwrap(), ops)
         };
         let (plain_rows, _plain_ops) = run(|b| b.clone());
         let (cached_rows, cached_ops) = run(|b| b.cache());

@@ -81,8 +81,8 @@ impl<T: Data> Bag<T> {
                 computed.iter().map(|(_, work, _)| per_record * *work).collect();
             let working_sets: Vec<u64> = computed.iter().map(|(_, _, mem)| *mem).collect();
             engine.charge_memory("map_with_work", &working_sets)?;
-            engine.charge_weighted(&task_costs, false)?;
-            engine.core.stats.add_records(computed.iter().map(|(o, _, _)| o.len() as u64).sum());
+            let records = computed.iter().map(|(o, _, _)| o.len() as u64).sum();
+            engine.charge_weighted(&task_costs, records, false)?;
             Ok(to_parts(computed.into_iter().map(|(o, _, _)| o).collect()))
         })
     }

@@ -7,14 +7,15 @@
 //! with LPT); narrow operators charge per-record processing only, since
 //! their work rides inside an already-charged stage's tasks.
 //!
-//! Every charge site here doubles as an observability hook: when tracing is
-//! enabled (see [`crate::trace`]), each charge records a structured
-//! [`EngineEvent`] carrying the simulated interval it covered and the
-//! operator it was charged for.
+//! Every charge site here makes exactly one observation,
+//! `engine.observe(EngineEvent::..)`, carrying the simulated interval it
+//! covered and the operator it was charged for. The counters are the fold of
+//! those events ([`EngineEvent::effects`]); the events themselves are kept
+//! only when tracing is enabled (see [`crate::trace`]).
 
 use crate::error::{EngineError, Result};
 use crate::partitioner::{partition_for, stable_hash};
-use crate::sim::{check_stage_memory, lpt_makespan, SimTime};
+use crate::sim::{check_stage_memory, lpt_makespan, Counter, SimTime};
 use crate::trace::EngineEvent;
 use crate::Engine;
 
@@ -25,10 +26,10 @@ impl Engine {
         c.per_record + c.per_byte * bytes
     }
 
-    /// Run an action as one simulated job: charges the job launch and, when
-    /// tracing is on, brackets the work with `JobStart`/`JobEnd` events so
-    /// every stage/shuffle/broadcast charged inside `f` is attributable to
-    /// this job in the exported trace.
+    /// Run an action as one simulated job: charges the job launch and
+    /// brackets the work with `JobStart`/`JobEnd` events so every
+    /// stage/shuffle/broadcast charged inside `f` is attributable to this
+    /// job in the exported trace.
     pub(crate) fn run_job<R>(
         &self,
         action: &'static str,
@@ -36,13 +37,10 @@ impl Engine {
     ) -> Result<R> {
         self.check_interrupt()?;
         let job = self.next_job_id();
-        let start = self.sim_time();
-        self.record_event(|| EngineEvent::JobStart { job, action, at: start });
-        self.charge_job();
+        self.observe(EngineEvent::JobStart { job, action, at: self.sim_time() });
+        self.core.clock.advance(self.config().costs.job_launch);
         let out = f();
-        let at = self.sim_time();
-        let ok = out.is_ok();
-        self.record_event(|| EngineEvent::JobEnd { job, at, ok });
+        self.observe(EngineEvent::JobEnd { job, ok: out.is_ok(), at: self.sim_time() });
         out
     }
 
@@ -66,19 +64,19 @@ impl Engine {
                 launch + per_record * n as u64
             })
             .collect();
-        self.charge_weighted(&costs, task_overhead)?;
-        self.core.stats.add_records(counts.iter().map(|&n| n as u64).sum());
-        Ok(())
+        self.charge_weighted(&costs, counts.iter().map(|&n| n as u64).sum(), task_overhead)
     }
 
-    /// Charge a stage from explicit per-task simulated costs (already
-    /// including task launch if `task_overhead`). Applies the fault model:
-    /// a failed attempt is re-run (its cost charged again, plus a task
-    /// launch); a task that exhausts its attempts fails the job, as Spark's
-    /// `spark.task.maxFailures` does.
+    /// Charge a stage that processed `records` records from explicit
+    /// per-task simulated costs (already including task launch if
+    /// `task_overhead`). Applies the fault model: a failed attempt is re-run
+    /// (its cost charged again, plus a task launch); a task that exhausts
+    /// its attempts fails the job, as Spark's `spark.task.maxFailures` does
+    /// — after the stage that killed it has been observed like any other.
     pub(crate) fn charge_weighted(
         &self,
         task_costs: &[SimTime],
+        records: u64,
         task_overhead: bool,
     ) -> Result<()> {
         // Cooperative cancellation / simulated-deadline point: every stage
@@ -86,9 +84,8 @@ impl Engine {
         // aborts at the next stage boundary.
         self.check_interrupt()?;
         let start = self.sim_time();
-        let stage_id = self.core.stats.snapshot().stages;
+        let stage_id = self.core.stats.get(Counter::Stages);
         if task_overhead {
-            self.core.stats.add_stage(task_costs.len() as u64);
             // Driver schedules tasks serially; this is what makes very high
             // task counts expensive independent of cluster size.
             self.core.clock.advance(self.config().costs.task_schedule * task_costs.len() as u64);
@@ -98,19 +95,21 @@ impl Engine {
         // slice: the per-stage `to_vec` is only paid when the fault model
         // actually has to rewrite costs for re-run attempts.
         let mut patched: Vec<SimTime>;
+        let mut failed = None;
         let effective: &[SimTime] = if faults.task_failure_rate > 0.0 {
             let threshold = (faults.task_failure_rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
             let launch = self.config().costs.task_launch;
             patched = task_costs.to_vec();
-            for (i, cost) in patched.iter_mut().enumerate() {
+            'tasks: for (i, cost) in patched.iter_mut().enumerate() {
                 let mut attempt = 0u32;
                 while stable_hash(&(faults.seed, stage_id, i as u64, attempt)) <= threshold {
                     attempt += 1;
                     if attempt >= faults.max_attempts {
-                        return Err(EngineError::TaskFailed { stage: stage_id, attempts: attempt });
+                        failed =
+                            Some(EngineError::TaskFailed { stage: stage_id, attempts: attempt });
+                        break 'tasks;
                     }
-                    self.core.stats.add_task_retry();
-                    self.record_event(|| EngineEvent::TaskRetry {
+                    self.observe(EngineEvent::TaskRetry {
                         stage: stage_id,
                         task: i as u64,
                         attempt,
@@ -124,16 +123,22 @@ impl Engine {
         } else {
             task_costs
         };
-        self.core.clock.advance(lpt_makespan(effective, self.config().total_cores()));
-        self.record_event(|| EngineEvent::Stage {
+        if failed.is_none() {
+            self.core.clock.advance(lpt_makespan(effective, self.config().total_cores()));
+        }
+        self.observe(EngineEvent::Stage {
             stage: stage_id,
             operator: self.current_operator(),
             tasks: effective.len() as u64,
+            records,
             scheduled: task_overhead,
+            busy: effective.iter().copied().sum(),
             start,
             end: self.sim_time(),
-            busy: effective.iter().copied().sum(),
         });
+        if let Some(err) = failed {
+            return Err(err);
+        }
         // Machine-loss model (docs/FAULTS.md): only stage-starting charges
         // reach this, and only when enabled — default runs take no lock and
         // stay bit-identical.
@@ -175,13 +180,11 @@ impl Engine {
                 attempt += 1;
                 let lost_parts = ledger.partitions[m];
                 let lost_cost = ledger.cost[m];
-                self.core.stats.add_partitions_lost(lost_parts);
-                let at = self.sim_time();
-                self.record_event(|| EngineEvent::MachineLost {
+                self.observe(EngineEvent::MachineLost {
                     machine: m as u64,
                     stage,
                     partitions_lost: lost_parts,
-                    at,
+                    at: self.sim_time(),
                 });
                 if attempt >= faults.max_recovery_attempts {
                     return Err(EngineError::RecoveryFailed {
@@ -198,8 +201,7 @@ impl Engine {
                         + (c.task_schedule + c.task_launch) * lost_parts;
                     let start = self.sim_time();
                     self.core.clock.advance(replay);
-                    self.core.stats.add_recompute_nanos(replay.as_nanos());
-                    self.record_event(|| EngineEvent::PartitionRecomputed {
+                    self.observe(EngineEvent::PartitionRecomputed {
                         machine: m as u64,
                         stage,
                         partitions: lost_parts,
@@ -224,30 +226,23 @@ impl Engine {
         );
         let net = SimTime::from_secs_f64(bytes as f64 / self.config().aggregate_bandwidth() as f64);
         self.core.clock.advance(disk + net);
-        self.core.stats.add_checkpoint_bytes(bytes);
-        self.record_event(|| EngineEvent::Checkpoint {
-            operator,
-            bytes,
-            start,
-            end: self.sim_time(),
-        });
+        self.observe(EngineEvent::Checkpoint { operator, bytes, start, end: self.sim_time() });
         let mut ledger = self.core.recovery.lock().expect("recovery lock poisoned");
         ledger.clear();
     }
 
     /// Record one shuffle's map-output statistics: pure bookkeeping (no
-    /// simulated time, no simulated memory). Updates the partition-size
-    /// high-water marks, appends a summary to the engine's bounded
-    /// map-output history, and emits a `PartitionStats` trace event.
+    /// simulated time, no simulated memory). Appends a summary to the
+    /// engine's bounded map-output history and emits the `PartitionStats`
+    /// event that feeds the partition-size high-water marks.
     ///
     /// Wide operators call this on every shuffle; it is public so layers
     /// above the engine (re-optimizers, tests) can inject observations for
     /// shuffles they simulate themselves.
     pub fn record_map_output(&self, stats: &crate::MapOutputStats) {
         let summary = crate::MapOutputSummary::of(stats);
-        self.core.stats.add_partition_peaks(summary.max_bytes, summary.skew_ratio_milli);
         self.push_map_output_summary(summary);
-        self.record_event(|| EngineEvent::PartitionStats {
+        self.observe(EngineEvent::PartitionStats {
             operator: summary.operator,
             partitions: summary.partitions,
             records: summary.total_records,
@@ -266,7 +261,6 @@ impl Engine {
     pub(crate) fn charge_shuffle(&self, operator: &'static str, records: u64, bytes: f64) {
         let c = &self.config().costs;
         let total_bytes = (records as f64 * bytes) as u64;
-        self.core.stats.add_shuffle_bytes(total_bytes);
         let start = self.sim_time();
         let ser = SimTime::from_nanos(
             c.per_shuffle_record.as_nanos().saturating_mul(records)
@@ -275,7 +269,7 @@ impl Engine {
         let net =
             SimTime::from_secs_f64(total_bytes as f64 / self.config().aggregate_bandwidth() as f64);
         self.core.clock.advance(ser + net);
-        self.record_event(|| EngineEvent::Shuffle {
+        self.observe(EngineEvent::Shuffle {
             operator,
             records,
             bytes: total_bytes,
@@ -290,18 +284,16 @@ impl Engine {
     pub(crate) fn charge_memory(&self, operator: &'static str, working_sets: &[u64]) -> Result<()> {
         let outcome = check_stage_memory(self.config(), operator, working_sets)?;
         if outcome.peak_bytes > 0 {
-            self.core.stats.add_peak_memory(outcome.peak_bytes);
-            self.record_event(|| EngineEvent::MemoryPeak {
+            self.observe(EngineEvent::MemoryPeak {
                 operator,
                 peak_bytes: outcome.peak_bytes,
                 at: self.sim_time(),
             });
         }
         if outcome.spilled_bytes > 0 {
-            self.core.stats.add_spill_bytes(outcome.spilled_bytes);
             let start = self.sim_time();
             self.core.clock.advance(outcome.spill_time);
-            self.record_event(|| EngineEvent::Spill {
+            self.observe(EngineEvent::Spill {
                 operator,
                 bytes: outcome.spilled_bytes,
                 start,
@@ -309,12 +301,6 @@ impl Engine {
             });
         }
         Ok(())
-    }
-
-    /// Charge one job launch (per action).
-    pub(crate) fn charge_job(&self) {
-        self.core.stats.add_job();
-        self.core.clock.advance(self.config().costs.job_launch);
     }
 
     /// Charge moving `records` records of `bytes` each to the driver over a
@@ -325,7 +311,7 @@ impl Engine {
         let cpu = self.record_cost(bytes) * records;
         let net = SimTime::from_secs_f64(total_bytes / self.config().network_bandwidth as f64);
         self.core.clock.advance(cpu + net);
-        self.record_event(|| EngineEvent::Collect {
+        self.observe(EngineEvent::Collect {
             records,
             bytes: total_bytes as u64,
             start,
@@ -339,17 +325,11 @@ impl Engine {
         let expanded = (bytes as f64 * self.config().costs.materialize_factor) as u64;
         // A broadcast must fit on *every single* machine (paper Sec. 9.6).
         check_stage_memory(self.config(), operator, &[expanded])?;
-        self.core.stats.add_broadcast_bytes(bytes);
         let start = self.sim_time();
         // Torrent-style distribution: pipeline bound by one machine's link.
         let net = SimTime::from_secs_f64(bytes as f64 / self.config().network_bandwidth as f64);
         self.core.clock.advance(net);
-        self.record_event(|| EngineEvent::Broadcast {
-            operator,
-            bytes,
-            start,
-            end: self.sim_time(),
-        });
+        self.observe(EngineEvent::Broadcast { operator, bytes, start, end: self.sim_time() });
         Ok(())
     }
 }
@@ -358,6 +338,7 @@ impl Engine {
 mod tests {
     use crate::config::{ClusterConfig, GB};
     use crate::sim::SimTime;
+    use crate::trace::assert_reconciles;
     use crate::Engine;
 
     #[test]
@@ -376,7 +357,7 @@ mod tests {
     fn job_launch_advances_clock_by_configured_amount() {
         let e = Engine::new(ClusterConfig::local_test());
         let before = e.sim_time();
-        e.charge_job();
+        e.run_job("count", || Ok(())).unwrap();
         assert_eq!(e.sim_time() - before, e.config().costs.job_launch);
         assert_eq!(e.stats().jobs, 1);
     }
@@ -424,7 +405,7 @@ mod tests {
             events.iter().filter(|ev| matches!(ev, crate::EngineEvent::TaskRetry { .. })).count()
                 as u64;
         assert_eq!(retry_events, retried, "every counted retry must be traced");
-        assert_eq!(e.trace_summary().tasks_retried, retried);
+        assert_reconciles(&e);
     }
 
     #[test]
@@ -432,12 +413,18 @@ mod tests {
         let mut cfg = ClusterConfig::local_test();
         cfg.faults.task_failure_rate = 0.999999;
         cfg.faults.max_attempts = 2;
+        cfg.trace_events = true;
         let e = Engine::new(cfg);
         let b = e.parallelize((0..100u64).collect::<Vec<_>>(), 4);
         match b.count() {
             Err(crate::EngineError::TaskFailed { attempts, .. }) => assert_eq!(attempts, 2),
             other => panic!("expected TaskFailed, got {other:?}"),
         }
+        // The stage that killed the job is counted and traced like any other.
+        let stats = e.stats();
+        assert_eq!((stats.stages, stats.tasks, stats.records), (1, 4, 100));
+        assert_eq!((stats.jobs, stats.jobs_failed), (1, 1));
+        assert_reconciles(&e);
     }
 
     #[test]
@@ -486,7 +473,7 @@ mod tests {
         assert_eq!(jobs[1].2, Some(true));
         assert_eq!(jobs[2].1, "collect");
         assert_eq!(jobs[3].2, Some(false));
-        assert_eq!(e.trace_summary().jobs, 2);
-        assert_eq!(e.trace_summary().jobs_failed, 1);
+        assert_eq!((e.stats().jobs, e.stats().jobs_failed), (2, 1));
+        assert_reconciles(&e);
     }
 }

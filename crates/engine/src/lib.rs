@@ -21,11 +21,13 @@
 //! bag that another live handle still refers to is never fused through, so
 //! keeping every intermediate bound yields the operator-at-a-time schedule.
 //!
-//! Execution is observable: always-on counters ([`StatsSnapshot`]), opt-in
-//! structured events ([`EngineEvent`], via [`Engine::enable_tracing`] or
-//! [`ClusterConfig::trace_events`]), the lowering-[`Decision`] log filled in
-//! by `matryoshka-core`, and JSON / Chrome-trace exporters in the [`trace`]
-//! module ([`Engine::trace_json`], [`Engine::chrome_trace`]). See
+//! Execution is observable through one schema: every charge site emits a
+//! structured [`EngineEvent`]; the always-on counters ([`StatsSnapshot`]) are
+//! the fold of those events, and the events themselves are kept when
+//! [`Engine::enable_tracing`] or [`ClusterConfig::trace_events`] is on. Beside
+//! them sit the lowering-[`Decision`] log filled in by `matryoshka-core` and
+//! the JSON / Chrome-trace exporters in the [`trace`] module
+//! ([`Engine::trace_json`], [`Engine::chrome_trace`]). See
 //! `docs/OBSERVABILITY.md`.
 //!
 //! ```
@@ -61,7 +63,7 @@ pub use error::{EngineError, Result};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use map_output::{MapOutputStats, MapOutputSummary};
 pub use sim::{SimTime, StatsSnapshot};
-pub use trace::{Decision, EngineEvent, TraceSummary};
+pub use trace::{Decision, EngineEvent};
 pub use types::{Data, Key};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,29 +74,10 @@ use std::sync::Mutex;
 use sim::{SimClock, Stats};
 use trace::TraceCollector;
 
-/// One entry of the execution trace: an operator that was evaluated, in
-/// evaluation (topological) order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Operator name (`map`, `reduce_by_key`, ...).
-    pub op: &'static str,
-    /// Output partition count.
-    pub partitions: usize,
-    /// Modeled bytes per output record.
-    pub record_bytes: f64,
-    /// Records produced (0 for failed operators).
-    pub records: u64,
-    /// Simulated clock at completion.
-    pub completed_at: SimTime,
-    /// Whether evaluation succeeded.
-    pub ok: bool,
-}
-
 pub(crate) struct EngineCore {
     cfg: ClusterConfig,
     clock: SimClock,
     stats: Stats,
-    trace: Mutex<Vec<TraceEvent>>,
     collector: TraceCollector,
     decisions: Mutex<Vec<Decision>>,
     current_op: Mutex<Vec<&'static str>>,
@@ -153,7 +136,6 @@ impl Engine {
                 cfg,
                 clock: SimClock::default(),
                 stats: Stats::default(),
-                trace: Mutex::new(Vec::new()),
                 collector,
                 decisions: Mutex::new(Vec::new()),
                 current_op: Mutex::new(Vec::new()),
@@ -233,38 +215,6 @@ impl Engine {
         Ok(())
     }
 
-    /// The execution trace: every operator evaluated so far, in evaluation
-    /// (topological) order, with output cardinalities and the simulated
-    /// clock at completion — the moral equivalent of an engine UI's
-    /// completed-stages view. Memoized operators appear exactly once.
-    pub fn trace(&self) -> Vec<TraceEvent> {
-        self.core.trace.lock().expect("trace lock poisoned").clone()
-    }
-
-    /// Render the trace as an indented text report.
-    pub fn trace_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for ev in self.trace() {
-            let status = if ev.ok { "" } else { "  [FAILED]" };
-            let _ = writeln!(
-                out,
-                "{:>10}  {:<22} {:>8} records  {:>5} partitions  {:>10.0} B/rec{}",
-                ev.completed_at.to_string(),
-                ev.op,
-                ev.records,
-                ev.partitions,
-                ev.record_bytes,
-                status
-            );
-        }
-        out
-    }
-
-    pub(crate) fn record_trace(&self, ev: TraceEvent) {
-        self.core.trace.lock().expect("trace lock poisoned").push(ev);
-    }
-
     /// Turn structured event collection on for this engine (see
     /// [`trace`]). Equivalent to constructing the engine with
     /// [`ClusterConfig::trace_events`] set.
@@ -340,11 +290,11 @@ impl Engine {
         h.push(summary);
     }
 
-    /// Aggregate the collected events into a [`TraceSummary`]; its fields
-    /// reconcile with [`Engine::stats`] for the same run when tracing was on
-    /// the whole time.
-    pub fn trace_summary(&self) -> TraceSummary {
-        TraceSummary::from_events(&self.events())
+    /// The fold of the collected events; equals [`Engine::stats`] on every
+    /// field when tracing was on from the engine's first charge
+    /// ([`trace::assert_reconciles`]).
+    pub fn trace_summary(&self) -> StatsSnapshot {
+        StatsSnapshot::from_events(&self.events())
     }
 
     /// Export collected events and decisions as a self-contained JSON
@@ -359,9 +309,11 @@ impl Engine {
         trace::export_chrome_trace(&self.events(), &self.decisions())
     }
 
-    /// Record a structured event; `make` runs only when tracing is enabled.
-    pub(crate) fn record_event(&self, make: impl FnOnce() -> EngineEvent) {
-        self.core.collector.record(make);
+    /// The one way the engine observes anything: fold `ev` into the live
+    /// counters, then keep it if tracing is enabled.
+    pub(crate) fn observe(&self, ev: EngineEvent) {
+        self.core.stats.observe(&ev);
+        self.core.collector.keep(ev);
     }
 
     /// Push the operator currently being evaluated (used to attribute

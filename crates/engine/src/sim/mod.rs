@@ -13,7 +13,7 @@ mod time;
 
 pub use lpt::{lpt_makespan, uniform_makespan};
 pub use memory::{check_stage_memory, MemoryOutcome};
-pub use stats::{Stats, StatsSnapshot};
+pub use stats::{Counter, Fold, Stats, StatsSnapshot};
 pub use time::SimTime;
 
 use std::sync::atomic::{AtomicU64, Ordering};

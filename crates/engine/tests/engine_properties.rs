@@ -11,7 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use matryoshka_engine::{ClusterConfig, Engine};
+use matryoshka_engine::{ClusterConfig, Engine, EngineEvent};
 
 fn engine() -> Engine {
     Engine::new(ClusterConfig::local_test())
@@ -220,19 +220,28 @@ fn simulated_clock_is_monotone_and_trace_is_topological() {
         let mut g = Gen::new(seed ^ 0x39);
         let data = g.pairs(200);
         let e = engine();
+        e.enable_tracing();
         let t0 = e.sim_time();
         let b = e.parallelize(data, 4);
         let grouped = b.map(|(k, v)| (*k, v * 2)).reduce_by_key(|a, b| a + b);
         grouped.count().unwrap();
         let t1 = e.sim_time();
         assert!(t1 >= t0, "seed {seed}");
-        // Trace: parents complete before children; timestamps non-decreasing.
-        let trace = e.trace();
+        // Operator events: parents complete before children; timestamps
+        // non-decreasing.
+        let trace: Vec<_> = e
+            .events()
+            .iter()
+            .filter_map(|ev| match ev {
+                EngineEvent::Operator { op, at, .. } => Some((*op, *at)),
+                _ => None,
+            })
+            .collect();
         assert!(!trace.is_empty(), "seed {seed}");
         for w in trace.windows(2) {
-            assert!(w[0].completed_at <= w[1].completed_at, "seed {seed}");
+            assert!(w[0].1 <= w[1].1, "seed {seed}");
         }
-        let names: Vec<&str> = trace.iter().map(|ev| ev.op).collect();
+        let names: Vec<&str> = trace.iter().map(|(op, _)| *op).collect();
         let src = names.iter().position(|n| *n == "parallelize").unwrap();
         let red = names.iter().position(|n| *n == "reduce_by_key").unwrap();
         assert!(src < red, "source must evaluate before the shuffle: {names:?}");

@@ -112,6 +112,9 @@ fn golden_kmeans() -> Golden {
             jobs_cancelled: 0,
             jobs_rejected: 0,
             queue_wait_nanos: 0,
+            jobs_failed: 0,
+            collected_records: 4,
+            partitions_recomputed: 0,
         },
     }
 }
@@ -140,6 +143,9 @@ fn golden_copartitioned_join_loop() -> Golden {
             jobs_cancelled: 0,
             jobs_rejected: 0,
             queue_wait_nanos: 0,
+            jobs_failed: 0,
+            collected_records: 0,
+            partitions_recomputed: 0,
         },
     }
 }
@@ -168,6 +174,9 @@ fn golden_distinct() -> Golden {
             jobs_cancelled: 0,
             jobs_rejected: 0,
             queue_wait_nanos: 0,
+            jobs_failed: 0,
+            collected_records: 0,
+            partitions_recomputed: 0,
         },
     }
 }
@@ -196,6 +205,9 @@ fn golden_shuffle_heavy() -> Golden {
             jobs_cancelled: 0,
             jobs_rejected: 0,
             queue_wait_nanos: 0,
+            jobs_failed: 0,
+            collected_records: 0,
+            partitions_recomputed: 0,
         },
     }
 }

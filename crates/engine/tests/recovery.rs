@@ -11,6 +11,7 @@
 //! cargo test -p matryoshka-engine --test recovery -- --ignored --nocapture
 //! ```
 
+use matryoshka_engine::trace::assert_reconciles;
 use matryoshka_engine::{Bag, ClusterConfig, Engine, EngineError, EngineEvent};
 
 fn lossy_config(rate: f64, seed: u64) -> ClusterConfig {
@@ -159,12 +160,17 @@ fn results_are_value_identical_under_machine_loss() {
 fn recovery_exhaustion_fails_the_job_gracefully() {
     let mut cfg = lossy_config(0.999_999, 3);
     cfg.faults.max_recovery_attempts = 2;
+    cfg.trace_events = true;
     let e = Engine::new(cfg);
     let b = e.parallelize((0..100u64).collect::<Vec<_>>(), 4);
     match b.count() {
         Err(EngineError::RecoveryFailed { attempts, .. }) => assert_eq!(attempts, 2),
         other => panic!("expected RecoveryFailed, got {other:?}"),
     }
+    // The stage ran before the boundary that killed the job: it is counted,
+    // and the counters are still the fold of the events.
+    assert_eq!((e.stats().stages, e.stats().records, e.stats().jobs_failed), (1, 100, 1));
+    assert_reconciles(&e);
 }
 
 #[test]

@@ -1,8 +1,11 @@
 //! End-to-end checks of the structured tracing surface: a job with a known
-//! plan must produce the expected event sequence, and the aggregate of the
-//! event stream must reconcile with the engine's own [`StatsSnapshot`]
-//! counters (`docs/OBSERVABILITY.md` documents this contract).
+//! plan must produce the expected event sequence, and the fold of the event
+//! stream must equal the engine's own `StatsSnapshot` as a whole struct
+//! (`docs/OBSERVABILITY.md` documents this contract; `tests/reconciliation.rs`
+//! at the repository root checks it on the paper workloads, the shipped
+//! programs and the job service).
 
+use matryoshka_engine::trace::assert_reconciles;
 use matryoshka_engine::{ClusterConfig, Engine, EngineEvent};
 
 fn traced_engine() -> Engine {
@@ -143,16 +146,13 @@ fn fused_chain_traces_a_stage_fused_event() {
     assert!(events
         .iter()
         .any(|e| matches!(e, EngineEvent::Stage { operator: "filter", scheduled: false, .. })));
-    // And the summary aggregates the fusion counters.
-    let summary = engine.trace_summary();
+    // And the event feeds the fusion counters.
     let stats = engine.stats();
-    assert_eq!(summary.stages_fused, stats.stages_fused);
-    assert_eq!(summary.intermediates_elided, stats.intermediates_elided);
-    assert_eq!(stats.stages_fused, 1);
-    assert_eq!(stats.intermediates_elided, 1);
+    assert_eq!((stats.stages_fused, stats.intermediates_elided), (1, 1));
+    assert_reconciles(&engine);
 }
 
-/// The aggregate of the event stream must match the engine's counters.
+/// The fold of the event stream equals the engine's counters, every field.
 #[test]
 fn trace_summary_reconciles_with_stats_snapshot() {
     let engine = traced_engine();
@@ -169,16 +169,8 @@ fn trace_summary_reconciles_with_stats_snapshot() {
         .count()
         .unwrap();
 
-    let stats = engine.stats();
-    let summary = engine.trace_summary();
-    assert_eq!(summary.jobs, stats.jobs);
-    assert_eq!(summary.jobs_failed, 0);
-    assert_eq!(summary.stages, stats.stages);
-    assert_eq!(summary.tasks, stats.tasks);
-    assert_eq!(summary.shuffle_bytes, stats.shuffle_bytes);
-    assert_eq!(summary.spill_bytes, stats.spill_bytes);
-    assert_eq!(summary.broadcast_bytes, stats.broadcast_bytes);
-    assert_eq!(summary.peak_memory_bytes, stats.peak_memory_bytes);
+    assert_reconciles(&engine);
+    assert_eq!(engine.stats().jobs, 2);
 }
 
 /// With tracing off (the default) no events are recorded, but the engine's

@@ -108,9 +108,9 @@ struct Inner {
     done_cv: Condvar,
     /// Serializes event-loop drivers (determinism needs exactly one).
     driver: Mutex<()>,
-    /// Service-level counters (`jobs_completed`, `jobs_cancelled`,
-    /// `jobs_rejected`, `queue_wait_nanos`; the engine-side counters of
-    /// this instance stay 0).
+    /// Service-level counters: the fold of `State::events` (`jobs_completed`,
+    /// `jobs_cancelled`, `jobs_rejected`, `queue_wait_nanos`; the engine-side
+    /// counters of this instance stay 0).
     stats: Stats,
 }
 
@@ -193,12 +193,10 @@ impl JobService {
         let arrival = if arrival.as_nanos() > st.vt.as_nanos() { arrival } else { st.vt };
 
         let reject = |st: &mut State, reason: String, diagnostics: Vec<String>| {
-            st.events.push(EngineEvent::JobRejected {
-                job: id,
-                reason: reason.clone(),
-                at: arrival,
-            });
-            self.inner.stats.add_job_rejected();
+            self.emit(
+                st,
+                EngineEvent::JobRejected { job: id, reason: reason.clone(), at: arrival },
+            );
             Err(Rejection { id, reason, diagnostics })
         };
 
@@ -229,12 +227,15 @@ impl JobService {
         let slots = if spec.slots == 0 { scheduler.default_slots } else { spec.slots }
             .clamp(1, scheduler.total_slots);
         let deadline_vt = spec.deadline.map(|d| arrival + d);
-        st.events.push(EngineEvent::JobQueued {
-            job: id,
-            name: spec.name.clone(),
-            pool: spec.pool.clone(),
-            at: arrival,
-        });
+        self.emit(
+            &mut st,
+            EngineEvent::JobQueued {
+                job: id,
+                name: spec.name.clone(),
+                pool: spec.pool.clone(),
+                at: arrival,
+            },
+        );
         st.jobs.insert(
             id,
             JobEntry {
@@ -419,6 +420,13 @@ impl JobService {
         }
     }
 
+    /// The one way the service observes a lifecycle step: fold `ev` into the
+    /// service counters and append it to the service lane.
+    fn emit(&self, st: &mut State, ev: EngineEvent) {
+        self.inner.stats.observe(&ev);
+        st.events.push(ev);
+    }
+
     /// Start `job` at the current virtual time: allocate slots, record the
     /// lifecycle event, and build its isolated engine. Host execution
     /// happens outside the state lock.
@@ -429,14 +437,13 @@ impl JobService {
         let entry = st.jobs.get_mut(&job.id).expect("queued job has an entry");
         entry.status = JobStatus::Running;
         entry.start_vt = Some(st.vt);
-        let pool_name = entry.pool_name.clone();
-        st.events.push(EngineEvent::JobStarted {
+        let started = EngineEvent::JobStarted {
             job: job.id,
-            pool: pool_name,
+            pool: entry.pool_name.clone(),
             queue_wait,
             at: st.vt,
-        });
-        self.inner.stats.add_queue_wait_nanos(queue_wait.as_nanos());
+        };
+        self.emit(st, started);
         let engine = Engine::new(self.inner.cluster.clone());
         if let Some(d) = job.deadline_vt {
             // The engine clock starts at 0, so the engine-local deadline is
@@ -524,34 +531,19 @@ impl JobService {
             st.free_slots += run.slots;
             st.sched.on_finish(run.pool, run.slots, run.duration.as_nanos());
             st.cancels.remove(&run.id);
-            match &run.outcome {
+            let (job, at) = (run.id, run.end_vt);
+            let ended = match &run.outcome {
                 JobOutcome::Completed { sim_nanos, .. } => {
-                    st.events.push(EngineEvent::JobFinished {
-                        job: run.id,
-                        ok: true,
-                        sim_nanos: *sim_nanos,
-                        at: run.end_vt,
-                    });
-                    self.inner.stats.add_job_completed();
+                    EngineEvent::JobFinished { job, ok: true, sim_nanos: *sim_nanos, at }
                 }
                 JobOutcome::Failed { sim_nanos, .. } => {
-                    st.events.push(EngineEvent::JobFinished {
-                        job: run.id,
-                        ok: false,
-                        sim_nanos: *sim_nanos,
-                        at: run.end_vt,
-                    });
-                    self.inner.stats.add_job_completed();
+                    EngineEvent::JobFinished { job, ok: false, sim_nanos: *sim_nanos, at }
                 }
                 JobOutcome::Cancelled { reason } => {
-                    st.events.push(EngineEvent::JobCancelled {
-                        job: run.id,
-                        reason: reason.clone(),
-                        at: run.end_vt,
-                    });
-                    self.inner.stats.add_job_cancelled();
+                    EngineEvent::JobCancelled { job, reason: reason.clone(), at }
                 }
-            }
+            };
+            self.emit(st, ended);
             let entry = st.jobs.get_mut(&run.id).expect("running job has an entry");
             let started = entry.start_vt.expect("running job started");
             entry.status = JobStatus::Done(run.outcome.clone());
@@ -604,8 +596,7 @@ impl JobService {
         let Some(pos) = st.queued.iter().position(|q| q.id == id) else { return };
         st.queued.remove(pos);
         st.cancels.remove(&id);
-        st.events.push(EngineEvent::JobCancelled { job: id, reason: reason.to_string(), at });
-        self.inner.stats.add_job_cancelled();
+        self.emit(st, EngineEvent::JobCancelled { job: id, reason: reason.to_string(), at });
         let entry = st.jobs.get_mut(&id).expect("queued job has an entry");
         let outcome = JobOutcome::Cancelled { reason: reason.to_string() };
         entry.status = JobStatus::Done(outcome.clone());
@@ -674,5 +665,94 @@ impl JobService {
             }
         }
         next.map(SimTime::from_nanos)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use matryoshka_core::scheduler::SchedulerConfig;
+    use matryoshka_engine::GB;
+
+    /// One run through every lifecycle outcome: a completed, a failed
+    /// (simulated OOM), a queue-cancelled, a running-cancelled and a
+    /// deadline-expired job, and three differently-rejected submissions.
+    /// Returns the service and the admitted ids.
+    fn every_outcome(trace_events: bool) -> (JobService, Vec<JobId>) {
+        let cluster = ClusterConfig { trace_events, ..ClusterConfig::local_test() };
+        let config = MatryoshkaConfig {
+            scheduler: SchedulerConfig { queue_capacity: 5, ..SchedulerConfig::default() },
+            ..MatryoshkaConfig::default()
+        };
+        let svc = JobService::new(cluster, config, 5).expect("valid scheduler config");
+        let count = |e: &Engine| e.generate(1_000, 8, |i| (i % 97, i)).count();
+        let admitted = vec![
+            svc.submit(JobSpec::program("completed", "count(distinct(source(xs)))")).unwrap(),
+            svc.submit(JobSpec::native("oom", move |e: &Engine| {
+                count(e)?;
+                e.broadcast((), 2 * GB)?;
+                Ok("unreachable".to_string())
+            }))
+            .unwrap(),
+            svc.submit(JobSpec::native("queue-cancelled", move |e: &Engine| {
+                Ok(count(e)?.to_string())
+            }))
+            .unwrap(),
+            svc.submit(JobSpec::native("running-cancelled", move |e: &Engine| {
+                count(e)?;
+                e.request_cancel();
+                Ok(count(e)?.to_string())
+            }))
+            .unwrap(),
+            svc.submit(
+                JobSpec::native("deadline", move |e: &Engine| Ok(count(e)?.to_string()))
+                    .with_deadline(SimTime::from_nanos(1_000)),
+            )
+            .unwrap(),
+        ];
+        let rejected = [
+            svc.submit(JobSpec::program("queue-full", "count(source(xs))")),
+            svc.submit(JobSpec::program("unknown-pool", "count(source(xs))").in_pool("nope")),
+            svc.submit(JobSpec::program("unbound", "map(source(xs), v => y)")),
+        ];
+        assert!(rejected.iter().all(Result::is_err), "{rejected:?}");
+        assert!(svc.cancel(admitted[2]), "still queued");
+        svc.run_until_idle();
+        (svc, admitted)
+    }
+
+    #[test]
+    fn counters_are_the_fold_of_the_events_for_every_outcome() {
+        let (svc, admitted) = every_outcome(true);
+        let stats = svc.stats();
+        assert_eq!(
+            (stats.jobs_completed, stats.jobs_cancelled, stats.jobs_rejected),
+            (2, 3, 3),
+            "completed + failed; queue-, running- and deadline-cancelled; three rejections"
+        );
+        assert_eq!(stats, StatsSnapshot::from_events(&svc.events()));
+        // Each job's report carries the fold of that job's own engine events.
+        let st = svc.inner.state.lock().expect("service state poisoned");
+        for id in &admitted {
+            let entry = &st.jobs[id];
+            let report = entry.report.as_ref().expect("every admitted job is done");
+            assert_eq!(report.stats, StatsSnapshot::from_events(&entry.events), "{}", entry.name);
+        }
+        let oom = st.jobs[&admitted[1]].report.as_ref().expect("done");
+        assert!(
+            matches!(&oom.outcome, JobOutcome::Failed { error, .. } if error.contains("OutOfMemory")),
+            "{:?}",
+            oom.outcome
+        );
+        assert!(oom.stats.records > 0, "the job ran a stage before it failed");
+    }
+
+    #[test]
+    fn tracing_is_transparent_to_the_service() {
+        let observe = |(svc, admitted): (JobService, Vec<JobId>)| {
+            let reports: Vec<_> = admitted.iter().map(|id| svc.report(*id)).collect();
+            (format!("{reports:?}"), svc.events(), svc.stats(), svc.virtual_time())
+        };
+        assert_eq!(observe(every_outcome(true)), observe(every_outcome(false)));
     }
 }

@@ -8,7 +8,7 @@
 
 use matryoshka::core::{group_by_key_into_nested_bag, MatryoshkaConfig};
 use matryoshka::datagen::{visit_log, KeyDist, VisitSpec};
-use matryoshka::engine::{ClusterConfig, Engine, GB};
+use matryoshka::engine::{ClusterConfig, Engine, EngineEvent, GB};
 use matryoshka::tasks::bounce_rate;
 
 fn main() {
@@ -27,6 +27,7 @@ fn main() {
 
     // --- Matryoshka: the nested-parallel program of Listing 1, flattened.
     let engine = Engine::new(ClusterConfig::paper_small_cluster());
+    engine.enable_tracing(); // keep the events for the operator printout below
     let visits = engine.parallelize_with_bytes(log.clone(), 1200, record_bytes);
     let per_day = group_by_key_into_nested_bag(&engine, &visits, MatryoshkaConfig::optimized())
         .expect("grouping");
@@ -80,7 +81,17 @@ fn main() {
     println!("\nresults verified against the sequential oracle ✓");
 
     println!("\nexecution trace of the flattened program (first 10 operators):");
-    for line in engine.trace_report().lines().take(10) {
+    let operators = engine.events().into_iter().filter_map(|ev| match ev {
+        EngineEvent::Operator { op, partitions, records, ok, at } => {
+            let status = if ok { "" } else { "  [FAILED]" };
+            let at = at.to_string();
+            Some(format!(
+                "{at:>10}  {op:<22} {records:>8} records  {partitions:>5} partitions{status}"
+            ))
+        }
+        _ => None,
+    });
+    for line in operators.take(10) {
         println!("  {line}");
     }
 }

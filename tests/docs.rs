@@ -10,16 +10,17 @@
 //!    the `examples/programs/` corpus — documentation snippets are programs
 //!    and must keep passing `matryoshka-check`.
 //!
-//! 3. **Event-schema checking**: the "Event schema" table of
+//! 3. **Schema checking**: the "Event schema" table of
 //!    `docs/OBSERVABILITY.md` must list exactly the variants, JSON types and
-//!    field names of `EngineEvent::SCHEMA`.
+//!    field names of `EngineEvent::SCHEMA`, and its "Counters" table exactly
+//!    the names and folds of `StatsSnapshot::FIELDS`.
 //!
 //! All are std-only, like everything else in the workspace.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use matryoshka::engine::EngineEvent;
+use matryoshka::engine::{EngineEvent, StatsSnapshot};
 use matryoshka::ir::{analyze, check, parse_program, Dialect};
 
 /// The documentation surface under test: root Markdown + `docs/`.
@@ -215,17 +216,23 @@ fn cell_names(cell: &str) -> Vec<&str> {
     cell.split(',').map(|name| name.trim().trim_matches('`')).collect()
 }
 
-#[test]
-fn event_schema_table_matches_the_engine_descriptor() {
+/// The body rows (those starting with a backticked cell) of the table under
+/// `heading` in `docs/OBSERVABILITY.md`.
+fn observability_table(heading: &str) -> Vec<String> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/OBSERVABILITY.md");
     let src = std::fs::read_to_string(&path).unwrap();
-    let rows: Vec<&str> = src
-        .lines()
-        .skip_while(|line| line.trim() != "## Event schema")
+    src.lines()
+        .skip_while(|line| line.trim() != heading)
         .skip(1)
         .take_while(|line| !line.starts_with("## "))
         .filter(|line| line.starts_with("| `"))
-        .collect();
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn event_schema_table_matches_the_engine_descriptor() {
+    let rows = observability_table("## Event schema");
     assert_eq!(rows.len(), EngineEvent::SCHEMA.len(), "one table row per EngineEvent variant");
     for (row, schema) in rows.iter().zip(EngineEvent::SCHEMA) {
         // `| Event | JSON type | Fields | Emitted when |`; only the last
@@ -236,5 +243,17 @@ fn event_schema_table_matches_the_engine_descriptor() {
         let documented = cell_names(cells[3]);
         let described: Vec<&str> = schema.fields.iter().chain(schema.when).copied().collect();
         assert_eq!(documented, described, "{}: fields", schema.variant);
+    }
+}
+
+#[test]
+fn counters_table_matches_the_generated_fields() {
+    let rows = observability_table("## Counters");
+    assert_eq!(rows.len(), StatsSnapshot::FIELDS.len(), "one table row per counter");
+    for (row, (name, fold)) in rows.iter().zip(StatsSnapshot::FIELDS) {
+        // `| Counter | Fold | Fed by |`
+        let cells: Vec<&str> = row.splitn(4, '|').collect();
+        assert_eq!(cell_names(cells[1]), [*name], "row order follows the table in stats.rs");
+        assert_eq!(cell_names(cells[2]), [format!("{fold:?}")], "{name}: fold");
     }
 }
