@@ -4,7 +4,7 @@
 //! path: see `matryoshka_bench::sweep` (`BENCH_RECOVERY_OUT` overrides the
 //! path).
 
-use matryoshka_bench::sweep::{sweep_main, Smoke, Sweep};
+use matryoshka_bench::sweep::{sweep_main, Sweep};
 use matryoshka_bench::{figures, json};
 
 fn main() -> std::process::ExitCode {
@@ -16,5 +16,5 @@ fn main() -> std::process::ExitCode {
         run: figures::recovery::run,
         smoke: figures::recovery::smoke,
     };
-    sweep_main(&sweep, Smoke::Prints)
+    sweep_main(&sweep)
 }

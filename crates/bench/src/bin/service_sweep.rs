@@ -3,7 +3,7 @@
 //! machine-readable `BENCH_service.json` artifact. Flags and output path:
 //! see `matryoshka_bench::sweep` (`BENCH_SERVICE_OUT` overrides the path).
 
-use matryoshka_bench::sweep::{sweep_main, Smoke, Sweep};
+use matryoshka_bench::sweep::{sweep_main, Sweep};
 use matryoshka_bench::{figures, json};
 
 fn main() -> std::process::ExitCode {
@@ -15,5 +15,5 @@ fn main() -> std::process::ExitCode {
         run: figures::service::run,
         smoke: figures::service::smoke,
     };
-    sweep_main(&sweep, Smoke::Prints)
+    sweep_main(&sweep)
 }

@@ -1,28 +1,19 @@
-//! Additional ablations of design choices called out in DESIGN.md, beyond
+//! An additional ablation of a design choice called out in DESIGN.md, beyond
 //! the paper's Fig. 8:
 //!
 //! - **Partition tuning (Sec. 8.1):** size-derived partition counts for
 //!   InnerScalar-sized bags vs. always using the engine's default
 //!   parallelism.
-//! - **Memoized lineage:** how much of an iterative task's simulated time is
-//!   saved by evaluating each operator once (the engine's always-cached
-//!   lineage) — measured indirectly by comparing a co-partitioned static
-//!   relation (reused placement) against re-shuffling it every iteration.
-//! - **Adaptive re-optimizations** (`docs/ADAPTIVE.md`): each of the three
-//!   feedback-driven mechanisms (partition coalescing, join switching, skew
-//!   salting) enabled alone on the Fig. 7 skewed PageRank, against the fully
-//!   static plan and the fully adaptive one.
 
-use matryoshka_core::{AdaptiveConfig, MatryoshkaConfig};
-use matryoshka_datagen::KeyDist;
+use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::ClusterConfig;
 
-use crate::figures::{fig3, fig7};
+use crate::figures::fig3;
 use crate::harness::{run_case, Row};
 use crate::profile::{gb, Profile};
 
 /// Partition-tuning ablation on per-group PageRank at three group counts.
-pub fn run_partition_tuning(profile: Profile) -> Vec<Row> {
+pub fn run(profile: Profile) -> Vec<Row> {
     let mut rows = Vec::new();
     for &groups in &profile.sweep(&[4, 64, 1024], &[4, 1024]) {
         let (edges, record_bytes) = fig3::pagerank_input(profile, groups, gb(20));
@@ -40,57 +31,5 @@ pub fn run_partition_tuning(profile: Profile) -> Vec<Row> {
             });
         }
     }
-    rows
-}
-
-/// One row per adaptive re-optimization on the Fig. 7 skewed PageRank
-/// (Zipf exponent 1.5, fat per-group scalars): the fully static plan, each
-/// mechanism alone, and everything on. The deltas attribute the adaptive
-/// win: coalescing trims the task count, join switching repartitions the
-/// over-cap scalars instead of broadcasting them, and salting declines (a
-/// logged `keep`) when replicating the scalar side would outweigh the hot
-/// partition.
-pub fn run_adaptive(profile: Profile) -> Vec<Row> {
-    let only = |coalesce: bool, switch_joins: bool, salt_skew: bool| AdaptiveConfig {
-        coalesce,
-        switch_joins,
-        salt_skew,
-        ..AdaptiveConfig::enabled()
-    };
-    let variants: [(&str, AdaptiveConfig); 5] = [
-        ("static", AdaptiveConfig::default()),
-        ("coalesce-only", only(true, false, false)),
-        ("switch-joins-only", only(false, true, false)),
-        ("salt-only", only(false, false, true)),
-        ("all-adaptive", only(true, true, true)),
-    ];
-    let (edges, record_bytes) = fig7::sweep_edges(profile, KeyDist::Zipf(1.5));
-    let mut rows = Vec::new();
-    for (label, adaptive) in variants {
-        let cfg = MatryoshkaConfig { adaptive, ..MatryoshkaConfig::optimized() };
-        let m = run_case(ClusterConfig::paper_small_cluster(), |e| {
-            fig3::run_pagerank_strategy(
-                e,
-                "matryoshka",
-                &edges,
-                record_bytes,
-                cfg.clone(),
-                fig7::SWEEP_SCALAR_BYTES,
-            )
-        });
-        rows.push(Row {
-            figure: "ablation/adaptive-pagerank-zipf".into(),
-            series: label.into(),
-            x: 150,
-            m,
-        });
-    }
-    rows
-}
-
-/// All ablations.
-pub fn run(profile: Profile) -> Vec<Row> {
-    let mut rows = run_partition_tuning(profile);
-    rows.extend(run_adaptive(profile));
     rows
 }

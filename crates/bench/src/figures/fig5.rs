@@ -43,9 +43,6 @@ pub fn run_strategy(
         "matryoshka" => {
             bounce_rate::matryoshka(engine, &bag(), MatryoshkaConfig::optimized())?;
         }
-        "matryoshka-adaptive" => {
-            bounce_rate::matryoshka(engine, &bag(), MatryoshkaConfig::adaptive())?;
-        }
         "outer-parallel" => {
             bounce_rate::outer_parallel(engine, &bag())?;
         }

@@ -2,23 +2,12 @@
 //! per-group PageRank are drawn from a Zipf distribution (1024 groups: a few
 //! giant groups, many tiny ones). Outer-parallel fails with OOM (the giant
 //! group is one giant task), inner-parallel pays 1024 jobs-worth of
-//! overhead, and Matryoshka is within ~15% of its unskewed runtime.
-//!
-//! On top of the paper's comparison, this figure carries the adaptive
-//! re-optimizer's headline experiment (`docs/ADAPTIVE.md`): a
-//! `matryoshka-adaptive` series next to each static `matryoshka` one, and a
-//! Zipf-exponent sweep ([`skew_sweep`]) where per-group PageRank carries fat
-//! per-topic scalars (Topic-Sensitive-style auxiliary state) so the tag
-//! joins repartition — the setting where stage-boundary statistics pay:
-//! coalescing trims the over-partitioned shuffles, join switching re-checks
-//! broadcastability per iteration, and salting splits the hot Zipf
-//! partition. `cargo run --release --bin fig7_skew` prints the rows and
-//! writes them to `BENCH_skew.json`.
+//! overhead, and the paper reports Matryoshka within ~15% of its unskewed
+//! runtime (measured here: `EXPERIMENTS.md`, Fig. 7).
 
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_datagen::{grouped_edges, visit_log, GroupedGraphSpec, KeyDist, VisitSpec};
 use matryoshka_engine::ClusterConfig;
-use matryoshka_tasks::pagerank;
 
 use crate::figures::{fig3, fig5};
 use crate::harness::{run_case, Row};
@@ -27,14 +16,8 @@ use crate::profile::{gb, Profile};
 const GROUPS: u64 = 1024;
 const ZIPF_EXPONENT: f64 = 1.0;
 
-/// Modeled bytes of each per-group scalar in the skew sweep: 1024 groups at
-/// 512 KiB each put the full per-tag scalar relation (512 MiB) over the
-/// broadcast cap of the paper cluster (~440 MiB), so the static optimizer
-/// repartition-joins by tag and the Zipf hot tag lands on one reduce task.
-pub const SWEEP_SCALAR_BYTES: f64 = (512 * 1024) as f64;
-
 /// Build the Fig. 7 grouped-PageRank edges at a given key distribution.
-pub fn sweep_edges(profile: Profile, dist: KeyDist) -> (Vec<(u32, (u64, u64))>, f64) {
+fn pagerank_edges(profile: Profile, dist: KeyDist) -> (Vec<(u32, (u64, u64))>, f64) {
     let edges_n = profile.records(1 << 18);
     let spec = GroupedGraphSpec {
         total_edges: edges_n,
@@ -48,9 +31,7 @@ pub fn sweep_edges(profile: Profile, dist: KeyDist) -> (Vec<(u32, (u64, u64))>, 
 
 /// The Fig. 7 cases: for each task, the three strategies on Zipf-skewed
 /// keys, plus Matryoshka on unskewed data of the same size (x=0 row) — the
-/// paper's "within 15% of running on unskewed data" check — plus the
-/// adaptive re-optimizer next to each static Matryoshka line and the
-/// Zipf-exponent sweep.
+/// paper's "within 15% of running on unskewed data" check.
 pub fn run(profile: Profile) -> Vec<Row> {
     let mut rows = Vec::new();
 
@@ -68,7 +49,7 @@ pub fn run(profile: Profile) -> Vec<Row> {
         })
     };
     let skewed = mk_visits(KeyDist::Zipf(ZIPF_EXPONENT));
-    for strategy in ["matryoshka", "matryoshka-adaptive", "inner-parallel", "outer-parallel"] {
+    for strategy in ["matryoshka", "inner-parallel", "outer-parallel"] {
         let m = run_case(ClusterConfig::paper_small_cluster(), |e| {
             fig5::run_strategy(e, strategy, &skewed, rb)
         });
@@ -86,20 +67,21 @@ pub fn run(profile: Profile) -> Vec<Row> {
     });
 
     // Per-group PageRank, 20 GB, Zipf group sizes.
-    let (skewed_edges, erb) = sweep_edges(profile, KeyDist::Zipf(ZIPF_EXPONENT));
-    for (strategy, cfg) in [
-        ("matryoshka", MatryoshkaConfig::optimized()),
-        ("matryoshka-adaptive", MatryoshkaConfig::adaptive()),
-        ("inner-parallel", MatryoshkaConfig::optimized()),
-        ("outer-parallel", MatryoshkaConfig::optimized()),
-    ] {
-        let engine_strategy = strategy.strip_suffix("-adaptive").unwrap_or(strategy);
+    let (skewed_edges, erb) = pagerank_edges(profile, KeyDist::Zipf(ZIPF_EXPONENT));
+    for strategy in ["matryoshka", "inner-parallel", "outer-parallel"] {
         let m = run_case(ClusterConfig::paper_small_cluster(), |e| {
-            fig3::run_pagerank_strategy(e, engine_strategy, &skewed_edges, erb, cfg, 0.0)
+            fig3::run_pagerank_strategy(
+                e,
+                strategy,
+                &skewed_edges,
+                erb,
+                MatryoshkaConfig::optimized(),
+                0.0,
+            )
         });
         rows.push(Row { figure: "fig7/pagerank-zipf".into(), series: strategy.into(), x: 1, m });
     }
-    let (unskewed_edges, erb) = sweep_edges(profile, KeyDist::Uniform);
+    let (unskewed_edges, erb) = pagerank_edges(profile, KeyDist::Uniform);
     let m = run_case(ClusterConfig::paper_small_cluster(), |e| {
         fig3::run_pagerank_strategy(
             e,
@@ -116,46 +98,5 @@ pub fn run(profile: Profile) -> Vec<Row> {
         x: 1,
         m,
     });
-
-    // Sanity anchor for the harness user: a skewed inner-parallel PageRank
-    // is dominated by per-group jobs; surface the group count explicitly.
-    let _ = pagerank::split_by_group(&skewed_edges).len();
-
-    rows.extend(skew_sweep(profile));
-    rows
-}
-
-/// The adaptive headline: static vs. adaptive Matryoshka on per-group
-/// PageRank with fat per-topic scalars, sweeping the Zipf exponent of the
-/// group-size distribution. `x` is the exponent times 100 (x=0 is the
-/// uniform baseline). The acceptance bar for the re-optimizer is the
-/// highest-skew point of this sweep.
-pub fn skew_sweep(profile: Profile) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &x in &profile.sweep(&[0, 50, 100, 150], &[0, 100, 150]) {
-        let dist = if x == 0 { KeyDist::Uniform } else { KeyDist::Zipf(x as f64 / 100.0) };
-        let (edges, erb) = sweep_edges(profile, dist);
-        for (series, cfg) in [
-            ("matryoshka", MatryoshkaConfig::optimized()),
-            ("matryoshka-adaptive", MatryoshkaConfig::adaptive()),
-        ] {
-            let m = run_case(ClusterConfig::paper_small_cluster(), |e| {
-                fig3::run_pagerank_strategy(
-                    e,
-                    "matryoshka",
-                    &edges,
-                    erb,
-                    cfg.clone(),
-                    SWEEP_SCALAR_BYTES,
-                )
-            });
-            rows.push(Row {
-                figure: "fig7/pagerank-skew-sweep".into(),
-                series: series.into(),
-                x,
-                m,
-            });
-        }
-    }
     rows
 }

@@ -312,20 +312,6 @@ pub struct RowSpec {
     pub needs: &'static [(fn(&RowView) -> bool, &'static str)],
 }
 
-/// `BENCH_skew.json` (see `figures::fig7`): both the static and the
-/// adaptive Matryoshka series.
-pub const SKEW_ROWS: RowSpec = RowSpec {
-    numeric: &[],
-    bad_row: |_| None,
-    needs: &[
-        (|r| r.series == "matryoshka", "missing matryoshka and/or matryoshka-adaptive series"),
-        (
-            |r| r.series == "matryoshka-adaptive",
-            "missing matryoshka and/or matryoshka-adaptive series",
-        ),
-    ],
-};
-
 /// `BENCH_recovery.json` (see `figures::recovery`): the recovery counters,
 /// the fault-free `loss-0` baseline series, at least one lossy series, and
 /// at least one row that actually lost partitions (otherwise the sweep
@@ -423,66 +409,58 @@ mod tests {
     use crate::harness::Measurement;
     use matryoshka_engine::StatsSnapshot;
 
-    fn row(series: &str, x: u64, seconds: f64) -> Row {
+    fn recovery_row(series: &str, lost: u64, seconds: f64) -> Row {
+        let stats = StatsSnapshot {
+            partitions_lost: lost,
+            recompute_nanos: lost * 1_000_000,
+            ..Default::default()
+        };
         Row {
-            figure: "fig7/pagerank-skew-sweep".into(),
+            figure: "recovery/loss-x-checkpoint".into(),
             series: series.into(),
-            x,
-            m: Measurement { outcome: Outcome::Ok, seconds, stats: StatsSnapshot::default() },
+            x: 0,
+            m: Measurement { outcome: Outcome::Ok, seconds, stats },
         }
     }
 
     #[test]
     fn rows_round_trip_and_validate() {
-        let rows = vec![row("matryoshka", 100, 12.5), row("matryoshka-adaptive", 100, 7.25)];
+        let rows = vec![recovery_row("loss-0", 0, 12.5), recovery_row("loss-30", 4, 7.25)];
         let json = rows_to_json(&rows);
-        assert_eq!(validate_rows(&json, &SKEW_ROWS).unwrap(), 2);
+        assert_eq!(validate_rows(&json, &RECOVERY_ROWS).unwrap(), 2);
         let doc = parse(&json).unwrap();
         let Json::Arr(items) = &doc else { panic!("not an array") };
-        assert_eq!(items[1].get("series").unwrap().as_str().unwrap(), "matryoshka-adaptive");
+        assert_eq!(items[1].get("series").unwrap().as_str().unwrap(), "loss-30");
         assert_eq!(items[0].get("seconds").unwrap().as_num().unwrap(), 12.5);
     }
 
     #[test]
     fn validator_rejects_mangled_documents() {
-        assert!(validate_rows("[", &SKEW_ROWS).is_err(), "truncated");
-        assert!(validate_rows("{}", &SKEW_ROWS).is_err(), "not an array");
-        assert_eq!(validate_rows("[]", &SKEW_ROWS).unwrap_err(), "empty benchmark array");
+        assert!(validate_rows("[", &RECOVERY_ROWS).is_err(), "truncated");
+        assert!(validate_rows("{}", &RECOVERY_ROWS).is_err(), "not an array");
+        assert_eq!(validate_rows("[]", &RECOVERY_ROWS).unwrap_err(), "empty benchmark array");
+        let baseline = r#"{"figure": "f", "series": "loss-0", "seconds": 1.0,
+            "partitions_lost": 0, "recompute_ms": 0.0, "checkpoint_bytes": 0}"#;
         assert!(
-            validate_rows(
-                r#"[{"figure": "f", "series": "matryoshka", "seconds": 1.0}]"#,
-                &SKEW_ROWS
-            )
-            .is_err(),
-            "adaptive series missing"
+            validate_rows(&format!("[{baseline}]"), &RECOVERY_ROWS).is_err(),
+            "lossy series missing"
         );
-        let both = r#"[
-            {"figure": "f", "series": "matryoshka", "seconds": 1.0},
-            {"figure": "f", "series": "matryoshka-adaptive", "seconds": 0.5}
-        ]"#;
-        assert_eq!(validate_rows(both, &SKEW_ROWS).unwrap(), 2);
+        let both = format!(
+            r#"[{baseline},
+            {{"figure": "f", "series": "loss-30", "seconds": 0.5,
+              "partitions_lost": 4, "recompute_ms": 4.0, "checkpoint_bytes": 0}}]"#
+        );
+        assert_eq!(validate_rows(&both, &RECOVERY_ROWS).unwrap(), 2);
     }
 
     #[test]
     fn recovery_validator_checks_series_and_counters() {
-        let lossy_row = |series: &str, lost: u64| {
-            let stats = StatsSnapshot {
-                partitions_lost: lost,
-                recompute_nanos: lost * 1_000_000,
-                ..Default::default()
-            };
-            Row {
-                figure: "recovery/loss-x-checkpoint".into(),
-                series: series.into(),
-                x: 0,
-                m: Measurement { outcome: Outcome::Ok, seconds: 1.0, stats },
-            }
-        };
+        let lossy_row = |series: &str, lost: u64| recovery_row(series, lost, 1.0);
         let good = rows_to_json(&[lossy_row("loss-0", 0), lossy_row("loss-30", 4)]);
         assert_eq!(validate_rows(&good, &RECOVERY_ROWS).unwrap(), 2);
-        // A skew artifact is not a recovery artifact: right shape, wrong series.
-        let skew = rows_to_json(&[lossy_row("matryoshka", 0), lossy_row("matryoshka-adaptive", 0)]);
-        assert!(validate_rows(&skew, &RECOVERY_ROWS).is_err(), "missing loss series must fail");
+        // A service artifact is not a recovery artifact: right shape, wrong series.
+        let service = rows_to_json(&[lossy_row("fifo", 0), lossy_row("fair-1:3", 0)]);
+        assert!(validate_rows(&service, &RECOVERY_ROWS).is_err(), "missing loss series must fail");
         let no_losses = rows_to_json(&[lossy_row("loss-0", 0), lossy_row("loss-30", 0)]);
         assert_eq!(
             validate_rows(&no_losses, &RECOVERY_ROWS).unwrap_err(),

@@ -1,9 +1,9 @@
 //! The command line shared by the binaries that own a committed
-//! `BENCH_*.json` artifact (`fig7_skew`, `recovery_sweep`, `service_sweep`).
+//! `BENCH_*.json` artifact (`recovery_sweep`, `service_sweep`).
 //!
 //! ```text
 //! <bin>                 run the full sweep, print tables, write the artifact
-//! <bin> --smoke         run the reduced sweep (fast CI gate)
+//! <bin> --smoke         run the reduced sweep and print it (fast CI gate)
 //! <bin> --validate [F]  parse-check an existing artifact (default: the committed one)
 //! ```
 //!
@@ -21,7 +21,7 @@ use crate::profile::Profile;
 pub struct Sweep {
     /// Binary name, for the usage line.
     pub bin: &'static str,
-    /// The committed artifact, e.g. `BENCH_skew.json`.
+    /// The committed artifact, e.g. `BENCH_recovery.json`.
     pub artifact: &'static str,
     /// Environment variable that overrides the output path.
     pub out_env: &'static str,
@@ -33,16 +33,8 @@ pub struct Sweep {
     pub smoke: fn(Profile) -> Vec<Row>,
 }
 
-/// What `--smoke` does with its rows.
-pub enum Smoke {
-    /// A gate, not an artifact: print only.
-    Prints,
-    /// Also written (and validated) like the full sweep, for CI to re-read.
-    Writes,
-}
-
 /// `main` of a sweep binary.
-pub fn sweep_main(sweep: &Sweep, smoke: Smoke) -> ExitCode {
+pub fn sweep_main(sweep: &Sweep) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--validate") => {
@@ -66,12 +58,8 @@ pub fn sweep_main(sweep: &Sweep, smoke: Smoke) -> ExitCode {
             }
         }
         Some("--smoke") => {
-            let rows = (sweep.smoke)(Profile::from_env());
-            print_rows(&rows);
-            match smoke {
-                Smoke::Prints => ExitCode::SUCCESS,
-                Smoke::Writes => write(sweep, &rows),
-            }
+            print_rows(&(sweep.smoke)(Profile::from_env()));
+            ExitCode::SUCCESS
         }
         None => {
             let rows = (sweep.run)(Profile::from_env());

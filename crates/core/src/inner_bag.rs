@@ -8,11 +8,8 @@
 //! stateless ones forward the tags; stateful ones (aggregations, grouping,
 //! joins) re-key by `(tag, key)` composites.
 
-use std::sync::Arc;
-
 use matryoshka_engine::{Bag, Data, Key, Result};
 
-use crate::adaptive::AdaptivePlanner;
 use crate::context::LiftingContext;
 use crate::scalar::InnerScalar;
 
@@ -262,41 +259,12 @@ impl<T: Key, E: Data> InnerBag<T, E> {
 impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     /// Lifted `reduceByKey`: `b'.map{(t,(k,v)) => ((t,k),v)}.reduceByKey(f)
     /// .map{((t,k),v) => (t,(k,v))}` — exactly the paper's rewrite.
-    ///
-    /// Under adaptive execution, the shuffle's partition count is coalesced
-    /// from observed bytes, and — when a recent `reduce_by_key` shuffle was
-    /// observed skewed — the composite key is salted into a two-stage
-    /// aggregation: partials per `((tag, key), salt)` first, then the salt
-    /// is stripped in a narrow map and a final combine merges the at-most-
-    /// `salt_factor` partials per key. Requires `f` associative, which
-    /// lifted `reduceByKey` already assumes.
     pub fn reduce_by_key(
         &self,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> InnerBag<T, (K, V)> {
         let rekeyed = self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone()));
-        let engine = self.ctx.engine().clone();
-        let acfg = &self.ctx.config().adaptive;
-        let static_p = rekeyed.num_partitions().min(engine.config().default_parallelism);
-        let planner = AdaptivePlanner::new(&engine, acfg);
-        let p = planner.coalesced_partitions(
-            "lifted reduce_by_key",
-            static_p,
-            self.repr.size_estimate(),
-        );
-        let reduced = match planner.salt_factor_for("reduce_by_key") {
-            Some(salt) => {
-                let f = Arc::new(f);
-                let f1 = Arc::clone(&f);
-                let salted = rekeyed.map_indexed(move |pi, i, (tk, v)| {
-                    ((tk.clone(), (pi + i) as u32 % salt), v.clone())
-                });
-                let partials = salted.reduce_by_key_into(p, move |a, b| f1(a, b));
-                let unsalted = partials.map(|((tk, _), v)| (tk.clone(), v.clone()));
-                unsalted.reduce_by_key_into(p, move |a, b| f(a, b))
-            }
-            None => rekeyed.reduce_by_key_into(p, f),
-        };
+        let reduced = rekeyed.reduce_by_key(f);
         InnerBag {
             repr: reduced.map(|((t, k), v)| (t.clone(), (k.clone(), v.clone()))),
             ctx: self.ctx.clone(),
@@ -314,13 +282,7 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> InnerBag<T, (K, V)> {
         let rekeyed = self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone()));
-        let static_p = rekeyed.num_partitions().min(self.ctx.engine().config().default_parallelism);
-        let p = AdaptivePlanner::new(self.ctx.engine(), &self.ctx.config().adaptive)
-            .coalesced_partitions(
-                "lifted reduce_by_key_partials",
-                static_p,
-                self.repr.size_estimate(),
-            );
+        let p = rekeyed.num_partitions().min(self.ctx.engine().config().default_parallelism);
         let reduced = rekeyed.reduce_by_key_partials(p, partial_bytes, f);
         InnerBag {
             repr: reduced.map(|((t, k), v)| (t.clone(), (k.clone(), v.clone()))),
@@ -369,9 +331,7 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     /// a lifted PageRank loop) become co-partitioned narrow dependencies —
     /// the lifted equivalent of Spark's `partitionBy` + cache idiom.
     pub fn co_partition(&self) -> CoPartitioned<T, K, V> {
-        let static_p = self.ctx.engine().config().default_parallelism;
-        let p = AdaptivePlanner::new(self.ctx.engine(), &self.ctx.config().adaptive)
-            .coalesced_partitions("co_partition", static_p, self.repr.size_estimate());
+        let p = self.ctx.engine().config().default_parallelism;
         self.ctx.engine().record_decision(
             "co_partition",
             p.to_string(),

@@ -51,7 +51,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 mod closures;
 mod context;
 mod control_flow;
@@ -62,7 +61,6 @@ mod scalar;
 pub mod scheduler;
 mod splitting;
 
-pub use adaptive::{AdaptiveConfig, AdaptivePlanner};
 pub use context::LiftingContext;
 pub use control_flow::{lifted_if, lifted_while, LiftedData};
 pub use inner_bag::{CoPartitioned, InnerBag};

@@ -9,8 +9,6 @@
 
 use matryoshka_engine::{Engine, JoinAlgorithm};
 
-use crate::adaptive::AdaptiveConfig;
-
 /// Strategy for joins between InnerBags and InnerScalars on tags (Sec. 8.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinChoice {
@@ -69,10 +67,6 @@ pub struct MatryoshkaConfig {
     /// Derive partition counts from InnerScalar sizes (Sec. 8.1). When
     /// false, every lifted operator uses the engine's default parallelism.
     pub partition_tuning: bool,
-    /// Feedback-driven re-optimization from observed map-output statistics
-    /// (see [`crate::adaptive`]). Off by default: static plans, decision
-    /// logs, and simulated times are unchanged.
-    pub adaptive: AdaptiveConfig,
     /// Checkpoint the loop state of [`lifted_while`](crate::lifted_while)
     /// every this many iterations, truncating lineage for the engine's
     /// machine-loss fault model (see `docs/FAULTS.md`). `0` (the default)
@@ -92,16 +86,9 @@ impl MatryoshkaConfig {
             tag_join: JoinChoice::Auto,
             cross: CrossChoice::Auto,
             partition_tuning: true,
-            adaptive: AdaptiveConfig::default(),
             checkpoint_interval: 0,
             scheduler: crate::scheduler::SchedulerConfig::default(),
         }
-    }
-
-    /// The full optimizer plus the adaptive re-optimizer (default adaptive
-    /// thresholds).
-    pub fn adaptive() -> Self {
-        MatryoshkaConfig { adaptive: AdaptiveConfig::enabled(), ..MatryoshkaConfig::optimized() }
     }
 }
 

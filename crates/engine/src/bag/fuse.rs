@@ -247,7 +247,6 @@ pub(crate) fn fusible<P: Data, T: Data>(
             partitioning,
             compute: Box::new(compute),
             cache: OnceLock::new(),
-            map_output: Arc::new(OnceLock::new()),
             fuse: Some(FuseHook { assemble, fused_name }),
         }),
     }

@@ -37,7 +37,6 @@ pub enum Partitioning {
 use std::sync::{Arc, OnceLock};
 
 use crate::error::Result;
-use crate::map_output::MapOutputStats;
 use crate::trace::EngineEvent;
 use crate::types::Data;
 use crate::Engine;
@@ -63,10 +62,6 @@ pub(crate) struct Node<T> {
     partitioning: Partitioning,
     compute: Box<dyn Fn() -> Result<Parts<T>> + Send + Sync>,
     cache: OnceLock<Result<Parts<T>>>,
-    /// Per-reduce-partition map-output statistics, filled by wide operators
-    /// when their shuffle scatters on first evaluation. Shared with the
-    /// compute closure (which runs without access to the node).
-    map_output: Arc<OnceLock<MapOutputStats>>,
     /// Fusion recipe, present on narrow operators only (`fuse::fusible`
     /// builds those nodes): lets a downstream narrow operator extend this
     /// node's transducer chain instead of materializing it. `None` marks a
@@ -113,29 +108,6 @@ impl<T: Data> Bag<T> {
         partitioning: Partitioning,
         compute: impl Fn() -> Result<Parts<T>> + Send + Sync + 'static,
     ) -> Bag<T> {
-        Bag::new_shuffled(
-            engine,
-            name,
-            record_bytes,
-            partitions,
-            partitioning,
-            Arc::new(OnceLock::new()),
-            compute,
-        )
-    }
-
-    /// Constructor used by wide operators: `map_output` is the shared slot
-    /// the operator's compute closure fills with the shuffle's per-partition
-    /// statistics when it scatters.
-    pub(crate) fn new_shuffled(
-        engine: Engine,
-        name: &'static str,
-        record_bytes: f64,
-        partitions: usize,
-        partitioning: Partitioning,
-        map_output: Arc<OnceLock<MapOutputStats>>,
-        compute: impl Fn() -> Result<Parts<T>> + Send + Sync + 'static,
-    ) -> Bag<T> {
         Bag {
             node: Arc::new(Node {
                 engine,
@@ -145,7 +117,6 @@ impl<T: Data> Bag<T> {
                 partitioning,
                 compute: Box::new(compute),
                 cache: OnceLock::new(),
-                map_output,
                 fuse: None,
             }),
         }
@@ -327,23 +298,6 @@ impl<T: Data> Bag<T> {
             }
             _ => None,
         }
-    }
-
-    /// Number of records, available only once the bag has been computed
-    /// (no job charged). Returns `None` for unevaluated or failed bags.
-    pub fn cached_count(&self) -> Option<u64> {
-        match self.node.cache.get() {
-            Some(Ok(parts)) => Some(parts.iter().map(|p| p.len() as u64).sum()),
-            _ => None,
-        }
-    }
-
-    /// Exact per-reduce-partition statistics of the shuffle that produced
-    /// this bag, available once the bag has materialized. `None` for
-    /// narrow operators, co-partitioned (shuffle-free) paths, and
-    /// unevaluated bags.
-    pub fn map_output_stats(&self) -> Option<MapOutputStats> {
-        self.node.map_output.get().cloned()
     }
 }
 

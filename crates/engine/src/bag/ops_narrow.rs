@@ -33,8 +33,8 @@ impl<T: Data> Bag<T> {
 
     /// Element-wise transformation that also sees the record's position:
     /// `(partition_index, offset_in_partition, record)`. The position is
-    /// deterministic, so it can derive stable per-record tags (e.g. the
-    /// adaptive re-optimizer's skew salts) without extra shuffles or state.
+    /// deterministic, so it can derive stable per-record tags without extra
+    /// shuffles or state.
     pub fn map_indexed<U: Data>(
         &self,
         f: impl Fn(usize, usize, &T) -> U + Send + Sync + 'static,

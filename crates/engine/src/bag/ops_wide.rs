@@ -17,7 +17,7 @@
 //! a single charge: simulated times and [`crate::StatsSnapshot`] are pinned
 //! bit-identical by `tests/golden_sim.rs`.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use super::{to_parts, Bag, Partitioning};
 use crate::fx::{fx_map, fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
@@ -26,20 +26,21 @@ use crate::partitioner::{scatter_by_key, scatter_shared_by_key};
 use crate::pool::parallel_map;
 use crate::types::{Data, Key};
 
-/// Record the exact per-reduce-partition map-output counts of a shuffle:
-/// update the engine's peaks/history/trace and fill the producing bag's
-/// shared stats slot. Pure bookkeeping — charges nothing.
+/// Record the exact per-reduce-partition map-output counts of a shuffle
+/// (the `PartitionStats` event and the partition-size peaks). Pure
+/// bookkeeping — charges nothing.
 fn record_scatter<T>(
     engine: &crate::Engine,
-    slot: &Arc<OnceLock<MapOutputStats>>,
     operator: &'static str,
     shuffled: &[Vec<T>],
     record_bytes: f64,
 ) {
     let counts: Vec<u64> = shuffled.iter().map(|p| p.len() as u64).collect();
-    let stats = MapOutputStats::from_partition_records(operator, counts, record_bytes);
-    engine.record_map_output(&stats);
-    let _ = slot.set(stats);
+    engine.record_map_output(&MapOutputStats::from_partition_records(
+        operator,
+        counts,
+        record_bytes,
+    ));
 }
 
 /// How a join should be executed. The Matryoshka optimizer (crate
@@ -84,15 +85,12 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         let partitions = partitions.max(1);
         let co_partitioned = parent.partitioning() == Partitioning::HashByKey { partitions };
         let meta = Partitioning::HashByKey { partitions };
-        let map_output: Arc<OnceLock<MapOutputStats>> = Arc::new(OnceLock::new());
-        let slot = Arc::clone(&map_output);
-        Bag::new_shuffled(
+        Bag::new_with_partitioning(
             engine.clone(),
             "group_by_key",
             bytes,
             partitions,
             meta,
-            map_output,
             move || {
                 let input = parent.eval()?;
                 if co_partitioned {
@@ -119,7 +117,7 @@ impl<K: Key, V: Data> Bag<(K, V)> {
                 let records: u64 = input.iter().map(|p| p.len() as u64).sum();
                 engine.charge_shuffle("group_by_key", records, bytes);
                 let shuffled = scatter_shared_by_key(&input, partitions, |r| &r.0);
-                record_scatter(&engine, &slot, "group_by_key", &shuffled, bytes);
+                record_scatter(&engine, "group_by_key", &shuffled, bytes);
                 let factor = engine.config().costs.materialize_factor;
                 let working_sets: Vec<u64> =
                     shuffled.iter().map(|p| (p.len() as f64 * bytes * factor) as u64).collect();
@@ -176,15 +174,12 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         let co_partitioned = parent.partitioning() == Partitioning::HashByKey { partitions };
         let meta = Partitioning::HashByKey { partitions };
         let f = Arc::new(f);
-        let map_output: Arc<OnceLock<MapOutputStats>> = Arc::new(OnceLock::new());
-        let slot = Arc::clone(&map_output);
-        Bag::new_shuffled(
+        Bag::new_with_partitioning(
             engine.clone(),
             "reduce_by_key",
             partial_bytes,
             partitions,
             meta,
-            map_output,
             move || {
                 let input = parent.eval()?;
                 let in_counts: Vec<usize> = input.iter().map(|p| p.len()).collect();
@@ -231,7 +226,7 @@ impl<K: Key, V: Data> Bag<(K, V)> {
                     engine.charge_shuffle("reduce_by_key", records, partial_bytes);
                     scatter_by_key(combined, partitions, |r| &r.0)
                 };
-                record_scatter(&engine, &slot, "reduce_by_key", &shuffled, partial_bytes);
+                record_scatter(&engine, "reduce_by_key", &shuffled, partial_bytes);
                 let reduce_ws: Vec<u64> = shuffled
                     .iter()
                     .map(|p| (p.len() as f64 * partial_bytes * factor) as u64)
@@ -291,105 +286,86 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         let l_co = left.partitioning() == Partitioning::HashByKey { partitions };
         let r_co = right.partitioning() == Partitioning::HashByKey { partitions };
         let meta = Partitioning::HashByKey { partitions };
-        let map_output: Arc<OnceLock<MapOutputStats>> = Arc::new(OnceLock::new());
-        let slot = Arc::clone(&map_output);
-        Bag::new_shuffled(
-            engine.clone(),
-            "join",
-            out_bytes,
-            partitions,
-            meta,
-            map_output,
-            move || {
-                let lp = left.eval()?;
-                let rp = right.eval()?;
-                // Co-partitioned sides are reused as-is (refcount bump only); a
-                // side that must shuffle scatters straight from the shared
-                // partitions. Either way no input is deep-copied: the only
-                // per-record clones left are the output tuples themselves.
-                let ls: Vec<Arc<Vec<(K, V)>>> = if l_co {
-                    lp.to_vec()
-                } else {
-                    let lrecords: u64 = lp.iter().map(|p| p.len() as u64).sum();
-                    engine.charge_shuffle("join", lrecords, lbytes);
-                    scatter_shared_by_key(&lp, partitions, |r| &r.0)
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect()
+        Bag::new_with_partitioning(engine.clone(), "join", out_bytes, partitions, meta, move || {
+            let lp = left.eval()?;
+            let rp = right.eval()?;
+            // Co-partitioned sides are reused as-is (refcount bump only); a
+            // side that must shuffle scatters straight from the shared
+            // partitions. Either way no input is deep-copied: the only
+            // per-record clones left are the output tuples themselves.
+            let ls: Vec<Arc<Vec<(K, V)>>> = if l_co {
+                lp.to_vec()
+            } else {
+                let lrecords: u64 = lp.iter().map(|p| p.len() as u64).sum();
+                engine.charge_shuffle("join", lrecords, lbytes);
+                scatter_shared_by_key(&lp, partitions, |r| &r.0).into_iter().map(Arc::new).collect()
+            };
+            let rs: Vec<Arc<Vec<(K, W)>>> = if r_co {
+                rp.to_vec()
+            } else {
+                let rrecords: u64 = rp.iter().map(|p| p.len() as u64).sum();
+                engine.charge_shuffle("join", rrecords, rbytes);
+                scatter_shared_by_key(&rp, partitions, |r| &r.0).into_iter().map(Arc::new).collect()
+            };
+            if !(l_co && r_co) {
+                // Both sides land in the same reduce partition: record the
+                // combined per-partition load (each side weighted by its own
+                // record size).
+                let stats = MapOutputStats {
+                    operator: "join",
+                    partition_records: ls
+                        .iter()
+                        .zip(rs.iter())
+                        .map(|(l, r)| (l.len() + r.len()) as u64)
+                        .collect(),
+                    partition_bytes: ls
+                        .iter()
+                        .zip(rs.iter())
+                        .map(|(l, r)| (l.len() as f64 * lbytes + r.len() as f64 * rbytes) as u64)
+                        .collect(),
                 };
-                let rs: Vec<Arc<Vec<(K, W)>>> = if r_co {
-                    rp.to_vec()
-                } else {
-                    let rrecords: u64 = rp.iter().map(|p| p.len() as u64).sum();
-                    engine.charge_shuffle("join", rrecords, rbytes);
-                    scatter_shared_by_key(&rp, partitions, |r| &r.0)
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect()
-                };
-                if !(l_co && r_co) {
-                    // Both sides land in the same reduce partition: record the
-                    // combined per-partition load (each side weighted by its own
-                    // record size).
-                    let stats = MapOutputStats {
-                        operator: "join",
-                        partition_records: ls
-                            .iter()
-                            .zip(rs.iter())
-                            .map(|(l, r)| (l.len() + r.len()) as u64)
-                            .collect(),
-                        partition_bytes: ls
-                            .iter()
-                            .zip(rs.iter())
-                            .map(|(l, r)| {
-                                (l.len() as f64 * lbytes + r.len() as f64 * rbytes) as u64
-                            })
-                            .collect(),
-                    };
-                    engine.record_map_output(&stats);
-                    let _ = slot.set(stats);
+                engine.record_map_output(&stats);
+            }
+            let factor = engine.config().costs.materialize_factor;
+            let build_ws: Vec<u64> =
+                rs.iter().map(|p| (p.len() as f64 * rbytes * factor) as u64).collect();
+            engine.charge_memory("join(build)", &build_ws)?;
+            let zipped: Vec<(Arc<Vec<(K, V)>>, Arc<Vec<(K, W)>>)> =
+                ls.into_iter().zip(rs).collect();
+            let out: Vec<Vec<(K, (V, W))>> = parallel_map(zipped, |_, (l, r)| {
+                // Chained-index multimap over the shared right side: one map
+                // entry per key plus one `next` slot per record — no per-key
+                // `Vec` allocations, and nothing is cloned until an actual
+                // match is emitted. Chains are threaded back-to-front so a
+                // probe walks matches in right-side record order.
+                const NIL: u32 = u32::MAX;
+                assert!(r.len() < NIL as usize, "join partition exceeds u32 chain capacity");
+                let mut head: FxHashMap<&K, u32> = fx_map_with_capacity(r.len());
+                let mut next: Vec<u32> = vec![NIL; r.len()];
+                for (i, (k, _)) in r.iter().enumerate().rev() {
+                    if let Some(later) = head.insert(k, i as u32) {
+                        next[i] = later;
+                    }
                 }
-                let factor = engine.config().costs.materialize_factor;
-                let build_ws: Vec<u64> =
-                    rs.iter().map(|p| (p.len() as f64 * rbytes * factor) as u64).collect();
-                engine.charge_memory("join(build)", &build_ws)?;
-                let zipped: Vec<(Arc<Vec<(K, V)>>, Arc<Vec<(K, W)>>)> =
-                    ls.into_iter().zip(rs).collect();
-                let out: Vec<Vec<(K, (V, W))>> = parallel_map(zipped, |_, (l, r)| {
-                    // Chained-index multimap over the shared right side: one map
-                    // entry per key plus one `next` slot per record — no per-key
-                    // `Vec` allocations, and nothing is cloned until an actual
-                    // match is emitted. Chains are threaded back-to-front so a
-                    // probe walks matches in right-side record order.
-                    const NIL: u32 = u32::MAX;
-                    assert!(r.len() < NIL as usize, "join partition exceeds u32 chain capacity");
-                    let mut head: FxHashMap<&K, u32> = fx_map_with_capacity(r.len());
-                    let mut next: Vec<u32> = vec![NIL; r.len()];
-                    for (i, (k, _)) in r.iter().enumerate().rev() {
-                        if let Some(later) = head.insert(k, i as u32) {
-                            next[i] = later;
+                let mut res: Vec<(K, (V, W))> = Vec::with_capacity(l.len());
+                for (k, v) in l.iter() {
+                    let Some(&first) = head.get(k) else { continue };
+                    let mut i = first;
+                    loop {
+                        let w = &r[i as usize].1;
+                        res.push((k.clone(), (v.clone(), w.clone())));
+                        i = next[i as usize];
+                        if i == NIL {
+                            break;
                         }
                     }
-                    let mut res: Vec<(K, (V, W))> = Vec::with_capacity(l.len());
-                    for (k, v) in l.iter() {
-                        let Some(&first) = head.get(k) else { continue };
-                        let mut i = first;
-                        loop {
-                            let w = &r[i as usize].1;
-                            res.push((k.clone(), (v.clone(), w.clone())));
-                            i = next[i as usize];
-                            if i == NIL {
-                                break;
-                            }
-                        }
-                    }
-                    res
-                });
-                let counts: Vec<usize> = out.iter().map(Vec::len).collect();
-                engine.charge_compute(&counts, out_bytes, true)?;
-                Ok(to_parts(out))
-            },
-        )
+                }
+                res
+            });
+            let counts: Vec<usize> = out.iter().map(Vec::len).collect();
+            engine.charge_compute(&counts, out_bytes, true)?;
+            Ok(to_parts(out))
+        })
     }
 
     /// Broadcast-hash equi-join: the right side is collected and broadcast,
@@ -441,15 +417,12 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         let engine = self.engine().clone();
         let lbytes = self.record_bytes();
         let rbytes = other.record_bytes();
-        let map_output: Arc<OnceLock<MapOutputStats>> = Arc::new(OnceLock::new());
-        let slot = Arc::clone(&map_output);
-        Bag::new_shuffled(
+        Bag::new_with_partitioning(
             engine.clone(),
             "co_group",
             lbytes + rbytes,
             partitions,
             Partitioning::Arbitrary,
-            map_output,
             move || {
                 let lp = left.eval()?;
                 let rp = right.eval()?;
@@ -473,7 +446,6 @@ impl<K: Key, V: Data> Bag<(K, V)> {
                         .collect(),
                 };
                 engine.record_map_output(&stats);
-                let _ = slot.set(stats);
                 let factor = engine.config().costs.materialize_factor;
                 let ws: Vec<u64> = ls
                     .iter()
@@ -530,21 +502,18 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         let engine = self.engine().clone();
         let bytes = self.record_bytes();
         let meta = Partitioning::HashByKey { partitions };
-        let map_output: Arc<OnceLock<MapOutputStats>> = Arc::new(OnceLock::new());
-        let slot = Arc::clone(&map_output);
-        Bag::new_shuffled(
+        Bag::new_with_partitioning(
             engine.clone(),
             "partition_by_key",
             bytes,
             partitions,
             meta,
-            map_output,
             move || {
                 let input = parent.eval()?;
                 let records: u64 = input.iter().map(|p| p.len() as u64).sum();
                 engine.charge_shuffle("partition_by_key", records, bytes);
                 let shuffled = scatter_shared_by_key(&input, partitions, |r| &r.0);
-                record_scatter(&engine, &slot, "partition_by_key", &shuffled, bytes);
+                record_scatter(&engine, "partition_by_key", &shuffled, bytes);
                 let counts: Vec<usize> = shuffled.iter().map(Vec::len).collect();
                 engine.charge_compute(&counts, bytes, true)?;
                 Ok(to_parts(shuffled))
@@ -569,15 +538,12 @@ impl<T: Key> Bag<T> {
         let engine = self.engine().clone();
         let bytes = self.record_bytes();
         let partitions = partitions.max(1);
-        let map_output: Arc<OnceLock<MapOutputStats>> = Arc::new(OnceLock::new());
-        let slot = Arc::clone(&map_output);
-        Bag::new_shuffled(
+        Bag::new_with_partitioning(
             engine.clone(),
             "distinct",
             bytes,
             partitions,
             Partitioning::Arbitrary,
-            map_output,
             move || {
                 let input = parent.eval()?;
                 let in_counts: Vec<usize> = input.iter().map(|p| p.len()).collect();
@@ -602,7 +568,7 @@ impl<T: Key> Bag<T> {
                 engine.charge_shuffle("distinct", records, bytes);
                 // Whole-record keys: the shuffle is the ordinary by-key scatter.
                 let shuffled = scatter_by_key(combined, partitions, |rec| rec);
-                record_scatter(&engine, &slot, "distinct", &shuffled, bytes);
+                record_scatter(&engine, "distinct", &shuffled, bytes);
                 let ws: Vec<u64> =
                     shuffled.iter().map(|p| (p.len() as f64 * bytes * factor) as u64).collect();
                 engine.charge_memory("distinct", &ws)?;
@@ -632,15 +598,12 @@ impl<T: Data> Bag<T> {
         let engine = self.engine().clone();
         let bytes = self.record_bytes();
         let n = n.max(1);
-        let map_output: Arc<OnceLock<MapOutputStats>> = Arc::new(OnceLock::new());
-        let slot = Arc::clone(&map_output);
-        Bag::new_shuffled(
+        Bag::new_with_partitioning(
             engine.clone(),
             "repartition",
             bytes,
             n,
             Partitioning::Arbitrary,
-            map_output,
             move || {
                 let input = parent.eval()?;
                 let records: u64 = input.iter().map(|p| p.len() as u64).sum();
@@ -653,7 +616,7 @@ impl<T: Data> Bag<T> {
                         i += 1;
                     }
                 }
-                record_scatter(&engine, &slot, "repartition", &out, bytes);
+                record_scatter(&engine, "repartition", &out, bytes);
                 let counts: Vec<usize> = out.iter().map(Vec::len).collect();
                 engine.charge_compute(&counts, bytes, true)?;
                 Ok(to_parts(out))
@@ -823,49 +786,62 @@ mod tests {
         assert_eq!(e.stats().since(&s0).shuffle_bytes, 0);
     }
 
+    /// The `PartitionStats` events of a traced run as
+    /// `(operator, partitions, records)`, in emission order.
+    fn partition_stats(e: &Engine) -> Vec<(&'static str, u64, u64)> {
+        e.events()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                crate::EngineEvent::PartitionStats { operator, partitions, records, .. } => {
+                    Some((operator, partitions, records))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn traced() -> Engine {
+        Engine::new(crate::ClusterConfig {
+            trace_events: true,
+            ..crate::ClusterConfig::local_test()
+        })
+    }
+
     #[test]
     fn shuffles_record_exact_map_output_stats() {
-        let e = Engine::local();
+        let e = traced();
         let data: Vec<(u8, u64)> = (0..1000).map(|i| ((i % 7) as u8, i)).collect();
         let b = e.parallelize(data, 8).reduce_by_key_into(4, |a, b| a + b);
-        assert!(b.map_output_stats().is_none(), "no stats before evaluation");
+        assert!(partition_stats(&e).is_empty(), "no stats before evaluation");
         b.count().unwrap();
-        let stats = b.map_output_stats().expect("shuffle records stats");
-        assert_eq!(stats.operator, "reduce_by_key");
-        assert_eq!(stats.partitions(), 4);
         // Map-side combine: 7 keys per input partition at most, 8 partitions.
-        assert_eq!(stats.total_records(), 7 * 8);
+        assert_eq!(partition_stats(&e), vec![("reduce_by_key", 4, 7 * 8)]);
         assert!(e.stats().peak_partition_bytes > 0);
-        assert_eq!(
-            e.last_map_output().map(|s| s.operator),
-            Some("reduce_by_key"),
-            "engine history sees the shuffle"
-        );
+        b.count().unwrap();
+        assert_eq!(partition_stats(&e).len(), 1, "a cached shuffle is not observed twice");
     }
 
     #[test]
     fn co_partitioned_paths_record_no_stats() {
-        let e = Engine::local();
+        let e = traced();
         let b = e
             .parallelize((0..500u32).map(|i| (i % 7, 1u64)).collect::<Vec<_>>(), 4)
             .partition_by_key(6);
         b.count().unwrap();
         let out = b.reduce_by_key_into(6, |a, b| a + b);
         out.count().unwrap();
-        assert!(out.map_output_stats().is_none(), "co-partitioned reduce does not shuffle");
-        assert!(b.map_output_stats().is_some(), "the partitioning shuffle itself does");
+        // The partitioning shuffle itself is observed; the co-partitioned
+        // reduce does not shuffle.
+        assert_eq!(partition_stats(&e), vec![("partition_by_key", 6, 500)]);
     }
 
     #[test]
     fn join_stats_combine_both_sides() {
-        let e = Engine::local();
+        let e = traced();
         let l = e.parallelize((0..100u32).map(|i| (i % 5, i)).collect::<Vec<_>>(), 4);
         let r = e.parallelize((0..50u32).map(|i| (i % 5, i)).collect::<Vec<_>>(), 2);
-        let j = l.join_into(4, &r);
-        j.count().unwrap();
-        let stats = j.map_output_stats().expect("shuffling join records stats");
-        assert_eq!(stats.operator, "join");
-        assert_eq!(stats.total_records(), 150, "both sides counted");
+        l.join_into(4, &r).count().unwrap();
+        assert_eq!(partition_stats(&e), vec![("join", 4, 150)], "both sides counted");
     }
 
     #[test]

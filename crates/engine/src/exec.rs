@@ -232,25 +232,18 @@ impl Engine {
     }
 
     /// Record one shuffle's map-output statistics: pure bookkeeping (no
-    /// simulated time, no simulated memory). Appends a summary to the
-    /// engine's bounded map-output history and emits the `PartitionStats`
+    /// simulated time, no simulated memory). Emits the `PartitionStats`
     /// event that feeds the partition-size high-water marks.
-    ///
-    /// Wide operators call this on every shuffle; it is public so layers
-    /// above the engine (re-optimizers, tests) can inject observations for
-    /// shuffles they simulate themselves.
-    pub fn record_map_output(&self, stats: &crate::MapOutputStats) {
-        let summary = crate::MapOutputSummary::of(stats);
-        self.push_map_output_summary(summary);
+    pub(crate) fn record_map_output(&self, stats: &crate::map_output::MapOutputStats) {
         self.observe(EngineEvent::PartitionStats {
-            operator: summary.operator,
-            partitions: summary.partitions,
-            records: summary.total_records,
-            bytes: summary.total_bytes,
-            p50_bytes: summary.p50_bytes,
-            p99_bytes: summary.p99_bytes,
-            max_bytes: summary.max_bytes,
-            skew_ratio_milli: summary.skew_ratio_milli,
+            operator: stats.operator,
+            partitions: stats.partitions() as u64,
+            records: stats.total_records(),
+            bytes: stats.total_bytes(),
+            p50_bytes: stats.p50_bytes(),
+            p99_bytes: stats.p99_bytes(),
+            max_bytes: stats.max_bytes(),
+            skew_ratio_milli: stats.skew_ratio_milli(),
             at: self.sim_time(),
         });
     }

@@ -49,7 +49,7 @@ pub mod config;
 mod error;
 mod exec;
 pub mod fx;
-pub mod map_output;
+mod map_output;
 pub mod partitioner;
 pub mod pool;
 pub mod sim;
@@ -61,7 +61,6 @@ pub use config::FaultConfig;
 pub use config::{ClusterConfig, CostModel, GB, KB, MB};
 pub use error::{EngineError, Result};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use map_output::{MapOutputStats, MapOutputSummary};
 pub use sim::{SimTime, StatsSnapshot};
 pub use trace::{Decision, EngineEvent};
 pub use types::{Data, Key};
@@ -82,7 +81,6 @@ pub(crate) struct EngineCore {
     decisions: Mutex<Vec<Decision>>,
     current_op: Mutex<Vec<&'static str>>,
     job_counter: AtomicU64,
-    map_outputs: Mutex<Vec<MapOutputSummary>>,
     recovery: Mutex<RecoveryLedger>,
     cancelled: AtomicBool,
     deadline_nanos: AtomicU64,
@@ -116,10 +114,6 @@ impl RecoveryLedger {
     }
 }
 
-/// Entries kept in the engine's map-output history: enough for re-optimizers
-/// spanning a lifted loop iteration, bounded so long runs stay O(1).
-const MAP_OUTPUT_HISTORY: usize = 64;
-
 /// Handle to a simulated cluster. Cheap to clone; all clones share the same
 /// simulated clock and statistics.
 #[derive(Clone)]
@@ -140,7 +134,6 @@ impl Engine {
                 decisions: Mutex::new(Vec::new()),
                 current_op: Mutex::new(Vec::new()),
                 job_counter: AtomicU64::new(0),
-                map_outputs: Mutex::new(Vec::new()),
                 recovery: Mutex::new(RecoveryLedger::default()),
                 cancelled: AtomicBool::new(false),
                 deadline_nanos: AtomicU64::new(0),
@@ -267,27 +260,6 @@ impl Engine {
             at: self.sim_time(),
         };
         self.core.decisions.lock().expect("decision lock poisoned").push(d);
-    }
-
-    /// The most recent map-output summaries (newest last, bounded history):
-    /// one entry per shuffle executed, recorded by the wide operators as
-    /// they scatter. Re-optimizers read these at stage boundaries when the
-    /// next stage's inputs have not materialized yet.
-    pub fn map_output_history(&self) -> Vec<MapOutputSummary> {
-        self.core.map_outputs.lock().expect("map-output lock poisoned").clone()
-    }
-
-    /// The most recent map-output summary, if any shuffle ran yet.
-    pub fn last_map_output(&self) -> Option<MapOutputSummary> {
-        self.core.map_outputs.lock().expect("map-output lock poisoned").last().copied()
-    }
-
-    pub(crate) fn push_map_output_summary(&self, summary: MapOutputSummary) {
-        let mut h = self.core.map_outputs.lock().expect("map-output lock poisoned");
-        if h.len() >= MAP_OUTPUT_HISTORY {
-            h.remove(0);
-        }
-        h.push(summary);
     }
 
     /// The fold of the collected events; equals [`Engine::stats`] on every

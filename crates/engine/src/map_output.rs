@@ -3,9 +3,8 @@
 //! Every wide operator that scatters records into reduce-side partitions
 //! records, per reduce partition, how many records and modeled bytes landed
 //! there. The counts are exact and deterministic (they come from the real
-//! hash placement, not sampling), so a re-optimizer consuming them at a
-//! stage boundary makes reproducible decisions. Collection is pure
-//! bookkeeping: it charges no simulated time and no simulated memory.
+//! hash placement, not sampling). Collection is pure bookkeeping: it charges
+//! no simulated time and no simulated memory.
 
 /// Per-reduce-partition record/byte counts of one shuffle's map output,
 /// plus derived summary statistics (percentiles and skew ratio).
@@ -85,45 +84,6 @@ impl MapOutputStats {
     }
 }
 
-/// A compact, copyable digest of one shuffle's [`MapOutputStats`]: what the
-/// engine keeps in its bounded map-output history for re-optimizers that run
-/// before the next stage's bags materialize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MapOutputSummary {
-    /// Operator that produced the shuffle.
-    pub operator: &'static str,
-    /// Number of reduce partitions.
-    pub partitions: u64,
-    /// Total records shuffled.
-    pub total_records: u64,
-    /// Total modeled bytes shuffled.
-    pub total_bytes: u64,
-    /// Median partition size in bytes.
-    pub p50_bytes: u64,
-    /// 99th-percentile partition size in bytes.
-    pub p99_bytes: u64,
-    /// Largest partition size in bytes.
-    pub max_bytes: u64,
-    /// Skew ratio (max/mean) in thousandths.
-    pub skew_ratio_milli: u64,
-}
-
-impl MapOutputSummary {
-    /// Summarize full per-partition stats.
-    pub fn of(stats: &MapOutputStats) -> Self {
-        MapOutputSummary {
-            operator: stats.operator,
-            partitions: stats.partitions() as u64,
-            total_records: stats.total_records(),
-            total_bytes: stats.total_bytes(),
-            p50_bytes: stats.p50_bytes(),
-            p99_bytes: stats.p99_bytes(),
-            max_bytes: stats.max_bytes(),
-            skew_ratio_milli: stats.skew_ratio_milli(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,17 +116,5 @@ mod tests {
         assert_eq!(stats(&[1, 2, 3, 10]).skew_ratio_milli(), 2_500);
         assert_eq!(stats(&[5, 5, 5, 5]).skew_ratio_milli(), 1_000, "balanced is 1.000x");
         assert_eq!(stats(&[0, 0]).skew_ratio_milli(), 0, "empty shuffle has no skew");
-    }
-
-    #[test]
-    fn summary_matches_full_stats() {
-        let s = stats(&[1, 2, 3, 10]);
-        let d = MapOutputSummary::of(&s);
-        assert_eq!(d.partitions, 4);
-        assert_eq!(d.total_records, 16);
-        assert_eq!(d.total_bytes, 160);
-        assert_eq!(d.p50_bytes, 20);
-        assert_eq!(d.max_bytes, 100);
-        assert_eq!(d.skew_ratio_milli, 2_500);
     }
 }

@@ -74,10 +74,6 @@ pub mod codes {
     pub const UNUSED_BINDING: &str = "MAT090";
     /// A binding shadows an enclosing binding of the same name (warning).
     pub const SHADOWED_BINDING: &str = "MAT091";
-    /// An adaptive-execution configuration with nonsensical thresholds
-    /// (warning): the plan still runs, but the re-optimizer is inert or
-    /// over-eager. Emitted by `matryoshka-check --adaptive-config`.
-    pub const ADAPTIVE_CONFIG: &str = "MAT092";
     /// The plan-rewrite pass hoisted a loop-invariant subplan out of a loop
     /// and materialized it once (informational warning; the rewrite is
     /// provably result-preserving).
@@ -113,7 +109,6 @@ pub mod codes {
         (PROJ_OUT_OF_BOUNDS, true, "tuple projection index out of bounds"),
         (UNUSED_BINDING, false, "unused let binding"),
         (SHADOWED_BINDING, false, "binding shadows an enclosing binding"),
-        (ADAPTIVE_CONFIG, false, "nonsensical adaptive-execution configuration"),
         (PLAN_HOIST, false, "loop-invariant subplan hoisted and materialized"),
         (PLAN_HOIST_BLOCKED, false, "loop-invariant hoist blocked"),
         (PLAN_CSE, false, "common subplan merged / multi-consumer subplan cached"),

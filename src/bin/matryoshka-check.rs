@@ -16,10 +16,6 @@
 //!                        before/after plan trees plus one line per applied
 //!                        rewrite with its safety justification; no engine
 //!                        job is launched
-//!   --adaptive-config S  validate an adaptive-execution config: S is
-//!                        `default` or comma-separated key=value overrides
-//!                        (salt_factor=8, skew_threshold_milli=4000, ...);
-//!                        nonsensical settings print MAT092 warnings
 //!   -h, --help           print usage
 //! ```
 //!
@@ -29,15 +25,14 @@
 
 use std::process::ExitCode;
 
-use matryoshka::core::{AdaptiveConfig, PlanRewriteConfig};
-use matryoshka::ir::analyze::codes;
+use matryoshka::core::PlanRewriteConfig;
 use matryoshka::ir::analyze::plan::rewrite_plan;
 use matryoshka::ir::pretty::{plan_tree, render_diagnostics};
-use matryoshka::ir::{analyze, parse_program, parsing_phase, Diagnostic, Dialect};
+use matryoshka::ir::{analyze, parse_program, parsing_phase, Dialect};
 use matryoshka::tasks::ir_programs;
 
 const USAGE: &str = "usage: matryoshka-check [--builtin] [--sources a,b,c] \
-[--dialect matryoshka|diql] [--explain] [--adaptive-config SPEC] [FILE...]";
+[--dialect matryoshka|diql] [--explain] [FILE...]";
 
 struct Options {
     files: Vec<String>,
@@ -45,49 +40,6 @@ struct Options {
     sources: Option<Vec<String>>,
     dialect: Dialect,
     explain: bool,
-    adaptive: Option<AdaptiveConfig>,
-}
-
-/// Parse an `--adaptive-config` spec: `default` (the enabled defaults) or a
-/// comma-separated list of `key[=value]` overrides applied on top of them.
-/// A bare boolean key means `true`.
-fn parse_adaptive_spec(spec: &str) -> Result<AdaptiveConfig, String> {
-    let mut cfg = AdaptiveConfig::enabled();
-    if spec.trim() == "default" {
-        return Ok(cfg);
-    }
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (key, value) = match part.split_once('=') {
-            Some((k, v)) => (k.trim(), Some(v.trim())),
-            None => (part, None),
-        };
-        let bool_of = |v: Option<&str>| match v {
-            None | Some("true") => Ok(true),
-            Some("false") => Ok(false),
-            Some(other) => Err(format!("{key}: expected true/false, got {other:?}")),
-        };
-        let int_of = |v: Option<&str>| {
-            v.ok_or_else(|| format!("{key} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{key}: {e}"))
-        };
-        match key {
-            "enabled" => cfg.enabled = bool_of(value)?,
-            "coalesce" => cfg.coalesce = bool_of(value)?,
-            "switch_joins" => cfg.switch_joins = bool_of(value)?,
-            "salt_skew" => cfg.salt_skew = bool_of(value)?,
-            "target_partition_bytes" => cfg.target_partition_bytes = int_of(value)?,
-            "skew_threshold_milli" => cfg.skew_threshold_milli = int_of(value)?,
-            "salt_factor" => cfg.salt_factor = int_of(value)? as u32,
-            "min_partitions" => cfg.min_partitions = int_of(value)? as usize,
-            other => return Err(format!("unknown adaptive-config key {other:?}")),
-        }
-    }
-    Ok(cfg)
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -97,7 +49,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         sources: None,
         dialect: Dialect::Matryoshka,
         explain: false,
-        adaptive: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -107,10 +58,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--sources" => {
                 let v = it.next().ok_or("--sources needs a comma-separated list")?;
                 opts.sources = Some(v.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            "--adaptive-config" => {
-                let v = it.next().ok_or("--adaptive-config needs a spec (try `default`)")?;
-                opts.adaptive = Some(parse_adaptive_spec(v)?);
             }
             "--dialect" => {
                 opts.dialect = match it.next().map(String::as_str) {
@@ -124,25 +71,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             file => opts.files.push(file.to_string()),
         }
     }
-    if opts.files.is_empty() && !opts.builtin && opts.adaptive.is_none() {
-        return Err("no input files (pass FILEs, --builtin, and/or --adaptive-config)".into());
+    if opts.files.is_empty() && !opts.builtin {
+        return Err("no input files (pass FILEs and/or --builtin)".into());
     }
     Ok(opts)
-}
-
-/// Validate an adaptive-execution config, rendering each complaint from
-/// [`AdaptiveConfig::validate`] as a `MAT092` warning. Warnings do not fail
-/// the run (exit status stays 0), matching the analyzer's warning semantics.
-fn check_adaptive_config(cfg: &AdaptiveConfig) {
-    let warnings = cfg.validate();
-    for w in &warnings {
-        eprintln!("{}", Diagnostic::warning(codes::ADAPTIVE_CONFIG, None, w.clone()));
-    }
-    if warnings.is_empty() {
-        println!("ok: adaptive-config ({cfg:?})");
-    } else {
-        println!("ok: adaptive-config with {} warning(s)", warnings.len());
-    }
 }
 
 /// Render a plan tree indented under a heading.
@@ -241,9 +173,6 @@ fn main() -> ExitCode {
     };
 
     let mut all_ok = true;
-    if let Some(cfg) = &opts.adaptive {
-        check_adaptive_config(cfg);
-    }
     for file in &opts.files {
         let src = match std::fs::read_to_string(file) {
             Ok(s) => s,

@@ -13,14 +13,18 @@
 //! 3. **Schema checking**: the "Event schema" table of
 //!    `docs/OBSERVABILITY.md` must list exactly the variants, JSON types and
 //!    field names of `EngineEvent::SCHEMA`, and its "Counters" table exactly
-//!    the names and folds of `StatsSnapshot::FIELDS`.
+//!    the names and folds of `StatsSnapshot::FIELDS`. Its decision-site
+//!    tables must list exactly the `Decision::site`s that the
+//!    `reconciliation.rs` workloads emit.
 //!
 //! All are std-only, like everything else in the workspace.
 
-use std::collections::BTreeMap;
+mod workloads;
+
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use matryoshka::engine::{EngineEvent, StatsSnapshot};
+use matryoshka::engine::{ClusterConfig, Engine, EngineEvent, StatsSnapshot};
 use matryoshka::ir::{analyze, check, parse_program, Dialect};
 
 /// The documentation surface under test: root Markdown + `docs/`.
@@ -256,4 +260,24 @@ fn counters_table_matches_the_generated_fields() {
         assert_eq!(cell_names(cells[1]), [*name], "row order follows the table in stats.rs");
         assert_eq!(cell_names(cells[2]), [format!("{fold:?}")], "{name}: fold");
     }
+}
+
+#[test]
+fn decision_site_tables_match_the_sites_the_workloads_emit() {
+    // `| site | choice values | ... |`
+    let rows = observability_table("## The lowering-decision log");
+    let documented: BTreeSet<&str> =
+        rows.iter().map(|row| cell_names(row.split('|').nth(1).unwrap())[0]).collect();
+    let mut emitted = BTreeSet::new();
+    let plans = workloads::lowering_configs()
+        .into_iter()
+        .flat_map(|(_, config)| workloads::paper_workloads(&config))
+        .map(|(_, plan)| plan)
+        .chain(workloads::shipped_programs().into_iter().map(|(_, plan)| plan));
+    for plan in plans {
+        let engine = Engine::new(ClusterConfig::local_test());
+        plan(&engine);
+        emitted.extend(engine.decisions().iter().map(|d| d.site));
+    }
+    assert_eq!(emitted, documented, "emitted sites (left) vs documented sites (right)");
 }

@@ -65,12 +65,12 @@ fn bounce_rate_under_skew_agrees() {
 #[test]
 fn pagerank_strategies_agree_and_matryoshka_jobs_are_flat() {
     let params = PageRankParams { damping: 0.85, epsilon: 1e-3, max_iterations: 15 };
-    let jobs_at = |groups: u32| {
+    let jobs_at = |groups: u32, key_dist: KeyDist| {
         let edges = grouped_edges(&GroupedGraphSpec {
             total_edges: 3_000,
             groups,
             vertices_per_group: (300 / groups).max(3),
-            key_dist: KeyDist::Uniform,
+            key_dist,
             seed: 21,
         });
         let oracle = pagerank::reference(&edges, &params);
@@ -85,11 +85,13 @@ fn pagerank_strategies_agree_and_matryoshka_jobs_are_flat() {
         }
         e.stats().jobs
     };
-    let j4 = jobs_at(4);
-    let j32 = jobs_at(32);
+    let j4 = jobs_at(4, KeyDist::Uniform);
+    let j32 = jobs_at(32, KeyDist::Uniform);
     // Iteration counts can vary a little; an 8x group increase must not
     // show up in the job count.
     assert!(j32 < j4 * 3, "matryoshka jobs must not scale with groups: {j4} vs {j32}");
+    // Zipf group sizes: a few giant groups and many tiny ones agree too.
+    jobs_at(32, KeyDist::Zipf(1.2));
 }
 
 #[test]
