@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use super::fuse::{fusible, Batch, ChargeRule, Step};
+use super::ops_wide::{record_scatter, record_scatter_pair};
 use super::{to_parts, Bag, Partitioning};
 use crate::fx::{fx_set_with_capacity, FxHashSet};
 use crate::partitioner::{scatter_shared_by_key, stable_hash};
@@ -71,6 +72,7 @@ impl<T: Data> Bag<T> {
                     out[idx].push(x.clone());
                 }
             }
+            record_scatter(&engine, "sort_by", &out, bytes);
             let factor = engine.config().costs.materialize_factor;
             let ws: Vec<u64> =
                 out.iter().map(|p| (p.len() as f64 * bytes * factor) as u64).collect();
@@ -144,6 +146,8 @@ impl<T: Key> Bag<T> {
             engine.charge_shuffle("subtract", rrec, right.record_bytes());
             let ls = scatter_by_value(&lp, partitions);
             let rs = scatter_by_value(&rp, partitions);
+            let sides = ls.iter().zip(&rs).map(|(l, r)| (l.len(), r.len()));
+            record_scatter_pair(&engine, "subtract", sides, bytes, right.record_bytes());
             let zipped: Vec<(Vec<T>, Vec<T>)> = ls.into_iter().zip(rs).collect();
             let out: Vec<Vec<T>> = parallel_map(zipped, |_, (l, r)| {
                 let mut exclude: FxHashSet<T> = fx_set_with_capacity(r.len());
@@ -173,6 +177,8 @@ impl<T: Key> Bag<T> {
             engine.charge_shuffle("intersection", rrec, right.record_bytes());
             let ls = scatter_by_value(&lp, partitions);
             let rs = scatter_by_value(&rp, partitions);
+            let sides = ls.iter().zip(&rs).map(|(l, r)| (l.len(), r.len()));
+            record_scatter_pair(&engine, "intersection", sides, bytes, right.record_bytes());
             let zipped: Vec<(Vec<T>, Vec<T>)> = ls.into_iter().zip(rs).collect();
             let out: Vec<Vec<T>> = parallel_map(zipped, |_, (l, r)| {
                 let mut rset: FxHashSet<T> = fx_set_with_capacity(r.len());

@@ -11,10 +11,12 @@
 //! Host-side, these operators are on the zero-copy partition flow (see
 //! `DESIGN.md`): co-partitioned (narrow) branches read straight out of the
 //! shared `Arc<Vec<T>>` partitions instead of deep-copying them, shuffling
-//! branches scatter through the parallel
-//! [`crate::partitioner::scatter_shared_by_key`], and worker-private hash
-//! tables use the deterministic [`crate::fx`] hasher. None of this changes
-//! a single charge: simulated times and [`crate::StatsSnapshot`] are pinned
+//! branches go through the counting scatter of [`crate::partitioner`]
+//! (destinations hashed once, on the pool when large; exact-size buckets;
+//! each record moved or cloned once — a shuffle costs its records, not
+//! input partitions × output partitions), and worker-private hash tables
+//! use the deterministic [`crate::fx`] hasher. None of this changes a
+//! single charge: simulated times and [`crate::StatsSnapshot`] are pinned
 //! bit-identical by `tests/golden_sim.rs`.
 
 use std::sync::Arc;
@@ -29,7 +31,7 @@ use crate::types::{Data, Key};
 /// Record the exact per-reduce-partition map-output counts of a shuffle
 /// (the `PartitionStats` event and the partition-size peaks). Pure
 /// bookkeeping — charges nothing.
-fn record_scatter<T>(
+pub(super) fn record_scatter<T>(
     engine: &crate::Engine,
     operator: &'static str,
     shuffled: &[Vec<T>],
@@ -41,6 +43,22 @@ fn record_scatter<T>(
         counts,
         record_bytes,
     ));
+}
+
+/// [`record_scatter`] for a shuffle of two sides into the same reduce
+/// partitions: `sides` yields each partition's `(left, right)` record
+/// counts, and the combined load weighs each side by its own record size.
+pub(super) fn record_scatter_pair(
+    engine: &crate::Engine,
+    operator: &'static str,
+    sides: impl Iterator<Item = (usize, usize)>,
+    lbytes: f64,
+    rbytes: f64,
+) {
+    let (partition_records, partition_bytes) = sides
+        .map(|(l, r)| ((l + r) as u64, (l as f64 * lbytes + r as f64 * rbytes) as u64))
+        .unzip();
+    engine.record_map_output(&MapOutputStats { operator, partition_records, partition_bytes });
 }
 
 /// How a join should be executed. The Matryoshka optimizer (crate
@@ -308,23 +326,8 @@ impl<K: Key, V: Data> Bag<(K, V)> {
                 scatter_shared_by_key(&rp, partitions, |r| &r.0).into_iter().map(Arc::new).collect()
             };
             if !(l_co && r_co) {
-                // Both sides land in the same reduce partition: record the
-                // combined per-partition load (each side weighted by its own
-                // record size).
-                let stats = MapOutputStats {
-                    operator: "join",
-                    partition_records: ls
-                        .iter()
-                        .zip(rs.iter())
-                        .map(|(l, r)| (l.len() + r.len()) as u64)
-                        .collect(),
-                    partition_bytes: ls
-                        .iter()
-                        .zip(rs.iter())
-                        .map(|(l, r)| (l.len() as f64 * lbytes + r.len() as f64 * rbytes) as u64)
-                        .collect(),
-                };
-                engine.record_map_output(&stats);
+                let sides = ls.iter().zip(&rs).map(|(l, r)| (l.len(), r.len()));
+                record_scatter_pair(&engine, "join", sides, lbytes, rbytes);
             }
             let factor = engine.config().costs.materialize_factor;
             let build_ws: Vec<u64> =
@@ -432,20 +435,8 @@ impl<K: Key, V: Data> Bag<(K, V)> {
                 engine.charge_shuffle("co_group", rrecords, rbytes);
                 let ls = scatter_shared_by_key(&lp, partitions, |r| &r.0);
                 let rs = scatter_shared_by_key(&rp, partitions, |r| &r.0);
-                let stats = MapOutputStats {
-                    operator: "co_group",
-                    partition_records: ls
-                        .iter()
-                        .zip(rs.iter())
-                        .map(|(l, r)| (l.len() + r.len()) as u64)
-                        .collect(),
-                    partition_bytes: ls
-                        .iter()
-                        .zip(rs.iter())
-                        .map(|(l, r)| (l.len() as f64 * lbytes + r.len() as f64 * rbytes) as u64)
-                        .collect(),
-                };
-                engine.record_map_output(&stats);
+                let sides = ls.iter().zip(&rs).map(|(l, r)| (l.len(), r.len()));
+                record_scatter_pair(&engine, "co_group", sides, lbytes, rbytes);
                 let factor = engine.config().costs.materialize_factor;
                 let ws: Vec<u64> = ls
                     .iter()
@@ -608,7 +599,11 @@ impl<T: Data> Bag<T> {
                 let input = parent.eval()?;
                 let records: u64 = input.iter().map(|p| p.len() as u64).sum();
                 engine.charge_shuffle("repartition", records, bytes);
-                let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
+                // Round-robin: bucket `i` receives exactly this many records.
+                let total = records as usize;
+                let mut out: Vec<Vec<T>> = (0..n)
+                    .map(|i| Vec::with_capacity(total / n + usize::from(i < total % n)))
+                    .collect();
                 let mut i = 0usize;
                 for p in input.iter() {
                     for rec in p.iter() {
@@ -842,6 +837,18 @@ mod tests {
         let r = e.parallelize((0..50u32).map(|i| (i % 5, i)).collect::<Vec<_>>(), 2);
         l.join_into(4, &r).count().unwrap();
         assert_eq!(partition_stats(&e), vec![("join", 4, 150)], "both sides counted");
+        // The shuffling operators of `ops_misc.rs`: exactly one event per
+        // operator, both sides counted (output partitions = the wider side).
+        let e = traced();
+        let a = e.parallelize((0..100u32).collect::<Vec<_>>(), 4);
+        let b = e.parallelize((50..80u32).collect::<Vec<_>>(), 2);
+        a.subtract(&b).count().unwrap();
+        a.intersection(&b).count().unwrap();
+        a.sort_by(3, |x| *x).count().unwrap();
+        assert_eq!(
+            partition_stats(&e),
+            vec![("subtract", 4, 130), ("intersection", 4, 130), ("sort_by", 3, 100)]
+        );
     }
 
     #[test]

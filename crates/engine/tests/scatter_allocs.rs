@@ -1,0 +1,100 @@
+//! Allocation-count pin for the shuffle scatter.
+//!
+//! A shuffle must cost its records, not (input partitions × output
+//! partitions). The scatter this pins hashes once into one `Vec<u32>` per
+//! input partition and allocates each output bucket once at its exact size;
+//! the one it replaced built a private set of output buckets per input
+//! partition — 1,200 × 1,200 = 1.44 M `Vec`s for the shape below, at any
+//! record count. The assertion is on *allocations*, counted by a std-only
+//! `#[global_allocator]`, so it does not depend on the host's speed.
+//!
+//! One `#[test]` only: the counter is process-wide, and the harness runs the
+//! tests of a binary concurrently.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use matryoshka_engine::partitioner::{scatter_by_key, scatter_shared_by_key};
+use matryoshka_engine::{ClusterConfig, Engine};
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: defers every operation to `System` unchanged; the counter is a
+// relaxed statistic that publishes nothing.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which
+        // is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc` and `dealloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations (and reallocations) performed while `f` runs, on any thread.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+const RECORDS: u64 = 10_000; // above the pooled-hashing threshold
+const INPUTS: usize = 1_200; // the paper's 25 × 16 cluster, 3 partitions per core
+const OUTPUTS: usize = 1_200;
+
+/// The bound is in inputs + outputs (one destination vector per non-empty
+/// input, one bucket per non-empty output, a handful for the pool dispatch;
+/// the engine run adds one `Vec` + one `Arc` per partition on each side of
+/// the shuffle), with slack for the harness — two orders of magnitude under
+/// inputs × outputs.
+const BOUND: usize = 10_000;
+
+fn inputs() -> Vec<Vec<(u64, u64)>> {
+    let mut parts: Vec<Vec<(u64, u64)>> = vec![Vec::new(); INPUTS];
+    for i in 0..RECORDS {
+        parts[i as usize % INPUTS].push((i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i));
+    }
+    parts
+}
+
+#[test]
+fn a_shuffle_allocates_per_partition_not_per_partition_pair() {
+    // Warm-up: start the pool's workers and fault in whatever is lazy.
+    let warm = scatter_by_key(inputs(), OUTPUTS, |r| &r.0);
+    assert_eq!(warm.iter().map(Vec::len).sum::<usize>(), RECORDS as usize);
+
+    let shared: Vec<Arc<Vec<(u64, u64)>>> = inputs().into_iter().map(Arc::new).collect();
+    let (cloning, out) = allocations_during(|| scatter_shared_by_key(&shared, OUTPUTS, |r| &r.0));
+    assert_eq!(out, warm, "both entry points build the same buckets");
+    assert!(cloning < BOUND, "scatter_shared_by_key: {cloning} allocations, want < {BOUND}");
+
+    let owned = inputs();
+    let (moving, out) = allocations_during(|| scatter_by_key(owned, OUTPUTS, |r| &r.0));
+    assert_eq!(out, warm);
+    assert!(moving < BOUND, "scatter_by_key: {moving} allocations, want < {BOUND}");
+
+    // The same shuffle through the engine, base partitions included.
+    let engine = Engine::new(ClusterConfig::local_test());
+    let data: Vec<(u64, u64)> = inputs().into_iter().flatten().collect();
+    let (through_engine, count) = allocations_during(|| {
+        engine.parallelize(data, INPUTS).partition_by_key(OUTPUTS + 1).count().unwrap()
+    });
+    assert_eq!(count, RECORDS);
+    assert!(through_engine < BOUND, "engine shuffle: {through_engine} allocations, want < {BOUND}");
+}

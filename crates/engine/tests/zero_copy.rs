@@ -11,7 +11,9 @@
 //! concurrently in one process.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
+use matryoshka_engine::partitioner::{scatter_by_key, scatter_shared_by_key};
 use matryoshka_engine::{ClusterConfig, Engine, Partitioning};
 
 /// Declare a value type whose clones are counted in a dedicated static.
@@ -175,4 +177,36 @@ fn shuffle_scatter_clones_each_record_exactly_once() {
         N as usize,
         "scatter must clone once per record (no pre-shuffle deep copy of the input)"
     );
+}
+
+tracked!(DirectVal, DIRECT_CLONES);
+
+/// The two scatter entry points themselves, below and above the threshold
+/// from which destinations are hashed on the pool: out of shared partitions
+/// a record is cloned exactly once, out of owned partitions it is moved —
+/// zero clones — and both build the same buckets.
+#[test]
+fn scatter_clones_once_from_shared_and_never_from_owned() {
+    for n in [1_000u64, 10_000] {
+        let inputs = || -> Vec<Vec<(u64, DirectVal)>> {
+            (0..8).map(|p| (0..n / 8).map(|i| (i * 8 + p, DirectVal(i))).collect()).collect()
+        };
+        let shared: Vec<Arc<Vec<(u64, DirectVal)>>> = inputs().into_iter().map(Arc::new).collect();
+        let owned = inputs();
+        DIRECT_CLONES.store(0, Ordering::Relaxed);
+        let cloned = scatter_shared_by_key(&shared, 6, |r| &r.0);
+        assert_eq!(
+            DIRECT_CLONES.load(Ordering::Relaxed),
+            n as usize,
+            "{n} records: the shared scatter clones each record exactly once"
+        );
+        DIRECT_CLONES.store(0, Ordering::Relaxed);
+        let moved = scatter_by_key(owned, 6, |r| &r.0);
+        assert_eq!(
+            DIRECT_CLONES.load(Ordering::Relaxed),
+            0,
+            "{n} records: the owned scatter moves every record"
+        );
+        assert_eq!(cloned, moved);
+    }
 }

@@ -54,21 +54,23 @@ rm -f "$EXPLAIN_OUT"
 echo "== sanitizers (best effort: miri, then TSan, else skip)"
 # The container has no network, so missing toolchain components (miri,
 # rust-src for -Zbuild-std) cannot be installed on the fly; skip cleanly.
-# The filter covers the engine pool/fusion tests, the UDF compiler's unit
-# tests (thread-local frame reentrancy + take/replace discipline) and the
-# service's connection loop (one reply, one write; request limits).
+# The filter covers the engine pool/fusion/partitioner tests (the scatter's
+# hashing pass borrows the inputs across the pool's lifetime-erased runner),
+# the UDF compiler's unit tests (thread-local frame reentrancy + take/replace
+# discipline) and the service's connection loop (one reply, one write;
+# request limits).
 if cargo miri --version >/dev/null 2>&1 \
-  && cargo miri test -p matryoshka-engine --lib pool fuse 2>/dev/null \
+  && cargo miri test -p matryoshka-engine --lib pool fuse partitioner 2>/dev/null \
   && cargo miri test -p matryoshka-ir --lib compile 2>/dev/null \
   && cargo miri test -p matryoshka-service --lib server 2>/dev/null; then
-  echo "miri: engine pool + fusion + ir compile + service server tests passed"
-elif RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-engine --lib pool fuse \
+  echo "miri: engine pool + fusion + partitioner + ir compile + service server tests passed"
+elif RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-engine --lib pool fuse partitioner \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null \
   && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-ir --lib compile \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null \
   && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-service --lib server \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null; then
-  echo "TSan: engine pool + fusion + ir compile + service server tests passed"
+  echo "TSan: engine pool + fusion + partitioner + ir compile + service server tests passed"
 else
   echo "sanitizers unavailable in this toolchain (miri/rust-src not installed); skipping"
 fi
@@ -79,10 +81,12 @@ echo "== deleted switches stay deleted"
 # events (no second summary struct, no operator log beside the events, no
 # hand-maintained add_* next to an event); the optimizer is the paper's
 # static one (no feedback re-optimizer, no map-output history beside the
-# PartitionStats event). The patterns are split so this file does not match
+# PartitionStats event); a shuffle is one counting scatter (no per-input
+# bucket sets to merge). The patterns are split so this file does not match
 # itself.
 if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace_''report|stats\.add''_' \
   -e 'Adaptive''Config|adaptive_''coalesce|adaptive_''tag_join|adaptive_''skew_salt|BENCH_''skew|MAT0''92|map_output_''history' \
+  -e 'make_''buckets|merge_''bucket_sets' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2
