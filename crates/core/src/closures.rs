@@ -52,7 +52,7 @@ impl<T: Key, C: Data> InnerScalar<T, C> {
                 let pairs = self.repr().collect()?;
                 let bc = engine.broadcast(pairs, scalar_bytes)?;
                 bag.flat_map(move |p| {
-                    let mut out = Vec::new();
+                    let mut out = Vec::with_capacity(bc.value().len());
                     for (t, c) in bc.value() {
                         out.extend(f(t, c, p).into_iter().map(|u| (t.clone(), u)));
                     }
@@ -78,7 +78,7 @@ impl<T: Key, C: Data> InnerScalar<T, C> {
                 };
                 scalars
                     .flat_map(move |(t, c)| {
-                        let mut out = Vec::new();
+                        let mut out = Vec::with_capacity(bc.value().len());
                         for p in bc.value() {
                             out.extend(f(t, c, p).into_iter().map(|u| (t.clone(), u)));
                         }

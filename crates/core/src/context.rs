@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use matryoshka_engine::{Bag, Engine, JoinAlgorithm, Key, Result};
+use matryoshka_engine::{Bag, Engine, JoinAlgorithm, Joined, Key, Result};
 
 use crate::optimizer::{self, MatryoshkaConfig};
 
@@ -86,8 +86,9 @@ impl<T: Key> LiftingContext<T> {
         optimizer::tag_join_algorithm(self.config(), self.engine(), self.size(), bytes)
     }
 
-    /// Execute a tag join of `left` against a scalar-sized `right` with the
-    /// optimizer's choices: broadcast vs. repartition by the InnerScalar's
+    /// Plan a tag join of `left` against a scalar-sized `right` with the
+    /// optimizer's choices (the caller picks what a match becomes, see
+    /// [`Joined`]): broadcast vs. repartition by the InnerScalar's
     /// size and bytes (Sec. 8.2), and — for the repartition case — a
     /// partition count that accounts for the scalar's data volume
     /// (Sec. 8.1), so a fat InnerScalar never collapses onto one build task.
@@ -95,9 +96,9 @@ impl<T: Key> LiftingContext<T> {
         &self,
         left: &Bag<(T, A)>,
         right: &Bag<(T, B)>,
-    ) -> Bag<(T, (A, B))> {
+    ) -> Joined<T, A, B> {
         match self.tag_join_algorithm(right.record_bytes()) {
-            JoinAlgorithm::BroadcastRight => left.broadcast_join(right),
+            algorithm @ JoinAlgorithm::BroadcastRight => left.joined_with(right, algorithm),
             JoinAlgorithm::Repartition => {
                 let scalar_bytes = (self.size() as f64 * right.record_bytes()) as u64;
                 let p = optimizer::partitions_for(
@@ -108,7 +109,7 @@ impl<T: Key> LiftingContext<T> {
                 )
                 .max(left.num_partitions())
                 .min(self.engine().config().default_parallelism);
-                left.join_into(p, right)
+                left.joined_into(p, right)
             }
         }
     }

@@ -53,10 +53,8 @@ impl<T: Key, S: Data> LiftedData<T> for InnerScalar<T, S> {
         new_ctx: &LiftingContext<T>,
     ) -> Self {
         let joined = self.ctx().tag_join(self.repr(), cond.repr());
-        let repr = joined
-            .filter(move |(_, (_, c))| *c == keep)
-            .map(|(t, (s, _))| (t.clone(), s.clone()))
-            .with_record_bytes(self.repr().record_bytes());
+        let repr =
+            joined.filter(move |_, _, c| *c == keep).with_record_bytes(self.repr().record_bytes());
         InnerScalar::from_repr(repr, new_ctx.clone())
     }
 
@@ -85,10 +83,8 @@ impl<T: Key, E: Data> LiftedData<T> for InnerBag<T, E> {
         new_ctx: &LiftingContext<T>,
     ) -> Self {
         let joined = self.ctx().tag_join(self.repr(), cond.repr());
-        let repr = joined
-            .filter(move |(_, (_, c))| *c == keep)
-            .map(|(t, (e, _))| (t.clone(), e.clone()))
-            .with_record_bytes(self.repr().record_bytes());
+        let repr =
+            joined.filter(move |_, _, c| *c == keep).with_record_bytes(self.repr().record_bytes());
         InnerBag::from_repr(repr, new_ctx.clone())
     }
 

@@ -8,7 +8,7 @@
 //! stateless ones forward the tags; stateful ones (aggregations, grouping,
 //! joins) re-key by `(tag, key)` composites.
 
-use matryoshka_engine::{Bag, Data, Key, Result};
+use matryoshka_engine::{Bag, Data, JoinAlgorithm, Key, Result};
 
 use crate::context::LiftingContext;
 use crate::scalar::InnerScalar;
@@ -190,7 +190,7 @@ impl<T: Key, E: Data> InnerBag<T, E> {
         // side's modeled record size.
         let bytes = self.repr.record_bytes();
         InnerBag {
-            repr: joined.map(move |(t, (e, c))| (t.clone(), f(e, c))).with_record_bytes(bytes),
+            repr: joined.map(move |t, e, c| (t.clone(), f(e, c))).with_record_bytes(bytes),
             ctx: self.ctx.clone(),
         }
     }
@@ -209,8 +209,9 @@ impl<T: Key, E: Data> InnerBag<T, E> {
         let bytes = self.repr.record_bytes();
         InnerBag {
             repr: joined
-                .flat_map(move |(t, (e, c))| {
-                    f(e, c).into_iter().map(|u| (t.clone(), u)).collect::<Vec<_>>()
+                .flat_map(move |t, e, c| {
+                    let t = t.clone();
+                    f(e, c).into_iter().map(move |u| (t.clone(), u))
                 })
                 .with_record_bytes(bytes),
             ctx: self.ctx.clone(),
@@ -226,10 +227,7 @@ impl<T: Key, E: Data> InnerBag<T, E> {
         let joined = self.ctx.tag_join(&self.repr, closure.repr());
         let bytes = self.repr.record_bytes();
         InnerBag {
-            repr: joined
-                .filter(move |(_, (e, c))| f(e, c))
-                .map(|(t, (e, _))| (t.clone(), e.clone()))
-                .with_record_bytes(bytes),
+            repr: joined.filter(move |_, e, c| f(e, c)).with_record_bytes(bytes),
             ctx: self.ctx.clone(),
         }
     }
@@ -306,9 +304,9 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     pub fn join<W: Data>(&self, other: &InnerBag<T, (K, W)>) -> InnerBag<T, (K, (V, W))> {
         let l = self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone()));
         let r = other.repr.map(|(t, (k, w))| ((t.clone(), k.clone()), w.clone()));
-        let joined = l.join(&r);
+        let joined = l.joined_with(&r, JoinAlgorithm::Repartition);
         InnerBag {
-            repr: joined.map(|((t, k), (v, w))| (t.clone(), (k.clone(), (v.clone(), w.clone())))),
+            repr: joined.map(|(t, k), v, w| (t.clone(), (k.clone(), (v.clone(), w.clone())))),
             ctx: self.ctx.clone(),
         }
     }
@@ -319,9 +317,9 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     /// by the join key, join against the outer bag, then restore the tag.
     pub fn half_lifted_join<W: Data>(&self, right: &Bag<(K, W)>) -> InnerBag<T, (K, (V, W))> {
         let rekeyed = self.repr.map(|(t, (k, v))| (k.clone(), (t.clone(), v.clone())));
-        let joined = rekeyed.join(right);
+        let joined = rekeyed.joined_with(right, JoinAlgorithm::Repartition);
         InnerBag {
-            repr: joined.map(|(k, ((t, v), w))| (t.clone(), (k.clone(), (v.clone(), w.clone())))),
+            repr: joined.map(|k, (t, v), w| (t.clone(), (k.clone(), (v.clone(), w.clone())))),
             ctx: self.ctx.clone(),
         }
     }
@@ -354,9 +352,9 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
         let p = right.repr.num_partitions();
         let l =
             self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone())).partition_by_key(p);
-        let joined = l.join_into(p, &right.repr);
+        let joined = l.joined_into(p, &right.repr);
         InnerBag {
-            repr: joined.map(|((t, k), (v, w))| (t.clone(), (k.clone(), (v.clone(), w.clone())))),
+            repr: joined.map(|(t, k), v, w| (t.clone(), (k.clone(), (v.clone(), w.clone())))),
             ctx: self.ctx.clone(),
         }
     }

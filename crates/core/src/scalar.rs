@@ -67,7 +67,7 @@ impl<T: Key, S: Data> InnerScalar<T, S> {
         // (which would compound across loop iterations).
         let bytes = self.repr.record_bytes().max(other.repr().record_bytes());
         InnerScalar {
-            repr: joined.map(move |(t, (x, y))| (t.clone(), f(x, y))).with_record_bytes(bytes),
+            repr: joined.map(move |t, x, y| (t.clone(), f(x, y))).with_record_bytes(bytes),
             ctx: self.ctx.clone(),
         }
     }

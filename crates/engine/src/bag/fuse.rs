@@ -46,7 +46,9 @@
 //!   `union`, `with_record_bytes` or `map_with_work` (none carry a fuse
 //!   hook — `map_with_work` because its memory accounting must observe real
 //!   per-partition outputs, `cache`/`checkpoint` because their whole point
-//!   is a stable materialization every consumer can share);
+//!   is a stable materialization every consumer can share). A join is the
+//!   *head* of a chain for the followers handed to `ops_wide::Joined`
+//!   ([`settle`] charges them like any chain), a barrier for all else;
 //! - already **materialized** (its memoized partitions are reused as-is);
 //! - **multi-consumer**: any other live handle to the parent (a user
 //!   binding, a second downstream operator, or a still-live temporary of the
@@ -253,9 +255,7 @@ pub(crate) fn fusible<P: Data, T: Data>(
 }
 
 /// Execute an assembled chain: one pool dispatch over the base partitions,
-/// then one `charge_compute` per operator. A chain of two or more is a
-/// fusion and additionally emits the `StageFused` event (which feeds the
-/// fusion counters) and logs a `narrow_fusion` decision.
+/// then [`settle`] its charges.
 fn run_chain<T: Data>(
     engine: &Engine,
     assembled: Assembled<T>,
@@ -268,44 +268,63 @@ fn run_chain<T: Data>(
         let out = drive(pi, &mut mids);
         (out, mids)
     });
-    // Source-first, each charge attributed to its operator's own name.
-    // Operator `j` reads boundary `j` and writes boundary `j + 1`, where
-    // boundary 0 is the base input and boundary `ops` the final output.
+    // Boundary 0 is the base input and boundary `ops` the final output.
+    let boundary = |pi: usize, j: usize| match j {
+        0 => base_counts[pi],
+        j if j == ops => per_part[pi].0.len(),
+        j => per_part[pi].1[j - 1],
+    };
+    if let Some(composite) = settle(engine, &metas, false, partitions, boundary)? {
+        fused_name.get_or_init(|| composite);
+    }
+    Ok(to_parts(per_part.into_iter().map(|(out, _)| out).collect()))
+}
+
+/// Settle a pass that ran `metas` (source-first) over `partitions`
+/// partitions: one `charge_compute` per operator under its own name, where
+/// operator `j` reads `boundary(partition, j)` records and writes
+/// `boundary(partition, j + 1)`, and `head_overhead` is the head's
+/// `task_overhead` (true only for a join's shuffle read, `ops_wide::Joined`).
+/// Two or more operators are a fusion: it also emits `StageFused` (feeding
+/// the fusion counters), logs `narrow_fusion` and returns its composite name.
+pub(super) fn settle(
+    engine: &Engine,
+    metas: &[FusedOpMeta],
+    head_overhead: bool,
+    partitions: usize,
+    boundary: impl Fn(usize, usize) -> usize,
+) -> Result<Option<&'static str>> {
+    let ops = metas.len();
     for (j, meta) in metas.iter().enumerate() {
-        let counts: Vec<usize> = per_part
-            .iter()
-            .zip(&base_counts)
-            .map(|((out, mids), &base)| {
-                let input = if j == 0 { base } else { mids[j - 1] };
-                let output = if j + 1 == ops { out.len() } else { mids[j] };
-                meta.charge.count(input, output)
-            })
+        let counts: Vec<usize> = (0..partitions)
+            .map(|pi| meta.charge.count(boundary(pi, j), boundary(pi, j + 1)))
             .collect();
         engine.push_current_op(meta.name);
-        let charged = engine.charge_compute(&counts, meta.bytes, false);
+        let charged = engine.charge_compute(&counts, meta.bytes, head_overhead && j == 0);
         engine.pop_current_op();
         charged?;
     }
-    if ops > 1 {
-        let composite = *fused_name.get_or_init(|| intern_fused_name(&metas));
-        let elided = (ops - 1) as u64;
-        engine.observe(EngineEvent::StageFused {
-            ops: composite,
-            ops_fused: ops as u64,
-            intermediates_elided: elided,
-            partitions: partitions as u64,
-            at: engine.sim_time(),
-        });
-        let records: u64 = per_part.iter().map(|(out, _)| out.len() as u64).sum();
-        engine.record_decision(
-            "narrow_fusion",
-            composite.to_string(),
-            records,
-            0,
-            format!("{ops} narrow ops in one pass over {partitions} partitions; {elided} intermediate materializations elided"),
-        );
+    if ops == 1 {
+        return Ok(None);
     }
-    Ok(to_parts(per_part.into_iter().map(|(out, _)| out).collect()))
+    let composite = intern_fused_name(metas);
+    let elided = (ops - 1) as u64;
+    engine.observe(EngineEvent::StageFused {
+        ops: composite,
+        ops_fused: ops as u64,
+        intermediates_elided: elided,
+        partitions: partitions as u64,
+        at: engine.sim_time(),
+    });
+    let records: u64 = (0..partitions).map(|pi| boundary(pi, ops) as u64).sum();
+    engine.record_decision(
+        "narrow_fusion",
+        composite.to_string(),
+        records,
+        0,
+        format!("{ops} narrow ops in one pass over {partitions} partitions; {elided} intermediate materializations elided"),
+    );
+    Ok(Some(composite))
 }
 
 /// Leak-once interner for composite chain names (see the module docs on

@@ -14,7 +14,7 @@ mod ops_narrow;
 mod ops_wide;
 
 pub use ops_narrow::WorkEstimate;
-pub use ops_wide::JoinAlgorithm;
+pub use ops_wide::{JoinAlgorithm, Joined};
 
 /// How a bag's records are known to be distributed across partitions.
 ///

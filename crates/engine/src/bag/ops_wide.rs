@@ -15,12 +15,16 @@
 //! (destinations hashed once, on the pool when large; exact-size buckets;
 //! each record moved or cloned once — a shuffle costs its records, not
 //! input partitions × output partitions), and worker-private hash tables
-//! use the deterministic [`crate::fx`] hasher. None of this changes a
-//! single charge: simulated times and [`crate::StatsSnapshot`] are pinned
-//! bit-identical by `tests/golden_sim.rs`.
+//! use the deterministic [`crate::fx`] hasher. A join ([`Joined`]) pushes
+//! each match into its caller's closure by reference: the join and the
+//! `map`/`flat_map`/`filter` after it are one node that replays the
+//! follower's charge, and no `(K, (V, W))` tuple is built. None of this
+//! changes a charge: simulated times and [`crate::StatsSnapshot`] are pinned
+//! bit-identical by `tests/golden_sim.rs` and `tests/golden_lifted.rs`.
 
 use std::sync::Arc;
 
+use super::fuse::{settle, ChargeRule, FusedOpMeta};
 use super::{to_parts, Bag, Partitioning};
 use crate::fx::{fx_map, fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
 use crate::map_output::MapOutputStats;
@@ -276,139 +280,43 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         other: &Bag<(K, W)>,
         algorithm: JoinAlgorithm,
     ) -> Bag<(K, (V, W))> {
-        match algorithm {
-            JoinAlgorithm::Repartition => self.join(other),
-            JoinAlgorithm::BroadcastRight => self.broadcast_join(other),
-        }
+        self.joined_with(other, algorithm).pairs()
     }
 
     /// Repartition (shuffle) equi-join.
     pub fn join<W: Data>(&self, other: &Bag<(K, W)>) -> Bag<(K, (V, W))> {
-        let p = self
-            .num_partitions()
-            .max(other.num_partitions())
-            .min(self.engine().config().default_parallelism);
-        self.join_into(p, other)
+        self.joined_with(other, JoinAlgorithm::Repartition).pairs()
     }
 
     /// [`Bag::join`] with an explicit output partition count.
     pub fn join_into<W: Data>(&self, partitions: usize, other: &Bag<(K, W)>) -> Bag<(K, (V, W))> {
-        assert!(self.engine().same_as(other.engine()), "join of bags from different engines");
-        let left = self.clone();
-        let right = other.clone();
-        let engine = self.engine().clone();
-        let lbytes = self.record_bytes();
-        let rbytes = other.record_bytes();
-        let out_bytes = lbytes + rbytes;
-        let partitions = partitions.max(1);
-        let l_co = left.partitioning() == Partitioning::HashByKey { partitions };
-        let r_co = right.partitioning() == Partitioning::HashByKey { partitions };
-        let meta = Partitioning::HashByKey { partitions };
-        Bag::new_with_partitioning(engine.clone(), "join", out_bytes, partitions, meta, move || {
-            let lp = left.eval()?;
-            let rp = right.eval()?;
-            // Co-partitioned sides are reused as-is (refcount bump only); a
-            // side that must shuffle scatters straight from the shared
-            // partitions. Either way no input is deep-copied: the only
-            // per-record clones left are the output tuples themselves.
-            let ls: Vec<Arc<Vec<(K, V)>>> = if l_co {
-                lp.to_vec()
-            } else {
-                let lrecords: u64 = lp.iter().map(|p| p.len() as u64).sum();
-                engine.charge_shuffle("join", lrecords, lbytes);
-                scatter_shared_by_key(&lp, partitions, |r| &r.0).into_iter().map(Arc::new).collect()
-            };
-            let rs: Vec<Arc<Vec<(K, W)>>> = if r_co {
-                rp.to_vec()
-            } else {
-                let rrecords: u64 = rp.iter().map(|p| p.len() as u64).sum();
-                engine.charge_shuffle("join", rrecords, rbytes);
-                scatter_shared_by_key(&rp, partitions, |r| &r.0).into_iter().map(Arc::new).collect()
-            };
-            if !(l_co && r_co) {
-                let sides = ls.iter().zip(&rs).map(|(l, r)| (l.len(), r.len()));
-                record_scatter_pair(&engine, "join", sides, lbytes, rbytes);
-            }
-            let factor = engine.config().costs.materialize_factor;
-            let build_ws: Vec<u64> =
-                rs.iter().map(|p| (p.len() as f64 * rbytes * factor) as u64).collect();
-            engine.charge_memory("join(build)", &build_ws)?;
-            let zipped: Vec<(Arc<Vec<(K, V)>>, Arc<Vec<(K, W)>>)> =
-                ls.into_iter().zip(rs).collect();
-            let out: Vec<Vec<(K, (V, W))>> = parallel_map(zipped, |_, (l, r)| {
-                // Chained-index multimap over the shared right side: one map
-                // entry per key plus one `next` slot per record — no per-key
-                // `Vec` allocations, and nothing is cloned until an actual
-                // match is emitted. Chains are threaded back-to-front so a
-                // probe walks matches in right-side record order.
-                const NIL: u32 = u32::MAX;
-                assert!(r.len() < NIL as usize, "join partition exceeds u32 chain capacity");
-                let mut head: FxHashMap<&K, u32> = fx_map_with_capacity(r.len());
-                let mut next: Vec<u32> = vec![NIL; r.len()];
-                for (i, (k, _)) in r.iter().enumerate().rev() {
-                    if let Some(later) = head.insert(k, i as u32) {
-                        next[i] = later;
-                    }
-                }
-                let mut res: Vec<(K, (V, W))> = Vec::with_capacity(l.len());
-                for (k, v) in l.iter() {
-                    let Some(&first) = head.get(k) else { continue };
-                    let mut i = first;
-                    loop {
-                        let w = &r[i as usize].1;
-                        res.push((k.clone(), (v.clone(), w.clone())));
-                        i = next[i as usize];
-                        if i == NIL {
-                            break;
-                        }
-                    }
-                }
-                res
-            });
-            let counts: Vec<usize> = out.iter().map(Vec::len).collect();
-            engine.charge_compute(&counts, out_bytes, true)?;
-            Ok(to_parts(out))
-        })
+        self.joined_into(partitions, other).pairs()
     }
 
     /// Broadcast-hash equi-join: the right side is collected and broadcast,
     /// the left side is probed in place (no shuffle of the left side).
     pub fn broadcast_join<W: Data>(&self, other: &Bag<(K, W)>) -> Bag<(K, (V, W))> {
+        self.joined_with(other, JoinAlgorithm::BroadcastRight).pairs()
+    }
+
+    /// Plan an equi-join with `algorithm`, leaving what a match becomes to
+    /// [`Joined`]. A repartition join defaults to the wider side's partition
+    /// count, capped at the default parallelism.
+    pub fn joined_with<W: Data>(
+        &self,
+        other: &Bag<(K, W)>,
+        algorithm: JoinAlgorithm,
+    ) -> Joined<K, V, W> {
+        let wider = self.num_partitions().max(other.num_partitions());
+        let p = wider.min(self.engine().config().default_parallelism);
+        let partitions = (algorithm == JoinAlgorithm::Repartition).then_some(p);
+        Joined { partitions, ..self.joined_into(p, other) }
+    }
+
+    /// Plan a repartition equi-join into `partitions` output partitions.
+    pub fn joined_into<W: Data>(&self, partitions: usize, other: &Bag<(K, W)>) -> Joined<K, V, W> {
         assert!(self.engine().same_as(other.engine()), "join of bags from different engines");
-        let left = self.clone();
-        let right = other.clone();
-        let engine = self.engine().clone();
-        let lbytes = self.record_bytes();
-        let rbytes = other.record_bytes();
-        let out_bytes = lbytes + rbytes;
-        Bag::new(engine.clone(), "broadcast_join", out_bytes, self.num_partitions(), move || {
-            let rp = right.eval()?;
-            let rrecords: u64 = rp.iter().map(|p| p.len() as u64).sum();
-            engine.charge_driver_collect(rrecords, rbytes);
-            engine.charge_broadcast("broadcast_join", (rrecords as f64 * rbytes) as u64)?;
-            let mut table: FxHashMap<K, Vec<W>> = fx_map_with_capacity(rrecords as usize);
-            for p in rp.iter() {
-                for (k, w) in p.iter() {
-                    table.entry(k.clone()).or_default().push(w.clone());
-                }
-            }
-            let table = Arc::new(table);
-            let lp = left.eval()?;
-            let out: Vec<Vec<(K, (V, W))>> = parallel_map(lp.to_vec(), |_, p: Arc<Vec<(K, V)>>| {
-                let mut res = Vec::new();
-                for (k, v) in p.iter() {
-                    if let Some(ws) = table.get(k) {
-                        for w in ws {
-                            res.push((k.clone(), (v.clone(), w.clone())));
-                        }
-                    }
-                }
-                res
-            });
-            let counts: Vec<usize> = out.iter().map(Vec::len).collect();
-            engine.charge_compute(&counts, out_bytes, false)?;
-            Ok(to_parts(out))
-        })
+        Joined { left: self.clone(), right: other.clone(), partitions: Some(partitions.max(1)) }
     }
 
     /// Group both sides by key (Spark `cogroup`).
@@ -510,6 +418,168 @@ impl<K: Key, V: Data> Bag<(K, V)> {
                 Ok(to_parts(shuffled))
             },
         )
+    }
+}
+
+/// An equi-join that has not chosen its output shape yet: two sides and a
+/// plan. Each method builds **one** lineage node that runs the plan's build
+/// and probe and hands every match to the caller *by reference*: nothing is
+/// cloned that the caller does not clone, and no `(K, (V, W))` bag exists for
+/// a follower to take apart. `map`, `flat_map` and `filter` are
+/// [`Joined::pairs`] then that narrow operator, in one pass, charged as both.
+pub struct Joined<K: Key, V: Data, W: Data> {
+    left: Bag<(K, V)>,
+    right: Bag<(K, W)>,
+    /// Repartition both sides into this many; `None` broadcasts the right.
+    partitions: Option<usize>,
+}
+
+impl<K: Key, V: Data, W: Data> Joined<K, V, W> {
+    /// Every match as an owned `(k, (v, w))` record (the classic join).
+    pub fn pairs(&self) -> Bag<(K, (V, W))> {
+        self.node(&[], |k, v, w| Some((k.clone(), (v.clone(), w.clone()))))
+    }
+
+    /// The join followed by `map`: one output record per match.
+    pub fn map<R: Data>(&self, f: impl Fn(&K, &V, &W) -> R + Send + Sync + 'static) -> Bag<R> {
+        self.node(&[("map", ChargeRule::Output)], move |k, v, w| Some(f(k, v, w)))
+    }
+
+    /// The join followed by `flat_map`: any number of records per match.
+    pub fn flat_map<R: Data, I: IntoIterator<Item = R>>(
+        &self,
+        f: impl Fn(&K, &V, &W) -> I + Send + Sync + 'static,
+    ) -> Bag<R> {
+        self.node(&[("flat_map", ChargeRule::MaxSide)], f)
+    }
+
+    /// The join followed by `filter`, then the `map` that projects a
+    /// surviving match back to its left record.
+    pub fn filter(&self, pred: impl Fn(&K, &V, &W) -> bool + Send + Sync + 'static) -> Bag<(K, V)> {
+        self.node(&[("filter", ChargeRule::Input), ("map", ChargeRule::Output)], move |k, v, w| {
+            pred(k, v, w).then(|| (k.clone(), v.clone()))
+        })
+    }
+
+    /// The one node behind every shape: the plan's charges and build, a probe
+    /// that extends each output partition with `emit(k, v, w)` per match,
+    /// then [`settle`] for the compute charges of the join and of the
+    /// `followers` (`(name, rule)`, source-first) it absorbed. A follower's
+    /// output has the join's record size; only `pairs` keeps the placement.
+    fn node<R: Data, I: IntoIterator<Item = R>>(
+        &self,
+        followers: &'static [(&'static str, ChargeRule)],
+        emit: impl Fn(&K, &V, &W) -> I + Send + Sync + 'static,
+    ) -> Bag<R> {
+        let (left, right, plan) = (self.left.clone(), self.right.clone(), self.partitions);
+        let engine = left.engine().clone();
+        let (lbytes, rbytes) = (left.record_bytes(), right.record_bytes());
+        let (name, parts) = plan.map_or(("broadcast_join", left.num_partitions()), |p| ("join", p));
+        let placement = match plan {
+            Some(partitions) if followers.is_empty() => Partitioning::HashByKey { partitions },
+            _ => Partitioning::Arbitrary,
+        };
+        let head = FusedOpMeta { name, bytes: lbytes + rbytes, charge: ChargeRule::Output };
+        let tail = followers.iter().map(|&(name, charge)| FusedOpMeta { name, charge, ..head });
+        let metas: Vec<FusedOpMeta> = std::iter::once(head).chain(tail).collect();
+        Bag::new_with_partitioning(engine.clone(), name, head.bytes, parts, placement, move || {
+            let per_part: Vec<(Vec<R>, usize)> = if let Some(partitions) = plan {
+                let (lp, rp) = (left.eval()?, right.eval()?);
+                let (ls, l_co) = join_side(&left, &lp, partitions);
+                let (rs, r_co) = join_side(&right, &rp, partitions);
+                if !(l_co && r_co) {
+                    let sides = ls.iter().zip(&rs).map(|(l, r)| (l.len(), r.len()));
+                    record_scatter_pair(&engine, "join", sides, lbytes, rbytes);
+                }
+                let factor = engine.config().costs.materialize_factor;
+                let build_ws: Vec<u64> =
+                    rs.iter().map(|p| (p.len() as f64 * rbytes * factor) as u64).collect();
+                engine.charge_memory("join(build)", &build_ws)?;
+                parallel_map(ls.into_iter().zip(rs).collect(), |_, (l, r)| {
+                    Multimap::build(std::slice::from_ref(&r)).probe(&l, &emit)
+                })
+            } else {
+                let rp = right.eval()?;
+                let rrecords: u64 = rp.iter().map(|p| p.len() as u64).sum();
+                engine.charge_driver_collect(rrecords, rbytes);
+                engine.charge_broadcast("broadcast_join", (rrecords as f64 * rbytes) as u64)?;
+                // Built once, over borrowed records, and probed by every task.
+                let table = Multimap::build(&rp);
+                parallel_map(left.eval()?.to_vec(), |_, l| table.probe(&l, &emit))
+            };
+            // The probe is charged on its matches (boundaries 0 and 1), with
+            // task overhead when it read a shuffle; the rest are the emitted.
+            let boundary =
+                |pi: usize, j| if j <= 1 { per_part[pi].1 } else { per_part[pi].0.len() };
+            settle(&engine, &metas, plan.is_some(), per_part.len(), boundary)?;
+            Ok(to_parts(per_part.into_iter().map(|(out, _)| out).collect()))
+        })
+    }
+}
+
+/// One side of a repartition join, placed into `partitions`: reused as it is
+/// (refcount bumps; the flag) when already hash-placed so, else charged and
+/// scattered straight from the shared partitions. Neither deep-copies.
+fn join_side<K: Key, X: Data>(
+    side: &Bag<(K, X)>,
+    parts: &[Arc<Vec<(K, X)>>],
+    partitions: usize,
+) -> (Vec<Arc<Vec<(K, X)>>>, bool) {
+    if side.partitioning() == (Partitioning::HashByKey { partitions }) {
+        return (parts.to_vec(), true);
+    }
+    let records: u64 = parts.iter().map(|p| p.len() as u64).sum();
+    side.engine().charge_shuffle("join", records, side.record_bytes());
+    let scattered = scatter_shared_by_key(parts, partitions, |r| &r.0);
+    (scattered.into_iter().map(Arc::new).collect(), false)
+}
+
+/// Chained-index multimap over borrowed right-side records, the build side
+/// of both join algorithms: `head` maps a key to the first slot of its chain,
+/// and a record's slot holds its value and the next slot of the chain or
+/// `NIL` — no per-key `Vec` allocations, and nothing is cloned. Chains are
+/// threaded back-to-front so a probe walks matches in right-side order.
+struct Multimap<'a, K, W> {
+    head: FxHashMap<&'a K, u32>,
+    slots: Vec<(&'a W, u32)>,
+}
+const NIL: u32 = u32::MAX;
+
+impl<'a, K: Key, W> Multimap<'a, K, W> {
+    fn build(parts: &'a [Arc<Vec<(K, W)>>]) -> Self {
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        assert!(total < NIL as usize, "join build side exceeds u32 chain capacity");
+        let mut head: FxHashMap<&K, u32> = fx_map_with_capacity(total);
+        let mut slots: Vec<(&W, u32)> =
+            parts.iter().flat_map(|p| p.iter()).map(|(_, w)| (w, NIL)).collect();
+        let keys = parts.iter().rev().flat_map(|p| p.iter().rev());
+        for (i, (k, _)) in (0..total).rev().zip(keys) {
+            if let Some(later) = head.insert(k, i as u32) {
+                slots[i].1 = later;
+            }
+        }
+        Multimap { head, slots }
+    }
+
+    /// Probe one left partition: `emit` per match, in left-record then
+    /// right-record order. Returns the output and the number of matches.
+    fn probe<V, R, I: IntoIterator<Item = R>>(
+        &self,
+        left: &[(K, V)],
+        emit: &impl Fn(&K, &V, &W) -> I,
+    ) -> (Vec<R>, usize) {
+        let mut out = Vec::with_capacity(left.len());
+        let mut matched = 0;
+        for (k, v) in left {
+            let mut i = self.head.get(k).copied().unwrap_or(NIL);
+            while i != NIL {
+                let (w, next) = self.slots[i as usize];
+                out.extend(emit(k, v, w));
+                matched += 1;
+                i = next;
+            }
+        }
+        (out, matched)
     }
 }
 

@@ -235,13 +235,14 @@ impl Engine {
     /// simulated time, no simulated memory). Emits the `PartitionStats`
     /// event that feeds the partition-size high-water marks.
     pub(crate) fn record_map_output(&self, stats: &crate::map_output::MapOutputStats) {
+        let [p50_bytes, p99_bytes] = stats.percentiles_bytes([50, 99]);
         self.observe(EngineEvent::PartitionStats {
             operator: stats.operator,
             partitions: stats.partitions() as u64,
             records: stats.total_records(),
             bytes: stats.total_bytes(),
-            p50_bytes: stats.p50_bytes(),
-            p99_bytes: stats.p99_bytes(),
+            p50_bytes,
+            p99_bytes,
             max_bytes: stats.max_bytes(),
             skew_ratio_milli: stats.skew_ratio_milli(),
             at: self.sim_time(),

@@ -56,7 +56,7 @@ pub mod sim;
 pub mod trace;
 mod types;
 
-pub use bag::{Bag, JoinAlgorithm, Partitioning, WorkEstimate};
+pub use bag::{Bag, JoinAlgorithm, Joined, Partitioning, WorkEstimate};
 pub use config::FaultConfig;
 pub use config::{ClusterConfig, CostModel, GB, KB, MB};
 pub use error::{EngineError, Result};

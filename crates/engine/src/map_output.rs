@@ -50,26 +50,16 @@ impl MapOutputStats {
         self.partition_bytes.iter().copied().max().unwrap_or(0)
     }
 
-    /// Median partition size in bytes (lower median for even counts).
-    pub fn p50_bytes(&self) -> u64 {
-        self.percentile_bytes(50)
-    }
-
-    /// 99th-percentile partition size in bytes.
-    pub fn p99_bytes(&self) -> u64 {
-        self.percentile_bytes(99)
-    }
-
-    /// `pct`-th percentile of partition bytes (nearest-rank over the sorted
-    /// sizes; 0 for an empty shuffle).
-    pub fn percentile_bytes(&self, pct: u64) -> u64 {
-        if self.partition_bytes.is_empty() {
-            return 0;
-        }
+    /// The `pcts`-th percentiles of partition bytes, e.g. `[50, 99]`
+    /// (nearest-rank over one sorted copy of the sizes, so the median of an
+    /// even count is the lower one; all 0 for an empty shuffle).
+    pub fn percentiles_bytes<const N: usize>(&self, pcts: [u64; N]) -> [u64; N] {
         let mut sorted = self.partition_bytes.clone();
         sorted.sort_unstable();
-        let rank = (pct.min(100) as usize * sorted.len()).div_ceil(100);
-        sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+        pcts.map(|pct| {
+            let rank = (pct.min(100) as usize * sorted.len()).div_ceil(100);
+            sorted.get(rank.saturating_sub(1)).copied().unwrap_or(0)
+        })
     }
 
     /// Skew ratio: largest partition over the mean partition size, in
@@ -104,10 +94,8 @@ mod tests {
     #[test]
     fn percentiles_use_nearest_rank() {
         let s = stats(&[1, 2, 3, 4]);
-        assert_eq!(s.p50_bytes(), 20);
-        assert_eq!(s.p99_bytes(), 40);
-        assert_eq!(s.percentile_bytes(100), 40);
-        assert_eq!(stats(&[]).p50_bytes(), 0);
+        assert_eq!(s.percentiles_bytes([50, 99, 100, 0]), [20, 40, 40, 10]);
+        assert_eq!(stats(&[]).percentiles_bytes([50]), [0]);
     }
 
     #[test]

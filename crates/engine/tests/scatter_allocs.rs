@@ -8,15 +8,18 @@
 //! record count. The assertion is on *allocations*, counted by a std-only
 //! `#[global_allocator]`, so it does not depend on the host's speed.
 //!
-//! One `#[test]` only: the counter is process-wide, and the harness runs the
-//! tests of a binary concurrently.
+//! The second test pins a join that pushes its matches: it allocates per
+//! *output record*, not per match × the size of what it matched.
+//!
+//! The counter is process-wide and the harness runs the tests of a binary
+//! concurrently, so each test holds `SERIAL` while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use matryoshka_engine::partitioner::{scatter_by_key, scatter_shared_by_key};
-use matryoshka_engine::{ClusterConfig, Engine};
+use matryoshka_engine::{ClusterConfig, Engine, JoinAlgorithm};
 
 struct CountingAlloc;
 
@@ -47,6 +50,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Held by a test for as long as it counts.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Allocations (and reallocations) performed while `f` runs, on any thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -75,6 +81,7 @@ fn inputs() -> Vec<Vec<(u64, u64)>> {
 
 #[test]
 fn a_shuffle_allocates_per_partition_not_per_partition_pair() {
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // Warm-up: start the pool's workers and fault in whatever is lazy.
     let warm = scatter_by_key(inputs(), OUTPUTS, |r| &r.0);
     assert_eq!(warm.iter().map(Vec::len).sum::<usize>(), RECORDS as usize);
@@ -97,4 +104,40 @@ fn a_shuffle_allocates_per_partition_not_per_partition_pair() {
     });
     assert_eq!(count, RECORDS);
     assert!(through_engine < BOUND, "engine shuffle: {through_engine} allocations, want < {BOUND}");
+}
+
+/// K-means' assignment step in miniature: 10,000 points meet the centroids of
+/// their configuration (256 configurations of 8 centroids × 4 coordinates,
+/// each a `Vec<Vec<f64>>` of 9 allocations) through a broadcast join whose
+/// UDF reads both by reference and emits the point with its nearest centroid.
+/// The bound is per *output record* — the one `Vec` the UDF clones, plus
+/// per-partition and per-job overhead — not per match × closure size: a join
+/// that materialised `(k, (v.clone(), w.clone()))` for a following `map`
+/// allocated 11 times per point here.
+#[test]
+fn a_pushed_join_allocates_per_output_record_not_per_closure_copy() {
+    const POINTS: u64 = 10_000;
+    const CONFIGS: u64 = 256;
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let engine = Engine::new(ClusterConfig::local_test());
+    let coordinate = |i: u64, d: u64| (i.wrapping_mul(31).wrapping_add(d * 7) % 97) as f64;
+    let point = |i: u64| -> Vec<f64> { (0..4).map(|d| coordinate(i, d)).collect() };
+    let points: Vec<(u64, Vec<f64>)> = (0..POINTS).map(|i| (i % CONFIGS, point(i))).collect();
+    let centroids: Vec<(u64, Vec<Vec<f64>>)> =
+        (0..CONFIGS).map(|c| (c, (0..8).map(|j| point(c * 8 + j)).collect())).collect();
+    let (left, right) = (engine.parallelize(points, 8), engine.parallelize(centroids, 1));
+    assert_eq!((left.count().unwrap(), right.count().unwrap()), (POINTS, CONFIGS));
+    let nearest = |cs: &Vec<Vec<f64>>, p: &Vec<f64>| {
+        let distance = |c: &Vec<f64>| c.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum::<f64>();
+        (0..cs.len()).min_by(|&a, &b| distance(&cs[a]).total_cmp(&distance(&cs[b]))).unwrap()
+    };
+    let assigned = left
+        .joined_with(&right, JoinAlgorithm::BroadcastRight)
+        .map(move |config, p, cs| (*config, (nearest(cs, p), p.clone())));
+    let (allocations, count) = allocations_during(|| assigned.count().unwrap());
+    assert_eq!(count, POINTS);
+    assert!(
+        allocations < 2 * POINTS as usize,
+        "{allocations} allocations for {POINTS} output records, want < 2 per record"
+    );
 }

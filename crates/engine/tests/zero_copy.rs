@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use matryoshka_engine::partitioner::{scatter_by_key, scatter_shared_by_key};
+use matryoshka_engine::JoinAlgorithm::BroadcastRight;
 use matryoshka_engine::{ClusterConfig, Engine, Partitioning};
 
 /// Declare a value type whose clones are counted in a dedicated static.
@@ -64,6 +65,42 @@ fn copartitioned_join_clones_only_the_output() {
         "co-partitioned join must clone each left value exactly once (into its output \
          tuple); any more means an input partition was deep-copied"
     );
+}
+
+tracked!(PushedLeft, PUSHED_LEFT_CLONES);
+tracked!(PushedRight, PUSHED_RIGHT_CLONES);
+
+/// A join that pushes its matches (`Joined::map`) hands the UDF `&V` and
+/// `&W` out of the shared partitions: zero clones of either under both
+/// plans, where `pairs()` clones each exactly once per match into the tuple
+/// it returns — and neither plan clones a right value to build its table.
+#[test]
+fn pushed_join_clones_nothing_where_pairs_clone_once_per_match() {
+    const N: u64 = 1_000;
+    const KEYS: u64 = 50; // one right record per key: N matches
+    let e = engine();
+    let left = e
+        .parallelize((0..N).map(|i| (i % KEYS, PushedLeft(i))).collect::<Vec<_>>(), 8)
+        .partition_by_key(8);
+    let right = e
+        .parallelize((0..KEYS).map(|k| (k, PushedRight(k))).collect::<Vec<_>>(), 8)
+        .partition_by_key(8);
+    // Force both parents (their own scatters clone); then measure the joins
+    // alone — the repartition plan finds both sides co-partitioned.
+    left.count().unwrap();
+    right.count().unwrap();
+    let clones = |run: &dyn Fn() -> u64| {
+        PUSHED_LEFT_CLONES.store(0, Ordering::Relaxed);
+        PUSHED_RIGHT_CLONES.store(0, Ordering::Relaxed);
+        assert_eq!(run(), N);
+        (PUSHED_LEFT_CLONES.load(Ordering::Relaxed), PUSHED_RIGHT_CLONES.load(Ordering::Relaxed))
+    };
+    for joined in [left.joined_into(8, &right), left.joined_with(&right, BroadcastRight)] {
+        let pushed = clones(&|| joined.map(|k, v, w| k + v.0 + w.0).count().unwrap());
+        assert_eq!(pushed, (0, 0), "a pushed match is read by reference");
+        let pairs = clones(&|| joined.pairs().count().unwrap());
+        assert_eq!(pairs, (N as usize, N as usize), "pairs() clones once per match, no more");
+    }
 }
 
 tracked!(ReduceVal, REDUCE_CLONES);

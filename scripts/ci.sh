@@ -55,22 +55,25 @@ echo "== sanitizers (best effort: miri, then TSan, else skip)"
 # The container has no network, so missing toolchain components (miri,
 # rust-src for -Zbuild-std) cannot be installed on the fly; skip cleanly.
 # The filter covers the engine pool/fusion/partitioner tests (the scatter's
-# hashing pass borrows the inputs across the pool's lifetime-erased runner),
+# hashing pass borrows the inputs across the pool's lifetime-erased runner)
+# and the wide operators' (a broadcast join's table holds `&K`/`&W` borrowed
+# from the shared right partitions across that same runner),
 # the UDF compiler's unit tests (thread-local frame reentrancy + take/replace
 # discipline) and the service's connection loop (one reply, one write;
 # request limits).
 if cargo miri --version >/dev/null 2>&1 \
-  && cargo miri test -p matryoshka-engine --lib pool fuse partitioner 2>/dev/null \
+  && cargo miri test -p matryoshka-engine --lib -- pool fuse partitioner ops_wide 2>/dev/null \
   && cargo miri test -p matryoshka-ir --lib compile 2>/dev/null \
   && cargo miri test -p matryoshka-service --lib server 2>/dev/null; then
-  echo "miri: engine pool + fusion + partitioner + ir compile + service server tests passed"
-elif RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-engine --lib pool fuse partitioner \
-    -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null \
+  echo "miri: engine pool + fusion + partitioner + joins + ir compile + service server tests passed"
+elif RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-engine --lib \
+    -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
+    -- pool fuse partitioner ops_wide 2>/dev/null \
   && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-ir --lib compile \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null \
   && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-service --lib server \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null; then
-  echo "TSan: engine pool + fusion + partitioner + ir compile + service server tests passed"
+  echo "TSan: engine pool + fusion + partitioner + joins + ir compile + service server tests passed"
 else
   echo "sanitizers unavailable in this toolchain (miri/rust-src not installed); skipping"
 fi

@@ -1,7 +1,8 @@
-//! The plans `reconciliation.rs` and `docs.rs` both run: the four paper
-//! workloads' `matryoshka` strategies on small seeded inputs under each
-//! lowering config, and every shipped `.mat` program the way the job service
-//! runs it. A plan renders its result so that runs can be compared.
+//! The plans `reconciliation.rs`, `golden_lifted.rs` and `docs.rs` run: the
+//! four paper workloads' `matryoshka` strategies (K-means in both its
+//! shared-points and its per-configuration-samples form) on small seeded
+//! inputs under each lowering config, and every shipped `.mat` program the
+//! way the job service runs it. A plan renders its result so that runs can be compared.
 
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -46,6 +47,11 @@ pub fn paper_workloads(config: &MatryoshkaConfig) -> Vec<(&'static str, Plan)> {
     let pr = PageRankParams { damping: 0.85, epsilon: 1e-3, max_iterations: 6 };
     let spec = KmeansSpec { points: 800, dim: 2, true_clusters: 3, k: 3, spread: 0.05, seed: 31 };
     let (points, configs) = (point_cloud(&spec), initial_centroid_configs(&spec, 4));
+    // Per-configuration samples: the tag-join closure path (Sec. 5.1) with a
+    // non-`Copy` closure value, where `kmeans` takes the cross product.
+    let samples: Vec<(u32, Point)> =
+        points.iter().enumerate().map(|(i, p)| (i as u32 % 4, p.clone())).collect();
+    let grouped_configs = configs.clone();
     let km = KmeansParams::default();
     let graph = component_graph(&ComponentGraphSpec {
         components: 4,
@@ -73,6 +79,14 @@ pub fn paper_workloads(config: &MatryoshkaConfig) -> Vec<(&'static str, Plan)> {
                 let (cb, pb) =
                     (e.parallelize(configs.clone(), 2), e.parallelize(points.clone(), 4));
                 kmeans::matryoshka(e, &cb, &pb, &km, config).unwrap()
+            }),
+        ),
+        (
+            "kmeans_grouped",
+            plan(config, move |e, config| {
+                let (cb, sb) =
+                    (e.parallelize(grouped_configs.clone(), 2), e.parallelize(samples.clone(), 4));
+                kmeans::matryoshka_grouped(e, &cb, &sb, &km, config).unwrap()
             }),
         ),
         (
