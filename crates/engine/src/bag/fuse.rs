@@ -42,8 +42,8 @@
 //! A narrow operator materializes its parent (starting a fresh chain there)
 //! instead of fusing through it when the parent is:
 //!
-//! - a **wide** operator, a source, `checkpoint`, `cache`, `coalesce`,
-//!   `union`, `with_record_bytes` or `map_with_work` (none carry a fuse
+//! - a **wide** operator, a source, `checkpoint`, `cache`, `union`,
+//!   `with_record_bytes` or `map_with_work` (none carry a fuse
 //!   hook — `map_with_work` because its memory accounting must observe real
 //!   per-partition outputs, `cache`/`checkpoint` because their whole point
 //!   is a stable materialization every consumer can share). A join is the

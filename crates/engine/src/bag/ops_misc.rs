@@ -1,10 +1,5 @@
-//! Additional operators rounding out the Spark-like surface: sampling,
-//! sorting, per-key aggregation/statistics, set operations and outer joins.
-//!
-//! These are not exercised by the headline experiments but belong to the
-//! substrate a flattening layer targets — several of the lifted operations
-//! in `matryoshka-core` (per-tag statistics, set differences in BFS-style
-//! loops) have natural implementations over them.
+//! Operators beside the narrow/wide core: sampling, sorting, set operations
+//! and key-preserving value maps with the per-key aggregation built on them.
 
 use std::sync::Arc;
 
@@ -15,7 +10,6 @@ use crate::fx::{fx_set_with_capacity, FxHashSet};
 use crate::partitioner::{scatter_shared_by_key, stable_hash};
 use crate::pool::parallel_map;
 use crate::types::{Data, Key};
-use crate::Result;
 
 impl<T: Data> Bag<T> {
     /// Deterministic Bernoulli sample: keeps each record with probability
@@ -84,45 +78,6 @@ impl<T: Data> Bag<T> {
             });
             engine.charge_compute(&counts, bytes, true)?;
             Ok(to_parts(out))
-        })
-    }
-
-    /// The `n` smallest records by a key function (driver-side result).
-    pub fn top_k_by<K: Data + Ord>(
-        &self,
-        n: usize,
-        key: impl Fn(&T) -> K + Send + Sync,
-    ) -> Result<Vec<T>> {
-        self.engine().run_job("top_k_by", || {
-            let parts = self.eval()?;
-            let mut all: Vec<T> = parts.iter().flat_map(|p| p.iter().cloned()).collect();
-            all.sort_by_key(|a| key(a));
-            all.truncate(n);
-            self.engine().charge_driver_collect(all.len() as u64, self.record_bytes());
-            Ok(all)
-        })
-    }
-}
-
-impl<T: Data + Into<f64> + Copy> Bag<T> {
-    /// Sum of a numeric bag (action).
-    pub fn sum_f64(&self) -> Result<f64> {
-        self.fold(0.0, |a, x| a + Into::<f64>::into(*x))
-    }
-
-    /// Mean of a numeric bag (action); `None` when empty.
-    pub fn mean(&self) -> Result<Option<f64>> {
-        self.engine().run_job("mean", || {
-            let parts = self.eval()?;
-            let mut n = 0u64;
-            let mut s = 0.0;
-            for p in parts.iter() {
-                for x in p.iter() {
-                    n += 1;
-                    s += Into::<f64>::into(*x);
-                }
-            }
-            Ok(if n == 0 { None } else { Some(s / n as f64) })
         })
     }
 }
@@ -225,74 +180,11 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         let z = zero.clone();
         self.map_values(move |v| seq_op(&z, v)).reduce_by_key(comb_op)
     }
-
-    /// Per-key record counts (Spark `countByKey`, but distributed).
-    pub fn count_by_key(&self) -> Bag<(K, u64)> {
-        self.map_values(|_| 1u64).reduce_by_key(|a, b| a + b)
-    }
-
-    /// Full outer equi-join.
-    pub fn full_outer_join<W: Data>(
-        &self,
-        other: &Bag<(K, W)>,
-    ) -> Bag<(K, (Option<V>, Option<W>))> {
-        self.co_group(other).flat_map(|(k, (vs, ws))| {
-            let mut out = Vec::new();
-            match (vs.is_empty(), ws.is_empty()) {
-                (false, false) => {
-                    for v in vs {
-                        for w in ws {
-                            out.push((k.clone(), (Some(v.clone()), Some(w.clone()))));
-                        }
-                    }
-                }
-                (false, true) => {
-                    for v in vs {
-                        out.push((k.clone(), (Some(v.clone()), None)));
-                    }
-                }
-                (true, false) => {
-                    for w in ws {
-                        out.push((k.clone(), (None, Some(w.clone()))));
-                    }
-                }
-                (true, true) => {}
-            }
-            out
-        })
-    }
-
-    /// Right outer equi-join (the mirror of
-    /// [`Bag::left_outer_join`]).
-    pub fn right_outer_join<W: Data>(&self, other: &Bag<(K, W)>) -> Bag<(K, (Option<V>, W))> {
-        self.co_group(other).flat_map(|(k, (vs, ws))| {
-            let mut out = Vec::new();
-            for w in ws {
-                if vs.is_empty() {
-                    out.push((k.clone(), (None, w.clone())));
-                } else {
-                    for v in vs {
-                        out.push((k.clone(), (Some(v.clone()), w.clone())));
-                    }
-                }
-            }
-            out
-        })
-    }
-
-    /// Per-key minimum value by natural order.
-    pub fn min_by_key(&self) -> Bag<(K, V)>
-    where
-        V: Ord,
-    {
-        self.reduce_by_key(|a, b| if a <= b { a.clone() } else { b.clone() })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{Engine, Partitioning};
-    use std::collections::HashMap;
 
     fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
         v.sort();
@@ -335,15 +227,6 @@ mod tests {
         let mut expect = data;
         expect.sort();
         assert_eq!(flat, expect);
-    }
-
-    #[test]
-    fn top_k_by_returns_smallest() {
-        let e = Engine::local();
-        let b = e.parallelize(vec![5, 1, 9, 3, 7], 3);
-        assert_eq!(b.top_k_by(2, |x| *x).unwrap(), vec![1, 3]);
-        assert_eq!(b.top_k_by(0, |x| *x).unwrap(), Vec::<i32>::new());
-        assert_eq!(b.top_k_by(99, |x| *x).unwrap().len(), 5);
     }
 
     #[test]
@@ -391,48 +274,5 @@ mod tests {
             sums.collect().unwrap().into_iter().map(|(k, (s, n))| (k, s / n as f64)).collect();
         avgs.sort_by_key(|(k, _)| *k);
         assert_eq!(avgs, vec![(1, 15.0), (2, 5.0)]);
-    }
-
-    #[test]
-    fn count_by_key_matches_hashmap() {
-        let e = Engine::local();
-        let data: Vec<(u8, ())> = (0..300).map(|i| ((i % 5) as u8, ())).collect();
-        let expect: HashMap<u8, u64> = data.iter().fold(HashMap::new(), |mut m, (k, _)| {
-            *m.entry(*k).or_insert(0) += 1;
-            m
-        });
-        for (k, c) in e.parallelize(data, 4).count_by_key().collect().unwrap() {
-            assert_eq!(expect[&k], c);
-        }
-    }
-
-    #[test]
-    fn outer_joins_cover_all_sides() {
-        let e = Engine::local();
-        let l = e.parallelize(vec![(1u32, 'a'), (2, 'b')], 2);
-        let r = e.parallelize(vec![(2u32, 20), (3, 30)], 2);
-        let full = sorted(l.full_outer_join(&r).collect().unwrap());
-        assert_eq!(
-            full,
-            vec![(1, (Some('a'), None)), (2, (Some('b'), Some(20))), (3, (None, Some(30))),]
-        );
-        let right = sorted(l.right_outer_join(&r).collect().unwrap());
-        assert_eq!(right, vec![(2, (Some('b'), 20)), (3, (None, 30))]);
-    }
-
-    #[test]
-    fn min_by_key_picks_minimum() {
-        let e = Engine::local();
-        let b = e.parallelize(vec![(1u32, 5), (1, 2), (2, 9)], 2);
-        assert_eq!(sorted(b.min_by_key().collect().unwrap()), vec![(1, 2), (2, 9)]);
-    }
-
-    #[test]
-    fn numeric_actions() {
-        let e = Engine::local();
-        let b = e.parallelize(vec![1.0f64, 2.0, 3.0], 2);
-        assert_eq!(b.sum_f64().unwrap(), 6.0);
-        assert_eq!(b.mean().unwrap(), Some(2.0));
-        assert_eq!(e.empty::<f64>().mean().unwrap(), None);
     }
 }

@@ -156,34 +156,6 @@ impl<T: Data> Bag<T> {
         })
     }
 
-    /// Reduce the partition count without a shuffle by concatenating
-    /// adjacent partitions (Spark `coalesce`).
-    pub fn coalesce(&self, n: usize) -> Bag<T> {
-        let parent = self.clone();
-        let n = n.max(1);
-        let bytes = self.record_bytes();
-        let out_parts = n.min(self.num_partitions());
-        Bag::new(self.engine().clone(), "coalesce", bytes, out_parts, move || {
-            let input = parent.eval()?;
-            let total = input.len();
-            if out_parts == total {
-                // Nothing to merge: reuse the parent's partitions as-is
-                // (coalesce charges nothing, so this is sim-neutral).
-                return Ok(input);
-            }
-            let group = total.div_ceil(out_parts);
-            let mut out: Vec<Vec<T>> = Vec::with_capacity(out_parts);
-            for g in 0..out_parts {
-                let mut merged = Vec::new();
-                for p in input.iter().skip(g * group).take(group) {
-                    merged.extend_from_slice(p);
-                }
-                out.push(merged);
-            }
-            Ok(to_parts(out))
-        })
-    }
-
     /// Convenience: key every record by `f` (a `map` producing pairs).
     pub fn key_by<K: Data>(&self, f: impl Fn(&T) -> K + Send + Sync + 'static) -> Bag<(K, T)> {
         self.map(move |x| (f(x), x.clone()))
@@ -262,16 +234,6 @@ mod tests {
         let a = Engine::local().parallelize(vec![1], 1);
         let b = Engine::local().parallelize(vec![2], 1);
         let _ = a.union(&b);
-    }
-
-    #[test]
-    fn coalesce_preserves_data() {
-        let e = Engine::local();
-        let b = e.parallelize((0..100).collect::<Vec<u32>>(), 10).coalesce(3);
-        assert_eq!(b.num_partitions(), 3);
-        let mut out = b.collect().unwrap();
-        out.sort();
-        assert_eq!(out, (0..100).collect::<Vec<u32>>());
     }
 
     #[test]

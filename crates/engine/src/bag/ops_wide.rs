@@ -274,15 +274,6 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         )
     }
 
-    /// Equi-join with a selectable algorithm.
-    pub fn join_with<W: Data>(
-        &self,
-        other: &Bag<(K, W)>,
-        algorithm: JoinAlgorithm,
-    ) -> Bag<(K, (V, W))> {
-        self.joined_with(other, algorithm).pairs()
-    }
-
     /// Repartition (shuffle) equi-join.
     pub fn join<W: Data>(&self, other: &Bag<(K, W)>) -> Bag<(K, (V, W))> {
         self.joined_with(other, JoinAlgorithm::Repartition).pairs()
@@ -731,8 +722,8 @@ mod tests {
         let e = Engine::local();
         let l = e.parallelize(vec![(1u32, "a"), (2, "b"), (2, "B"), (3, "c")], 2);
         let r = e.parallelize(vec![(1u32, 10), (2, 20), (4, 40)], 3);
-        let rep = sorted(l.join_with(&r, JoinAlgorithm::Repartition).collect().unwrap());
-        let bro = sorted(l.join_with(&r, JoinAlgorithm::BroadcastRight).collect().unwrap());
+        let rep = sorted(l.join(&r).collect().unwrap());
+        let bro = sorted(l.broadcast_join(&r).collect().unwrap());
         assert_eq!(rep, bro);
         assert_eq!(rep, vec![(1, ("a", 10)), (2, ("B", 20)), (2, ("b", 20))]);
     }

@@ -59,21 +59,22 @@ echo "== sanitizers (best effort: miri, then TSan, else skip)"
 # and the wide operators' (a broadcast join's table holds `&K`/`&W` borrowed
 # from the shared right partitions across that same runner),
 # the UDF compiler's unit tests (thread-local frame reentrancy + take/replace
-# discipline) and the service's connection loop (one reply, one write;
-# request limits).
+# discipline), the service's connection loop (one reply, one write;
+# request limits) and its state model (a waiter thread against the driver,
+# a caught payload panic).
 if cargo miri --version >/dev/null 2>&1 \
   && cargo miri test -p matryoshka-engine --lib -- pool fuse partitioner ops_wide 2>/dev/null \
   && cargo miri test -p matryoshka-ir --lib compile 2>/dev/null \
-  && cargo miri test -p matryoshka-service --lib server 2>/dev/null; then
-  echo "miri: engine pool + fusion + partitioner + joins + ir compile + service server tests passed"
+  && cargo miri test -p matryoshka-service --lib -- server service 2>/dev/null; then
+  echo "miri: engine pool + fusion + partitioner + joins + ir compile + service tests passed"
 elif RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-engine --lib \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
     -- pool fuse partitioner ops_wide 2>/dev/null \
   && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-ir --lib compile \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null \
-  && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-service --lib server \
-    -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null; then
-  echo "TSan: engine pool + fusion + partitioner + joins + ir compile + service server tests passed"
+  && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-service --lib \
+    -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" -- server service 2>/dev/null; then
+  echo "TSan: engine pool + fusion + partitioner + joins + ir compile + service tests passed"
 else
   echo "sanitizers unavailable in this toolchain (miri/rust-src not installed); skipping"
 fi
@@ -85,11 +86,13 @@ echo "== deleted switches stay deleted"
 # hand-maintained add_* next to an event); the optimizer is the paper's
 # static one (no feedback re-optimizer, no map-output history beside the
 # PartitionStats event); a shuffle is one counting scatter (no per-input
-# bucket sets to merge). The patterns are split so this file does not match
-# itself.
+# bucket sets to merge); an engine operator no caller uses is not kept "for
+# the substrate" (only the names that cannot collide with a std method). The
+# patterns are split so this file does not match itself.
 if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace_''report|stats\.add''_' \
   -e 'Adaptive''Config|adaptive_''coalesce|adaptive_''tag_join|adaptive_''skew_salt|BENCH_''skew|MAT0''92|map_output_''history' \
   -e 'make_''buckets|merge_''bucket_sets' \
+  -e 'top_k''_by|sum''_f64|count_by''_key|full_outer''_join|right_outer''_join|join''_with' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2
@@ -143,11 +146,22 @@ wait "$SERVE_PID" || {
 }
 rm -f "$SERVE_LOG"
 
-echo "== service sweep smoke (scheduler fairness) + BENCH_service.json parse check"
+echo "== service sweep smoke (scheduler fairness) + BENCH_service.json parse check + regeneration"
 # Fast policy/load gate on the virtual-time service, then parse-check the
 # committed artifact (both policies, queue waits, admission rejections).
 cargo run -q --release -p matryoshka-bench --bin service_sweep -- --smoke
 cargo run -q --release -p matryoshka-bench --bin service_sweep -- --validate BENCH_service.json
+# --validate checks the artifact's shape; this checks its content. Every row
+# is virtual time, so the full sweep (0.1 s) must reproduce the committed
+# file byte for byte: a scheduling decision that moved shows up here.
+SWEEP_OUT="$(mktemp)"
+MATRYOSHKA_SCALE=full BENCH_SERVICE_OUT="$SWEEP_OUT" \
+  cargo run -q --release -p matryoshka-bench --bin service_sweep >/dev/null
+cmp "$SWEEP_OUT" BENCH_service.json || {
+  echo "the service sweep no longer reproduces the committed BENCH_service.json" >&2
+  exit 1
+}
+rm -f "$SWEEP_OUT"
 
 echo "== docs link/anchor + mat-example check (tests/docs.rs)"
 # Explicit rerun of the docs gate (also part of the workspace test run):
