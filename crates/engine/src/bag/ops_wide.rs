@@ -15,7 +15,8 @@
 //! (destinations hashed once, on the pool when large; exact-size buckets;
 //! each record moved or cloned once — a shuffle costs its records, not
 //! input partitions × output partitions), and worker-private hash tables
-//! use the deterministic [`crate::fx`] hasher. A join ([`Joined`]) pushes
+//! use the deterministic [`crate::fx`] hasher; `distinct`'s reduce side
+//! dedups in place (one hash, no clone). A join ([`Joined`]) pushes
 //! each match into its caller's closure by reference: the join and the
 //! `map`/`flat_map`/`filter` after it are one node that replays the
 //! follower's charge, and no `(K, (V, W))` tuple is built. None of this
@@ -625,16 +626,14 @@ impl<T: Key> Bag<T> {
                     shuffled.iter().map(|p| (p.len() as f64 * bytes * factor) as u64).collect();
                 engine.charge_memory("distinct", &ws)?;
                 let in_counts: Vec<usize> = shuffled.iter().map(Vec::len).collect();
-                let out: Vec<Vec<T>> = parallel_map(shuffled, |_, part| {
-                    let mut seen = fx_set_with_capacity(part.len());
-                    let mut res = Vec::with_capacity(part.len());
-                    for x in part {
-                        if !seen.contains(&x) {
-                            seen.insert(x.clone());
-                            res.push(x);
-                        }
-                    }
-                    res
+                // In place: the set borrows from the owned partition.
+                let out: Vec<Vec<T>> = parallel_map(shuffled, |_, mut part| {
+                    let mut first = {
+                        let mut seen = fx_set_with_capacity(part.len());
+                        part.iter().map(|x| seen.insert(x)).collect::<Vec<bool>>().into_iter()
+                    };
+                    part.retain(|_| first.next().expect("one flag per record"));
+                    part
                 });
                 engine.charge_compute(&in_counts, bytes, true)?;
                 Ok(to_parts(out))

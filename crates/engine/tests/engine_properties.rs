@@ -11,6 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use matryoshka_engine::partitioner::partition_for;
 use matryoshka_engine::{ClusterConfig, Engine, EngineEvent};
 
 fn engine() -> Engine {
@@ -142,6 +143,48 @@ fn distinct_matches_hashset() {
             e.parallelize(data.clone(), 6).distinct().collect().unwrap().into_iter().collect();
         let expect: HashSet<u16> = data.into_iter().collect();
         assert_eq!(got, expect, "seed {seed}");
+    }
+}
+
+/// `distinct_into` is pinned, partition by partition and in order, to the
+/// loop it replaced: keep first occurrences per input partition, scatter by
+/// `partition_for` in input order, keep first occurrences per output
+/// partition. 240 shapes: all-unique, all-equal, Zipf-ish and small-domain
+/// records of a non-`Copy` type, 1–64 inputs (more inputs than records
+/// leaves empty ones), 1–1,500 outputs.
+#[test]
+fn distinct_into_is_the_naive_first_occurrence_loop() {
+    fn first_occurrences(part: &[String]) -> Vec<String> {
+        let mut seen = HashSet::new();
+        part.iter().filter(|x| seen.insert(*x)).cloned().collect()
+    }
+    for seed in 0..240u64 {
+        let mut g = Gen::new(seed ^ 0xD15);
+        let n = g.len(2_000);
+        let data: Vec<String> = (0..n)
+            .map(|i| match seed % 4 {
+                0 => format!("u{i}"),
+                1 => "same".to_string(),
+                // Zipf-ish: squaring a uniform draw crowds the low ranks.
+                2 => format!("z{}", g.below(40).pow(2) / 40),
+                _ => format!("d{}", g.below(1 + n as u64 / 3)),
+            })
+            .collect();
+        let inputs = 1 + g.below(64) as usize;
+        let outputs = if g.below(4) == 0 { 1 + g.below(1_500) } else { 1 + g.below(16) } as usize;
+        let e = engine();
+        let base = e.parallelize(data, inputs);
+        let mut expect: Vec<Vec<String>> = vec![Vec::new(); outputs];
+        for part in base.collect_partitions().unwrap() {
+            for x in first_occurrences(&part) {
+                expect[partition_for(&x, outputs)].push(x);
+            }
+        }
+        for part in &mut expect {
+            *part = first_occurrences(part);
+        }
+        let got = base.distinct_into(outputs).collect_partitions().unwrap();
+        assert_eq!(got, expect, "seed {seed}: {n} records, {inputs} -> {outputs}");
     }
 }
 

@@ -130,6 +130,30 @@ fn copartitioned_reduce_clones_per_key_not_per_record() {
     );
 }
 
+tracked!(DistinctVal, DISTINCT_CLONES);
+
+/// `distinct` clones a record only to lift it out of the shared input
+/// partition, once per survivor of the map-side dedup; the reduce side owns
+/// its partition and dedups it in place, cloning nothing.
+#[test]
+fn distinct_clones_each_kept_record_once() {
+    const N: u64 = 2_000;
+    const VALUES: u64 = 50;
+    const INPUTS: usize = 8;
+    let e = engine();
+    // Consecutive chunks of 250 records: every input partition sees all 50
+    // values, so 8 x 50 records survive the map side and 50 the reduce side.
+    let base = e.parallelize((0..N).map(|i| DistinctVal(i % VALUES)).collect::<Vec<_>>(), INPUTS);
+    base.count().unwrap();
+    DISTINCT_CLONES.store(0, Ordering::Relaxed);
+    assert_eq!(base.distinct_into(6).count().unwrap(), VALUES);
+    assert_eq!(
+        DISTINCT_CLONES.load(Ordering::Relaxed),
+        INPUTS * VALUES as usize,
+        "one clone per record that survives the map-side dedup, none on the reduce side"
+    );
+}
+
 tracked!(NarrowVal, NARROW_CLONES);
 
 /// `map_values` on the narrow path performs zero per-record deep clones of

@@ -188,6 +188,16 @@ impl CompiledUdf {
     }
 }
 
+/// Build a tuple; a pair from an array, not from a collected `Vec`. Out of
+/// line: `Op::run` is recursive and pays for its frame at every level.
+#[inline(never)]
+fn tuple(items: &[Op], frame: &mut [Value]) -> IrResult<Value> {
+    Ok(match items {
+        [a, b] => Value::pair(a.run(frame)?, b.run(frame)?),
+        _ => Value::tuple(items.iter().map(|x| x.run(frame)).collect::<IrResult<_>>()?),
+    })
+}
+
 impl Op {
     fn run(&self, frame: &mut [Value]) -> IrResult<Value> {
         Ok(match self {
@@ -201,9 +211,7 @@ impl Op {
                 cur.clone()
             }
             Op::Proj(x, i) => x.run(frame)?.proj(*i)?,
-            Op::Tuple(items) => {
-                Value::tuple(items.iter().map(|x| x.run(frame)).collect::<IrResult<_>>()?)
-            }
+            Op::Tuple(items) => tuple(items, frame)?,
             Op::Bin(op, a, b) => apply_bin(*op, &a.run(frame)?, &b.run(frame)?)?,
             Op::Cmp(op, a, b) => Value::Bool(compare(*op, &a.run(frame)?, &b.run(frame)?)?),
             Op::LongArith(op, a, b) => match (a.run(frame)?, b.run(frame)?) {

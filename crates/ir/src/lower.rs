@@ -280,12 +280,12 @@ fn kv(v: &Value) -> (Value, Value) {
 }
 
 fn unkv((k, v): &(Value, Value)) -> Value {
-    Value::tuple(vec![k.clone(), v.clone()])
+    Value::pair(k.clone(), v.clone())
 }
 
 /// One output record of a join: `(key, (left value, right value))`.
 fn joined(k: &Value, v: &Value, w: &Value) -> Value {
-    Value::tuple(vec![k.clone(), Value::tuple(vec![v.clone(), w.clone()])])
+    Value::pair(k.clone(), Value::pair(v.clone(), w.clone()))
 }
 
 const UDF_OK: &str = "scalar UDF evaluation (validated at parse)";
@@ -337,7 +337,7 @@ fn combine_scalars<'a>(scalars: impl IntoIterator<Item = &'a IScalar>) -> Option
     Some(iter.fold(first, |acc, s| {
         acc.zip_with(s, |t, v| {
             let mut items = match t {
-                Value::Tuple(xs) => xs.as_ref().clone(),
+                Value::Tuple(xs) => xs.to_vec(),
                 _ => unreachable!("the combined scalar is a tuple"),
             };
             items.push(v.clone());
@@ -589,17 +589,15 @@ impl Lowering {
                         let c = inner_scalar(c, ctx)?;
                         let t = inner_scalar(ev(t)?, ctx)?;
                         let el = inner_scalar(ev(el)?, ctx)?;
-                        Val::InnerScalar(
-                            c.zip_with(&t, |c, t| Value::tuple(vec![c.clone(), t.clone()]))
-                                .zip_with(&el, |ct, e| {
-                                    let c = ct.proj(0).expect("cond");
-                                    if c.as_bool().expect("boolean condition") {
-                                        ct.proj(1).expect("then")
-                                    } else {
-                                        e.clone()
-                                    }
-                                }),
-                        )
+                        let ct = c.zip_with(&t, |c, t| Value::pair(c.clone(), t.clone()));
+                        Val::InnerScalar(ct.zip_with(&el, |ct, e| {
+                            let c = ct.proj(0).expect("cond");
+                            if c.as_bool().expect("boolean condition") {
+                                ct.proj(1).expect("then")
+                            } else {
+                                e.clone()
+                            }
+                        }))
                     }
                 }
             }

@@ -27,8 +27,8 @@ pub enum Value {
     Double(f64),
     /// An immutable string.
     Str(Arc<str>),
-    /// A tuple of values.
-    Tuple(Arc<Vec<Value>>),
+    /// A tuple of values: one allocation, the components inline behind it.
+    Tuple(Arc<[Value]>),
 }
 
 impl Value {
@@ -39,7 +39,13 @@ impl Value {
 
     /// Convenience tuple constructor.
     pub fn tuple(items: Vec<Value>) -> Value {
-        Value::Tuple(Arc::new(items))
+        Value::Tuple(items.into())
+    }
+
+    /// A 2-tuple built from an array: no `Vec` for `Arc::from` to copy and
+    /// free, which is what the per-record sites (`(k, v)`, join output) need.
+    pub(crate) fn pair(a: Value, b: Value) -> Value {
+        Value::Tuple(Arc::from([a, b]))
     }
 
     /// Project a tuple component.
@@ -65,7 +71,7 @@ impl Value {
     /// flat and lifted cells of [`crate::Lowering`]).
     pub fn splat_tuple(self) -> Vec<Value> {
         match self {
-            Value::Tuple(items) => items.as_ref().clone(),
+            Value::Tuple(items) => items.to_vec(),
             other => vec![other],
         }
     }
@@ -205,6 +211,29 @@ mod tests {
         set.insert(Value::tuple(vec![Value::Long(1), Value::str("a")]));
         assert!(set.contains(&Value::tuple(vec![Value::Long(1), Value::str("a")])));
         assert!(!set.contains(&Value::tuple(vec![Value::Long(2), Value::str("a")])));
+    }
+
+    /// The layout the simulator depends on. `stable_hash` places records in
+    /// partitions (part of the simulated identity); the constants were
+    /// recorded on the `Arc<Vec<..>>` representation, before tuples became
+    /// one allocation.
+    #[test]
+    fn layout_and_stable_hash_are_pinned() {
+        use matryoshka_engine::partitioner::stable_hash;
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        let pair = Value::tuple(vec![Value::Long(7), Value::Long(-3)]);
+        let nested = Value::tuple(vec![
+            Value::Long(1),
+            Value::tuple(vec![Value::str("a"), Value::Double(2.5), Value::Unit]),
+            Value::Bool(true),
+        ]);
+        assert_eq!(stable_hash(&pair), 0x6bf0_4f50_90ac_7bba);
+        assert_eq!(stable_hash(&nested), 0x4e19_c8cb_6d32_486b);
+        assert_eq!(stable_hash(&Value::str("matryoshka")), 0x37f8_e87e_91bb_163b);
+        assert_eq!(stable_hash(&Value::Double(-0.5)), 0xef7d_c2cd_62a5_fb8c);
+        let built = Value::pair(Value::Long(7), Value::Long(-3));
+        assert_eq!(built, pair);
+        assert_eq!(stable_hash(&built), stable_hash(&pair));
     }
 
     #[test]

@@ -98,6 +98,13 @@ if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace
   echo "a deleted switch or artifact is named again (see above)" >&2
   exit 1
 fi
+# A `Value` tuple is one heap object, `Arc<[Value]>`. Code only:
+# EXPERIMENTS.md and DESIGN.md name the two-object layout as history. The
+# payload, not `Arc<Vec<Value>>`: that also spells a shared `Bag<Value>` partition.
+if grep -rnF 'Tuple(Arc<''Vec<' crates src tests examples; then
+  echo "a Value tuple is Arc<[Value]>: the two-allocation layout is back (see above)" >&2
+  exit 1
+fi
 
 echo "== recovery sweep smoke (fault model) + BENCH_recovery.json parse check"
 # Fast loss/checkpoint gate (asserts losses occur and checkpoints shrink
