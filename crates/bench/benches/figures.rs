@@ -2,7 +2,7 @@
 //! table/figure of the paper's evaluation section on the simulated cluster
 //! and prints the series the paper plots. Scale with `MATRYOSHKA_SCALE=full`.
 
-use matryoshka_bench::{figures, print_csv, print_rows, Profile};
+use matryoshka_bench::{figures, print_rows, Profile};
 
 fn main() {
     // Under `cargo bench`, ignore libtest-style flags like `--bench`.
@@ -24,7 +24,4 @@ fn main() {
         rows.extend(run(profile));
     }
     print_rows(&rows);
-    if std::env::var("MATRYOSHKA_CSV").is_ok() {
-        print_csv(&rows);
-    }
 }

@@ -1,20 +1,15 @@
-//! Runs the recovery-overhead sweep implemented in `figures::recovery`
-//! (machine-loss rate × checkpoint interval, see `docs/FAULTS.md`) and emits
-//! the machine-readable `BENCH_recovery.json` artifact. Flags and output
-//! path: see `matryoshka_bench::sweep` (`BENCH_RECOVERY_OUT` overrides the
-//! path).
+//! Runs the recovery-overhead sweep of `figures::recovery` (machine-loss
+//! rate × checkpoint interval, see `docs/FAULTS.md`), prints it, and rewrites
+//! the committed `BENCH_recovery.json` at the repository root. A test of
+//! `figures::recovery` fails until the committed file is what this writes.
 
-use matryoshka_bench::sweep::{sweep_main, Sweep};
-use matryoshka_bench::{figures, json};
+use matryoshka_bench::{figures, print_rows, rows_to_json};
 
-fn main() -> std::process::ExitCode {
-    let sweep = Sweep {
-        bin: "recovery_sweep",
-        artifact: "BENCH_recovery.json",
-        out_env: "BENCH_RECOVERY_OUT",
-        spec: &json::RECOVERY_ROWS,
-        run: figures::recovery::run,
-        smoke: figures::recovery::smoke,
-    };
-    sweep_main(&sweep)
+fn main() -> std::io::Result<()> {
+    let rows = figures::recovery::run();
+    print_rows(&rows);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
+    std::fs::write(path, rows_to_json(&rows))?;
+    println!("\nwrote {} rows to {path}", rows.len());
+    Ok(())
 }

@@ -1,19 +1,15 @@
-//! Runs the multi-tenant service sweep implemented in `figures::service`
-//! (scheduling policy × offered load, see `docs/SERVICE.md`) and emits the
-//! machine-readable `BENCH_service.json` artifact. Flags and output path:
-//! see `matryoshka_bench::sweep` (`BENCH_SERVICE_OUT` overrides the path).
+//! Runs the multi-tenant service sweep of `figures::service` (scheduling
+//! policy × offered load, see `docs/SERVICE.md`), prints it, and rewrites the
+//! committed `BENCH_service.json` at the repository root. A test of
+//! `figures::service` fails until the committed file is what this writes.
 
-use matryoshka_bench::sweep::{sweep_main, Sweep};
-use matryoshka_bench::{figures, json};
+use matryoshka_bench::{figures, print_rows, rows_to_json};
 
-fn main() -> std::process::ExitCode {
-    let sweep = Sweep {
-        bin: "service_sweep",
-        artifact: "BENCH_service.json",
-        out_env: "BENCH_SERVICE_OUT",
-        spec: &json::SERVICE_ROWS,
-        run: figures::service::run,
-        smoke: figures::service::smoke,
-    };
-    sweep_main(&sweep)
+fn main() -> std::io::Result<()> {
+    let rows = figures::service::run();
+    print_rows(&rows);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
+    std::fs::write(path, rows_to_json(&rows))?;
+    println!("\nwrote {} rows to {path}", rows.len());
+    Ok(())
 }

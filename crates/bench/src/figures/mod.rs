@@ -1,4 +1,6 @@
 //! One module per paper figure; each exposes `run(profile) -> Vec<Row>`.
+//! The two sweeps behind a committed `BENCH_*.json` (`recovery`, `service`)
+//! have one size, the committed one: their `run()` takes no profile.
 
 pub mod ablations;
 pub mod fig1;

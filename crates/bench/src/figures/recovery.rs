@@ -17,7 +17,6 @@ use matryoshka_core::{lifted_while, InnerScalar, LiftingContext, MatryoshkaConfi
 use matryoshka_engine::ClusterConfig;
 
 use crate::harness::{run_case, Row};
-use crate::profile::Profile;
 
 /// Machine-loss rates swept, in per-mille (series `loss-<permille>`).
 const LOSS_PERMILLE: &[u64] = &[0, 10, 30];
@@ -34,7 +33,10 @@ const STATE_BYTES: f64 = (256 * 1024) as f64;
 /// spreads the per-tag state over multiple partitions and the Auto join
 /// picks repartition over broadcast — the lifted loop then crosses a real
 /// shuffle boundary every iteration, which is where machines get lost.
-const TAGS: u64 = 65_536;
+const TAGS: u64 = 8_192;
+
+/// Checkpoint intervals swept (x; 0 = never checkpoint).
+const INTERVALS: &[u64] = &[0, 1, 4];
 
 /// The simulated cluster for one sweep point.
 fn cluster(loss_permille: u64) -> ClusterConfig {
@@ -50,17 +52,13 @@ fn cluster(loss_permille: u64) -> ClusterConfig {
 
 /// One case: per-tag countdown loops lifted into a single dataflow, with
 /// the loop state checkpointed every `interval` iterations (0 = never).
-fn run_lifted_loop(
-    e: &matryoshka_engine::Engine,
-    tags: u64,
-    interval: u64,
-) -> matryoshka_engine::Result<()> {
+fn run_lifted_loop(e: &matryoshka_engine::Engine, interval: u64) -> matryoshka_engine::Result<()> {
     let mut cfg = MatryoshkaConfig::optimized();
     cfg.checkpoint_interval = interval as usize;
-    let tag_bag = e.generate(tags, 16, |t| t);
-    let ctx = LiftingContext::new(e.clone(), tag_bag, tags, cfg);
+    let tag_bag = e.generate(TAGS, 16, |t| t);
+    let ctx = LiftingContext::new(e.clone(), tag_bag, TAGS, cfg);
     let init = InnerScalar::from_repr(
-        e.generate(tags, 16, |t| (t, ITERATIONS)).with_record_bytes(STATE_BYTES),
+        e.generate(TAGS, 16, |t| (t, ITERATIONS)).with_record_bytes(STATE_BYTES),
         ctx,
     );
     let out = lifted_while(
@@ -73,18 +71,17 @@ fn run_lifted_loop(
         None,
     )?;
     let n = out.repr().count()?;
-    assert_eq!(n, tags, "every tag's loop must finish exactly once");
+    assert_eq!(n, TAGS, "every tag's loop must finish exactly once");
     Ok(())
 }
 
-/// The full sweep: for each loss rate, simulated runtime across checkpoint
-/// intervals (x = interval, 0 = never checkpoint).
-pub fn run(profile: Profile) -> Vec<Row> {
-    let tags = profile.records(TAGS);
+/// The sweep: for each loss rate, simulated runtime across checkpoint
+/// intervals. These are the rows of the committed `BENCH_recovery.json`.
+pub fn run() -> Vec<Row> {
     let mut rows = Vec::new();
     for &permille in LOSS_PERMILLE {
-        for &interval in &profile.sweep(&[0, 1, 2, 4, 8], &[0, 1, 4]) {
-            let m = run_case(cluster(permille), |e| run_lifted_loop(e, tags, interval));
+        for &interval in INTERVALS {
+            let m = run_case(cluster(permille), |e| run_lifted_loop(e, interval));
             rows.push(Row {
                 figure: "recovery/loss-x-checkpoint".into(),
                 series: format!("loss-{permille}"),
@@ -96,45 +93,34 @@ pub fn run(profile: Profile) -> Vec<Row> {
     rows
 }
 
-/// Fast CI gate: one lossy rate, checkpointing off vs. on.
-pub fn smoke(profile: Profile) -> Vec<Row> {
-    let tags = profile.records(TAGS);
-    let mut rows = Vec::new();
-    for (permille, interval) in [(0u64, 0u64), (30, 0), (30, 2)] {
-        let m = run_case(cluster(permille), |e| run_lifted_loop(e, tags, interval));
-        rows.push(Row {
-            figure: "recovery/smoke".into(),
-            series: format!("loss-{permille}"),
-            x: interval,
-            m,
-        });
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::Outcome;
+    use crate::json::assert_committed;
 
+    /// `BENCH_recovery.json` is this sweep's output, and the sweep measures
+    /// what it is for: machines are lost only at a non-zero rate, only a
+    /// non-zero interval writes checkpoints, and at every lossy rate each
+    /// checkpointing interval replays less lineage than never checkpointing.
     #[test]
-    fn smoke_sweep_shows_losses_and_checkpoints() {
-        let rows = smoke(Profile::Quick);
-        assert_eq!(rows.len(), 3);
+    fn bench_recovery_json_is_this_sweep() {
+        let rows = run();
         assert!(rows.iter().all(|r| r.m.outcome == Outcome::Ok));
-        let baseline = &rows[0];
-        let lossy = &rows[1];
-        let checkpointed = &rows[2];
-        assert_eq!(baseline.m.stats.partitions_lost, 0);
-        assert_eq!(lossy.m.stats.checkpoint_bytes, 0, "interval 0 writes nothing");
-        assert!(lossy.m.stats.partitions_lost > 0, "loss-30 must lose partitions");
-        assert!(lossy.m.seconds > baseline.m.seconds, "recovery must cost simulated time");
-        assert!(checkpointed.m.stats.checkpoint_bytes > 0, "interval 2 must write checkpoints");
-        assert!(
-            checkpointed.m.stats.recompute_nanos < lossy.m.stats.recompute_nanos,
-            "checkpointing must shrink lineage replay: {} vs {}",
-            checkpointed.m.stats.recompute_nanos,
-            lossy.m.stats.recompute_nanos
-        );
+        let lossy = |r: &&Row| r.series != "loss-0";
+        assert!(rows.iter().filter(|r| !lossy(r)).all(|r| r.m.stats.partitions_lost == 0));
+        assert!(rows.iter().filter(lossy).any(|r| r.m.stats.partitions_lost > 0));
+        assert!(rows.iter().all(|r| (r.x == 0) == (r.m.stats.checkpoint_bytes == 0)));
+        for never in rows.iter().filter(|r| lossy(r) && r.x == 0) {
+            for r in rows.iter().filter(|r| r.series == never.series && r.x > 0) {
+                assert!(
+                    r.m.stats.recompute_nanos < never.m.stats.recompute_nanos,
+                    "{} interval {}: checkpointing must shrink lineage replay",
+                    r.series,
+                    r.x
+                );
+            }
+        }
+        assert_committed("BENCH_recovery.json", "recovery_sweep", &rows);
     }
 }

@@ -12,14 +12,12 @@
 //! per-pool queue waits. All of it is deterministic — virtual time, seeded
 //! job costs — so rows are bit-stable across machines.
 
-use matryoshka_core::scheduler::{PoolConfig, SchedulerConfig, SchedulingPolicy};
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::sim::SimTime;
 use matryoshka_engine::ClusterConfig;
-use matryoshka_service::{JobService, JobSpec};
+use matryoshka_service::{JobService, JobSpec, PoolConfig, SchedulerConfig, SchedulingPolicy};
 
 use crate::harness::{Measurement, Outcome, Row};
-use crate::profile::Profile;
 
 /// Jobs offered per cell — deliberately above `QUEUE_CAPACITY` so admission
 /// control visibly rejects the burst tail.
@@ -31,8 +29,11 @@ const QUEUE_CAPACITY: usize = 24;
 /// Simulated core slots multiplexed across jobs.
 const TOTAL_SLOTS: usize = 4;
 
-/// Base record count of a job's generated input (profile-scaled).
+/// Base record count of a job's generated input.
 const BASE_RECORDS: u64 = 4_096;
+
+/// Virtual inter-arrival gaps swept, in milliseconds (x).
+const GAPS_MS: &[u64] = &[0, 20, 100];
 
 /// Dataset/cost seed (fixed: the artifact must be reproducible).
 const SEED: u64 = 42;
@@ -46,27 +47,29 @@ fn mix(mut x: u64) -> u64 {
 }
 
 fn service(policy: SchedulingPolicy) -> JobService {
-    let config = MatryoshkaConfig {
-        scheduler: SchedulerConfig {
-            policy,
-            pools: vec![PoolConfig::new("batch", 1), PoolConfig::new("interactive", 3)],
-            queue_capacity: QUEUE_CAPACITY,
-            total_slots: TOTAL_SLOTS,
-            default_slots: 1,
-        },
-        ..MatryoshkaConfig::optimized()
+    let scheduler = SchedulerConfig {
+        policy,
+        pools: vec![PoolConfig::new("batch", 1), PoolConfig::new("interactive", 3)],
+        queue_capacity: QUEUE_CAPACITY,
+        total_slots: TOTAL_SLOTS,
+        default_slots: 1,
     };
-    JobService::new(ClusterConfig::local_test(), config, SEED)
-        .expect("sweep scheduler config is valid")
+    JobService::with_scheduler(
+        ClusterConfig::local_test(),
+        MatryoshkaConfig::optimized(),
+        scheduler,
+        SEED,
+    )
+    .expect("sweep scheduler config is valid")
 }
 
 /// One cell: `OFFERED_JOBS` seeded-cost jobs arriving `gap_ms` of virtual
 /// time apart, alternating between the two pools, run to completion.
-fn run_cell(policy: SchedulingPolicy, gap_ms: u64, base_records: u64) -> Measurement {
+fn run_cell(policy: SchedulingPolicy, gap_ms: u64) -> Measurement {
     let svc = service(policy);
     for i in 0..OFFERED_JOBS {
         let pool = if i % 2 == 0 { "batch" } else { "interactive" };
-        let records = base_records / 2 + mix(SEED ^ i) % base_records;
+        let records = BASE_RECORDS / 2 + mix(SEED ^ i) % BASE_RECORDS;
         let spec = JobSpec::native(format!("job-{i}"), move |e| {
             let n = e.generate(records, 8, |r| (r % 97, r)).reduce_by_key(|a, b| a + b).count()?;
             Ok(format!("{n} groups"))
@@ -91,42 +94,43 @@ fn series_name(policy: SchedulingPolicy) -> &'static str {
     }
 }
 
-fn sweep(gaps_ms: &[u64], base_records: u64) -> Vec<Row> {
+/// The sweep (x = virtual inter-arrival gap in milliseconds). These are the
+/// rows of the committed `BENCH_service.json`.
+pub fn run() -> Vec<Row> {
     let mut rows = Vec::new();
     for policy in [SchedulingPolicy::Fifo, SchedulingPolicy::FairShare] {
-        for &gap_ms in gaps_ms {
+        for &gap_ms in GAPS_MS {
             rows.push(Row {
                 figure: "service/offered-load".into(),
                 series: series_name(policy).into(),
                 x: gap_ms,
-                m: run_cell(policy, gap_ms, base_records),
+                m: run_cell(policy, gap_ms),
             });
         }
     }
     rows
 }
 
-/// The full sweep (x = virtual inter-arrival gap in milliseconds).
-pub fn run(profile: Profile) -> Vec<Row> {
-    sweep(&profile.sweep(&[0, 20, 100], &[0, 20]), profile.records(BASE_RECORDS))
-}
-
-/// The reduced CI gate: the saturating and a draining point.
-pub fn smoke(profile: Profile) -> Vec<Row> {
-    sweep(&[0, 20], profile.records(BASE_RECORDS).min(1_024))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{rows_to_json, validate_rows, SERVICE_ROWS};
+    use crate::json::assert_committed;
 
+    /// `BENCH_service.json` is this sweep's output, and every cell exercises
+    /// what the sweep is for: both policies run, admission control rejects
+    /// part of every burst while the rest completes, and the all-at-once
+    /// burst queues.
     #[test]
-    fn smoke_rows_validate_and_are_deterministic() {
-        let rows = smoke(Profile::Quick);
-        let json = rows_to_json(&rows);
-        validate_rows(&json, &SERVICE_ROWS).expect("smoke rows satisfy the artifact contract");
-        let again = rows_to_json(&smoke(Profile::Quick));
-        assert_eq!(json, again, "the sweep is a pure function of its config");
+    fn bench_service_json_is_this_sweep() {
+        let rows = run();
+        for series in ["fifo", "fair-1:3"] {
+            assert!(rows.iter().any(|r| r.series == series), "missing series {series}");
+        }
+        for r in &rows {
+            let s = &r.m.stats;
+            assert!(s.jobs_rejected > 0 && s.jobs_completed > 0, "{} gap {}", r.series, r.x);
+        }
+        assert!(rows.iter().filter(|r| r.x == 0).all(|r| r.m.stats.queue_wait_nanos > 0));
+        assert_committed("BENCH_service.json", "service_sweep", &rows);
     }
 }

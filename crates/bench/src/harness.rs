@@ -164,30 +164,6 @@ pub fn print_rows(rows: &[Row]) {
     }
 }
 
-/// Print rows as CSV (for downstream plotting):
-/// `figure,series,x,outcome,seconds,jobs,shuffle_bytes,spill_bytes`.
-pub fn print_csv(rows: &[Row]) {
-    println!("figure,series,x,outcome,seconds,jobs,shuffle_bytes,spill_bytes");
-    for r in rows {
-        let outcome = match r.m.outcome {
-            Outcome::Ok => "ok",
-            Outcome::Oom => "oom",
-            Outcome::Unsupported => "unsupported",
-        };
-        println!(
-            "{},{},{},{},{:.3},{},{},{}",
-            r.figure,
-            r.series,
-            r.x,
-            outcome,
-            r.m.seconds,
-            r.m.stats.jobs,
-            r.m.stats.shuffle_bytes,
-            r.m.stats.spill_bytes
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

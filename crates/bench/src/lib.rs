@@ -17,8 +17,7 @@ pub mod figures;
 pub mod harness;
 pub mod json;
 pub mod profile;
-pub mod sweep;
 
-pub use harness::{print_csv, print_rows, run_case, Measurement, Outcome, Row};
-pub use json::{rows_to_json, validate_rows};
+pub use harness::{print_rows, run_case, Measurement, Outcome, Row};
+pub use json::rows_to_json;
 pub use profile::Profile;

@@ -21,7 +21,7 @@ struct CtxInner<T: Key> {
     tags: Bag<T>,
     /// Number of tags = size of every InnerScalar in this UDF (Sec. 8.1).
     size: u64,
-    config: Arc<MatryoshkaConfig>,
+    config: MatryoshkaConfig,
 }
 
 /// Metadata shared by all lifted values of one lifted UDF. Cheap to clone.
@@ -39,9 +39,7 @@ impl<T: Key> LiftingContext<T> {
     /// Create a context from a bag of tags whose cardinality is already
     /// known (the caller typically just computed it, e.g. while grouping).
     pub fn new(engine: Engine, tags: Bag<T>, size: u64, config: MatryoshkaConfig) -> Self {
-        LiftingContext {
-            inner: Arc::new(CtxInner { engine, tags, size, config: Arc::new(config) }),
-        }
+        LiftingContext { inner: Arc::new(CtxInner { engine, tags, size, config }) }
     }
 
     /// Create a context, counting the tags with one engine job (one of the
@@ -122,7 +120,7 @@ impl<T: Key> LiftingContext<T> {
                 engine: self.inner.engine.clone(),
                 tags,
                 size,
-                config: Arc::clone(&self.inner.config),
+                config: self.inner.config,
             }),
         }
     }

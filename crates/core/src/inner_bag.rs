@@ -128,11 +128,6 @@ impl<T: Key, E: Data> InnerBag<T, E> {
         InnerScalar::from_repr(folded, self.ctx.clone())
     }
 
-    /// Lifted `isEmpty` as a per-tag boolean (zero-filled like `count`).
-    pub fn is_empty_scalar(&self) -> InnerScalar<T, bool> {
-        self.count().map(|n| *n == 0)
-    }
-
     /// Remove the nesting structure: drop the tags, yielding one flat bag of
     /// all elements. This is `flatten`, the lowered form of `flatMap`'s
     /// nesting removal (Sec. 4.6: "Flatten's implementation simply removes
@@ -191,29 +186,6 @@ impl<T: Key, E: Data> InnerBag<T, E> {
         let bytes = self.repr.record_bytes();
         InnerBag {
             repr: joined.map(move |t, e, c| (t.clone(), f(e, c))).with_record_bytes(bytes),
-            ctx: self.ctx.clone(),
-        }
-    }
-
-    /// `flatMapWithClosure`: like [`InnerBag::map_with_scalar`] but
-    /// element-to-many.
-    pub fn flat_map_with_scalar<C: Data, U: Data, I>(
-        &self,
-        closure: &InnerScalar<T, C>,
-        f: impl Fn(&E, &C) -> I + Send + Sync + 'static,
-    ) -> InnerBag<T, U>
-    where
-        I: IntoIterator<Item = U>,
-    {
-        let joined = self.ctx.tag_join(&self.repr, closure.repr());
-        let bytes = self.repr.record_bytes();
-        InnerBag {
-            repr: joined
-                .flat_map(move |t, e, c| {
-                    let t = t.clone();
-                    f(e, c).into_iter().map(move |u| (t.clone(), u))
-                })
-                .with_record_bytes(bytes),
             ctx: self.ctx.clone(),
         }
     }
@@ -532,14 +504,5 @@ mod tests {
         assert_eq!(out[0].0, 0);
         assert_eq!(sorted(out[0].1 .1.clone()), vec!['x', 'y']);
         assert_eq!(out[1], (1, (5, vec!['z'])));
-    }
-
-    #[test]
-    fn is_empty_scalar_true_only_for_missing_tags() {
-        let e = Engine::local();
-        let c = ctx(&e, vec![0, 1]);
-        let b = bag(&e, &c, vec![(0, 1)]);
-        let out = sorted(b.is_empty_scalar().collect().unwrap());
-        assert_eq!(out, vec![(0, false), (1, true)]);
     }
 }

@@ -58,13 +58,11 @@ mod inner_bag;
 mod nested;
 pub mod optimizer;
 mod scalar;
-pub mod scheduler;
 mod splitting;
 
 pub use context::LiftingContext;
 pub use control_flow::{lifted_if, lifted_while, LiftedData};
 pub use inner_bag::{CoPartitioned, InnerBag};
-pub use nested::{group_by_key_into_nested_bag, lift_flat_bag, NestedBag};
+pub use nested::{group_by_key_into_nested_bag, NestedBag};
 pub use optimizer::{CrossChoice, JoinChoice, MatryoshkaConfig, PlanRewriteConfig};
 pub use scalar::InnerScalar;
-pub use scheduler::{PoolConfig, SchedulerConfig, SchedulingPolicy};

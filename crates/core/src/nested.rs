@@ -107,21 +107,6 @@ pub fn group_by_key_into_nested_bag<K: Key, V: Data>(
     Ok(NestedBag::from_parts(outer, inner))
 }
 
-/// Lift a flat bag for a `mapWithLiftedUDF` over a **non-nested** input
-/// (Sec. 4.3: "if mapWithLiftedUDF runs on a non-nested Bag, we create the
-/// tags using the standard zipWithUniqueId operation"). Each element becomes
-/// the per-tag scalar the lifted UDF starts from.
-pub fn lift_flat_bag<S: Data>(
-    engine: &Engine,
-    bag: &Bag<S>,
-    config: MatryoshkaConfig,
-) -> Result<InnerScalar<u64, S>> {
-    let tagged = bag.zip_with_unique_id().map(|(s, id)| (*id, s.clone()));
-    let tags = tagged.map(|(id, _)| *id);
-    let ctx = LiftingContext::counted(engine.clone(), tags, config)?;
-    Ok(InnerScalar::from_repr(tagged, ctx))
-}
-
 // ---------------------------------------------------------------------------
 // Multi-level nesting (Sec. 7): "Lifting tags for three or more levels are
 // composed of one lifting tag for each outer level. These tags are combined
@@ -135,7 +120,7 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
         let engine = self.ctx().engine().clone();
         let repr = self.repr().map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone()));
         let tags = repr.map(|(tk, _)| tk.clone()).distinct();
-        let ctx = LiftingContext::counted(engine, tags, self.ctx().config().clone())?;
+        let ctx = LiftingContext::counted(engine, tags, *self.ctx().config())?;
         let outer = ctx.tags_scalar();
         let inner = InnerBag::from_repr(repr, ctx);
         Ok(NestedBag::from_parts(outer, inner))
@@ -155,7 +140,7 @@ impl<T: Key, E: Key> InnerBag<T, E> {
         let engine = self.ctx().engine().clone();
         let repr = self.repr().map(|(t, e)| ((t.clone(), e.clone()), e.clone()));
         let tags = repr.map(|(te, _)| te.clone());
-        let ctx = LiftingContext::counted(engine, tags, self.ctx().config().clone())?;
+        let ctx = LiftingContext::counted(engine, tags, *self.ctx().config())?;
         Ok(InnerScalar::from_repr(repr, ctx))
     }
 }
@@ -238,19 +223,6 @@ mod tests {
             d.shuffle_bytes
         );
         assert_eq!(d.spill_bytes, 0);
-    }
-
-    #[test]
-    fn lift_flat_bag_gives_unique_tags() {
-        let e = Engine::local();
-        let b = e.parallelize(vec!['x', 'y', 'z'], 2);
-        let s = lift_flat_bag(&e, &b, MatryoshkaConfig::optimized()).unwrap();
-        assert_eq!(s.ctx().size(), 3);
-        let tags: Vec<u64> = s.collect().unwrap().into_iter().map(|(t, _)| t).collect();
-        let mut d = tags.clone();
-        d.sort_unstable();
-        d.dedup();
-        assert_eq!(d.len(), 3);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl PlanRewriteConfig {
 /// `partition_tuning` is off (every lifted operator at the engine's default
 /// parallelism), which is what the job service and its tests run on. The
 /// forced variants exist for the ablation experiments.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MatryoshkaConfig {
     /// InnerBag-InnerScalar join strategy (Sec. 8.2).
     pub tag_join: JoinChoice,
@@ -73,10 +73,6 @@ pub struct MatryoshkaConfig {
     /// disables periodic checkpointing: plans, decision logs, and simulated
     /// times are unchanged.
     pub checkpoint_interval: usize,
-    /// Multi-tenant job-service scheduler and admission control (see
-    /// [`crate::scheduler`] and `docs/SERVICE.md`). Only read by the
-    /// service; a directly-driven lowering ignores it.
-    pub scheduler: crate::scheduler::SchedulerConfig,
 }
 
 impl MatryoshkaConfig {
@@ -87,7 +83,6 @@ impl MatryoshkaConfig {
             cross: CrossChoice::Auto,
             partition_tuning: true,
             checkpoint_interval: 0,
-            scheduler: crate::scheduler::SchedulerConfig::default(),
         }
     }
 }

@@ -122,11 +122,6 @@ pub fn fx_map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {
     HashMap::with_capacity_and_hasher(capacity, FxBuildHasher)
 }
 
-/// An empty [`FxHashSet`].
-pub fn fx_set<T>() -> FxHashSet<T> {
-    HashSet::with_hasher(FxBuildHasher)
-}
-
 /// An [`FxHashSet`] pre-sized for `capacity` entries.
 pub fn fx_set_with_capacity<T>(capacity: usize) -> FxHashSet<T> {
     HashSet::with_capacity_and_hasher(capacity, FxBuildHasher)
@@ -167,7 +162,7 @@ mod tests {
         m.insert("k", 1);
         *m.entry("k").or_insert(0) += 1;
         assert_eq!(m["k"], 2);
-        let mut s = fx_set();
+        let mut s = fx_set_with_capacity(0);
         assert!(s.insert(7u8));
         assert!(!s.insert(7u8));
     }

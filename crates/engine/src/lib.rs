@@ -175,11 +175,6 @@ impl Engine {
         self.core.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`Engine::request_cancel`] has been called.
-    pub fn cancel_requested(&self) -> bool {
-        self.core.cancelled.load(Ordering::Relaxed)
-    }
-
     /// Install a simulated-time deadline: the first charge site at which
     /// [`Engine::sim_time`] is at or past `deadline` aborts with
     /// [`EngineError::DeadlineExceeded`]. Deterministic (the simulated clock
@@ -213,12 +208,6 @@ impl Engine {
     /// [`ClusterConfig::trace_events`] set.
     pub fn enable_tracing(&self) {
         self.core.collector.set_enabled(true);
-    }
-
-    /// Turn structured event collection off. Already-collected events are
-    /// kept and remain readable via [`Engine::events`].
-    pub fn disable_tracing(&self) {
-        self.core.collector.set_enabled(false);
     }
 
     /// Whether structured event collection is currently on.

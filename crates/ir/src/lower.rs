@@ -706,7 +706,7 @@ impl Lowering {
                 Val::Bag(b) => Val::Nested(group_by_key_into_nested_bag(
                     &self.engine,
                     &b.map(kv),
-                    self.config.clone(),
+                    self.config,
                 )?),
                 other => return Err(no_cell("groupByKey", &other)),
             },
@@ -723,11 +723,7 @@ impl Lowering {
                             .zip_with_unique_id()
                             .map(|(v, id)| (Value::Long(*id as i64), v.clone()));
                         let tags = tagged.map(|(t, _)| t.clone());
-                        let ctx = LiftingContext::counted(
-                            self.engine.clone(),
-                            tags,
-                            self.config.clone(),
-                        )?;
+                        let ctx = LiftingContext::counted(self.engine.clone(), tags, self.config)?;
                         (ctx.clone(), Val::InnerScalar(InnerScalar::from_repr(tagged, ctx)))
                     }
                     other => return Err(no_cell("mapWithLiftedUDF", &other)),

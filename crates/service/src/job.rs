@@ -48,7 +48,7 @@ pub struct JobSpec {
     /// Client-supplied display name.
     pub name: String,
     /// Scheduler pool to run in (must exist in the service's
-    /// [`SchedulerConfig`](matryoshka_core::SchedulerConfig)).
+    /// [`SchedulerConfig`](crate::SchedulerConfig)).
     pub pool: String,
     /// Simulated core slots the job occupies while running; `0` means the
     /// scheduler's `default_slots`. Clamped to the service's `total_slots`.

@@ -32,6 +32,7 @@
 //! ## Modules
 //!
 //! - [`job`] — job specs, outcomes, reports, rejections.
+//! - [`scheduler`] — [`SchedulerConfig`]: pools, policy, admission bounds.
 //! - [`sched`] — the pure scheduling core (policy + pool accounting).
 //! - [`service`] — [`JobService`]: admission, the virtual-time loop,
 //!   per-job isolation, multi-lane trace export.
@@ -46,11 +47,13 @@
 pub mod datasets;
 pub mod job;
 pub mod sched;
+pub mod scheduler;
 pub mod server;
 pub mod service;
 pub mod wire;
 
 pub use job::{JobId, JobOutcome, JobPayload, JobReport, JobSpec, JobStatus, Rejection};
 pub use sched::{Candidate, Scheduler};
+pub use scheduler::{PoolConfig, SchedulerConfig, SchedulingPolicy};
 pub use server::Server;
 pub use service::JobService;

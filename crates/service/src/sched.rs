@@ -5,7 +5,7 @@
 //! returns which candidate runs next. The surrounding virtual-time event
 //! loop lives in [`crate::service`].
 
-use matryoshka_core::scheduler::{SchedulerConfig, SchedulingPolicy};
+use crate::scheduler::{SchedulerConfig, SchedulingPolicy};
 
 /// A job the event loop could start right now: `(pool index, submission
 /// sequence number)`. At most one candidate per pool is offered (the pool's
@@ -106,7 +106,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matryoshka_core::scheduler::PoolConfig;
+    use crate::scheduler::PoolConfig;
 
     fn cfg(policy: SchedulingPolicy, pools: Vec<PoolConfig>) -> SchedulerConfig {
         SchedulerConfig { policy, pools, ..SchedulerConfig::default() }

@@ -48,6 +48,7 @@ use crate::job::{
     JobId, JobOutcome, JobPayload, JobReport, JobSpec, JobStatus, NativeJob, Rejection,
 };
 use crate::sched::{Candidate, Scheduler};
+use crate::scheduler::SchedulerConfig;
 
 /// How many finished jobs the service remembers. Past that, the one with
 /// the lowest id is forgotten: `status`, `report` and `wait` answer as for an
@@ -141,6 +142,7 @@ impl State {
 struct Inner {
     cluster: ClusterConfig,
     config: MatryoshkaConfig,
+    scheduler: SchedulerConfig,
     seed: u64,
     state: Mutex<State>,
     /// Signalled when a job is queued; the driver parks here
@@ -179,21 +181,34 @@ fn panic_message(panic: &(dyn Any + Send)) -> &str {
 }
 
 impl JobService {
-    /// Create a service. `cluster` configures each job's engine (enable
-    /// `trace_events` there to capture per-job traces), `config.scheduler`
-    /// the pools and admission bounds, and `seed` the generated datasets.
+    /// A service with the default scheduler ([`SchedulerConfig::default`]);
+    /// see [`JobService::with_scheduler`].
     pub fn new(
         cluster: ClusterConfig,
         config: MatryoshkaConfig,
         seed: u64,
     ) -> Result<JobService, String> {
-        config.scheduler.validate()?;
-        let free_slots = config.scheduler.total_slots;
-        let sched = Scheduler::new(&config.scheduler);
+        JobService::with_scheduler(cluster, config, SchedulerConfig::default(), seed)
+    }
+
+    /// Create a service. `cluster` configures each job's engine (enable
+    /// `trace_events` there to capture per-job traces), `config` the lowering
+    /// of every program, `scheduler` the pools and admission bounds, and
+    /// `seed` the generated datasets.
+    pub fn with_scheduler(
+        cluster: ClusterConfig,
+        config: MatryoshkaConfig,
+        scheduler: SchedulerConfig,
+        seed: u64,
+    ) -> Result<JobService, String> {
+        scheduler.validate()?;
+        let free_slots = scheduler.total_slots;
+        let sched = Scheduler::new(&scheduler);
         Ok(JobService {
             inner: Arc::new(Inner {
                 cluster,
                 config,
+                scheduler,
                 seed,
                 state: Mutex::new(State {
                     vt: SimTime::ZERO,
@@ -234,7 +249,7 @@ impl JobService {
     /// current virtual clock; the scheduler will not start it earlier).
     /// This is how benches model offered load deterministically.
     pub fn submit_at(&self, spec: JobSpec, arrival: SimTime) -> Result<JobId, Rejection> {
-        let scheduler = &self.inner.config.scheduler;
+        let scheduler = &self.inner.scheduler;
         let mut st = self.state();
         let id = st.next_id;
         st.next_id += 1;
@@ -465,7 +480,7 @@ impl JobService {
     }
 
     fn pool_name(&self, pool: usize) -> String {
-        self.inner.config.scheduler.pools[pool].name.clone()
+        self.inner.scheduler.pools[pool].name.clone()
     }
 
     /// Start queued job `id` at the current virtual time: allocate slots,
@@ -507,7 +522,7 @@ impl JobService {
                     .iter()
                     .map(|s| (s.clone(), source_bag(&engine, self.inner.seed, s)))
                     .collect();
-                match p.run(engine.clone(), self.inner.config.clone(), &inputs) {
+                match p.run(engine.clone(), self.inner.config, &inputs) {
                     Ok(RtVal::Scalar(v)) => Ok(format!("scalar {v}")),
                     Ok(RtVal::Bag(b)) => Ok(format!("bag with {} records", b.count()?)),
                     Ok(RtVal::Nested(_)) => Ok("nested bag".to_string()),
@@ -631,8 +646,7 @@ impl JobService {
     /// earlier job of their own pool. The scheduler then picks among pool
     /// heads by policy.
     fn pick_startable(&self, st: &State) -> Option<JobId> {
-        let mut heads: Vec<Option<(JobId, &Job)>> =
-            vec![None; self.inner.config.scheduler.pools.len()];
+        let mut heads: Vec<Option<(JobId, &Job)>> = vec![None; self.inner.scheduler.pools.len()];
         for (id, job) in st.queued().filter(|(_, job)| job.arrival <= st.vt) {
             heads[job.pool].get_or_insert((id, job));
         }
@@ -662,7 +676,6 @@ impl JobService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matryoshka_core::scheduler::SchedulerConfig;
     use matryoshka_engine::GB;
 
     /// One run through every lifecycle outcome: a completed, a failed
@@ -671,11 +684,9 @@ mod tests {
     /// Returns the service and the admitted ids.
     fn every_outcome(trace_events: bool) -> (JobService, Vec<JobId>) {
         let cluster = ClusterConfig { trace_events, ..ClusterConfig::local_test() };
-        let config = MatryoshkaConfig {
-            scheduler: SchedulerConfig { queue_capacity: 5, ..SchedulerConfig::default() },
-            ..MatryoshkaConfig::default()
-        };
-        let svc = JobService::new(cluster, config, 5).expect("valid scheduler config");
+        let scheduler = SchedulerConfig { queue_capacity: 5, ..SchedulerConfig::default() };
+        let svc = JobService::with_scheduler(cluster, MatryoshkaConfig::default(), scheduler, 5)
+            .expect("valid scheduler config");
         let count = |e: &Engine| e.generate(1_000, 8, |i| (i % 97, i)).count();
         let admitted = vec![
             svc.submit(JobSpec::program("completed", "count(distinct(source(xs)))")).unwrap(),
@@ -788,7 +799,7 @@ mod tests {
         assert!(*sim_nanos > 0 && report.stats.records == 100, "what ran before it is kept");
         assert_eq!(report.finished, report.started.unwrap() + SimTime::from_nanos(*sim_nanos));
         let st = svc.state();
-        assert_eq!(st.free_slots, svc.inner.config.scheduler.total_slots, "slots came back");
+        assert_eq!(st.free_slots, svc.inner.scheduler.total_slots, "slots came back");
         assert!(st.active.is_empty());
         drop(st);
         // Counted exactly as a job that failed with an engine error.
@@ -845,7 +856,7 @@ mod tests {
     /// `submit` returned.
     fn check_invariants(svc: &JobService, admitted: &[JobId]) {
         let st = svc.state();
-        let scheduler = &svc.inner.config.scheduler;
+        let scheduler = &svc.inner.scheduler;
         let holding = st.active.values().filter(|job| !matches!(job.phase, Phase::Queued(_)));
         let held: usize = holding.map(|job| job.slots).sum();
         assert_eq!(st.free_slots + held, scheduler.total_slots, "every slot is free or held");
@@ -875,8 +886,13 @@ mod tests {
             total_slots: 1 + below(4) as usize,
             ..SchedulerConfig::fair_share([("a", 1), ("b", 2)])
         };
-        let config = MatryoshkaConfig { scheduler, ..MatryoshkaConfig::default() };
-        let svc = JobService::new(ClusterConfig::local_test(), config, seed).unwrap();
+        let svc = JobService::with_scheduler(
+            ClusterConfig::local_test(),
+            MatryoshkaConfig::default(),
+            scheduler,
+            seed,
+        )
+        .unwrap();
         let mut admitted = Vec::new();
         for _ in 0..10 + below(8) {
             match below(8) {

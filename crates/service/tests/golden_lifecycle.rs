@@ -21,12 +21,14 @@
 
 use std::sync::{Arc, Mutex};
 
-use matryoshka_core::scheduler::{PoolConfig, SchedulerConfig, SchedulingPolicy};
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::partitioner::stable_hash;
 use matryoshka_engine::sim::SimTime;
 use matryoshka_engine::{ClusterConfig, Engine, EngineEvent, StatsSnapshot};
-use matryoshka_service::{JobId, JobOutcome, JobReport, JobService, JobSpec};
+use matryoshka_service::{
+    JobId, JobOutcome, JobReport, JobService, JobSpec, PoolConfig, SchedulerConfig,
+    SchedulingPolicy,
+};
 
 /// `(seed, stable_hash of the rendered run)`.
 const GOLDEN: [(u64, u64); 24] = [
@@ -107,9 +109,9 @@ impl Schedule {
         };
         let cluster =
             ClusterConfig { trace_events: seed.is_multiple_of(4), ..ClusterConfig::local_test() };
-        let config = MatryoshkaConfig { scheduler, ..MatryoshkaConfig::default() };
         Schedule {
-            svc: JobService::new(cluster, config, seed).expect("valid scheduler config"),
+            svc: JobService::with_scheduler(cluster, MatryoshkaConfig::default(), scheduler, seed)
+                .expect("valid scheduler config"),
             rng,
             next_id: 0,
             answers: Arc::default(),

@@ -2,13 +2,14 @@
 //! golden-pin parity, fairness, cancellation/deadline paths, and
 //! admission control.
 
-use matryoshka_core::scheduler::{PoolConfig, SchedulerConfig, SchedulingPolicy};
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::sim::SimTime;
 use matryoshka_engine::{ClusterConfig, Engine};
 use matryoshka_ir::{prepare_program, Dialect, Lowering, RtVal};
 use matryoshka_service::datasets::source_bag;
-use matryoshka_service::{JobOutcome, JobService, JobSpec, JobStatus};
+use matryoshka_service::{
+    JobOutcome, JobService, JobSpec, JobStatus, PoolConfig, SchedulerConfig, SchedulingPolicy,
+};
 
 /// SplitMix64, for seeded job-cost variation in the property tests.
 fn mix(mut x: u64) -> u64 {
@@ -49,17 +50,20 @@ fn kmeans_step(e: &Engine) {
 }
 
 fn fair_service(total_slots: usize, queue_capacity: usize, seed: u64) -> JobService {
-    let config = MatryoshkaConfig {
-        scheduler: SchedulerConfig {
-            policy: SchedulingPolicy::FairShare,
-            pools: vec![PoolConfig::new("batch", 1), PoolConfig::new("interactive", 3)],
-            queue_capacity,
-            total_slots,
-            default_slots: 1,
-        },
-        ..MatryoshkaConfig::default()
+    let scheduler = SchedulerConfig {
+        policy: SchedulingPolicy::FairShare,
+        pools: vec![PoolConfig::new("batch", 1), PoolConfig::new("interactive", 3)],
+        queue_capacity,
+        total_slots,
+        default_slots: 1,
     };
-    JobService::new(ClusterConfig::local_test(), config, seed).unwrap()
+    JobService::with_scheduler(
+        ClusterConfig::local_test(),
+        MatryoshkaConfig::default(),
+        scheduler,
+        seed,
+    )
+    .unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -248,11 +252,14 @@ fn queued_jobs_cancel_immediately() {
 #[test]
 fn queued_deadline_expires_before_start() {
     // One slot; a long job ahead of a short-deadline job.
-    let config = MatryoshkaConfig {
-        scheduler: SchedulerConfig { total_slots: 1, ..SchedulerConfig::default() },
-        ..MatryoshkaConfig::default()
-    };
-    let svc = JobService::new(ClusterConfig::local_test(), config, 5).unwrap();
+    let scheduler = SchedulerConfig { total_slots: 1, ..SchedulerConfig::default() };
+    let svc = JobService::with_scheduler(
+        ClusterConfig::local_test(),
+        MatryoshkaConfig::default(),
+        scheduler,
+        5,
+    )
+    .unwrap();
     let long = svc.submit(costed(50_000)).unwrap();
     let d = SimTime::from_nanos(10);
     let doomed = svc.submit(costed(1_000).with_deadline(d)).unwrap();
@@ -304,11 +311,14 @@ fn running_jobs_cancel_cooperatively() {
 
 #[test]
 fn full_queue_rejects_with_reason() {
-    let config = MatryoshkaConfig {
-        scheduler: SchedulerConfig { queue_capacity: 1, ..SchedulerConfig::default() },
-        ..MatryoshkaConfig::default()
-    };
-    let svc = JobService::new(ClusterConfig::local_test(), config, 5).unwrap();
+    let scheduler = SchedulerConfig { queue_capacity: 1, ..SchedulerConfig::default() };
+    let svc = JobService::with_scheduler(
+        ClusterConfig::local_test(),
+        MatryoshkaConfig::default(),
+        scheduler,
+        5,
+    )
+    .unwrap();
     svc.submit(costed(1_000)).unwrap();
     let rej = svc.submit(costed(1_000)).unwrap_err();
     assert!(rej.reason.contains("queue full"), "{}", rej.reason);

@@ -22,9 +22,9 @@
 
 use std::process::ExitCode;
 
-use matryoshka::core::{MatryoshkaConfig, PoolConfig, SchedulerConfig, SchedulingPolicy};
+use matryoshka::core::MatryoshkaConfig;
 use matryoshka::engine::ClusterConfig;
-use matryoshka::service::{JobService, Server};
+use matryoshka::service::{JobService, PoolConfig, SchedulerConfig, SchedulingPolicy, Server};
 
 const USAGE: &str = "usage: matryoshka-serve [--addr HOST:PORT] [--policy fifo|fair] \
 [--pools name:weight[:cap],...] [--queue-capacity N] [--slots N] [--default-slots N] [--seed N]";
@@ -101,8 +101,12 @@ fn run() -> Result<(), String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    let config = MatryoshkaConfig { scheduler, ..MatryoshkaConfig::optimized() };
-    let service = JobService::new(ClusterConfig::local_test(), config, seed)?;
+    let service = JobService::with_scheduler(
+        ClusterConfig::local_test(),
+        MatryoshkaConfig::optimized(),
+        scheduler,
+        seed,
+    )?;
     let server = Server::bind(service, &addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     println!("LISTENING {bound}");

@@ -104,8 +104,8 @@ fn plan<R: Debug>(
     config: &MatryoshkaConfig,
     run: impl Fn(&Engine, MatryoshkaConfig) -> R + 'static,
 ) -> Plan {
-    let config = config.clone();
-    Box::new(move |e| format!("{:?}", run(e, config.clone())))
+    let config = *config;
+    Box::new(move |e| format!("{:?}", run(e, config)))
 }
 
 pub fn shipped_programs() -> Vec<(String, Plan)> {
