@@ -1,5 +1,6 @@
-//! Lifted control flow (paper Sec. 6): `while` loops and `if` statements
-//! inside lifted UDFs.
+//! Lifted control flow (paper Sec. 6): `while` loops inside lifted UDFs.
+//! (A lifted `if` over pure expressions needs no routing: `matryoshka-ir`
+//! evaluates both branches for every tag and selects per tag.)
 //!
 //! A lifted loop runs the work of many original loops at once: its i-th
 //! iteration executes the i-th iteration of every original loop that is
@@ -264,26 +265,6 @@ pub fn lifted_while<T: Key, S: LiftedData<T>>(
     Ok(result.expect("do-while body runs at least once").with_ctx(&full_ctx))
 }
 
-/// A lifted `if` statement (paper Sec. 6.2): both branches execute, each
-/// over only the tags whose condition selects it, and the outputs are
-/// unioned. Uses the same tag join + filter machinery as the lifted loop.
-pub fn lifted_if<T: Key, In: LiftedData<T>, Out: LiftedData<T>>(
-    cond: &InnerScalar<T, bool>,
-    input: &In,
-    then_branch: impl FnOnce(In) -> Result<Out>,
-    else_branch: impl FnOnce(In) -> Result<Out>,
-) -> Result<Out> {
-    let then_tags = cond.repr().filter(|(_, c)| *c).map(|(t, _)| t.clone());
-    let n_then = then_tags.count()?;
-    let total = input.ctx().size();
-    let else_tags = cond.repr().filter(|(_, c)| !*c).map(|(t, _)| t.clone());
-    let then_ctx = input.ctx().narrowed(then_tags, n_then);
-    let else_ctx = input.ctx().narrowed(else_tags, total.saturating_sub(n_then));
-    let t_out = then_branch(input.filter_by_cond(cond, true, &then_ctx))?;
-    let e_out = else_branch(input.filter_by_cond(cond, false, &else_ctx))?;
-    Ok(t_out.union_with(&e_out).with_ctx(input.ctx()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,43 +403,5 @@ mod tests {
             decisions.iter().any(|d| d.site == "checkpoint"),
             "checkpoints must be visible in the decision log"
         );
-    }
-
-    #[test]
-    fn lifted_if_routes_tags_to_branches() {
-        let e = Engine::local();
-        let c = ctx(&e, vec![0, 1, 2, 3]);
-        let vals = InnerScalar::from_repr(
-            e.parallelize(vec![(0u64, 1i64), (1, -2), (2, 3), (3, -4)], 2),
-            c,
-        );
-        let cond = vals.map(|x| *x >= 0);
-        let out = lifted_if(
-            &cond,
-            &vals,
-            |pos: InnerScalar<u64, i64>| Ok(pos.map(|x| x * 10)),
-            |neg: InnerScalar<u64, i64>| Ok(neg.map(|x| -x)),
-        )
-        .unwrap();
-        assert_eq!(sorted(out.collect().unwrap()), vec![(0, 10), (1, 2), (2, 30), (3, 4)]);
-    }
-
-    #[test]
-    fn lifted_if_over_inner_bags() {
-        let e = Engine::local();
-        let c = ctx(&e, vec![0, 1]);
-        let b =
-            InnerBag::from_repr(e.parallelize(vec![(0u64, 1i64), (0, 2), (1, 5)], 2), c.clone());
-        // tags whose bag sums > 4 double their elements; others zero them.
-        let sums = b.reduce(|a, x| a + x);
-        let cond = sums.map(|s| *s > 4);
-        let out = lifted_if(
-            &cond,
-            &b,
-            |big: InnerBag<u64, i64>| Ok(big.map(|x| x * 2)),
-            |small: InnerBag<u64, i64>| Ok(small.map(|_| 0)),
-        )
-        .unwrap();
-        assert_eq!(sorted(out.collect().unwrap()), vec![(0, 0), (0, 0), (1, 10)]);
     }
 }

@@ -190,6 +190,25 @@ impl<T: Key, E: Data> InnerBag<T, E> {
         }
     }
 
+    /// `flatMapWithClosure`: [`InnerBag::map_with_scalar`] element-to-many.
+    /// Each output element inherits its input's tag.
+    pub fn flat_map_with_scalar<C: Data, U: Data, I>(
+        &self,
+        closure: &InnerScalar<T, C>,
+        f: impl Fn(&E, &C) -> I + Send + Sync + 'static,
+    ) -> InnerBag<T, U>
+    where
+        I: IntoIterator<Item = U>,
+    {
+        let joined = self.ctx.tag_join(&self.repr, closure.repr());
+        let bytes = self.repr.record_bytes();
+        let repr = joined.flat_map(move |t, e, c| {
+            let t = t.clone();
+            f(e, c).into_iter().map(move |u| (t.clone(), u))
+        });
+        InnerBag { repr: repr.with_record_bytes(bytes), ctx: self.ctx.clone() }
+    }
+
     /// Filter with access to a per-tag scalar (used by lifted control flow).
     pub fn filter_with_scalar<C: Data>(
         &self,

@@ -146,6 +146,26 @@ impl<T> Batch<'_, T> {
     }
 }
 
+impl<T: Clone> Batch<'_, T> {
+    /// The records as an owned `Vec`: moved when owned, cloned out of a
+    /// shared partition.
+    pub fn into_vec(self) -> Vec<T> {
+        match self {
+            Batch::Shared(s) => s.to_vec(),
+            Batch::Owned(v) => v,
+        }
+    }
+
+    /// Hand each record to `f` by value: moved when owned, cloned out of a
+    /// shared partition.
+    pub fn for_each(self, f: impl FnMut(T)) {
+        match self {
+            Batch::Shared(s) => s.iter().cloned().for_each(f),
+            Batch::Owned(v) => v.into_iter().for_each(f),
+        }
+    }
+}
+
 /// One operator's batch transducer step: receives the partition index and
 /// the operator's entire per-partition input stream (so `enumerate`
 /// positions inside the step are the per-partition offsets that

@@ -12,6 +12,7 @@ mod fuse;
 mod ops_misc;
 mod ops_narrow;
 mod ops_wide;
+mod shuffle;
 
 pub use ops_narrow::WorkEstimate;
 pub use ops_wide::{JoinAlgorithm, Joined};

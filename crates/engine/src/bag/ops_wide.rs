@@ -4,67 +4,28 @@
 //! Every wide operator charges: map-side serialization + network transfer
 //! for the shuffled records, then a new stage (driver scheduling + task
 //! launch per output partition + per-record processing), and a memory check
-//! for whatever it materializes per task (hash tables, grouped values).
+//! for whatever it materializes per task (hash tables, grouped values). That
+//! protocol is [`super::shuffle`]'s: an operator here states its name, key,
+//! record sizes, map-side combine and reduce step.
 //!
 //! # Wall-clock fast path
 //!
-//! Host-side, these operators are on the zero-copy partition flow (see
-//! `DESIGN.md`): co-partitioned (narrow) branches read straight out of the
-//! shared `Arc<Vec<T>>` partitions instead of deep-copying them, shuffling
-//! branches go through the counting scatter of [`crate::partitioner`]
-//! (destinations hashed once, on the pool when large; exact-size buckets;
-//! each record moved or cloned once — a shuffle costs its records, not
-//! input partitions × output partitions), and worker-private hash tables
-//! use the deterministic [`crate::fx`] hasher; `distinct`'s reduce side
-//! dedups in place (one hash, no clone). A join ([`Joined`]) pushes
-//! each match into its caller's closure by reference: the join and the
-//! `map`/`flat_map`/`filter` after it are one node that replays the
-//! follower's charge, and no `(K, (V, W))` tuple is built. None of this
-//! changes a charge: simulated times and [`crate::StatsSnapshot`] are pinned
-//! bit-identical by `tests/golden_sim.rs` and `tests/golden_lifted.rs`.
-
-use std::sync::Arc;
+//! A reduce step reads a co-partitioned input straight out of the shared
+//! `Arc<Vec<T>>` partitions (a `Shared` batch) and owns what the counting
+//! scatter of [`crate::partitioner`] placed (an `Owned` batch: each record
+//! moved or cloned once); worker-private hash tables use the deterministic
+//! [`crate::fx`] hasher, and `distinct`'s reduce side dedups in place. A join
+//! ([`Joined`]) pushes each match into its caller's closure by reference: the
+//! join and the `map`/`flat_map`/`filter` after it are one node that replays
+//! the follower's charge, and no `(K, (V, W))` tuple is built. None of this
+//! changes a charge (`tests/golden_sim.rs`, `tests/golden_lifted.rs`).
 
 use super::fuse::{settle, ChargeRule, FusedOpMeta};
+use super::shuffle::{Input, Shuffle};
 use super::{to_parts, Bag, Partitioning};
 use crate::fx::{fx_map, fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
-use crate::map_output::MapOutputStats;
-use crate::partitioner::{scatter_by_key, scatter_shared_by_key};
 use crate::pool::parallel_map;
 use crate::types::{Data, Key};
-
-/// Record the exact per-reduce-partition map-output counts of a shuffle
-/// (the `PartitionStats` event and the partition-size peaks). Pure
-/// bookkeeping — charges nothing.
-pub(super) fn record_scatter<T>(
-    engine: &crate::Engine,
-    operator: &'static str,
-    shuffled: &[Vec<T>],
-    record_bytes: f64,
-) {
-    let counts: Vec<u64> = shuffled.iter().map(|p| p.len() as u64).collect();
-    engine.record_map_output(&MapOutputStats::from_partition_records(
-        operator,
-        counts,
-        record_bytes,
-    ));
-}
-
-/// [`record_scatter`] for a shuffle of two sides into the same reduce
-/// partitions: `sides` yields each partition's `(left, right)` record
-/// counts, and the combined load weighs each side by its own record size.
-pub(super) fn record_scatter_pair(
-    engine: &crate::Engine,
-    operator: &'static str,
-    sides: impl Iterator<Item = (usize, usize)>,
-    lbytes: f64,
-    rbytes: f64,
-) {
-    let (partition_records, partition_bytes) = sides
-        .map(|(l, r)| ((l + r) as u64, (l as f64 * lbytes + r as f64 * rbytes) as u64))
-        .unzip();
-    engine.record_map_output(&MapOutputStats { operator, partition_records, partition_bytes });
-}
 
 /// How a join should be executed. The Matryoshka optimizer (crate
 /// `matryoshka-core`) picks between these at runtime; baselines may force
@@ -102,61 +63,17 @@ impl<K: Key, V: Data> Bag<(K, V)> {
 
     /// [`Bag::group_by_key`] with an explicit output partition count.
     pub fn group_by_key_into(&self, partitions: usize) -> Bag<(K, Vec<V>)> {
-        let parent = self.clone();
-        let engine = self.engine().clone();
-        let bytes = self.record_bytes();
-        let partitions = partitions.max(1);
-        let co_partitioned = parent.partitioning() == Partitioning::HashByKey { partitions };
-        let meta = Partitioning::HashByKey { partitions };
-        Bag::new_with_partitioning(
-            engine.clone(),
-            "group_by_key",
-            bytes,
-            partitions,
-            meta,
-            move || {
-                let input = parent.eval()?;
-                if co_partitioned {
-                    // Already hash-placed by key with the right modulus: a
-                    // narrow dependency, no shuffle (Spark co-partitioning) —
-                    // and zero-copy: group straight out of the shared
-                    // partitions.
-                    let in_counts: Vec<usize> = input.iter().map(|p| p.len()).collect();
-                    let factor = engine.config().costs.materialize_factor;
-                    let working_sets: Vec<u64> =
-                        in_counts.iter().map(|&n| (n as f64 * bytes * factor) as u64).collect();
-                    engine.charge_memory("group_by_key", &working_sets)?;
-                    let out: Vec<Vec<(K, Vec<V>)>> =
-                        parallel_map(input.to_vec(), |_, p: Arc<Vec<(K, V)>>| {
-                            let mut groups: FxHashMap<K, Vec<V>> = fx_map();
-                            for (k, v) in p.iter() {
-                                groups.entry(k.clone()).or_default().push(v.clone());
-                            }
-                            groups.into_iter().collect()
-                        });
-                    engine.charge_compute(&in_counts, bytes, true)?;
-                    return Ok(to_parts(out));
-                }
-                let records: u64 = input.iter().map(|p| p.len() as u64).sum();
-                engine.charge_shuffle("group_by_key", records, bytes);
-                let shuffled = scatter_shared_by_key(&input, partitions, |r| &r.0);
-                record_scatter(&engine, "group_by_key", &shuffled, bytes);
-                let factor = engine.config().costs.materialize_factor;
-                let working_sets: Vec<u64> =
-                    shuffled.iter().map(|p| (p.len() as f64 * bytes * factor) as u64).collect();
-                engine.charge_memory("group_by_key", &working_sets)?;
-                let in_counts: Vec<usize> = shuffled.iter().map(Vec::len).collect();
-                let out: Vec<Vec<(K, Vec<V>)>> = parallel_map(shuffled, |_, part| {
-                    let mut groups: FxHashMap<K, Vec<V>> = fx_map();
-                    for (k, v) in part {
-                        groups.entry(k).or_default().push(v);
-                    }
-                    groups.into_iter().collect()
-                });
-                engine.charge_compute(&in_counts, bytes, true)?;
-                Ok(to_parts(out))
-            },
-        )
+        let (parent, bytes) = (self.clone(), self.record_bytes());
+        let shuffle = Shuffle::new(self.engine(), "group_by_key", partitions);
+        shuffle.node(bytes, shuffle.by_key(), move |s| {
+            let input = parent.eval()?;
+            let side = s.place(Input::Shared(&input), parent.partitioning(), bytes, |r| &r.0);
+            s.reduce(side, ChargeRule::Input, bytes, |batch| {
+                let mut groups: FxHashMap<K, Vec<V>> = fx_map();
+                batch.for_each(|(k, v)| groups.entry(k).or_default().push(v));
+                groups.into_iter().collect()
+            })
+        })
     }
 
     /// Merge values per key with an associative function, with map-side
@@ -190,89 +107,42 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         partial_bytes: f64,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> Bag<(K, V)> {
-        let parent = self.clone();
-        let engine = self.engine().clone();
-        let bytes = self.record_bytes();
-        let partitions = partitions.max(1);
-        let co_partitioned = parent.partitioning() == Partitioning::HashByKey { partitions };
-        let meta = Partitioning::HashByKey { partitions };
-        let f = Arc::new(f);
-        Bag::new_with_partitioning(
-            engine.clone(),
-            "reduce_by_key",
-            partial_bytes,
-            partitions,
-            meta,
-            move || {
-                let input = parent.eval()?;
-                let in_counts: Vec<usize> = input.iter().map(|p| p.len()).collect();
-                // Map-side combine.
-                let fc = Arc::clone(&f);
-                let combined: Vec<Vec<(K, V)>> =
-                    parallel_map(input.to_vec(), move |_, p: Arc<Vec<(K, V)>>| {
-                        let mut acc: FxHashMap<K, V> = fx_map_with_capacity(p.len());
-                        for (k, v) in p.iter() {
-                            match acc.get_mut(k) {
-                                Some(cur) => *cur = fc(cur, v),
-                                None => {
-                                    acc.insert(k.clone(), v.clone());
-                                }
-                            }
-                        }
-                        acc.into_iter().collect()
-                    });
-                engine.charge_compute(&in_counts, bytes, false)?;
-                let factor = engine.config().costs.materialize_factor;
-                let combine_ws: Vec<u64> = combined
-                    .iter()
-                    .map(|p| (p.len() as f64 * partial_bytes * factor) as u64)
-                    .collect();
-                engine.charge_memory("reduce_by_key(combine)", &combine_ws)?;
-                if co_partitioned {
-                    // Co-location puts every record of a key in exactly one
-                    // partition, so the map-side combine already produced the
-                    // final value per key: the reduce pass would rebuild an
-                    // identical table. Skip the rebuild host-side but charge
-                    // the reduce stage exactly as before — the *model* still
-                    // runs it.
-                    let reduce_ws: Vec<u64> = combined
-                        .iter()
-                        .map(|p| (p.len() as f64 * partial_bytes * factor) as u64)
-                        .collect();
-                    engine.charge_memory("reduce_by_key", &reduce_ws)?;
-                    let counts: Vec<usize> = combined.iter().map(Vec::len).collect();
-                    engine.charge_compute(&counts, bytes, true)?;
-                    return Ok(to_parts(combined));
-                }
-                let shuffled = {
-                    let records: u64 = combined.iter().map(|p| p.len() as u64).sum();
-                    engine.charge_shuffle("reduce_by_key", records, partial_bytes);
-                    scatter_by_key(combined, partitions, |r| &r.0)
-                };
-                record_scatter(&engine, "reduce_by_key", &shuffled, partial_bytes);
-                let reduce_ws: Vec<u64> = shuffled
-                    .iter()
-                    .map(|p| (p.len() as f64 * partial_bytes * factor) as u64)
-                    .collect();
-                engine.charge_memory("reduce_by_key", &reduce_ws)?;
-                let counts: Vec<usize> = shuffled.iter().map(Vec::len).collect();
-                let fr = Arc::clone(&f);
-                let out: Vec<Vec<(K, V)>> = parallel_map(shuffled, move |_, part| {
-                    let mut acc: FxHashMap<K, V> = fx_map();
-                    for (k, v) in part {
-                        match acc.get_mut(&k) {
-                            Some(cur) => *cur = fr(cur, &v),
+        let (parent, bytes) = (self.clone(), self.record_bytes());
+        let shuffle = Shuffle::new(self.engine(), "reduce_by_key", partitions);
+        shuffle.node(partial_bytes, shuffle.by_key(), move |s| {
+            let input = parent.eval()?;
+            let combined =
+                s.combine(&input, "reduce_by_key(combine)", bytes, partial_bytes, |p| {
+                    let mut acc: FxHashMap<K, V> = fx_map_with_capacity(p.len());
+                    for (k, v) in p {
+                        match acc.get_mut(k) {
+                            Some(cur) => *cur = f(cur, v),
                             None => {
-                                acc.insert(k, v);
+                                acc.insert(k.clone(), v.clone());
                             }
                         }
                     }
                     acc.into_iter().collect()
+                })?;
+            let side =
+                s.place(Input::Owned(combined), parent.partitioning(), partial_bytes, |r| &r.0);
+            // Co-located input left one partial per key, already final: only
+            // scattered partials merge again (the model charges both alike).
+            let merge = side.scattered;
+            s.reduce(side, ChargeRule::Input, bytes, |batch| {
+                if !merge {
+                    return batch.into_vec();
+                }
+                let mut acc: FxHashMap<K, V> = fx_map();
+                batch.for_each(|(k, v)| match acc.get_mut(&k) {
+                    Some(cur) => *cur = f(cur, &v),
+                    None => {
+                        acc.insert(k, v);
+                    }
                 });
-                engine.charge_compute(&counts, bytes, true)?;
-                Ok(to_parts(out))
-            },
-        )
+                acc.into_iter().collect()
+            })
+        })
     }
 
     /// Repartition (shuffle) equi-join.
@@ -311,57 +181,29 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         Joined { left: self.clone(), right: other.clone(), partitions: Some(partitions.max(1)) }
     }
 
-    /// Group both sides by key (Spark `cogroup`).
+    /// Group both sides by key (Spark `cogroup`). Both sides are shuffled,
+    /// whatever their placement.
     pub fn co_group<W: Data>(&self, other: &Bag<(K, W)>) -> Bag<(K, (Vec<V>, Vec<W>))> {
         assert!(self.engine().same_as(other.engine()), "co_group of bags from different engines");
-        let partitions = self.num_partitions().max(other.num_partitions()).max(1);
-        let left = self.clone();
-        let right = other.clone();
-        let engine = self.engine().clone();
-        let lbytes = self.record_bytes();
-        let rbytes = other.record_bytes();
-        Bag::new_with_partitioning(
-            engine.clone(),
-            "co_group",
-            lbytes + rbytes,
-            partitions,
-            Partitioning::Arbitrary,
-            move || {
-                let lp = left.eval()?;
-                let rp = right.eval()?;
-                let lrecords: u64 = lp.iter().map(|p| p.len() as u64).sum();
-                let rrecords: u64 = rp.iter().map(|p| p.len() as u64).sum();
-                engine.charge_shuffle("co_group", lrecords, lbytes);
-                engine.charge_shuffle("co_group", rrecords, rbytes);
-                let ls = scatter_shared_by_key(&lp, partitions, |r| &r.0);
-                let rs = scatter_shared_by_key(&rp, partitions, |r| &r.0);
-                let sides = ls.iter().zip(&rs).map(|(l, r)| (l.len(), r.len()));
-                record_scatter_pair(&engine, "co_group", sides, lbytes, rbytes);
-                let factor = engine.config().costs.materialize_factor;
-                let ws: Vec<u64> = ls
-                    .iter()
-                    .zip(rs.iter())
-                    .map(|(l, r)| {
-                        ((l.len() as f64 * lbytes + r.len() as f64 * rbytes) * factor) as u64
-                    })
-                    .collect();
-                engine.charge_memory("co_group", &ws)?;
-                let zipped: Vec<(Vec<(K, V)>, Vec<(K, W)>)> = ls.into_iter().zip(rs).collect();
-                let out: Vec<Vec<(K, (Vec<V>, Vec<W>))>> = parallel_map(zipped, |_, (l, r)| {
-                    let mut table: FxHashMap<K, (Vec<V>, Vec<W>)> = fx_map();
-                    for (k, v) in l {
-                        table.entry(k).or_default().0.push(v);
-                    }
-                    for (k, w) in r {
-                        table.entry(k).or_default().1.push(w);
-                    }
-                    table.into_iter().collect()
-                });
-                let counts: Vec<usize> = out.iter().map(Vec::len).collect();
-                engine.charge_compute(&counts, lbytes + rbytes, true)?;
-                Ok(to_parts(out))
-            },
-        )
+        let (left, right) = (self.clone(), other.clone());
+        let (lbytes, rbytes) = (self.record_bytes(), other.record_bytes());
+        let partitions = self.num_partitions().max(other.num_partitions());
+        let shuffle = Shuffle::new(self.engine(), "co_group", partitions);
+        let head =
+            FusedOpMeta { name: "co_group", bytes: lbytes + rbytes, charge: ChargeRule::Output };
+        shuffle.node(head.bytes, Partitioning::Arbitrary, move |s| {
+            let (lp, rp) = (left.eval()?, right.eval()?);
+            let l = s.place(Input::Shared(&lp), Partitioning::Arbitrary, lbytes, |r| &r.0);
+            let r = s.place(Input::Shared(&rp), Partitioning::Arbitrary, rbytes, |r| &r.0);
+            s.reduce_pair("co_group", (l, r), &[head], |l, r| {
+                let mut table: FxHashMap<K, (Vec<V>, Vec<W>)> = fx_map();
+                l.for_each(|(k, v)| table.entry(k).or_default().0.push(v));
+                r.for_each(|(k, w)| table.entry(k).or_default().1.push(w));
+                let out: Vec<_> = table.into_iter().collect();
+                let n = out.len();
+                (out, n)
+            })
+        })
     }
 
     /// Left outer equi-join (implemented over [`Bag::co_group`]).
@@ -385,31 +227,16 @@ impl<K: Key, V: Data> Bag<(K, V)> {
     /// inputs). A no-op if the bag is already hash-partitioned by key with
     /// the same partition count.
     pub fn partition_by_key(&self, partitions: usize) -> Bag<(K, V)> {
-        let partitions = partitions.max(1);
-        if self.partitioning() == (Partitioning::HashByKey { partitions }) {
+        let shuffle = Shuffle::new(self.engine(), "partition_by_key", partitions);
+        if shuffle.reuses(self.partitioning()) {
             return self.clone();
         }
-        let parent = self.clone();
-        let engine = self.engine().clone();
-        let bytes = self.record_bytes();
-        let meta = Partitioning::HashByKey { partitions };
-        Bag::new_with_partitioning(
-            engine.clone(),
-            "partition_by_key",
-            bytes,
-            partitions,
-            meta,
-            move || {
-                let input = parent.eval()?;
-                let records: u64 = input.iter().map(|p| p.len() as u64).sum();
-                engine.charge_shuffle("partition_by_key", records, bytes);
-                let shuffled = scatter_shared_by_key(&input, partitions, |r| &r.0);
-                record_scatter(&engine, "partition_by_key", &shuffled, bytes);
-                let counts: Vec<usize> = shuffled.iter().map(Vec::len).collect();
-                engine.charge_compute(&counts, bytes, true)?;
-                Ok(to_parts(shuffled))
-            },
-        )
+        let (parent, bytes) = (self.clone(), self.record_bytes());
+        shuffle.node(bytes, shuffle.by_key(), move |s| {
+            let input = parent.eval()?;
+            let side = s.place(Input::Shared(&input), parent.partitioning(), bytes, |r| &r.0);
+            s.reduce(side.streamed(), ChargeRule::Input, bytes, |batch| batch.into_vec())
+        })
     }
 }
 
@@ -453,10 +280,11 @@ impl<K: Key, V: Data, W: Data> Joined<K, V, W> {
         })
     }
 
-    /// The one node behind every shape: the plan's charges and build, a probe
-    /// that extends each output partition with `emit(k, v, w)` per match,
-    /// then [`settle`] for the compute charges of the join and of the
-    /// `followers` (`(name, rule)`, source-first) it absorbed. A follower's
+    /// The one node behind every shape: the plan's placement and build, a
+    /// probe that extends each output partition with `emit(k, v, w)` per
+    /// match, then the compute charges of the join and of the `followers`
+    /// (`(name, rule)`, source-first) it absorbed: the join is charged on its
+    /// matches, with task overhead when it read a shuffle. A follower's
     /// output has the join's record size; only `pairs` keeps the placement.
     fn node<R: Data, I: IntoIterator<Item = R>>(
         &self,
@@ -475,55 +303,31 @@ impl<K: Key, V: Data, W: Data> Joined<K, V, W> {
         let tail = followers.iter().map(|&(name, charge)| FusedOpMeta { name, charge, ..head });
         let metas: Vec<FusedOpMeta> = std::iter::once(head).chain(tail).collect();
         Bag::new_with_partitioning(engine.clone(), name, head.bytes, parts, placement, move || {
-            let per_part: Vec<(Vec<R>, usize)> = if let Some(partitions) = plan {
-                let (lp, rp) = (left.eval()?, right.eval()?);
-                let (ls, l_co) = join_side(&left, &lp, partitions);
-                let (rs, r_co) = join_side(&right, &rp, partitions);
-                if !(l_co && r_co) {
-                    let sides = ls.iter().zip(&rs).map(|(l, r)| (l.len(), r.len()));
-                    record_scatter_pair(&engine, "join", sides, lbytes, rbytes);
-                }
-                let factor = engine.config().costs.materialize_factor;
-                let build_ws: Vec<u64> =
-                    rs.iter().map(|p| (p.len() as f64 * rbytes * factor) as u64).collect();
-                engine.charge_memory("join(build)", &build_ws)?;
-                parallel_map(ls.into_iter().zip(rs).collect(), |_, (l, r)| {
-                    Multimap::build(std::slice::from_ref(&r)).probe(&l, &emit)
-                })
-            } else {
+            let Some(partitions) = plan else {
                 let rp = right.eval()?;
                 let rrecords: u64 = rp.iter().map(|p| p.len() as u64).sum();
                 engine.charge_driver_collect(rrecords, rbytes);
                 engine.charge_broadcast("broadcast_join", (rrecords as f64 * rbytes) as u64)?;
                 // Built once, over borrowed records, and probed by every task.
-                let table = Multimap::build(&rp);
-                parallel_map(left.eval()?.to_vec(), |_, l| table.probe(&l, &emit))
+                let slices: Vec<&[(K, W)]> = rp.iter().map(|p| p.as_slice()).collect();
+                let table = Multimap::build(&slices);
+                let per_part = parallel_map(left.eval()?.to_vec(), |_, l| table.probe(&l, &emit));
+                // Charged on its matches (boundaries 0 and 1), without task
+                // overhead: the probe rides the left side's stage.
+                let boundary =
+                    |pi: usize, j| if j <= 1 { per_part[pi].1 } else { per_part[pi].0.len() };
+                settle(&engine, &metas, false, per_part.len(), boundary)?;
+                return Ok(to_parts(per_part.into_iter().map(|(out, _)| out).collect()));
             };
-            // The probe is charged on its matches (boundaries 0 and 1), with
-            // task overhead when it read a shuffle; the rest are the emitted.
-            let boundary =
-                |pi: usize, j| if j <= 1 { per_part[pi].1 } else { per_part[pi].0.len() };
-            settle(&engine, &metas, plan.is_some(), per_part.len(), boundary)?;
-            Ok(to_parts(per_part.into_iter().map(|(out, _)| out).collect()))
+            let s = Shuffle::new(&engine, name, partitions);
+            let (lp, rp) = (left.eval()?, right.eval()?);
+            let l = s.place(Input::Shared(&lp), left.partitioning(), lbytes, |r| &r.0);
+            let r = s.place(Input::Shared(&rp), right.partitioning(), rbytes, |r| &r.0);
+            s.reduce_pair("join(build)", (l.streamed(), r), &metas, |l, r| {
+                Multimap::build(&[r.as_slice()]).probe(l.as_slice(), &emit)
+            })
         })
     }
-}
-
-/// One side of a repartition join, placed into `partitions`: reused as it is
-/// (refcount bumps; the flag) when already hash-placed so, else charged and
-/// scattered straight from the shared partitions. Neither deep-copies.
-fn join_side<K: Key, X: Data>(
-    side: &Bag<(K, X)>,
-    parts: &[Arc<Vec<(K, X)>>],
-    partitions: usize,
-) -> (Vec<Arc<Vec<(K, X)>>>, bool) {
-    if side.partitioning() == (Partitioning::HashByKey { partitions }) {
-        return (parts.to_vec(), true);
-    }
-    let records: u64 = parts.iter().map(|p| p.len() as u64).sum();
-    side.engine().charge_shuffle("join", records, side.record_bytes());
-    let scattered = scatter_shared_by_key(parts, partitions, |r| &r.0);
-    (scattered.into_iter().map(Arc::new).collect(), false)
 }
 
 /// Chained-index multimap over borrowed right-side records, the build side
@@ -538,7 +342,7 @@ struct Multimap<'a, K, W> {
 const NIL: u32 = u32::MAX;
 
 impl<'a, K: Key, W> Multimap<'a, K, W> {
-    fn build(parts: &'a [Arc<Vec<(K, W)>>]) -> Self {
+    fn build(parts: &[&'a [(K, W)]]) -> Self {
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert!(total < NIL as usize, "join build side exceeds u32 chain capacity");
         let mut head: FxHashMap<&K, u32> = fx_map_with_capacity(total);
@@ -587,96 +391,61 @@ impl<T: Key> Bag<T> {
     /// first removed per input partition (map-side combine), then the
     /// partial results shuffle.
     pub fn distinct_into(&self, partitions: usize) -> Bag<T> {
-        let parent = self.clone();
-        let engine = self.engine().clone();
-        let bytes = self.record_bytes();
-        let partitions = partitions.max(1);
-        Bag::new_with_partitioning(
-            engine.clone(),
-            "distinct",
-            bytes,
-            partitions,
-            Partitioning::Arbitrary,
-            move || {
-                let input = parent.eval()?;
-                let in_counts: Vec<usize> = input.iter().map(|p| p.len()).collect();
-                // Map-side dedup: the seen-set borrows from the shared partition,
-                // so each kept record is cloned exactly once.
-                let combined: Vec<Vec<T>> = parallel_map(input.to_vec(), |_, p: Arc<Vec<T>>| {
-                    let mut seen = fx_set_with_capacity(p.len());
-                    let mut out = Vec::new();
-                    for x in p.iter() {
-                        if seen.insert(x) {
-                            out.push(x.clone());
-                        }
+        let (parent, bytes) = (self.clone(), self.record_bytes());
+        let shuffle = Shuffle::new(self.engine(), "distinct", partitions);
+        shuffle.node(bytes, Partitioning::Arbitrary, move |s| {
+            let input = parent.eval()?;
+            // Map-side dedup: the seen-set borrows from the shared partition,
+            // so each kept record is cloned exactly once.
+            let combined = s.combine(&input, "distinct(combine)", bytes, bytes, |p| {
+                let mut seen = fx_set_with_capacity(p.len());
+                let mut out = Vec::new();
+                for x in p {
+                    if seen.insert(x) {
+                        out.push(x.clone());
                     }
-                    out
-                });
-                engine.charge_compute(&in_counts, bytes, false)?;
-                let factor = engine.config().costs.materialize_factor;
-                let combine_ws: Vec<u64> =
-                    combined.iter().map(|p| (p.len() as f64 * bytes * factor) as u64).collect();
-                engine.charge_memory("distinct(combine)", &combine_ws)?;
-                let records: u64 = combined.iter().map(|p| p.len() as u64).sum();
-                engine.charge_shuffle("distinct", records, bytes);
-                // Whole-record keys: the shuffle is the ordinary by-key scatter.
-                let shuffled = scatter_by_key(combined, partitions, |rec| rec);
-                record_scatter(&engine, "distinct", &shuffled, bytes);
-                let ws: Vec<u64> =
-                    shuffled.iter().map(|p| (p.len() as f64 * bytes * factor) as u64).collect();
-                engine.charge_memory("distinct", &ws)?;
-                let in_counts: Vec<usize> = shuffled.iter().map(Vec::len).collect();
-                // In place: the set borrows from the owned partition.
-                let out: Vec<Vec<T>> = parallel_map(shuffled, |_, mut part| {
-                    let mut first = {
-                        let mut seen = fx_set_with_capacity(part.len());
-                        part.iter().map(|x| seen.insert(x)).collect::<Vec<bool>>().into_iter()
-                    };
-                    part.retain(|_| first.next().expect("one flag per record"));
-                    part
-                });
-                engine.charge_compute(&in_counts, bytes, true)?;
-                Ok(to_parts(out))
-            },
-        )
+                }
+                out
+            })?;
+            // Whole-record keys, which no `Partitioning` describes: always
+            // scattered.
+            let side = s.place(Input::Owned(combined), Partitioning::Arbitrary, bytes, |rec| rec);
+            // In place: the set borrows from the owned partition.
+            s.reduce(side, ChargeRule::Input, bytes, |batch| {
+                let mut part = batch.into_vec();
+                let mut first = {
+                    let mut seen = fx_set_with_capacity(part.len());
+                    part.iter().map(|x| seen.insert(x)).collect::<Vec<bool>>().into_iter()
+                };
+                part.retain(|_| first.next().expect("one flag per record"));
+                part
+            })
+        })
     }
 }
 
 impl<T: Data> Bag<T> {
     /// Round-robin shuffle into `n` partitions (Spark `repartition`).
     pub fn repartition(&self, n: usize) -> Bag<T> {
-        let parent = self.clone();
-        let engine = self.engine().clone();
-        let bytes = self.record_bytes();
-        let n = n.max(1);
-        Bag::new_with_partitioning(
-            engine.clone(),
-            "repartition",
-            bytes,
-            n,
-            Partitioning::Arbitrary,
-            move || {
-                let input = parent.eval()?;
-                let records: u64 = input.iter().map(|p| p.len() as u64).sum();
-                engine.charge_shuffle("repartition", records, bytes);
-                // Round-robin: bucket `i` receives exactly this many records.
-                let total = records as usize;
-                let mut out: Vec<Vec<T>> = (0..n)
-                    .map(|i| Vec::with_capacity(total / n + usize::from(i < total % n)))
-                    .collect();
-                let mut i = 0usize;
-                for p in input.iter() {
-                    for rec in p.iter() {
-                        out[i % n].push(rec.clone());
-                        i += 1;
-                    }
+        let (parent, bytes, n) = (self.clone(), self.record_bytes(), n.max(1));
+        let shuffle = Shuffle::new(self.engine(), "repartition", n);
+        shuffle.node(bytes, Partitioning::Arbitrary, move |s| {
+            let input = parent.eval()?;
+            // Round-robin: bucket `i` receives exactly this many records.
+            let total: usize = input.iter().map(|p| p.len()).sum();
+            let mut out: Vec<Vec<T>> = (0..n)
+                .map(|i| Vec::with_capacity(total / n + usize::from(i < total % n)))
+                .collect();
+            let mut i = 0usize;
+            for p in input.iter() {
+                for rec in p.iter() {
+                    out[i % n].push(rec.clone());
+                    i += 1;
                 }
-                record_scatter(&engine, "repartition", &out, bytes);
-                let counts: Vec<usize> = out.iter().map(Vec::len).collect();
-                engine.charge_compute(&counts, bytes, true)?;
-                Ok(to_parts(out))
-            },
-        )
+            }
+            let side = s.scattered(total, bytes, out).streamed();
+            s.reduce(side, ChargeRule::Input, bytes, |batch| batch.into_vec())
+        })
     }
 }
 
@@ -897,18 +666,14 @@ mod tests {
         let r = e.parallelize((0..50u32).map(|i| (i % 5, i)).collect::<Vec<_>>(), 2);
         l.join_into(4, &r).count().unwrap();
         assert_eq!(partition_stats(&e), vec![("join", 4, 150)], "both sides counted");
-        // The shuffling operators of `ops_misc.rs`: exactly one event per
-        // operator, both sides counted (output partitions = the wider side).
+        // Exactly one event per shuffling operator; a two-sided one counts
+        // both sides (output partitions = the wider side).
         let e = traced();
-        let a = e.parallelize((0..100u32).collect::<Vec<_>>(), 4);
-        let b = e.parallelize((50..80u32).collect::<Vec<_>>(), 2);
-        a.subtract(&b).count().unwrap();
-        a.intersection(&b).count().unwrap();
+        let a = e.parallelize((0..100u32).map(|i| (i, i)).collect::<Vec<_>>(), 4);
+        let b = e.parallelize((50..80u32).map(|i| (i, i)).collect::<Vec<_>>(), 2);
+        a.co_group(&b).count().unwrap();
         a.sort_by(3, |x| *x).count().unwrap();
-        assert_eq!(
-            partition_stats(&e),
-            vec![("subtract", 4, 130), ("intersection", 4, 130), ("sort_by", 3, 100)]
-        );
+        assert_eq!(partition_stats(&e), vec![("co_group", 4, 130), ("sort_by", 3, 100)]);
     }
 
     #[test]

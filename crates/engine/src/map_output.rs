@@ -19,17 +19,6 @@ pub struct MapOutputStats {
 }
 
 impl MapOutputStats {
-    /// Build stats from the scattered partitions' record counts and the
-    /// modeled per-record size.
-    pub fn from_partition_records(
-        operator: &'static str,
-        records: Vec<u64>,
-        record_bytes: f64,
-    ) -> Self {
-        let bytes = records.iter().map(|&n| (n as f64 * record_bytes) as u64).collect();
-        MapOutputStats { operator, partition_records: records, partition_bytes: bytes }
-    }
-
     /// Number of reduce partitions.
     pub fn partitions(&self) -> usize {
         self.partition_bytes.len()
@@ -78,8 +67,10 @@ impl MapOutputStats {
 mod tests {
     use super::*;
 
+    /// Records of 10 bytes each.
     fn stats(records: &[u64]) -> MapOutputStats {
-        MapOutputStats::from_partition_records("test", records.to_vec(), 10.0)
+        let partition_bytes = records.iter().map(|n| n * 10).collect();
+        MapOutputStats { operator: "test", partition_records: records.to_vec(), partition_bytes }
     }
 
     #[test]

@@ -189,30 +189,6 @@ fn distinct_into_is_the_naive_first_occurrence_loop() {
 }
 
 #[test]
-fn subtract_and_intersection_match_sets() {
-    for seed in 0..SEEDS {
-        let mut g = Gen::new(seed ^ 0xE5);
-        let a: Vec<u16> = (0..g.len(120)).map(|_| g.below(40) as u16).collect();
-        let b: Vec<u16> = (0..g.len(120)).map(|_| g.below(40) as u16).collect();
-        let e = engine();
-        let ba = e.parallelize(a.clone(), 4);
-        let bb = e.parallelize(b.clone(), 3);
-        let bset: HashSet<u16> = b.iter().copied().collect();
-
-        let mut sub = ba.subtract(&bb).collect().unwrap();
-        sub.sort_unstable();
-        let mut expect_sub: Vec<u16> = a.iter().copied().filter(|x| !bset.contains(x)).collect();
-        expect_sub.sort_unstable();
-        assert_eq!(sub, expect_sub, "seed {seed}");
-
-        let inter: HashSet<u16> = ba.intersection(&bb).collect().unwrap().into_iter().collect();
-        let aset: HashSet<u16> = a.into_iter().collect();
-        let expect_inter: HashSet<u16> = aset.intersection(&bset).copied().collect();
-        assert_eq!(inter, expect_inter, "seed {seed}");
-    }
-}
-
-#[test]
 fn sort_by_is_a_permutation_in_order() {
     for seed in 0..SEEDS {
         let mut g = Gen::new(seed ^ 0xF6);
@@ -310,33 +286,5 @@ fn memoization_never_recharges() {
             e.config().costs.job_launch,
             "second action costs one job launch (seed {seed})"
         );
-    }
-}
-
-#[test]
-fn aggregate_by_key_matches_manual() {
-    for seed in 0..SEEDS {
-        let mut g = Gen::new(seed ^ 0x5B);
-        let data = g.pairs(200);
-        let e = engine();
-        let got = e
-            .parallelize(data.clone(), 4)
-            .aggregate_by_key(
-                (0i64, 0u64),
-                |z, v| (z.0 + v, z.1 + 1),
-                |a, b| (a.0 + b.0, a.1 + b.1),
-            )
-            .collect()
-            .unwrap();
-        let mut expect: HashMap<u8, (i64, u64)> = HashMap::new();
-        for (k, v) in &data {
-            let ent = expect.entry(*k).or_insert((0, 0));
-            ent.0 += v;
-            ent.1 += 1;
-        }
-        assert_eq!(got.len(), expect.len(), "seed {seed}");
-        for (k, acc) in got {
-            assert_eq!(expect.get(&k), Some(&acc), "seed {seed}");
-        }
     }
 }

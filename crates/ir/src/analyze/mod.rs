@@ -354,26 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_with_lifted_captures_is_rejected() {
-        let e = Expr::Map(
-            Box::new(Expr::GroupByKey(Box::new(Expr::Source("xs".into())))),
-            Lambda::new(
-                "g",
-                Expr::let_(
-                    "n",
-                    Expr::Count(Box::new(Expr::proj(Expr::var("g"), 1))),
-                    Expr::Count(Box::new(Expr::FlatMapTuple(
-                        Box::new(Expr::proj(Expr::var("g"), 1)),
-                        Lambda::new("v", Expr::Tuple(vec![Expr::var("v"), Expr::var("n")])),
-                    ))),
-                ),
-            ),
-        );
-        let errs = errors_of(&e, &["xs"]);
-        assert!(errs.contains(&codes::INNER_BAG_ESCAPE), "{errs:?}");
-    }
-
-    #[test]
     fn fold_zero_must_not_be_lifted() {
         let e = Expr::Map(
             Box::new(Expr::GroupByKey(Box::new(Expr::Source("xs".into())))),

@@ -904,36 +904,23 @@ impl<'a> Checker<'a> {
         let names = super::captures::capture_names(&l.body, &[&l.param]);
         let mut captures = Vec::with_capacity(names.len());
         for name in names {
-            let Some((ty, bind_level)) = self.peek(&name) else {
+            let Some((ty, _)) = self.peek(&name) else {
                 // Unbound: MAT001 was reported while inferring the body.
                 captures.push((name, Ty::Unknown));
                 continue;
             };
-            if !bag_launching {
-                // Leaf UDFs run as pure closures: they may only capture
-                // scalars. (Lifted-scalar captures are fine for map/filter
-                // via mapWithClosure; flatMap has no lifted variant.)
-                if ty.is_baggy() {
-                    self.error(
-                        codes::INNER_BAG_ESCAPE,
-                        sp,
-                        format!(
-                            "the {op} UDF closure captures {ty} (`{name}`); only scalars can \
-                             be captured by leaf UDFs"
-                        ),
-                        &l.body,
-                    );
-                } else if op == "flatMap" && bind_level >= 1 {
-                    self.error(
-                        codes::INNER_BAG_ESCAPE,
-                        sp,
-                        format!(
-                            "the flatMap UDF closure captures the lifted value `{name}`; \
-                             flatMap with lifted closures is not supported in the IR dialect"
-                        ),
-                        &l.body,
-                    );
-                }
+            // Leaf UDFs run as pure closures: they may only capture scalars.
+            // (Lifted-scalar captures lower to a tag join, mapWithClosure.)
+            if !bag_launching && ty.is_baggy() {
+                self.error(
+                    codes::INNER_BAG_ESCAPE,
+                    sp,
+                    format!(
+                        "the {op} UDF closure captures {ty} (`{name}`); only scalars can be \
+                         captured by leaf UDFs"
+                    ),
+                    &l.body,
+                );
             }
             captures.push((name, ty));
         }

@@ -24,7 +24,7 @@
 //! 3. **Constant folding** — capture-only subexpressions (closure constants
 //!    are inlined as literals at compile time) fold to single constants,
 //!    guarded so that folding can never turn a lazily-avoided runtime error
-//!    or a debug-mode overflow panic into a compile-time one.
+//!    (a `Long` overflow among them) into a compile-time one.
 //! 4. **Shape fast paths** — projection chains off a slot (`v.0.1`) walk by
 //!    reference and clone once ([`crate::Value::proj_ref`]); statically
 //!    `Long`/`Double` arithmetic (typed via [`ScalarKind`], the
@@ -215,11 +215,9 @@ impl Op {
             Op::Bin(op, a, b) => apply_bin(*op, &a.run(frame)?, &b.run(frame)?)?,
             Op::Cmp(op, a, b) => Value::Bool(compare(*op, &a.run(frame)?, &b.run(frame)?)?),
             Op::LongArith(op, a, b) => match (a.run(frame)?, b.run(frame)?) {
-                (Value::Long(x), Value::Long(y)) => Value::Long(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    _ => x * y,
-                }),
+                // Returned as is: re-wrapping it with `?` grew this
+                // recursive function's frame and cost `mat_udf` about 5 %.
+                (Value::Long(x), Value::Long(y)) => return Value::long_arith(*op, x, y),
                 // The static `Long` guarantee is belt-and-braces: fall back
                 // to the generic operator so a refinement bug can only cost
                 // speed, never change a result.
@@ -300,35 +298,15 @@ struct Compiler<'a> {
     next_slot: usize,
 }
 
-/// Folding a `Long` arithmetic constant is only safe when it provably
-/// cannot overflow (a debug-build overflow must keep panicking at *run*
-/// time, per record, exactly like the interpreter — not at compile time,
-/// where even a never-evaluated UDF over an empty bag would trip it).
-fn fold_safe_long(v: &Value) -> bool {
-    match v {
-        Value::Long(x) => x.unsigned_abs() < (1 << 31),
-        _ => true,
-    }
-}
-
 /// Fold an op whose operands are all constants into a constant, unless
-/// evaluation fails (keep the op: the error must stay lazy) or a `Long`
-/// operand is large enough that debug-overflow semantics could differ.
+/// evaluation fails: then keep the op, so the error stays lazy.
 fn try_fold(op: Op) -> Op {
     let foldable = match &op {
         Op::Tuple(items) => items.iter().all(|x| x.as_const().is_some()),
-        Op::Proj(x, _) => x.as_const().is_some(),
-        Op::Bin(b, x, y) | Op::Cmp(b, x, y) | Op::LongArith(b, x, y) | Op::DoubleArith(b, x, y) => {
-            let arith = matches!(b, BinOp::Add | BinOp::Sub | BinOp::Mul);
-            match (x.as_const(), y.as_const()) {
-                (Some(xv), Some(yv)) => !arith || (fold_safe_long(xv) && fold_safe_long(yv)),
-                _ => false,
-            }
+        Op::Proj(x, _) | Op::Un(_, x) => x.as_const().is_some(),
+        Op::Bin(_, x, y) | Op::Cmp(_, x, y) | Op::LongArith(_, x, y) | Op::DoubleArith(_, x, y) => {
+            x.as_const().is_some() && y.as_const().is_some()
         }
-        Op::Un(u, x) => match x.as_const() {
-            Some(xv) => !matches!(u, UnOp::Neg) || fold_safe_long(xv),
-            None => false,
-        },
         _ => false,
     };
     if foldable {

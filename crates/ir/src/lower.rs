@@ -230,11 +230,7 @@ fn eval_pure_loop<'a>(
 pub fn apply_bin(op: BinOp, a: &Value, b: &Value) -> IrResult<Value> {
     Ok(match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul => match (a, b) {
-            (Value::Long(x), Value::Long(y)) => Value::Long(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                _ => x * y,
-            }),
+            (Value::Long(x), Value::Long(y)) => Value::long_arith(op, *x, *y)?,
             _ => {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
                 Value::Double(match op {
@@ -266,7 +262,7 @@ pub fn apply_un(op: UnOp, a: &Value) -> IrResult<Value> {
     Ok(match op {
         UnOp::Not => Value::Bool(!a.as_bool()?),
         UnOp::Neg => match a {
-            Value::Long(x) => Value::Long(-x),
+            Value::Long(x) => Value::long_arith(BinOp::Sub, 0, *x)?,
             _ => Value::Double(-a.as_f64()?),
         },
         UnOp::ToDouble => Value::Double(a.as_f64()?),
@@ -673,17 +669,24 @@ impl Lowering {
             Expr::FlatMapTuple(input, udf) => {
                 let input = ev(input)?;
                 match (input, self.leaf_udf(udf, env)?) {
-                    (_, (_, Some(_))) => {
-                        return Err(IrError::Unsupported(
-                            "flatMap with lifted closures is not supported in the IR dialect"
-                                .into(),
-                        ))
-                    }
                     (Val::Bag(b), (f, None)) => {
                         Val::Bag(b.flat_map(move |v| f.eval1(v).expect(UDF_OK).splat_tuple()))
                     }
                     (Val::InnerBag(b), (f, None)) => {
                         Val::InnerBag(b.flat_map(move |v| f.eval1(v).expect(UDF_OK).splat_tuple()))
+                    }
+                    // flatMapWithClosure: a tag join, as for `map`.
+                    (Val::InnerBag(b), (f, Some(c))) => {
+                        Val::InnerBag(b.flat_map_with_scalar(&c, move |v, c| {
+                            f.eval_with_combined(v, c).expect(UDF_OK).splat_tuple()
+                        }))
+                    }
+                    // Half-lifted: the cross product emits, per tag, what
+                    // its closure values make of each record.
+                    (Val::Bag(b), (f, Some(c))) => {
+                        Val::InnerBag(c.cross_with_bag(&b, move |_, c, p| {
+                            f.eval_with_combined(p, c).expect(UDF_OK).splat_tuple()
+                        })?)
                     }
                     (other, _) => return Err(no_cell("flatMap", &other)),
                 }

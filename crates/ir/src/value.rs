@@ -10,6 +10,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use crate::ast::BinOp;
 use crate::error::{IrError, IrResult};
 
 /// A datum of the embedded language: scalars and tuples. Bags are *not*
@@ -110,6 +111,30 @@ impl Value {
             _ => Ok(self.as_f64()?.partial_cmp(&other.as_f64()?)),
         }
     }
+
+    /// The language's `Long` `+`, `-` and `*` (`op`; negation is `0 - x`),
+    /// the same in every build profile: an overflow is an error naming the
+    /// operation, never a panic or a wrapped value.
+    #[inline]
+    pub(crate) fn long_arith(op: BinOp, x: i64, y: i64) -> IrResult<Value> {
+        let result = match op {
+            BinOp::Add => x.checked_add(y),
+            BinOp::Sub => x.checked_sub(y),
+            _ => x.checked_mul(y),
+        };
+        match result {
+            Some(v) => Ok(Value::Long(v)),
+            None => Err(long_overflow(op, x, y)),
+        }
+    }
+}
+
+/// Out of line: `long_arith` sits in the UDF evaluator's recursive hot loop,
+/// which pays for every byte of its stack frame.
+#[cold]
+#[inline(never)]
+fn long_overflow(op: BinOp, x: i64, y: i64) -> IrError {
+    IrError::Type(format!("Long overflow in {x} {} {y}", op.symbol()))
 }
 
 impl PartialEq for Value {

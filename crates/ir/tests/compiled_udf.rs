@@ -147,8 +147,8 @@ impl Gen {
 
 type Outcome = Result<Result<Value, String>, ()>;
 
-/// Evaluate with panics captured (debug-mode arithmetic overflow must
-/// happen on both sides or neither).
+/// Evaluate with panics captured (a panic must happen on both sides or
+/// neither).
 fn capture(f: impl FnOnce() -> Result<Value, matryoshka_ir::IrError>) -> Outcome {
     catch_unwind(AssertUnwindSafe(f)).map(|r| r.map_err(|e| e.to_string())).map_err(|_| ())
 }
@@ -204,7 +204,7 @@ fn differential_case(seed: u64, depth: u32) {
 
 #[test]
 fn compiled_matches_interpreter_on_random_trees() {
-    // Keep panics from the expected overflow/type-error cases quiet.
+    // Keep panics from the expected type-error cases quiet.
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let run = catch_unwind(|| {
@@ -286,4 +286,62 @@ fn lowering_results_identical_compiled_vs_interpreted() {
         })
         .collect();
     assert_eq!(compiled, interpreted);
+}
+
+/// `Long` overflow is one defined error in every build profile (`ci.sh` runs
+/// this test in release too): `i64::MAX + 1`, `-(i64::MIN)` and
+/// `i64::MIN * -1` fail alike at driver level, inside a compiled UDF — as an
+/// unfoldable constant, over a parameter and over a statically `Long` loop
+/// variable — and in the interpreter.
+#[test]
+fn long_overflow_is_one_error_in_every_entry_point() {
+    let (max, min) = (Expr::long(i64::MAX), Expr::long(i64::MIN));
+    let neg = |x: Expr| Expr::Un(UnOp::Neg, Box::new(x));
+    // `loop (i = start) while i cond 0 do (step(i)) yield i`: `i` stays
+    // `Long`, so the step runs on the compiler's typed arithmetic path.
+    let looped = |start: i64, cond: BinOp, step: Expr| Expr::Loop {
+        init: vec![("i".into(), Expr::long(start))],
+        cond: Box::new(Expr::bin(cond, Expr::var("i"), Expr::long(0))),
+        step: vec![step],
+        result: Box::new(Expr::var("i")),
+    };
+    let cases = [
+        (
+            "Long overflow in 9223372036854775807 + 1",
+            Expr::bin(BinOp::Add, max, Expr::long(1)),
+            Expr::bin(BinOp::Add, Expr::var("v"), Expr::long(1)),
+            Value::Long(i64::MAX),
+            looped(i64::MAX - 1, BinOp::Gt, Expr::bin(BinOp::Add, Expr::var("i"), Expr::long(1))),
+        ),
+        (
+            "Long overflow in 0 - -9223372036854775808",
+            neg(min.clone()),
+            neg(Expr::var("v")),
+            Value::Long(i64::MIN),
+            looped(i64::MIN, BinOp::Lt, neg(Expr::var("i"))),
+        ),
+        (
+            "Long overflow in -9223372036854775808 * -1",
+            Expr::bin(BinOp::Mul, min, Expr::long(-1)),
+            Expr::bin(BinOp::Mul, Expr::var("v"), Expr::long(-1)),
+            Value::Long(i64::MIN),
+            looped(i64::MIN, BinOp::Lt, Expr::bin(BinOp::Mul, Expr::var("i"), Expr::long(-1))),
+        ),
+    ];
+    for (message, constant, over_v, v, over_loop) in cases {
+        let want = format!("type error: {message}");
+        let parsed = parsing_phase(&constant, &[], Dialect::Matryoshka).unwrap();
+        let driver = Lowering::new(Engine::local(), MatryoshkaConfig::optimized())
+            .run(&parsed, &HashMap::new())
+            .expect_err("driver level");
+        assert_eq!(driver.to_string(), want);
+        let env = HashMap::from([("v".to_string(), v.clone())]);
+        for body in [constant, over_v, over_loop] {
+            let compiled = CompiledUdf::new(&Arc::new(body.clone()), &["v"], HashMap::new(), false);
+            let got = compiled.eval1(&v).expect_err("compiled");
+            assert_eq!(got.to_string(), want, "compiled {body:?}");
+            let got = eval_pure(&body, &env).expect_err("interpreted");
+            assert_eq!(got.to_string(), want, "eval_pure {body:?}");
+        }
+    }
 }

@@ -320,6 +320,60 @@ fn lifted_join_through_the_ir() {
     assert_eq!(out, vec![Value::Long(1), Value::Long(2)]);
 }
 
+/// `flatMap` whose UDF captures a lifted scalar (flatMapWithClosure, Sec.
+/// 5.2): each group's elements are emitted next to the group's size,
+/// checked against a per-group sequential reference.
+#[test]
+fn flat_map_with_lifted_captures_runs() {
+    let xs = [(1, 10), (1, 20), (1, 30), (2, 40), (3, 5), (3, 6)];
+    let emitted = || {
+        Expr::FlatMapTuple(
+            Box::new(Expr::proj(Expr::var("g"), 1)),
+            Lambda::new("v", Expr::Tuple(vec![Expr::var("v"), Expr::var("n")])),
+        )
+    };
+    let program = Expr::Map(
+        Box::new(Expr::GroupByKey(Box::new(Expr::Source("xs".into())))),
+        Lambda::new(
+            "g",
+            Expr::let_(
+                "n",
+                Expr::Count(Box::new(Expr::proj(Expr::var("g"), 1))),
+                Expr::Tuple(vec![
+                    Expr::proj(Expr::var("g"), 0),
+                    Expr::Count(Box::new(emitted())),
+                    Expr::Fold(
+                        Box::new(emitted()),
+                        Box::new(Expr::long(0)),
+                        Lambda2::new(
+                            "a",
+                            "b",
+                            Expr::bin(BinOp::Add, Expr::var("a"), Expr::var("b")),
+                        ),
+                    ),
+                ]),
+            ),
+        ),
+    );
+
+    let mut want = Vec::new();
+    for k in [1, 2, 3] {
+        let group: Vec<i64> = xs.iter().filter(|x| x.0 == k).map(|x| x.1).collect();
+        let n = group.len() as i64;
+        let out: Vec<i64> = group.iter().flat_map(|&v| [v, n]).collect();
+        want.push(Value::tuple(vec![
+            Value::Long(k),
+            Value::Long(out.len() as i64),
+            Value::Long(out.iter().sum()),
+        ]));
+    }
+
+    let e = Engine::local();
+    let bag =
+        e.parallelize(xs.iter().map(|&(k, v)| pair(Value::Long(k), Value::Long(v))).collect(), 2);
+    assert_eq!(bag_of(run(&program, vec![("xs", bag)], &e)), want);
+}
+
 /// Parse `src`, run it over `xs` (one source, `(key, value)` pairs) and
 /// return the sorted result bag.
 fn run_text(src: &str, xs: &[(i64, i64)]) -> Vec<Value> {
@@ -422,6 +476,10 @@ const OPERATOR_TABLE: &[(&str, fn(&Group) -> i64)] = &[
         g.b.iter().filter(|p| p.0 < g.n).count() as i64
     }),
     ("count(flatMap({B}, p => (p.0, p.1)))", |g| 2 * g.b.len() as i64),
+    // flatMapWithClosure: a tag join over `g.1`, a cross product over a flat bag.
+    ("let n = count(g.1) in fold(flatMap({B}, p => (p.1, p.1 * n)), {SUM})", |g| {
+        sum(g.b.iter().map(|p| p.1 + p.1 * g.n))
+    }),
     ("fold(map(reduceByKey({B}, (a, b) => a + b), p => p.0 * p.1), {SUM})", |g| {
         sum(g.b.iter().map(|p| p.0 * p.1))
     }),

@@ -19,6 +19,11 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== Long overflow is one error in the release profile too"
+# Debug builds check integer overflow and release builds wrap; the language
+# defines its own, so the test must pass under both.
+cargo test -q --release -p matryoshka-ir --test compiled_udf long_overflow
+
 echo "== benchmark builds and smoke-runs against these crates (benchmark/check.sh)"
 # benchmark/ is its own workspace, so nothing above compiles it: a changed
 # `pub` signature in a crate it names would otherwise go unnoticed until
@@ -90,18 +95,33 @@ echo "== deleted switches stay deleted"
 # the substrate" (only the names that cannot collide with a std method); a
 # committed BENCH_*.json is a golden file `cargo test -p matryoshka-bench`
 # regenerates (no JSON reader, row contract, sweep flag, output override or
-# CSV dump beside it); a `pub` item nothing calls is deleted. The patterns are
-# split so this file does not match itself.
+# CSV dump beside it); a `pub` item nothing calls is deleted, and so is a
+# lifted operator nothing calls. The patterns are split so this file does not
+# match itself; the set operators are matched by definition, which misses
+# std's `HashSet::intersection` and the word "subtracts".
 if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace_''report|stats\.add''_' \
   -e 'Adaptive''Config|adaptive_''coalesce|adaptive_''tag_join|adaptive_''skew_salt|BENCH_''skew|MAT0''92|map_output_''history' \
   -e 'make_''buckets|merge_''bucket_sets' \
   -e 'top_k''_by|sum''_f64|count_by''_key|full_outer''_join|right_outer''_join|join''_with' \
   -e '\bJs''on\b|validate''_rows|Row''Spec|Row''View|RECOVERY''_ROWS|SERVICE''_ROWS|bench/src/sweep''\.rs' \
   -e '_sweep( --)? --(smo''ke|vali''date)|BENCH_RECOVERY''_OUT|BENCH_SERVICE''_OUT|print''_csv|MATRYOSHKA''_CSV' \
-  -e 'disable''_tracing|cancel''_requested|fx''_set\b|flat_map_with''_scalar|is_empty''_scalar|lift_flat''_bag' \
+  -e 'disable''_tracing|cancel''_requested|fx''_set\b|is_empty''_scalar|lift_flat''_bag' \
+  -e 'core/src/splitting''\.rs|fn group''_by\b|fn join''_by\b|flat_map_via''_split|fn sum''_by\b|fn mean''_by\b' \
+  -e 'flatten''_pairs|group''_sizes|fn lifted''_if\b|fn sub''tract\b|fn inter''section\b|scatter_by''_value' \
+  -e 'aggregate''_by_key|from_partition''_records|fold_safe''_long' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2
+  exit 1
+fi
+# A shuffle is written once: only `bag/shuffle.rs` charges, places or
+# records one, or memory-checks a wide operator's working sets. The one
+# memory check elsewhere is `map_with_work`'s (`ops_narrow.rs`), which
+# prices what its UDF reports.
+if grep -rnE 'charge_shuffle\(|record_map_output\(|record_scatter|materialize_factor|scatter_(shared_)?by_key\(' \
+    crates/engine/src/bag --exclude=shuffle.rs \
+  || grep -rnE 'charge_memory\(' crates/engine/src/bag --exclude=shuffle.rs --exclude=ops_narrow.rs; then
+  echo "a shuffle is charged, placed or memory-checked outside bag/shuffle.rs (see above)" >&2
   exit 1
 fi
 # A `Value` tuple is one heap object, `Arc<[Value]>`. Code only:
