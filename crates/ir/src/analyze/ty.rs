@@ -103,11 +103,6 @@ impl ScalarKind {
             ScalarKind::Any
         }
     }
-
-    /// Is this kind statically numeric (`Long` or `Double`)?
-    pub fn is_numeric(self) -> bool {
-        matches!(self, ScalarKind::Long | ScalarKind::Double)
-    }
 }
 
 impl fmt::Display for Ty {

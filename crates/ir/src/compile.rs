@@ -1,58 +1,35 @@
-//! **UDF compilation**: one-time translation of pure scalar `Expr` closures
-//! into slot-resolved [`CompiledUdf`] programs, so the lowering phase's
-//! per-record UDFs stop paying the tree-walking interpreter's per-`Var`
-//! string hashing and per-`Let` environment cloning.
-//!
-//! The interpreter ([`crate::lower::eval_pure`]) evaluates a UDF body
-//! against a `HashMap<String, Value>` for *every record*: each variable
-//! reference hashes a string, and each `let`/loop binding mutates a map.
-//! Flare (Essertel et al., OSDI '18) showed that once operator plumbing is
-//! zero-copy, compiling UDFs out of that interpretive layer is the next big
-//! lever — and Labyrinth-style lifted loops re-execute their UDFs every
-//! iteration, multiplying the win. This module is that lever for the IR
-//! layer:
-//!
-//! 1. **Slot resolution** — every variable is resolved to a frame-slot
-//!    index at compile time. Parameters occupy slots `0..n`; each `let` and
-//!    loop binder gets a fresh slot. Shadowing is resolved lexically, so no
-//!    runtime lookup ever happens.
-//! 2. **Flat register frame** — evaluation runs against a `Vec<Value>`
-//!    scratch frame borrowed from a thread-local pool and reused across
-//!    records: no per-record environment allocation, no clone-on-`Let`.
-//!    Slots are def-before-use by construction (a binder's slot is written
-//!    before its body runs), so frames never need clearing between records.
-//! 3. **Constant folding** — capture-only subexpressions (closure constants
-//!    are inlined as literals at compile time) fold to single constants,
-//!    guarded so that folding can never turn a lazily-avoided runtime error
-//!    (a `Long` overflow among them) into a compile-time one.
-//! 4. **Shape fast paths** — projection chains off a slot (`v.0.1`) walk by
-//!    reference and clone once ([`crate::Value::proj_ref`]); statically
-//!    `Long`/`Double` arithmetic (typed via [`ScalarKind`], the
-//!    type-checker's scalar refinement) skips the dynamic dispatch; and
-//!    `if a < b then .. else ..` compares straight into the branch without
-//!    materializing a boolean `Value`.
-//!
-//! Compilation is **total** and **semantics-preserving**: unsupported nodes
-//! (bag operations in a scalar context, unbound names) compile to ops that
-//! reproduce the interpreter's exact runtime error *if and when they are
-//! reached* — an `if` whose untaken branch contains a bag op behaves
-//! identically in both engines. The lowering has no interpreted path:
-//! `eval_pure` stays only as the differential-testing oracle
-//! (`crates/ir/tests/compiled_udf.rs` pins compiled == interpreted over
-//! hundreds of seeded random expression trees, through all three entry
-//! points). See `docs/ANALYSIS.md`, "UDF compilation".
+//! **UDF compilation**: each pure scalar UDF becomes flat register code
+//! ([`CompiledUdf`]) that behaves as the interpreter ([`crate::lower::eval_pure`],
+//! [`apply_bin`], [`apply_un`]) does, in its order: **flat registers** with a
+//! `Value` slot and an unboxed word slot for every subexpression of proven
+//! [`ScalarKind`]; **typed programs**, compiled on the first record with the
+//! kinds of the parameter leaves (`v.0`) that feed arithmetic, comparisons or
+//! branches, and run while a per-record guard finds those kinds; **constant
+//! folding**, unless it fails; and **the rerun**: a record turned away, or on
+//! which the typed program fails, runs the generic program. `Fail`
+//! instructions raise the interpreter's errors when reached. See
+//! `docs/ANALYSIS.md`, "UDF compilation".
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::analyze::ScalarKind;
+use crate::analyze::ScalarKind::{self, Any, Bool, Double, Long};
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::error::{IrError, IrResult};
-use crate::lower::{apply_bin, apply_un, compare};
+use crate::lower::{apply_bin, apply_un};
 use crate::value::Value;
 
 type PureEnv = HashMap<String, Value>;
+type Reg = usize;
+/// A parameter leaf: parameter index and projection path (`v.0` is `(0, [0])`).
+type Leaf = (usize, Box<[usize]>);
+/// The parameters of one evaluation: the first, then the rest in order.
+type Args<'v> = (&'v Value, &'v [Value]);
+type Frame = (Vec<Value>, Vec<u64>);
+/// Body, parameter names, captures and the leaves a typed program may unbox.
+type Source = (Arc<Expr>, Vec<String>, PureEnv, Vec<Leaf>);
+type Op3 = fn(BinOp, Reg, Reg, Reg) -> Ins;
 
 /// A pure scalar UDF, compiled once and evaluated per record.
 ///
@@ -61,95 +38,81 @@ type PureEnv = HashMap<String, Value>;
 /// [`CompiledUdf::eval_with_combined`] (lifted `mapWithClosure` shapes where
 /// the closure values arrive as one combined tuple per tag).
 pub struct CompiledUdf {
-    /// Number of parameters; they live in frame slots `0..arity`.
     arity: usize,
-    code: Op,
-    /// The frame size `code` needs.
-    frame_len: usize,
+    generic: Program,
+    /// `None` when no leaf feeds arithmetic, comparisons or branches.
+    source: Option<Source>,
+    /// Specialised on the first record (`None` inside when no leaf is a word).
+    typed: OnceLock<Option<Program>>,
 }
 
-/// A compiled scalar operation over a register frame.
-enum Op {
-    /// A literal (also: inlined closure captures and folded constants).
-    Const(Value),
-    /// Read a frame slot.
-    Slot(usize),
-    /// Projection chain rooted at a slot: walk by reference, clone once.
-    ProjPath(usize, Box<[usize]>),
-    /// Generic projection.
-    Proj(Box<Op>, usize),
-    /// Tuple construction.
-    Tuple(Vec<Op>),
-    /// Generic binary operator (delegates to [`apply_bin`]).
-    Bin(BinOp, Box<Op>, Box<Op>),
-    /// `Eq`/`Lt`/`Gt` through [`compare`], which [`apply_bin`] uses too —
-    /// skips the generic dispatch on the hottest loop-condition shape.
-    Cmp(BinOp, Box<Op>, Box<Op>),
-    /// `Add`/`Sub`/`Mul` with both operands statically `Long`.
-    LongArith(BinOp, Box<Op>, Box<Op>),
-    /// `Add`/`Sub`/`Mul`/`Div` guaranteed to take the `f64` path (at least
-    /// one operand statically `Double`, or the operator is `Div`).
-    DoubleArith(BinOp, Box<Op>, Box<Op>),
-    /// Generic unary operator (delegates to [`apply_un`]).
-    Un(UnOp, Box<Op>),
-    /// Write a slot, then run the body (no restore needed: slots are unique
-    /// per binder, so shadowing is resolved at compile time).
-    Let(usize, Box<Op>, Box<Op>),
-    /// Conditional.
-    If(Box<Op>, Box<Op>, Box<Op>),
-    /// Comparison-into-branch fast path: `if a <op> b then t else e`
-    /// without materializing the intermediate boolean.
-    IfCmp { op: BinOp, a: Box<Op>, b: Box<Op>, then: Box<Op>, els: Box<Op> },
-    /// A scalar `while` loop: bind `init` slots in order, then while `cond`
-    /// holds re-assign all slots simultaneously from `step`.
-    While { init: Vec<(usize, Op)>, cond: Box<Op>, step: Vec<Op>, result: Box<Op> },
-    /// A node that errors when (and only when) evaluation reaches it —
-    /// preserves the interpreter's lazy error behaviour for unbound names
-    /// and bag operations in scalar contexts.
-    Fail(IrError),
+struct Program {
+    code: Vec<Ins>,
+    consts: Vec<(Reg, u64)>, // word constants, stored before the code runs
+    guard: Vec<(Leaf, ScalarKind)>, // typed leaves: leaf i is unboxed into word i
+    regs: usize,
+    out: Reg, // the result's register
+}
+
+/// One instruction: `d` is the destination register, `a`/`b` the operands;
+/// `V` is a register's `Value` slot and `W` its word slot. `Int` is
+/// checked `+ - *` ([`Value::long_arith`]), `<` and `>` on `i64` words, and
+/// `==` (by bits) on two words of one kind; `Float` is
+/// `+ - * /`, `<` and `>` (false on NaN) on `f64` words.
+enum Ins {
+    Const(Reg, Value),             // V[d] = c
+    Arg(Reg, usize, Box<[usize]>), // V[d] = parameter i along the path, by reference
+    Path(Reg, Reg, Box<[usize]>),  // V[d] = V[a] along the path (a clone when empty)
+    Take(Reg, Reg),                // V[d] = V[a], leaving V[a] empty
+    Tuple(Reg, Box<[Reg]>),        // V[d] = the registers' Values, taken
+    Bin(BinOp, Reg, Reg, Reg),     // V[d] = apply_bin(op, V[a], V[b])
+    Neg(Reg, Reg),                 // V[d] = apply_un(Neg, V[a])
+    Pack(ScalarKind, Reg, Reg),    // V[d] = W[a] boxed as the kind
+    Unpack(ScalarKind, Reg, Reg),  // W[d] = V[a].as_bool() or .as_f64()
+    Mov(Reg, Reg),                 // W[d] = W[a]
+    Set(Reg, u64),                 // W[d] = w
+    Int(BinOp, Reg, Reg, Reg),
+    Float(BinOp, Reg, Reg, Reg),
+    Widen(Reg, Reg), // W[d] = W[a] as i64 as f64
+    Jump(usize),
+    JumpIfNot(Reg, usize),
+    Fail(IrError), // reached only where the interpreter fails
 }
 
 thread_local! {
-    /// Per-thread scratch frame, reused across records and across UDFs
-    /// (frames only grow; def-before-use slotting makes stale values
-    /// unreachable). Taken/replaced rather than borrowed so a re-entrant
-    /// evaluation degrades to a fresh allocation instead of a panic.
-    static FRAME: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch frame, reused across records and UDFs (it only
+    /// grows; registers are written before they are read). Taken/replaced
+    /// rather than borrowed, so a re-entrant evaluation gets a fresh one.
+    static FRAME: RefCell<Frame> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-fn with_frame<R>(frame_len: usize, f: impl FnOnce(&mut [Value]) -> R) -> R {
-    FRAME.with(|cell| {
-        let mut buf = cell.take();
-        if buf.len() < frame_len {
-            buf.resize(frame_len, Value::Unit);
-        }
-        let r = f(&mut buf);
-        cell.replace(buf);
-        r
-    })
+fn walk<'v>(v: &'v Value, path: &[usize]) -> IrResult<&'v Value> {
+    path.iter().try_fold(v, |v, &i| v.proj_ref(i))
+}
+
+fn arg<'v>((first, rest): Args<'v>, i: usize) -> &'v Value {
+    i.checked_sub(1).map_or(first, |i| &rest[i])
+}
+
+fn take(vals: &mut [Value], r: Reg) -> Value {
+    std::mem::replace(&mut vals[r], Value::Unit)
 }
 
 impl CompiledUdf {
-    /// Compile `body` with the given parameter names (slot order) and
-    /// closure captures (inlined as constants). Never fails: shapes the
-    /// compiler cannot translate become ops that reproduce the interpreter's
+    /// Compile `body` with the given parameter names and closure captures
+    /// (inlined as constants). Never fails: shapes the compiler cannot
+    /// translate become instructions that reproduce the interpreter's
     /// behaviour. The fourth parameter is kept for the benchmark's pinned
     /// call and ignored: there is no interpreted mode.
     pub fn new(body: &Arc<Expr>, params: &[&str], captures: PureEnv, _interpret: bool) -> Self {
-        let mut c = Compiler {
-            captures: &captures,
-            scope: params
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.to_string(), i, ScalarKind::Any))
-                .collect(),
-            next_slot: params.len(),
-        };
-        let (code, _) = c.compile(body);
-        CompiledUdf { arity: params.len(), code, frame_len: c.next_slot }
+        let (generic, leaves) = Compiler::program(body, params, &captures, Vec::new());
+        let source = (!leaves.is_empty()).then(|| {
+            (Arc::clone(body), params.iter().map(|p| p.to_string()).collect(), captures, leaves)
+        });
+        CompiledUdf { arity: params.len(), generic, source, typed: OnceLock::new() }
     }
 
-    /// Number of parameters (frame slots `0..arity` are arguments).
+    /// Number of parameters.
     pub fn arity(&self) -> usize {
         self.arity
     }
@@ -157,347 +120,508 @@ impl CompiledUdf {
     /// Evaluate a one-parameter UDF on one record.
     pub fn eval1(&self, v: &Value) -> IrResult<Value> {
         debug_assert_eq!(self.arity, 1);
-        with_frame(self.frame_len, |frame| {
-            frame[0] = v.clone();
-            self.code.run(frame)
-        })
+        self.eval((v, &[]))
     }
 
     /// Evaluate a two-parameter UDF (a `reduceByKey`/`fold` combiner).
     pub fn eval2(&self, a: &Value, b: &Value) -> IrResult<Value> {
         debug_assert_eq!(self.arity, 2);
-        with_frame(self.frame_len, |frame| {
-            frame[0] = a.clone();
-            frame[1] = b.clone();
-            self.code.run(frame)
-        })
+        self.eval((a, std::slice::from_ref(b)))
     }
 
     /// Evaluate a lifted-closure UDF: parameter 0 is the record, parameters
-    /// `1..` receive the components of the per-tag `combined` closure tuple
-    /// (the single tag-joined `mapWithClosure` argument of paper Sec. 5.1).
+    /// `1..` are the components of the per-tag `combined` closure tuple (the
+    /// single tag-joined `mapWithClosure` argument of paper Sec. 5.1), read
+    /// in place.
     pub fn eval_with_combined(&self, v: &Value, combined: &Value) -> IrResult<Value> {
-        debug_assert!(self.arity >= 2);
-        with_frame(self.frame_len, |frame| {
-            frame[0] = v.clone();
-            for (i, slot) in frame.iter_mut().enumerate().take(self.arity).skip(1) {
-                *slot = combined.proj(i - 1).expect("combined closure arity");
-            }
-            self.code.run(frame)
+        let Value::Tuple(items) = combined else { panic!("combined closure arity") };
+        self.eval((v, items))
+    }
+
+    fn eval(&self, args: Args<'_>) -> IrResult<Value> {
+        FRAME.with(|cell| {
+            let mut frame = cell.take();
+            let typed = self
+                .source
+                .as_ref()
+                .and_then(|source| self.typed.get_or_init(|| specialize(source, args)).as_ref());
+            let r = match typed {
+                Some(p) => p.run(args, &mut frame).or_else(|_| self.generic.run(args, &mut frame)),
+                None => self.generic.run(args, &mut frame),
+            };
+            cell.replace(frame);
+            r
         })
     }
 }
 
-/// Build a tuple; a pair from an array, not from a collected `Vec`. Out of
-/// line: `Op::run` is recursive and pays for its frame at every level.
-#[inline(never)]
-fn tuple(items: &[Op], frame: &mut [Value]) -> IrResult<Value> {
-    Ok(match items {
-        [a, b] => Value::pair(a.run(frame)?, b.run(frame)?),
-        _ => Value::tuple(items.iter().map(|x| x.run(frame)).collect::<IrResult<_>>()?),
-    })
+/// The typed program for the leaf kinds of `args`, if any leaf is a word.
+fn specialize((body, params, captures, leaves): &Source, args: Args<'_>) -> Option<Program> {
+    let guard: Vec<(Leaf, ScalarKind)> = leaves
+        .iter()
+        .filter_map(|(i, path)| {
+            let k = walk(arg(args, *i), path).map_or(Any, ScalarKind::of_value);
+            is_word(k).then(|| ((*i, path.clone()), k))
+        })
+        .collect();
+    (!guard.is_empty()).then(|| Compiler::program(body, params, captures, guard).0)
 }
 
-impl Op {
-    fn run(&self, frame: &mut [Value]) -> IrResult<Value> {
-        Ok(match self {
-            Op::Const(v) => v.clone(),
-            Op::Slot(s) => frame[*s].clone(),
-            Op::ProjPath(s, path) => {
-                let mut cur = &frame[*s];
-                for &i in path.iter() {
-                    cur = cur.proj_ref(i)?;
-                }
-                cur.clone()
-            }
-            Op::Proj(x, i) => x.run(frame)?.proj(*i)?,
-            Op::Tuple(items) => tuple(items, frame)?,
-            Op::Bin(op, a, b) => apply_bin(*op, &a.run(frame)?, &b.run(frame)?)?,
-            Op::Cmp(op, a, b) => Value::Bool(compare(*op, &a.run(frame)?, &b.run(frame)?)?),
-            Op::LongArith(op, a, b) => match (a.run(frame)?, b.run(frame)?) {
-                // Returned as is: re-wrapping it with `?` grew this
-                // recursive function's frame and cost `mat_udf` about 5 %.
-                (Value::Long(x), Value::Long(y)) => return Value::long_arith(*op, x, y),
-                // The static `Long` guarantee is belt-and-braces: fall back
-                // to the generic operator so a refinement bug can only cost
-                // speed, never change a result.
-                (x, y) => apply_bin(*op, &x, &y)?,
-            },
-            Op::DoubleArith(op, a, b) => {
-                let (av, bv) = (a.run(frame)?, b.run(frame)?);
-                if let (Value::Long(_), Value::Long(_)) = (&av, &bv) {
-                    // Statically unreachable for Add/Sub/Mul (one side is
-                    // proven Double); Div lands here and takes the same
-                    // two-float path either way.
-                    apply_bin(*op, &av, &bv)?
-                } else {
-                    let (x, y) = (av.as_f64()?, bv.as_f64()?);
-                    Value::Double(match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        _ => x / y,
-                    })
-                }
-            }
-            Op::Un(op, a) => apply_un(*op, &a.run(frame)?)?,
-            Op::Let(slot, v, b) => {
-                frame[*slot] = v.run(frame)?;
-                b.run(frame)?
-            }
-            Op::If(c, t, e) => {
-                if c.run(frame)?.as_bool()? {
-                    t.run(frame)?
-                } else {
-                    e.run(frame)?
-                }
-            }
-            Op::IfCmp { op, a, b, then, els } => {
-                if compare(*op, &a.run(frame)?, &b.run(frame)?)? {
-                    then.run(frame)?
-                } else {
-                    els.run(frame)?
-                }
-            }
-            Op::While { init, cond, step, result } => {
-                for (slot, op) in init {
-                    frame[*slot] = op.run(frame)?;
-                }
-                // One scratch buffer for the whole loop: the simultaneous
-                // step assignment needs staging, but not a fresh Vec per
-                // iteration.
-                let mut next = Vec::with_capacity(step.len());
-                while cond.run(frame)?.as_bool()? {
-                    for op in step {
-                        next.push(op.run(frame)?);
-                    }
-                    for ((slot, _), v) in init.iter().zip(next.drain(..)) {
-                        frame[*slot] = v;
-                    }
-                }
-                result.run(frame)?
-            }
-            Op::Fail(e) => return Err(e.clone()),
-        })
-    }
-
-    fn as_const(&self) -> Option<&Value> {
-        match self {
-            Op::Const(v) => Some(v),
-            _ => None,
+impl Program {
+    fn run(&self, args: Args<'_>, (vals, words): &mut Frame) -> IrResult<Value> {
+        vals.resize(vals.len().max(self.regs), Value::Unit);
+        words.resize(vals.len(), 0);
+        for (r, ((i, path), k)) in self.guard.iter().enumerate() {
+            words[r] = match (k, walk(arg(args, *i), path)) {
+                (Long, Ok(Value::Long(x))) => *x as u64,
+                (Double, Ok(Value::Double(x))) => x.to_bits(),
+                (Bool, Ok(Value::Bool(b))) => *b as u64,
+                // Turned away: the caller runs the generic program.
+                _ => return Err(IrError::Type(String::new())),
+            };
         }
+        for &(r, w) in &self.consts {
+            words[r] = w;
+        }
+        let f = f64::from_bits;
+        let mut pc = 0;
+        while let Some(ins) = self.code.get(pc) {
+            pc += 1;
+            match *ins {
+                Ins::Const(d, ref c) => vals[d] = c.clone(),
+                Ins::Arg(d, i, ref path) => vals[d] = walk(arg(args, i), path)?.clone(),
+                Ins::Path(d, a, ref path) => vals[d] = walk(&vals[a], path)?.clone(),
+                Ins::Take(d, a) => vals[d] = take(vals, a),
+                Ins::Tuple(d, ref items) => {
+                    vals[d] = match **items {
+                        [a, b] => Value::pair(take(vals, a), take(vals, b)),
+                        _ => Value::tuple(items.iter().map(|&a| take(vals, a)).collect()),
+                    }
+                }
+                Ins::Bin(op, d, a, b) => vals[d] = apply_bin(op, &vals[a], &vals[b])?,
+                Ins::Neg(d, a) => vals[d] = apply_un(UnOp::Neg, &vals[a])?,
+                Ins::Pack(Long, d, a) => vals[d] = Value::Long(words[a] as i64),
+                Ins::Pack(Double, d, a) => vals[d] = Value::Double(f(words[a])),
+                Ins::Pack(_, d, a) => vals[d] = Value::Bool(words[a] != 0),
+                Ins::Unpack(Bool, d, a) => words[d] = vals[a].as_bool()? as u64,
+                Ins::Unpack(_, d, a) => words[d] = vals[a].as_f64()?.to_bits(),
+                Ins::Mov(d, a) => words[d] = words[a],
+                Ins::Set(d, w) => words[d] = w,
+                Ins::Int(op, d, a, b) => {
+                    let (x, y) = (words[a] as i64, words[b] as i64);
+                    words[d] = match op {
+                        BinOp::Lt => (x < y) as u64,
+                        BinOp::Gt => (x > y) as u64,
+                        BinOp::Eq => (x == y) as u64,
+                        _ => Value::long_arith(op, x, y)? as u64,
+                    }
+                }
+                Ins::Float(op, d, a, b) => {
+                    let (x, y) = (f(words[a]), f(words[b]));
+                    words[d] = match op {
+                        BinOp::Lt => (x < y) as u64,
+                        BinOp::Gt => (x > y) as u64,
+                        BinOp::Add => (x + y).to_bits(),
+                        BinOp::Sub => (x - y).to_bits(),
+                        BinOp::Mul => (x * y).to_bits(),
+                        _ => (x / y).to_bits(),
+                    }
+                }
+                Ins::Widen(d, a) => words[d] = (words[a] as i64 as f64).to_bits(),
+                Ins::Jump(t) => pc = t,
+                Ins::JumpIfNot(c, t) if words[c] == 0 => pc = t,
+                Ins::JumpIfNot(..) => {}
+                Ins::Fail(ref e) => return Err(e.clone()),
+            }
+        }
+        Ok(take(vals, self.out))
     }
 }
 
-/// Compile-time state: the capture environment (inlined as constants) and
-/// the lexical scope mapping names to slots with their static kinds.
+/// Where a compiled subexpression's value is.
+#[derive(Clone)]
+enum Opd {
+    /// A folded constant, materialized where it is consumed.
+    Const(Value),
+    /// A `Value` slot: a variable's if `true` (cloned), else a temporary.
+    Val(Reg, bool),
+    /// A word slot holding a `Long`, `Double` or `Bool`.
+    Word(Reg, ScalarKind),
+    /// Parameter `i` (scope entries only: reads go through `leaf`).
+    Arg(usize),
+}
+
+fn kind(o: &Opd) -> ScalarKind {
+    match o {
+        Opd::Const(v) => ScalarKind::of_value(v),
+        Opd::Word(_, k) => *k,
+        _ => Any,
+    }
+}
+
+fn constant(o: &Opd) -> Option<&Value> {
+    match o {
+        Opd::Const(v) => Some(v),
+        _ => None,
+    }
+}
+
+/// Register `d`'s word slot for a word kind `k`, else its `Value` slot.
+fn slot(d: Reg, k: ScalarKind, shared: bool) -> Opd {
+    if is_word(k) {
+        Opd::Word(d, k)
+    } else {
+        Opd::Val(d, shared)
+    }
+}
+
+fn is_word(k: ScalarKind) -> bool {
+    matches!(k, Long | Double | Bool)
+}
+
+fn bits(v: &Value) -> u64 {
+    match v {
+        Value::Long(x) => *x as u64,
+        Value::Double(x) => x.to_bits(),
+        Value::Bool(b) => *b as u64,
+        other => unreachable!("{other} is not a word"),
+    }
+}
+
+/// The instruction that moves `src` into the slot `dst` names.
+fn move_ins(dst: &Opd, src: Opd) -> Ins {
+    match (dst, src) {
+        (&Opd::Word(d, _), Opd::Word(s, _)) => Ins::Mov(d, s),
+        (&Opd::Word(d, _), Opd::Const(v)) => Ins::Set(d, bits(&v)),
+        (&Opd::Val(d, _), Opd::Word(s, k)) => Ins::Pack(k, d, s),
+        (&Opd::Val(d, _), Opd::Const(v)) => Ins::Const(d, v),
+        (&Opd::Val(d, _), Opd::Val(s, false)) => Ins::Take(d, s),
+        (&Opd::Val(d, _), Opd::Val(s, true)) => Ins::Path(d, s, Box::new([])),
+        _ => unreachable!("a word slot receives a word; parameters are read by `leaf`"),
+    }
+}
+
+/// Captures, the lexical scope (innermost last), and the program emitted.
 struct Compiler<'a> {
     captures: &'a PureEnv,
-    /// Innermost binding last; resolved back-to-front.
-    scope: Vec<(String, usize, ScalarKind)>,
-    next_slot: usize,
+    scope: Vec<(&'a str, Opd)>,
+    code: Vec<Ins>,
+    consts: Vec<(Reg, u64)>,
+    guard: Vec<(Leaf, ScalarKind)>,
+    regs: Reg,
+    /// The leaves read by arithmetic, comparisons or branches.
+    leaves: Vec<Leaf>,
 }
 
-/// Fold an op whose operands are all constants into a constant, unless
-/// evaluation fails: then keep the op, so the error stays lazy.
-fn try_fold(op: Op) -> Op {
-    let foldable = match &op {
-        Op::Tuple(items) => items.iter().all(|x| x.as_const().is_some()),
-        Op::Proj(x, _) | Op::Un(_, x) => x.as_const().is_some(),
-        Op::Bin(_, x, y) | Op::Cmp(_, x, y) | Op::LongArith(_, x, y) | Op::DoubleArith(_, x, y) => {
-            x.as_const().is_some() && y.as_const().is_some()
+impl<'a> Compiler<'a> {
+    /// The program for `body`, and the leaves a typed program could unbox.
+    fn program(
+        body: &'a Expr,
+        params: &'a [impl AsRef<str>],
+        captures: &'a PureEnv,
+        guard: Vec<(Leaf, ScalarKind)>,
+    ) -> (Program, Vec<Leaf>) {
+        let mut c = Compiler {
+            captures,
+            scope: params.iter().enumerate().map(|(i, p)| (p.as_ref(), Opd::Arg(i))).collect(),
+            code: Vec::with_capacity(16),
+            consts: Vec::new(),
+            regs: guard.len(),
+            guard,
+            leaves: Vec::new(),
+        };
+        let result = c.compile(body);
+        let out = c.val(result, true);
+        let Compiler { code, consts, guard, regs, leaves, .. } = c;
+        (Program { code, consts, guard, regs, out }, leaves)
+    }
+
+    fn fresh(&mut self) -> Reg {
+        self.regs += 1;
+        self.regs - 1
+    }
+
+    /// Emit `ins` with a fresh destination register.
+    fn emit(&mut self, ins: impl FnOnce(Reg) -> Ins) -> Reg {
+        let d = self.fresh();
+        self.code.push(ins(d));
+        d
+    }
+
+    fn emit_to(&mut self, k: ScalarKind, ins: impl FnOnce(Reg) -> Ins) -> Opd {
+        slot(self.emit(ins), k, false)
+    }
+
+    /// The register holding a word constant.
+    fn konst(&mut self, w: u64) -> Reg {
+        if let Some(&(r, _)) = self.consts.iter().find(|(_, x)| *x == w) {
+            return r;
         }
-        _ => false,
-    };
-    if foldable {
-        let mut empty: [Value; 0] = [];
-        if let Ok(v) = op.run(&mut empty) {
-            return Op::Const(v);
+        let r = self.fresh();
+        self.consts.push((r, w));
+        r
+    }
+
+    /// `o` in a `Value` slot: any, for an instruction that reads it by
+    /// reference (arithmetic: a leaf there is wanted); a temporary, for one
+    /// that takes it.
+    fn val(&mut self, o: Opd, take: bool) -> Reg {
+        match o {
+            Opd::Val(r, shared) if !(take && shared) => {
+                if !take {
+                    self.want(r);
+                }
+                r
+            }
+            o => {
+                let d = self.fresh();
+                self.code.push(move_ins(&Opd::Val(d, false), o));
+                d
+            }
         }
     }
-    op
-}
 
-impl Compiler<'_> {
-    fn fresh_slot(&mut self) -> usize {
-        let s = self.next_slot;
-        self.next_slot += 1;
-        s
+    /// `o` as a word of kind `k`: a `Long` widens to a `Double`; anything
+    /// else unknown is unboxed at runtime, with `as_bool`/`as_f64`'s error.
+    fn unbox(&mut self, o: Opd, k: ScalarKind) -> Reg {
+        match o {
+            Opd::Word(r, ok) if ok == k => r,
+            Opd::Word(r, Long) if k == Double => self.emit(|d| Ins::Widen(d, r)),
+            Opd::Const(ref v) if ScalarKind::of_value(v) == k => self.konst(bits(v)),
+            Opd::Const(Value::Long(x)) if k == Double => self.konst((x as f64).to_bits()),
+            o => {
+                let a = self.val(o, false);
+                self.emit(|d| Ins::Unpack(k, d, a))
+            }
+        }
     }
 
-    /// The static result kind of an already-compiled op (post-fold).
-    fn kind_of_const(op: &Op) -> Option<ScalarKind> {
-        op.as_const().map(ScalarKind::of_value)
+    /// Arithmetic reads register `r`: a leaf loaded there is one a typed
+    /// program may unbox.
+    fn want(&mut self, r: Reg) {
+        let leaf = self.code.iter().find_map(|ins| match ins {
+            Ins::Arg(d, i, path) if *d == r => Some((*i, path.clone())),
+            _ => None,
+        });
+        if let Some(leaf) = leaf.filter(|l| !self.leaves.contains(l)) {
+            self.leaves.push(leaf);
+        }
     }
 
-    fn compile(&mut self, e: &Expr) -> (Op, ScalarKind) {
+    /// Parameter `i` along `path`: the word the guard unboxed in a typed
+    /// program, else a `Value` read emitted in place.
+    fn leaf(&mut self, i: usize, path: Vec<usize>) -> Opd {
+        if let Some(r) = self.guard.iter().position(|((j, p), _)| *j == i && p[..] == path[..]) {
+            return Opd::Word(r, self.guard[r].1);
+        }
+        self.emit_to(Any, |d| Ins::Arg(d, i, path.into()))
+    }
+
+    fn var(&mut self, n: &str) -> Opd {
+        if let Some((_, o)) = self.scope.iter().rev().find(|(name, _)| *name == n) {
+            return o.clone();
+        }
+        match self.captures.get(n) {
+            Some(v) => Opd::Const(v.clone()),
+            None => self.emit_to(Any, |_| Ins::Fail(IrError::Unbound(n.to_string()))),
+        }
+    }
+
+    /// Project `base` along `path`: by reference off a slot, cloning once.
+    fn project(&mut self, base: Opd, path: Vec<usize>) -> Opd {
+        let a = match base {
+            Opd::Arg(i) => return self.leaf(i, path),
+            base if path.is_empty() => return base,
+            Opd::Const(v) => match walk(&v, &path) {
+                Ok(x) => return Opd::Const(x.clone()),
+                Err(_) => self.val(Opd::Const(v), true),
+            },
+            Opd::Val(r, _) => r,
+            o => self.val(o, true),
+        };
+        self.emit_to(Any, |d| Ins::Path(d, a, path.into()))
+    }
+
+    fn compile(&mut self, e: &'a Expr) -> Opd {
         match e {
-            Expr::Spanned(_, inner) => self.compile(inner),
-            Expr::Const(v) => (Op::Const(v.clone()), ScalarKind::of_value(v)),
+            Expr::Spanned(_, inner) | Expr::Cache(inner) => self.compile(inner),
+            Expr::Const(v) => Opd::Const(v.clone()),
             Expr::Var(n) => {
-                if let Some((_, slot, kind)) =
-                    self.scope.iter().rev().find(|(name, _, _)| name == n)
-                {
-                    return (Op::Slot(*slot), *kind);
+                let base = self.var(n);
+                self.project(base, Vec::new())
+            }
+            Expr::Proj(..) => {
+                let (mut root, mut path) = (e, Vec::new());
+                while let Expr::Proj(x, i) = root.unspanned() {
+                    path.insert(0, *i);
+                    root = x;
                 }
-                match self.captures.get(n) {
-                    Some(v) => (Op::Const(v.clone()), ScalarKind::of_value(v)),
-                    None => (Op::Fail(IrError::Unbound(n.clone())), ScalarKind::Any),
-                }
+                let base = match root.unspanned() {
+                    Expr::Var(n) => self.var(n),
+                    other => self.compile(other),
+                };
+                self.project(base, path)
             }
             Expr::Tuple(items) => {
-                let ops = items.iter().map(|x| self.compile(x).0).collect();
-                let op = try_fold(Op::Tuple(ops));
-                (op, ScalarKind::Tuple)
-            }
-            Expr::Proj(x, i) => {
-                let (xo, _) = self.compile(x);
-                let op = match xo {
-                    Op::Slot(s) => Op::ProjPath(s, Box::new([*i])),
-                    Op::ProjPath(s, path) => {
-                        let mut p = path.into_vec();
-                        p.push(*i);
-                        Op::ProjPath(s, p.into_boxed_slice())
-                    }
-                    other => try_fold(Op::Proj(Box::new(other), *i)),
-                };
-                let kind = Self::kind_of_const(&op).unwrap_or(ScalarKind::Any);
-                (op, kind)
+                let ops: Vec<Opd> = items.iter().map(|x| self.compile(x)).collect();
+                if let Some(vs) = ops.iter().map(|o| constant(o).cloned()).collect() {
+                    return Opd::Const(Value::tuple(vs));
+                }
+                let regs = ops.into_iter().map(|o| self.val(o, true)).collect();
+                self.emit_to(Any, |d| Ins::Tuple(d, regs))
             }
             Expr::Bin(op, a, b) => {
-                let (ao, ak) = self.compile(a);
-                let (bo, bk) = self.compile(b);
-                let (a, b) = (Box::new(ao), Box::new(bo));
-                let (compiled, kind) = match op {
-                    BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                        if ak == ScalarKind::Long && bk == ScalarKind::Long {
-                            (Op::LongArith(*op, a, b), ScalarKind::Long)
-                        } else if ak == ScalarKind::Double || bk == ScalarKind::Double {
-                            (Op::DoubleArith(*op, a, b), ScalarKind::Double)
-                        } else {
-                            let k = if ak.is_numeric() && bk.is_numeric() {
-                                ScalarKind::Double
-                            } else {
-                                ScalarKind::Any
-                            };
-                            (Op::Bin(*op, a, b), k)
-                        }
+                let (a, b) = (self.compile(a), self.compile(b));
+                if let (Some(x), Some(y)) = (constant(&a), constant(&b)) {
+                    if let Ok(v) = apply_bin(*op, x, y) {
+                        return Opd::Const(v);
                     }
-                    BinOp::Div => (Op::DoubleArith(*op, a, b), ScalarKind::Double),
-                    BinOp::Eq | BinOp::Lt | BinOp::Gt => (Op::Cmp(*op, a, b), ScalarKind::Bool),
-                    BinOp::And | BinOp::Or => (Op::Bin(*op, a, b), ScalarKind::Bool),
+                }
+                let (ka, kb) = (kind(&a), kind(&b));
+                let cmp = matches!(op, BinOp::Lt | BinOp::Gt);
+                // (instruction, result kind, operand kind)
+                let (ins, k, ok): (Op3, _, _) = match op {
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Lt | BinOp::Gt
+                        if ka == Long && kb == Long =>
+                    {
+                        (Ins::Int, if cmp { Bool } else { Long }, Long)
+                    }
+                    BinOp::Eq if ka == kb && is_word(ka) => (Ins::Int, Bool, ka),
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Lt | BinOp::Gt
+                        if ka == Double || kb == Double =>
+                    {
+                        (Ins::Float, if cmp { Bool } else { Double }, Double)
+                    }
+                    BinOp::Div => (Ins::Float, Double, Double),
+                    _ => {
+                        let (a, b) = (self.val(a, false), self.val(b, false));
+                        return self.emit_to(Any, |d| Ins::Bin(*op, d, a, b));
+                    }
                 };
-                let folded = try_fold(compiled);
-                let kind = Self::kind_of_const(&folded).unwrap_or(kind);
-                (folded, kind)
+                let (a, b) = (self.unbox(a, ok), self.unbox(b, ok));
+                self.emit_to(k, |d| ins(*op, d, a, b))
             }
             Expr::Un(op, a) => {
-                let (ao, ak) = self.compile(a);
-                let kind = match op {
-                    UnOp::Not => ScalarKind::Bool,
-                    UnOp::ToDouble => ScalarKind::Double,
-                    UnOp::Neg => match ak {
-                        ScalarKind::Long => ScalarKind::Long,
-                        ScalarKind::Double => ScalarKind::Double,
-                        _ => ScalarKind::Any,
-                    },
-                };
-                let folded = try_fold(Op::Un(*op, Box::new(ao)));
-                let kind = Self::kind_of_const(&folded).unwrap_or(kind);
-                (folded, kind)
+                let a = self.compile(a);
+                if let Some(x) = constant(&a) {
+                    if let Ok(v) = apply_un(*op, x) {
+                        return Opd::Const(v);
+                    }
+                }
+                match (op, kind(&a)) {
+                    (UnOp::ToDouble, _) => Opd::Word(self.unbox(a, Double), Double),
+                    (UnOp::Not, _) => {
+                        let (a, zero) = (self.unbox(a, Bool), self.konst(0));
+                        self.emit_to(Bool, |d| Ins::Int(BinOp::Eq, d, a, zero))
+                    }
+                    (UnOp::Neg, Long) => {
+                        let (zero, a) = (self.konst(0), self.unbox(a, Long));
+                        self.emit_to(Long, |d| Ins::Int(BinOp::Sub, d, zero, a))
+                    }
+                    (UnOp::Neg, _) => {
+                        let a = self.val(a, false);
+                        self.emit_to(Any, |d| Ins::Neg(d, a))
+                    }
+                }
             }
             Expr::Let(n, v, b) => {
-                let (vo, vk) = self.compile(v);
-                let slot = self.fresh_slot();
-                self.scope.push((n.clone(), slot, vk));
-                let (bo, bk) = self.compile(b);
+                let v = match self.compile(v) {
+                    Opd::Val(r, _) => Opd::Val(r, true),
+                    o => o,
+                };
+                self.scope.push((n.as_str(), v));
+                let b = self.compile(b);
                 self.scope.pop();
-                // A fully-folded body with a constant (side-effect-free)
-                // binding needs neither the binding nor the slot write.
-                if bo.as_const().is_some() && vo.as_const().is_some() {
-                    return (bo, bk);
-                }
-                (Op::Let(slot, Box::new(vo), Box::new(bo)), bk)
+                b
             }
             Expr::If(c, t, el) => {
-                let (co, _) = self.compile(c);
-                // A constant boolean condition selects its branch at compile
-                // time (the condition is pure, so eliding it is invisible).
-                if let Some(Value::Bool(cv)) = co.as_const() {
-                    let cv = *cv;
-                    return if cv { self.compile(t) } else { self.compile(el) };
+                let c = self.compile(c);
+                // A constant condition selects its branch at compile time.
+                if let Opd::Const(Value::Bool(cv)) = c {
+                    return self.compile(if cv { t } else { el });
                 }
-                let (to, tk) = self.compile(t);
-                let (eo, ek) = self.compile(el);
-                let kind = tk.join(ek);
-                let op = match co {
-                    Op::Cmp(bop, a, b) => {
-                        Op::IfCmp { op: bop, a, b, then: Box::new(to), els: Box::new(eo) }
-                    }
-                    other => Op::If(Box::new(other), Box::new(to), Box::new(eo)),
-                };
-                (op, kind)
+                let c = self.unbox(c, Bool);
+                let branch = self.code.len();
+                self.code.push(Ins::JumpIfNot(c, 0));
+                let t = self.compile(t);
+                // Patched below: the then-value's move into the result, and
+                // the jump over the else branch.
+                let then_end = self.code.len();
+                self.code.extend([Ins::Jump(0), Ins::Jump(0)]);
+                self.code[branch] = Ins::JumpIfNot(c, self.code.len());
+                let e = self.compile(el);
+                let k = kind(&t).join(kind(&e));
+                let d = self.fresh();
+                let dst = slot(d, k, false);
+                self.code[then_end] = move_ins(&dst, t);
+                self.code.push(move_ins(&dst, e));
+                self.code[then_end + 1] = Ins::Jump(self.code.len());
+                dst
             }
+            // A scalar `while` loop. A variable's kind must be loop-invariant:
+            // the join of its initializer's kind with its step's under that
+            // same assumption. Solved by fixpoint — kinds only widen on the
+            // flat `ScalarKind` lattice — each pass rewinding what the last
+            // emitted.
             Expr::Loop { init, cond, step, result } => {
-                // Loop variables are re-assigned from `step` every
-                // iteration, so a sound static kind is the *loop invariant*:
-                // the join of the initializer's kind with the step's kind
-                // under that same assumption. Solve by fixpoint — kinds only
-                // widen on the flat `ScalarKind` lattice, so this converges
-                // in at most `init.len() + 1` passes. Each pass rewinds the
-                // slot counter so the final code sees a stable numbering.
-                let scope_base = self.scope.len();
-                let slot_base = self.next_slot;
-                let mut kinds: Option<Vec<ScalarKind>> = None;
+                let mark = (self.code.len(), self.regs, self.scope.len(), self.consts.len());
+                let mut assumed: Vec<ScalarKind> = Vec::new();
                 loop {
-                    self.scope.truncate(scope_base);
-                    self.next_slot = slot_base;
-                    // Initializers see the loop variables bound so far (the
-                    // interpreter binds them progressively).
-                    let mut init_ops = Vec::with_capacity(init.len());
-                    let mut assigned = Vec::with_capacity(init.len());
+                    self.code.truncate(mark.0);
+                    self.regs = mark.1;
+                    self.scope.truncate(mark.2);
+                    self.consts.truncate(mark.3);
+                    // Initializers see the variables bound so far, as in the
+                    // interpreter.
+                    let mut vars = Vec::with_capacity(init.len());
                     for (idx, (n, x)) in init.iter().enumerate() {
-                        let (xo, xk) = self.compile(x);
-                        let slot = self.fresh_slot();
-                        let k = kinds.as_ref().map_or(xk, |ks| ks[idx].join(xk));
-                        self.scope.push((n.clone(), slot, k));
-                        init_ops.push((slot, xo));
-                        assigned.push(k);
+                        let o = self.compile(x);
+                        let k = assumed.get(idx).map_or(kind(&o), |k| k.join(kind(&o)));
+                        let d = self.fresh();
+                        let var = slot(d, k, true);
+                        self.code.push(move_ins(&var, o));
+                        self.scope.push((n.as_str(), var.clone()));
+                        vars.push(var);
                     }
-                    let cond_op = self.compile(cond).0;
-                    let steps: Vec<(Op, ScalarKind)> =
-                        step.iter().map(|x| self.compile(x)).collect();
+                    let (top, vars_end) = (self.code.len(), self.regs);
+                    let c = self.compile(cond);
+                    let c = self.unbox(c, Bool);
+                    let exit = self.code.len();
+                    self.code.push(Ins::JumpIfNot(c, 0));
+                    let mut steps: Vec<Opd> = step.iter().map(|x| self.compile(x)).collect();
                     let widened: Vec<ScalarKind> =
-                        assigned.iter().zip(steps.iter()).map(|(k, (_, sk))| k.join(*sk)).collect();
-                    if widened != assigned {
-                        kinds = Some(widened);
+                        vars.iter().zip(&steps).map(|(v, s)| kind(v).join(kind(s))).collect();
+                    if widened.iter().zip(&vars).any(|(w, v)| *w != kind(v)) {
+                        assumed = widened;
                         continue;
                     }
-                    let (result_op, rk) = self.compile(result);
-                    self.scope.truncate(scope_base);
-                    return (
-                        Op::While {
-                            init: init_ops,
-                            cond: Box::new(cond_op),
-                            step: steps.into_iter().map(|(o, _)| o).collect(),
-                            result: Box::new(result_op),
-                        },
-                        rk,
-                    );
+                    // The assignment is simultaneous: a step that reads one of the
+                    // variables is copied to a temporary before any is assigned.
+                    for s in steps.iter_mut() {
+                        if matches!(*s, Opd::Word(r, _) | Opd::Val(r, true) if (mark.1..vars_end).contains(&r))
+                        {
+                            let d = self.fresh();
+                            let tmp = slot(d, kind(s), false);
+                            self.code.push(move_ins(&tmp, std::mem::replace(s, tmp.clone())));
+                        }
+                    }
+                    for (var, s) in vars.iter().zip(steps) {
+                        self.code.push(move_ins(var, s));
+                    }
+                    self.code.push(Ins::Jump(top));
+                    self.code[exit] = Ins::JumpIfNot(c, self.code.len());
+                    let r = self.compile(result);
+                    self.scope.truncate(mark.2);
+                    return r;
                 }
             }
-            // A materialization hint on a scalar is the identity, exactly as
-            // in the interpreter.
-            Expr::Cache(x) => self.compile(x),
-            other => (
-                // Bag operations in a scalar-only context: the interpreter
-                // errors when evaluation *reaches* the node — reproduce that
-                // lazily, with the same message.
-                Op::Fail(IrError::Unsupported(format!(
+            // Bag operations in a scalar-only context: the interpreter errors
+            // when evaluation *reaches* the node, with this message.
+            other => self.emit_to(Any, |_| {
+                Ins::Fail(IrError::Unsupported(format!(
                     "bag operation in a scalar-only context: {other:?}"
-                ))),
-                ScalarKind::Any,
-            ),
+                )))
+            }),
         }
     }
 }
@@ -716,6 +840,80 @@ mod tests {
             let v = Value::tuple(vec![Value::Long(big + 1), Value::Double(big as f64)]);
             assert_eq!(c.eval1(&v).unwrap(), Value::Bool(false));
         }
+    }
+
+    /// The benchmark's claimed path stays typed: `udf_heavy.mat`'s map body
+    /// on `(Long, Long)` records and its fold combiner on `Double`s each run
+    /// a typed program whose only `Value` work is the guard and one boxed
+    /// result — no generic arithmetic, comparison or unboxing. A kind
+    /// refinement that falls back to the generic program fails here.
+    #[test]
+    fn udf_heavy_runs_typed_code() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/programs/udf_heavy.mat");
+        let text = std::fs::read_to_string(path).expect("udf_heavy.mat");
+        let Expr::Fold(mapped, _, comb) = crate::parse_program(&text).unwrap().strip_spans() else {
+            panic!("udf_heavy is a fold")
+        };
+        let Expr::Map(_, Lambda { param, body }) = *mapped else { panic!("udf_heavy folds a map") };
+        let map = CompiledUdf::new(&body, &[&param], PureEnv::new(), false);
+        let fold = CompiledUdf::new(&comb.body, &[&comb.a, &comb.b], PureEnv::new(), false);
+        let record = Value::tuple(vec![Value::Long(999), Value::Long(36)]);
+        let (s, x) = (Value::Double(1.5), Value::Double(-2.25));
+        let cases: [(&CompiledUdf, Args<'_>, [ScalarKind; 2]); 2] = [
+            (&map, (&record, &[]), [ScalarKind::Long; 2]),
+            (&fold, (&s, std::slice::from_ref(&x)), [ScalarKind::Double; 2]),
+        ];
+        for (udf, args, kinds) in cases {
+            let want = udf.generic.run(args, &mut Frame::default()).unwrap();
+            assert_eq!(udf.eval(args).unwrap(), want);
+            let Some(Some(typed)) = udf.typed.get() else { panic!("no typed program") };
+            assert_eq!(typed.guard.iter().map(|(_, k)| *k).collect::<Vec<_>>(), kinds);
+            assert_eq!(typed.run(args, &mut Frame::default()).unwrap(), want);
+            let value_work = typed.code.iter().filter(|i| {
+                !matches!(
+                    i,
+                    Ins::Mov(..)
+                        | Ins::Set(..)
+                        | Ins::Int(..)
+                        | Ins::Float(..)
+                        | Ins::Widen(..)
+                        | Ins::Jump(..)
+                        | Ins::JumpIfNot(..)
+                )
+            });
+            assert!(matches!(
+                value_work.collect::<Vec<_>>()[..],
+                [Ins::Pack(ScalarKind::Double, ..)]
+            ));
+        }
+    }
+
+    /// Two threads race to a UDF's first record (a barrier lines them up):
+    /// one specialises, both run the one cached typed program, and a record
+    /// of another kind is turned away to the generic program on either.
+    #[test]
+    fn threads_share_one_typed_program() {
+        let body = Expr::bin(
+            BinOp::Add,
+            Expr::bin(BinOp::Mul, Expr::var("v"), Expr::long(2)),
+            Expr::long(1),
+        );
+        let c = compile1(body, PureEnv::new());
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2i64 {
+                let (c, barrier) = (&c, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for x in (0..50).map(|x| x * 2 + t) {
+                        assert_eq!(c.eval1(&Value::Long(x)).unwrap(), Value::Long(2 * x + 1));
+                    }
+                    assert_eq!(c.eval1(&Value::Double(0.5)).unwrap(), Value::Double(2.0));
+                });
+            }
+        });
+        let Some(Some(typed)) = c.typed.get() else { panic!("no typed program") };
+        assert_eq!(typed.guard.len(), 1);
     }
 
     #[test]

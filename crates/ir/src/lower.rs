@@ -226,11 +226,12 @@ fn eval_pure_loop<'a>(
     eval_pure_mut(result, env)
 }
 
-/// Apply a binary scalar operator.
+/// Apply a binary scalar operator (equality is structural; `<`/`>` order by
+/// [`Value::num_cmp`]).
 pub fn apply_bin(op: BinOp, a: &Value, b: &Value) -> IrResult<Value> {
     Ok(match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul => match (a, b) {
-            (Value::Long(x), Value::Long(y)) => Value::long_arith(op, *x, *y)?,
+            (Value::Long(x), Value::Long(y)) => Value::Long(Value::long_arith(op, *x, *y)?),
             _ => {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
                 Value::Double(match op {
@@ -241,19 +242,11 @@ pub fn apply_bin(op: BinOp, a: &Value, b: &Value) -> IrResult<Value> {
             }
         },
         BinOp::Div => Value::Double(a.as_f64()? / b.as_f64()?),
-        BinOp::Eq | BinOp::Lt | BinOp::Gt => Value::Bool(compare(op, a, b)?),
+        BinOp::Lt => Value::Bool(a.num_cmp(b)? == Some(Ordering::Less)),
+        BinOp::Gt => Value::Bool(a.num_cmp(b)? == Some(Ordering::Greater)),
+        BinOp::Eq => Value::Bool(a == b),
         BinOp::And => Value::Bool(a.as_bool()? && b.as_bool()?),
         BinOp::Or => Value::Bool(a.as_bool()? || b.as_bool()?),
-    })
-}
-
-/// Whether `a op b` holds, for the comparison operators `==`, `<`, `>`:
-/// equality is structural, ordering is [`Value::num_cmp`].
-pub(crate) fn compare(op: BinOp, a: &Value, b: &Value) -> IrResult<bool> {
-    Ok(match op {
-        BinOp::Lt => a.num_cmp(b)? == Some(Ordering::Less),
-        BinOp::Gt => a.num_cmp(b)? == Some(Ordering::Greater),
-        _ => a == b,
     })
 }
 
@@ -262,7 +255,7 @@ pub fn apply_un(op: UnOp, a: &Value) -> IrResult<Value> {
     Ok(match op {
         UnOp::Not => Value::Bool(!a.as_bool()?),
         UnOp::Neg => match a {
-            Value::Long(x) => Value::long_arith(BinOp::Sub, 0, *x)?,
+            Value::Long(x) => Value::Long(Value::long_arith(BinOp::Sub, 0, *x)?),
             _ => Value::Double(-a.as_f64()?),
         },
         UnOp::ToDouble => Value::Double(a.as_f64()?),

@@ -85,14 +85,6 @@ impl Value {
         }
     }
 
-    /// As a long, or a type error.
-    pub fn as_long(&self) -> IrResult<i64> {
-        match self {
-            Value::Long(x) => Ok(*x),
-            other => Err(IrError::Type(format!("expected Long, got {other}"))),
-        }
-    }
-
     /// Numeric view (longs widen to doubles).
     pub fn as_f64(&self) -> IrResult<f64> {
         match self {
@@ -116,21 +108,17 @@ impl Value {
     /// the same in every build profile: an overflow is an error naming the
     /// operation, never a panic or a wrapped value.
     #[inline]
-    pub(crate) fn long_arith(op: BinOp, x: i64, y: i64) -> IrResult<Value> {
+    pub(crate) fn long_arith(op: BinOp, x: i64, y: i64) -> IrResult<i64> {
         let result = match op {
             BinOp::Add => x.checked_add(y),
             BinOp::Sub => x.checked_sub(y),
             _ => x.checked_mul(y),
         };
-        match result {
-            Some(v) => Ok(Value::Long(v)),
-            None => Err(long_overflow(op, x, y)),
-        }
+        result.ok_or_else(|| long_overflow(op, x, y))
     }
 }
 
-/// Out of line: `long_arith` sits in the UDF evaluator's recursive hot loop,
-/// which pays for every byte of its stack frame.
+/// Out of line: `long_arith` sits in the UDF evaluator's hot loop.
 #[cold]
 #[inline(never)]
 fn long_overflow(op: BinOp, x: i64, y: i64) -> IrError {
@@ -269,7 +257,6 @@ mod tests {
         assert!(Value::Long(1).proj(0).is_err());
         assert!(Value::Bool(true).as_bool().unwrap());
         assert_eq!(Value::Long(3).as_f64().unwrap(), 3.0);
-        assert!(Value::str("x").as_long().is_err());
     }
 
     #[test]

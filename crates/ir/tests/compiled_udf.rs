@@ -345,3 +345,99 @@ fn long_overflow_is_one_error_in_every_entry_point() {
         }
     }
 }
+
+/// Leaf kinds that change under one compiled UDF. For each random tree, one
+/// `CompiledUdf` per entry point is shared by two threads that evaluate the
+/// same stream: a first record whose kinds vary by seed (so it specialises a
+/// typed program, or none), then every pair of a Long, Double, tuple, string
+/// and Long sequence and the extremes `i64::MIN`, `i64::MAX`, NaN and -0.0.
+/// Every later record whose leaf kinds differ from the first's must be turned
+/// away to the generic program, and every value, error and panic must still
+/// be the interpreter's.
+#[test]
+fn kind_changing_streams_match_the_interpreter() {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let failure = (0..400u64).find_map(|seed| stream_case(seed).err());
+    std::panic::set_hook(prev);
+    if let Some(message) = failure {
+        panic!("{message}");
+    }
+}
+
+fn stream_case(seed: u64) -> Result<(), String> {
+    let mut g = Gen {
+        rng: Rng(seed.wrapping_mul(0x9e3779b9) ^ 0x7374_7265_616d), // "stream"
+        scope: vec!["p".into(), "q".into(), "ca".into(), "cb".into(), "cc".into()],
+        fresh: 0,
+    };
+    // Shallow trees too: `-p` or `p < q` is where a leaf's kind shows.
+    let body = Arc::new(g.expr(1 + (seed % 4) as u32));
+    let captures: HashMap<String, Value> = HashMap::from([
+        ("ca".to_string(), Value::Long(7)),
+        ("cb".to_string(), Value::Double(0.25)),
+        ("cc".to_string(), Value::tuple(vec![Value::Long(1), Value::str("t")])),
+    ]);
+    let fixed_q = Value::Long(-3);
+    let mut with_q = captures.clone();
+    with_q.insert("q".to_string(), fixed_q.clone());
+    let leaf = CompiledUdf::new(&body, &["p"], with_q, false);
+    let combiner = CompiledUdf::new(&body, &["p", "q"], captures.clone(), false);
+    let mut unlifted = captures.clone();
+    let ca = unlifted.remove("ca").unwrap();
+    let with_closure = CompiledUdf::new(&body, &["p", "ca", "q"], unlifted, false);
+
+    let values = [
+        Value::Long(5),
+        Value::Double(2.5),
+        Value::tuple(vec![Value::Long(9), Value::Bool(true)]),
+        Value::str("s"),
+        Value::Long(-3),
+        Value::Long(i64::MIN),
+        Value::Long(i64::MAX),
+        Value::Double(f64::NAN),
+        Value::Double(-0.0),
+    ];
+    let n = values.len() as u64;
+    let first = (values[(seed % n) as usize].clone(), values[(seed / n % n) as usize].clone());
+    let rest: Vec<(Value, Value)> =
+        values.iter().flat_map(|p| values.iter().map(move |q| (p.clone(), q.clone()))).collect();
+
+    let check = |(p, q): &(Value, Value)| -> Result<(), String> {
+        let mut env = captures.clone();
+        env.insert("p".to_string(), p.clone());
+        env.insert("q".to_string(), q.clone());
+        let want = capture(|| eval_pure(&body, &env));
+        env.insert("q".to_string(), fixed_q.clone());
+        let want_leaf = capture(|| eval_pure(&body, &env));
+        let combined = Value::tuple(vec![ca.clone(), q.clone()]);
+        for (entry, got, want) in [
+            ("eval1", capture(|| leaf.eval1(p)), &want_leaf),
+            ("eval2", capture(|| combiner.eval2(p, q)), &want),
+            (
+                "eval_with_combined",
+                capture(|| with_closure.eval_with_combined(p, &combined)),
+                &want,
+            ),
+        ] {
+            if got != *want {
+                return Err(format!(
+                    "seed {seed}: {entry} on a stream that began at {first:?} gave {got:?}, \
+                     the interpreter {want:?}, on {body:?} at p={p}, q={q}"
+                ));
+            }
+        }
+        Ok(())
+    };
+    // Both threads start on `first`; one then walks the stream forward, the
+    // other backward, so either may be the one that specialises.
+    std::thread::scope(|s| {
+        let forward = s.spawn(|| std::iter::once(&first).chain(&rest).try_for_each(check));
+        let backward =
+            s.spawn(|| std::iter::once(&first).chain(rest.iter().rev()).try_for_each(check));
+        forward
+            .join()
+            .expect("checks catch panics")
+            .and(backward.join().expect("checks catch panics"))
+    })
+}

@@ -19,10 +19,11 @@ cargo build --release
 echo "== cargo test"
 cargo test -q --workspace
 
-echo "== Long overflow is one error in the release profile too"
+echo "== compiled UDFs match the interpreter in the release profile too"
 # Debug builds check integer overflow and release builds wrap; the language
-# defines its own, so the test must pass under both.
-cargo test -q --release -p matryoshka-ir --test compiled_udf long_overflow
+# defines its own, and the typed UDF programs do their `Long` arithmetic on
+# unboxed `i64` registers, so the whole differential file must pass under both.
+cargo test -q --release -p matryoshka-ir --test compiled_udf
 
 echo "== benchmark builds and smoke-runs against these crates (benchmark/check.sh)"
 # benchmark/ is its own workspace, so nothing above compiles it: a changed
@@ -64,7 +65,7 @@ echo "== sanitizers (best effort: miri, then TSan, else skip)"
 # and the wide operators' (a broadcast join's table holds `&K`/`&W` borrowed
 # from the shared right partitions across that same runner),
 # the UDF compiler's unit tests (thread-local frame reentrancy + take/replace
-# discipline), the service's connection loop (one reply, one write;
+# discipline, the typed program cached in a `OnceLock` shared by threads), the service's connection loop (one reply, one write;
 # request limits) and its state model (a waiter thread against the driver,
 # a caught payload panic).
 if cargo miri --version >/dev/null 2>&1 \
