@@ -101,11 +101,7 @@ impl<T: Key, E: Data> InnerBag<T, E> {
     pub fn reduce(&self, f: impl Fn(&E, &E) -> E + Send + Sync + 'static) -> InnerScalar<T, E> {
         let p = self.ctx.scalar_partitions();
         let bytes = self.scalar_record_bytes::<E>();
-        let reduced = self
-            .repr
-            .map(|(t, e)| (t.clone(), e.clone()))
-            .with_record_bytes(bytes)
-            .reduce_by_key_into(p, f);
+        let reduced = self.repr.map_into(|te| te).with_record_bytes(bytes).reduce_by_key_into(p, f);
         InnerScalar::from_repr(reduced, self.ctx.clone())
     }
 
@@ -133,7 +129,7 @@ impl<T: Key, E: Data> InnerBag<T, E> {
     /// nesting removal (Sec. 4.6: "Flatten's implementation simply removes
     /// the tags from an InnerBag").
     pub fn flatten(&self) -> Bag<E> {
-        self.repr.map(|(_, e)| e.clone())
+        self.repr.map_into(|(_, e)| e)
     }
 
     /// Gather each tag's inner bag into a driver-visible `Vec` scalar
@@ -141,11 +137,7 @@ impl<T: Key, E: Data> InnerBag<T, E> {
     /// engine's memory model sees the real per-tag sizes.
     pub fn collect_per_tag(&self) -> InnerScalar<T, Vec<E>> {
         let p = self.ctx.scalar_partitions();
-        let grouped = self
-            .repr
-            .map(|(t, e)| (t.clone(), e.clone()))
-            .group_by_key_into(p)
-            .map(|(t, es)| (t.clone(), es.clone()));
+        let grouped = self.repr.map_into(|te| te).group_by_key_into(p).map_into(|tes| tes);
         // Zero-fill: tags with no elements get an empty Vec. (Structural
         // cardinality: weigh these as small records, whatever the tags bag's
         // own record weight is.)
@@ -244,7 +236,9 @@ impl<T: Key, E: Data> InnerBag<T, E> {
 
 /// Lifted key-value operations: the re-keying of Sec. 4.4 ("we lift
 /// operations that already have a per-key state by creating a composite key
-/// from the original key plus the tag").
+/// from the original key plus the tag"). Every re-keying map takes its record
+/// by value ([`Bag::map_into`]): inside a stage it moves the record's parts
+/// into the new shape, and only a materialized input is cloned, once.
 impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     /// Lifted `reduceByKey`: `b'.map{(t,(k,v)) => ((t,k),v)}.reduceByKey(f)
     /// .map{((t,k),v) => (t,(k,v))}` — exactly the paper's rewrite.
@@ -252,12 +246,9 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
         &self,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> InnerBag<T, (K, V)> {
-        let rekeyed = self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone()));
+        let rekeyed = self.repr.map_into(|(t, (k, v))| ((t, k), v));
         let reduced = rekeyed.reduce_by_key(f);
-        InnerBag {
-            repr: reduced.map(|((t, k), v)| (t.clone(), (k.clone(), v.clone()))),
-            ctx: self.ctx.clone(),
-        }
+        InnerBag { repr: reduced.map_into(|((t, k), v)| (t, (k, v))), ctx: self.ctx.clone() }
     }
 
     /// [`InnerBag::reduce_by_key`] with an explicit modeled size for the
@@ -270,31 +261,25 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
         partial_bytes: f64,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> InnerBag<T, (K, V)> {
-        let rekeyed = self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone()));
+        let rekeyed = self.repr.map_into(|(t, (k, v))| ((t, k), v));
         let p = rekeyed.num_partitions().min(self.ctx.engine().config().default_parallelism);
         let reduced = rekeyed.reduce_by_key_partials(p, partial_bytes, f);
-        InnerBag {
-            repr: reduced.map(|((t, k), v)| (t.clone(), (k.clone(), v.clone()))),
-            ctx: self.ctx.clone(),
-        }
+        InnerBag { repr: reduced.map_into(|((t, k), v)| (t, (k, v))), ctx: self.ctx.clone() }
     }
 
     /// Lifted `groupByKey` with the same composite-key re-keying.
     pub fn group_by_key(&self) -> InnerBag<T, (K, Vec<V>)> {
-        let rekeyed = self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone()));
+        let rekeyed = self.repr.map_into(|(t, (k, v))| ((t, k), v));
         let grouped = rekeyed.group_by_key();
-        InnerBag {
-            repr: grouped.map(|((t, k), vs)| (t.clone(), (k.clone(), vs.clone()))),
-            ctx: self.ctx.clone(),
-        }
+        InnerBag { repr: grouped.map_into(|((t, k), vs)| (t, (k, vs))), ctx: self.ctx.clone() }
     }
 
     /// Lifted equi-join: join on the `(tag, key)` composite so that only
     /// pairs from the *same original UDF invocation* match (Sec. 4.4: "we
     /// also lift joins with a similar rekeying").
     pub fn join<W: Data>(&self, other: &InnerBag<T, (K, W)>) -> InnerBag<T, (K, (V, W))> {
-        let l = self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone()));
-        let r = other.repr.map(|(t, (k, w))| ((t.clone(), k.clone()), w.clone()));
+        let l = self.repr.map_into(|(t, (k, v))| ((t, k), v));
+        let r = other.repr.map_into(|(t, (k, w))| ((t, k), w));
         let joined = l.joined_with(&r, JoinAlgorithm::Repartition);
         InnerBag {
             repr: joined.map(|(t, k), v, w| (t.clone(), (k.clone(), (v.clone(), w.clone())))),
@@ -307,7 +292,7 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     /// Implemented exactly as the paper's three-liner: re-key the InnerBag
     /// by the join key, join against the outer bag, then restore the tag.
     pub fn half_lifted_join<W: Data>(&self, right: &Bag<(K, W)>) -> InnerBag<T, (K, (V, W))> {
-        let rekeyed = self.repr.map(|(t, (k, v))| (k.clone(), (t.clone(), v.clone())));
+        let rekeyed = self.repr.map_into(|(t, (k, v))| (k, (t, v)));
         let joined = rekeyed.joined_with(right, JoinAlgorithm::Repartition);
         InnerBag {
             repr: joined.map(|k, (t, v), w| (t.clone(), (k.clone(), (v.clone(), w.clone())))),
@@ -328,8 +313,7 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
             0,
             "pre-shuffle by (tag, key) at default parallelism for reuse across iterations",
         );
-        let repr =
-            self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone())).partition_by_key(p);
+        let repr = self.repr.map_into(|(t, (k, v))| ((t, k), v)).partition_by_key(p);
         CoPartitioned { repr, ctx: self.ctx.clone() }
     }
 
@@ -341,8 +325,7 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
         right: &CoPartitioned<T, K, W>,
     ) -> InnerBag<T, (K, (V, W))> {
         let p = right.repr.num_partitions();
-        let l =
-            self.repr.map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone())).partition_by_key(p);
+        let l = self.repr.map_into(|(t, (k, v))| ((t, k), v)).partition_by_key(p);
         let joined = l.joined_into(p, &right.repr);
         InnerBag {
             repr: joined.map(|(t, k), v, w| (t.clone(), (k.clone(), (v.clone(), w.clone())))),
@@ -367,10 +350,7 @@ impl<T: Key, K: Key, V: Data> Clone for CoPartitioned<T, K, V> {
 impl<T: Key, K: Key, V: Data> CoPartitioned<T, K, V> {
     /// View as a plain InnerBag again (records unchanged, placement kept).
     pub fn to_inner_bag(&self) -> InnerBag<T, (K, V)> {
-        InnerBag {
-            repr: self.repr.map(|((t, k), v)| (t.clone(), (k.clone(), v.clone()))),
-            ctx: self.ctx.clone(),
-        }
+        InnerBag { repr: self.repr.map_into(|((t, k), v)| (t, (k, v))), ctx: self.ctx.clone() }
     }
 }
 
@@ -508,6 +488,43 @@ mod tests {
         assert_eq!(sorted(out[0].1.clone()), vec![1, 3]);
         assert_eq!(out[1].1, vec![9]);
         assert!(out[2].1.is_empty());
+    }
+
+    static POINT_CLONES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// A point whose clones are counted.
+    #[derive(Debug, PartialEq)]
+    struct Point(u64);
+
+    impl Clone for Point {
+        fn clone(&self) -> Self {
+            POINT_CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Point(self.0)
+        }
+    }
+
+    /// The K-means assignment stage (`map_with_scalar` then
+    /// `reduce_by_key_partials`: each point meets its tag's centroids, then
+    /// per-`(tag, cluster)` sums) clones a point once, in the UDF. The
+    /// re-keying maps around the reduce, its combine and its scatter move it.
+    #[test]
+    fn a_lifted_assignment_stage_clones_each_point_once() {
+        use std::sync::atomic::Ordering::Relaxed;
+        const N: u64 = 3_000;
+        let e = Engine::local();
+        let c = ctx(&e, vec![0, 1, 2]);
+        let data = (0..N).map(|i| (i % 3, Point(i))).collect();
+        let points = InnerBag::from_repr(e.parallelize(data, 4), c.clone());
+        let modulus = vec![(0u64, 5u64), (1, 7), (2, 11)];
+        let centroids = InnerScalar::from_repr(e.parallelize(modulus, 1), c);
+        points.repr().count().unwrap();
+        centroids.repr().count().unwrap();
+        POINT_CLONES.store(0, Relaxed);
+        let sums = points
+            .map_with_scalar(&centroids, |p, m| (p.0 % m, (p.clone(), 1u64)))
+            .reduce_by_key_partials(16.0, |(a, n), (b, m)| (Point(a.0 + b.0), n + m));
+        assert_eq!(sums.repr().count().unwrap(), 5 + 7 + 11, "one sum per (tag, cluster)");
+        assert_eq!(POINT_CLONES.load(Relaxed), N as usize, "one clone per point, the UDF's");
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     /// new tags are `(outer_tag, key)` composites.
     pub fn group_by_key_into_nested_bag(&self) -> Result<NestedBag<(T, K), (T, K), V>> {
         let engine = self.ctx().engine().clone();
-        let repr = self.repr().map(|(t, (k, v))| ((t.clone(), k.clone()), v.clone()));
+        let repr = self.repr().map_into(|(t, (k, v))| ((t, k), v));
         let tags = repr.map(|(tk, _)| tk.clone()).distinct();
         let ctx = LiftingContext::counted(engine, tags, *self.ctx().config())?;
         let outer = ctx.tags_scalar();
@@ -138,7 +138,7 @@ impl<T: Key, E: Key> InnerBag<T, E> {
     /// level-2 tag).
     pub fn lift_elements(&self) -> Result<InnerScalar<(T, E), E>> {
         let engine = self.ctx().engine().clone();
-        let repr = self.repr().map(|(t, e)| ((t.clone(), e.clone()), e.clone()));
+        let repr = self.repr().map_into(|(t, e)| ((t, e.clone()), e));
         let tags = repr.map(|(te, _)| te.clone());
         let ctx = LiftingContext::counted(engine, tags, *self.ctx().config())?;
         Ok(InnerScalar::from_repr(repr, ctx))
@@ -151,7 +151,7 @@ impl<T: Key, L: Key, S: Data> InnerScalar<(T, L), S> {
     /// inner tag (`(L, S)` pairs). This is how per-`(component, source)`
     /// results flow back into per-`component` computations.
     pub fn demote(&self, level1_ctx: &LiftingContext<T>) -> InnerBag<T, (L, S)> {
-        let repr = self.repr().map(|((t, l), s)| (t.clone(), (l.clone(), s.clone())));
+        let repr = self.repr().map_into(|((t, l), s)| (t, (l, s)));
         InnerBag::from_repr(repr, level1_ctx.clone())
     }
 }
@@ -160,7 +160,7 @@ impl<T: Key, L: Key, E: Data> InnerBag<(T, L), E> {
     /// Demote one nesting level for inner bags (see
     /// [`InnerScalar::demote`]).
     pub fn demote(&self, level1_ctx: &LiftingContext<T>) -> InnerBag<T, (L, E)> {
-        let repr = self.repr().map(|((t, l), e)| (t.clone(), (l.clone(), e.clone())));
+        let repr = self.repr().map_into(|((t, l), e)| (t, (l, e)));
         InnerBag::from_repr(repr, level1_ctx.clone())
     }
 }
@@ -169,7 +169,7 @@ impl<T: Key, L: Key, I: Data> InnerBag<T, (L, I)> {
     /// Promote elements carrying an inner tag into an `InnerBag` over
     /// composite `(T, L)` tags, sharing an existing level-2 context.
     pub fn promote(&self, level2_ctx: &LiftingContext<(T, L)>) -> InnerBag<(T, L), I> {
-        let repr = self.repr().map(|(t, (l, i))| ((t.clone(), l.clone()), i.clone()));
+        let repr = self.repr().map_into(|(t, (l, i))| ((t, l), i));
         InnerBag::from_repr(repr, level2_ctx.clone())
     }
 }

@@ -1,54 +1,51 @@
-//! Narrow operators: every one runs as a batch-transducer step, and maximal
-//! runs of them fuse into a single pass.
+//! Stages: every operator between two shuffles runs as a step of one pass.
 //!
-//! Every narrow operator built by [`fusible`] (`map`, `filter`, `flat_map`,
-//! `map_indexed`, `zip_with_unique_id`, `sample`, `map_values`, and `key_by`
-//! via `map`) states its per-partition logic exactly once, as a [`Step`],
-//! and carries a [`FuseHook`]: a recipe for assembling the *maximal run* of
-//! narrow ancestors ending at that operator into one composed transducer
-//! chain. Evaluating such an operator assembles its chain and executes it as
-//! **one** `parallel_map_range` pass per partition: one pool dispatch total,
-//! and per partition each operator is a single dynamic call whose body is the
-//! operator's own *monomorphized* tight loop over the whole [`Batch`].
-//! Mid-chain batches are owned `Vec`s handed from step to step, so
-//! `into_iter().collect()` reuses the allocation in place where layouts
-//! allow, record clones are elided (ownership moves), and none of the elided
-//! middles ever becomes a cached partition set (`Arc<Vec<Arc<Vec<_>>>>`) in
-//! the lineage.
+//! Every narrow operator built by [`fusible`] (`map`, `map_into`, `filter`,
+//! `flat_map`, `map_indexed`, `zip_with_unique_id`, `sample`, `map_values`,
+//! and `key_by` via `map`) states its per-partition logic exactly once, as a
+//! [`Step`]. Every node that can take part in a stage carries a [`FuseHook`]
+//! that assembles the *maximal chain* ending at that node. A chain starts at a
+//! **head** — a materialized partition set, read in place, or the reduce side
+//! of a wide operator or a join's probe, which hand each output partition on
+//! owned — and runs in **one** pool pass: each operator is a single dynamic
+//! call per partition whose body is its own *monomorphized* loop over the
+//! whole [`Batch`]. Mid-chain batches are owned `Vec`s handed from step to
+//! step, so `into_iter().collect()` reuses the allocation in place where
+//! layouts allow, record clones are elided (ownership moves), and no elided
+//! middle becomes a cached partition set. A chain ends where a node is
+//! evaluated ([`run_chain`]) or at the map side of the next wide operator
+//! (`shuffle::Shuffle::read`), which runs it in its own pass, combine
+//! included. `with_record_bytes` is metadata: its chain is its parent's. A
+//! wide node evaluated on its own is the chain of just itself: there is one
+//! driver and one charge replay.
 //!
 //! # Chains of length 1
 //!
-//! An operator whose parent is a barrier (below) assembles a chain of just
-//! itself and runs through the same driver and charge replay. That is *not*
-//! a fusion: the bag keeps its own operator name, and no `StageFused` event,
-//! `stages_fused`/`intermediates_elided` bump or `narrow_fusion` decision is
-//! emitted.
+//! A pass that runs one operator is *not* a fusion: the bag keeps its own
+//! operator name, and no `StageFused` event, `stages_fused`/
+//! `intermediates_elided` bump or `narrow_fusion` decision is emitted.
 //!
 //! # Sim-transparency invariant
 //!
 //! Chain length changes *wall-clock* execution only. The pass records the
-//! size of every intermediate batch per partition while it runs and then
-//! issues one `charge_compute` call per operator: source-first, per-partition
-//! counts read off the operator's two boundaries by its [`ChargeRule`], the
-//! operator's own record size and `current_operator` attribution. That is
-//! the sequence a run of length-1 chains over the same operators issues, so
-//! simulated time, `StatsSnapshot` counters (other than the two fusion
-//! counters), `Stage` trace events and fault-model draws do not depend on
-//! where chains are cut (`golden_sim` and the `fusion` property tests pin
-//! this).
+//! size of every batch an operator reads, per partition, and then issues one
+//! `charge_compute` call per operator: source-first, per-partition counts
+//! read off the operator's two boundaries by its [`ChargeRule`], the
+//! operator's own record size and attribution, and task overhead for a head
+//! that reads a shuffle. That is the sequence a run of length-1 chains over
+//! the same operators issues, so simulated time, `StatsSnapshot` counters
+//! (other than the two fusion counters), `Stage` trace events and
+//! fault-model draws do not depend on where chains are cut (`golden_sim` and
+//! the `fusion` property tests pin this).
 //!
-//! # Fusion barriers
+//! # Chain barriers
 //!
-//! A narrow operator materializes its parent (starting a fresh chain there)
-//! instead of fusing through it when the parent is:
+//! A chain starts afresh at a parent that is:
 //!
-//! - a **wide** operator, a source, `checkpoint`, `cache`, `union`,
-//!   `with_record_bytes` or `map_with_work` (none carry a fuse
-//!   hook — `map_with_work` because its memory accounting must observe real
-//!   per-partition outputs, `cache`/`checkpoint` because their whole point
-//!   is a stable materialization every consumer can share). A join is the
-//!   *head* of a chain for the followers handed to `ops_wide::Joined`
-//!   ([`settle`] charges them like any chain), a barrier for all else;
+//! - a source, `checkpoint`, `cache`, `union` or `map_with_work` (none carry
+//!   a fuse hook — `map_with_work` because its memory accounting must observe
+//!   real per-partition outputs, `cache`/`checkpoint` because their whole
+//!   point is a stable materialization every consumer can share);
 //! - already **materialized** (its memoized partitions are reused as-is);
 //! - **multi-consumer**: any other live handle to the parent (a user
 //!   binding, a second downstream operator, or a still-live temporary of the
@@ -56,11 +53,11 @@
 //!   could evaluate the parent later and must find it cached; fusing through
 //!   it would make the later evaluation re-charge the prefix.
 //!
-//! Exclusivity is detected by `Arc` strong count: a narrow child holds
-//! exactly one reference to its parent (inside its assemble hook), so a
-//! count of 1 proves no other handle exists. Binding every intermediate of a
-//! chain to a live handle therefore forces length-1 chains throughout, which
-//! is how the tests and the `narrow_chain/unfused` bench row reach the
+//! Exclusivity is detected by `Arc` strong count: a child holds exactly one
+//! reference to its parent (inside its assemble hook), so a count of 1 proves
+//! no other handle exists. Binding every intermediate of a chain to a live
+//! handle therefore forces length-1 chains throughout, which is how the
+//! tests and the `narrow_chain/unfused` bench row reach the
 //! operator-at-a-time schedule. The materialized/multi-consumer check is the
 //! shared barrier predicate [`Bag::absorbable`](super::Bag::absorbable),
 //! which the IR plan-rewrite pass also leans on: its hoist/CSE auto-caching
@@ -72,14 +69,13 @@
 //! Composite names like `fused(map|filter)` are `&'static str` (the rest of
 //! the trace plumbing stores static operator names). They are interned in a
 //! global leak-once table keyed by the composite string, so a `lifted_while`
-//! loop that rebuilds the same narrow chain every iteration allocates the
-//! name once for the chain *shape* — per-iteration cost stays O(chain
-//! length) closure allocations with zero leaked memory after the first
-//! iteration.
+//! loop that rebuilds the same chain every iteration allocates the name once
+//! for the chain *shape* — per-iteration cost stays O(chain length) closure
+//! allocations with zero leaked memory after the first iteration.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use super::{to_parts, Bag, Node, Partitioning, Parts};
+use super::{to_parts, Bag, Partitioning, Parts};
 use crate::error::Result;
 use crate::pool::parallel_map_range;
 use crate::trace::EngineEvent;
@@ -119,6 +115,8 @@ pub(crate) struct FusedOpMeta {
     pub bytes: f64,
     /// Which side its per-partition counts come from.
     pub charge: ChargeRule,
+    /// Whether it starts a stage by reading a shuffle, paying task overhead.
+    pub overhead: bool,
 }
 
 /// One operator's whole-partition input inside a chain: borrowed from the
@@ -166,6 +164,35 @@ impl<T: Clone> Batch<'_, T> {
     }
 }
 
+/// A whole partition a chain head takes by value (a reduce side's placed
+/// input, a probe's left partition): a materialized partition it reads in
+/// place, or records it owns.
+pub(crate) enum Part<T> {
+    /// A materialized partition, shared.
+    Shared(Arc<Vec<T>>),
+    /// Records this head owns.
+    Owned(Vec<T>),
+}
+
+impl<T> Part<T> {
+    /// The records.
+    pub fn as_slice(&self) -> &[T] {
+        match self {
+            Part::Shared(p) => p,
+            Part::Owned(v) => v,
+        }
+    }
+
+    /// Run `f` over the partition as a [`Batch`]: borrowed when shared, moved
+    /// when owned.
+    pub fn read<R>(self, f: impl FnOnce(Batch<'_, T>) -> R) -> R {
+        match self {
+            Part::Shared(p) => f(Batch::Shared(&p)),
+            Part::Owned(v) => f(Batch::Owned(v)),
+        }
+    }
+}
+
 /// One operator's batch transducer step: receives the partition index and
 /// the operator's entire per-partition input stream (so `enumerate`
 /// positions inside the step are the per-partition offsets that
@@ -175,30 +202,90 @@ impl<T: Clone> Batch<'_, T> {
 /// monomorphized code.
 pub(crate) type Step<I, O> = Arc<dyn Fn(usize, Batch<'_, I>) -> Vec<O> + Send + Sync>;
 
-/// Drives one partition of an assembled chain: threads the base partition
-/// through the composed steps, pushing the size of every *intermediate*
-/// batch (source-first) so each operator's input and output counts can be
-/// read off afterwards. A chain of one has no intermediates and pushes
-/// nothing.
-type DriveFn<T> = Box<dyn Fn(usize, &mut Vec<usize>) -> Vec<T> + Send + Sync>;
+/// Drives one partition of an assembled chain from its head, pushing the
+/// size of every *intermediate* batch (source-first), so each operator's
+/// input and output counts can be read off afterwards. A chain of one has no
+/// intermediates and pushes nothing.
+pub(crate) trait Drive<T>: Send + Sync {
+    fn drive(&self, pi: usize, mids: &mut Vec<usize>) -> Batch<'_, T>;
 
-/// A maximal narrow run, assembled at evaluation time: the per-operator
-/// metadata (source-first) and a per-partition driver over the materialized
-/// base input.
+    /// The partitions of a chain of no operators, read as they are.
+    fn parts(&self) -> Option<&Parts<T>> {
+        None
+    }
+}
+
+/// The head of a chain over a materialized parent: its partitions, read in
+/// place.
+struct Materialized<T>(Parts<T>);
+
+impl<T: Data> Drive<T> for Materialized<T> {
+    fn drive(&self, pi: usize, _: &mut Vec<usize>) -> Batch<'_, T> {
+        Batch::Shared(&self.0[pi])
+    }
+
+    fn parts(&self) -> Option<&Parts<T>> {
+        Some(&self.0)
+    }
+}
+
+/// A narrow operator's step after the chain that feeds it.
+struct Extend<P, T> {
+    upstream: Box<dyn Drive<P>>,
+    step: Step<P, T>,
+    /// Reads the head's partition, counted already.
+    first: bool,
+}
+
+impl<P: Data, T: Data> Drive<T> for Extend<P, T> {
+    fn drive(&self, pi: usize, mids: &mut Vec<usize>) -> Batch<'_, T> {
+        let input = self.upstream.drive(pi, mids);
+        if !self.first {
+            mids.push(input.as_slice().len());
+        }
+        Batch::Owned((self.step)(pi, input))
+    }
+}
+
+/// A head that takes one input per partition by value: `(output, own count)`
+/// per partition from `step`.
+struct Headed<X, F> {
+    slots: Vec<Mutex<Option<X>>>,
+    step: F,
+    ops: usize,
+}
+
+impl<X: Send, O: Data, F: Fn(X) -> (Vec<O>, usize) + Send + Sync> Drive<O> for Headed<X, F> {
+    fn drive(&self, pi: usize, mids: &mut Vec<usize>) -> Batch<'_, O> {
+        let taken = self.slots[pi].lock().expect("partition slot lock poisoned").take();
+        let (out, own) = (self.step)(taken.expect("a partition is driven once"));
+        // The followers the head absorbed (a join's) read its own count
+        // first, then the final one.
+        if self.ops > 1 {
+            mids.push(own);
+            mids.resize(self.ops - 1, out.len());
+        }
+        Batch::Owned(out)
+    }
+}
+
+/// A maximal chain, assembled at evaluation time: the per-operator metadata
+/// (source-first; none for a materialized parent read as it is) and a
+/// per-partition driver.
 pub(crate) struct Assembled<T> {
     /// Chain operators, source-first; the evaluating tail is last.
     pub metas: Vec<FusedOpMeta>,
-    /// Record count of every partition of the materialized base input.
+    /// Record count of every partition the head reads.
     pub base_counts: Vec<usize>,
     /// Per-partition driver.
-    pub drive: DriveFn<T>,
+    pub drive: Box<dyn Drive<T>>,
 }
 
-/// The fusion recipe carried by every narrow node: assembles the maximal
-/// chain ending at that node, plus the slot its composite name lands in when
-/// the node executes as the tail of a chain of two or more.
+/// The fusion recipe of a node that can take part in a chain: assembles the
+/// maximal chain ending at that node, plus the slot its composite name lands
+/// in when the node executes as the tail of a chain of two or more.
 pub(crate) struct FuseHook<T> {
-    /// Assemble the maximal chain ending at this operator.
+    /// Assemble the maximal chain ending at this node.
     pub assemble: Arc<dyn Fn() -> Result<Assembled<T>> + Send + Sync>,
     /// Composite name (`fused(map|filter)`), set by [`run_chain`];
     /// shared with the node so `op_name()` and the execution trace report
@@ -206,10 +293,57 @@ pub(crate) struct FuseHook<T> {
     pub fused_name: Arc<OnceLock<&'static str>>,
 }
 
+/// The one absorb-or-materialize decision: an absorbable parent's own chain,
+/// to be extended, or its memoized partitions.
+pub(super) fn chain<T: Data>(parent: &Bag<T>) -> Result<Assembled<T>> {
+    if let Some(hook) = parent.fuse_through() {
+        return (hook.assemble)();
+    }
+    let parts = parent.eval()?;
+    let base_counts = parts.iter().map(|p| p.len()).collect();
+    Ok(Assembled { metas: Vec::new(), base_counts, drive: Box::new(Materialized(parts)) })
+}
+
+/// A chain headed by an operator that takes one input per partition (a wide
+/// operator's reduce side, a join's probe): `metas` are the head's own,
+/// `base_counts` and `inputs` each partition's record count and input, and `step`
+/// returns the partition's output and the head's own output count.
+pub(super) fn headed<X: Send + 'static, O: Data>(
+    metas: Vec<FusedOpMeta>,
+    base_counts: Vec<usize>,
+    inputs: impl Iterator<Item = X>,
+    step: impl Fn(X) -> (Vec<O>, usize) + Send + Sync + 'static,
+) -> Assembled<O> {
+    let slots = inputs.map(|x| Mutex::new(Some(x))).collect();
+    let drive = Box::new(Headed { slots, step, ops: metas.len() });
+    Assembled { metas, base_counts, drive }
+}
+
+/// A lineage node evaluated by running the chain `assemble` builds, and
+/// carrying it as its fuse hook so a downstream chain can extend it instead.
+pub(super) fn chain_node<T: Data>(
+    engine: Engine,
+    name: &'static str,
+    record_bytes: f64,
+    partitions: usize,
+    partitioning: Partitioning,
+    assemble: impl Fn() -> Result<Assembled<T>> + Send + Sync + 'static,
+) -> Bag<T> {
+    let assemble: Arc<dyn Fn() -> Result<Assembled<T>> + Send + Sync> = Arc::new(assemble);
+    let fused_name: Arc<OnceLock<&'static str>> = Arc::new(OnceLock::new());
+    let (run, named, e) = (Arc::clone(&assemble), Arc::clone(&fused_name), engine.clone());
+    let compute = move || run_chain(&e, run()?, &named);
+    let mut bag =
+        Bag::new_with_partitioning(engine, name, record_bytes, partitions, partitioning, compute);
+    let node = Arc::get_mut(&mut bag.node).expect("a new node has one handle");
+    node.fuse = Some(FuseHook { assemble, fused_name });
+    bag
+}
+
 /// Construct a narrow operator from its transducer `step`, the only
 /// statement of its per-partition logic: evaluating the returned bag
-/// assembles the maximal chain ending here (length 1 behind a barrier) and
-/// runs it through [`run_chain`].
+/// assembles the maximal chain ending here and runs it through
+/// [`run_chain`].
 pub(crate) fn fusible<P: Data, T: Data>(
     parent: &Bag<P>,
     name: &'static str,
@@ -218,99 +352,87 @@ pub(crate) fn fusible<P: Data, T: Data>(
     charge: ChargeRule,
     step: Step<P, T>,
 ) -> Bag<T> {
-    let engine = parent.engine().clone();
-    let partitions = parent.num_partitions();
-    let fused_name: Arc<OnceLock<&'static str>> = Arc::new(OnceLock::new());
-
+    let meta = FusedOpMeta { name, bytes: record_bytes, charge, overhead: false };
     // The hook owns this node's only handle to its parent (see the module
     // docs on exclusivity).
-    let assemble: Arc<dyn Fn() -> Result<Assembled<T>> + Send + Sync> = {
-        let parent = parent.clone();
-        Arc::new(move || {
-            let meta = FusedOpMeta { name, bytes: record_bytes, charge };
-            if let Some(hook) = parent.fuse_through() {
-                // Exclusive narrow parent: extend its chain with this step.
-                let Assembled { mut metas, base_counts, drive: upstream } = (hook.assemble)()?;
-                metas.push(meta);
-                let step = Arc::clone(&step);
-                let drive: DriveFn<T> = Box::new(move |pi, mids| {
-                    let input = upstream(pi, mids);
-                    mids.push(input.len());
-                    step(pi, Batch::Owned(input))
-                });
-                Ok(Assembled { metas, base_counts, drive })
-            } else {
-                // Barrier: materialize the parent (memoized, charged by its
-                // own evaluation) and start a fresh chain reading its shared
-                // partitions by reference.
-                let parts = parent.eval()?;
-                let base_counts = parts.iter().map(|p| p.len()).collect();
-                let step = Arc::clone(&step);
-                let drive: DriveFn<T> =
-                    Box::new(move |pi, _| step(pi, Batch::Shared(parts[pi].as_slice())));
-                Ok(Assembled { metas: vec![meta], base_counts, drive })
-            }
-        })
-    };
-
-    let compute = {
-        let engine = engine.clone();
-        let assemble = Arc::clone(&assemble);
-        let fused_name = Arc::clone(&fused_name);
-        move || run_chain(&engine, assemble()?, &fused_name)
-    };
-
-    Bag {
-        node: Arc::new(Node {
-            engine,
-            name,
-            record_bytes,
-            partitions,
-            partitioning,
-            compute: Box::new(compute),
-            cache: OnceLock::new(),
-            fuse: Some(FuseHook { assemble, fused_name }),
-        }),
-    }
+    let parent = parent.clone();
+    let (engine, partitions) = (parent.engine().clone(), parent.num_partitions());
+    chain_node(engine, name, record_bytes, partitions, partitioning, move || {
+        let Assembled { mut metas, base_counts, drive: upstream } = chain(&parent)?;
+        let first = metas.is_empty();
+        metas.push(meta);
+        let drive = Box::new(Extend { upstream, step: Arc::clone(&step), first });
+        Ok(Assembled { metas, base_counts, drive })
+    })
 }
 
-/// Execute an assembled chain: one pool dispatch over the base partitions,
-/// then [`settle`] its charges.
+/// Evaluate an assembled chain as a node's partitions.
 fn run_chain<T: Data>(
     engine: &Engine,
     assembled: Assembled<T>,
     fused_name: &OnceLock<&'static str>,
 ) -> Result<Parts<T>> {
-    let Assembled { metas, base_counts, drive } = assembled;
-    let (ops, partitions) = (metas.len(), base_counts.len());
+    if let Some(parts) = assembled.drive.parts() {
+        return Ok(Arc::clone(parts));
+    }
+    let (out, composite) = pass(engine, assembled, None)?;
+    if let Some(composite) = composite {
+        fused_name.get_or_init(|| composite);
+    }
+    Ok(to_parts(out))
+}
+
+/// A wide operator's map-side combine as the last step of a pass: its
+/// charge and the per-partition step.
+pub(super) type Tail<'a, T> = (FusedOpMeta, &'a (dyn Fn(Batch<'_, T>) -> Vec<T> + Sync));
+
+/// Run a chain's operators, then `tail` if any, as one pass — one pool
+/// dispatch — and [`settle`] it; returns each partition's output and the
+/// composite name of a fusion.
+pub(super) fn pass<T: Data>(
+    engine: &Engine,
+    chain: Assembled<T>,
+    tail: Option<Tail<'_, T>>,
+) -> Result<(Vec<Vec<T>>, Option<&'static str>)> {
+    let Assembled { mut metas, base_counts, drive } = chain;
+    let partitions = base_counts.len();
+    let (chained, ops) = (!metas.is_empty(), metas.len() + usize::from(tail.is_some()));
     let per_part: Vec<(Vec<T>, Vec<usize>)> = parallel_map_range(partitions, |pi| {
         let mut mids = Vec::with_capacity(ops - 1);
-        let out = drive(pi, &mut mids);
+        let out = drive.drive(pi, &mut mids);
+        let out = match tail {
+            Some((_, step)) => {
+                if chained {
+                    mids.push(out.as_slice().len());
+                }
+                step(out)
+            }
+            // The last operator's output: always owned.
+            None => out.into_vec(),
+        };
         (out, mids)
     });
-    // Boundary 0 is the base input and boundary `ops` the final output.
+    metas.extend(tail.map(|(meta, _)| meta));
+    // Boundary 0 is the head's input and boundary `ops` the final output.
     let boundary = |pi: usize, j: usize| match j {
         0 => base_counts[pi],
         j if j == ops => per_part[pi].0.len(),
         j => per_part[pi].1[j - 1],
     };
-    if let Some(composite) = settle(engine, &metas, false, partitions, boundary)? {
-        fused_name.get_or_init(|| composite);
-    }
-    Ok(to_parts(per_part.into_iter().map(|(out, _)| out).collect()))
+    let composite = settle(engine, &metas, partitions, boundary)?;
+    Ok((per_part.into_iter().map(|(out, _)| out).collect(), composite))
 }
 
 /// Settle a pass that ran `metas` (source-first) over `partitions`
 /// partitions: one `charge_compute` per operator under its own name, where
 /// operator `j` reads `boundary(partition, j)` records and writes
-/// `boundary(partition, j + 1)`, and `head_overhead` is the head's
-/// `task_overhead` (true only for a join's shuffle read, `ops_wide::Joined`).
-/// Two or more operators are a fusion: it also emits `StageFused` (feeding
-/// the fusion counters), logs `narrow_fusion` and returns its composite name.
-pub(super) fn settle(
+/// `boundary(partition, j + 1)`, with task overhead where it reads a
+/// shuffle. Two or more operators are a fusion: it also emits `StageFused`
+/// (feeding the fusion counters), logs `narrow_fusion` and returns its
+/// composite name.
+fn settle(
     engine: &Engine,
     metas: &[FusedOpMeta],
-    head_overhead: bool,
     partitions: usize,
     boundary: impl Fn(usize, usize) -> usize,
 ) -> Result<Option<&'static str>> {
@@ -320,7 +442,7 @@ pub(super) fn settle(
             .map(|pi| meta.charge.count(boundary(pi, j), boundary(pi, j + 1)))
             .collect();
         engine.push_current_op(meta.name);
-        let charged = engine.charge_compute(&counts, meta.bytes, head_overhead && j == 0);
+        let charged = engine.charge_compute(&counts, meta.bytes, meta.overhead);
         engine.pop_current_op();
         charged?;
     }
@@ -342,7 +464,7 @@ pub(super) fn settle(
         composite.to_string(),
         records,
         0,
-        format!("{ops} narrow ops in one pass over {partitions} partitions; {elided} intermediate materializations elided"),
+        format!("{ops} ops in one pass over {partitions} partitions; {elided} intermediate materializations elided"),
     );
     Ok(Some(composite))
 }
@@ -376,7 +498,7 @@ mod tests {
     use super::*;
 
     fn meta(name: &'static str) -> FusedOpMeta {
-        FusedOpMeta { name, bytes: 8.0, charge: ChargeRule::Output }
+        FusedOpMeta { name, bytes: 8.0, charge: ChargeRule::Output, overhead: false }
     }
 
     #[test]
@@ -405,5 +527,20 @@ mod tests {
         assert_eq!(shared.as_slice(), &[1, 2, 3]);
         let owned: Batch<'_, u32> = Batch::Owned(v.clone());
         assert_eq!(owned.as_slice(), &[1, 2, 3]);
+        let part = Part::Shared(Arc::new(v));
+        assert_eq!(part.as_slice(), &[1, 2, 3]);
+        assert!(part.read(|b| matches!(b, Batch::Shared(_))));
+    }
+
+    #[test]
+    fn fuse_headed_pass_takes_each_input_once_and_counts_the_head() {
+        let e = Engine::new(crate::ClusterConfig::local_test());
+        let metas = vec![meta("head"), meta("follower")];
+        let inputs = vec![vec![1u32, 2], vec![3]];
+        let step = |v: Vec<u32>| (v.iter().map(|x| x * 10).collect(), 7);
+        let head = headed(metas, vec![2, 1], inputs.into_iter(), step);
+        let (out, composite) = pass(&e, head, None).unwrap();
+        assert_eq!(out, vec![vec![10, 20], vec![30]]);
+        assert_eq!(composite, Some("fused(head|follower)"));
     }
 }

@@ -63,11 +63,11 @@ pub(crate) struct Node<T> {
     partitioning: Partitioning,
     compute: Box<dyn Fn() -> Result<Parts<T>> + Send + Sync>,
     cache: OnceLock<Result<Parts<T>>>,
-    /// Fusion recipe, present on narrow operators only (`fuse::fusible`
-    /// builds those nodes): lets a downstream narrow operator extend this
-    /// node's transducer chain instead of materializing it. `None` marks a
-    /// fusion barrier (sources, wide ops, `checkpoint`, `map_with_work`,
-    /// ...).
+    /// Fusion recipe, present on the nodes `fuse::chain_node` builds
+    /// (narrow and wide operators, joins, `with_record_bytes`): lets a
+    /// downstream narrow operator or wide map side extend this node's chain
+    /// instead of materializing it. `None` marks a chain barrier (sources,
+    /// `union`, `cache`, `checkpoint`, `map_with_work`).
     fuse: Option<fuse::FuseHook<T>>,
 }
 
@@ -138,8 +138,8 @@ impl<T: Data> Bag<T> {
         self.node.cache.get().is_none() && Arc::strong_count(&self.node) == 1
     }
 
-    /// The fusion recipe of this bag, if a downstream narrow operator may
-    /// extend its chain: requires a narrow node that passes the shared
+    /// The fusion recipe of this bag, if a downstream chain may extend it:
+    /// requires a node with a hook that passes the shared
     /// [`Bag::absorbable`] barrier predicate. Any second handle — a user
     /// binding, another consumer, a still-live temporary of the enclosing
     /// statement — keeps the shared prefix materialized so a later
@@ -217,16 +217,19 @@ impl<T: Data> Bag<T> {
     ///
     /// Use this where the default (`size_of::<T>()`) misrepresents the data
     /// the record stands for, e.g. when a small in-memory struct models a
-    /// fat on-disk record in a scaled-down experiment.
+    /// fat on-disk record in a scaled-down experiment. Metadata only: a
+    /// chain passes through it, and a materialized parent's partitions are
+    /// shared as they are.
     pub fn with_record_bytes(&self, bytes: f64) -> Bag<T> {
         let parent = self.clone();
-        Bag::new_with_partitioning(
-            self.engine().clone(),
+        let (engine, partitions) = (self.engine().clone(), self.num_partitions());
+        fuse::chain_node(
+            engine,
             "with_record_bytes",
             bytes,
-            self.num_partitions(),
+            partitions,
             self.partitioning(),
-            move || parent.eval(),
+            move || fuse::chain(&parent),
         )
     }
 
@@ -350,18 +353,43 @@ mod tests {
         assert!(second < first, "memoized action should be cheaper: {second} vs {first}");
     }
 
+    /// Every *evaluated* node reports once, after its parents: a node a
+    /// downstream stage absorbed runs inside that stage and reports nothing of
+    /// its own, so only the nodes that materialize appear, in order.
     #[test]
     fn trace_records_each_operator_once_in_topological_order() {
         let e = traced_engine(ClusterConfig::local_test());
         let b = e.parallelize((0..100u32).map(|i| (i % 5, i)).collect::<Vec<_>>(), 4);
-        let r = b.map(|(k, v)| (*k, v + 1)).reduce_by_key(|a, b| a + b);
-        r.count().unwrap();
-        r.count().unwrap(); // memoized: no new operator events
-        assert_eq!(
-            operators(&e),
-            [("parallelize", 100, true), ("map", 100, true), ("reduce_by_key", 5, true)]
-        );
+        let m = b.map(|(k, v)| (*k, v + 1));
+        let r = m.reduce_by_key(|a, b| a + b);
+        // The wide operator heads the map after it: one node, one report.
+        let t = r.reduce_by_key(|a, b| a + b).map(|(k, v)| (*k, v * 2));
+        m.count().unwrap();
+        t.count().unwrap();
+        t.count().unwrap(); // memoized: no new operator events
+        drop(m);
+        let expect = [
+            ("parallelize", 100, true),
+            ("map", 100, true),
+            ("reduce_by_key", 5, true),
+            ("fused(reduce_by_key|map)", 5, true),
+        ];
+        assert_eq!(operators(&e), expect);
         assert!(e.trace_json().contains("\"type\":\"operator\",\"op\":\"reduce_by_key\""));
+    }
+
+    /// A narrow chain runs inside the map side of the wide operator after it:
+    /// the map's output never materializes, and its charge is replayed before
+    /// the combine's, as one stage.
+    #[test]
+    fn a_wide_operator_absorbs_the_narrow_chain_before_it() {
+        let e = traced_engine(ClusterConfig::local_test());
+        let b = e.parallelize((0..100u32).map(|i| (i % 5, i)).collect::<Vec<_>>(), 4);
+        let r = b.map(|(k, v)| (*k, v + 1)).filter(|(_, v)| v % 2 == 0).reduce_by_key(|a, b| a + b);
+        r.count().unwrap();
+        assert_eq!(operators(&e), [("parallelize", 100, true), ("reduce_by_key", 5, true)]);
+        let decided: Vec<String> = e.decisions().into_iter().map(|d| d.choice).collect();
+        assert_eq!(decided, ["fused(map|filter|reduce_by_key)"]);
     }
 
     #[test]

@@ -43,25 +43,29 @@ impl<T: Data> Bag<T> {
     ) -> Bag<T> {
         let (parent, bytes, partitions) = (self.clone(), self.record_bytes(), partitions.max(1));
         let shuffle = Shuffle::new(self.engine(), "sort_by", partitions);
+        let key = Arc::new(key);
         shuffle.node(bytes, Partitioning::Arbitrary, move |s| {
-            let input = parent.eval()?;
+            let input = s.read(&parent)?.into_parts();
             // Exact split points from the full key set (a simulator can
             // afford exact quantiles; Spark samples).
-            let mut keys: Vec<K> = input.iter().flat_map(|p| p.iter().map(&key)).collect();
+            let mut keys: Vec<K> =
+                input.iter().flat_map(|p| p.as_slice().iter().map(&*key)).collect();
             keys.sort();
             let splits: Vec<K> = (1..partitions)
                 .filter_map(|i| keys.get(i * keys.len() / partitions).cloned())
                 .collect();
             let mut out: Vec<Vec<T>> = (0..partitions).map(|_| Vec::new()).collect();
-            for p in input.iter() {
-                for x in p.iter() {
-                    let k = key(x);
-                    let idx = splits.partition_point(|s| *s <= k);
-                    out[idx].push(x.clone());
-                }
+            for p in input {
+                p.read(|batch| {
+                    batch.for_each(|x| {
+                        let k = key(&x);
+                        out[splits.partition_point(|s| *s <= k)].push(x);
+                    })
+                });
             }
             let side = s.scattered(keys.len(), bytes, out);
-            s.reduce(side, ChargeRule::Input, bytes, |batch| {
+            let key = Arc::clone(&key);
+            s.reduce(side, ChargeRule::Input, bytes, move |batch| {
                 let mut p = batch.into_vec();
                 p.sort_by_key(|a| key(a));
                 p

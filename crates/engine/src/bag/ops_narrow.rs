@@ -31,6 +31,18 @@ impl<T: Data> Bag<T> {
         fusible(self, "map", self.record_bytes(), Partitioning::Arbitrary, ChargeRule::Output, step)
     }
 
+    /// Element-wise transformation that takes each record by value, charged
+    /// as `map`: a record handed on by the step before moves into `f`, and one
+    /// read out of a materialized partition is cloned once. This is the
+    /// re-keying map: `((t, k), v)` to `(t, (k, v))` and back moves every part.
+    pub fn map_into<U: Data>(&self, f: impl Fn(T) -> U + Send + Sync + 'static) -> Bag<U> {
+        let step: Step<T, U> = Arc::new(move |_, batch: Batch<'_, T>| match batch {
+            Batch::Shared(xs) => xs.iter().cloned().map(&f).collect(),
+            Batch::Owned(xs) => xs.into_iter().map(&f).collect(),
+        });
+        fusible(self, "map", self.record_bytes(), Partitioning::Arbitrary, ChargeRule::Output, step)
+    }
+
     /// Element-wise transformation that also sees the record's position:
     /// `(partition_index, offset_in_partition, record)`. The position is
     /// deterministic, so it can derive stable per-record tags without extra

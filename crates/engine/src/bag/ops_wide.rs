@@ -6,25 +6,31 @@
 //! launch per output partition + per-record processing), and a memory check
 //! for whatever it materializes per task (hash tables, grouped values). That
 //! protocol is [`super::shuffle`]'s: an operator here states its name, key,
-//! record sizes, map-side combine and reduce step.
+//! record sizes, map-side combine and reduce step, and reads a parent only
+//! through its map side (`Shuffle::read`/`Shuffle::combine`).
 //!
 //! # Wall-clock fast path
 //!
-//! A reduce step reads a co-partitioned input straight out of the shared
-//! `Arc<Vec<T>>` partitions (a `Shared` batch) and owns what the counting
-//! scatter of [`crate::partitioner`] placed (an `Owned` batch: each record
-//! moved or cloned once); worker-private hash tables use the deterministic
-//! [`crate::fx`] hasher, and `distinct`'s reduce side dedups in place. A join
-//! ([`Joined`]) pushes each match into its caller's closure by reference: the
-//! join and the `map`/`flat_map`/`filter` after it are one node that replays
-//! the follower's charge, and no `(K, (V, W))` tuple is built. None of this
-//! changes a charge (`tests/golden_sim.rs`, `tests/golden_lifted.rs`).
+//! The narrow chain before an operator runs inside its map side, so the
+//! combine and the scatter move its records; its reduce side heads the chain
+//! after it. A reduce step reads a co-partitioned input straight out of the
+//! shared `Arc<Vec<T>>` partitions (a `Shared` batch) and owns what the
+//! counting scatter of [`crate::partitioner`] placed (an `Owned` batch);
+//! worker-private hash tables use the deterministic [`crate::fx`] hasher, and
+//! `distinct` dedups an owned batch in place. A join ([`Joined`]) pushes each
+//! match into its caller's closure by reference: the join and the `map`/
+//! `flat_map`/`filter` after it are one head that replays the follower's
+//! charge, and no `(K, (V, W))` tuple is built. None of this changes a charge
+//! (`tests/golden_sim.rs`, `tests/golden_lifted.rs`).
 
-use super::fuse::{settle, ChargeRule, FusedOpMeta};
-use super::shuffle::{Input, Shuffle};
-use super::{to_parts, Bag, Partitioning};
+use std::borrow::Borrow;
+use std::hash::Hash;
+use std::sync::Arc;
+
+use super::fuse::{self, Batch, ChargeRule, FusedOpMeta};
+use super::shuffle::Shuffle;
+use super::{Bag, Partitioning};
 use crate::fx::{fx_map, fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
-use crate::pool::parallel_map;
 use crate::types::{Data, Key};
 
 /// How a join should be executed. The Matryoshka optimizer (crate
@@ -66,8 +72,7 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         let (parent, bytes) = (self.clone(), self.record_bytes());
         let shuffle = Shuffle::new(self.engine(), "group_by_key", partitions);
         shuffle.node(bytes, shuffle.by_key(), move |s| {
-            let input = parent.eval()?;
-            let side = s.place(Input::Shared(&input), parent.partitioning(), bytes, |r| &r.0);
+            let side = s.place(s.read(&parent)?, parent.partitioning(), bytes, |r| &r.0);
             s.reduce(side, ChargeRule::Input, bytes, |batch| {
                 let mut groups: FxHashMap<K, Vec<V>> = fx_map();
                 batch.for_each(|(k, v)| groups.entry(k).or_default().push(v));
@@ -107,40 +112,23 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         partial_bytes: f64,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> Bag<(K, V)> {
-        let (parent, bytes) = (self.clone(), self.record_bytes());
+        let (parent, bytes, f) = (self.clone(), self.record_bytes(), Arc::new(f));
         let shuffle = Shuffle::new(self.engine(), "reduce_by_key", partitions);
         shuffle.node(partial_bytes, shuffle.by_key(), move |s| {
-            let input = parent.eval()?;
             let combined =
-                s.combine(&input, "reduce_by_key(combine)", bytes, partial_bytes, |p| {
-                    let mut acc: FxHashMap<K, V> = fx_map_with_capacity(p.len());
-                    for (k, v) in p {
-                        match acc.get_mut(k) {
-                            Some(cur) => *cur = f(cur, v),
-                            None => {
-                                acc.insert(k.clone(), v.clone());
-                            }
-                        }
-                    }
-                    acc.into_iter().collect()
+                s.combine(&parent, "reduce_by_key(combine)", bytes, partial_bytes, |p| {
+                    merge(fx_map_with_capacity(p.as_slice().len()), p, &*f)
                 })?;
-            let side =
-                s.place(Input::Owned(combined), parent.partitioning(), partial_bytes, |r| &r.0);
+            let side = s.place(combined, parent.partitioning(), partial_bytes, |r| &r.0);
             // Co-located input left one partial per key, already final: only
             // scattered partials merge again (the model charges both alike).
-            let merge = side.scattered;
-            s.reduce(side, ChargeRule::Input, bytes, |batch| {
-                if !merge {
-                    return batch.into_vec();
+            let (again, f) = (side.scattered, Arc::clone(&f));
+            s.reduce(side, ChargeRule::Input, bytes, move |batch| {
+                if again {
+                    merge(fx_map(), batch, &*f)
+                } else {
+                    batch.into_vec()
                 }
-                let mut acc: FxHashMap<K, V> = fx_map();
-                batch.for_each(|(k, v)| match acc.get_mut(&k) {
-                    Some(cur) => *cur = f(cur, &v),
-                    None => {
-                        acc.insert(k, v);
-                    }
-                });
-                acc.into_iter().collect()
             })
         })
     }
@@ -189,13 +177,17 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         let (lbytes, rbytes) = (self.record_bytes(), other.record_bytes());
         let partitions = self.num_partitions().max(other.num_partitions());
         let shuffle = Shuffle::new(self.engine(), "co_group", partitions);
-        let head =
-            FusedOpMeta { name: "co_group", bytes: lbytes + rbytes, charge: ChargeRule::Output };
+        let head = FusedOpMeta {
+            name: "co_group",
+            bytes: lbytes + rbytes,
+            charge: ChargeRule::Output,
+            overhead: true,
+        };
         shuffle.node(head.bytes, Partitioning::Arbitrary, move |s| {
-            let (lp, rp) = (left.eval()?, right.eval()?);
-            let l = s.place(Input::Shared(&lp), Partitioning::Arbitrary, lbytes, |r| &r.0);
-            let r = s.place(Input::Shared(&rp), Partitioning::Arbitrary, rbytes, |r| &r.0);
-            s.reduce_pair("co_group", (l, r), &[head], |l, r| {
+            let (lp, rp) = (s.read(&left)?, s.read(&right)?);
+            let l = s.place(lp, Partitioning::Arbitrary, lbytes, |r| &r.0);
+            let r = s.place(rp, Partitioning::Arbitrary, rbytes, |r| &r.0);
+            s.reduce_pair("co_group", (l, r), vec![head], |l, r| {
                 let mut table: FxHashMap<K, (Vec<V>, Vec<W>)> = fx_map();
                 l.for_each(|(k, v)| table.entry(k).or_default().0.push(v));
                 r.for_each(|(k, w)| table.entry(k).or_default().1.push(w));
@@ -233,19 +225,52 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         }
         let (parent, bytes) = (self.clone(), self.record_bytes());
         shuffle.node(bytes, shuffle.by_key(), move |s| {
-            let input = parent.eval()?;
-            let side = s.place(Input::Shared(&input), parent.partitioning(), bytes, |r| &r.0);
+            let side = s.place(s.read(&parent)?, parent.partitioning(), bytes, |r| &r.0);
             s.reduce(side.streamed(), ChargeRule::Input, bytes, |batch| batch.into_vec())
         })
     }
 }
 
+/// Fold each key's values into one with `f`, starting from `acc`: a record
+/// moves in when owned and is cloned out of a shared partition only to seed
+/// its key.
+fn merge<K: Key, V: Data>(
+    mut acc: FxHashMap<K, V>,
+    batch: Batch<'_, (K, V)>,
+    f: &impl Fn(&V, &V) -> V,
+) -> Vec<(K, V)> {
+    match batch {
+        Batch::Shared(p) => {
+            for (k, v) in p.iter() {
+                match acc.get_mut(k) {
+                    Some(cur) => *cur = f(cur, v),
+                    None => {
+                        acc.insert(k.clone(), v.clone());
+                    }
+                }
+            }
+        }
+        Batch::Owned(p) => {
+            for (k, v) in p {
+                match acc.get_mut(&k) {
+                    Some(cur) => *cur = f(cur, &v),
+                    None => {
+                        acc.insert(k, v);
+                    }
+                }
+            }
+        }
+    }
+    acc.into_iter().collect()
+}
+
 /// An equi-join that has not chosen its output shape yet: two sides and a
-/// plan. Each method builds **one** lineage node that runs the plan's build
-/// and probe and hands every match to the caller *by reference*: nothing is
-/// cloned that the caller does not clone, and no `(K, (V, W))` bag exists for
-/// a follower to take apart. `map`, `flat_map` and `filter` are
-/// [`Joined::pairs`] then that narrow operator, in one pass, charged as both.
+/// plan. Each method builds **one** lineage node whose chain is headed by the
+/// plan's probe, which hands every match to the caller *by reference*:
+/// nothing is cloned that the caller does not clone, and no `(K, (V, W))` bag
+/// exists for a follower to take apart. `map`, `flat_map` and `filter` are
+/// [`Joined::pairs`] then that narrow operator, in one pass, charged as both;
+/// narrow operators after any of them extend the same pass.
 pub struct Joined<K: Key, V: Data, W: Data> {
     left: Bag<(K, V)>,
     right: Bag<(K, W)>,
@@ -280,9 +305,9 @@ impl<K: Key, V: Data, W: Data> Joined<K, V, W> {
         })
     }
 
-    /// The one node behind every shape: the plan's placement and build, a
-    /// probe that extends each output partition with `emit(k, v, w)` per
-    /// match, then the compute charges of the join and of the `followers`
+    /// The one node behind every shape: the plan's placement and build, then
+    /// a chain headed by the probe, which extends each output partition with
+    /// `emit(k, v, w)` per match and charges the join and the `followers`
     /// (`(name, rule)`, source-first) it absorbed: the join is charged on its
     /// matches, with task overhead when it read a shuffle. A follower's
     /// output has the join's record size; only `pairs` keeps the placement.
@@ -299,80 +324,96 @@ impl<K: Key, V: Data, W: Data> Joined<K, V, W> {
             Some(partitions) if followers.is_empty() => Partitioning::HashByKey { partitions },
             _ => Partitioning::Arbitrary,
         };
-        let head = FusedOpMeta { name, bytes: lbytes + rbytes, charge: ChargeRule::Output };
-        let tail = followers.iter().map(|&(name, charge)| FusedOpMeta { name, charge, ..head });
+        let (bytes, overhead) = (lbytes + rbytes, plan.is_some());
+        let head = FusedOpMeta { name, bytes, charge: ChargeRule::Output, overhead };
+        let tail = followers.iter().map(|&(name, charge)| FusedOpMeta {
+            name,
+            bytes,
+            charge,
+            overhead: false,
+        });
         let metas: Vec<FusedOpMeta> = std::iter::once(head).chain(tail).collect();
-        Bag::new_with_partitioning(engine.clone(), name, head.bytes, parts, placement, move || {
-            let Some(partitions) = plan else {
-                let rp = right.eval()?;
-                let rrecords: u64 = rp.iter().map(|p| p.len() as u64).sum();
+        let emit = Arc::new(emit);
+        Shuffle::new(&engine, name, parts).node(bytes, placement, move |s| {
+            let (metas, emit) = (metas.clone(), Arc::clone(&emit));
+            if plan.is_none() {
+                let rp = s.read(&right)?.into_parts();
+                let at: Vec<(usize, usize)> = (rp.iter().enumerate())
+                    .flat_map(|(pi, p)| (0..p.as_slice().len()).map(move |i| (pi, i)))
+                    .collect();
+                let rrecords = at.len() as u64;
                 engine.charge_driver_collect(rrecords, rbytes);
                 engine.charge_broadcast("broadcast_join", (rrecords as f64 * rbytes) as u64)?;
-                // Built once, over borrowed records, and probed by every task.
-                let slices: Vec<&[(K, W)]> = rp.iter().map(|p| p.as_slice()).collect();
-                let table = Multimap::build(&slices);
-                let per_part = parallel_map(left.eval()?.to_vec(), |_, l| table.probe(&l, &emit));
-                // Charged on its matches (boundaries 0 and 1), without task
-                // overhead: the probe rides the left side's stage.
-                let boundary =
-                    |pi: usize, j| if j <= 1 { per_part[pi].1 } else { per_part[pi].0.len() };
-                settle(&engine, &metas, false, per_part.len(), boundary)?;
-                return Ok(to_parts(per_part.into_iter().map(|(out, _)| out).collect()));
-            };
-            let s = Shuffle::new(&engine, name, partitions);
-            let (lp, rp) = (left.eval()?, right.eval()?);
-            let l = s.place(Input::Shared(&lp), left.partitioning(), lbytes, |r| &r.0);
-            let r = s.place(Input::Shared(&rp), right.partitioning(), rbytes, |r| &r.0);
-            s.reduce_pair("join(build)", (l.streamed(), r), &metas, |l, r| {
-                Multimap::build(&[r.as_slice()]).probe(l.as_slice(), &emit)
+                // Built once and probed by every task, charged on its
+                // matches without task overhead: the probe rides the left
+                // side's stage. Keys are cloned into the table, values read
+                // in place.
+                let keys = at.iter().rev().map(|&(pi, i)| rp[pi].as_slice()[i].0.clone());
+                let chains = Chains::build(at.len(), keys);
+                let left = s.read(&left)?.into_parts();
+                let counts = left.iter().map(|p| p.as_slice().len()).collect();
+                return Ok(fuse::headed(metas, counts, left.into_iter(), move |l| {
+                    let value = |i: usize| &rp[at[i].0].as_slice()[at[i].1].1;
+                    l.read(|l| chains.probe(l.as_slice(), value, &*emit))
+                }));
+            }
+            let (lp, rp) = (s.read(&left)?, s.read(&right)?);
+            let l = s.place(lp, left.partitioning(), lbytes, |r| &r.0);
+            let r = s.place(rp, right.partitioning(), rbytes, |r| &r.0);
+            s.reduce_pair("join(build)", (l.streamed(), r), metas, move |l, r| {
+                let right = r.as_slice();
+                let chains = Chains::build(right.len(), right.iter().rev().map(|(k, _)| k));
+                chains.probe(l.as_slice(), |i| &right[i].1, &*emit)
             })
         })
     }
 }
 
-/// Chained-index multimap over borrowed right-side records, the build side
-/// of both join algorithms: `head` maps a key to the first slot of its chain,
-/// and a record's slot holds its value and the next slot of the chain or
-/// `NIL` — no per-key `Vec` allocations, and nothing is cloned. Chains are
-/// threaded back-to-front so a probe walks matches in right-side order.
-struct Multimap<'a, K, W> {
-    head: FxHashMap<&'a K, u32>,
-    slots: Vec<(&'a W, u32)>,
+/// The build side of both join algorithms: every right record threaded into
+/// its key's chain (`head` a key's first record, `next` the one after each,
+/// or `NIL`), back to front so a probe walks matches in right-side order. No
+/// value is cloned; keys are borrowed where one task builds and probes, and
+/// cloned into the table that every task of a broadcast probes.
+struct Chains<Q> {
+    head: FxHashMap<Q, u32>,
+    next: Vec<u32>,
 }
 const NIL: u32 = u32::MAX;
 
-impl<'a, K: Key, W> Multimap<'a, K, W> {
-    fn build(parts: &[&'a [(K, W)]]) -> Self {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
+impl<Q: Hash + Eq> Chains<Q> {
+    /// Thread `total` right records, given their keys last record first.
+    fn build(total: usize, keys_back_to_front: impl Iterator<Item = Q>) -> Self {
         assert!(total < NIL as usize, "join build side exceeds u32 chain capacity");
-        let mut head: FxHashMap<&K, u32> = fx_map_with_capacity(total);
-        let mut slots: Vec<(&W, u32)> =
-            parts.iter().flat_map(|p| p.iter()).map(|(_, w)| (w, NIL)).collect();
-        let keys = parts.iter().rev().flat_map(|p| p.iter().rev());
-        for (i, (k, _)) in (0..total).rev().zip(keys) {
+        let mut head: FxHashMap<Q, u32> = fx_map_with_capacity(total);
+        let mut next = vec![NIL; total];
+        for (i, k) in (0..total).rev().zip(keys_back_to_front) {
             if let Some(later) = head.insert(k, i as u32) {
-                slots[i].1 = later;
+                next[i] = later;
             }
         }
-        Multimap { head, slots }
+        Chains { head, next }
     }
 
-    /// Probe one left partition: `emit` per match, in left-record then
-    /// right-record order. Returns the output and the number of matches.
-    fn probe<V, R, I: IntoIterator<Item = R>>(
+    /// Probe one left partition: `emit` per match, with `value(i)` the value
+    /// of right record `i`, in left-record then right-record order. Returns
+    /// the output and the number of matches.
+    fn probe<'w, K: Hash + Eq, V, W: 'w, R, I: IntoIterator<Item = R>>(
         &self,
         left: &[(K, V)],
+        value: impl Fn(usize) -> &'w W,
         emit: &impl Fn(&K, &V, &W) -> I,
-    ) -> (Vec<R>, usize) {
+    ) -> (Vec<R>, usize)
+    where
+        Q: Borrow<K>,
+    {
         let mut out = Vec::with_capacity(left.len());
         let mut matched = 0;
         for (k, v) in left {
             let mut i = self.head.get(k).copied().unwrap_or(NIL);
             while i != NIL {
-                let (w, next) = self.slots[i as usize];
-                out.extend(emit(k, v, w));
+                out.extend(emit(k, v, value(i as usize)));
                 matched += 1;
-                i = next;
+                i = self.next[i as usize];
             }
         }
         (out, matched)
@@ -394,33 +435,32 @@ impl<T: Key> Bag<T> {
         let (parent, bytes) = (self.clone(), self.record_bytes());
         let shuffle = Shuffle::new(self.engine(), "distinct", partitions);
         shuffle.node(bytes, Partitioning::Arbitrary, move |s| {
-            let input = parent.eval()?;
-            // Map-side dedup: the seen-set borrows from the shared partition,
-            // so each kept record is cloned exactly once.
-            let combined = s.combine(&input, "distinct(combine)", bytes, bytes, |p| {
-                let mut seen = fx_set_with_capacity(p.len());
-                let mut out = Vec::new();
-                for x in p {
-                    if seen.insert(x) {
-                        out.push(x.clone());
-                    }
-                }
-                out
-            })?;
+            let combined = s.combine(&parent, "distinct(combine)", bytes, bytes, dedup)?;
             // Whole-record keys, which no `Partitioning` describes: always
             // scattered.
-            let side = s.place(Input::Owned(combined), Partitioning::Arbitrary, bytes, |rec| rec);
-            // In place: the set borrows from the owned partition.
-            s.reduce(side, ChargeRule::Input, bytes, |batch| {
-                let mut part = batch.into_vec();
-                let mut first = {
-                    let mut seen = fx_set_with_capacity(part.len());
-                    part.iter().map(|x| seen.insert(x)).collect::<Vec<bool>>().into_iter()
-                };
-                part.retain(|_| first.next().expect("one flag per record"));
-                part
-            })
+            let side = s.place(combined, Partitioning::Arbitrary, bytes, |rec| rec);
+            s.reduce(side, ChargeRule::Input, bytes, dedup)
         })
+    }
+}
+
+/// Keep each record's first occurrence, in order. The seen-set borrows from
+/// the batch, so a shared partition clones each kept record once and an
+/// owned one is deduplicated in place, cloning nothing.
+fn dedup<T: Key>(batch: Batch<'_, T>) -> Vec<T> {
+    match batch {
+        Batch::Shared(p) => {
+            let mut seen = fx_set_with_capacity(p.len());
+            p.iter().filter(|x| seen.insert(*x)).cloned().collect()
+        }
+        Batch::Owned(mut part) => {
+            let mut first = {
+                let mut seen = fx_set_with_capacity(part.len());
+                part.iter().map(|x| seen.insert(x)).collect::<Vec<bool>>().into_iter()
+            };
+            part.retain(|_| first.next().expect("one flag per record"));
+            part
+        }
     }
 }
 
@@ -430,18 +470,20 @@ impl<T: Data> Bag<T> {
         let (parent, bytes, n) = (self.clone(), self.record_bytes(), n.max(1));
         let shuffle = Shuffle::new(self.engine(), "repartition", n);
         shuffle.node(bytes, Partitioning::Arbitrary, move |s| {
-            let input = parent.eval()?;
+            let input = s.read(&parent)?.into_parts();
             // Round-robin: bucket `i` receives exactly this many records.
-            let total: usize = input.iter().map(|p| p.len()).sum();
+            let total: usize = input.iter().map(|p| p.as_slice().len()).sum();
             let mut out: Vec<Vec<T>> = (0..n)
                 .map(|i| Vec::with_capacity(total / n + usize::from(i < total % n)))
                 .collect();
             let mut i = 0usize;
-            for p in input.iter() {
-                for rec in p.iter() {
-                    out[i % n].push(rec.clone());
-                    i += 1;
-                }
+            for p in input {
+                p.read(|batch| {
+                    batch.for_each(|rec| {
+                        out[i % n].push(rec);
+                        i += 1;
+                    })
+                });
             }
             let side = s.scattered(total, bytes, out).streamed();
             s.reduce(side, ChargeRule::Input, bytes, |batch| batch.into_vec())

@@ -1,21 +1,23 @@
 //! The shuffle stage, the one statement of the protocol under every wide
 //! operator (as Spark runs one shuffle under all of them). An operator names
-//! itself ([`Shuffle::new`]), may shrink its input on the map side
-//! ([`Shuffle::combine`]), places each side into the reduce partitions
-//! ([`Shuffle::place`], or its own buckets via [`Shuffle::scattered`]) and
-//! hands the sides to the reduce side ([`Shuffle::reduce_pair`]). Charges,
-//! their order and `PartitionStats` events are this file's alone
-//! (`tests/golden_sim.rs` pins every path, event by event).
+//! itself ([`Shuffle::new`]), reads each parent on its map side
+//! ([`Shuffle::read`], or [`Shuffle::combine`] to shrink it there), places
+//! each side into the reduce partitions ([`Shuffle::place`], or its own
+//! buckets via [`Shuffle::scattered`]) and hands the sides to the reduce side
+//! ([`Shuffle::reduce_pair`]). The map side runs an absorbable narrow chain in
+//! its own pass and moves its records into the scatter; the reduce side heads
+//! the chain after it (`fuse::headed`). Charges, their order and
+//! `PartitionStats` events are this file's alone (`tests/golden_sim.rs` pins
+//! every path, event by event).
 
 use std::hash::Hash;
 use std::sync::Arc;
 
-use super::fuse::{settle, Batch, ChargeRule, FusedOpMeta};
-use super::{to_parts, Bag, Partitioning, Parts};
+use super::fuse::{self, Assembled, Batch, ChargeRule, FusedOpMeta, Part};
+use super::{Bag, Partitioning, Parts};
 use crate::error::Result;
 use crate::map_output::MapOutputStats;
 use crate::partitioner::{scatter_by_key, scatter_shared_by_key};
-use crate::pool::parallel_map;
 use crate::types::Data;
 use crate::Engine;
 
@@ -28,17 +30,28 @@ pub(super) struct Shuffle {
     partitions: usize,
 }
 
-/// What a side is placed from: a parent's shared partitions, or the owned
-/// ones a map-side combine produced.
-pub(super) enum Input<'a, T> {
-    Shared(&'a [Arc<Vec<T>>]),
+/// What a map side read of a parent: its memoized partitions, shared, or the
+/// owned output of the chain it ran.
+pub(super) enum Input<T> {
+    Shared(Parts<T>),
     Owned(Vec<Vec<T>>),
 }
 
-/// One side of a shuffle, placed: a [`Batch`] per reduce partition, `Shared`
-/// where the input was reused and `Owned` after a scatter.
-pub(super) struct Side<'a, T> {
-    batches: Vec<Batch<'a, T>>,
+impl<T: Data> Input<T> {
+    /// Each partition, whole, for a chain head to take.
+    pub(super) fn into_parts(self) -> Vec<Part<T>> {
+        match self {
+            Input::Shared(parts) => parts.iter().map(|p| Part::Shared(Arc::clone(p))).collect(),
+            Input::Owned(parts) => parts.into_iter().map(Part::Owned).collect(),
+        }
+    }
+}
+
+/// One side of a shuffle, placed: a [`Part`] per reduce partition, `Shared`
+/// where a materialized input was reused and `Owned` after a scatter or a
+/// map-side pass.
+pub(super) struct Side<T> {
+    parts: Vec<Part<T>>,
     /// Modeled bytes per record.
     bytes: f64,
     /// Whether this shuffle scattered the side (else it is read as placed).
@@ -48,9 +61,9 @@ pub(super) struct Side<'a, T> {
     held: f64,
 }
 
-impl<'a, T> Side<'a, T> {
-    fn new(batches: Vec<Batch<'a, T>>, bytes: f64, scattered: bool) -> Self {
-        Side { batches, bytes, scattered, held: bytes }
+impl<T> Side<T> {
+    fn new(parts: Vec<Part<T>>, bytes: f64, scattered: bool) -> Self {
+        Side { parts, bytes, scattered, held: bytes }
     }
 
     /// The reduce step streams this side's records: its memory check does
@@ -76,57 +89,67 @@ impl Shuffle {
         known == self.by_key()
     }
 
-    /// The operator's lineage node, evaluated by `compute`.
+    /// The operator's lineage node: evaluating it, or a chain it heads, runs
+    /// `assemble` (map side, placement, then the reduce side as a chain head).
     pub(super) fn node<O: Data>(
         &self,
         bytes: f64,
         placement: Partitioning,
-        compute: impl Fn(&Shuffle) -> Result<Parts<O>> + Send + Sync + 'static,
+        assemble: impl Fn(&Shuffle) -> Result<Assembled<O>> + Send + Sync + 'static,
     ) -> Bag<O> {
-        let (engine, name, parts, s) =
-            (self.engine.clone(), self.name, self.partitions, self.clone());
-        Bag::new_with_partitioning(engine, name, bytes, parts, placement, move || compute(&s))
+        let (engine, s) = (self.engine.clone(), self.clone());
+        fuse::chain_node(engine, self.name, bytes, self.partitions, placement, move || assemble(&s))
     }
 
-    /// A map-side combine: `step` shrinks each input partition on the pool,
-    /// charged as a narrow pass over its `bytes`-sized input records; what it
-    /// keeps is memory-checked as `memory`, at `kept_bytes` per record.
-    pub(super) fn combine<T: Data, O: Send>(
+    /// The map side's read of `parent`, the one way a wide operator reads a
+    /// parent (`scripts/ci.sh`): an absorbable chain runs here, in one pass,
+    /// and its owned output moves on; any other parent's memoized partitions
+    /// are read shared, with no pass.
+    pub(super) fn read<T: Data>(&self, parent: &Bag<T>) -> Result<Input<T>> {
+        let chain = fuse::chain(parent)?;
+        Ok(match chain.drive.parts() {
+            Some(parts) => Input::Shared(Arc::clone(parts)),
+            None => Input::Owned(fuse::pass(&self.engine, chain, None)?.0),
+        })
+    }
+
+    /// [`Shuffle::read`] with a map-side combine: `step` shrinks each
+    /// partition as the last step of the read's pass, charged as this
+    /// operator over its `bytes`-sized input records; what it keeps is
+    /// memory-checked as `memory`, at `kept_bytes` per record.
+    pub(super) fn combine<T: Data>(
         &self,
-        input: &[Arc<Vec<T>>],
+        parent: &Bag<T>,
         memory: &'static str,
         bytes: f64,
         kept_bytes: f64,
-        step: impl Fn(&[T]) -> Vec<O> + Sync,
-    ) -> Result<Vec<Vec<O>>> {
-        let counts: Vec<usize> = input.iter().map(|p| p.len()).collect();
-        let combined = parallel_map(input.iter().map(|p| p.as_slice()).collect(), |_, p| step(p));
-        self.engine.charge_compute(&counts, bytes, false)?;
+        step: impl Fn(Batch<'_, T>) -> Vec<T> + Sync,
+    ) -> Result<Input<T>> {
+        let meta =
+            FusedOpMeta { name: self.name, bytes, charge: ChargeRule::Input, overhead: false };
+        let tail = Some((meta, &step as &(dyn Fn(Batch<'_, T>) -> Vec<T> + Sync)));
+        let (combined, _) = fuse::pass(&self.engine, fuse::chain(parent)?, tail)?;
         self.check_memory(memory, combined.iter().map(|p| p.len() as f64 * kept_bytes))?;
-        Ok(combined)
+        Ok(Input::Owned(combined))
     }
 
     /// Place a side by `key_of`: read as it is when [`Shuffle::reuses`] its
     /// `known` placement, else scattered — records cloned once out of shared
     /// partitions, moved out of owned ones.
-    pub(super) fn place<'a, T: Data, K: Hash + ?Sized>(
+    pub(super) fn place<T: Data, K: Hash + ?Sized>(
         &self,
-        input: Input<'a, T>,
+        input: Input<T>,
         known: Partitioning,
         bytes: f64,
         key_of: impl Fn(&T) -> &K + Send + Sync,
-    ) -> Side<'a, T> {
+    ) -> Side<T> {
         if self.reuses(known) {
-            let batches = match input {
-                Input::Shared(parts) => parts.iter().map(|p| Batch::Shared(p.as_slice())).collect(),
-                Input::Owned(parts) => parts.into_iter().map(Batch::Owned).collect(),
-            };
-            return Side::new(batches, bytes, false);
+            return Side::new(input.into_parts(), bytes, false);
         }
         let (records, buckets) = match input {
             Input::Shared(parts) => (
                 parts.iter().map(|p| p.len()).sum(),
-                scatter_shared_by_key(parts, self.partitions, key_of),
+                scatter_shared_by_key(&parts, self.partitions, key_of),
             ),
             Input::Owned(parts) => {
                 (parts.iter().map(Vec::len).sum(), scatter_by_key(parts, self.partitions, key_of))
@@ -138,14 +161,9 @@ impl Shuffle {
     /// Charge a shuffle of `records` records of `bytes` each, placed into
     /// `buckets` ([`Shuffle::place`]'s, or an operator's own round-robin or
     /// range buckets).
-    pub(super) fn scattered<'a, T>(
-        &self,
-        records: usize,
-        bytes: f64,
-        buckets: Vec<Vec<T>>,
-    ) -> Side<'a, T> {
+    pub(super) fn scattered<T>(&self, records: usize, bytes: f64, buckets: Vec<Vec<T>>) -> Side<T> {
         self.engine.charge_shuffle(self.name, records as u64, bytes);
-        Side::new(buckets.into_iter().map(Batch::Owned).collect(), bytes, true)
+        Side::new(buckets.into_iter().map(Part::Owned).collect(), bytes, true)
     }
 
     /// The reduce side of a one-sided shuffle, [`Shuffle::reduce_pair`] with
@@ -153,14 +171,14 @@ impl Shuffle {
     /// partition, and the stage is charged by `charge` on records of `bytes`.
     pub(super) fn reduce<T: Data, O: Data>(
         &self,
-        side: Side<'_, T>,
+        side: Side<T>,
         charge: ChargeRule,
         bytes: f64,
-        step: impl Fn(Batch<'_, T>) -> Vec<O> + Sync,
-    ) -> Result<Parts<O>> {
-        let none = (0..side.batches.len()).map(|_| Batch::Owned(Vec::<()>::new())).collect();
-        let head = [FusedOpMeta { name: self.name, bytes, charge }];
-        self.reduce_pair(self.name, (side, Side::new(none, 0.0, false)), &head, |l, _| {
+        step: impl Fn(Batch<'_, T>) -> Vec<O> + Send + Sync + 'static,
+    ) -> Result<Assembled<O>> {
+        let none = (0..side.parts.len()).map(|_| Part::Owned(Vec::<()>::new())).collect();
+        let head = FusedOpMeta { name: self.name, bytes, charge, overhead: true };
+        self.reduce_pair(self.name, (side, Side::new(none, 0.0, false)), vec![head], move |l, _| {
             let out = step(l);
             let n = out.len();
             (out, n)
@@ -169,19 +187,19 @@ impl Shuffle {
 
     /// The reduce side: the `PartitionStats` event of what was scattered
     /// (per reduce partition, both sides' records, each weighed by its own
-    /// record size), the memory check `memory` of what the step holds, the
-    /// step on the pool, then the stage charge: [`settle`] over `metas`, the
-    /// operator then any followers it absorbed (a join's), with task
-    /// overhead. `step` returns a partition's output and the operator's own
-    /// output count, which the followers read.
+    /// record size), the memory check `memory` of what the step holds, then
+    /// the chain `step` heads, charged over `metas` (the operator with task
+    /// overhead, then any followers it absorbed: a join's) and whatever
+    /// narrow operators extend it. `step` returns a partition's output and
+    /// the operator's own output count, which the followers read.
     pub(super) fn reduce_pair<L: Data, R: Data, O: Data>(
         &self,
         memory: &'static str,
-        (left, right): (Side<'_, L>, Side<'_, R>),
-        metas: &[FusedOpMeta],
-        step: impl Fn(Batch<'_, L>, Batch<'_, R>) -> (Vec<O>, usize) + Sync,
-    ) -> Result<Parts<O>> {
-        let counts: Vec<(usize, usize)> = (left.batches.iter().zip(&right.batches))
+        (left, right): (Side<L>, Side<R>),
+        metas: Vec<FusedOpMeta>,
+        step: impl Fn(Batch<'_, L>, Batch<'_, R>) -> (Vec<O>, usize) + Send + Sync + 'static,
+    ) -> Result<Assembled<O>> {
+        let counts: Vec<(usize, usize)> = (left.parts.iter().zip(&right.parts))
             .map(|(l, r)| (l.as_slice().len(), r.as_slice().len()))
             .collect();
         if left.scattered || right.scattered {
@@ -196,15 +214,9 @@ impl Shuffle {
         }
         let (lh, rh) = (left.held, right.held);
         self.check_memory(memory, counts.iter().map(|&(l, r)| l as f64 * lh + r as f64 * rh))?;
-        let pairs = left.batches.into_iter().zip(right.batches).collect();
-        let per_part = parallel_map(pairs, |_, (l, r)| step(l, r));
-        let boundary = |pi: usize, j: usize| match j {
-            0 => counts[pi].0 + counts[pi].1,
-            1 => per_part[pi].1,
-            _ => per_part[pi].0.len(),
-        };
-        settle(&self.engine, metas, true, per_part.len(), boundary)?;
-        Ok(to_parts(per_part.into_iter().map(|(out, _)| out).collect()))
+        let records = counts.into_iter().map(|(l, r)| l + r).collect();
+        let inputs = left.parts.into_iter().zip(right.parts);
+        Ok(fuse::headed(metas, records, inputs, move |(l, r)| l.read(|l| r.read(|r| step(l, r)))))
     }
 
     /// Memory-check one task per partition holding `bytes` modeled bytes,
@@ -213,5 +225,25 @@ impl Shuffle {
         let factor = self.engine.config().costs.materialize_factor;
         let working_sets: Vec<u64> = bytes.map(|b| (b * factor) as u64).collect();
         self.engine.charge_memory(operator, &working_sets)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ClusterConfig;
+
+    #[test]
+    fn shuffle_read_moves_an_absorbed_chain_and_shares_a_materialized_parent() {
+        let e = Engine::new(ClusterConfig::local_test());
+        let base = e.parallelize((0..100u64).collect(), 4);
+        base.count().unwrap();
+        let s = Shuffle::new(&e, "test", 2);
+        let Ok(Input::Shared(shared)) = s.read(&base) else { panic!("a materialized parent") };
+        assert!(Arc::ptr_eq(&shared, &base.eval().unwrap()), "read in place, not copied");
+        let records = e.stats().records;
+        let Ok(Input::Owned(owned)) = s.read(&base.map(|x| x + 1)) else { panic!("a chain") };
+        assert_eq!(owned.iter().map(Vec::len).sum::<usize>(), 100);
+        assert_eq!(e.stats().records, records + 100, "the absorbed map is charged once");
     }
 }

@@ -5,7 +5,8 @@
 //! partitions per side with empty ones, duplicate keys on both sides, keys
 //! missing on either side, either plan, sides co-partitioned or not, the
 //! task-failure model on or off — and runs each output shape both ways on
-//! fresh traced engines: same records in the same per-partition order, same
+//! fresh traced engines, with a `map` and a `filter` after the join's own
+//! follower: same records in the same per-partition order, same
 //! simulated time, same [`StatsSnapshot`] up to the two fusion counters, and
 //! the same sequence of charges in the event stream.
 
@@ -103,6 +104,14 @@ fn classic(
     }
 }
 
+/// Narrow operators after the join's own follower: pushed, they run in the
+/// join's pass; classic, one at a time behind held bags.
+fn narrow_tail(out: Bag<(u64, u64)>, push: bool) -> (Bag<(u64, u64)>, Vec<Bag<(u64, u64)>>) {
+    let mapped = out.map(|&(a, b)| (b, a ^ b));
+    let kept = mapped.filter(|(a, _)| !a.is_multiple_of(5));
+    (kept, if push { vec![] } else { vec![out, mapped] })
+}
+
 /// A charge as the event stream shows it: `(kind, operator, tasks, records)`
 /// (bytes where a charge has no record count).
 type Charge = (&'static str, &'static str, u64, u64);
@@ -143,6 +152,7 @@ fn run_case(case: &Case, shape: Shape, push: bool) -> Outcome {
     };
     let (out, _held) =
         if push { (pushed(&joined, shape), vec![]) } else { classic(&joined, shape) };
+    let (out, _tail) = narrow_tail(out, push);
     let records = out.collect_partitions().map_err(|err| err.to_string());
     assert_reconciles(&e);
     (records, e.sim_time(), e.stats(), charges(&e))
@@ -180,7 +190,7 @@ fn pushed_matches_are_unobservable() {
 
 /// A pushed pass reports through the fusion channel under the join's name:
 /// one `StageFused` event and one `narrow_fusion` decision naming the join
-/// and the followers it absorbed; `pairs()` alone is not a fusion.
+/// and the followers it absorbed.
 #[test]
 fn a_pushed_pass_reports_as_a_join_headed_chain() {
     let fused = |build: fn(&Joined<u64, u64, u64>) -> Bag<(u64, u64)>| {
@@ -204,5 +214,8 @@ fn a_pushed_pass_reports_as_a_join_headed_chain() {
     assert_eq!(fused(|j| j.map(mapped)), ["fused(join|map)"]);
     assert_eq!(fused(|j| j.flat_map(expanded)), ["fused(join|flat_map)"]);
     assert_eq!(fused(|j| j.filter(kept)), ["fused(join|filter|map)"]);
-    assert!(fused(|j| j.pairs().map(|(k, (v, _))| (*k, *v))).is_empty());
+    // The join heads whatever narrow chain follows it, `pairs()` included.
+    assert_eq!(fused(|j| j.pairs().map(|(k, (v, _))| (*k, *v))), ["fused(join|map)"]);
+    let tail = |j: &Joined<u64, u64, u64>| j.map(mapped).filter(|(a, _)| a % 2 == 0);
+    assert_eq!(fused(tail), ["fused(join|map|filter)"]);
 }

@@ -271,3 +271,28 @@ fn scatter_clones_once_from_shared_and_never_from_owned() {
         assert_eq!(cloned, moved);
     }
 }
+
+tracked!(StageVal, STAGE_CLONES);
+
+/// A stage runs from shuffle to shuffle: a `filter` absorbed into the map
+/// side of the `partition_by_key` after it clones each survivor once, out of
+/// the shared base partition, and the scatter then moves it. With the filter
+/// bound to a live handle, its output materializes and the scatter clones
+/// every survivor a second time.
+#[test]
+fn a_chain_absorbed_by_a_wide_map_side_moves_into_the_scatter() {
+    const N: u64 = 10_000;
+    let run = |hold: bool| {
+        let e = engine();
+        let base = e.parallelize((0..N).map(|i| (i, StageVal(i))).collect::<Vec<_>>(), 8);
+        base.count().unwrap();
+        STAGE_CLONES.store(0, Ordering::Relaxed);
+        let kept = base.filter(|(k, _)| k % 2 == 0);
+        let shuffled = kept.partition_by_key(6);
+        let _held = hold.then_some(kept);
+        assert_eq!(shuffled.count().unwrap(), N / 2);
+        STAGE_CLONES.load(Ordering::Relaxed)
+    };
+    assert_eq!(run(true), N as usize, "held: the filter and the scatter each clone");
+    assert_eq!(run(false), N as usize / 2, "one stage: only the chain's head clones");
+}

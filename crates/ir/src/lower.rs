@@ -33,7 +33,7 @@ use matryoshka_core::{
     group_by_key_into_nested_bag, lifted_while, InnerBag, InnerScalar, LiftedData, LiftingContext,
     MatryoshkaConfig, NestedBag, PlanRewriteConfig,
 };
-use matryoshka_engine::{Bag, Engine, EngineError};
+use matryoshka_engine::{Bag, Engine, EngineError, JoinAlgorithm};
 
 use crate::ast::{BinOp, Expr, Lambda, Lambda2, UnOp};
 use crate::compile::CompiledUdf;
@@ -750,9 +750,11 @@ impl Lowering {
                 }
             }
             Expr::Join(a, b) => match (ev(a)?, ev(b)?) {
-                (Val::Bag(l), Val::Bag(r)) => {
-                    Val::Bag(l.map(kv).join(&r.map(kv)).map(|(k, (v, w))| joined(k, v, w)))
-                }
+                // The join pushes each match into `joined`, and the program's
+                // own operators after it run in the same pass.
+                (Val::Bag(l), Val::Bag(r)) => Val::Bag(
+                    l.map(kv).joined_with(&r.map(kv), JoinAlgorithm::Repartition).map(joined),
+                ),
                 // Half-lifted join (Sec. 5.2): one side is a flat bag, which
                 // is joined by key as it is instead of being replicated.
                 (Val::InnerBag(l), Val::Bag(r)) => Val::InnerBag(

@@ -30,32 +30,34 @@ use matryoshka_service::{
     SchedulingPolicy,
 };
 
-/// `(seed, stable_hash of the rendered run)`.
+/// `(seed, stable_hash of the rendered run)`. Re-pinned when a stage came to
+/// run from shuffle to shuffle: the jobs' `stages_fused` and
+/// `intermediates_elided` counters moved, nothing else.
 const GOLDEN: [(u64, u64); 24] = [
     (1, 0x52090a6d28b6dd69),
-    (2, 0x4ca03a7148bc6212),
-    (3, 0xb2b240a7df3e221c),
-    (4, 0xd7e84e3da56f5943),
+    (2, 0x8c55e70ad9687205),
+    (3, 0x07c493ea64880d11),
+    (4, 0x60faada4dfba905c),
     (5, 0x89ff335bfdc144cb),
-    (6, 0x884ab1b720d8d874),
-    (7, 0x2b736b7fa627db77),
-    (8, 0xfa2e039ec4038f30),
-    (9, 0x9a2086d94ab7531b),
-    (10, 0x703da76c73d78647),
-    (11, 0x2f68562956cd4a7f),
-    (12, 0xb077aec09f5d9376),
+    (6, 0x6f241acf697118ef),
+    (7, 0xf2aba111147f653a),
+    (8, 0x42ad5f6c6e529a6e),
+    (9, 0x97b5eef405728bee),
+    (10, 0x4c21e4ad19ecc732),
+    (11, 0x3775c587b2dc8265),
+    (12, 0x45a6f9e1d5a42703),
     (13, 0xe39ceae8905b93be),
-    (14, 0x7c06d7dcd8a2fda3),
+    (14, 0x7882f0a20e3ea86e),
     (15, 0x45abf439ced68919),
-    (16, 0x48029dfa3846e5c6),
+    (16, 0xbee19e81a0dd64a0),
     (17, 0x5dc39cc22b400639),
-    (18, 0xe22101d0b797e273),
-    (19, 0x1df798f2b3401dde),
-    (20, 0x5d9be7ec5640dd05),
+    (18, 0x50470d46abb542b8),
+    (19, 0xe607308caede831e),
+    (20, 0xd72176f4974cfcd9),
     (21, 0x765e844c7737cd30),
-    (22, 0xa32e047aaa63fa78),
-    (23, 0x54af07b34af377fd),
-    (24, 0x6d3aa77825658bb8),
+    (22, 0x1536c586c7af5085),
+    (23, 0x02499ab0c245ace1),
+    (24, 0xc8edf290803b81de),
 ];
 
 const VISIT_COUNTS: &str = include_str!("../../../examples/programs/visit_counts.mat");

@@ -62,20 +62,21 @@ echo "== sanitizers (best effort: miri, then TSan, else skip)"
 # rust-src for -Zbuild-std) cannot be installed on the fly; skip cleanly.
 # The filter covers the engine pool/fusion/partitioner tests (the scatter's
 # hashing pass borrows the inputs across the pool's lifetime-erased runner)
-# and the wide operators' (a broadcast join's table holds `&K`/`&W` borrowed
-# from the shared right partitions across that same runner),
+# and the wide operators' and their shuffle's (a map side drives a chain on
+# that same runner; a chain head hands each partition's input out of a
+# per-partition slot; a broadcast join's table is probed by every task),
 # the UDF compiler's unit tests (thread-local frame reentrancy + take/replace
 # discipline, the typed program cached in a `OnceLock` shared by threads), the service's connection loop (one reply, one write;
 # request limits) and its state model (a waiter thread against the driver,
 # a caught payload panic).
 if cargo miri --version >/dev/null 2>&1 \
-  && cargo miri test -p matryoshka-engine --lib -- pool fuse partitioner ops_wide 2>/dev/null \
+  && cargo miri test -p matryoshka-engine --lib -- pool fuse partitioner ops_wide shuffle 2>/dev/null \
   && cargo miri test -p matryoshka-ir --lib compile 2>/dev/null \
   && cargo miri test -p matryoshka-service --lib -- server service 2>/dev/null; then
   echo "miri: engine pool + fusion + partitioner + joins + ir compile + service tests passed"
 elif RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-engine --lib \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
-    -- pool fuse partitioner ops_wide 2>/dev/null \
+    -- pool fuse partitioner ops_wide shuffle 2>/dev/null \
   && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-ir --lib compile \
     -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" 2>/dev/null \
   && RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p matryoshka-service --lib \
@@ -123,6 +124,14 @@ if grep -rnE 'charge_shuffle\(|record_map_output\(|record_scatter|materialize_fa
     crates/engine/src/bag --exclude=shuffle.rs \
   || grep -rnE 'charge_memory\(' crates/engine/src/bag --exclude=shuffle.rs --exclude=ops_narrow.rs; then
   echo "a shuffle is charged, placed or memory-checked outside bag/shuffle.rs (see above)" >&2
+  exit 1
+fi
+# A stage runs from shuffle to shuffle: a wide operator reads a parent only
+# through its map side (`Shuffle::read`/`Shuffle::combine` in
+# `bag/shuffle.rs`), which runs an exclusive narrow chain inside its own pass
+# or shares a materialized parent. A bare `.eval()` there would cut the stage.
+if grep -nE '\.eval\(\)' crates/engine/src/bag/ops_wide.rs crates/engine/src/bag/ops_misc.rs; then
+  echo "a wide operator evaluates a parent outside its map side (see above)" >&2
   exit 1
 fi
 # A `Value` tuple is one heap object, `Arc<[Value]>`. Code only:

@@ -70,10 +70,12 @@ fn lifted_loop_is_identical_however_the_body_chain_is_cut() {
         "expected one more fused stage per loop iteration: {fused_f} vs {fused_h} held"
     );
     // Iteration stability: many fused stages, but only as many interned
-    // names as there are distinct chain *shapes* (the loop body's, plus the
-    // retirement chains lifted_while builds internally).
+    // names as there are distinct chain *shapes*: the loop body's, plus the
+    // chains lifted_while builds internally (the condition's tag split, the
+    // count's reduce side heading the condition's `map`, and the tag join
+    // that retires finished groups).
     assert!(
-        names_f.len() <= 3,
+        names_f.len() <= 4,
         "composite names must be interned per shape, not per iteration: {names_f:?}"
     );
 }
