@@ -7,7 +7,9 @@
 //! shipped `.mat` program — on `ClusterConfig::local_test()`: the simulated
 //! clock to the nanosecond and every [`StatsSnapshot`] counter except
 //! `stages_fused` / `intermediates_elided`, which say where host-side passes
-//! were cut, not what the program cost. A host-side optimisation of a lifted
+//! were cut, not what the program cost. The last column is the FNV-1a of the
+//! plan's lowering-decision log as `export_json` renders it, `narrow_fusion`
+//! entries left out for the same reason. A host-side optimisation of a lifted
 //! operator (`crates/core`), of the lowering (`crates/ir/src/lower.rs`) or of
 //! the engine operators they call must leave every row as it is.
 //!
@@ -21,106 +23,127 @@
 
 mod workloads;
 
+use matryoshka::engine::trace::export_json;
 use matryoshka::engine::{ClusterConfig, Engine, StatsSnapshot};
 use workloads::{lowering_configs, paper_workloads, shipped_programs, Plan};
 
-/// `(plan, sim_time().as_nanos(), counters)`; the counters are rendered by
-/// [`counters`] (`name=value`, zero-valued ones left out).
-const GOLDEN: &[(&str, u64, &str)] = &[
+/// `(plan, sim_time().as_nanos(), counters, decisions_fnv1a)`; the counters
+/// are rendered by [`counters`] (`name=value`, zero-valued ones left out), the
+/// decision log is hashed by [`decisions_fnv1a`].
+const GOLDEN: &[(&str, u64, &str, u64)] = &[
     (
         "optimized/bounce_rate",
         637_668_212,
         "jobs=2 stages=6 tasks=34 records=56542 shuffle_bytes=108000 broadcast_bytes=256 collected_records=32 peak_memory_bytes=84432 peak_partition_bytes=7168 peak_partition_skew_milli=2500",
+        0x0a206bd4d5839f03,
     ),
     (
         "optimized/pagerank",
         2_394_677_747,
         "jobs=7 stages=47 tasks=291 records=73879 shuffle_bytes=89747 broadcast_bytes=2336 collected_records=306 peak_memory_bytes=65808 peak_partition_bytes=5880 peak_partition_skew_milli=2086",
+        0x26aa8652b0527a9f,
     ),
     (
         "optimized/kmeans",
         3_066_044_738,
         "jobs=10 stages=12 tasks=25 records=34798 shuffle_bytes=17344 broadcast_bytes=5568 collected_records=60 peak_memory_bytes=9216 peak_partition_bytes=1536 peak_partition_skew_milli=1600",
+        0x9a319be15f5debbb,
     ),
     (
         "optimized/kmeans_grouped",
         1_571_614_400,
         "jobs=5 stages=13 tasks=29 records=13994 shuffle_bytes=16064 broadcast_bytes=5568 collected_records=60 peak_memory_bytes=9216 peak_partition_bytes=1536 peak_partition_skew_milli=2000",
+        0x24d7740c71001f78,
     ),
     (
         "optimized/avg_distances",
         4_484_126_979,
         "jobs=14 stages=45 tasks=292 records=21737 shuffle_bytes=51040 broadcast_bytes=10008 collected_records=433 peak_memory_bytes=13248 peak_partition_bytes=4416 peak_partition_skew_milli=3428",
+        0x7ee2539e6c5c0b6c,
     ),
     (
         "checkpointing/bounce_rate",
         637_668_212,
         "jobs=2 stages=6 tasks=34 records=56542 shuffle_bytes=108000 broadcast_bytes=256 collected_records=32 peak_memory_bytes=84432 peak_partition_bytes=7168 peak_partition_skew_milli=2500",
+        0x0a206bd4d5839f03,
     ),
     (
         "checkpointing/pagerank",
         2_394_679_177,
         "jobs=7 stages=47 tasks=291 records=73879 shuffle_bytes=89747 broadcast_bytes=2336 collected_records=306 peak_memory_bytes=65808 peak_partition_bytes=5880 peak_partition_skew_milli=2086 checkpoint_bytes=864",
+        0x62acb94a0a52b358,
     ),
     (
         "checkpointing/kmeans",
         3_066_045_162,
         "jobs=10 stages=12 tasks=25 records=34798 shuffle_bytes=17344 broadcast_bytes=5568 collected_records=60 peak_memory_bytes=9216 peak_partition_bytes=1536 peak_partition_skew_milli=1600 checkpoint_bytes=256",
+        0xd4c23f631e0ca4b3,
     ),
     (
         "checkpointing/kmeans_grouped",
         1_571_614_824,
         "jobs=5 stages=13 tasks=29 records=13994 shuffle_bytes=16064 broadcast_bytes=5568 collected_records=60 peak_memory_bytes=9216 peak_partition_bytes=1536 peak_partition_skew_milli=2000 checkpoint_bytes=256",
+        0xe5da156c155a2c3b,
     ),
     (
         "checkpointing/avg_distances",
         4_484_137_108,
         "jobs=14 stages=45 tasks=292 records=21737 shuffle_bytes=51040 broadcast_bytes=10008 collected_records=433 peak_memory_bytes=13248 peak_partition_bytes=4416 peak_partition_skew_milli=3428 checkpoint_bytes=6112",
+        0xf1990c006785ce0c,
     ),
     (
         "bounce_rate.mat",
         640_073_083,
         "jobs=2 stages=6 tasks=48 records=20104 shuffle_bytes=98536 broadcast_bytes=6208 collected_records=291 peak_memory_bytes=36288 peak_partition_bytes=3192 peak_partition_skew_milli=1215",
+        0x8855e567845fdd35,
     ),
     (
         "closure_distinct.mat",
         940_000_211,
         "jobs=3 stages=6 tasks=48 records=15083 shuffle_bytes=86496 broadcast_bytes=9312 collected_records=291 peak_memory_bytes=49752 peak_partition_bytes=4296 peak_partition_skew_milli=1213",
+        0xcfc21acf8822d296,
     ),
     (
         "half_lifted_closure.mat",
         626_613_808,
         "jobs=2 stages=4 tasks=32 records=7598 shuffle_bytes=31584 broadcast_bytes=6208 collected_records=291 peak_memory_bytes=31296 peak_partition_bytes=2752 peak_partition_skew_milli=1256",
+        0x877e9d520a3a1bd3,
     ),
     (
         "invariant_loop.mat",
         9_929_574_276,
         "jobs=33 stages=4 tasks=32 records=36210 shuffle_bytes=78016 broadcast_bytes=393872 collected_records=9305 peak_memory_bytes=58896 peak_partition_bytes=5064 peak_partition_skew_milli=1277",
+        0xc1d7fa8b156553ab,
     ),
     (
         "join_enrichment.mat",
         322_992_929,
         "jobs=1 stages=3 tasks=24 records=36533 shuffle_bytes=49416 collected_records=10805 peak_memory_bytes=52056 peak_partition_bytes=8304 peak_partition_skew_milli=1344",
+        0x21207b3cb3d8b6d1,
     ),
     (
         "lifted_if.mat",
         620_095_451,
         "jobs=2 stages=3 tasks=24 records=8458 shuffle_bytes=33624 broadcast_bytes=18624 collected_records=485 peak_memory_bytes=34848 peak_partition_bytes=3104 peak_partition_skew_milli=1208",
+        0x3401ca59a7195884,
     ),
     (
         "per_group_loop.mat",
         6_921_747_735,
         "jobs=23 stages=3 tasks=24 records=22712 shuffle_bytes=40624 broadcast_bytes=257952 collected_records=5471 peak_memory_bytes=43104 peak_partition_bytes=3904 peak_partition_skew_milli=1277",
+        0x0f964649074ceaf7,
     ),
     (
         "union_distinct.mat",
         320_042_903,
         "jobs=1 stages=3 tasks=24 records=10200 shuffle_bytes=81600 peak_memory_bytes=129168 peak_partition_bytes=10920 peak_partition_skew_milli=1070",
+        0x21207b3cb3d8b6d1,
     ),
     (
         "visit_counts.mat",
         619_985_473,
         "jobs=2 stages=3 tasks=24 records=7585 shuffle_bytes=33624 broadcast_bytes=3104 collected_records=194 peak_memory_bytes=34848 peak_partition_bytes=3104 peak_partition_skew_milli=1208",
+        0xfe0868ea62c5acdd,
     ),
 ];
 
@@ -132,6 +155,20 @@ fn counters(stats: &StatsSnapshot) -> String {
     pinned.map(|(name, value)| format!("{name}={value}")).collect::<Vec<_>>().join(" ")
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// FNV-1a of the decision log without its `narrow_fusion` entries, rendered
+/// by the JSON exporter.
+fn decisions_fnv1a(engine: &Engine) -> u64 {
+    let mut decisions = engine.decisions();
+    decisions.retain(|d| d.site != "narrow_fusion");
+    fnv1a(export_json(&[], &decisions).as_bytes())
+}
+
 fn plans() -> Vec<(String, Plan)> {
     let paper = lowering_configs().into_iter().flat_map(|(config_name, config)| {
         paper_workloads(&config)
@@ -141,10 +178,10 @@ fn plans() -> Vec<(String, Plan)> {
     paper.chain(shipped_programs()).collect()
 }
 
-fn run(plan: &Plan) -> (u64, String) {
+fn run(plan: &Plan) -> (u64, String, u64) {
     let engine = Engine::new(ClusterConfig::local_test());
     plan(&engine);
-    (engine.sim_time().as_nanos(), counters(&engine.stats()))
+    (engine.sim_time().as_nanos(), counters(&engine.stats()), decisions_fnv1a(&engine))
 }
 
 #[test]
@@ -152,13 +189,14 @@ fn lifted_workload_simulation_is_frozen() {
     let plans = plans();
     assert_eq!(
         plans.iter().map(|(name, _)| name.as_str()).collect::<Vec<_>>(),
-        GOLDEN.iter().map(|(name, _, _)| *name).collect::<Vec<_>>(),
+        GOLDEN.iter().map(|(name, ..)| *name).collect::<Vec<_>>(),
         "one golden row per plan, in plan order"
     );
-    for ((name, plan), (_, sim_nanos, stats)) in plans.iter().zip(GOLDEN) {
-        let (got_nanos, got_stats) = run(plan);
+    for ((name, plan), (_, sim_nanos, stats, decisions)) in plans.iter().zip(GOLDEN) {
+        let (got_nanos, got_stats, got_decisions) = run(plan);
         assert_eq!(got_nanos, *sim_nanos, "{name}: sim_time");
         assert_eq!(got_stats, *stats, "{name}: StatsSnapshot");
+        assert_eq!(got_decisions, *decisions, "{name}: decision log");
     }
 }
 
@@ -168,7 +206,7 @@ fn lifted_workload_simulation_is_frozen() {
 #[ignore = "regeneration helper, not a check"]
 fn print_actual_values() {
     for (name, plan) in plans() {
-        let (sim_nanos, stats) = run(&plan);
-        println!("    ({name:?}, {sim_nanos}, {stats:?}),");
+        let (sim_nanos, stats, decisions) = run(&plan);
+        println!("    ({name:?}, {sim_nanos}, {stats:?}, {decisions:#018x}),");
     }
 }
