@@ -8,7 +8,7 @@
 //! stateless ones forward the tags; stateful ones (aggregations, grouping,
 //! joins) re-key by `(tag, key)` composites.
 
-use matryoshka_engine::{Bag, Data, JoinAlgorithm, Key, Result};
+use matryoshka_engine::{Bag, Data, JoinAlgorithm, Key, Result, Rule};
 
 use crate::context::LiftingContext;
 use crate::scalar::InnerScalar;
@@ -306,13 +306,8 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     /// the lifted equivalent of Spark's `partitionBy` + cache idiom.
     pub fn co_partition(&self) -> CoPartitioned<T, K, V> {
         let p = self.ctx.engine().config().default_parallelism;
-        self.ctx.engine().record_decision(
-            "co_partition",
-            p.to_string(),
-            self.ctx.size(),
-            0,
-            "pre-shuffle by (tag, key) at default parallelism for reuse across iterations",
-        );
+        let (partitions, records) = (p as u64, self.ctx.size());
+        self.ctx.engine().record_decision(Rule::CoPartition { partitions, records });
         let repr = self.repr.map_into(|(t, (k, v))| ((t, k), v)).partition_by_key(p);
         CoPartitioned { repr, ctx: self.ctx.clone() }
     }

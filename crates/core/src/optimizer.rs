@@ -7,7 +7,7 @@
 //! (Sec. 8.1), tag-join algorithms (Sec. 8.2), and the broadcast side of
 //! half-lifted cross products (Sec. 8.3).
 
-use matryoshka_engine::{Engine, JoinAlgorithm};
+use matryoshka_engine::{Engine, JoinAlgorithm, Rule};
 
 /// Strategy for joins between InnerBags and InnerScalars on tags (Sec. 8.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,69 +93,42 @@ impl MatryoshkaConfig {
 /// only 1 partition => broadcast it") cheap to detect.
 const SCALAR_RECORDS_PER_PARTITION: u64 = 4096;
 
-/// Partition count for a bag of `size` InnerScalar records (Sec. 8.1).
+/// Partition count for a bag of `records` InnerScalar records (Sec. 8.1).
 ///
 /// Every call appends to the engine's lowering-decision log
 /// ([`Engine::decisions`]) with the driving cardinality, so traces show why
 /// each physical partition count was picked.
-pub fn scalar_partitions(cfg: &MatryoshkaConfig, engine: &Engine, size: u64) -> usize {
-    if !cfg.partition_tuning {
-        let p = engine.config().default_parallelism;
-        engine.record_decision(
-            "partition_tuning",
-            p.to_string(),
-            size,
-            0,
-            "tuning disabled: default parallelism",
-        );
-        return p;
-    }
-    let by_size = size.div_ceil(SCALAR_RECORDS_PER_PARTITION) as usize;
-    let p = by_size.clamp(1, engine.config().default_parallelism);
-    engine.record_decision(
-        "partition_tuning",
-        p.to_string(),
-        size,
-        0,
-        format!("{size} records / {SCALAR_RECORDS_PER_PARTITION} per partition"),
-    );
-    p
+pub fn scalar_partitions(cfg: &MatryoshkaConfig, engine: &Engine, records: u64) -> usize {
+    let default = engine.config().default_parallelism as u64;
+    let by_records = records.div_ceil(SCALAR_RECORDS_PER_PARTITION).clamp(1, default);
+    let (partitions, rule) = if cfg.partition_tuning {
+        let per_partition = SCALAR_RECORDS_PER_PARTITION;
+        (by_records, Rule::TuningByRecords { partitions: by_records, records, per_partition })
+    } else {
+        (default, Rule::TuningOff { partitions: default, records, bytes: 0 })
+    };
+    engine.record_decision(rule);
+    partitions as usize
 }
 
 /// Target partition size (bytes) when deriving partition counts from data
 /// volume (one partition per ~128 MB, like a filesystem block).
 const TARGET_PARTITION_BYTES: u64 = 128 << 20;
 
-/// Partition count for a bag of `size` records totalling `total_bytes`
+/// Partition count for a bag of `records` records totalling `bytes`
 /// (Sec. 8.1, extended to weigh bytes as well as cardinality).
-pub fn partitions_for(
-    cfg: &MatryoshkaConfig,
-    engine: &Engine,
-    size: u64,
-    total_bytes: u64,
-) -> usize {
-    if !cfg.partition_tuning {
-        let p = engine.config().default_parallelism;
-        engine.record_decision(
-            "partition_tuning",
-            p.to_string(),
-            size,
-            total_bytes,
-            "tuning disabled: default parallelism",
-        );
-        return p;
-    }
-    let by_size = size.div_ceil(SCALAR_RECORDS_PER_PARTITION) as usize;
-    let by_bytes = total_bytes.div_ceil(TARGET_PARTITION_BYTES) as usize;
-    let p = by_size.max(by_bytes).clamp(1, engine.config().default_parallelism);
-    engine.record_decision(
-        "partition_tuning",
-        p.to_string(),
-        size,
-        total_bytes,
-        format!("max(by records: {by_size}, by bytes: {by_bytes})"),
-    );
-    p
+pub fn partitions_for(cfg: &MatryoshkaConfig, engine: &Engine, records: u64, bytes: u64) -> usize {
+    let default = engine.config().default_parallelism as u64;
+    let by_records = records.div_ceil(SCALAR_RECORDS_PER_PARTITION);
+    let by_bytes = bytes.div_ceil(TARGET_PARTITION_BYTES);
+    let partitions =
+        if cfg.partition_tuning { by_records.max(by_bytes).clamp(1, default) } else { default };
+    engine.record_decision(if cfg.partition_tuning {
+        Rule::TuningByRecordsAndBytes { partitions, records, bytes, by_records, by_bytes }
+    } else {
+        Rule::TuningOff { partitions, records, bytes }
+    });
+    partitions as usize
 }
 
 /// Fraction of a worker's memory beyond which an InnerScalar is too big to
@@ -163,54 +136,41 @@ pub fn partitions_for(
 /// deserialized hash table on each, stops paying off well before it OOMs).
 pub const BROADCAST_CAP_FRACTION: f64 = 0.02;
 
+/// The broadcast cap in bytes on `engine`'s cluster.
+fn broadcast_cap(engine: &Engine) -> u64 {
+    (engine.config().memory_per_machine as f64 * BROADCAST_CAP_FRACTION) as u64
+}
+
 /// Join algorithm for an InnerBag-InnerScalar tag join, given the
-/// InnerScalar's size and total bytes (Sec. 8.2): broadcast while the
-/// InnerScalar is too small to give work to all CPU cores; beyond that,
-/// repartition once its payload is big enough that replicating it to every
-/// machine costs more than shuffling it once.
+/// InnerScalar's size in `records` and total `bytes` (Sec. 8.2): broadcast
+/// while the InnerScalar is too small to give work to all CPU cores; beyond
+/// that, repartition once its payload is big enough that replicating it to
+/// every machine costs more than shuffling it once.
 pub fn tag_join_algorithm(
     cfg: &MatryoshkaConfig,
     engine: &Engine,
-    scalar_size: u64,
-    scalar_bytes: u64,
+    records: u64,
+    bytes: u64,
 ) -> JoinAlgorithm {
-    let record = |algorithm: JoinAlgorithm, detail: String| {
-        let choice = match algorithm {
-            JoinAlgorithm::BroadcastRight => "broadcast",
-            JoinAlgorithm::Repartition => "repartition",
-        };
-        engine.record_decision("tag_join", choice, scalar_size, scalar_bytes, detail);
-        algorithm
-    };
-    match cfg.tag_join {
+    use JoinAlgorithm::{BroadcastRight, Repartition};
+    let (cores, cap) = (engine.total_cores() as u64, broadcast_cap(engine));
+    let (algorithm, rule) = match cfg.tag_join {
         JoinChoice::ForceBroadcast => {
-            record(JoinAlgorithm::BroadcastRight, "forced by config".into())
+            (BroadcastRight, Rule::TagJoinForced { records, bytes, choice: "broadcast" })
         }
         JoinChoice::ForceRepartition => {
-            record(JoinAlgorithm::Repartition, "forced by config".into())
+            (Repartition, Rule::TagJoinForced { records, bytes, choice: "repartition" })
         }
-        JoinChoice::Auto => {
-            let work_threshold = 2 * engine.total_cores() as u64;
-            if scalar_size < work_threshold {
-                return record(
-                    JoinAlgorithm::BroadcastRight,
-                    format!("{scalar_size} records < 2 x {} cores", engine.total_cores()),
-                );
-            }
-            let cap = (engine.config().memory_per_machine as f64 * BROADCAST_CAP_FRACTION) as u64;
-            if scalar_bytes > cap {
-                record(
-                    JoinAlgorithm::Repartition,
-                    format!("{scalar_bytes} bytes > broadcast cap {cap}"),
-                )
-            } else {
-                record(
-                    JoinAlgorithm::BroadcastRight,
-                    format!("{scalar_bytes} bytes <= broadcast cap {cap}"),
-                )
-            }
+        JoinChoice::Auto if records < 2 * cores => {
+            (BroadcastRight, Rule::TagJoinWorkThreshold { records, bytes, cores })
         }
-    }
+        JoinChoice::Auto if bytes > cap => {
+            (Repartition, Rule::TagJoinOverCap { records, bytes, cap })
+        }
+        JoinChoice::Auto => (BroadcastRight, Rule::TagJoinUnderCap { records, bytes, cap }),
+    };
+    engine.record_decision(rule);
+    algorithm
 }
 
 /// Which side of a half-lifted cross product to broadcast (Sec. 8.3).
@@ -230,48 +190,32 @@ pub fn cross_side(
     cfg: &MatryoshkaConfig,
     engine: &Engine,
     scalar_partitions: usize,
-    scalar_bytes: u64,
+    bytes: u64,
     bag_bytes: Option<u64>,
 ) -> CrossSide {
-    let record = |side: CrossSide, detail: String| {
-        let choice = match side {
-            CrossSide::Scalar => "broadcast_scalar",
-            CrossSide::Bag => "broadcast_bag",
-        };
-        engine.record_decision(
-            "cross_product",
-            choice,
-            scalar_partitions as u64,
-            scalar_bytes,
-            detail,
-        );
-        side
-    };
-    match cfg.cross {
-        CrossChoice::ForceBroadcastScalar => record(CrossSide::Scalar, "forced by config".into()),
-        CrossChoice::ForceBroadcastBag => record(CrossSide::Bag, "forced by config".into()),
-        CrossChoice::Auto => {
-            let cap = (engine.config().memory_per_machine as f64 * BROADCAST_CAP_FRACTION) as u64;
-            if scalar_partitions <= 1 && scalar_bytes <= cap {
-                return record(
-                    CrossSide::Scalar,
-                    format!("single-partition scalar of {scalar_bytes} bytes under cap {cap}"),
-                );
-            }
-            match bag_bytes {
-                Some(bb) if bb < scalar_bytes => record(
-                    CrossSide::Bag,
-                    format!("bag estimate {bb} bytes < scalar {scalar_bytes} bytes"),
-                ),
-                // Unknown bag size or bigger bag: ship the scalar.
-                Some(bb) => record(
-                    CrossSide::Scalar,
-                    format!("scalar {scalar_bytes} bytes <= bag estimate {bb} bytes"),
-                ),
-                None => record(CrossSide::Scalar, "bag size unknown: ship the scalar".into()),
-            }
+    let (partitions, cap) = (scalar_partitions as u64, broadcast_cap(engine));
+    let (side, rule) = match (cfg.cross, bag_bytes) {
+        (CrossChoice::ForceBroadcastScalar, _) => {
+            (CrossSide::Scalar, Rule::CrossForced { partitions, bytes, choice: "broadcast_scalar" })
         }
-    }
+        (CrossChoice::ForceBroadcastBag, _) => {
+            (CrossSide::Bag, Rule::CrossForced { partitions, bytes, choice: "broadcast_bag" })
+        }
+        (CrossChoice::Auto, _) if partitions <= 1 && bytes <= cap => {
+            (CrossSide::Scalar, Rule::CrossSinglePartition { partitions, bytes, cap })
+        }
+        (CrossChoice::Auto, Some(bag_bytes)) if bag_bytes < bytes => {
+            (CrossSide::Bag, Rule::CrossBagSmaller { partitions, bytes, bag_bytes })
+        }
+        (CrossChoice::Auto, Some(bag_bytes)) => {
+            (CrossSide::Scalar, Rule::CrossScalarSmaller { partitions, bytes, bag_bytes })
+        }
+        (CrossChoice::Auto, None) => {
+            (CrossSide::Scalar, Rule::CrossBagUnknown { partitions, bytes })
+        }
+    };
+    engine.record_decision(rule);
+    side
 }
 
 #[cfg(test)]
@@ -362,24 +306,30 @@ mod tests {
     #[test]
     fn every_choice_lands_in_the_decision_log() {
         let cfg = MatryoshkaConfig::optimized();
-        let e = engine();
+        let e = engine(); // 8 cores, default parallelism 8
         scalar_partitions(&cfg, &e, 10);
         partitions_for(&cfg, &e, 10_000, 1 << 30);
         tag_join_algorithm(&cfg, &e, 4, 100);
         tag_join_algorithm(&cfg, &e, 10_000, 4 * tests_gb());
         cross_side(&cfg, &e, 1, 100, Some(1 << 40));
-        let log = e.decisions();
-        assert_eq!(log.len(), 5);
-        assert_eq!(log[0].site, "partition_tuning");
-        assert_eq!(log[0].choice, "1");
-        assert_eq!(log[0].cardinality, 10);
-        assert_eq!(log[2].site, "tag_join");
-        assert_eq!(log[2].choice, "broadcast");
-        assert_eq!(log[3].choice, "repartition");
-        assert_eq!(log[3].bytes, 4 * tests_gb());
-        assert!(log[3].detail.contains("broadcast cap"));
-        assert_eq!(log[4].site, "cross_product");
-        assert_eq!(log[4].choice, "broadcast_scalar");
+        let cap = broadcast_cap(&e);
+        let rules: Vec<Rule> = e.decisions().into_iter().map(|d| d.rule).collect();
+        assert_eq!(
+            rules,
+            [
+                Rule::TuningByRecords { partitions: 1, records: 10, per_partition: 4096 },
+                Rule::TuningByRecordsAndBytes {
+                    partitions: 8,
+                    records: 10_000,
+                    bytes: 1 << 30,
+                    by_records: 3,
+                    by_bytes: 8,
+                },
+                Rule::TagJoinWorkThreshold { records: 4, bytes: 100, cores: 8 },
+                Rule::TagJoinOverCap { records: 10_000, bytes: 4 * tests_gb(), cap },
+                Rule::CrossSinglePartition { partitions: 1, bytes: 100, cap },
+            ]
+        );
     }
 
     #[test]
@@ -387,8 +337,8 @@ mod tests {
         let e = engine();
         let b = MatryoshkaConfig { tag_join: JoinChoice::ForceBroadcast, ..Default::default() };
         tag_join_algorithm(&b, &e, 1 << 40, 1 << 40);
-        let log = e.decisions();
-        assert_eq!(log.last().unwrap().detail, "forced by config");
+        let want = Rule::TagJoinForced { records: 1 << 40, bytes: 1 << 40, choice: "broadcast" };
+        assert_eq!(e.decisions().last().unwrap().rule, want);
     }
 
     #[test]

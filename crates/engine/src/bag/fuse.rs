@@ -78,7 +78,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use super::{to_parts, Bag, Partitioning, Parts};
 use crate::error::Result;
 use crate::pool::parallel_map_range;
-use crate::trace::EngineEvent;
+use crate::trace::{EngineEvent, Rule};
 use crate::types::Data;
 use crate::Engine;
 
@@ -450,22 +450,23 @@ fn settle(
         return Ok(None);
     }
     let composite = intern_fused_name(metas);
-    let elided = (ops - 1) as u64;
+    let records = (0..partitions).map(|pi| boundary(pi, ops) as u64).sum();
+    let (fused, partitions) = (ops as u64, partitions as u64);
+    let elided = fused - 1;
     engine.observe(EngineEvent::StageFused {
         ops: composite,
-        ops_fused: ops as u64,
+        ops_fused: fused,
         intermediates_elided: elided,
-        partitions: partitions as u64,
+        partitions,
         at: engine.sim_time(),
     });
-    let records: u64 = (0..partitions).map(|pi| boundary(pi, ops) as u64).sum();
-    engine.record_decision(
-        "narrow_fusion",
-        composite.to_string(),
+    engine.record_decision(Rule::NarrowFusion {
+        ops: composite,
+        fused,
+        partitions,
         records,
-        0,
-        format!("{ops} ops in one pass over {partitions} partitions; {elided} intermediate materializations elided"),
-    );
+        elided,
+    });
     Ok(Some(composite))
 }
 

@@ -308,7 +308,7 @@ impl<T: Data> Bag<T> {
 #[cfg(test)]
 mod tests {
     use crate::config::ClusterConfig;
-    use crate::{Engine, EngineEvent};
+    use crate::{Engine, EngineEvent, Rule};
 
     fn traced_engine(cfg: ClusterConfig) -> Engine {
         Engine::new(ClusterConfig { trace_events: true, ..cfg })
@@ -388,8 +388,12 @@ mod tests {
         let r = b.map(|(k, v)| (*k, v + 1)).filter(|(_, v)| v % 2 == 0).reduce_by_key(|a, b| a + b);
         r.count().unwrap();
         assert_eq!(operators(&e), [("parallelize", 100, true), ("reduce_by_key", 5, true)]);
-        let decided: Vec<String> = e.decisions().into_iter().map(|d| d.choice).collect();
-        assert_eq!(decided, ["fused(map|filter|reduce_by_key)"]);
+        let decided: Vec<Rule> = e.decisions().into_iter().map(|d| d.rule).collect();
+        let ops = "fused(map|filter|reduce_by_key)";
+        assert_eq!(
+            decided,
+            [Rule::NarrowFusion { ops, fused: 3, partitions: 4, records: 20, elided: 2 }]
+        );
     }
 
     #[test]

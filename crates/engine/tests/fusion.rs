@@ -16,7 +16,7 @@ use std::any::Any;
 use matryoshka_engine::fx::{fx_map, fx_map_with_capacity};
 use matryoshka_engine::partitioner::{partition_for, stable_hash};
 use matryoshka_engine::{
-    Bag, ClusterConfig, Data, Engine, EngineEvent, FxHashMap, JoinAlgorithm, StatsSnapshot,
+    Bag, ClusterConfig, Data, Engine, EngineEvent, FxHashMap, JoinAlgorithm, Rule, StatsSnapshot,
 };
 
 /// splitmix64: a tiny, seedable generator so every case is reproducible
@@ -329,10 +329,13 @@ fn run_case(case: &Case, hold: bool) -> (Vec<u64>, Option<u64>, u64, StatsSnapsh
         }
     }
     // Whether a wide operator's side took part in a fused pass.
-    let wide_fused = e.decisions().iter().any(|d| {
-        ["reduce_by_key", "distinct", "group_by_key", "join"]
-            .iter()
-            .any(|op| d.choice.contains(&format!("{op}|")) || d.choice.contains(&format!("|{op})")))
+    let wide_fused = e.decisions().iter().any(|d| match d.rule {
+        Rule::NarrowFusion { ops: name, .. } => {
+            ["reduce_by_key", "distinct", "group_by_key", "join"]
+                .iter()
+                .any(|op| name.contains(&format!("{op}|")) || name.contains(&format!("|{op})")))
+        }
+        _ => false,
     });
     (out, side_count, e.sim_time().as_nanos(), e.stats(), wide_fused)
 }
@@ -379,7 +382,9 @@ fn fused_tail_reports_composite_name_and_logs_a_decision() {
     assert_eq!(tail.op_name(), "fused(map|filter)", "post-eval: composite provenance");
     let decisions = e.decisions();
     assert!(
-        decisions.iter().any(|d| d.site == "narrow_fusion" && d.choice == "fused(map|filter)"),
+        decisions
+            .iter()
+            .any(|d| matches!(d.rule, Rule::NarrowFusion { ops: "fused(map|filter)", .. })),
         "expected a narrow_fusion decision, got: {decisions:?}"
     );
 }

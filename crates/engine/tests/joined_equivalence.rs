@@ -12,7 +12,7 @@
 
 use matryoshka_engine::trace::assert_reconciles;
 use matryoshka_engine::{
-    Bag, ClusterConfig, Engine, EngineEvent, JoinAlgorithm, Joined, SimTime, StatsSnapshot,
+    Bag, ClusterConfig, Engine, EngineEvent, JoinAlgorithm, Joined, Rule, SimTime, StatsSnapshot,
 };
 
 /// splitmix64: a tiny, seedable generator so every case is reproducible
@@ -206,8 +206,14 @@ fn a_pushed_pass_reports_as_a_join_headed_chain() {
                 _ => None,
             })
             .collect();
-        let decided = e.decisions().into_iter().filter(|d| d.site == "narrow_fusion");
-        let decided: Vec<String> = decided.map(|d| d.choice).collect();
+        let decided: Vec<&'static str> = e
+            .decisions()
+            .into_iter()
+            .filter_map(|d| match d.rule {
+                Rule::NarrowFusion { ops, .. } => Some(ops),
+                _ => None,
+            })
+            .collect();
         assert_eq!(decided, names, "one decision per StageFused event");
         names
     };

@@ -33,7 +33,7 @@ use matryoshka_core::{
     group_by_key_into_nested_bag, lifted_while, InnerBag, InnerScalar, LiftedData, LiftingContext,
     MatryoshkaConfig, NestedBag, PlanRewriteConfig,
 };
-use matryoshka_engine::{Bag, Engine, EngineError, JoinAlgorithm};
+use matryoshka_engine::{Bag, Engine, EngineError, JoinAlgorithm, Rule};
 
 use crate::ast::{BinOp, Expr, Lambda, Lambda2, UnOp};
 use crate::compile::CompiledUdf;
@@ -477,7 +477,7 @@ impl Lowering {
     pub fn run(&self, program: &Expr, inputs: &HashMap<String, Bag<Value>>) -> IrResult<RtVal> {
         let rewritten = crate::analyze::plan::rewrite_plan(program, &PlanRewriteConfig);
         for r in &rewritten.rewrites {
-            self.engine.record_decision("plan_rewrite", r.code, 0, 0, r.to_string());
+            self.engine.record_decision(Rule::PlanRewrite { code: r.code, text: r.to_string() });
         }
         self.run_verbatim(&rewritten.expr, inputs)
     }

@@ -412,30 +412,26 @@ impl JobService {
     pub fn export_chrome_trace(&self) -> String {
         let mut st = self.state();
         let st = &mut *st;
-        let shifted: Vec<(JobId, &str, Vec<EngineEvent>, Vec<Decision>)> = st
+        let service = ChromeLane {
+            pid: 1,
+            name: "job service".to_string(),
+            offset: SimTime::ZERO,
+            events: st.events.make_contiguous(),
+            decisions: &[],
+        };
+        let jobs = st
             .done
             .iter()
             .filter(|(_, f)| !(f.trace.events.is_empty() && f.trace.decisions.is_empty()))
             .filter_map(|(id, Finished { report, trace })| {
-                let start = report.started?;
-                let shifted = |d: &Decision| Decision { at: d.at + start, ..d.clone() };
-                let events = trace.events.iter().map(|ev| ev.shifted(start)).collect();
-                let decisions = trace.decisions.iter().map(shifted).collect();
-                Some((*id, report.name.as_str(), events, decisions))
-            })
-            .collect();
-        let service = ChromeLane {
-            pid: 1,
-            name: "job service".to_string(),
-            events: st.events.make_contiguous(),
-            decisions: &[],
-        };
-        let jobs = shifted.iter().map(|(id, name, events, decisions)| ChromeLane {
-            pid: 2 + *id as u32,
-            name: format!("job {id}: {name}"),
-            events,
-            decisions,
-        });
+                Some(ChromeLane {
+                    pid: 2 + *id as u32,
+                    name: format!("job {id}: {}", report.name),
+                    offset: report.started?,
+                    events: &trace.events,
+                    decisions: &trace.decisions,
+                })
+            });
         export_chrome_trace_multi(&std::iter::once(service).chain(jobs).collect::<Vec<_>>())
     }
 

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use matryoshka::core::{group_by_key_into_nested_bag, lifted_while, InnerBag, MatryoshkaConfig};
-use matryoshka::engine::{ClusterConfig, Engine};
+use matryoshka::engine::{ClusterConfig, Engine, Rule};
 
 const BODY_CHAIN: &str = "fused(map|filter|map)";
 
@@ -19,7 +19,7 @@ const BODY_CHAIN: &str = "fused(map|filter|map)";
 /// stay alive past the run, so the multi-consumer barrier keeps the body's
 /// chain from fusing. Returns the flattened survivors, the simulated time,
 /// the number of fused stages, and the distinct fused-chain names logged.
-fn run(hold: bool) -> (Vec<(u32, u64)>, u64, u64, BTreeSet<String>) {
+fn run(hold: bool) -> (Vec<(u32, u64)>, u64, u64, BTreeSet<&'static str>) {
     let e = Engine::new(ClusterConfig::local_test());
     let data: Vec<(u32, u64)> = (0..600u64).map(|i| ((i % 6) as u32, i)).collect();
     let bag = e.parallelize(data, 4);
@@ -49,8 +49,14 @@ fn run(hold: bool) -> (Vec<(u32, u64)>, u64, u64, BTreeSet<String>) {
         .unwrap();
     let mut out = survivors.collect().unwrap();
     out.sort_unstable();
-    let fused_names: BTreeSet<String> =
-        e.decisions().into_iter().filter(|d| d.site == "narrow_fusion").map(|d| d.choice).collect();
+    let fused_names: BTreeSet<&'static str> = e
+        .decisions()
+        .into_iter()
+        .filter_map(|d| match d.rule {
+            Rule::NarrowFusion { ops, .. } => Some(ops),
+            _ => None,
+        })
+        .collect();
     (out, e.sim_time().as_nanos(), e.stats().stages_fused, fused_names)
 }
 
