@@ -11,6 +11,9 @@
 //! The second test pins a join that pushes its matches: it allocates per
 //! *output record*, not per match × the size of what it matched.
 //!
+//! The third pins the lowering-decision log: recording a rule builds no
+//! text, so the log's own growth is all a decision allocates.
+//!
 //! The counter is process-wide and the harness runs the tests of a binary
 //! concurrently, so each test holds `SERIAL` while it counts.
 
@@ -19,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use matryoshka_engine::partitioner::{scatter_by_key, scatter_shared_by_key};
-use matryoshka_engine::{ClusterConfig, Engine, JoinAlgorithm};
+use matryoshka_engine::{ClusterConfig, Engine, JoinAlgorithm, Rule};
 
 struct CountingAlloc;
 
@@ -140,4 +143,33 @@ fn a_pushed_join_allocates_per_output_record_not_per_closure_copy() {
         allocations < 2 * POINTS as usize,
         "{allocations} allocations for {POINTS} output records, want < 2 per record"
     );
+}
+
+/// A lifted loop logs a decision per iteration and a fused pass one per
+/// pass, so a decision must cost no more than its slot in the log. Before
+/// rules were typed rows, every call built a `choice` and a `detail`
+/// `String`: 20,000 allocations here.
+#[test]
+fn recording_a_decision_allocates_nothing_but_the_log() {
+    const DECISIONS: u64 = 10_000;
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let engine = Engine::new(ClusterConfig::local_test());
+    let (allocations, ()) = allocations_during(|| {
+        for i in 0..DECISIONS {
+            engine.record_decision(match i % 3 {
+                0 => Rule::LiftedWhile { iteration: i, tags: 7, live: 9, choice: "continue" },
+                1 => Rule::NarrowFusion {
+                    ops: "fused(map|filter)",
+                    fused: 2,
+                    partitions: 8,
+                    records: i,
+                    elided: 1,
+                },
+                _ => Rule::TagJoinOverCap { records: i, bytes: 1 << 30, cap: 1 << 20 },
+            });
+        }
+    });
+    assert_eq!(engine.decisions().len(), DECISIONS as usize);
+    // Doubling a `Vec` to 10,000 entries reallocates 14 times.
+    assert!(allocations <= 20, "{allocations} allocations for {DECISIONS} decisions, want <= 20");
 }
