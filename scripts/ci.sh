@@ -98,9 +98,11 @@ echo "== deleted switches stay deleted"
 # committed BENCH_*.json is a golden file `cargo test -p matryoshka-bench`
 # regenerates (no JSON reader, row contract, sweep flag, output override or
 # CSV dump beside it); a `pub` item nothing calls is deleted, and so is a
-# lifted operator nothing calls. The patterns are split so this file does not
-# match itself; the set operators are matched by definition, which misses
-# std's `HashSet::intersection` and the word "subtracts".
+# lifted operator nothing calls; a decision is a typed rule row rendered at
+# export (no prose `String` fields on `Decision`). The patterns are split so
+# this file does not match itself; the set operators are matched by
+# definition, which misses std's `HashSet::intersection` and the word
+# "subtracts".
 if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace_''report|stats\.add''_' \
   -e 'Adaptive''Config|adaptive_''coalesce|adaptive_''tag_join|adaptive_''skew_salt|BENCH_''skew|MAT0''92|map_output_''history' \
   -e 'make_''buckets|merge_''bucket_sets' \
@@ -111,6 +113,7 @@ if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace
   -e 'core/src/splitting''\.rs|fn group''_by\b|fn join''_by\b|flat_map_via''_split|fn sum''_by\b|fn mean''_by\b' \
   -e 'flatten''_pairs|group''_sizes|fn lifted''_if\b|fn sub''tract\b|fn inter''section\b|scatter_by''_value' \
   -e 'aggregate''_by_key|from_partition''_records|fold_safe''_long' \
+  -e 'choice: ''String|detail: ''String' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2

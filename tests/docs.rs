@@ -14,8 +14,9 @@
 //!    `docs/OBSERVABILITY.md` must list exactly the variants, JSON types and
 //!    field names of `EngineEvent::SCHEMA`, and its "Counters" table exactly
 //!    the names and folds of `StatsSnapshot::FIELDS`. Its decision-site
-//!    tables must list exactly the `Decision::site`s that the
-//!    `reconciliation.rs` workloads emit.
+//!    tables must list exactly the sites of `Rule::SITES`, which are the
+//!    `Decision::site`s the `tests/workloads` plans emit, and its "Decision
+//!    rules" table one row per rule, in table order.
 //!
 //! All are std-only, like everything else in the workspace.
 
@@ -24,7 +25,7 @@ mod workloads;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use matryoshka::engine::{ClusterConfig, Engine, EngineEvent, StatsSnapshot};
+use matryoshka::engine::{ClusterConfig, Engine, EngineEvent, Rule, StatsSnapshot};
 use matryoshka::ir::{analyze, check, parse_program, Dialect};
 
 /// The documentation surface under test: root Markdown + `docs/`.
@@ -262,12 +263,31 @@ fn counters_table_matches_the_generated_fields() {
     }
 }
 
+/// The sites the two decision-site tables list (`| site | choice values | ... |`).
+fn documented_decision_sites() -> BTreeSet<String> {
+    let rows = observability_table("## The lowering-decision log");
+    rows.iter().map(|row| cell_names(row.split('|').nth(1).unwrap())[0].to_string()).collect()
+}
+
+#[test]
+fn decision_site_tables_match_the_rule_table() {
+    let declared: BTreeSet<String> = Rule::SITES.iter().map(|site| site.to_string()).collect();
+    let documented = documented_decision_sites();
+    assert_eq!(declared, documented, "Rule::SITES (left) vs documented sites (right)");
+}
+
+#[test]
+fn decision_rules_table_follows_the_rule_table() {
+    // `| Rule | Site | choice | cardinality, bytes | detail template |`
+    let rows = observability_table("## Decision rules");
+    let sites: Vec<&str> =
+        rows.iter().map(|row| cell_names(row.split('|').nth(2).unwrap())[0]).collect();
+    assert_eq!(sites, Rule::SITES, "one row per rule, in table order, with its site");
+}
+
 #[test]
 fn decision_site_tables_match_the_sites_the_workloads_emit() {
-    // `| site | choice values | ... |`
-    let rows = observability_table("## The lowering-decision log");
-    let documented: BTreeSet<&str> =
-        rows.iter().map(|row| cell_names(row.split('|').nth(1).unwrap())[0]).collect();
+    let documented = documented_decision_sites();
     let mut emitted = BTreeSet::new();
     let plans = workloads::lowering_configs()
         .into_iter()
@@ -277,7 +297,7 @@ fn decision_site_tables_match_the_sites_the_workloads_emit() {
     for plan in plans {
         let engine = Engine::new(ClusterConfig::local_test());
         plan(&engine);
-        emitted.extend(engine.decisions().iter().map(|d| d.site));
+        emitted.extend(engine.decisions().iter().map(|d| d.site.to_string()));
     }
     assert_eq!(emitted, documented, "emitted sites (left) vs documented sites (right)");
 }
