@@ -9,37 +9,34 @@
 //! finished, (P2) save the discarded parts as results, and (P3) exit when
 //! nothing is left — exactly Listing 4 of the paper.
 
-use matryoshka_engine::{Data, Key, Result, Rule};
+use matryoshka_engine::{Bag, Data, Key, Result, Rule};
 
 use crate::context::LiftingContext;
 use crate::inner_bag::InnerBag;
 use crate::scalar::InnerScalar;
 
 /// Data that can flow around a lifted loop: InnerScalars, InnerBags, and
-/// tuples of them (the "loop variables" of Sec. 6.1, turned into lifted
-/// state).
+/// tuples or `Vec`s of them (the "loop variables" of Sec. 6.1, turned into
+/// lifted state).
 pub trait LiftedData<T: Key>: Clone {
     /// The lifting context of this state.
     fn ctx(&self) -> &LiftingContext<T>;
-    /// Keep only the tags whose condition equals `keep` (the tag join +
-    /// filter of Listing 4 lines 5-7), adopting `new_ctx` (the narrowed
-    /// context over the surviving tags).
-    fn filter_by_cond(
+    /// The same shape under `ctx`, each tagged representation replaced by
+    /// `op` applied to it and to the matching ones of `others` (states of
+    /// the same shape). The one structural step the lifted loop needs.
+    fn rebuild(&self, others: &[&Self], ctx: &LiftingContext<T>, op: &impl ReprOp<T>) -> Self;
+}
+
+/// A step of the lifted loop (see [`LiftedData::rebuild`]).
+pub trait ReprOp<T: Key> {
+    /// The new representation of `first` (which lives under `ctx`) and the
+    /// matching representations `rest` of other states.
+    fn apply<X: Data>(
         &self,
-        cond: &InnerScalar<T, bool>,
-        keep: bool,
-        new_ctx: &LiftingContext<T>,
-    ) -> Self;
-    /// Tag-disjoint union (Listing 4 line 8: accumulating results).
-    fn union_with(&self, other: &Self) -> Self;
-    /// The same data under a different context (used to restore the full
-    /// context on loop exit).
-    fn with_ctx(&self, ctx: &LiftingContext<T>) -> Self;
-    /// Checkpoint the underlying flat representation to simulated replicated
-    /// storage ([`Bag::checkpoint`](matryoshka_engine::Bag::checkpoint)),
-    /// truncating lineage for the machine-loss fault model. Records and
-    /// partitioning are unchanged.
-    fn checkpoint(&self) -> Self;
+        ctx: &LiftingContext<T>,
+        first: &Bag<(T, X)>,
+        rest: &[&Bag<(T, X)>],
+    ) -> Bag<(T, X)>;
 }
 
 impl<T: Key, S: Data> LiftedData<T> for InnerScalar<T, S> {
@@ -47,28 +44,9 @@ impl<T: Key, S: Data> LiftedData<T> for InnerScalar<T, S> {
         InnerScalar::ctx(self)
     }
 
-    fn filter_by_cond(
-        &self,
-        cond: &InnerScalar<T, bool>,
-        keep: bool,
-        new_ctx: &LiftingContext<T>,
-    ) -> Self {
-        let joined = self.ctx().tag_join(self.repr(), cond.repr());
-        let repr =
-            joined.filter(move |_, _, c| *c == keep).with_record_bytes(self.repr().record_bytes());
-        InnerScalar::from_repr(repr, new_ctx.clone())
-    }
-
-    fn union_with(&self, other: &Self) -> Self {
-        InnerScalar::from_repr(self.repr().union(other.repr()), self.ctx().clone())
-    }
-
-    fn with_ctx(&self, ctx: &LiftingContext<T>) -> Self {
-        InnerScalar::from_repr(self.repr().clone(), ctx.clone())
-    }
-
-    fn checkpoint(&self) -> Self {
-        InnerScalar::from_repr(self.repr().checkpoint(), self.ctx().clone())
+    fn rebuild(&self, others: &[&Self], ctx: &LiftingContext<T>, op: &impl ReprOp<T>) -> Self {
+        let rest: Vec<_> = others.iter().map(|o| o.repr()).collect();
+        InnerScalar::from_repr(op.apply(self.ctx(), self.repr(), &rest), ctx.clone())
     }
 }
 
@@ -77,28 +55,9 @@ impl<T: Key, E: Data> LiftedData<T> for InnerBag<T, E> {
         InnerBag::ctx(self)
     }
 
-    fn filter_by_cond(
-        &self,
-        cond: &InnerScalar<T, bool>,
-        keep: bool,
-        new_ctx: &LiftingContext<T>,
-    ) -> Self {
-        let joined = self.ctx().tag_join(self.repr(), cond.repr());
-        let repr =
-            joined.filter(move |_, _, c| *c == keep).with_record_bytes(self.repr().record_bytes());
-        InnerBag::from_repr(repr, new_ctx.clone())
-    }
-
-    fn union_with(&self, other: &Self) -> Self {
-        InnerBag::from_repr(self.repr().union(other.repr()), self.ctx().clone())
-    }
-
-    fn with_ctx(&self, ctx: &LiftingContext<T>) -> Self {
-        self.with_ctx(ctx.clone())
-    }
-
-    fn checkpoint(&self) -> Self {
-        InnerBag::from_repr(self.repr().checkpoint(), InnerBag::ctx(self).clone())
+    fn rebuild(&self, others: &[&Self], ctx: &LiftingContext<T>, op: &impl ReprOp<T>) -> Self {
+        let rest: Vec<_> = others.iter().map(|o| o.repr()).collect();
+        InnerBag::from_repr(op.apply(self.ctx(), self.repr(), &rest), ctx.clone())
     }
 }
 
@@ -106,49 +65,10 @@ impl<T: Key, A: LiftedData<T>, B: LiftedData<T>> LiftedData<T> for (A, B) {
     fn ctx(&self) -> &LiftingContext<T> {
         self.0.ctx()
     }
-    fn filter_by_cond(
-        &self,
-        cond: &InnerScalar<T, bool>,
-        keep: bool,
-        new_ctx: &LiftingContext<T>,
-    ) -> Self {
-        (self.0.filter_by_cond(cond, keep, new_ctx), self.1.filter_by_cond(cond, keep, new_ctx))
-    }
-    fn union_with(&self, other: &Self) -> Self {
-        (self.0.union_with(&other.0), self.1.union_with(&other.1))
-    }
-    fn with_ctx(&self, ctx: &LiftingContext<T>) -> Self {
-        (self.0.with_ctx(ctx), self.1.with_ctx(ctx))
-    }
-    fn checkpoint(&self) -> Self {
-        (self.0.checkpoint(), self.1.checkpoint())
-    }
-}
 
-impl<T: Key, A: LiftedData<T>, B: LiftedData<T>, C: LiftedData<T>> LiftedData<T> for (A, B, C) {
-    fn ctx(&self) -> &LiftingContext<T> {
-        self.0.ctx()
-    }
-    fn filter_by_cond(
-        &self,
-        cond: &InnerScalar<T, bool>,
-        keep: bool,
-        new_ctx: &LiftingContext<T>,
-    ) -> Self {
-        (
-            self.0.filter_by_cond(cond, keep, new_ctx),
-            self.1.filter_by_cond(cond, keep, new_ctx),
-            self.2.filter_by_cond(cond, keep, new_ctx),
-        )
-    }
-    fn union_with(&self, other: &Self) -> Self {
-        (self.0.union_with(&other.0), self.1.union_with(&other.1), self.2.union_with(&other.2))
-    }
-    fn with_ctx(&self, ctx: &LiftingContext<T>) -> Self {
-        (self.0.with_ctx(ctx), self.1.with_ctx(ctx), self.2.with_ctx(ctx))
-    }
-    fn checkpoint(&self) -> Self {
-        (self.0.checkpoint(), self.1.checkpoint(), self.2.checkpoint())
+    fn rebuild(&self, others: &[&Self], ctx: &LiftingContext<T>, op: &impl ReprOp<T>) -> Self {
+        let (a, b): (Vec<_>, Vec<_>) = others.iter().map(|o| (&o.0, &o.1)).unzip();
+        (self.0.rebuild(&a, ctx, op), self.1.rebuild(&b, ctx, op))
     }
 }
 
@@ -158,22 +78,42 @@ impl<T: Key, A: LiftedData<T>> LiftedData<T> for Vec<A> {
     fn ctx(&self) -> &LiftingContext<T> {
         self.first().expect("a loop has at least one variable").ctx()
     }
-    fn filter_by_cond(
+
+    fn rebuild(&self, others: &[&Self], ctx: &LiftingContext<T>, op: &impl ReprOp<T>) -> Self {
+        let column = |i: usize| others.iter().map(|o| &o[i]).collect::<Vec<_>>();
+        self.iter().enumerate().map(|(i, a)| a.rebuild(&column(i), ctx, op)).collect()
+    }
+}
+
+/// The structural steps of Listing 4, each stated once here and applied to
+/// every tagged representation of a loop state by [`LiftedData::rebuild`].
+enum Step<'a, T: Key> {
+    /// P1: keep the tags whose condition equals the flag (the tag join +
+    /// filter of Listing 4 lines 5-7).
+    KeepWhere(&'a InnerScalar<T, bool>, bool),
+    /// P2: the tag-disjoint union of the finished states (Listing 4 line 8),
+    /// a left-deep chain of binary unions.
+    Union,
+    /// Checkpoint to simulated replicated storage ([`Bag::checkpoint`]):
+    /// lineage is truncated, records and partitioning are unchanged.
+    Checkpoint,
+}
+
+impl<T: Key> ReprOp<T> for Step<'_, T> {
+    fn apply<X: Data>(
         &self,
-        cond: &InnerScalar<T, bool>,
-        keep: bool,
-        new_ctx: &LiftingContext<T>,
-    ) -> Self {
-        self.iter().map(|a| a.filter_by_cond(cond, keep, new_ctx)).collect()
-    }
-    fn union_with(&self, other: &Self) -> Self {
-        self.iter().zip(other).map(|(a, b)| a.union_with(b)).collect()
-    }
-    fn with_ctx(&self, ctx: &LiftingContext<T>) -> Self {
-        self.iter().map(|a| a.with_ctx(ctx)).collect()
-    }
-    fn checkpoint(&self) -> Self {
-        self.iter().map(A::checkpoint).collect()
+        ctx: &LiftingContext<T>,
+        first: &Bag<(T, X)>,
+        rest: &[&Bag<(T, X)>],
+    ) -> Bag<(T, X)> {
+        match *self {
+            Step::KeepWhere(cond, keep) => {
+                let joined = ctx.tag_join(first, cond.repr());
+                joined.filter(move |_, _, c| *c == keep).with_record_bytes(first.record_bytes())
+            }
+            Step::Union => rest.iter().fold(first.clone(), |acc, b| acc.union(b)),
+            Step::Checkpoint => first.checkpoint(),
+        }
     }
 }
 
@@ -184,10 +124,16 @@ impl<T: Key, A: LiftedData<T>> LiftedData<T> for Vec<A> {
 /// running. Each lifted iteration:
 ///
 /// 1. runs the (already lifted) body once for all live tags,
-/// 2. splits the output on the condition (P1),
-/// 3. accumulates the finished tags' state into the result (P2),
+/// 2. splits the output on the condition (P1): keep-by-condition, once with
+///    `false` for the finished tags and once with `true` for the rest,
+/// 3. saves the finished tags' state (P2); the saved states are unioned once,
+///    under the full context, when the loop exits,
 /// 4. exits when no tag wants to continue (P3) — checked with one engine
 ///    job per iteration, the `bodyIn.repr.notEmpty` of Listing 4 line 9.
+///
+/// Keep-by-condition, union and checkpoint are each one arm of a private
+/// [`ReprOp`], applied to every tagged representation of the state by
+/// [`LiftedData::rebuild`].
 ///
 /// `max_iterations`, when given, force-finishes all remaining tags after
 /// that many iterations (a safety net the paper's programs express as part
@@ -195,18 +141,17 @@ impl<T: Key, A: LiftedData<T>> LiftedData<T> for Vec<A> {
 ///
 /// When [`MatryoshkaConfig::checkpoint_interval`](crate::MatryoshkaConfig)
 /// is non-zero, the surviving loop state is checkpointed every that many
-/// iterations ([`Bag::checkpoint`](matryoshka_engine::Bag::checkpoint)),
-/// bounding how much lineage a simulated machine loss has to replay at the
-/// price of a modeled checkpoint write (see `docs/FAULTS.md`).
+/// iterations ([`Bag::checkpoint`]), bounding how much lineage a simulated
+/// machine loss has to replay at the price of a modeled checkpoint write
+/// (see `docs/FAULTS.md`).
 ///
 /// Loop-invariant subplans hoisted above a lowered loop by the IR's
 /// plan-rewrite pass (`matryoshka_ir::analyze::plan`, see
 /// `docs/ANALYSIS.md`) persist naturally across iterations here: the
-/// hoisted binding is an engine [`Bag`](matryoshka_engine::Bag) whose
-/// partitions memoize on first evaluation (behind a `cache` node, a fusion
-/// barrier), so every iteration of the body closure reuses the same
-/// materialized `Arc` partitions instead of replaying the subplan's
-/// lineage.
+/// hoisted binding is an engine [`Bag`] whose partitions memoize on first
+/// evaluation (behind a `cache` node, a fusion barrier), so every iteration
+/// of the body closure reuses the same materialized `Arc` partitions
+/// instead of replaying the subplan's lineage.
 pub fn lifted_while<T: Key, S: LiftedData<T>>(
     init: &S,
     body: impl Fn(&S) -> Result<(S, InnerScalar<T, bool>)>,
@@ -214,7 +159,7 @@ pub fn lifted_while<T: Key, S: LiftedData<T>>(
 ) -> Result<S> {
     let full_ctx = init.ctx().clone();
     let mut body_in = init.clone();
-    let mut result: Option<S> = None;
+    let mut finished = Vec::new();
     let mut iterations = 0usize;
     loop {
         let (body_out, cond) = body(&body_in)?;
@@ -232,29 +177,25 @@ pub fn lifted_while<T: Key, S: LiftedData<T>>(
         });
         let done_tags = cond.repr().filter(|(_, c)| !*c).map(|(t, _)| t.clone());
         let done_ctx = body_in.ctx().narrowed(done_tags, live.saturating_sub(n_cont));
-        // P1 + P2: retire finished tags into the result.
-        let finished = body_out.filter_by_cond(&cond, false, &done_ctx);
-        result = Some(match result {
-            None => finished,
-            Some(r) => r.union_with(&finished),
-        });
+        // P1 + P2: retire finished tags.
+        finished.push(body_out.rebuild(&[], &done_ctx, &Step::KeepWhere(&cond, false)));
         if n_cont == 0 {
             break;
         }
         let cont_ctx = body_in.ctx().narrowed(cont_tags, n_cont);
+        body_in = body_out.rebuild(&[], &cont_ctx, &Step::KeepWhere(&cond, true));
         if capped.is_some() {
-            let rest = body_out.filter_by_cond(&cond, true, &cont_ctx);
-            result = Some(result.expect("set above").union_with(&rest));
+            finished.push(body_in);
             break;
         }
-        body_in = body_out.filter_by_cond(&cond, true, &cont_ctx);
         let interval = full_ctx.config().checkpoint_interval;
         if interval > 0 && iterations.is_multiple_of(interval) {
             full_ctx.engine().record_decision(Rule::Checkpoint { iteration, tags: n_cont });
-            body_in = body_in.checkpoint();
+            body_in = body_in.rebuild(&[], body_in.ctx(), &Step::Checkpoint);
         }
     }
-    Ok(result.expect("do-while body runs at least once").with_ctx(&full_ctx))
+    let (first, rest) = finished.split_first().expect("do-while body runs at least once");
+    Ok(first.rebuild(&rest.iter().collect::<Vec<_>>(), &full_ctx, &Step::Union))
 }
 
 #[cfg(test)]
@@ -353,24 +294,38 @@ mod tests {
 
     #[test]
     fn loop_over_tuple_state() {
+        type Int = InnerScalar<u64, i64>;
         let e = Engine::local();
         let c = ctx(&e, vec![0, 1]);
         let counter =
             InnerScalar::from_repr(e.parallelize(vec![(0u64, 2i64), (1, 1)], 1), c.clone());
         let acc = InnerScalar::from_repr(e.parallelize(vec![(0u64, 0i64), (1, 0)], 1), c);
+        let step = |cnt: &Int, acc: &Int| -> Result<((Int, Int), InnerScalar<u64, bool>)> {
+            let next_cnt = cnt.map(|x| x - 1);
+            let cond = next_cnt.map(|x| *x > 0);
+            Ok(((next_cnt, acc.map(|x| x + 10)), cond))
+        };
+        let check = |cnt: &Int, acc: &Int, want_cnt: [(u64, i64); 2], want_acc: [(u64, i64); 2]| {
+            assert_eq!((cnt.ctx().size(), acc.ctx().size()), (2, 2), "full context on exit");
+            assert_eq!(sorted(cnt.collect().unwrap()), want_cnt);
+            assert_eq!(sorted(acc.collect().unwrap()), want_acc);
+        };
+        // Tag 0 iterates twice (acc 20), tag 1 once (acc 10).
+        let (done_cnt, done_acc) = ([(0, 0), (1, 0)], [(0, 20), (1, 10)]);
+        let init = (counter.clone(), acc.clone());
+        let out = lifted_while(&init, |(c, a): &(Int, Int)| step(c, a), None).unwrap();
+        check(&out.0, &out.1, done_cnt, done_acc);
+        // The same countdown over a `Vec` state.
         let out = lifted_while(
-            &(counter, acc),
-            |(cnt, acc): &(InnerScalar<u64, i64>, InnerScalar<u64, i64>)| {
-                let next_cnt = cnt.map(|x| x - 1);
-                let next_acc = acc.map(|x| x + 10);
-                let cond = next_cnt.map(|x| *x > 0);
-                Ok(((next_cnt, next_acc), cond))
-            },
+            &vec![counter, acc],
+            |s: &Vec<Int>| step(&s[0], &s[1]).map(|((c, a), cond)| (vec![c, a], cond)),
             None,
         )
         .unwrap();
-        // Tag 0 iterates twice (acc 20), tag 1 once (acc 10).
-        assert_eq!(sorted(out.1.collect().unwrap()), vec![(0, 20), (1, 10)]);
+        check(&out[0], &out[1], done_cnt, done_acc);
+        // Capped after one iteration: tag 0 is force-finished mid-count.
+        let out = lifted_while(&init, |(c, a): &(Int, Int)| step(c, a), Some(1)).unwrap();
+        check(&out.0, &out.1, [(0, 1), (1, 0)], [(0, 10), (1, 10)]);
     }
 
     #[test]

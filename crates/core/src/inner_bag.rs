@@ -215,11 +215,6 @@ impl<T: Key, E: Data> InnerBag<T, E> {
         }
     }
 
-    /// Replace the context (used by lifted control flow when tags retire).
-    pub fn with_ctx(&self, ctx: LiftingContext<T>) -> InnerBag<T, E> {
-        InnerBag { repr: self.repr.clone(), ctx }
-    }
-
     /// Override the modeled bytes per element (see
     /// [`Bag::with_record_bytes`]). Pin this on loop-carried state whose
     /// shape is constant across iterations, so static size estimates cannot

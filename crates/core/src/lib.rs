@@ -60,7 +60,7 @@ pub mod optimizer;
 mod scalar;
 
 pub use context::LiftingContext;
-pub use control_flow::{lifted_while, LiftedData};
+pub use control_flow::{lifted_while, LiftedData, ReprOp};
 pub use inner_bag::{CoPartitioned, InnerBag};
 pub use nested::{group_by_key_into_nested_bag, NestedBag};
 pub use optimizer::{CrossChoice, JoinChoice, MatryoshkaConfig, PlanRewriteConfig};

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use matryoshka_core::{
     group_by_key_into_nested_bag, lifted_while, InnerBag, InnerScalar, LiftedData, LiftingContext,
-    MatryoshkaConfig, NestedBag, PlanRewriteConfig,
+    MatryoshkaConfig, NestedBag, PlanRewriteConfig, ReprOp,
 };
 use matryoshka_engine::{Bag, Engine, EngineError, JoinAlgorithm, Rule};
 
@@ -365,15 +365,6 @@ impl From<Lifted> for Val {
     }
 }
 
-impl Lifted {
-    fn each(&self, s: impl FnOnce(&IScalar) -> IScalar, b: impl FnOnce(&IBag) -> IBag) -> Lifted {
-        match self {
-            Lifted::Scalar(x) => Lifted::Scalar(s(x)),
-            Lifted::Bag(x) => Lifted::Bag(b(x)),
-        }
-    }
-}
-
 impl LiftedData<Value> for Lifted {
     fn ctx(&self) -> &Ctx {
         match self {
@@ -381,24 +372,24 @@ impl LiftedData<Value> for Lifted {
             Lifted::Bag(b) => b.ctx(),
         }
     }
-    fn filter_by_cond(&self, cond: &InnerScalar<Value, bool>, keep: bool, new_ctx: &Ctx) -> Self {
-        self.each(
-            |s| s.filter_by_cond(cond, keep, new_ctx),
-            |b| b.filter_by_cond(cond, keep, new_ctx),
-        )
-    }
-    fn union_with(&self, other: &Self) -> Self {
-        match (self, other) {
-            (Lifted::Scalar(x), Lifted::Scalar(y)) => Lifted::Scalar(x.union_with(y)),
-            (Lifted::Bag(x), Lifted::Bag(y)) => Lifted::Bag(x.union_with(y)),
-            _ => unreachable!("loop variable shapes are stable"),
+    fn rebuild(&self, others: &[&Self], ctx: &Ctx, op: &impl ReprOp<Value>) -> Self {
+        const SHAPES: &str = "loop variable shapes are stable";
+        match self {
+            Lifted::Scalar(x) => {
+                let others: Vec<_> = others
+                    .iter()
+                    .map(|o| if let Lifted::Scalar(y) = o { y } else { unreachable!("{SHAPES}") })
+                    .collect();
+                Lifted::Scalar(x.rebuild(&others, ctx, op))
+            }
+            Lifted::Bag(x) => {
+                let others: Vec<_> = others
+                    .iter()
+                    .map(|o| if let Lifted::Bag(y) = o { y } else { unreachable!("{SHAPES}") })
+                    .collect();
+                Lifted::Bag(x.rebuild(&others, ctx, op))
+            }
         }
-    }
-    fn with_ctx(&self, ctx: &Ctx) -> Self {
-        self.each(|s| LiftedData::with_ctx(s, ctx), |b| LiftedData::with_ctx(b, ctx))
-    }
-    fn checkpoint(&self) -> Self {
-        self.each(LiftedData::checkpoint, LiftedData::checkpoint)
     }
 }
 
