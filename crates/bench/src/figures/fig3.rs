@@ -40,7 +40,7 @@ pub fn pagerank_input(
 }
 
 /// Paper-calibrated PageRank parameters for the experiments.
-pub fn pagerank_params() -> PageRankParams {
+fn pagerank_params() -> PageRankParams {
     PageRankParams { damping: 0.85, epsilon: 1e-3, max_iterations: 12 }
 }
 

@@ -28,7 +28,7 @@ use crate::profile::{gb, Profile};
 const TOPIC_DESCRIPTOR_BYTES: f64 = (MB as f64) * 1.0;
 
 /// Left panel: join-strategy ablation on PageRank at 160 GB.
-pub fn run_join_ablation(profile: Profile) -> Vec<Row> {
+fn run_join_ablation(profile: Profile) -> Vec<Row> {
     let sweep = profile.sweep(&[64, 256, 1024, 4096, 8192], &[64, 1024, 8192]);
     let mut rows = Vec::new();
     for &groups in &sweep {
@@ -82,7 +82,7 @@ fn shared_kmeans_case(profile: Profile, configs: u64) -> (Vec<Point>, Vec<(u32, 
 
 /// Right panel: half-lifted `mapWithClosure` ablation on shared-points
 /// K-means.
-pub fn run_half_lifted_ablation(profile: Profile) -> Vec<Row> {
+fn run_half_lifted_ablation(profile: Profile) -> Vec<Row> {
     let sweep = profile.sweep(&[16, 64, 256, 1024, 4096], &[16, 256, 4096]);
     let params = KmeansParams { epsilon: 5e-3, max_iterations: 8 };
     let mut rows = Vec::new();
@@ -110,7 +110,7 @@ pub fn run_half_lifted_ablation(profile: Profile) -> Vec<Row> {
 }
 
 /// One shared-points K-means case with the given lowering config.
-pub fn run_shared_kmeans(
+fn run_shared_kmeans(
     engine: &Engine,
     points: &[Point],
     configs: &[(u32, Vec<Point>)],

@@ -117,7 +117,7 @@ fn dump_traces(engine: &Engine, dir: &std::path::Path, name: &str) {
 }
 
 /// Format one measurement the way the paper's plots label failures.
-pub fn fmt_measurement(m: &Measurement) -> String {
+fn fmt_measurement(m: &Measurement) -> String {
     match m.outcome {
         Outcome::Ok => format!("{:.1}", m.seconds),
         Outcome::Oom => "OOM".to_string(),

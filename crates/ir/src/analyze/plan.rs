@@ -23,7 +23,7 @@
 //!   hoisted or merged into or out of it. This is the plan-level analogue of
 //!   the engine's fusion barrier (`Bag::absorbable` refuses to fuse through
 //!   `cache`/`checkpoint` parents and multi-consumer bags), expressed once
-//!   here as [`is_rewrite_barrier`].
+//!   here as `is_rewrite_barrier`.
 //! * **Cost monotonicity.** Hoisted and merged subplans are wrapped in
 //!   [`Expr::Cache`], and bag-valued plans are lazy in the engine, so a
 //!   speculative hoist that is never consumed never launches a job. Eager
@@ -82,7 +82,7 @@ pub struct PlanRewrite {
 /// and CSE, exactly as the engine's `cache`/`checkpoint` parents refuse
 /// operator fusion. Both the hoist and the CSE walkers call this single
 /// predicate rather than keeping private copies.
-pub fn is_rewrite_barrier(e: &Expr) -> bool {
+fn is_rewrite_barrier(e: &Expr) -> bool {
     matches!(e.unspanned(), Expr::Cache(_))
 }
 

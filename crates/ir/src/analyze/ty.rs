@@ -46,7 +46,7 @@ pub enum Ty {
 
 impl Ty {
     /// Is this a bag or group (i.e. does it contain bag structure)?
-    pub fn is_baggy(&self) -> bool {
+    fn is_baggy(&self) -> bool {
         matches!(self, Ty::Bag(_) | Ty::Group(_))
     }
 }

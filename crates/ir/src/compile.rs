@@ -112,11 +112,6 @@ impl CompiledUdf {
         CompiledUdf { arity: params.len(), generic, source, typed: OnceLock::new() }
     }
 
-    /// Number of parameters.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
     /// Evaluate a one-parameter UDF on one record.
     pub fn eval1(&self, v: &Value) -> IrResult<Value> {
         debug_assert_eq!(self.arity, 1);
@@ -774,7 +769,6 @@ mod tests {
             PureEnv::new(),
             false,
         );
-        assert_eq!(comb.arity(), 2);
         assert_eq!(comb.eval2(&Value::Long(2), &Value::Long(5)).unwrap(), Value::Long(7));
         // mapWithClosure shape: param v plus lifted names (m, k) delivered
         // as one combined tuple.

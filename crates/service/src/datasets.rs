@@ -33,7 +33,7 @@ fn name_hash(name: &str) -> u64 {
 
 /// Number of records generated for `name` under `seed`: 512..=2047,
 /// deterministic per `(seed, name)`.
-pub fn records_for(seed: u64, name: &str) -> u64 {
+fn records_for(seed: u64, name: &str) -> u64 {
     512 + mix(seed ^ name_hash(name)) % 1536
 }
 

@@ -2,7 +2,7 @@
 //! Sec. 9.4-9.5): per-day bounce rate of a visit log, the nested-parallel
 //! task *without* control flow.
 
-use matryoshka_engine::{Bag, Engine, EngineError, Result, WorkEstimate};
+use matryoshka_engine::{Bag, Engine, Result, WorkEstimate};
 
 use matryoshka_core::{group_by_key_into_nested_bag, MatryoshkaConfig};
 
@@ -98,15 +98,6 @@ pub fn diql_like(engine: &Engine, visits: &Bag<(u32, u64)>) -> Result<BounceRate
     outer_parallel(engine, visits)
 }
 
-/// DIQL-like baselines reject control flow at inner nesting levels
-/// (Sec. 9.1: "DIQL does not support control flow statements in the inner
-/// levels"). Tasks with loops call this to produce the honest error.
-pub fn diql_unsupported(task: &str) -> EngineError {
-    EngineError::Unsupported(format!(
-        "DIQL-like flattening does not support control flow at inner nesting levels (task: {task})"
-    ))
-}
-
 /// Sequential oracle over the raw records.
 pub fn reference(visits: &[(u32, u64)]) -> BounceRates {
     use std::collections::HashMap;
@@ -187,12 +178,5 @@ mod tests {
         inner_parallel(&e, &split_by_group(&log), 8.0).unwrap();
         let d = e.stats().since(&s0);
         assert!(d.jobs >= 20, "2 jobs per group expected, got {}", d.jobs);
-    }
-
-    #[test]
-    fn diql_rejects_control_flow_tasks() {
-        let err = diql_unsupported("pagerank");
-        assert!(matches!(err, EngineError::Unsupported(_)));
-        assert!(err.to_string().contains("pagerank"));
     }
 }
