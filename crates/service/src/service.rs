@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::sim::{SimTime, Stats};
-use matryoshka_engine::trace::{export_chrome_trace_multi, export_json, ChromeLane};
+use matryoshka_engine::trace::{export_chrome_trace, export_json, ChromeLane};
 use matryoshka_engine::{
     Bag, ClusterConfig, Decision, Engine, EngineError, EngineEvent, StatsSnapshot,
 };
@@ -432,7 +432,7 @@ impl JobService {
                     decisions: &trace.decisions,
                 })
             });
-        export_chrome_trace_multi(&std::iter::once(service).chain(jobs).collect::<Vec<_>>())
+        export_chrome_trace(&std::iter::once(service).chain(jobs).collect::<Vec<_>>())
     }
 
     /// Drive the virtual-time event loop until no job is queued or
