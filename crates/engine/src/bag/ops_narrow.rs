@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use super::fuse::{fusible, Batch, ChargeRule, Step};
 use super::{to_parts, Bag, Partitioning};
-use crate::pool::parallel_map;
+use crate::pool::parallel_map_range;
 use crate::types::Data;
 
 /// Simulated resource estimate returned by the UDF of
@@ -75,19 +75,19 @@ impl<T: Data> Bag<T> {
         let bytes = self.record_bytes();
         Bag::new(engine.clone(), "map_with_work", bytes, self.num_partitions(), move || {
             let input = parent.eval()?;
-            let computed: Vec<(Vec<U>, u64, u64)> =
-                parallel_map(input.to_vec(), |_, p: Arc<Vec<T>>| {
-                    let mut out = Vec::with_capacity(p.len());
-                    let mut work = 0u64;
-                    let mut mem = 0u64;
-                    for rec in p.iter() {
-                        let (u, est) = f(rec);
-                        out.push(u);
-                        work += est.cost_units;
-                        mem = mem.max(est.mem_bytes);
-                    }
-                    (out, work, mem)
-                });
+            let computed: Vec<(Vec<U>, u64, u64)> = parallel_map_range(input.len(), |i| {
+                let p = &input[i];
+                let mut out = Vec::with_capacity(p.len());
+                let mut work = 0u64;
+                let mut mem = 0u64;
+                for rec in p.iter() {
+                    let (u, est) = f(rec);
+                    out.push(u);
+                    work += est.cost_units;
+                    mem = mem.max(est.mem_bytes);
+                }
+                (out, work, mem)
+            });
             let per_record = engine.record_cost(bytes);
             let task_costs: Vec<crate::SimTime> =
                 computed.iter().map(|(_, work, _)| per_record * *work).collect();

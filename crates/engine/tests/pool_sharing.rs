@@ -2,7 +2,7 @@
 //! callers (e.g. two jobs of the multi-tenant service) must share one set of
 //! workers instead of each spawning its own `host_parallelism()` threads.
 //!
-//! Before the shared pool, every `parallel_map` call spawned its own scoped
+//! Before the shared pool, every parallel map spawned its own scoped
 //! threads, so two interleaved jobs ran up to `2 x host_parallelism()`
 //! compute threads — oversubscribing the host. Now at most
 //! `shared_pool_workers()` persistent workers exist, plus each blocked
@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use matryoshka_engine::pool::{host_parallelism, parallel_map, shared_pool_workers};
+use matryoshka_engine::pool::{host_parallelism, parallel_map_range, shared_pool_workers};
 
 /// Track the high-water mark of threads concurrently inside closures.
 struct Gauge {
@@ -47,11 +47,11 @@ fn interleaved_jobs_do_not_oversubscribe_cores() {
                 // Line all callers up so their batches overlap in the pool.
                 barrier.wait();
                 for _ in 0..20 {
-                    let out = parallel_map((0..512u64).collect(), |i, x| {
+                    let out = parallel_map_range(512, |i| {
                         gauge.enter();
                         // Enough work that claims from distinct batches
                         // genuinely overlap in time.
-                        let v = (0..500u64).fold(x, |a, b| a.wrapping_add(b ^ i as u64));
+                        let v = (0..500u64).fold(i as u64, |a, b| a.wrapping_add(b ^ i as u64));
                         gauge.exit();
                         v
                     });
@@ -95,7 +95,7 @@ fn two_jobs_share_the_same_worker_threads() {
     let job = || {
         let seen: Mutex<HashMap<ThreadId, String>> = Mutex::new(HashMap::new());
         let joined = Condvar::new();
-        let _ = parallel_map((0..4096u64).collect(), |i, x| {
+        let _ = parallel_map_range(4096, |i| {
             let current = std::thread::current();
             let mut ids = seen.lock().unwrap();
             ids.insert(current.id(), current.name().unwrap_or("<unnamed>").to_string());
@@ -105,7 +105,7 @@ fn two_jobs_share_the_same_worker_threads() {
                     .wait_timeout_while(ids, Duration::from_secs(5), |ids| ids.len() < 2)
                     .unwrap();
             }
-            x
+            i
         });
         let mut helpers = seen.into_inner().unwrap();
         helpers.remove(&me);
