@@ -136,7 +136,7 @@ pub(crate) enum Batch<'a, T> {
 impl<T> Batch<'_, T> {
     /// Borrow the records (for operators whose UDF takes `&T` and produces
     /// owned output, where the two ownership cases collapse).
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         match self {
             Batch::Shared(s) => s,
             Batch::Owned(v) => v,
@@ -147,7 +147,7 @@ impl<T> Batch<'_, T> {
 impl<T: Clone> Batch<'_, T> {
     /// The records as an owned `Vec`: moved when owned, cloned out of a
     /// shared partition.
-    pub fn into_vec(self) -> Vec<T> {
+    pub(crate) fn into_vec(self) -> Vec<T> {
         match self {
             Batch::Shared(s) => s.to_vec(),
             Batch::Owned(v) => v,
@@ -156,7 +156,7 @@ impl<T: Clone> Batch<'_, T> {
 
     /// Hand each record to `f` by value: moved when owned, cloned out of a
     /// shared partition.
-    pub fn for_each(self, f: impl FnMut(T)) {
+    pub(crate) fn for_each(self, f: impl FnMut(T)) {
         match self {
             Batch::Shared(s) => s.iter().cloned().for_each(f),
             Batch::Owned(v) => v.into_iter().for_each(f),
@@ -176,7 +176,7 @@ pub(crate) enum Part<T> {
 
 impl<T> Part<T> {
     /// The records.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         match self {
             Part::Shared(p) => p,
             Part::Owned(v) => v,
@@ -185,7 +185,7 @@ impl<T> Part<T> {
 
     /// Run `f` over the partition as a [`Batch`]: borrowed when shared, moved
     /// when owned.
-    pub fn read<R>(self, f: impl FnOnce(Batch<'_, T>) -> R) -> R {
+    pub(crate) fn read<R>(self, f: impl FnOnce(Batch<'_, T>) -> R) -> R {
         match self {
             Part::Shared(p) => f(Batch::Shared(&p)),
             Part::Owned(v) => f(Batch::Owned(v)),

@@ -9,7 +9,7 @@
 /// Per-reduce-partition record/byte counts of one shuffle's map output,
 /// plus derived summary statistics (percentiles and skew ratio).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MapOutputStats {
+pub(crate) struct MapOutputStats {
     /// Operator that produced the shuffle (e.g. `"join"`, `"reduce_by_key"`).
     pub operator: &'static str,
     /// Records landing in each reduce partition.
@@ -20,29 +20,29 @@ pub struct MapOutputStats {
 
 impl MapOutputStats {
     /// Number of reduce partitions.
-    pub fn partitions(&self) -> usize {
+    pub(crate) fn partitions(&self) -> usize {
         self.partition_bytes.len()
     }
 
     /// Total records across all partitions.
-    pub fn total_records(&self) -> u64 {
+    pub(crate) fn total_records(&self) -> u64 {
         self.partition_records.iter().sum()
     }
 
     /// Total modeled bytes across all partitions.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.partition_bytes.iter().sum()
     }
 
     /// Largest partition, in bytes.
-    pub fn max_bytes(&self) -> u64 {
+    pub(crate) fn max_bytes(&self) -> u64 {
         self.partition_bytes.iter().copied().max().unwrap_or(0)
     }
 
     /// The `pcts`-th percentiles of partition bytes, e.g. `[50, 99]`
     /// (nearest-rank over one sorted copy of the sizes, so the median of an
     /// even count is the lower one; all 0 for an empty shuffle).
-    pub fn percentiles_bytes<const N: usize>(&self, pcts: [u64; N]) -> [u64; N] {
+    pub(crate) fn percentiles_bytes<const N: usize>(&self, pcts: [u64; N]) -> [u64; N] {
         let mut sorted = self.partition_bytes.clone();
         sorted.sort_unstable();
         pcts.map(|pct| {
@@ -53,7 +53,7 @@ impl MapOutputStats {
 
     /// Skew ratio: largest partition over the mean partition size, in
     /// thousandths (`1000` = perfectly balanced). 0 for an empty shuffle.
-    pub fn skew_ratio_milli(&self) -> u64 {
+    pub(crate) fn skew_ratio_milli(&self) -> u64 {
         let total = self.total_bytes();
         if total == 0 || self.partition_bytes.is_empty() {
             return 0;

@@ -29,7 +29,7 @@ pub mod plan;
 mod ty;
 
 pub use diag::{codes, Diagnostic, Diagnostics, Severity};
-pub use ty::{ScalarKind, Ty};
+pub use ty::Ty;
 
 use crate::ast::{Expr, Span};
 use crate::error::{IrError, IrResult};

@@ -51,60 +51,6 @@ impl Ty {
     }
 }
 
-/// A refinement of [`Ty::Scalar`] used by the UDF compiler
-/// ([`crate::compile`]) to pick specialized slot operations: where the shape
-/// checker only needs to know "this is a scalar", the compiler wants to know
-/// *which* scalar a subexpression is statically guaranteed to produce, so
-/// `Long + Long` can skip the dynamic `Value` dispatch.
-///
-/// `Any` is the sound fallback ("could be any scalar at runtime" — UDF
-/// parameters, loop variables, projections out of dynamically shaped
-/// tuples). Every refinement is a *guarantee*: a subexpression whose kind is
-/// [`ScalarKind::Long`] evaluates to [`crate::Value::Long`] whenever it
-/// evaluates successfully.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalarKind {
-    /// Statically a boolean.
-    Bool,
-    /// Statically a 64-bit integer.
-    Long,
-    /// Statically a 64-bit float.
-    Double,
-    /// Statically a string.
-    Str,
-    /// Statically a tuple.
-    Tuple,
-    /// Statically the unit value.
-    Unit,
-    /// No static refinement.
-    Any,
-}
-
-impl ScalarKind {
-    /// The kind of a concrete runtime value (used to seed the compiler's
-    /// inference from closure-capture constants).
-    pub fn of_value(v: &crate::value::Value) -> ScalarKind {
-        use crate::value::Value;
-        match v {
-            Value::Unit => ScalarKind::Unit,
-            Value::Bool(_) => ScalarKind::Bool,
-            Value::Long(_) => ScalarKind::Long,
-            Value::Double(_) => ScalarKind::Double,
-            Value::Str(_) => ScalarKind::Str,
-            Value::Tuple(_) => ScalarKind::Tuple,
-        }
-    }
-
-    /// Least upper bound: the kind both branches of an `if` can promise.
-    pub fn join(self, other: ScalarKind) -> ScalarKind {
-        if self == other {
-            self
-        } else {
-            ScalarKind::Any
-        }
-    }
-}
-
 impl fmt::Display for Ty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -2,7 +2,7 @@
 //! ([`CompiledUdf`]) that behaves as the interpreter ([`crate::lower::eval_pure`],
 //! [`apply_bin`], [`apply_un`]) does, in its order: **flat registers** with a
 //! `Value` slot and an unboxed word slot for every subexpression of proven
-//! [`ScalarKind`]; **typed programs**, compiled on the first record with the
+//! `ScalarKind`; **typed programs**, compiled on the first record with the
 //! kinds of the parameter leaves (`v.0`) that feed arithmetic, comparisons or
 //! branches, and run while a per-record guard finds those kinds; **constant
 //! folding**, unless it fails; and **the rerun**: a record turned away, or on
@@ -14,11 +14,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use crate::analyze::ScalarKind::{self, Any, Bool, Double, Long};
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::error::{IrError, IrResult};
 use crate::lower::{apply_bin, apply_un};
 use crate::value::Value;
+use ScalarKind::{Any, Bool, Double, Long};
 
 type PureEnv = HashMap<String, Value>;
 type Reg = usize;
@@ -30,6 +30,59 @@ type Frame = (Vec<Value>, Vec<u64>);
 /// Body, parameter names, captures and the leaves a typed program may unbox.
 type Source = (Arc<Expr>, Vec<String>, PureEnv, Vec<Leaf>);
 type Op3 = fn(BinOp, Reg, Reg, Reg) -> Ins;
+
+/// A refinement of [`Ty::Scalar`](crate::Ty::Scalar) used by the compiler to
+/// pick specialized slot operations: where the shape checker only needs to
+/// know "this is a scalar", the compiler wants to know *which* scalar a
+/// subexpression is statically guaranteed to produce, so `Long + Long` can
+/// skip the dynamic `Value` dispatch.
+///
+/// `Any` is the sound fallback ("could be any scalar at runtime" — UDF
+/// parameters, loop variables, projections out of dynamically shaped
+/// tuples). Every refinement is a *guarantee*: a subexpression whose kind is
+/// [`ScalarKind::Long`] evaluates to [`crate::Value::Long`] whenever it
+/// evaluates successfully.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ScalarKind {
+    /// Statically a boolean.
+    Bool,
+    /// Statically a 64-bit integer.
+    Long,
+    /// Statically a 64-bit float.
+    Double,
+    /// Statically a string.
+    Str,
+    /// Statically a tuple.
+    Tuple,
+    /// Statically the unit value.
+    Unit,
+    /// No static refinement.
+    Any,
+}
+
+impl ScalarKind {
+    /// The kind of a concrete runtime value (used to seed the compiler's
+    /// inference from closure-capture constants).
+    fn of_value(v: &Value) -> ScalarKind {
+        match v {
+            Value::Unit => ScalarKind::Unit,
+            Value::Bool(_) => ScalarKind::Bool,
+            Value::Long(_) => ScalarKind::Long,
+            Value::Double(_) => ScalarKind::Double,
+            Value::Str(_) => ScalarKind::Str,
+            Value::Tuple(_) => ScalarKind::Tuple,
+        }
+    }
+
+    /// Least upper bound: the kind both branches of an `if` can promise.
+    fn join(self, other: ScalarKind) -> ScalarKind {
+        if self == other {
+            self
+        } else {
+            ScalarKind::Any
+        }
+    }
+}
 
 /// A pure scalar UDF, compiled once and evaluated per record.
 ///

@@ -89,7 +89,7 @@ mod tests {
 
     /// The bounce-rate program of the paper's Listing 1 (per-day groups,
     /// nested UDF with bag operations).
-    pub fn bounce_rate_program() -> Expr {
+    pub(crate) fn bounce_rate_program() -> Expr {
         // visits: Bag[(day, ip)]
         let group = Expr::proj(Expr::var("g"), 1); // inner bag
         let counts = Expr::ReduceByKey(

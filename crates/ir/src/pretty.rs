@@ -6,7 +6,7 @@
 //!   [`snippet`], its one-line form for diagnostics;
 //! - [`plan_tree`]: one operator per line, the before/after view of the
 //!   Listing 1 -> Listing 2 rewrite and of the plan rewrites;
-//! - [`render_diagnostic`]: compiler-style caret rendering of analyzer
+//! - [`render_diagnostics`]: compiler-style caret rendering of analyzer
 //!   diagnostics against the original source text.
 
 use std::fmt::Write as _;
@@ -349,7 +349,7 @@ fn tree(e: &Expr, depth: usize, out: &mut String) {
 /// Render one analyzer diagnostic against its source text, compiler-style:
 /// a header line, the offending source line, and a caret run under the
 /// span. Span-less diagnostics fall back to their `Display` form.
-pub fn render_diagnostic(source: &str, d: &Diagnostic) -> String {
+fn render_diagnostic(source: &str, d: &Diagnostic) -> String {
     let mut out = String::new();
     let Some(sp) = d.span else {
         let _ = writeln!(out, "{d}");
@@ -375,7 +375,7 @@ pub fn render_diagnostic(source: &str, d: &Diagnostic) -> String {
     out
 }
 
-/// Render a whole diagnostics collection with [`render_diagnostic`],
+/// Render a whole diagnostics collection with `render_diagnostic`,
 /// followed by a one-line summary ("N errors, M warnings").
 pub fn render_diagnostics(source: &str, ds: &Diagnostics) -> String {
     let mut out = String::new();

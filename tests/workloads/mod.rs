@@ -16,9 +16,9 @@ use matryoshka::tasks::seq::{KmeansParams, PageRankParams};
 use matryoshka::tasks::{avg_distances, bounce_rate, kmeans, pagerank};
 
 /// One run of one workload on a fresh engine, rendered.
-pub type Plan = Box<dyn Fn(&Engine) -> String>;
+pub(crate) type Plan = Box<dyn Fn(&Engine) -> String>;
 
-pub fn lowering_configs() -> [(&'static str, MatryoshkaConfig); 2] {
+pub(crate) fn lowering_configs() -> [(&'static str, MatryoshkaConfig); 2] {
     [
         ("optimized", MatryoshkaConfig::optimized()),
         (
@@ -28,7 +28,7 @@ pub fn lowering_configs() -> [(&'static str, MatryoshkaConfig); 2] {
     ]
 }
 
-pub fn paper_workloads(config: &MatryoshkaConfig) -> Vec<(&'static str, Plan)> {
+pub(crate) fn paper_workloads(config: &MatryoshkaConfig) -> Vec<(&'static str, Plan)> {
     let log = visit_log(&VisitSpec {
         visits: 6_000,
         groups: 16,
@@ -108,7 +108,7 @@ fn plan<R: Debug>(
     Box::new(move |e| format!("{:?}", run(e, config)))
 }
 
-pub fn shipped_programs() -> Vec<(String, Plan)> {
+pub(crate) fn shipped_programs() -> Vec<(String, Plan)> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/programs");
     let mut paths: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
