@@ -101,9 +101,10 @@ echo "== deleted switches stay deleted"
 # lifted operator nothing calls; a decision is a typed rule row rendered at
 # export (no prose `String` fields on `Decision`); the lifted loop's state
 # has one structural method, `rebuild` (no per-step methods on
-# `LiftedData`). The patterns are split so this file does not match itself;
-# the set operators are matched by definition, which misses std's
-# `HashSet::intersection` and the word "subtracts".
+# `LiftedData`); there is one Chrome exporter and one host-pool entry
+# point, `parallel_map_range`. The patterns are split so this file does not
+# match itself; the set operators are matched by definition, which misses
+# std's `HashSet::intersection` and the word "subtracts".
 if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace_''report|stats\.add''_' \
   -e 'Adaptive''Config|adaptive_''coalesce|adaptive_''tag_join|adaptive_''skew_salt|BENCH_''skew|MAT0''92|map_output_''history' \
   -e 'make_''buckets|merge_''bucket_sets' \
@@ -116,6 +117,7 @@ if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace
   -e 'aggregate''_by_key|from_partition''_records|fold_safe''_long' \
   -e 'choice: ''String|detail: ''String' \
   -e 'filter_by''_cond|union''_with' \
+  -e 'export_chrome_trace''_multi|\bparallel''_map\b' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2
