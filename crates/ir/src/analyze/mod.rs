@@ -4,21 +4,20 @@
 //! One [`analyze`] run performs, in a single AST walk:
 //!
 //! 1. **Nesting-aware type/shape checking**: every expression gets
-//!    a [`Ty`] — scalar, bag-with-depth, or group pair — and programs that
+//!    a [`Ty`] — scalar, bag, nested bag, or group pair — and programs that
 //!    would fail inside the engine (bags in tuples, arithmetic on bags,
 //!    three levels of parallelism, ...) are rejected *before any engine job
 //!    launches*, each with a stable `MAT0xx` code and, for text programs, a
 //!    byte span.
-//! 2. **Closure-capture and effect analysis** ([`captures`], and the
-//!    [`UdfSummary`] records): each UDF is classified pure-scalar vs
-//!    bag-launching, its captures are enumerated and classified, and
-//!    inner-bag escapes are diagnosed statically.
+//! 2. **Closure-capture analysis** ([`captures`]): each leaf UDF's captures
+//!    are enumerated and must be scalars, and inner-bag escapes are
+//!    diagnosed statically.
 //!
 //! The analyzer is *total*: it never stops at the first defect (ill-typed
 //! subtrees continue as [`Ty::Unknown`]), so one run reports every
 //! independent problem. [`check`] is the hard-gate variant the parsing
-//! phase calls: it turns error-severity diagnostics into
-//! [`IrError::Analysis`].
+//! phase calls, and through it every [`crate::Lowering`] run: it turns
+//! error-severity diagnostics into [`IrError::Analysis`].
 //!
 //! See `docs/ANALYSIS.md` for the pass ordering and the full error-code
 //! table.
@@ -31,30 +30,9 @@ mod ty;
 pub use diag::{codes, Diagnostic, Diagnostics, Severity};
 pub use ty::Ty;
 
-use crate::ast::{Expr, Span};
+use crate::ast::Expr;
 use crate::error::{IrError, IrResult};
 use crate::parse::Dialect;
-
-/// What the effect analysis learned about one UDF.
-#[derive(Debug, Clone)]
-pub struct UdfSummary {
-    /// The operation the UDF belongs to (`"map"`, `"lifted map"`,
-    /// `"filter"`, `"flatMap"`).
-    pub op: &'static str,
-    /// Source span of the enclosing operation, when known.
-    pub span: Option<Span>,
-    /// Parameter names.
-    pub params: Vec<String>,
-    /// Captured enclosing bindings with their inferred types
-    /// ([`Ty::Unknown`] for unbound names, which are separately diagnosed).
-    pub captures: Vec<(String, Ty)>,
-    /// The body is free of bag operations (safe to run as an engine-side
-    /// closure over plain values).
-    pub pure_scalar: bool,
-    /// The UDF launches nested bag operations, so the rewriter must lift it
-    /// (`MapWithLiftedUdf`).
-    pub bag_launching: bool,
-}
 
 /// The result of one analyzer run over a program.
 #[derive(Debug, Clone)]
@@ -63,8 +41,6 @@ pub struct Analysis {
     pub program_ty: Ty,
     /// Everything the analyzer found, in AST pre-order.
     pub diagnostics: Diagnostics,
-    /// One summary per UDF, in the order the walk reached them.
-    pub udfs: Vec<UdfSummary>,
     /// One entry per [`Expr::Map`], in the order a walk that visits a map's
     /// input, then the map, then its UDF body meets them: must the
     /// parsing phase turn it into [`Expr::MapWithLiftedUdf`]?
@@ -83,7 +59,7 @@ impl Analysis {
 pub fn analyze(program: &Expr, sources: &[&str], dialect: Dialect) -> Analysis {
     let mut checker = ty::Checker::new(sources, dialect);
     let program_ty = checker.infer(program, 0, program.span());
-    Analysis { program_ty, diagnostics: checker.diags, udfs: checker.udfs, lifts: checker.lifts }
+    Analysis { program_ty, diagnostics: checker.diags, lifts: checker.lifts }
 }
 
 /// Analyze and *gate*: error-severity diagnostics become
@@ -137,7 +113,7 @@ mod tests {
         let e = parse("map(groupByKey(source(visits)), g => (g.0, count(g.1)))");
         let a = analyze(&e, &["visits"], Dialect::Matryoshka);
         assert!(a.is_ok(), "{}", a.diagnostics);
-        assert_eq!(a.program_ty, Ty::Bag(1));
+        assert_eq!(a.program_ty, Ty::Bag);
     }
 
     #[test]
@@ -284,22 +260,6 @@ mod tests {
         assert!(errs.contains(&codes::UNBOUND_VAR));
         assert!(errs.contains(&codes::UNBOUND_SOURCE));
         assert!(errs.contains(&codes::BAG_IN_TUPLE));
-    }
-
-    #[test]
-    fn udf_summaries_classify_effects_and_captures() {
-        let e = parse(
-            "let t = 5 in map(groupByKey(source(visits)), g => count(filter(g.1, v => v > t)))",
-        );
-        let a = analyze(&e, &["visits"], Dialect::Matryoshka);
-        assert!(a.is_ok(), "{}", a.diagnostics);
-        let lifted = a.udfs.iter().find(|u| u.bag_launching).expect("the outer map is lifted");
-        assert_eq!(lifted.op, "lifted map");
-        assert!(!lifted.pure_scalar);
-        assert_eq!(lifted.captures, vec![("t".to_string(), Ty::Scalar)]);
-        let leaf = a.udfs.iter().find(|u| u.op == "filter").expect("the filter UDF");
-        assert!(leaf.pure_scalar && !leaf.bag_launching);
-        assert_eq!(leaf.captures, vec![("t".to_string(), Ty::Scalar)]);
     }
 
     #[test]

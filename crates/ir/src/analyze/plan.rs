@@ -170,9 +170,8 @@ fn contains_lifted_udf(e: &Expr) -> bool {
     found
 }
 
-/// Every UDF in the subtree is a pure scalar function. (The effect checker
-/// classifies a UDF as pure exactly when its body launches no bag
-/// operation; see [`super::UdfSummary`].)
+/// Every UDF in the subtree is a pure scalar function: its body launches no
+/// bag operation.
 fn lambdas_pure(e: &Expr) -> bool {
     let mut ok = true;
     e.visit(&mut |x| match x {

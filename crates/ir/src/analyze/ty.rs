@@ -1,21 +1,23 @@
 //! The nesting-aware type/shape checker: assigns every expression a [`Ty`]
-//! (scalar, bag-with-depth, or group pair), enforces the flattening
-//! preconditions of the paper's Theorem 1 *before* lowering, and records a
-//! [`UdfSummary`] (captures, effects, field reads) for every UDF.
+//! (scalar, bag, nested bag, or group pair), enforces the flattening
+//! preconditions of the paper's Theorem 1 *before* lowering, and checks
+//! what every leaf UDF captures.
 //!
 //! The checker is *total*: it never stops at the first problem. Ill-typed
 //! subtrees get [`Ty::Unknown`] and the walk continues, so a single run
 //! reports every independent defect with a stable `MAT0xx` code and (for
 //! text programs) a byte span.
 //!
-//! The depth discipline mirrors the runtime exactly: the lowering's
-//! evaluator supports two levels of parallelism (driver + one lifted
-//! level); `groupByKey`, `mapWithLiftedUDF` and lift-requiring `map`s inside
-//! an already-lifted UDF are the runtime's "more than two levels" errors,
-//! surfaced here statically as `MAT008`. Inside a lifted UDF a flat bag and
-//! an inner bag are both `Bag(1)`: every bag operator of the evaluator has a
-//! cell for either (`crates/ir/tests/end_to_end.rs` runs the table), so an
-//! admitted program does not fail on an operand's kind at run time.
+//! This is the lowering's only shape check: [`crate::Lowering`] runs a
+//! program only once the parsing phase, and with it this checker, has
+//! admitted it; the lowering has no shape errors of its own. The depth
+//! discipline mirrors the evaluator exactly: it supports two levels of
+//! parallelism (driver + one lifted level), so `groupByKey`,
+//! `mapWithLiftedUDF` and lift-requiring `map`s inside an already-lifted
+//! UDF are `MAT008`. Inside a lifted UDF a flat bag and an inner bag are
+//! both [`Ty::Bag`]: every bag operator of the evaluator has a cell for
+//! either (`crates/ir/tests/end_to_end.rs` runs the table), so an admitted
+//! program does not fail on an operand's kind at run time.
 
 use std::fmt;
 
@@ -24,7 +26,6 @@ use crate::parse::Dialect;
 use crate::pretty::snippet;
 
 use super::diag::{codes, Diagnostic, Diagnostics};
-use super::UdfSummary;
 
 /// The type a program expression evaluates to, as far as the flattening
 /// machinery is concerned. Element types of bags are dynamic (records are
@@ -33,13 +34,13 @@ use super::UdfSummary;
 pub enum Ty {
     /// A scalar value, including tuples of scalars.
     Scalar,
-    /// A bag with the given nesting depth: `Bag(1)` is a flat `Bag[T]`,
-    /// `Bag(2)` is a nested `Bag[(K, Bag[V])]`.
-    Bag(u32),
-    /// The element of a nested bag: a `(key, inner bag)` pair, where the
-    /// inner bag has the given depth. This is the type of a lifted UDF's
-    /// parameter when mapping over a `Bag(d + 1)`.
-    Group(u32),
+    /// A flat `Bag[T]`.
+    Bag,
+    /// A nested `Bag[(K, Bag[V])]`; the IR has no deeper bags.
+    Nested,
+    /// The element of a nested bag: a `(key, inner bag)` pair. This is the
+    /// type of a lifted UDF's parameter when mapping over a nested bag.
+    Group,
     /// Recovery type for ill-typed subtrees; suppresses cascading errors.
     Unknown,
 }
@@ -47,7 +48,7 @@ pub enum Ty {
 impl Ty {
     /// Is this a bag or group (i.e. does it contain bag structure)?
     fn is_baggy(&self) -> bool {
-        matches!(self, Ty::Bag(_) | Ty::Group(_))
+        matches!(self, Ty::Bag | Ty::Nested | Ty::Group)
     }
 }
 
@@ -55,18 +56,21 @@ impl fmt::Display for Ty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Ty::Scalar => write!(f, "a scalar"),
-            Ty::Bag(1) => write!(f, "a bag"),
-            Ty::Bag(2) => write!(f, "a nested bag"),
-            Ty::Bag(d) => write!(f, "a depth-{d} nested bag"),
-            Ty::Group(d) => {
-                if *d == 1 {
-                    write!(f, "a (key, inner bag) group pair")
-                } else {
-                    write!(f, "a (key, depth-{d} bag) group pair")
-                }
-            }
+            Ty::Bag => write!(f, "a bag"),
+            Ty::Nested => write!(f, "a nested bag"),
+            Ty::Group => write!(f, "a (key, inner bag) group pair"),
             Ty::Unknown => write!(f, "an unknown type"),
         }
+    }
+}
+
+/// The parameter of a map's UDF over `input`: a record of a flat bag, a
+/// group of a nested one.
+fn param_ty(input: Ty) -> Ty {
+    match input {
+        Ty::Bag => Ty::Scalar,
+        Ty::Nested => Ty::Group,
+        _ => Ty::Unknown,
     }
 }
 
@@ -89,7 +93,6 @@ pub(super) struct Checker<'a> {
     dialect: Dialect,
     env: Vec<Binding>,
     pub(super) diags: Diagnostics,
-    pub(super) udfs: Vec<UdfSummary>,
     pub(super) lifts: Vec<bool>,
 }
 
@@ -99,27 +102,7 @@ const DIQL_MSG: &str = "DIQL-like flattening does not support control flow at in
 
 impl<'a> Checker<'a> {
     pub(super) fn new(sources: &'a [&'a str], dialect: Dialect) -> Checker<'a> {
-        // Source names double as bag-typed variables (the rewriter's
-        // environment does the same), pre-marked used.
-        let env = sources
-            .iter()
-            .map(|s| Binding {
-                name: s.to_string(),
-                ty: Ty::Bag(1),
-                level: 0,
-                used: true,
-                span: None,
-                warn_unused: false,
-            })
-            .collect();
-        Checker {
-            sources,
-            dialect,
-            env,
-            diags: Diagnostics::new(),
-            udfs: Vec::new(),
-            lifts: Vec::new(),
-        }
+        Checker { sources, dialect, env: Vec::new(), diags: Diagnostics::new(), lifts: Vec::new() }
     }
 
     // --- environment ---------------------------------------------------
@@ -131,7 +114,7 @@ impl<'a> Checker<'a> {
         })
     }
 
-    /// Look up without marking used (for capture summaries after the body
+    /// Look up without marking used (for capture checks after the body
     /// walk already marked everything).
     fn peek(&self, name: &str) -> Option<(Ty, u32)> {
         self.env.iter().rev().find(|b| b.name == name).map(|b| (b.ty, b.level))
@@ -216,7 +199,7 @@ impl<'a> Checker<'a> {
                         e,
                     );
                 }
-                Ty::Bag(1)
+                Ty::Bag
             }
             Expr::Tuple(items) => {
                 for it in items {
@@ -256,9 +239,9 @@ impl<'a> Checker<'a> {
                         }
                         Ty::Scalar
                     }
-                    Ty::Group(d) => match i {
+                    Ty::Group => match i {
                         0 => Ty::Scalar,
-                        1 => Ty::Bag(d),
+                        1 => Ty::Bag,
                         _ => {
                             self.error(
                                 codes::PROJ_OUT_OF_BOUNDS,
@@ -272,7 +255,7 @@ impl<'a> Checker<'a> {
                             Ty::Unknown
                         }
                     },
-                    Ty::Bag(_) => {
+                    Ty::Bag | Ty::Nested => {
                         self.error(
                             codes::PROJ_ON_BAG,
                             sp,
@@ -364,7 +347,7 @@ impl<'a> Checker<'a> {
                     self.error(codes::TOO_DEEP, sp, TOO_DEEP_MSG.to_string(), e);
                 }
                 match t {
-                    Ty::Scalar | Ty::Group(_) => {
+                    Ty::Scalar | Ty::Group => {
                         self.error(
                             codes::KIND_MISMATCH,
                             sp,
@@ -373,13 +356,11 @@ impl<'a> Checker<'a> {
                         );
                         Ty::Unknown
                     }
-                    Ty::Bag(d) => {
-                        if d >= 2 && level == 0 {
-                            self.error(codes::TOO_DEEP, sp, TOO_DEEP_MSG.to_string(), e);
-                        }
-                        Ty::Bag(2)
+                    Ty::Nested if level == 0 => {
+                        self.error(codes::TOO_DEEP, sp, TOO_DEEP_MSG.to_string(), e);
+                        Ty::Nested
                     }
-                    Ty::Unknown => Ty::Bag(2),
+                    _ => Ty::Nested,
                 }
             }
             Expr::Map(input, l) => self.infer_map(input, l, level, sp, e),
@@ -408,8 +389,8 @@ impl<'a> Checker<'a> {
                     );
                 }
                 match t {
-                    Ty::Bag(d) => Ty::Bag(d),
-                    _ => Ty::Bag(1),
+                    Ty::Nested => Ty::Nested,
+                    _ => Ty::Bag,
                 }
             }
             Expr::FlatMapTuple(input, l) => {
@@ -436,7 +417,7 @@ impl<'a> Checker<'a> {
                         e,
                     );
                 }
-                Ty::Bag(1)
+                Ty::Bag
             }
             Expr::ReduceByKey(input, l2) => {
                 self.infer_flat_bag_input("reduceByKey", input, level, sp);
@@ -449,7 +430,7 @@ impl<'a> Checker<'a> {
                     );
                 }
                 self.check_lambda2("reduceByKey", l2, level, sp, e);
-                Ty::Bag(1)
+                Ty::Bag
             }
             Expr::Fold(input, zero, l2) => {
                 self.infer_flat_bag_input("fold", input, level, sp);
@@ -494,7 +475,7 @@ impl<'a> Checker<'a> {
             Expr::Join(a, b) => {
                 for side in [a, b] {
                     let t = self.infer(side, level, side.span().or(sp));
-                    if t != Ty::Bag(1) && t != Ty::Unknown {
+                    if t != Ty::Bag && t != Ty::Unknown {
                         self.error(
                             codes::KIND_MISMATCH,
                             side.span().or(sp),
@@ -503,13 +484,13 @@ impl<'a> Checker<'a> {
                         );
                     }
                 }
-                Ty::Bag(1)
+                Ty::Bag
             }
             Expr::Union(a, b) => {
                 let ta = self.infer(a, level, a.span().or(sp));
                 let tb = self.infer(b, level, b.span().or(sp));
                 for (side, t) in [(a, ta), (b, tb)] {
-                    if matches!(t, Ty::Scalar | Ty::Group(_)) || matches!(t, Ty::Bag(d) if d >= 2) {
+                    if matches!(t, Ty::Scalar | Ty::Nested | Ty::Group) {
                         self.error(
                             codes::KIND_MISMATCH,
                             side.span().or(sp),
@@ -518,21 +499,19 @@ impl<'a> Checker<'a> {
                         );
                     }
                 }
-                if let (Ty::Bag(da), Ty::Bag(db)) = (ta, tb) {
-                    if da != db {
-                        self.error(
-                            codes::BRANCH_MISMATCH,
-                            sp,
-                            format!("the sides of a union have different types: {ta} vs {tb}"),
-                            e,
-                        );
-                    }
+                if matches!((ta, tb), (Ty::Bag, Ty::Nested) | (Ty::Nested, Ty::Bag)) {
+                    self.error(
+                        codes::BRANCH_MISMATCH,
+                        sp,
+                        format!("the sides of a union have different types: {ta} vs {tb}"),
+                        e,
+                    );
                 }
-                Ty::Bag(1)
+                Ty::Bag
             }
             Expr::Distinct(x) => {
                 let t = self.infer(x, level, x.span().or(sp));
-                if matches!(t, Ty::Scalar | Ty::Group(_)) || matches!(t, Ty::Bag(d) if d >= 2) {
+                if matches!(t, Ty::Scalar | Ty::Nested | Ty::Group) {
                     self.error(
                         codes::KIND_MISMATCH,
                         sp,
@@ -541,11 +520,11 @@ impl<'a> Checker<'a> {
                     );
                     return Ty::Unknown;
                 }
-                Ty::Bag(1)
+                Ty::Bag
             }
             Expr::Count(x) => {
                 let t = self.infer(x, level, x.span().or(sp));
-                if matches!(t, Ty::Scalar | Ty::Group(_)) {
+                if matches!(t, Ty::Scalar | Ty::Group) {
                     self.error(
                         codes::KIND_MISMATCH,
                         sp,
@@ -562,24 +541,13 @@ impl<'a> Checker<'a> {
 
     fn infer_flat_bag_input(&mut self, op: &str, input: &Expr, level: u32, sp: Option<Span>) -> Ty {
         let t = self.infer(input, level, input.span().or(sp));
-        match t {
-            Ty::Scalar | Ty::Group(_) => {
-                self.error(
-                    codes::KIND_MISMATCH,
-                    input.span().or(sp),
-                    format!("{op} applied to {t}; it requires a flat bag"),
-                    input,
-                );
-            }
-            Ty::Bag(d) if d >= 2 => {
-                self.error(
-                    codes::KIND_MISMATCH,
-                    input.span().or(sp),
-                    format!("{op} applied to {t}; it requires a flat bag"),
-                    input,
-                );
-            }
-            _ => {}
+        if matches!(t, Ty::Scalar | Ty::Nested | Ty::Group) {
+            self.error(
+                codes::KIND_MISMATCH,
+                input.span().or(sp),
+                format!("{op} applied to {t}; it requires a flat bag"),
+                input,
+            );
         }
         t
     }
@@ -593,7 +561,7 @@ impl<'a> Checker<'a> {
         node: &Expr,
     ) -> Ty {
         let tin = self.infer(input, level, input.span().or(sp));
-        if matches!(tin, Ty::Scalar | Ty::Group(_)) {
+        if matches!(tin, Ty::Scalar | Ty::Group) {
             self.error(
                 codes::KIND_MISMATCH,
                 input.span().or(sp),
@@ -601,25 +569,22 @@ impl<'a> Checker<'a> {
                 input,
             );
         }
-        let needs_lift = l.body.contains_bag_ops() || matches!(tin, Ty::Bag(d) if d >= 2);
+        let needs_lift = l.body.contains_bag_ops() || tin == Ty::Nested;
         self.lifts.push(needs_lift);
         if needs_lift && level >= 1 {
             self.error(codes::TOO_DEEP, sp, TOO_DEEP_MSG.to_string(), node);
         }
-        let param_ty = match tin {
-            Ty::Bag(1) => Ty::Scalar,
-            Ty::Bag(d) if d >= 2 => Ty::Group(d - 1),
-            _ => Ty::Unknown,
-        };
         let body_level = if needs_lift { level + 1 } else { level };
-        self.push_param(&l.param, param_ty, body_level);
+        self.push_param(&l.param, param_ty(tin), body_level);
         let tb = self.infer(&l.body, body_level, l.body.span().or(sp));
-        self.summarize_udf(if needs_lift { "lifted map" } else { "map" }, sp, l, needs_lift);
+        if !needs_lift {
+            self.check_captures("map", sp, l);
+        }
         self.pop();
         if tb.is_baggy() {
             if !needs_lift {
                 // A leaf UDF producing a bag can only happen through a
-                // bag-typed variable; the runtime rejects the capture.
+                // bag-typed variable, which leaf UDFs may not capture.
                 self.error(
                     codes::INNER_BAG_ESCAPE,
                     sp,
@@ -629,9 +594,9 @@ impl<'a> Checker<'a> {
                     ),
                     node,
                 );
-                return Ty::Bag(1);
+                return Ty::Bag;
             }
-            if let Ty::Group(_) = tb {
+            if tb == Ty::Group {
                 self.error(
                     codes::INNER_BAG_ESCAPE,
                     sp,
@@ -641,7 +606,7 @@ impl<'a> Checker<'a> {
                     ),
                     node,
                 );
-                return Ty::Bag(1);
+                return Ty::Bag;
             }
         }
         if needs_lift {
@@ -649,8 +614,8 @@ impl<'a> Checker<'a> {
         }
         match (tin, tb) {
             (Ty::Unknown, _) => Ty::Unknown,
-            (_, Ty::Bag(_)) if needs_lift => Ty::Bag(2),
-            _ => Ty::Bag(1),
+            (_, Ty::Bag | Ty::Nested) if needs_lift => Ty::Nested,
+            _ => Ty::Bag,
         }
     }
 
@@ -667,7 +632,7 @@ impl<'a> Checker<'a> {
             self.error(codes::TOO_DEEP, sp, TOO_DEEP_MSG.to_string(), node);
         }
         let tin = self.infer(input, level, input.span().or(sp));
-        if matches!(tin, Ty::Scalar | Ty::Group(_)) {
+        if matches!(tin, Ty::Scalar | Ty::Group) {
             self.error(
                 codes::KIND_MISMATCH,
                 input.span().or(sp),
@@ -685,16 +650,10 @@ impl<'a> Checker<'a> {
                 );
             }
         }
-        let param_ty = match tin {
-            Ty::Bag(d) if d >= 2 => Ty::Group(d - 1),
-            Ty::Bag(_) => Ty::Scalar,
-            _ => Ty::Unknown,
-        };
-        self.push_param(&udf.param, param_ty, level + 1);
+        self.push_param(&udf.param, param_ty(tin), level + 1);
         let tb = self.infer(&udf.body, level + 1, udf.body.span().or(sp));
-        self.summarize_udf("lifted map", sp, udf, true);
         self.pop();
-        if let Ty::Group(_) = tb {
+        if tb == Ty::Group {
             self.error(
                 codes::INNER_BAG_ESCAPE,
                 sp,
@@ -704,19 +663,19 @@ impl<'a> Checker<'a> {
                 ),
                 node,
             );
-            return Ty::Bag(1);
+            return Ty::Bag;
         }
         self.check_lifted_result(tb, sp, node);
         match tb {
-            Ty::Bag(_) => Ty::Bag(2),
-            _ => Ty::Bag(1),
+            Ty::Bag | Ty::Nested => Ty::Nested,
+            _ => Ty::Bag,
         }
     }
 
     /// A lifted UDF that returns a nested bag (it can only have captured
     /// one) would produce three levels.
     fn check_lifted_result(&mut self, tb: Ty, sp: Option<Span>, node: &Expr) {
-        if matches!(tb, Ty::Bag(2..)) {
+        if tb == Ty::Nested {
             self.error(codes::TOO_DEEP, sp, TOO_DEEP_MSG.to_string(), node);
         }
     }
@@ -738,7 +697,7 @@ impl<'a> Checker<'a> {
         let mut init_tys = Vec::with_capacity(init.len());
         for (n, x) in init {
             let t = self.infer(x, level, x.span().or(sp));
-            if level >= 1 && matches!(t, Ty::Group(_) | Ty::Bag(2..)) {
+            if level >= 1 && matches!(t, Ty::Nested | Ty::Group) {
                 self.error(
                     codes::KIND_MISMATCH,
                     x.span().or(sp),
@@ -792,17 +751,11 @@ impl<'a> Checker<'a> {
     }
 
     /// Check a leaf (never-lifted) lambda of `op`: bind the parameter as a
-    /// scalar, infer the body at the same level, record the summary.
-    fn check_leaf_lambda(
-        &mut self,
-        op: &'static str,
-        l: &Lambda,
-        level: u32,
-        sp: Option<Span>,
-    ) -> Ty {
+    /// scalar, infer the body at the same level, check its captures.
+    fn check_leaf_lambda(&mut self, op: &str, l: &Lambda, level: u32, sp: Option<Span>) -> Ty {
         self.push_param(&l.param, Ty::Scalar, level);
         let tb = self.infer(&l.body, level, l.body.span().or(sp));
-        self.summarize_udf(op, sp, l, false);
+        self.check_captures(op, sp, l);
         self.pop();
         tb
     }
@@ -833,26 +786,14 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Record a [`UdfSummary`] for `l` and validate its captures. Must run
-    /// while the lambda's parameter is still the innermost binding.
-    fn summarize_udf(
-        &mut self,
-        op: &'static str,
-        sp: Option<Span>,
-        l: &Lambda,
-        bag_launching: bool,
-    ) {
-        let names = super::captures::capture_names(&l.body, &[&l.param]);
-        let mut captures = Vec::with_capacity(names.len());
-        for name in names {
-            let Some((ty, _)) = self.peek(&name) else {
-                // Unbound: MAT001 was reported while inferring the body.
-                captures.push((name, Ty::Unknown));
-                continue;
-            };
-            // Leaf UDFs run as pure closures: they may only capture scalars.
-            // (Lifted-scalar captures lower to a tag join, mapWithClosure.)
-            if !bag_launching && ty.is_baggy() {
+    /// Leaf UDFs run as pure closures: they may only capture scalars
+    /// (lifted-scalar captures lower to a tag join, mapWithClosure). Must
+    /// run while the lambda's parameter is still the innermost binding.
+    fn check_captures(&mut self, op: &str, sp: Option<Span>, l: &Lambda) {
+        for name in super::captures::capture_names(&l.body, &[&l.param]) {
+            // Unbound names were reported as MAT001 while inferring the body.
+            let Some((ty, _)) = self.peek(&name) else { continue };
+            if ty.is_baggy() {
                 self.error(
                     codes::INNER_BAG_ESCAPE,
                     sp,
@@ -863,15 +804,6 @@ impl<'a> Checker<'a> {
                     &l.body,
                 );
             }
-            captures.push((name, ty));
         }
-        self.udfs.push(UdfSummary {
-            op,
-            span: sp,
-            params: vec![l.param.clone()],
-            captures,
-            pure_scalar: !l.body.contains_bag_ops(),
-            bag_launching,
-        });
     }
 }

@@ -61,7 +61,7 @@ pub mod pretty;
 pub mod syntax;
 mod value;
 
-pub use analyze::{analyze, check, Analysis, Diagnostic, Diagnostics, Severity, Ty, UdfSummary};
+pub use analyze::{analyze, check, Analysis, Diagnostic, Diagnostics, Severity, Ty};
 pub use compile::CompiledUdf;
 pub use error::{IrError, IrResult};
 pub use lower::{apply_bin, apply_un, eval_pure, Lowering, RtVal};

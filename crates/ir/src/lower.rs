@@ -24,6 +24,13 @@
 //! mapped or filtered under lifted closures is that cross product directly,
 //! and a join with one flat side is the half-lifted join.
 //! `docs/ANALYSIS.md` has the operator × operand-kind table.
+//!
+//! The analyzer is the only shape check. [`Lowering::run`] and
+//! [`Lowering::run_verbatim`] start with the parsing phase over the bound
+//! inputs, which returns [`IrError::Analysis`] for a program it rejects, so
+//! the evaluator only sees programs whose every operand has a cell. An arm
+//! handed any other kind is `unreachable!`. What can still fail is a value:
+//! a record a UDF cannot evaluate, an engine error.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -38,6 +45,7 @@ use matryoshka_engine::{Bag, Engine, EngineError, JoinAlgorithm, Rule};
 use crate::ast::{BinOp, Expr, Lambda, Lambda2, UnOp};
 use crate::compile::CompiledUdf;
 use crate::error::{IrError, IrResult};
+use crate::parse::{parsing_phase, Dialect};
 use crate::value::Value;
 
 /// The result of running a program.
@@ -79,17 +87,6 @@ enum Val {
 }
 
 impl Val {
-    fn kind(&self) -> &'static str {
-        match self {
-            Val::Scalar(_) => "a scalar",
-            Val::Bag(_) => "a bag",
-            Val::Nested(_) => "a nested bag",
-            Val::InnerScalar(_) => "a lifted scalar",
-            Val::InnerBag(_) => "an inner bag",
-            Val::Group(..) => "a group pair",
-        }
-    }
-
     fn as_scalar(&self) -> Option<Value> {
         match self {
             Val::Scalar(v) => Some(v.clone()),
@@ -98,9 +95,12 @@ impl Val {
     }
 }
 
-/// `op` was applied to an operand kind it has no cell for.
-fn no_cell(op: &str, operand: &Val) -> IrError {
-    IrError::Type(format!("{op} of {}", operand.kind()))
+/// `op` met an operand kind it has no cell for. The analyzer rejects every
+/// such program before [`Lowering::run`] or [`Lowering::run_verbatim`]
+/// evaluates it, so reaching this is a bug in the analyzer.
+#[cold]
+fn unadmitted(op: &str) -> ! {
+    unreachable!("{op}: an operand the parsing phase does not admit")
 }
 
 /// Executes parsed programs on an engine.
@@ -264,8 +264,8 @@ pub fn apply_un(op: UnOp, a: &Value) -> IrResult<Value> {
 
 /// Split a 2-tuple record into an engine `(key, value)` pair.
 fn kv(v: &Value) -> (Value, Value) {
-    let k = v.proj(0).expect("pair-shaped record expected (parsing phase admits (k, v) bags)");
-    (k, v.proj(1).expect("pair-shaped record"))
+    let k = v.proj(0).expect("a keyed operator needs (key, value) records");
+    (k, v.proj(1).expect("a keyed operator needs (key, value) records"))
 }
 
 fn unkv((k, v): &(Value, Value)) -> Value {
@@ -277,10 +277,15 @@ fn joined(k: &Value, v: &Value, w: &Value) -> Value {
     Value::pair(k.clone(), Value::pair(v.clone(), w.clone()))
 }
 
-const UDF_OK: &str = "scalar UDF evaluation (validated at parse)";
+// A UDF can fail on one record (a projection past the end of its tuple, a
+// `Long` overflow) after the analyzer admitted its program; the panic names
+// the operator.
+const MAP: &str = "map UDF failed";
+const FLAT_MAP: &str = "flatMap UDF failed";
+const FOLD: &str = "fold UDF failed";
 
 fn truth(v: IrResult<Value>) -> bool {
-    v.and_then(|v| v.as_bool()).expect("boolean filter UDF (validated at parse)")
+    v.and_then(|v| v.as_bool()).expect("filter UDF failed")
 }
 
 /// A scalar result: plain at driver level; inside a lifted UDF replicated
@@ -292,28 +297,24 @@ fn lift(v: Value, ctx: Option<&Ctx>) -> Val {
     }
 }
 
-fn lifting(ctx: Option<&Ctx>) -> IrResult<&Ctx> {
-    ctx.ok_or_else(|| IrError::Type("a lifted value outside a lifted UDF".into()))
-}
-
 /// Promotion of a scalar operand that meets lifted state.
-fn inner_scalar(v: Val, ctx: Option<&Ctx>) -> IrResult<IScalar> {
-    match v {
-        Val::InnerScalar(s) => Ok(s),
-        Val::Scalar(x) => Ok(lifting(ctx)?.constant(x)),
-        other => Err(IrError::Type(format!("{} where a scalar is needed", other.kind()))),
+fn inner_scalar(v: Val, ctx: Option<&Ctx>) -> IScalar {
+    match (v, ctx) {
+        (Val::InnerScalar(s), _) => s,
+        (Val::Scalar(x), Some(ctx)) => ctx.constant(x),
+        _ => unadmitted("a lifted scalar operand"),
     }
 }
 
 /// Promotion of a bag operand that meets lifted state: every tag sees the
 /// whole flat bag, so it is the cross product of the tags with the bag.
 fn inner_bag(v: Val, ctx: Option<&Ctx>) -> IrResult<IBag> {
-    match v {
-        Val::InnerBag(b) => Ok(b),
-        Val::Bag(b) => {
-            Ok(lifting(ctx)?.tags_scalar().cross_with_bag(&b, |_, _, p| Some(p.clone()))?)
+    match (v, ctx) {
+        (Val::InnerBag(b), _) => Ok(b),
+        (Val::Bag(b), Some(ctx)) => {
+            Ok(ctx.tags_scalar().cross_with_bag(&b, |_, _, p| Some(p.clone()))?)
         }
-        other => Err(IrError::Type(format!("{} where a bag is needed", other.kind()))),
+        _ => unadmitted("a lifted bag operand"),
     }
 }
 
@@ -339,6 +340,14 @@ fn combine_scalars<'a>(scalars: impl IntoIterator<Item = &'a IScalar>) -> Option
 /// aggregation UDFs close over nothing, validated at parse).
 fn compile_udf2(l2: &Lambda2) -> Arc<CompiledUdf> {
     Arc::new(CompiledUdf::new(&l2.body, &[&l2.a, &l2.b], PureEnv::new(), false))
+}
+
+/// The lowering's one shape check: the parsing phase, with the bound inputs
+/// as the program's sources (sorted, since `MAT002` lists them).
+fn gate(program: &Expr, inputs: &Inputs) -> IrResult<Expr> {
+    let mut sources: Vec<&str> = inputs.keys().map(String::as_str).collect();
+    sources.sort_unstable();
+    parsing_phase(program, &sources, Dialect::Matryoshka)
 }
 
 fn to_engine_err(e: IrError) -> EngineError {
@@ -429,64 +438,72 @@ impl Lowering {
     /// parameters 1.., delivered per record as the components of the one
     /// combined scalar returned alongside
     /// ([`CompiledUdf::eval_with_combined`]).
-    fn leaf_udf(&self, udf: &Lambda, env: &Env) -> IrResult<(Arc<CompiledUdf>, Option<IScalar>)> {
+    fn leaf_udf(&self, udf: &Lambda, env: &Env) -> (Arc<CompiledUdf>, Option<IScalar>) {
         let names = self.memo_capture_names(udf);
         let mut plain = PureEnv::new();
         let mut params = vec![udf.param.as_str()];
         let mut lifted = Vec::new();
         for name in names.iter() {
-            match env.get(name) {
-                Some(Val::Scalar(v)) => {
+            match &env[name] {
+                Val::Scalar(v) => {
                     plain.insert(name.clone(), v.clone());
                 }
-                Some(Val::InnerScalar(s)) => {
+                Val::InnerScalar(s) => {
                     params.push(name);
                     lifted.push(s);
                 }
-                Some(other) => {
-                    return Err(IrError::Unsupported(format!(
-                        "UDF captures {} ({name}); only scalars can be captured by leaf UDFs",
-                        other.kind()
-                    )))
-                }
-                None => return Err(IrError::Unbound(name.clone())),
+                _ => unadmitted("a leaf UDF's capture"),
             }
         }
         let closure = combine_scalars(lifted);
-        Ok((Arc::new(CompiledUdf::new(&udf.body, &params, plain, false)), closure))
+        (Arc::new(CompiledUdf::new(&udf.body, &params, plain, false)), closure)
     }
 
-    /// Execute a parsed program. `inputs` binds the program's `Source`
-    /// names to engine bags.
+    /// Execute a program. `inputs` binds the program's `Source` names to
+    /// engine bags.
     ///
-    /// The program first goes through the plan rewrites
+    /// The program first passes the gate: [`parsing_phase`] under
+    /// [`Dialect::Matryoshka`], with the names of `inputs` as its sources.
+    /// A program the analyzer rejects returns [`IrError::Analysis`] before
+    /// any engine job launches; a surface program (a raw `groupByKey`, a
+    /// `map` whose UDF launches bag operations) is flattened; parsing-phase
+    /// output comes back unchanged.
+    ///
+    /// Then it goes through the plan rewrites
     /// ([`crate::analyze::plan::rewrite_plan`]: hoist, CSE + auto-caching,
     /// DCE); each applied rewrite is recorded in the engine's decision log
     /// under the `plan_rewrite` site. The pass runs here rather than in
     /// [`crate::prepare_program`] so that a hand-assembled
     /// [`crate::PreparedProgram`] lowers the same plan as a prepared one.
     pub fn run(&self, program: &Expr, inputs: &HashMap<String, Bag<Value>>) -> IrResult<RtVal> {
-        let rewritten = crate::analyze::plan::rewrite_plan(program, &PlanRewriteConfig);
+        let admitted = gate(program, inputs)?;
+        let rewritten = crate::analyze::plan::rewrite_plan(&admitted, &PlanRewriteConfig);
         for r in &rewritten.rewrites {
             self.engine.record_decision(Rule::PlanRewrite { code: r.code, text: r.to_string() });
         }
-        self.run_verbatim(&rewritten.expr, inputs)
+        self.lower(&rewritten.expr, inputs)
     }
 
-    /// Execute a parsed program exactly as written, skipping the plan
-    /// rewrites of [`Lowering::run`]: the reference arm the rewrite
-    /// equivalence suites compare against.
+    /// Execute a program exactly as written, skipping the plan rewrites of
+    /// [`Lowering::run`]: the reference arm the rewrite equivalence suites
+    /// compare against. It passes the same gate first, with the same
+    /// [`IrError::Analysis`] for a rejected program.
     pub fn run_verbatim(
         &self,
         program: &Expr,
         inputs: &HashMap<String, Bag<Value>>,
     ) -> IrResult<RtVal> {
-        match self.eval(program, &Env::new(), None, inputs)? {
-            Val::Scalar(v) => Ok(RtVal::Scalar(v)),
-            Val::Bag(b) => Ok(RtVal::Bag(b)),
-            Val::Nested(nb) => Ok(RtVal::Nested(nb)),
-            other => Err(IrError::Type(format!("the program evaluates to {}", other.kind()))),
-        }
+        self.lower(&gate(program, inputs)?, inputs)
+    }
+
+    /// Evaluate an admitted program at driver level.
+    fn lower(&self, program: &Expr, inputs: &Inputs) -> IrResult<RtVal> {
+        Ok(match self.eval(program, &Env::new(), None, inputs)? {
+            Val::Scalar(v) => RtVal::Scalar(v),
+            Val::Bag(b) => RtVal::Bag(b),
+            Val::Nested(nb) => RtVal::Nested(nb),
+            _ => unadmitted("the program's result"),
+        })
     }
 
     /// Evaluate `e`. `ctx` is the lifting context of the enclosing lifted
@@ -499,24 +516,20 @@ impl Lowering {
         Ok(match e {
             Expr::Spanned(_, inner) => ev(inner)?,
             Expr::Const(v) => lift(v.clone(), ctx),
-            Expr::Var(n) => match env.get(n).cloned().ok_or_else(|| IrError::Unbound(n.clone()))? {
+            Expr::Var(n) => match env[n].clone() {
                 Val::Scalar(v) => lift(v, ctx),
                 other => other,
             },
             // Also inside a lifted UDF (the hyperparameter-optimization
             // shape of Sec. 2.3): a flat bag, the same for every tag.
-            Expr::Source(n) => Val::Bag(
-                inputs.get(n).cloned().ok_or_else(|| IrError::Unbound(format!("source {n}")))?,
-            ),
+            Expr::Source(n) => Val::Bag(inputs[n].clone()),
             Expr::Tuple(items) => {
                 let vals: Vec<Val> = items.iter().map(ev).collect::<IrResult<_>>()?;
                 match vals.iter().map(Val::as_scalar).collect::<Option<Vec<_>>>() {
                     Some(plain) => lift(Value::tuple(plain), ctx),
                     None => {
-                        let parts: Vec<IScalar> = vals
-                            .into_iter()
-                            .map(|v| inner_scalar(v, ctx))
-                            .collect::<IrResult<_>>()?;
+                        let parts: Vec<IScalar> =
+                            vals.into_iter().map(|v| inner_scalar(v, ctx)).collect();
                         Val::InnerScalar(combine_scalars(&parts).expect("a component is lifted"))
                     }
                 }
@@ -528,7 +541,7 @@ impl Lowering {
                 }
                 (Val::Group(key, _), 0) => Val::InnerScalar(key),
                 (Val::Group(_, inner), 1) => Val::InnerBag(inner),
-                (other, i) => return Err(no_cell(&format!("projection .{i}"), &other)),
+                _ => unadmitted("projection"),
             },
             Expr::Bin(op, a, b) => {
                 let op = *op;
@@ -536,7 +549,7 @@ impl Lowering {
                     (Val::Scalar(a), Val::Scalar(b)) => Val::Scalar(apply_bin(op, &a, &b)?),
                     // binaryScalarOp (Sec. 4.3): a tag join.
                     (a, b) => Val::InnerScalar(
-                        inner_scalar(a, ctx)?.zip_with(&inner_scalar(b, ctx)?, move |x, y| {
+                        inner_scalar(a, ctx).zip_with(&inner_scalar(b, ctx), move |x, y| {
                             apply_bin(op, x, y).expect("lifted scalar op")
                         }),
                     ),
@@ -548,7 +561,7 @@ impl Lowering {
                     Val::Scalar(a) => Val::Scalar(apply_un(op, &a)?),
                     // unaryScalarOp (Sec. 4.3): a tagged map.
                     a => Val::InnerScalar(
-                        inner_scalar(a, ctx)?
+                        inner_scalar(a, ctx)
                             .map(move |x| apply_un(op, x).expect("lifted scalar op")),
                     ),
                 }
@@ -566,9 +579,9 @@ impl Lowering {
                     // equivalent to the join+filter routing because the language
                     // is side-effect free).
                     c => {
-                        let c = inner_scalar(c, ctx)?;
-                        let t = inner_scalar(ev(t)?, ctx)?;
-                        let el = inner_scalar(ev(el)?, ctx)?;
+                        let c = inner_scalar(c, ctx);
+                        let t = inner_scalar(ev(t)?, ctx);
+                        let el = inner_scalar(ev(el)?, ctx);
                         let ct = c.zip_with(&t, |c, t| Value::pair(c.clone(), t.clone()));
                         Val::InnerScalar(ct.zip_with(&el, |ct, e| {
                             let c = ct.proj(0).expect("cond");
@@ -592,7 +605,7 @@ impl Lowering {
                     while self
                         .eval(cond, &env2, None, inputs)?
                         .as_scalar()
-                        .ok_or_else(|| IrError::Type("a loop condition must be a scalar".into()))?
+                        .unwrap_or_else(|| unadmitted("loop condition"))
                         .as_bool()?
                     {
                         let next: Vec<Val> = step
@@ -608,31 +621,31 @@ impl Lowering {
             },
             Expr::Map(input, udf) => {
                 let input = ev(input)?;
-                match (input, self.leaf_udf(udf, env)?) {
-                    (Val::Bag(b), (f, None)) => Val::Bag(b.map(move |v| f.eval1(v).expect(UDF_OK))),
+                match (input, self.leaf_udf(udf, env)) {
+                    (Val::Bag(b), (f, None)) => Val::Bag(b.map(move |v| f.eval1(v).expect(MAP))),
                     (Val::InnerBag(b), (f, None)) => {
-                        Val::InnerBag(b.map(move |v| f.eval1(v).expect(UDF_OK)))
+                        Val::InnerBag(b.map(move |v| f.eval1(v).expect(MAP)))
                     }
                     // mapWithClosure (Sec. 5.1): the UDF reads lifted
                     // scalars -> tag join.
                     (Val::InnerBag(b), (f, Some(c))) => {
                         Val::InnerBag(b.map_with_scalar(&c, move |v, c| {
-                            f.eval_with_combined(v, c).expect(UDF_OK)
+                            f.eval_with_combined(v, c).expect(MAP)
                         }))
                     }
                     // Half-lifted mapWithClosure (Sec. 5.2/8.3): a flat bag
                     // under lifted closures is a cross product.
                     (Val::Bag(b), (f, Some(c))) => {
                         Val::InnerBag(c.cross_with_bag(&b, move |_, c, p| {
-                            Some(f.eval_with_combined(p, c).expect(UDF_OK))
+                            Some(f.eval_with_combined(p, c).expect(MAP))
                         })?)
                     }
-                    (other, _) => return Err(no_cell("map", &other)),
+                    _ => unadmitted("map"),
                 }
             }
             Expr::Filter(input, udf) => {
                 let input = ev(input)?;
-                match (input, self.leaf_udf(udf, env)?) {
+                match (input, self.leaf_udf(udf, env)) {
                     (Val::Bag(b), (f, None)) => Val::Bag(b.filter(move |v| truth(f.eval1(v)))),
                     (Val::InnerBag(b), (f, None)) => {
                         Val::InnerBag(b.filter(move |v| truth(f.eval1(v))))
@@ -647,55 +660,42 @@ impl Lowering {
                             truth(f.eval_with_combined(p, c)).then(|| p.clone())
                         })?)
                     }
-                    (other, _) => return Err(no_cell("filter", &other)),
+                    _ => unadmitted("filter"),
                 }
             }
             Expr::FlatMapTuple(input, udf) => {
                 let input = ev(input)?;
-                match (input, self.leaf_udf(udf, env)?) {
+                match (input, self.leaf_udf(udf, env)) {
                     (Val::Bag(b), (f, None)) => {
-                        Val::Bag(b.flat_map(move |v| f.eval1(v).expect(UDF_OK).splat_tuple()))
+                        Val::Bag(b.flat_map(move |v| f.eval1(v).expect(FLAT_MAP).splat_tuple()))
                     }
-                    (Val::InnerBag(b), (f, None)) => {
-                        Val::InnerBag(b.flat_map(move |v| f.eval1(v).expect(UDF_OK).splat_tuple()))
-                    }
+                    (Val::InnerBag(b), (f, None)) => Val::InnerBag(
+                        b.flat_map(move |v| f.eval1(v).expect(FLAT_MAP).splat_tuple()),
+                    ),
                     // flatMapWithClosure: a tag join, as for `map`.
                     (Val::InnerBag(b), (f, Some(c))) => {
                         Val::InnerBag(b.flat_map_with_scalar(&c, move |v, c| {
-                            f.eval_with_combined(v, c).expect(UDF_OK).splat_tuple()
+                            f.eval_with_combined(v, c).expect(FLAT_MAP).splat_tuple()
                         }))
                     }
                     // Half-lifted: the cross product emits, per tag, what
                     // its closure values make of each record.
                     (Val::Bag(b), (f, Some(c))) => {
                         Val::InnerBag(c.cross_with_bag(&b, move |_, c, p| {
-                            f.eval_with_combined(p, c).expect(UDF_OK).splat_tuple()
+                            f.eval_with_combined(p, c).expect(FLAT_MAP).splat_tuple()
                         })?)
                     }
-                    (other, _) => return Err(no_cell("flatMap", &other)),
+                    _ => unadmitted("flatMap"),
                 }
             }
-            Expr::GroupByKey(_) => {
-                return Err(IrError::Unsupported(
-                    "raw groupByKey cannot execute; run the parsing phase first \
-                     (it becomes groupByKeyIntoNestedBag)"
-                        .into(),
-                ))
-            }
-            Expr::GroupByKeyIntoNestedBag(_) | Expr::MapWithLiftedUdf { .. } if ctx.is_some() => {
-                return Err(IrError::Unsupported(
-                    "more than two levels of parallel operations in the IR dialect \
-                     (the typed API in matryoshka-core supports deeper nesting)"
-                        .into(),
-                ))
-            }
+            Expr::GroupByKey(_) => unadmitted("raw groupByKey"),
             Expr::GroupByKeyIntoNestedBag(x) => match ev(x)? {
                 Val::Bag(b) => Val::Nested(group_by_key_into_nested_bag(
                     &self.engine,
                     &b.map(kv),
                     self.config,
                 )?),
-                other => return Err(no_cell("groupByKey", &other)),
+                _ => unadmitted("groupByKeyIntoNestedBag"),
             },
             // `mapWithLiftedUDF`: invoke the UDF once, over lifted values
             // (Sec. 4.2). Its closures are simply in `env`.
@@ -713,7 +713,7 @@ impl Lowering {
                         let ctx = LiftingContext::counted(self.engine.clone(), tags, self.config)?;
                         (ctx.clone(), Val::InnerScalar(InnerScalar::from_repr(tagged, ctx)))
                     }
-                    other => return Err(no_cell("mapWithLiftedUDF", &other)),
+                    _ => unadmitted("mapWithLiftedUDF"),
                 };
                 let mut env2 = env.clone();
                 env2.insert(udf.param.clone(), param);
@@ -731,13 +731,13 @@ impl Lowering {
             Expr::ReduceByKey(x, l2) => {
                 let input = ev(x)?;
                 let f = compile_udf2(l2);
-                let f = move |a: &Value, b: &Value| f.eval2(a, b).expect(UDF_OK);
+                let f = move |a: &Value, b: &Value| f.eval2(a, b).expect("reduceByKey UDF failed");
                 match input {
                     Val::Bag(b) => Val::Bag(b.map(kv).reduce_by_key(f).map(unkv)),
                     // Composite (tag, key) re-keying (Sec. 4.4) via the
                     // typed layer.
                     Val::InnerBag(b) => Val::InnerBag(b.map(kv).reduce_by_key(f).map(unkv)),
-                    other => return Err(no_cell("reduceByKey", &other)),
+                    _ => unadmitted("reduceByKey"),
                 }
             }
             Expr::Join(a, b) => match (ev(a)?, ev(b)?) {
@@ -769,33 +769,33 @@ impl Lowering {
             Expr::Distinct(x) => match ev(x)? {
                 Val::Bag(b) => Val::Bag(b.distinct()),
                 Val::InnerBag(b) => Val::InnerBag(b.distinct()),
-                other => return Err(no_cell("distinct", &other)),
+                _ => unadmitted("distinct"),
             },
             Expr::Count(x) => match ev(x)? {
                 Val::Bag(b) => lift(Value::Long(b.count()? as i64), ctx),
                 Val::Nested(nb) => lift(Value::Long(nb.ctx().size() as i64), ctx),
                 Val::InnerBag(b) => Val::InnerScalar(b.count().map(|n| Value::Long(*n as i64))),
-                other => return Err(no_cell("count", &other)),
+                _ => unadmitted("count"),
             },
             Expr::Fold(x, zero, l2) => {
                 let input = ev(x)?;
                 // One plain zero seeds every tag, so it is evaluated at
                 // driver level whatever level the fold is at.
                 let Val::Scalar(z) = self.eval(zero, env, None, inputs)? else {
-                    return Err(IrError::Unsupported("fold zero must not be lifted".into()));
+                    unadmitted("fold zero")
                 };
                 let f = compile_udf2(l2);
                 match input {
-                    Val::Bag(b) => lift(b.fold(z, move |a, v| f.eval2(&a, v).expect(UDF_OK))?, ctx),
+                    Val::Bag(b) => lift(b.fold(z, move |a, v| f.eval2(&a, v).expect(FOLD))?, ctx),
                     Val::InnerBag(b) => {
                         let g = Arc::clone(&f);
                         Val::InnerScalar(b.fold(
                             z,
-                            move |a, v| f.eval2(a, v).expect(UDF_OK),
-                            move |a, b| g.eval2(a, b).expect(UDF_OK),
+                            move |a, v| f.eval2(a, v).expect(FOLD),
+                            move |a, b| g.eval2(a, b).expect(FOLD),
                         ))
                     }
-                    other => return Err(no_cell("fold", &other)),
+                    _ => unadmitted("fold"),
                 }
             }
             // Explicit materialization hint (inserted by the plan-rewrite
@@ -834,7 +834,7 @@ impl Lowering {
     ) -> IrResult<Val> {
         let ctx = Some(ctx);
         let variable = |x: &Expr, env: &Env| match self.eval(x, env, ctx, inputs)? {
-            v @ (Val::Scalar(_) | Val::InnerScalar(_)) => inner_scalar(v, ctx).map(Lifted::Scalar),
+            v @ (Val::Scalar(_) | Val::InnerScalar(_)) => Ok(Lifted::Scalar(inner_scalar(v, ctx))),
             v => inner_bag(v, ctx).map(Lifted::Bag),
         };
         // `env` with the first `state.len()` loop variables bound.
@@ -861,7 +861,7 @@ impl Lowering {
                 // (do-while semantics, Listing 4).
                 let c = self
                     .eval(cond, &bound(&next), ctx, inputs)
-                    .and_then(|c| inner_scalar(c, ctx))
+                    .map(|c| inner_scalar(c, ctx))
                     .map_err(to_engine_err)?;
                 Ok((next, c.map(|v| v.as_bool().expect("loop condition"))))
             },

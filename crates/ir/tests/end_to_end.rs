@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::{Bag, Engine};
 use matryoshka_ir::ast::{BinOp, Expr, Lambda, Lambda2, UnOp};
-use matryoshka_ir::{parsing_phase, Dialect, Lowering, RtVal, Value};
+use matryoshka_ir::{parsing_phase, Dialect, IrError, Lowering, RtVal, Value};
 
 fn run(program: &Expr, sources: Vec<(&str, Bag<Value>)>, engine: &Engine) -> RtVal {
     let parsed = parsing_phase(
@@ -385,7 +385,7 @@ fn run_text(src: &str, xs: &[(i64, i64)]) -> Vec<Value> {
 }
 
 /// A `map` over the nested result of a bag-valued lifted `map` is itself
-/// lifted: the analyzer types the inner map `Bag(2)` and the rewriter takes
+/// lifted: the analyzer types the inner map `Nested` and the rewriter takes
 /// its word for it.
 #[test]
 fn map_over_a_bag_valued_lifted_map_is_lifted() {
@@ -615,10 +615,55 @@ fn shapes_without_a_runtime_cell_are_rejected_by_the_analyzer() {
             "MAT011",
         ),
         (format!("{nb}{g}nb)"), "MAT008"),
+        // An input is read with `source(..)`; its bare name is no variable.
+        ("count(union(source(ys), ys))".to_string(), "MAT001"),
     ] {
         let err = matryoshka_ir::prepare_program(&src, Dialect::Matryoshka)
             .expect_err(&format!("{src} must be rejected"));
         let diags = err.diagnostics().unwrap_or_else(|| panic!("{src}: {err}"));
         assert!(diags.iter().any(|d| d.code == code), "{src}: {diags}");
+    }
+}
+
+/// `Lowering::run` starts with the parsing phase, so Listing 1 as parsed
+/// from its text, never flattened, runs as its prepared form does.
+#[test]
+fn the_lowering_flattens_a_surface_program() {
+    let src = include_str!("../../../examples/programs/bounce_rate.mat");
+    let e = Engine::local();
+    let visits = [(1, 10), (1, 10), (1, 11), (2, 12), (2, 13), (3, 14)];
+    let visits = visits.iter().map(|&(d, ip)| pair(Value::Long(d), Value::Long(ip))).collect();
+    let inputs = HashMap::from([("visits".to_string(), e.parallelize(visits, 2))]);
+    let surface = matryoshka_ir::parse_program(src).expect("Listing 1 parses");
+    let direct = Lowering::new(e.clone(), MatryoshkaConfig::optimized())
+        .run(&surface, &inputs)
+        .expect("a surface program runs");
+    let prepared = matryoshka_ir::prepare_program(src, Dialect::Matryoshka)
+        .expect("Listing 1 prepares")
+        .run(e, MatryoshkaConfig::optimized(), &inputs)
+        .expect("the prepared program runs");
+    assert_eq!(bag_of(direct), bag_of(prepared));
+}
+
+/// A program the analyzer rejects never reaches the evaluator: both entry
+/// points return its `MAT` diagnostics.
+#[test]
+fn the_lowering_rejects_what_the_analyzer_rejects() {
+    let e = Engine::local();
+    let xs = e.parallelize(vec![pair(Value::Long(1), Value::Long(2))], 1);
+    let inputs = HashMap::from([("xs".to_string(), xs)]);
+    let lowering = Lowering::new(e, MatryoshkaConfig::optimized());
+    for (src, code) in
+        [("count(1)", "MAT011"), ("map(source(xs), v => y)", "MAT001"), ("count(xs)", "MAT001")]
+    {
+        let program = matryoshka_ir::parse_program(src).expect("program parses");
+        for result in [lowering.run(&program, &inputs), lowering.run_verbatim(&program, &inputs)] {
+            match result {
+                Err(IrError::Analysis(d)) => {
+                    assert!(d.iter().any(|d| d.code == code), "{src}: {d}")
+                }
+                other => panic!("{src}: expected {code}, got {other:?}"),
+            }
+        }
     }
 }

@@ -349,6 +349,21 @@ fn analyzer_errors_reject_before_admission() {
     assert!(svc.is_idle(), "nothing was admitted");
 }
 
+#[test]
+fn a_udf_that_fails_on_a_record_fails_its_job_alone() {
+    let svc = JobService::local_test(5);
+    // Admitted: the analyzer does not know the width of `xs`'s records.
+    let bad = svc.submit(JobSpec::program("past_the_tuple", "map(source(xs), v => v.5)")).unwrap();
+    let after = svc.submit(JobSpec::program("after", "count(source(xs))")).unwrap();
+    svc.run_until_idle();
+    let Some(JobOutcome::Failed { error, .. }) = svc.wait(bad) else {
+        panic!("the job should fail: {:?}", svc.wait(bad));
+    };
+    assert!(error.contains("map UDF failed"), "{error}");
+    assert!(error.contains("tuple index 5 out of bounds"), "{error}");
+    assert!(matches!(svc.wait(after), Some(JobOutcome::Completed { .. })), "the driver went on");
+}
+
 // ---------------------------------------------------------------------------
 // Plan rewrites
 // ---------------------------------------------------------------------------
