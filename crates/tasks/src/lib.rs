@@ -19,7 +19,6 @@
 pub mod avg_distances;
 pub mod bounce_rate;
 pub mod flat;
-pub mod ir_programs;
 pub mod kmeans;
 pub mod pagerank;
 pub mod seq;

@@ -6,9 +6,8 @@
 //! diagnostics caret-style. No engine job is launched.
 //!
 //! ```text
-//! matryoshka-check [OPTIONS] [FILE...]
+//! matryoshka-check [OPTIONS] FILE...
 //!
-//!   --builtin            also check the tasks crate's built-in IR workloads
 //!   --sources a,b,c      input bag names (default: derived from source(..) uses)
 //!   --dialect NAME       matryoshka (default) | diql
 //!   --explain            run the plan-rewrite pass (hoist/CSE/DCE, as the
@@ -29,31 +28,23 @@ use matryoshka::core::PlanRewriteConfig;
 use matryoshka::ir::analyze::plan::rewrite_plan;
 use matryoshka::ir::pretty::{plan_tree, render_diagnostics};
 use matryoshka::ir::{analyze, parse_program, parsing_phase, Dialect};
-use matryoshka::tasks::ir_programs;
 
-const USAGE: &str = "usage: matryoshka-check [--builtin] [--sources a,b,c] \
-[--dialect matryoshka|diql] [--explain] [FILE...]";
+const USAGE: &str = "usage: matryoshka-check [--sources a,b,c] \
+[--dialect matryoshka|diql] [--explain] FILE...";
 
 struct Options {
     files: Vec<String>,
-    builtin: bool,
     sources: Option<Vec<String>>,
     dialect: Dialect,
     explain: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        files: Vec::new(),
-        builtin: false,
-        sources: None,
-        dialect: Dialect::Matryoshka,
-        explain: false,
-    };
+    let mut opts =
+        Options { files: Vec::new(), sources: None, dialect: Dialect::Matryoshka, explain: false };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--builtin" => opts.builtin = true,
             "--explain" => opts.explain = true,
             "--sources" => {
                 let v = it.next().ok_or("--sources needs a comma-separated list")?;
@@ -71,8 +62,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             file => opts.files.push(file.to_string()),
         }
     }
-    if opts.files.is_empty() && !opts.builtin {
-        return Err("no input files (pass FILEs and/or --builtin)".into());
+    if opts.files.is_empty() {
+        return Err("no input files".into());
     }
     Ok(opts)
 }
@@ -183,12 +174,6 @@ fn main() -> ExitCode {
         };
         let explicit = opts.sources.clone().unwrap_or_default();
         all_ok &= check_program(file, &src, &explicit, opts.dialect, opts.explain);
-    }
-    if opts.builtin {
-        for p in ir_programs::ALL {
-            let sources: Vec<String> = p.inputs.iter().map(|s| s.to_string()).collect();
-            all_ok &= check_program(p.name, p.source, &sources, opts.dialect, opts.explain);
-        }
     }
     if all_ok {
         ExitCode::SUCCESS

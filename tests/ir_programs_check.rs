@@ -1,19 +1,10 @@
-//! Every shipped IR program — the `examples/programs/` corpus and the
-//! tasks crate's built-in IR workloads — must pass the static analyzer
-//! with no error-severity diagnostics. This is the test-suite twin of the
-//! `scripts/ci.sh` analyzer step (`matryoshka-check`).
+//! Every shipped IR program, the `examples/programs/` corpus, must pass
+//! the static analyzer with no error-severity diagnostics. This is the
+//! test-suite twin of the `scripts/ci.sh` analyzer step
+//! (`matryoshka-check`). The parsing phase's output must pass it again
+//! unchanged: that is the gate every `Lowering` run starts with.
 
-use matryoshka::ir::{analyze, check, parse_program, Dialect};
-use matryoshka::tasks::ir_programs;
-
-#[test]
-fn builtin_ir_workloads_pass_check() {
-    for p in ir_programs::ALL {
-        let ast = parse_program(p.source).unwrap_or_else(|e| panic!("{}: {e}", p.name));
-        check(&ast, p.inputs, Dialect::Matryoshka)
-            .unwrap_or_else(|e| panic!("{} rejected by the analyzer: {e}", p.name));
-    }
-}
+use matryoshka::ir::{analyze, parse_program, parsing_phase, Dialect};
 
 #[test]
 fn example_program_corpus_passes_check() {
@@ -28,8 +19,11 @@ fn example_program_corpus_passes_check() {
         let ast = parse_program(&src).unwrap_or_else(|e| panic!("{path:?}: {e}"));
         let sources = analyze::source_names(&ast);
         let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-        check(&ast, &refs, Dialect::Matryoshka)
+        let parsed = parsing_phase(&ast, &refs, Dialect::Matryoshka)
             .unwrap_or_else(|e| panic!("{path:?} rejected by the analyzer: {e}"));
+        let gated = parsing_phase(&parsed, &refs, Dialect::Matryoshka)
+            .unwrap_or_else(|e| panic!("{path:?} rejected after the parsing phase: {e}"));
+        assert_eq!(gated, parsed, "{path:?}: the gate rewrote parsing-phase output");
         checked += 1;
     }
     assert!(checked >= 5, "expected a real corpus under {dir:?}, found {checked} programs");
