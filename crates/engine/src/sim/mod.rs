@@ -11,7 +11,7 @@ mod memory;
 mod stats;
 mod time;
 
-pub use lpt::{lpt_makespan, uniform_makespan};
+pub use lpt::lpt_makespan;
 pub use memory::{check_stage_memory, MemoryOutcome};
 pub use stats::{Counter, Fold, Stats, StatsSnapshot};
 pub use time::SimTime;
