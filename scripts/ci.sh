@@ -146,6 +146,15 @@ if grep -nE '\.eval\(\)' crates/engine/src/bag/ops_wide.rs crates/engine/src/bag
   echo "a wide operator evaluates a parent outside its map side (see above)" >&2
   exit 1
 fi
+# The host's parallelism is read once per process: `host_parallelism()`
+# caches it in a `OnceLock` (`pool.rs`). On Linux every uncached read
+# re-parses the affinity mask and the cgroup CPU quota, 15-22 µs that each
+# pool pass and each scatter would pay; call `host_parallelism()` instead.
+if grep -rn 'available_parallelism' crates/*/src src \
+    | grep -vE '^crates/engine/src/pool\.rs:[0-9]+: .*get_or_init\(\|\| std::thread::available_parallelism\('; then
+  echo "the host's parallelism is read outside its one cached site in pool.rs (see above)" >&2
+  exit 1
+fi
 # A `Value` tuple is one heap object, `Arc<[Value]>`. Code only:
 # EXPERIMENTS.md and DESIGN.md name the two-object layout as history. The
 # payload, not `Arc<Vec<Value>>`: that also spells a shared `Bag<Value>` partition.
