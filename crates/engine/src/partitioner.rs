@@ -32,9 +32,12 @@ pub fn partition_for<K: Hash + ?Sized>(key: &K, partitions: usize) -> usize {
     (stable_hash(key) % partitions.max(1) as u64) as usize
 }
 
-/// Below this many total records a scatter hashes on the calling thread:
-/// one dispatch to the (persistent) pool costs about 25 µs
-/// (`engine.pool.dispatch_us`), more than hashing so few records inline.
+/// Below this many total records a scatter hashes on the calling thread.
+/// A pool dispatch costs ~1 µs (`engine.pool.dispatch_us`), yet a lower cut
+/// measured no faster: at 512 on a 2-core host, `service_tcp` `wall_ms_min`
+/// read 1.06x this value's (lower in 1 of 6 alternating pairs) and
+/// `avg_distances` 1.02x (1 of 3), so handing the workers a few thousand
+/// hashes still costs about what it saves.
 const PARALLEL_SCATTER_MIN_RECORDS: usize = 4096;
 
 /// Scatter `(key, value)`-shaped records of several input partitions into
