@@ -107,6 +107,11 @@ impl<T: Key, E: Data> InnerBag<T, E> {
 
     /// Lifted `fold`: per-tag fold seeded with `zero` for **every** tag, so
     /// empty inner bags yield `zero` (via the stored tags bag, Sec. 4.4).
+    ///
+    /// `zero` is applied once per element (`f(&zero, e)` makes its partial)
+    /// and once more per tag (the seed that `combine` merges with the
+    /// partials), so it must be `combine`'s identity. A front end whose
+    /// `fold` applies the zero once per tag passes an `f` that ignores it.
     pub fn fold<A: Data>(
         &self,
         zero: A,

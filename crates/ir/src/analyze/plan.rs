@@ -14,7 +14,8 @@
 //!   are bag-operator launches. A subplan is movable when every UDF inside
 //!   it is a pure scalar function (no bag operations in any lambda body, no
 //!   bag-launching lifted UDF), so evaluating it earlier, later, once, or
-//!   not at all cannot change any result.
+//!   not at all cannot change any result. One walk of the subtree,
+//!   `impurity_reason`, tests it together with the barrier below.
 //! * **Capture discipline.** A subplan is loop-invariant only when its free
 //!   variables are disjoint from the loop's carried bindings (and from any
 //!   binder introduced between the loop header and the subplan), mirroring
@@ -30,11 +31,13 @@
 //!   positions (driver-mode scalar reductions) are only hoisted from slots
 //!   that are provably evaluated at least once (a `while` condition; any
 //!   slot of a lifted do-while), so a rewritten plan never runs more stages
-//!   than the baseline.
+//!   than the baseline. Which slots may be skipped is one rule, `may_skip`;
+//!   making `loop` a while-loop at every level flips its `Step` arm.
 //!
 //! Each applied rewrite is reported as a [`RewriteInfo`] (for the decision
 //! log and `matryoshka-check --explain`) and as a `MAT093`–`MAT096` warning
-//! diagnostic (for the golden diagnostics corpus).
+//! diagnostic (for the golden diagnostics corpus), both built at one site,
+//! `Pass::report`, from one justification string.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,7 +45,7 @@ use std::fmt::Write as _;
 
 use matryoshka_core::PlanRewriteConfig;
 
-use crate::ast::{Expr, Slot};
+use crate::ast::{Expr, Slot, Span};
 use crate::pretty::snippet;
 
 use super::diag::{codes, Diagnostic, Diagnostics};
@@ -112,6 +115,28 @@ struct Pass {
     next_cse: usize,
 }
 
+impl Pass {
+    /// Report one rewrite of `subplan`: a `code` warning, and for an applied
+    /// rewrite (`applied` is its title and justification) the warning's note
+    /// and a [`RewriteInfo`] with the same text.
+    fn report(
+        &mut self,
+        code: &'static str,
+        span: Option<Span>,
+        message: String,
+        subplan: &Expr,
+        applied: Option<(String, String)>,
+    ) {
+        let site = snippet(subplan);
+        let mut diag = Diagnostic::warning(code, span, message);
+        if let Some((title, justification)) = applied {
+            diag = diag.with_note(justification.clone());
+            self.rewrites.push(RewriteInfo { code, title, site: site.clone(), justification });
+        }
+        self.diags.push(diag.with_snippet(site));
+    }
+}
+
 /// Per-loop hoisting state: the loop's carried bindings, the subtrees
 /// extracted so far, and a canonical-form map so structurally identical
 /// candidates share one hoisted binding.
@@ -150,59 +175,42 @@ fn is_bag_valued_root(e: &Expr) -> bool {
     )
 }
 
-fn contains_barrier(e: &Expr) -> bool {
-    let mut found = false;
-    e.visit(&mut |x| {
-        if is_rewrite_barrier(x) {
-            found = true;
-        }
-    });
-    found
-}
-
-fn contains_lifted_udf(e: &Expr) -> bool {
-    let mut found = false;
-    e.visit(&mut |x| {
-        if matches!(x, Expr::MapWithLiftedUdf { .. }) {
-            found = true;
-        }
-    });
-    found
-}
-
-/// Every UDF in the subtree is a pure scalar function: its body launches no
-/// bag operation.
-fn lambdas_pure(e: &Expr) -> bool {
-    let mut ok = true;
+/// The purity/barrier gate shared by hoisting and CSE, in one walk of the
+/// subtree. `Some(reason)` blocks; a lifted UDF is named first, then a leaf
+/// UDF whose body launches a bag operation, then an explicit `cache`.
+fn impurity_reason(e: &Expr) -> Option<&'static str> {
+    let (mut lifted_udf, mut impure_udf, mut barrier) = (false, false, false);
     e.visit(&mut |x| match x {
-        Expr::Map(_, l) | Expr::Filter(_, l) | Expr::FlatMapTuple(_, l)
-            if l.body.contains_bag_ops() =>
-        {
-            ok = false;
+        Expr::MapWithLiftedUdf { .. } => lifted_udf = true,
+        Expr::Map(_, l) | Expr::Filter(_, l) | Expr::FlatMapTuple(_, l) => {
+            impure_udf = impure_udf || l.body.contains_bag_ops();
         }
-        Expr::ReduceByKey(_, l2) | Expr::Fold(_, _, l2) if l2.body.contains_bag_ops() => {
-            ok = false;
+        Expr::ReduceByKey(_, l2) | Expr::Fold(_, _, l2) => {
+            impure_udf = impure_udf || l2.body.contains_bag_ops();
         }
-        _ => {}
+        _ => barrier = barrier || is_rewrite_barrier(x),
     });
-    ok
+    if lifted_udf {
+        Some("contains a bag-launching (lifted) UDF, which the purity analysis does not certify")
+    } else if impure_udf {
+        Some("a UDF in the subplan is not a pure scalar function")
+    } else if barrier {
+        Some("contains an explicit `cache` barrier")
+    } else {
+        None
+    }
 }
 
-/// Purity/barrier gate shared by hoisting and CSE. `Some(reason)` blocks.
-fn impurity_reason(e: &Expr) -> Option<String> {
-    if contains_lifted_udf(e) {
-        return Some(
-            "contains a bag-launching (lifted) UDF, which the purity analysis does not certify"
-                .to_string(),
-        );
+/// The one skip rule: may the parent finish without evaluating a child in
+/// `slot`? An `if` arm may go untaken and a UDF may see no record; a driver
+/// `while` step runs zero times when the loop exits at once, while a lifted
+/// loop is a do-while whose step always runs.
+fn may_skip(slot: Slot, lifted: bool) -> bool {
+    match slot {
+        Slot::Operand => false,
+        Slot::Step => !lifted,
+        Slot::Branch | Slot::Udf => true,
     }
-    if !lambdas_pure(e) {
-        return Some("a UDF in the subplan is not a pure scalar function".to_string());
-    }
-    if contains_barrier(e) {
-        return Some("contains an explicit `cache` barrier".to_string());
-    }
-    None
 }
 
 /// Node count, used to prefer merging the largest shared subplan first.
@@ -308,14 +316,15 @@ impl Pass {
         };
         let mut bound = loop_vars.clone();
         // A `while` condition runs at least once in both driver and lifted
-        // modes; a driver `while` step may run zero times, so scalar-rooted
-        // (eager) hoists from the step are only allowed in lifted do-while
-        // loops.
+        // modes; whether the step may be skipped is the skip rule's call.
         let cond2 =
             self.hoist_slot(cond, "loop condition", &mut bound, &mut site, lifted, false, false);
+        let step_guarded = may_skip(Slot::Step, lifted);
         let step2: Vec<Expr> = step
             .iter()
-            .map(|s| self.hoist_slot(s, "loop step", &mut bound, &mut site, lifted, !lifted, false))
+            .map(|s| {
+                self.hoist_slot(s, "loop step", &mut bound, &mut site, lifted, step_guarded, false)
+            })
             .collect();
         // Init and result run exactly once: nothing to save there, but
         // loops nested inside them still get their own pass below.
@@ -369,38 +378,24 @@ impl Pass {
                 return self.hoist_slot_children(e, slot, bound, site, lifted, guarded, suppress);
             }
             let fv = e.free_vars();
-            let carried: Vec<&String> = fv.iter().filter(|v| site.loop_vars.contains(v)).collect();
-            if !carried.is_empty() {
-                if !suppress {
-                    let names =
-                        carried.iter().map(|s| format!("`{s}`")).collect::<Vec<_>>().join(", ");
-                    let reason = format!("depends on loop-carried binding(s) {names}");
-                    self.diags.push(
-                        Diagnostic::warning(
-                            codes::PLAN_HOIST_BLOCKED,
-                            e.span(),
-                            format!("loop-invariant hoist blocked: subplan {reason}"),
-                        )
-                        .with_snippet(snippet(e)),
-                    );
-                }
-                return self.hoist_slot_children(e, slot, bound, site, lifted, guarded, true);
-            }
-            if fv.iter().any(|v| bound.contains(v)) {
+            let carried: Vec<String> = fv
+                .iter()
+                .filter(|v| site.loop_vars.contains(v))
+                .map(|v| format!("`{v}`"))
+                .collect();
+            let blocked = if !carried.is_empty() {
+                Some(format!("depends on loop-carried binding(s) {}", carried.join(", ")))
+            } else if fv.iter().any(|v| bound.contains(v)) {
                 // Blocked only by a binder local to this slot — not a
                 // loop-carried dependency, so stay quiet and look deeper.
                 return self.hoist_slot_children(e, slot, bound, site, lifted, guarded, suppress);
-            }
-            if let Some(reason) = impurity_reason(e) {
+            } else {
+                impurity_reason(e).map(String::from)
+            };
+            if let Some(reason) = blocked {
                 if !suppress {
-                    self.diags.push(
-                        Diagnostic::warning(
-                            codes::PLAN_HOIST_BLOCKED,
-                            e.span(),
-                            format!("loop-invariant hoist blocked: subplan {reason}"),
-                        )
-                        .with_snippet(snippet(e)),
-                    );
+                    let message = format!("loop-invariant hoist blocked: subplan {reason}");
+                    self.report(codes::PLAN_HOIST_BLOCKED, e.span(), message, e, None);
                 }
                 return self.hoist_slot_children(e, slot, bound, site, lifted, guarded, true);
             }
@@ -417,21 +412,9 @@ impl Pass {
                 "loop-invariant in the {slot}: free variables are all bound outside the loop \
                  and every UDF is a pure scalar function; materialized once above the loop"
             );
-            self.diags.push(
-                Diagnostic::warning(
-                    codes::PLAN_HOIST,
-                    e.span(),
-                    format!("loop-invariant subplan hoisted out of the {slot} as `{name}`"),
-                )
-                .with_note(justification.clone())
-                .with_snippet(snippet(e)),
-            );
-            self.rewrites.push(RewriteInfo {
-                code: codes::PLAN_HOIST,
-                title: format!("hoist {name}"),
-                site: snippet(e),
-                justification,
-            });
+            let message = format!("loop-invariant subplan hoisted out of the {slot} as `{name}`");
+            let applied = Some((format!("hoist {name}"), justification));
+            self.report(codes::PLAN_HOIST, e.span(), message, e, applied);
             site.hoisted.push((name.clone(), e.strip_spans()));
             Expr::var(&name)
         } else {
@@ -455,13 +438,10 @@ impl Pass {
         suppress: bool,
     ) -> Expr {
         e.map_children(|c, binds, kind| {
-            let guarded = match kind {
-                Slot::Udf => return None,
-                Slot::Branch => true,
-                // A nested driver `while` step may run zero times.
-                Slot::Step => guarded || !lifted,
-                Slot::Operand => guarded,
-            };
+            if kind == Slot::Udf {
+                return None;
+            }
+            let guarded = guarded || may_skip(kind, lifted);
             Some(binds.scoped(bound, |bound| {
                 self.hoist_slot(c, slot, bound, site, lifted, guarded, suppress)
             }))
@@ -524,30 +504,16 @@ impl Pass {
             let name = format!("__cse{}", self.next_cse);
             self.next_cse += 1;
             let replaced = cse_replace(&e, &mut init_bound.clone(), &key, &name);
+            let n = info.total;
             let justification = format!(
-                "{} structurally identical occurrences (after span-stripping and α-renaming) \
+                "{n} structurally identical occurrences (after span-stripping and α-renaming) \
                  with pure UDFs merged; the shared subplan is materialized once behind an \
-                 explicit cache node so every consumer reuses the same partitions",
-                info.total
+                 explicit cache node so every consumer reuses the same partitions"
             );
-            self.diags.push(
-                Diagnostic::warning(
-                    codes::PLAN_CSE,
-                    None,
-                    format!(
-                        "{} occurrences of a common subplan merged into `{name}` and cached",
-                        info.total
-                    ),
-                )
-                .with_note(justification.clone())
-                .with_snippet(snippet(&info.example)),
-            );
-            self.rewrites.push(RewriteInfo {
-                code: codes::PLAN_CSE,
-                title: format!("cse {name}"),
-                site: snippet(&info.example),
-                justification,
-            });
+            let message =
+                format!("{n} occurrences of a common subplan merged into `{name}` and cached");
+            let applied = Some((format!("cse {name}"), justification));
+            self.report(codes::PLAN_CSE, None, message, &info.example, applied);
             e = Expr::Let(name, Box::new(Expr::Cache(Box::new(info.example))), Box::new(replaced));
         }
         e
@@ -565,21 +531,9 @@ impl Pass {
                     "subplan has {uses} consumers; caching is the identity on results and lets \
                      every consumer share one materialization"
                 );
-                self.diags.push(
-                    Diagnostic::warning(
-                        codes::PLAN_CSE,
-                        v.span(),
-                        format!("multi-consumer subplan `{n}` ({uses} uses) cached"),
-                    )
-                    .with_note(justification.clone())
-                    .with_snippet(snippet(v)),
-                );
-                self.rewrites.push(RewriteInfo {
-                    code: codes::PLAN_CSE,
-                    title: format!("auto-cache {n}"),
-                    site: snippet(v),
-                    justification,
-                });
+                let message = format!("multi-consumer subplan `{n}` ({uses} uses) cached");
+                let applied = Some((format!("auto-cache {n}"), justification));
+                self.report(codes::PLAN_CSE, v.span(), message, v, applied);
                 return Expr::Let(
                     n.clone(),
                     Box::new(Expr::Cache(Box::new((**v).clone()))),
@@ -606,21 +560,9 @@ impl Pass {
                     "the output of `{n}` is never consumed and the subplan is pure, so \
                      dropping it cannot change any result"
                 );
-                self.diags.push(
-                    Diagnostic::warning(
-                        codes::PLAN_DEAD_OP,
-                        v.span(),
-                        format!("dead operator subplan `{n}` eliminated"),
-                    )
-                    .with_note(justification.clone())
-                    .with_snippet(snippet(v)),
-                );
-                self.rewrites.push(RewriteInfo {
-                    code: codes::PLAN_DEAD_OP,
-                    title: format!("drop {n}"),
-                    site: snippet(v),
-                    justification,
-                });
+                let message = format!("dead operator subplan `{n}` eliminated");
+                let applied = Some((format!("drop {n}"), justification));
+                self.report(codes::PLAN_DEAD_OP, v.span(), message, v, applied);
                 return (**b).clone();
             }
         }
@@ -664,16 +606,12 @@ fn cse_collect(
         entry.trigger += usize::from(trigger);
     }
     e.for_each_child(|c, binds, slot| {
-        let trigger = match slot {
-            // UDF bodies are opaque: leaf lambdas are scalar, and lifted
-            // UDF bodies are separate regions.
-            Slot::Udf => return,
-            Slot::Branch => false,
-            // A driver `while` step may run zero times; a lifted do-while
-            // step always runs.
-            Slot::Step => trigger && lifted,
-            Slot::Operand => trigger,
-        };
+        // UDF bodies are opaque: leaf lambdas are scalar, and lifted UDF
+        // bodies are separate regions.
+        if slot == Slot::Udf {
+            return;
+        }
+        let trigger = trigger && !may_skip(slot, lifted);
         binds.scoped(bound, |bound| cse_collect(c, bound, trigger, lifted, occ));
     });
 }

@@ -50,13 +50,8 @@ enum ScalarKind {
     Long,
     /// Statically a 64-bit float.
     Double,
-    /// Statically a string.
-    Str,
-    /// Statically a tuple.
-    Tuple,
-    /// Statically the unit value.
-    Unit,
-    /// No static refinement.
+    /// No static refinement, or one no instruction is specialised for (a
+    /// string, a tuple, unit).
     Any,
 }
 
@@ -65,12 +60,10 @@ impl ScalarKind {
     /// inference from closure-capture constants).
     fn of_value(v: &Value) -> ScalarKind {
         match v {
-            Value::Unit => ScalarKind::Unit,
-            Value::Bool(_) => ScalarKind::Bool,
-            Value::Long(_) => ScalarKind::Long,
-            Value::Double(_) => ScalarKind::Double,
-            Value::Str(_) => ScalarKind::Str,
-            Value::Tuple(_) => ScalarKind::Tuple,
+            Value::Bool(_) => Bool,
+            Value::Long(_) => Long,
+            Value::Double(_) => Double,
+            Value::Unit | Value::Str(_) | Value::Tuple(_) => Any,
         }
     }
 

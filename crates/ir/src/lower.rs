@@ -11,8 +11,9 @@
 //! lifted cell of an arm is the isomorphic image of its flat cell (Sec. 7):
 //! scalar operators become tag joins (Sec. 4.3), bag operators work on
 //! tagged flat bags and re-key by `(tag, key)` (Sec. 4.4), loops become the
-//! lifted do-while (Sec. 6.2), UDFs that read lifted scalars become
-//! `mapWithClosure` tag joins (Sec. 5.1).
+//! lifted do-while (Sec. 6.2) over one `InnerBag` per loop variable, UDFs
+//! that read lifted scalars become `mapWithClosure` tag joins (Sec. 5.1),
+//! their captures read from one `capture_names` walk of the body.
 //!
 //! A value from outside the lifted UDF stays what it is — a `source(..)` or
 //! a driver `let`-bound bag is an ordinary flat bag, evaluated once, not per
@@ -34,11 +35,11 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use matryoshka_core::{
-    group_by_key_into_nested_bag, lifted_while, InnerBag, InnerScalar, LiftedData, LiftingContext,
-    MatryoshkaConfig, NestedBag, PlanRewriteConfig, ReprOp,
+    group_by_key_into_nested_bag, lifted_while, InnerBag, InnerScalar, LiftingContext,
+    MatryoshkaConfig, NestedBag, PlanRewriteConfig,
 };
 use matryoshka_engine::{Bag, Engine, EngineError, JoinAlgorithm, Rule};
 
@@ -107,18 +108,6 @@ fn unadmitted(op: &str) -> ! {
 pub struct Lowering {
     engine: Engine,
     config: MatryoshkaConfig,
-    /// Per-body closure-capture memo (see [`Lowering::memo_capture_names`]).
-    captures_memo: Mutex<HashMap<usize, CachedCaptures>>,
-}
-
-/// One memoized capture set, keyed by the body's `Arc` pointer.
-struct CachedCaptures {
-    /// Pins the body alive so the pointer key can never be reused by a
-    /// different (dropped-and-reallocated) expression.
-    _body: Arc<Expr>,
-    /// The parameter the set was computed under (re-verified on each hit).
-    param: String,
-    names: Arc<Vec<String>>,
 }
 
 type Env = HashMap<String, Val>;
@@ -357,80 +346,10 @@ fn to_engine_err(e: IrError) -> EngineError {
     }
 }
 
-/// One variable of a lifted loop (Sec. 6.2); the loop state is a `Vec` of
-/// these.
-#[derive(Clone)]
-enum Lifted {
-    Scalar(IScalar),
-    Bag(IBag),
-}
-
-impl From<Lifted> for Val {
-    fn from(v: Lifted) -> Val {
-        match v {
-            Lifted::Scalar(s) => Val::InnerScalar(s),
-            Lifted::Bag(b) => Val::InnerBag(b),
-        }
-    }
-}
-
-impl LiftedData<Value> for Lifted {
-    fn ctx(&self) -> &Ctx {
-        match self {
-            Lifted::Scalar(s) => s.ctx(),
-            Lifted::Bag(b) => b.ctx(),
-        }
-    }
-    fn rebuild(&self, others: &[&Self], ctx: &Ctx, op: &impl ReprOp<Value>) -> Self {
-        const SHAPES: &str = "loop variable shapes are stable";
-        match self {
-            Lifted::Scalar(x) => {
-                let others: Vec<_> = others
-                    .iter()
-                    .map(|o| if let Lifted::Scalar(y) = o { y } else { unreachable!("{SHAPES}") })
-                    .collect();
-                Lifted::Scalar(x.rebuild(&others, ctx, op))
-            }
-            Lifted::Bag(x) => {
-                let others: Vec<_> = others
-                    .iter()
-                    .map(|o| if let Lifted::Bag(y) = o { y } else { unreachable!("{SHAPES}") })
-                    .collect();
-                Lifted::Bag(x.rebuild(&others, ctx, op))
-            }
-        }
-    }
-}
-
 impl Lowering {
     /// Create a lowering over `engine` with the given optimizer config.
     pub fn new(engine: Engine, config: MatryoshkaConfig) -> Lowering {
-        Lowering { engine, config, captures_memo: Mutex::new(HashMap::new()) }
-    }
-
-    /// Closure capture names of a leaf UDF, memoized per `Arc`'d body node:
-    /// lifted loops re-lower the same bodies every iteration, so the
-    /// free-variable walk runs once per distinct body and is reused. The
-    /// cached entry pins the `Arc` so a pointer key can never be reused by a
-    /// different expression, and records the parameter it was computed under.
-    fn memo_capture_names(&self, udf: &Lambda) -> Arc<Vec<String>> {
-        let key = Arc::as_ptr(&udf.body) as usize;
-        let mut memo = self.captures_memo.lock().expect("captures memo poisoned");
-        if let Some(c) = memo.get(&key) {
-            if c.param == udf.param {
-                return Arc::clone(&c.names);
-            }
-        }
-        let names = Arc::new(crate::analyze::captures::capture_names(&udf.body, &[&udf.param]));
-        memo.insert(
-            key,
-            CachedCaptures {
-                _body: Arc::clone(&udf.body),
-                param: udf.param.clone(),
-                names: Arc::clone(&names),
-            },
-        );
-        names
+        Lowering { engine, config }
     }
 
     /// Resolve the UDF of a `map`/`filter`/`flatMap` against the environment
@@ -439,11 +358,11 @@ impl Lowering {
     /// combined scalar returned alongside
     /// ([`CompiledUdf::eval_with_combined`]).
     fn leaf_udf(&self, udf: &Lambda, env: &Env) -> (Arc<CompiledUdf>, Option<IScalar>) {
-        let names = self.memo_capture_names(udf);
+        let names = crate::analyze::captures::capture_names(&udf.body, &[&udf.param]);
         let mut plain = PureEnv::new();
         let mut params = vec![udf.param.as_str()];
         let mut lifted = Vec::new();
-        for name in names.iter() {
+        for name in &names {
             match &env[name] {
                 Val::Scalar(v) => {
                     plain.insert(name.clone(), v.clone());
@@ -787,14 +706,13 @@ impl Lowering {
                 let f = compile_udf2(l2);
                 match input {
                     Val::Bag(b) => lift(b.fold(z, move |a, v| f.eval2(&a, v).expect(FOLD))?, ctx),
-                    Val::InnerBag(b) => {
-                        let g = Arc::clone(&f);
-                        Val::InnerScalar(b.fold(
-                            z,
-                            move |a, v| f.eval2(a, v).expect(FOLD),
-                            move |a, b| g.eval2(a, b).expect(FOLD),
-                        ))
-                    }
+                    // Each element is its own partial and `f` only combines,
+                    // so every tag meets the zero once, as the flat fold does.
+                    Val::InnerBag(b) => Val::InnerScalar(b.fold(
+                        z,
+                        |_, v| v.clone(),
+                        move |a, b| f.eval2(a, b).expect(FOLD),
+                    )),
                     _ => unadmitted("fold"),
                 }
             }
@@ -820,7 +738,9 @@ impl Lowering {
     /// A loop inside a lifted UDF (Sec. 6.2): the loop variables become
     /// lifted state — a flat one promoted like any other operand, so every
     /// tag iterates on its own copy — and all original loops run as one
-    /// lifted do-while.
+    /// lifted do-while. The state is one inner bag per variable: a lifted
+    /// scalar's representation is an inner bag's, one record per tag, and
+    /// whether a variable is a scalar is fixed by its initial value.
     #[allow(clippy::too_many_arguments)]
     fn lifted_loop(
         &self,
@@ -834,39 +754,49 @@ impl Lowering {
     ) -> IrResult<Val> {
         let ctx = Some(ctx);
         let variable = |x: &Expr, env: &Env| match self.eval(x, env, ctx, inputs)? {
-            v @ (Val::Scalar(_) | Val::InnerScalar(_)) => Ok(Lifted::Scalar(inner_scalar(v, ctx))),
-            v => inner_bag(v, ctx).map(Lifted::Bag),
+            v @ (Val::Scalar(_) | Val::InnerScalar(_)) => {
+                Ok((true, inner_scalar(v, ctx).to_inner_bag()))
+            }
+            v => Ok((false, inner_bag(v, ctx)?)),
         };
         // `env` with the first `state.len()` loop variables bound.
-        let bound = |state: &[Lifted]| {
+        let bound = |state: &[IBag], scalar: &[bool]| {
             let mut env = env.clone();
-            env.extend(init.iter().zip(state).map(|((n, _), v)| (n.clone(), v.clone().into())));
+            for (((n, _), b), &is_scalar) in init.iter().zip(state).zip(scalar) {
+                let v = if is_scalar {
+                    Val::InnerScalar(InnerScalar::from_repr(b.repr().clone(), b.ctx().clone()))
+                } else {
+                    Val::InnerBag(b.clone())
+                };
+                env.insert(n.clone(), v);
+            }
             env
         };
-        let mut state = Vec::with_capacity(init.len());
+        let (mut state, mut scalar) = (Vec::new(), Vec::new());
         for (_, x) in init {
-            let v = variable(x, &bound(&state))?;
+            let (is_scalar, v) = variable(x, &bound(&state, &scalar))?;
             state.push(v);
+            scalar.push(is_scalar);
         }
         let last = lifted_while(
             &state,
-            |state: &Vec<Lifted>| {
-                let env = bound(state);
-                let next: Vec<Lifted> = step
+            |state: &Vec<IBag>| {
+                let env = bound(state, &scalar);
+                let next: Vec<IBag> = step
                     .iter()
-                    .map(|x| variable(x, &env))
+                    .map(|x| variable(x, &env).map(|(_, v)| v))
                     .collect::<IrResult<_>>()
                     .map_err(to_engine_err)?;
                 // The condition is evaluated on the *new* variable values
                 // (do-while semantics, Listing 4).
                 let c = self
-                    .eval(cond, &bound(&next), ctx, inputs)
+                    .eval(cond, &bound(&next, &scalar), ctx, inputs)
                     .map(|c| inner_scalar(c, ctx))
                     .map_err(to_engine_err)?;
                 Ok((next, c.map(|v| v.as_bool().expect("loop condition"))))
             },
             Some(10_000),
         )?;
-        self.eval(result, &bound(&last), ctx, inputs)
+        self.eval(result, &bound(&last, &scalar), ctx, inputs)
     }
 }

@@ -490,6 +490,9 @@ const OPERATOR_TABLE: &[(&str, fn(&Group) -> i64)] = &[
     ("count(distinct({B}))", |g| distinct(g.b.iter().copied())),
     ("count({B})", |g| g.b.len() as i64),
     ("fold(map({B}, p => p.0), {SUM})", |g| sum(g.b.iter().map(|p| p.0))),
+    // The zero is applied once, flat and per group, whether or not it is the
+    // combiner's identity.
+    ("fold(map({B}, p => p.1), 10, (a, b) => a + b)", |g| 10 + sum(g.b.iter().map(|p| p.1))),
     ("count(cache({B}))", |g| g.b.len() as i64),
     // A bag as a lifted-loop variable: every group iterates on its own copy.
     (

@@ -32,45 +32,3 @@ pub fn hdfs_partitions(engine: &matryoshka_engine::Engine, total_bytes: f64) -> 
     const BLOCK: f64 = 128.0 * 1024.0 * 1024.0;
     ((total_bytes / BLOCK).ceil() as usize).clamp(1, engine.config().default_parallelism)
 }
-
-/// The execution strategies compared throughout the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// The paper's system: two-phase flattening with runtime optimization.
-    Matryoshka,
-    /// Parallelize the outer collection; process inner collections
-    /// sequentially.
-    OuterParallel,
-    /// Loop over the outer collection in the driver; parallelize each inner
-    /// computation.
-    InnerParallel,
-    /// Static flattening without runtime optimization (DIQL/MRQL-like); no
-    /// control flow at inner levels; falls back to outer-parallel on the
-    /// Bounce Rate program (observed in the paper's Sec. 9.4).
-    DiqlLike,
-}
-
-impl Strategy {
-    /// Display name matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Strategy::Matryoshka => "matryoshka",
-            Strategy::OuterParallel => "outer-parallel",
-            Strategy::InnerParallel => "inner-parallel",
-            Strategy::DiqlLike => "diql",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(Strategy::Matryoshka.label(), "matryoshka");
-        assert_eq!(Strategy::OuterParallel.label(), "outer-parallel");
-        assert_eq!(Strategy::InnerParallel.label(), "inner-parallel");
-        assert_eq!(Strategy::DiqlLike.label(), "diql");
-    }
-}

@@ -105,10 +105,13 @@ echo "== deleted switches stay deleted"
 # point, `parallel_map_range`; the lowering's one shape check is the
 # parsing phase (no per-operator shape errors, no UDF summaries nothing
 # reads), and the shipped programs are one corpus, `examples/programs/`
-# (no second copy in the tasks crate, no CLI switch for it). The patterns
-# are split so this file does not match itself; the set operators are
-# matched by definition, which misses std's `HashSet::intersection` and the
-# word "subtracts".
+# (no second copy in the tasks crate, no CLI switch for it); a leaf UDF's
+# captures come from one walk (no memo beside it), a lifted loop's state is
+# core's inner bag (no enum of its own), the purity gate is one walk (no
+# per-fact walkers beside it), and no strategy enum outlives its callers.
+# The patterns are split so this file does not match itself; the set
+# operators are matched by definition, which misses std's
+# `HashSet::intersection` and the word "subtracts".
 if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace_''report|stats\.add''_' \
   -e 'Adaptive''Config|adaptive_''coalesce|adaptive_''tag_join|adaptive_''skew_salt|BENCH_''skew|MAT0''92|map_output_''history' \
   -e 'make_''buckets|merge_''bucket_sets' \
@@ -123,6 +126,8 @@ if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace
   -e 'filter_by''_cond|union''_with' \
   -e 'export_chrome_trace''_multi|\bparallel''_map\b' \
   -e 'no''_cell|Udf''Summary|ir''_programs|--built''in' \
+  -e 'captures''_memo|Cached''Captures|enum Lif''ted\b|enum Stra''tegy\b' \
+  -e 'contains''_barrier|contains_lifted''_udf|lambdas''_pure' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2
