@@ -35,6 +35,7 @@ pub enum Partitioning {
     },
 }
 
+use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
 use crate::error::Result;
@@ -63,6 +64,13 @@ pub(crate) struct Node<T> {
     partitioning: Partitioning,
     compute: Box<dyn Fn() -> Result<Parts<T>> + Send + Sync>,
     cache: OnceLock<Result<Parts<T>>>,
+    /// Host state derived from `cache`'s partitions alone, built by the first
+    /// consumer that asks ([`Bag::kept`]) and shared by every later one: the
+    /// build tables of the joins that read this node in place as their right
+    /// side (`ops_wide::JoinIndex`). It costs the memory of a copy of the
+    /// keys and lives as long as the node, so a join inside a loop against a
+    /// loop-invariant right side hashes it once, not once per iteration.
+    kept: OnceLock<Arc<dyn Any + Send + Sync>>,
     /// Fusion recipe, present on the nodes `fuse::chain_node` builds
     /// (narrow and wide operators, joins, `with_record_bytes`): lets a
     /// downstream narrow operator or wide map side extend this node's chain
@@ -118,6 +126,7 @@ impl<T: Data> Bag<T> {
                 partitioning,
                 compute: Box::new(compute),
                 cache: OnceLock::new(),
+                kept: OnceLock::new(),
                 fuse: None,
             }),
         }
@@ -184,6 +193,23 @@ impl<T: Data> Bag<T> {
                 result
             })
             .clone()
+    }
+
+    /// The state kept on this node (see `Node::kept`), made by `init` on
+    /// first use. `None` unless `parts` are this node's own memoized
+    /// partitions: state derived from anything else must not outlive the
+    /// consumer that read it.
+    pub(crate) fn kept<X: Any + Send + Sync>(
+        &self,
+        parts: &Parts<T>,
+        init: impl FnOnce() -> X,
+    ) -> Option<Arc<X>> {
+        match self.node.cache.get() {
+            Some(Ok(memo)) if Arc::ptr_eq(memo, parts) => {}
+            _ => return None,
+        }
+        let kept = self.node.kept.get_or_init(|| Arc::new(init()));
+        Arc::clone(kept).downcast().ok()
     }
 
     /// The engine this bag belongs to.

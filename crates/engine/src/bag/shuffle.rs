@@ -17,7 +17,7 @@ use super::fuse::{self, Assembled, Batch, ChargeRule, FusedOpMeta, Part};
 use super::{Bag, Partitioning, Parts};
 use crate::error::Result;
 use crate::map_output::MapOutputStats;
-use crate::partitioner::{scatter_by_key, scatter_shared_by_key};
+use crate::partitioner::{scatter_by_key, scatter_shared_unless_home};
 use crate::types::Data;
 use crate::Engine;
 
@@ -135,7 +135,9 @@ impl Shuffle {
 
     /// Place a side by `key_of`: read as it is when [`Shuffle::reuses`] its
     /// `known` placement, else scattered — records cloned once out of shared
-    /// partitions, moved out of owned ones.
+    /// partitions, moved out of owned ones. A scatter that finds every record
+    /// already home hands the input on as it is, a shared one with no clone;
+    /// it is charged and reported as the shuffle it models all the same.
     pub(super) fn place<T: Data, K: Hash + ?Sized>(
         &self,
         input: Input<T>,
@@ -146,24 +148,36 @@ impl Shuffle {
         if self.reuses(known) {
             return Side::new(input.into_parts(), bytes, false);
         }
-        let (records, buckets) = match input {
+        let (records, parts) = match input {
             Input::Shared(parts) => (
                 parts.iter().map(|p| p.len()).sum(),
-                scatter_shared_by_key(&parts, self.partitions, key_of),
+                match scatter_shared_unless_home(&parts, self.partitions, key_of) {
+                    Some(buckets) => buckets.into_iter().map(Part::Owned).collect(),
+                    None => Input::Shared(parts).into_parts(),
+                },
             ),
-            Input::Owned(parts) => {
-                (parts.iter().map(Vec::len).sum(), scatter_by_key(parts, self.partitions, key_of))
-            }
+            Input::Owned(parts) => (
+                parts.iter().map(Vec::len).sum(),
+                scatter_by_key(parts, self.partitions, key_of)
+                    .into_iter()
+                    .map(Part::Owned)
+                    .collect(),
+            ),
         };
-        self.scattered(records, bytes, buckets)
+        self.charged(records, bytes, parts)
     }
 
     /// Charge a shuffle of `records` records of `bytes` each, placed into
-    /// `buckets` ([`Shuffle::place`]'s, or an operator's own round-robin or
-    /// range buckets).
+    /// `buckets` (an operator's own round-robin or range buckets).
     pub(super) fn scattered<T>(&self, records: usize, bytes: f64, buckets: Vec<Vec<T>>) -> Side<T> {
+        self.charged(records, bytes, buckets.into_iter().map(Part::Owned).collect())
+    }
+
+    /// Charge a shuffle of `records` records of `bytes` each, which placed
+    /// `parts`.
+    fn charged<T>(&self, records: usize, bytes: f64, parts: Vec<Part<T>>) -> Side<T> {
         self.engine.charge_shuffle(self.name, records as u64, bytes);
-        Side::new(buckets.into_iter().map(Part::Owned).collect(), bytes, true)
+        Side::new(parts, bytes, true)
     }
 
     /// The reduce side of a one-sided shuffle, [`Shuffle::reduce_pair`] with
@@ -178,7 +192,8 @@ impl Shuffle {
     ) -> Result<Assembled<O>> {
         let none = (0..side.parts.len()).map(|_| Part::Owned(Vec::<()>::new())).collect();
         let head = FusedOpMeta { name: self.name, bytes, charge, overhead: true };
-        self.reduce_pair(self.name, (side, Side::new(none, 0.0, false)), vec![head], move |l, _| {
+        let sides = (side, Side::new(none, 0.0, false));
+        self.reduce_pair(self.name, sides, vec![head], move |_, l, _| {
             let out = step(l);
             let n = out.len();
             (out, n)
@@ -190,14 +205,15 @@ impl Shuffle {
     /// record size), the memory check `memory` of what the step holds, then
     /// the chain `step` heads, charged over `metas` (the operator with task
     /// overhead, then any followers it absorbed: a join's) and whatever
-    /// narrow operators extend it. `step` returns a partition's output and
-    /// the operator's own output count, which the followers read.
+    /// narrow operators extend it. `step` takes a partition's index and both
+    /// sides' batches, and returns its output and the operator's own output
+    /// count, which the followers read.
     pub(super) fn reduce_pair<L: Data, R: Data, O: Data>(
         &self,
         memory: &'static str,
         (left, right): (Side<L>, Side<R>),
         metas: Vec<FusedOpMeta>,
-        step: impl Fn(Batch<'_, L>, Batch<'_, R>) -> (Vec<O>, usize) + Send + Sync + 'static,
+        step: impl Fn(usize, Batch<'_, L>, Batch<'_, R>) -> (Vec<O>, usize) + Send + Sync + 'static,
     ) -> Result<Assembled<O>> {
         let counts: Vec<(usize, usize)> = (left.parts.iter().zip(&right.parts))
             .map(|(l, r)| (l.as_slice().len(), r.as_slice().len()))
@@ -215,8 +231,10 @@ impl Shuffle {
         let (lh, rh) = (left.held, right.held);
         self.check_memory(memory, counts.iter().map(|&(l, r)| l as f64 * lh + r as f64 * rh))?;
         let records = counts.into_iter().map(|(l, r)| l + r).collect();
-        let inputs = left.parts.into_iter().zip(right.parts);
-        Ok(fuse::headed(metas, records, inputs, move |(l, r)| l.read(|l| r.read(|r| step(l, r)))))
+        let inputs = left.parts.into_iter().zip(right.parts).enumerate();
+        Ok(fuse::headed(metas, records, inputs, move |(pi, (l, r))| {
+            l.read(|l| r.read(|r| step(pi, l, r)))
+        }))
     }
 
     /// Memory-check one task per partition holding `bytes` modeled bytes,

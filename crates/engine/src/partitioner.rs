@@ -10,6 +10,16 @@
 //! cost of O(records + input partitions + output partitions) — never
 //! (input partitions × output partitions), which at the paper's 1,200
 //! partitions is 1.44 M.
+//!
+//! A scatter whose records are all already home — one input per output, and
+//! every record hashed to its own input's index — places nothing: its first
+//! pass finds that out, and the inputs come back as they are (owned ones as
+//! the same buffers, shared ones with no clone). Those are the buckets the
+//! sequential loop builds, by construction. A co-partitioned loop re-keys
+//! and re-shuffles state that an earlier shuffle of the same key already
+//! placed, so in Listing 4's lifted PageRank 21 of a job's 41 scatters are of
+//! this kind. A scatter into one partition hashes nothing either: every key
+//! lands in partition 0, so its bucket is the inputs concatenated in order.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
@@ -45,7 +55,8 @@ const PARALLEL_SCATTER_MIN_RECORDS: usize = 4096;
 /// per-record clone).
 ///
 /// Bucket contents and record order are those of the sequential loop over
-/// inputs in input order, whichever thread hashed what.
+/// inputs in input order, whichever thread hashed what. Inputs whose records
+/// are all home come back unchanged, the same buffers.
 pub fn scatter_by_key<T, K, F>(inputs: Vec<Vec<T>>, partitions: usize, key_of: F) -> Vec<Vec<T>>
 where
     T: Send + Sync,
@@ -53,8 +64,16 @@ where
     F: Fn(&T) -> &K + Send + Sync,
 {
     let partitions = partitions.max(1);
-    let dests = destinations(&inputs, partitions, key_of);
-    place(&dests, partitions, inputs.into_iter().map(Vec::into_iter), |rec| rec)
+    if partitions == 1 {
+        return match inputs.len() {
+            1 => inputs,
+            _ => vec![concat(inputs.iter().map(Vec::len).sum(), inputs.into_iter().flatten())],
+        };
+    }
+    match destinations(&inputs, partitions, key_of) {
+        Some(dests) => place(&dests, partitions, inputs.into_iter().map(Vec::into_iter), |rec| rec),
+        None => inputs,
+    }
 }
 
 /// [`scatter_by_key`] over *shared* partitions (`Arc<Vec<T>>`, the engine's
@@ -73,35 +92,85 @@ where
     K: Hash + ?Sized,
     F: Fn(&T) -> &K + Send + Sync,
 {
+    scatter_shared_unless_home(inputs, partitions, key_of)
+        .unwrap_or_else(|| inputs.iter().map(|p| p.to_vec()).collect())
+}
+
+/// [`scatter_shared_by_key`], or `None` where every record is already home:
+/// the caller keeps the shared partitions as they are, and no record is
+/// cloned.
+pub(crate) fn scatter_shared_unless_home<T, K, F>(
+    inputs: &[Arc<Vec<T>>],
+    partitions: usize,
+    key_of: F,
+) -> Option<Vec<Vec<T>>>
+where
+    T: Clone + Send + Sync,
+    K: Hash + ?Sized,
+    F: Fn(&T) -> &K + Send + Sync,
+{
     let partitions = partitions.max(1);
-    let dests = destinations(inputs, partitions, key_of);
-    place(&dests, partitions, inputs.iter().map(|p| p.iter()), T::clone)
+    if partitions == 1 {
+        return match inputs.len() {
+            1 => None,
+            _ => Some(vec![concat(
+                inputs.iter().map(|p| p.len()).sum(),
+                inputs.iter().flat_map(|p| p.iter().cloned()),
+            )]),
+        };
+    }
+    let dests = destinations(inputs, partitions, key_of)?;
+    Some(place(&dests, partitions, inputs.iter().map(|p| p.iter()), T::clone))
+}
+
+/// The one bucket of a scatter into one partition: every record, in input
+/// order. Every key hashes to partition 0, so nothing is hashed.
+fn concat<T>(total: usize, records: impl Iterator<Item = T>) -> Vec<T> {
+    let mut bucket = Vec::with_capacity(total);
+    bucket.extend(records);
+    bucket
 }
 
 /// Pass 1 of the scatter: every record's destination partition, one
 /// `Vec<u32>` per input partition (owned `Vec<T>` or shared `Arc<Vec<T>>`,
 /// borrowed either way) — the only [`partition_for`] call a record gets.
 /// Hashing is the expensive, order-free part, so large scatters run it on
-/// the pool.
-fn destinations<T, P, K, F>(inputs: &[P], partitions: usize, key_of: F) -> Vec<Vec<u32>>
+/// the pool. Each input also reports whether all its records are home
+/// (destined for its own index); `None` when, with one input per output,
+/// every input is.
+fn destinations<T, P, K, F>(inputs: &[P], partitions: usize, key_of: F) -> Option<Vec<Vec<u32>>>
 where
     P: Borrow<Vec<T>> + Sync,
     K: Hash + ?Sized,
     F: Fn(&T) -> &K + Sync,
 {
     assert!(partitions <= u32::MAX as usize, "scatter exceeds u32 destination capacity");
-    let hash_input = |i: usize| -> Vec<u32> {
+    let hash_input = |i: usize| -> (Vec<u32>, bool) {
         let part: &Vec<T> = inputs[i].borrow();
-        part.iter().map(|rec| partition_for(key_of(rec), partitions) as u32).collect()
+        let mut home = true;
+        let ids = part
+            .iter()
+            .map(|rec| {
+                let d = partition_for(key_of(rec), partitions);
+                home &= d == i;
+                d as u32
+            })
+            .collect();
+        (ids, home)
     };
     let total: usize = inputs.iter().map(|p| p.borrow().len()).sum();
-    if total < PARALLEL_SCATTER_MIN_RECORDS
+    let hashed: Vec<(Vec<u32>, bool)> = if total < PARALLEL_SCATTER_MIN_RECORDS
         || inputs.len() <= 1
         || crate::pool::host_parallelism() <= 1
     {
-        return (0..inputs.len()).map(hash_input).collect();
+        (0..inputs.len()).map(hash_input).collect()
+    } else {
+        parallel_map_range(inputs.len(), hash_input)
+    };
+    if inputs.len() == partitions && hashed.iter().all(|&(_, home)| home) {
+        return None;
     }
-    parallel_map_range(inputs.len(), hash_input)
+    Some(hashed.into_iter().map(|(ids, _)| ids).collect())
 }
 
 /// Passes 2 and 3 of the scatter: fold the destinations into per-output
@@ -275,6 +344,76 @@ mod tests {
         // The draw must actually cover what the doc comment promises.
         assert!(inline >= 50 && pooled >= 50, "inline {inline}, pooled {pooled}");
         assert!(all_empty >= 10 && one_output >= 20, "empty {all_empty}, one {one_output}");
+    }
+
+    /// Inputs already placed by key, one per output: every record home.
+    fn home_inputs(partitions: usize, records: u64) -> Vec<Vec<(u64, u64)>> {
+        let all: Vec<(u64, u64)> = (0..records).map(|i| (i % 997, i)).collect();
+        sequential_scatter(&[all], partitions, |r| r.0)
+    }
+
+    /// Below and above the pooled-hashing threshold, owned inputs whose
+    /// records are all home come back as the same buffers, and shared ones
+    /// place nothing; both are what the sequential loop builds.
+    #[test]
+    fn inputs_all_home_come_back_as_they_are() {
+        for records in [300, 3 * PARALLEL_SCATTER_MIN_RECORDS as u64] {
+            let inputs = home_inputs(7, records);
+            let expect = sequential_scatter(&inputs, 7, |r| r.0);
+            assert_eq!(expect, inputs, "{records}: placed inputs are the loop's buckets");
+            let shared: Vec<Arc<Vec<(u64, u64)>>> = inputs.iter().cloned().map(Arc::new).collect();
+            assert!(scatter_shared_unless_home(&shared, 7, |r| &r.0).is_none(), "{records}");
+            assert_eq!(scatter_shared_by_key(&shared, 7, |r| &r.0), expect, "{records}");
+            let buffers: Vec<*const (u64, u64)> = inputs.iter().map(|p| p.as_ptr()).collect();
+            let moved = scatter_by_key(inputs, 7, |r| &r.0);
+            assert_eq!(moved, expect, "{records}");
+            let same: Vec<*const (u64, u64)> = moved.iter().map(|p| p.as_ptr()).collect();
+            assert_eq!(same, buffers, "{records}: the same buffers, not copies");
+            // One input more than outputs: a scatter, though every record
+            // hashes to an index it could keep.
+            let mut wider = home_inputs(7, records);
+            wider.push(Vec::new());
+            assert_eq!(scatter_by_key(wider, 7, |r| &r.0), expect, "{records}");
+        }
+    }
+
+    /// A shared input whose records are all home clones none of them.
+    #[test]
+    fn shared_inputs_all_home_clone_nothing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CLONES: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Debug, PartialEq)]
+        struct Counted(u64);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                CLONES.fetch_add(1, Ordering::Relaxed);
+                Counted(self.0)
+            }
+        }
+        let records = 2 * PARALLEL_SCATTER_MIN_RECORDS as u64;
+        let shared: Vec<Arc<Vec<(u64, Counted)>>> = home_inputs(5, records)
+            .into_iter()
+            .map(|p| Arc::new(p.into_iter().map(|(k, v)| (k, Counted(v))).collect()))
+            .collect();
+        CLONES.store(0, Ordering::Relaxed);
+        assert!(scatter_shared_unless_home(&shared, 5, |r| &r.0).is_none());
+        assert_eq!(CLONES.load(Ordering::Relaxed), 0, "an all-home scatter clones nothing");
+    }
+
+    /// One record out of place and the whole scatter runs, equal to the
+    /// sequential loop through both entry points.
+    #[test]
+    fn one_misplaced_record_falls_back_to_the_counting_scatter() {
+        for records in [300, 3 * PARALLEL_SCATTER_MIN_RECORDS as u64] {
+            let mut inputs = home_inputs(7, records);
+            let stray = inputs[2].pop().expect("a record to misplace");
+            inputs[5].insert(1, stray);
+            let expect = sequential_scatter(&inputs, 7, |r| r.0);
+            assert_ne!(expect, inputs, "{records}: the stray record moves home");
+            let shared: Vec<Arc<Vec<(u64, u64)>>> = inputs.iter().cloned().map(Arc::new).collect();
+            assert_eq!(scatter_shared_unless_home(&shared, 7, |r| &r.0), Some(expect.clone()));
+            assert_eq!(scatter_by_key(inputs, 7, |r| &r.0), expect, "{records}");
+        }
     }
 
     #[test]

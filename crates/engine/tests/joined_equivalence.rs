@@ -225,3 +225,57 @@ fn a_pushed_pass_reports_as_a_join_headed_chain() {
     let tail = |j: &Joined<u64, u64, u64>| j.map(mapped).filter(|(a, _)| a % 2 == 0);
     assert_eq!(fused(tail), ["fused(join|map|filter)"]);
 }
+
+/// Listing 4's PageRank loop in miniature: each iteration places its state by
+/// key (after the first, every record is already home, so the scatter hands
+/// the records on as they are) and joins it against one memoized,
+/// co-partitioned relation (whose build tables are kept on its node and
+/// built once). The same loop against a fresh, never-evaluated view of the
+/// relation each iteration builds its tables per task: every iteration's
+/// records, the simulated time, the stats and the charge sequence agree.
+#[test]
+fn a_loop_against_a_memoized_relation_matches_one_against_fresh_views() {
+    const ITERATIONS: usize = 4;
+    let run = |case: &Case, fresh: bool| {
+        let mut cluster = ClusterConfig { trace_events: true, ..ClusterConfig::local_test() };
+        cluster.faults.task_failure_rate = case.task_failure_rate;
+        let e = Engine::new(cluster);
+        let p = case.plan.unwrap_or(case.left_parts);
+        // One record per key, placed by key: the loop's static relation.
+        let relation = e.parallelize(case.right.clone(), case.right_parts);
+        let relation = relation.reduce_by_key_into(p, |a, b| *a.max(b));
+        relation.count().unwrap();
+        let mut state = e.parallelize(case.left.clone(), case.left_parts);
+        let mut rounds = Vec::new();
+        for _ in 0..ITERATIONS {
+            state = {
+                let placed = state.partition_by_key(p);
+                let view = if fresh {
+                    relation.with_record_bytes(relation.record_bytes())
+                } else {
+                    relation.clone()
+                };
+                let joined = match case.plan {
+                    Some(p) => placed.joined_into(p, &view),
+                    None => placed.joined_with(&view, JoinAlgorithm::BroadcastRight),
+                };
+                joined.map(|k, v, w| (*k, v.wrapping_mul(31) ^ w))
+            };
+            rounds.push(state.collect_partitions().map_err(|err| err.to_string()));
+        }
+        assert_reconciles(&e);
+        (rounds, e.sim_time(), e.stats(), charges(&e))
+    };
+    let mut matched = 0;
+    for seed in 0..60u64 {
+        let case = draw_case(seed);
+        let kept = run(&case, false);
+        let fresh = run(&case, true);
+        assert_eq!(kept.0, fresh.0, "seed {seed}: records per iteration");
+        assert_eq!(kept.1, fresh.1, "seed {seed}: simulated time");
+        assert_eq!(kept.2, fresh.2, "seed {seed}: stats");
+        assert_eq!(kept.3, fresh.3, "seed {seed}: charge sequence");
+        matched += kept.0.iter().flatten().map(|parts| parts.concat().len()).sum::<usize>();
+    }
+    assert!(matched > 1_000, "{matched} records over every iteration");
+}

@@ -156,6 +156,36 @@ mod tests {
         assert!(errors_of(&e, &["xs"]).contains(&codes::BAG_OP_IN_AGG));
     }
 
+    /// A fold combiner must be closed over one value type where its shape
+    /// says so, at either level; a combiner that shows nothing, or agrees
+    /// with itself, is admitted.
+    #[test]
+    fn mat011_fold_combiner_not_closed_over_one_type() {
+        let open = "(a, b) => a + b.1";
+        for program in [
+            format!("fold(map(source(xs), v => (v, 1)), 0, {open})"),
+            format!(
+                "map(groupByKey(source(xs)), g => (g.0, fold(map(g.1, v => (v, 1)), 0, {open})))"
+            ),
+            "fold(source(xs), (0, 0), (a, b) => (a + 1, b))".to_string(),
+            "fold(source(xs), 0, (a, b) => a.0 < b)".to_string(),
+        ] {
+            assert_eq!(
+                errors_of(&parse(&program), &["xs"]),
+                vec![codes::KIND_MISMATCH],
+                "{program}"
+            );
+        }
+        for program in [
+            "fold(source(xs), 0, (a, b) => a + b)",
+            "fold(source(xs), (0, 0), (a, b) => (a.0 + b.0, a.1 + b.1))",
+            "fold(source(xs), 0, (a, b) => if a > b then a else b)",
+            "fold(source(xs), 0, (a, b) => a + (let b = (1, 2) in b.1))",
+        ] {
+            assert!(errors_of(&parse(program), &["xs"]).is_empty(), "{program}");
+        }
+    }
+
     #[test]
     fn mat007_bag_ops_in_filter() {
         let e = parse("filter(source(xs), x => count(source(xs)) > 0)");

@@ -21,11 +21,82 @@
 
 use std::fmt;
 
-use crate::ast::{Expr, Lambda, Lambda2, Span};
+use crate::ast::{BinOp, Expr, Lambda, Lambda2, Span};
 use crate::parse::Dialect;
 use crate::pretty::snippet;
 
 use super::diag::{codes, Diagnostic, Diagnostics};
+
+/// The kind of a scalar that an expression's shape makes evident, for the
+/// fold check (`Checker::check_fold_closed`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Tuple,
+    Number,
+    Bool,
+}
+
+impl Kind {
+    /// What `e` evidently returns: a tuple literal, arithmetic or a
+    /// comparison.
+    fn of_result(e: &Expr) -> Option<Kind> {
+        match e {
+            Expr::Spanned(_, x) => Kind::of_result(x),
+            Expr::Tuple(_) => Some(Kind::Tuple),
+            Expr::Bin(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div, _, _) => {
+                Some(Kind::Number)
+            }
+            Expr::Bin(BinOp::Eq | BinOp::Lt | BinOp::Gt, _, _) => Some(Kind::Bool),
+            _ => None,
+        }
+    }
+
+    /// What `body` evidently takes `param` for: a tuple where it is
+    /// projected, a number where it is an operand of arithmetic, nothing
+    /// where it is both or neither. A binder of the same name hides it.
+    fn of_param(body: &Expr, param: &str) -> Option<Kind> {
+        fn is(e: &Expr, param: &str) -> bool {
+            match e {
+                Expr::Spanned(_, x) => is(x, param),
+                Expr::Var(v) => v == param,
+                _ => false,
+            }
+        }
+        fn walk(e: &Expr, param: &str, uses: &mut (bool, bool)) {
+            match e {
+                Expr::Proj(x, _) if is(x, param) => uses.0 = true,
+                Expr::Bin(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div, a, b)
+                    if is(a, param) || is(b, param) =>
+                {
+                    uses.1 = true
+                }
+                _ => {}
+            }
+            e.for_each_child(|child, binds, _| {
+                if binds.iter().all(|bound| bound != param) {
+                    walk(child, param, uses);
+                }
+            });
+        }
+        let mut uses = (false, false);
+        walk(body, param, &mut uses);
+        match uses {
+            (true, false) => Some(Kind::Tuple),
+            (false, true) => Some(Kind::Number),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Kind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Kind::Tuple => "a tuple",
+            Kind::Number => "a number",
+            Kind::Bool => "a boolean",
+        })
+    }
+}
 
 /// The type a program expression evaluates to, as far as the flattening
 /// machinery is concerned. Element types of bags are dynamic (records are
@@ -470,6 +541,7 @@ impl<'a> Checker<'a> {
                     }
                 }
                 self.check_lambda2("fold", l2, level, sp, e);
+                self.check_fold_closed(l2, sp, e);
                 Ty::Scalar
             }
             Expr::Join(a, b) => {
@@ -783,6 +855,31 @@ impl<'a> Checker<'a> {
             }
             // Entirely-unbound names were already reported as MAT001 while
             // inferring the body.
+        }
+    }
+
+    /// A fold's combiner must be closed over one value type: it merges
+    /// partials with partials as well as with elements, at either level.
+    /// Where the body's shape shows its result kind (a tuple literal,
+    /// arithmetic, a comparison) and a parameter's use shows that one's (a
+    /// projected parameter is a tuple, an arithmetic operand a number), the
+    /// two must agree; anything less evident is left to run.
+    fn check_fold_closed(&mut self, l2: &Lambda2, sp: Option<Span>, node: &Expr) {
+        let Some(result) = Kind::of_result(&l2.body) else { return };
+        for param in [&l2.a, &l2.b] {
+            match Kind::of_param(&l2.body, param) {
+                Some(kind) if kind != result => self.error(
+                    codes::KIND_MISMATCH,
+                    sp,
+                    format!(
+                        "the fold combiner returns {result} but uses its parameter `{param}` \
+                         as {kind}; a fold merges its results as inputs, so both must be \
+                         one value type"
+                    ),
+                    node,
+                ),
+                _ => {}
+            }
         }
     }
 

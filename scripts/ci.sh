@@ -25,6 +25,13 @@ echo "== compiled UDFs match the interpreter in the release profile too"
 # unboxed `i64` registers, so the whole differential file must pass under both.
 cargo test -q --release -p matryoshka-ir --test compiled_udf
 
+echo "== clone and allocation pins in the release profile too"
+# They count clones out of shared partitions and the allocations of a
+# scatter or a join build, which the host fast paths (an all-home scatter, a
+# join index kept on a memoized right side) change; the benchmark measures
+# release builds, so the pins hold in that profile as well as in debug.
+cargo test -q --release -p matryoshka-engine --test zero_copy --test scatter_allocs
+
 echo "== benchmark builds and smoke-runs against these crates (benchmark/check.sh)"
 # benchmark/ is its own workspace, so nothing above compiles it: a changed
 # `pub` signature in a crate it names would otherwise go unnoticed until
@@ -64,7 +71,9 @@ echo "== sanitizers (best effort: miri, then TSan, else skip)"
 # hashing pass borrows the inputs across the pool's lifetime-erased runner)
 # and the wide operators' and their shuffle's (a map side drives a chain on
 # that same runner; a chain head hands each partition's input out of a
-# per-partition slot; a broadcast join's table is probed by every task),
+# per-partition slot; a broadcast join's table is probed by every task; a
+# join against a memoized right side fills that node's per-partition join
+# index, one `OnceLock` per partition, from inside the probing tasks),
 # the UDF compiler's unit tests (thread-local frame reentrancy + take/replace
 # discipline, the typed program cached in a `OnceLock` shared by threads), the service's connection loop (one reply, one write;
 # request limits) and its state model (a waiter thread against the driver,
@@ -137,7 +146,7 @@ fi
 # records one, or memory-checks a wide operator's working sets. The one
 # memory check elsewhere is `map_with_work`'s (`ops_narrow.rs`), which
 # prices what its UDF reports.
-if grep -rnE 'charge_shuffle\(|record_map_output\(|record_scatter|materialize_factor|scatter_(shared_)?by_key\(' \
+if grep -rnE 'charge_shuffle\(|record_map_output\(|record_scatter|materialize_factor|scatter_(shared_)?(by_key|unless_home)\(' \
     crates/engine/src/bag --exclude=shuffle.rs \
   || grep -rnE 'charge_memory\(' crates/engine/src/bag --exclude=shuffle.rs --exclude=ops_narrow.rs; then
   echo "a shuffle is charged, placed or memory-checked outside bag/shuffle.rs (see above)" >&2
