@@ -91,17 +91,18 @@ impl<T: Key, E: Data> InnerBag<T, E> {
         let bytes = self.scalar_record_bytes::<u64>();
         let counts = self.repr.map(|(t, _)| (t.clone(), 1u64)).with_record_bytes(bytes);
         let zeros = self.ctx.tags().map(|t| (t.clone(), 0u64)).with_record_bytes(bytes);
-        let all = counts.union(&zeros).reduce_by_key_into(p, |a, b| a + b);
+        let all = merged(counts.union(&zeros), p, |a, b| *a += b);
         InnerScalar::from_repr(all, self.ctx.clone())
     }
 
     /// Lifted `reduce`: per-tag reduction. Tags with empty inner bags are
     /// absent from the result (a `reduce` of an empty bag has no value);
-    /// use [`InnerBag::fold`] for a zero-filled variant.
-    pub fn reduce(&self, f: impl Fn(&E, &E) -> E + Send + Sync + 'static) -> InnerScalar<T, E> {
+    /// use [`InnerBag::fold`] for a zero-filled variant. `f(acc, e)` folds
+    /// `e` into `acc` in place.
+    pub fn reduce(&self, f: impl Fn(&mut E, &E) + Send + Sync + 'static) -> InnerScalar<T, E> {
         let p = self.ctx.scalar_partitions();
         let bytes = self.scalar_record_bytes::<E>();
-        let reduced = self.repr.map_into(|te| te).with_record_bytes(bytes).reduce_by_key_into(p, f);
+        let reduced = merged(self.repr.map_into(|te| te).with_record_bytes(bytes), p, f);
         InnerScalar::from_repr(reduced, self.ctx.clone())
     }
 
@@ -112,11 +113,12 @@ impl<T: Key, E: Data> InnerBag<T, E> {
     /// and once more per tag (the seed that `combine` merges with the
     /// partials), so it must be `combine`'s identity. A front end whose
     /// `fold` applies the zero once per tag passes an `f` that ignores it.
+    /// `combine(acc, a)` folds the partial `a` into `acc` in place.
     pub fn fold<A: Data>(
         &self,
         zero: A,
         f: impl Fn(&A, &E) -> A + Send + Sync + 'static,
-        combine: impl Fn(&A, &A) -> A + Send + Sync + 'static,
+        combine: impl Fn(&mut A, &A) + Send + Sync + 'static,
     ) -> InnerScalar<T, A> {
         let p = self.ctx.scalar_partitions();
         let bytes = self.scalar_record_bytes::<A>();
@@ -125,7 +127,7 @@ impl<T: Key, E: Data> InnerBag<T, E> {
             self.repr.map(move |(t, e)| (t.clone(), f(&z, e))).with_record_bytes(bytes);
         let zeros =
             self.ctx.tags().map(move |t| (t.clone(), zero.clone())).with_record_bytes(bytes);
-        let folded = mapped.union(&zeros).reduce_by_key_into(p, combine);
+        let folded = merged(mapped.union(&zeros), p, combine);
         InnerScalar::from_repr(folded, self.ctx.clone())
     }
 
@@ -151,11 +153,7 @@ impl<T: Key, E: Data> InnerBag<T, E> {
             .tags()
             .map(|t| (t.clone(), Vec::<E>::new()))
             .with_record_bytes(self.scalar_record_bytes::<Vec<E>>());
-        let all = grouped.union(&zeros).reduce_by_key_into(p, |a, b| {
-            let mut merged = a.clone();
-            merged.extend(b.iter().cloned());
-            merged
-        });
+        let all = merged(grouped.union(&zeros), p, |a, b| a.extend(b.iter().cloned()));
         InnerScalar::from_repr(all, self.ctx.clone())
     }
 
@@ -234,6 +232,17 @@ impl<T: Key, E: Data> InnerBag<T, E> {
     }
 }
 
+/// `bag` reduced by key into `partitions` with the in-place `f`, its partials
+/// weighed as its records.
+fn merged<K: Key, V: Data>(
+    bag: Bag<(K, V)>,
+    partitions: usize,
+    f: impl Fn(&mut V, &V) + Send + Sync + 'static,
+) -> Bag<(K, V)> {
+    let bytes = bag.record_bytes();
+    bag.reduce_by_key_partials(partitions, bytes, f)
+}
+
 /// Lifted key-value operations: the re-keying of Sec. 4.4 ("we lift
 /// operations that already have a per-key state by creating a composite key
 /// from the original key plus the tag"). Every re-keying map takes its record
@@ -242,13 +251,12 @@ impl<T: Key, E: Data> InnerBag<T, E> {
 impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     /// Lifted `reduceByKey`: `b'.map{(t,(k,v)) => ((t,k),v)}.reduceByKey(f)
     /// .map{((t,k),v) => (t,(k,v))}` — exactly the paper's rewrite.
+    /// `f(acc, v)` folds `v` into `acc` in place.
     pub fn reduce_by_key(
         &self,
-        f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
+        f: impl Fn(&mut V, &V) + Send + Sync + 'static,
     ) -> InnerBag<T, (K, V)> {
-        let rekeyed = self.repr.map_into(|(t, (k, v))| ((t, k), v));
-        let reduced = rekeyed.reduce_by_key(f);
-        InnerBag { repr: reduced.map_into(|((t, k), v)| (t, (k, v))), ctx: self.ctx.clone() }
+        self.reduce_by_key_partials(self.repr.record_bytes(), f)
     }
 
     /// [`InnerBag::reduce_by_key`] with an explicit modeled size for the
@@ -259,7 +267,7 @@ impl<T: Key, K: Key, V: Data> InnerBag<T, (K, V)> {
     pub fn reduce_by_key_partials(
         &self,
         partial_bytes: f64,
-        f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
+        f: impl Fn(&mut V, &V) + Send + Sync + 'static,
     ) -> InnerBag<T, (K, V)> {
         let rekeyed = self.repr.map_into(|(t, (k, v))| ((t, k), v));
         let p = rekeyed.num_partitions().min(self.ctx.engine().config().default_parallelism);
@@ -398,8 +406,8 @@ mod tests {
         let e = Engine::local();
         let c = ctx(&e, vec![0, 1, 2]);
         let b = bag(&e, &c, vec![(0, 5), (0, 7), (1, 1)]);
-        assert_eq!(sorted(b.reduce(|a, x| a + x).collect().unwrap()), vec![(0, 12), (1, 1)]);
-        let folded = b.fold(0i64, |z, x| z + x, |a, b| a + b);
+        assert_eq!(sorted(b.reduce(|a, x| *a += x).collect().unwrap()), vec![(0, 12), (1, 1)]);
+        let folded = b.fold(0i64, |z, x| z + x, |a, b| *a += b);
         assert_eq!(sorted(folded.collect().unwrap()), vec![(0, 12), (1, 1), (2, 0)]);
     }
 
@@ -412,7 +420,7 @@ mod tests {
             e.parallelize(vec![(0u64, (9u32, 1i64)), (0, (9, 2)), (1, (9, 100))], 2),
             c.clone(),
         );
-        let out = sorted(b.reduce_by_key(|a, x| a + x).collect().unwrap());
+        let out = sorted(b.reduce_by_key(|a, x| *a += x).collect().unwrap());
         assert_eq!(out, vec![(0, (9, 3)), (1, (9, 100))]);
     }
 
@@ -517,7 +525,10 @@ mod tests {
         POINT_CLONES.store(0, Relaxed);
         let sums = points
             .map_with_scalar(&centroids, |p, m| (p.0 % m, (p.clone(), 1u64)))
-            .reduce_by_key_partials(16.0, |(a, n), (b, m)| (Point(a.0 + b.0), n + m));
+            .reduce_by_key_partials(16.0, |(a, n), (b, m)| {
+                a.0 += b.0;
+                *n += m;
+            });
         assert_eq!(sums.repr().count().unwrap(), 5 + 7 + 11, "one sum per (tag, cluster)");
         assert_eq!(POINT_CLONES.load(Relaxed), N as usize, "one clone per point, the UDF's");
     }

@@ -46,9 +46,19 @@ use crate::Engine;
 /// Evaluated partitions: cheap to clone and share across lineage.
 pub(crate) type Parts<T> = Arc<Vec<Arc<Vec<T>>>>;
 
-/// Wrap raw partition vectors.
+/// Wrap raw partition vectors. Every empty partition of the set shares one
+/// `Arc`, so an empty partition costs no allocation here and no free when
+/// the lineage drops (a lifted operator over many tags leaves many empty).
 pub(crate) fn to_parts<T>(parts: Vec<Vec<T>>) -> Parts<T> {
-    Arc::new(parts.into_iter().map(Arc::new).collect())
+    let mut empty: Option<Arc<Vec<T>>> = None;
+    let parts = parts.into_iter().map(|p| {
+        if p.is_empty() {
+            Arc::clone(empty.get_or_insert_with(|| Arc::new(Vec::new())))
+        } else {
+            Arc::new(p)
+        }
+    });
+    Arc::new(parts.collect())
 }
 
 pub(crate) struct Node<T> {
@@ -468,6 +478,19 @@ mod tests {
             cached_ops.iter().all(|op| !op.contains("cache|") && !op.contains("|cache")),
             "fused through a cache barrier: {cached_ops:?}"
         );
+    }
+
+    /// A set's empty partitions are one shared `Arc`: an empty partition
+    /// allocates nothing, and the non-empty ones keep their own.
+    #[test]
+    fn a_partition_sets_empty_partitions_share_one_allocation() {
+        use std::sync::Arc;
+        let parts = super::to_parts(vec![vec![], vec![1u32], vec![], vec![2, 3], vec![]]);
+        assert_eq!(parts.iter().map(|p| p.len()).collect::<Vec<_>>(), [0, 1, 0, 2, 0]);
+        assert!(Arc::ptr_eq(&parts[0], &parts[2]) && Arc::ptr_eq(&parts[2], &parts[4]));
+        assert!(!Arc::ptr_eq(&parts[1], &parts[3]));
+        let other = super::to_parts(vec![Vec::<u32>::new()]);
+        assert!(!Arc::ptr_eq(&parts[0], &other[0]), "one shared empty per partition set");
     }
 
     #[test]

@@ -97,12 +97,17 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         partitions: usize,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> Bag<(K, V)> {
-        let bytes = self.record_bytes();
-        self.reduce_by_key_partials(partitions, bytes, f)
+        self.reduce_by_key_partials(partitions, self.record_bytes(), move |a, b| *a = f(a, b))
     }
 
-    /// [`Bag::reduce_by_key_into`] with an explicit modeled size for the
+    /// [`Bag::reduce_by_key_into`] with an in-place combiner, `f(acc, v)`
+    /// folding `v` into `acc`, and an explicit modeled size for the
     /// *post-combine* partial records.
+    ///
+    /// The combiner takes the accumulator by `&mut` so that a merge of heap
+    /// values (a K-means partial sum) allocates nothing, and the value by
+    /// `&` so that a record read out of a shared partition is never cloned
+    /// just to be merged: only the first record of each key is, to seed it.
     ///
     /// By default partials inherit the input's record weight, which is right
     /// when the key cardinality scales with the data (word counts). When the
@@ -114,7 +119,7 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         &self,
         partitions: usize,
         partial_bytes: f64,
-        f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
+        f: impl Fn(&mut V, &V) + Send + Sync + 'static,
     ) -> Bag<(K, V)> {
         let (parent, bytes, f) = (self.clone(), self.record_bytes(), Arc::new(f));
         let shuffle = Shuffle::new(self.engine(), "reduce_by_key", partitions);
@@ -235,19 +240,19 @@ impl<K: Key, V: Data> Bag<(K, V)> {
     }
 }
 
-/// Fold each key's values into one with `f`, starting from `acc`: a record
-/// moves in when owned and is cloned out of a shared partition only to seed
-/// its key.
+/// Fold each key's values into one with `f`, starting from `acc`: the first
+/// record of a key seeds it (moved in when owned, cloned out of a shared
+/// partition), and every later one is folded into that seed in place.
 fn merge<K: Key, V: Data>(
     mut acc: FxHashMap<K, V>,
     batch: Batch<'_, (K, V)>,
-    f: &impl Fn(&V, &V) -> V,
+    f: &impl Fn(&mut V, &V),
 ) -> Vec<(K, V)> {
     match batch {
         Batch::Shared(p) => {
             for (k, v) in p.iter() {
                 match acc.get_mut(k) {
-                    Some(cur) => *cur = f(cur, v),
+                    Some(cur) => f(cur, v),
                     None => {
                         acc.insert(k.clone(), v.clone());
                     }
@@ -257,7 +262,7 @@ fn merge<K: Key, V: Data>(
         Batch::Owned(p) => {
             for (k, v) in p {
                 match acc.get_mut(&k) {
-                    Some(cur) => *cur = f(cur, &v),
+                    Some(cur) => f(cur, &v),
                     None => {
                         acc.insert(k, v);
                     }

@@ -307,6 +307,9 @@ impl Engine {
     }
 
     /// [`Engine::parallelize`] with an explicit modeled record size.
+    ///
+    /// Each record moves into its partition here, once; evaluation charges
+    /// the load and hands out the partitions built now, cloning nothing.
     pub fn parallelize_with_bytes<T: Data>(
         &self,
         data: Vec<T>,
@@ -315,19 +318,15 @@ impl Engine {
     ) -> Bag<T> {
         let engine = self.clone();
         let partitions = partitions.max(1);
-        let data = Arc::new(data);
+        let chunk = data.len().div_ceil(partitions);
+        let mut records = data.into_iter();
+        let parts: Vec<Vec<T>> =
+            (0..partitions).map(|_| records.by_ref().take(chunk).collect()).collect();
+        let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
+        let parts = bag_parts(parts);
         Bag::new(self.clone(), "parallelize", record_bytes, partitions, move || {
-            let n = data.len();
-            let chunk = n.div_ceil(partitions);
-            let mut parts: Vec<Vec<T>> = Vec::with_capacity(partitions);
-            for p in 0..partitions {
-                let lo = (p * chunk).min(n);
-                let hi = ((p + 1) * chunk).min(n);
-                parts.push(data[lo..hi].to_vec());
-            }
-            let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
             engine.charge_compute(&counts, record_bytes, true)?;
-            Ok(bag_parts(parts))
+            Ok(Arc::clone(&parts))
         })
     }
 
@@ -405,6 +404,13 @@ mod tests {
         let b = e.parallelize((0..97).collect::<Vec<u32>>(), 8);
         assert_eq!(b.num_partitions(), 8);
         assert_eq!(b.collect().unwrap(), (0..97).collect::<Vec<u32>>());
+        let sizes = |n: u32, p: usize| {
+            let parts = e.parallelize((0..n).collect::<Vec<u32>>(), p).collect_partitions();
+            parts.unwrap().iter().map(Vec::len).collect::<Vec<_>>()
+        };
+        assert_eq!(sizes(97, 8), [13, 13, 13, 13, 13, 13, 13, 6]);
+        assert_eq!(sizes(3, 5), [1, 1, 1, 0, 0]);
+        assert_eq!(sizes(0, 2), [0, 0]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 
 use matryoshka_engine::partitioner::partition_for;
-use matryoshka_engine::{ClusterConfig, Engine, EngineEvent};
+use matryoshka_engine::{Bag, ClusterConfig, Engine, EngineEvent};
 
 fn engine() -> Engine {
     Engine::new(ClusterConfig::local_test())
@@ -85,6 +85,69 @@ fn reduce_by_key_matches_hashmap() {
         assert_eq!(got.len(), expect.len(), "seed {seed}");
         for (k, v) in got {
             assert_eq!(expect.get(&k), Some(&v), "seed {seed}");
+        }
+    }
+}
+
+/// The in-place combiner (`reduce_by_key_partials`) and the by-value
+/// `reduce_by_key_into` give the same records in the same order, partition by
+/// partition, on every path through the reduce: a scattered or a co-located
+/// input, read shared out of a materialized bag or owned from a chain the map
+/// side absorbed. The combine concatenates, which is not commutative: each
+/// key's values must come out in input order (a combine walks its partition
+/// in order and a scatter keeps the input partitions' order), so a merge
+/// that folded a seed into a later value would show.
+#[test]
+fn in_place_and_by_value_combines_agree_record_for_record() {
+    type Rows = Bag<(u8, Vec<i64>)>;
+    for seed in 0..SEEDS {
+        let mut g = Gen::new(seed ^ 0xC3);
+        let data: Vec<(u8, Vec<i64>)> =
+            g.pairs(200).into_iter().map(|(k, v)| (k, vec![v])).collect();
+        let (parts, out) = (1 + g.below(8) as usize, 1 + g.below(6) as usize);
+        let mut expect: Vec<(u8, Vec<i64>)> = Vec::new();
+        for (k, v) in &data {
+            match expect.iter_mut().find(|(e, _)| e == k) {
+                Some((_, vs)) => vs.extend(v),
+                None => expect.push((*k, v.clone())),
+            }
+        }
+        expect.sort();
+        for (colocated, owned) in [(false, false), (false, true), (true, false), (true, true)] {
+            let run = |in_place: bool| {
+                let e = engine();
+                let reduce = |b: &Rows| {
+                    if in_place {
+                        b.reduce_by_key_partials(out, b.record_bytes(), |a, b| {
+                            a.extend_from_slice(b)
+                        })
+                    } else {
+                        b.reduce_by_key_into(out, |a, b| [a.as_slice(), b].concat())
+                    }
+                };
+                let source = e.parallelize(data.clone(), parts);
+                // An owned input is a chain no other handle holds, so the
+                // reduce's map side absorbs it; a shared one is materialized.
+                let reduced = match (colocated, owned) {
+                    (false, false) => {
+                        source.count().unwrap();
+                        reduce(&source)
+                    }
+                    (false, true) => reduce(&source.map_into(|r| r)),
+                    (true, false) => {
+                        let placed = source.partition_by_key(out);
+                        placed.count().unwrap();
+                        reduce(&placed)
+                    }
+                    (true, true) => reduce(&source.partition_by_key(out)),
+                };
+                reduced.collect_partitions().unwrap()
+            };
+            let (in_place, by_value) = (run(true), run(false));
+            let mut got: Vec<_> = in_place.iter().flatten().cloned().collect();
+            got.sort();
+            assert_eq!(got, expect, "seed {seed}, co-located {colocated}, owned {owned}");
+            assert_eq!(in_place, by_value, "seed {seed}, co-located {colocated}, owned {owned}");
         }
     }
 }

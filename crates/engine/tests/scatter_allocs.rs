@@ -14,6 +14,11 @@
 //! The third pins the lowering-decision log: recording a rule builds no
 //! text, so the log's own growth is all a decision allocates.
 //!
+//! The fourth pins the in-place combine: a `reduce_by_key` of heap values
+//! allocates per partition and per key, not per merged record. The fifth
+//! pins a source: `parallelize` moves its records into their partitions and
+//! clones none of them when it is evaluated.
+//!
 //! The counter is process-wide and the harness runs the tests of a binary
 //! concurrently, so each test holds `SERIAL` while it counts.
 
@@ -172,4 +177,65 @@ fn recording_a_decision_allocates_nothing_but_the_log() {
     assert_eq!(engine.decisions().len(), DECISIONS as usize);
     // Doubling a `Vec` to 10,000 entries reallocates 14 times.
     assert!(allocations <= 20, "{allocations} allocations for {DECISIONS} decisions, want <= 20");
+}
+
+/// K-means' partial sums in miniature: 20,000 records of a 4-coordinate
+/// `Vec<f64>` over 64 keys, made by a map that the reduce's map side absorbs,
+/// so its combine owns every record. What the reduce adds over the map alone
+/// is bounded by partitions and keys: a seed moves into the table and every
+/// later record is added into it in place. A combiner that built its result
+/// (`a.iter().zip(b).map(..).collect()`) allocated once per merged record,
+/// about 20,000 here.
+#[test]
+fn an_in_place_combine_allocates_per_partition_and_key_not_per_record() {
+    const RECORDS: u64 = 20_000;
+    const KEYS: u64 = 64;
+    const PARTITIONS: usize = 8;
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let engine = Engine::new(ClusterConfig::local_test());
+    let base = engine.parallelize((0..RECORDS).map(|i| (i % KEYS, i)).collect(), PARTITIONS);
+    base.count().unwrap();
+    let point = |&(k, i): &(u64, u64)| (k, vec![i as f64; 4]);
+    let add = |a: &mut Vec<f64>, b: &Vec<f64>| {
+        for (x, y) in a.iter_mut().zip(b) {
+            *x += y;
+        }
+    };
+    let (mapping, count) = allocations_during(|| base.map(point).count().unwrap());
+    assert_eq!(count, RECORDS);
+    let reduced = base.map(point).reduce_by_key_partials(PARTITIONS, 64.0, add);
+    let (reducing, count) = allocations_during(|| reduced.count().unwrap());
+    assert_eq!(count, KEYS);
+    let extra = reducing.saturating_sub(mapping);
+    let bound = 16 * (PARTITIONS + KEYS as usize);
+    assert!(
+        extra < bound,
+        "the reduce added {extra} allocations to the map's {mapping} for {RECORDS} records, \
+         want < {bound}"
+    );
+}
+
+static SOURCE_CLONES: AtomicUsize = AtomicUsize::new(0);
+
+/// A record whose clones are counted.
+struct Counted(u64);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        SOURCE_CLONES.fetch_add(1, Ordering::Relaxed);
+        Counted(self.0)
+    }
+}
+
+/// `parallelize` moves each record into its partition once, when the bag is
+/// built, and evaluating it hands out those partitions: a source that copied
+/// its input at evaluation (`data[lo..hi].to_vec()`) cloned every record.
+#[test]
+fn a_source_moves_its_records_and_clones_none() {
+    const RECORDS: u64 = 10_000;
+    let engine = Engine::new(ClusterConfig::local_test());
+    let before = SOURCE_CLONES.load(Ordering::Relaxed);
+    let bag = engine.parallelize((0..RECORDS).map(Counted).collect(), 7);
+    assert_eq!(bag.count().unwrap(), RECORDS);
+    assert_eq!(SOURCE_CLONES.load(Ordering::Relaxed) - before, 0, "a source clones no record");
 }

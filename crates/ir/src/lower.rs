@@ -650,12 +650,15 @@ impl Lowering {
             Expr::ReduceByKey(x, l2) => {
                 let input = ev(x)?;
                 let f = compile_udf2(l2);
-                let f = move |a: &Value, b: &Value| f.eval2(a, b).expect("reduceByKey UDF failed");
+                let udf =
+                    move |a: &Value, b: &Value| f.eval2(a, b).expect("reduceByKey UDF failed");
                 match input {
-                    Val::Bag(b) => Val::Bag(b.map(kv).reduce_by_key(f).map(unkv)),
+                    Val::Bag(b) => Val::Bag(b.map(kv).reduce_by_key(udf).map(unkv)),
                     // Composite (tag, key) re-keying (Sec. 4.4) via the
-                    // typed layer.
-                    Val::InnerBag(b) => Val::InnerBag(b.map(kv).reduce_by_key(f).map(unkv)),
+                    // typed layer, whose combiner updates in place.
+                    Val::InnerBag(b) => {
+                        Val::InnerBag(b.map(kv).reduce_by_key(move |a, b| *a = udf(a, b)).map(unkv))
+                    }
                     _ => unadmitted("reduceByKey"),
                 }
             }
@@ -711,7 +714,7 @@ impl Lowering {
                     Val::InnerBag(b) => Val::InnerScalar(b.fold(
                         z,
                         |_, v| v.clone(),
-                        move |a, b| f.eval2(a, b).expect(FOLD),
+                        move |a, b| *a = f.eval2(a, b).expect(FOLD),
                     )),
                     _ => unadmitted("fold"),
                 }

@@ -85,7 +85,8 @@ pub fn matryoshka(
                     .promote(&ctx2)
                     .map(move |nbr| (*nbr, d))
                     .with_record_bytes(msg_bytes);
-                let new_visited = visited.union(&candidates).reduce_by_key(|a, b| *a.min(b));
+                let new_visited =
+                    visited.union(&candidates).reduce_by_key(|a, b| *a = (*a).min(*b));
                 let new_frontier = new_visited.filter(move |&(_, dist)| dist == d).map(|&(v, _)| v);
                 let cond = new_frontier.count().map(|c| *c > 0);
                 Ok(((new_visited, new_frontier), cond))
@@ -93,9 +94,9 @@ pub fn matryoshka(
             Some(max_depth),
         )?;
         // Sum of distances per (component, source), demoted to per-component.
-        let per_source = visited.map(|&(_, dist)| dist).fold(0u64, |a, x| a + x, |a, b| a + b);
+        let per_source = visited.map(|&(_, dist)| dist).fold(0u64, |a, x| a + x, |a, b| *a += b);
         let per_comp =
-            per_source.demote(&ctx1).map(|&(_, s)| s).fold(0u64, |a, x| a + x, |a, b| a + b);
+            per_source.demote(&ctx1).map(|&(_, s)| s).fold(0u64, |a, x| a + x, |a, b| *a += b);
         Ok(per_comp.zip_with(&n, |total, n| {
             if *n <= 1 {
                 0.0

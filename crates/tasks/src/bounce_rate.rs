@@ -27,7 +27,7 @@ pub fn matryoshka(
 ) -> Result<BounceRates> {
     let per_day = group_by_key_into_nested_bag(engine, visits, config)?;
     let rates = per_day.map_with_lifted_udf(|_day, group| {
-        let counts_per_ip = group.map(|ip| (*ip, 1u64)).reduce_by_key(|a, b| a + b);
+        let counts_per_ip = group.map(|ip| (*ip, 1u64)).reduce_by_key(|a, b| *a += b);
         let num_bounces = counts_per_ip.filter(|(_, c)| *c == 1).count();
         let num_visitors = group.distinct().count();
         num_bounces.zip_with(

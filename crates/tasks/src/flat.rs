@@ -75,9 +75,7 @@ pub fn kmeans(
                 let c = nearest_centroid(bc.value(), p);
                 (c, (p.clone(), 1u64))
             })
-            .reduce_by_key_partials(points.num_partitions(), 128.0, |(pa, ca), (pb, cb)| {
-                (pa.iter().zip(pb).map(|(a, b)| a + b).collect(), ca + cb)
-            })
+            .reduce_by_key_partials(points.num_partitions(), 128.0, crate::kmeans::add_partial)
             .collect()?; // one job per iteration
         let mut shift: f64 = 0.0;
         for (c, (sum, count)) in sums {

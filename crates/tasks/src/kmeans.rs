@@ -26,8 +26,12 @@ fn sort(mut v: KmeansResult) -> KmeansResult {
 /// data-scaled.
 const CENTROID_PARTIAL_BYTES: f64 = 128.0;
 
-fn add_points(a: &Point, b: &Point) -> Point {
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
+/// Fold one partial sum `(point, count)` into another in place.
+pub(crate) fn add_partial((sum, n): &mut (Point, u64), (p, m): &(Point, u64)) {
+    for (x, y) in sum.iter_mut().zip(p) {
+        *x += y;
+    }
+    *n += m;
 }
 
 fn max_shift(new: &[Point], old: &[Point]) -> f64 {
@@ -64,10 +68,7 @@ pub fn matryoshka(
             let assigns = centers.cross_with_bag(&points_for_loop, |_t, cs, p| {
                 Some((nearest_centroid(cs, p), (p.clone(), 1u64)))
             })?;
-            let sums = assigns
-                .reduce_by_key_partials(CENTROID_PARTIAL_BYTES, |(pa, ca), (pb, cb)| {
-                    (add_points(pa, pb), ca + cb)
-                });
+            let sums = assigns.reduce_by_key_partials(CENTROID_PARTIAL_BYTES, add_partial);
             let moved = sums.map(|(c, (sum, count))| {
                 (*c, sum.iter().map(|s| s / *count as f64).collect::<Point>())
             });
@@ -91,7 +92,7 @@ pub fn matryoshka(
             let c = nearest_centroid(cs, p);
             Some(cs[c].iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum::<f64>())
         })?
-        .fold(0.0f64, |a, x| a + x, |a, b| a + b);
+        .fold(0.0f64, |a, x| a + x, |a, b| *a += b);
     let out = final_centers.zip_with(&costs, |cs, cost| (cs.clone(), *cost));
     Ok(sort(out.collect()?))
 }
@@ -172,10 +173,7 @@ pub fn matryoshka_grouped(
             move |centers: &InnerScalar<u32, Vec<Point>>| {
                 let assigns = points
                     .map_with_scalar(centers, |p, cs| (nearest_centroid(cs, p), (p.clone(), 1u64)));
-                let sums = assigns
-                    .reduce_by_key_partials(CENTROID_PARTIAL_BYTES, |(pa, ca), (pb, cb)| {
-                        (add_points(pa, pb), ca + cb)
-                    });
+                let sums = assigns.reduce_by_key_partials(CENTROID_PARTIAL_BYTES, add_partial);
                 let moved = sums.map(|(c, (sum, count))| {
                     (*c, sum.iter().map(|s| s / *count as f64).collect::<Point>())
                 });
@@ -199,7 +197,7 @@ pub fn matryoshka_grouped(
                 let c = nearest_centroid(cs, p);
                 cs[c].iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum::<f64>()
             })
-            .fold(0.0f64, |a, x| a + x, |a, b| a + b);
+            .fold(0.0f64, |a, x| a + x, |a, b| *a += b);
         Ok(final_centers.zip_with(&costs, |cs, cost| (cs.clone(), *cost)))
     })?;
     Ok(sort(out.collect()?))

@@ -47,8 +47,10 @@ pub fn matryoshka(
         if per_group_scalar_bytes > 0.0 {
             n = n.with_record_bytes(per_group_scalar_bytes);
         }
-        let out_deg =
-            edges.map(|&(s, _)| (s, 1u64)).with_record_bytes(msg_bytes).reduce_by_key(|a, b| a + b);
+        let out_deg = edges
+            .map(|&(s, _)| (s, 1u64))
+            .with_record_bytes(msg_bytes)
+            .reduce_by_key(|a, b| *a += b);
         // The initWeight closure of Sec. 5: 1/n reaches every vertex via a
         // tag join (mapWithClosure).
         let init = vertices.map_with_scalar(&n, |v, n| (*v, 1.0 / *n as f64));
@@ -68,10 +70,10 @@ pub fn matryoshka(
                     .map(|&(_, ((rank, deg), dst))| (dst, rank / deg as f64))
                     .with_record_bytes(msg_bytes);
                 let sums =
-                    contribs.union(&vertices2.map(|v| (*v, 0.0f64))).reduce_by_key(|a, b| a + b);
+                    contribs.union(&vertices2.map(|v| (*v, 0.0f64))).reduce_by_key(|a, b| *a += b);
                 // Per-group dangling mass: 1 - mass that flowed along edges.
                 let flowed =
-                    with_deg.map(|(_, (rank, _))| *rank).fold(0.0f64, |a, r| a + r, |a, b| a + b);
+                    with_deg.map(|(_, (rank, _))| *rank).fold(0.0f64, |a, r| a + r, |a, b| *a += b);
                 let mut base = flowed.zip_with(&n2, move |f, n| {
                     let dangling = (1.0 - f).max(0.0);
                     (1.0 - damping) / *n as f64 + damping * dangling / *n as f64
@@ -85,7 +87,7 @@ pub fn matryoshka(
                 let delta = new_ranks.join(ranks).map(|(_, (a, b))| (a - b).abs()).fold(
                     0.0f64,
                     |m, d| m.max(*d),
-                    |a, b| a.max(*b),
+                    |a, b| *a = a.max(*b),
                 );
                 let mut cond = delta.map(move |d| *d > epsilon);
                 if per_group_scalar_bytes > 0.0 {

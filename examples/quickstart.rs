@@ -34,7 +34,7 @@ fn main() {
     let rates = per_day.map_with_lifted_udf(|_day, group| {
         // Everything in here is a *lifted* operation: it processes all 32
         // days' groups simultaneously, in a constant number of flat jobs.
-        let counts_per_ip = group.map(|ip| (*ip, 1u64)).reduce_by_key(|a, b| a + b);
+        let counts_per_ip = group.map(|ip| (*ip, 1u64)).reduce_by_key(|a, b| *a += b);
         let num_bounces = counts_per_ip.filter(|(_, c)| *c == 1).count();
         let num_visitors = group.distinct().count();
         num_bounces.zip_with(&num_visitors, |b, v| *b as f64 / *v as f64)

@@ -117,7 +117,9 @@ echo "== deleted switches stay deleted"
 # (no second copy in the tasks crate, no CLI switch for it); a leaf UDF's
 # captures come from one walk (no memo beside it), a lifted loop's state is
 # core's inner bag (no enum of its own), the purity gate is one walk (no
-# per-fact walkers beside it), and no strategy enum outlives its callers.
+# per-fact walkers beside it), and no strategy enum outlives its callers;
+# a K-means partial sum is added into its accumulator in place (no helper
+# that builds a new point per merge).
 # The patterns are split so this file does not match itself; the set
 # operators are matched by definition, which misses std's
 # `HashSet::intersection` and the word "subtracts".
@@ -137,9 +139,19 @@ if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace
   -e 'no''_cell|Udf''Summary|ir''_programs|--built''in' \
   -e 'captures''_memo|Cached''Captures|enum Lif''ted\b|enum Stra''tegy\b' \
   -e 'contains''_barrier|contains_lifted''_udf|lambdas''_pure' \
+  -e 'add''_points' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2
+  exit 1
+fi
+# A combine is written once: `ops_wide::merge`, whose combiner folds in
+# place (`Fn(&mut V, &V)`). `reduce_by_key`'s by-value closure is a one-line
+# adapter onto it, so no second merge function sits beside it in the engine.
+if grep -rnE 'fn [a-z_]*mer''ge' crates/engine/src/bag \
+    | grep -vE '^crates/engine/src/bag/ops_wide\.rs:[0-9]+:fn mer''ge<K: Key, V: Data>\($' \
+  || [ "$(grep -cF 'f: &impl Fn(&mut V, &V),' crates/engine/src/bag/ops_wide.rs)" != 1 ]; then
+  echo "a second merge function, or a by-value one, is back in crates/engine/src/bag (see above)" >&2
   exit 1
 fi
 # A shuffle is written once: only `bag/shuffle.rs` charges, places or

@@ -83,7 +83,7 @@ fn lifted_pipeline_matches_per_group_oracle() {
         let nested = group_by_key_into_nested_bag(&e, &bag, MatryoshkaConfig::optimized()).unwrap();
         let result = nested.map_with_lifted_udf(|_k, group| {
             let mapped = group.map(|v| v * 3 + 1).filter(|v| v % 2 != 0);
-            let sum = mapped.fold(0i64, |a, v| a + v, |a, b| a + b);
+            let sum = mapped.fold(0i64, |a, v| a + v, |a, b| *a += b);
             let count = mapped.count();
             sum.zip_with(&count, |s, c| (*s, *c))
         });
@@ -133,7 +133,7 @@ fn lifted_reduce_by_key_respects_tags() {
         let bag = e.parallelize(pairs, 4);
         let nested = group_by_key_into_nested_bag(&e, &bag, MatryoshkaConfig::optimized()).unwrap();
         let got = nested
-            .map_with_lifted_udf(|_t, group| group.reduce_by_key(|a, b| a + b))
+            .map_with_lifted_udf(|_t, group| group.reduce_by_key(|a, b| *a += b))
             .collect()
             .unwrap();
         assert_eq!(got.len(), expect.len(), "seed {seed}");
