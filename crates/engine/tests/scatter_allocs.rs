@@ -69,19 +69,21 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
 }
 
 const RECORDS: u64 = 10_000; // above the pooled-hashing threshold
+/// Enough records per bucket that a multi-core host places them in runs.
+const PLACED_IN_RUNS: u64 = 100_000;
 const INPUTS: usize = 1_200; // the paper's 25 × 16 cluster, 3 partitions per core
 const OUTPUTS: usize = 1_200;
 
 /// The bound is in inputs + outputs (one destination vector per non-empty
-/// input, one bucket per non-empty output, a handful for the pool dispatch;
-/// the engine run adds one `Vec` + one `Arc` per partition on each side of
-/// the shuffle), with slack for the harness — two orders of magnitude under
-/// inputs × outputs.
+/// input, one bucket per non-empty output, a handful for the pool dispatch
+/// and per placement run; the engine run adds one `Vec` + one `Arc` per
+/// partition on each side of the shuffle), with slack for the harness — two
+/// orders of magnitude under inputs × outputs.
 const BOUND: usize = 10_000;
 
-fn inputs() -> Vec<Vec<(u64, u64)>> {
+fn inputs(records: u64) -> Vec<Vec<(u64, u64)>> {
     let mut parts: Vec<Vec<(u64, u64)>> = vec![Vec::new(); INPUTS];
-    for i in 0..RECORDS {
+    for i in 0..records {
         parts[i as usize % INPUTS].push((i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i));
     }
     parts
@@ -90,23 +92,26 @@ fn inputs() -> Vec<Vec<(u64, u64)>> {
 #[test]
 fn a_shuffle_allocates_per_partition_not_per_partition_pair() {
     let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    // Warm-up: start the pool's workers and fault in whatever is lazy.
-    let warm = scatter_by_key(inputs(), OUTPUTS, |r| &r.0);
-    assert_eq!(warm.iter().map(Vec::len).sum::<usize>(), RECORDS as usize);
+    for records in [RECORDS, PLACED_IN_RUNS] {
+        // Warm-up: start the pool's workers and fault in whatever is lazy.
+        let warm = scatter_by_key(inputs(records), OUTPUTS, |r| &r.0);
+        assert_eq!(warm.iter().map(Vec::len).sum::<usize>(), records as usize);
 
-    let shared: Vec<Arc<Vec<(u64, u64)>>> = inputs().into_iter().map(Arc::new).collect();
-    let (cloning, out) = allocations_during(|| scatter_shared_by_key(&shared, OUTPUTS, |r| &r.0));
-    assert_eq!(out, warm, "both entry points build the same buckets");
-    assert!(cloning < BOUND, "scatter_shared_by_key: {cloning} allocations, want < {BOUND}");
+        let shared: Vec<Arc<Vec<(u64, u64)>>> = inputs(records).into_iter().map(Arc::new).collect();
+        let (cloning, out) =
+            allocations_during(|| scatter_shared_by_key(&shared, OUTPUTS, |r| &r.0));
+        assert_eq!(out, warm, "both entry points build the same buckets");
+        assert!(cloning < BOUND, "{records}: {cloning} allocations to clone, want < {BOUND}");
 
-    let owned = inputs();
-    let (moving, out) = allocations_during(|| scatter_by_key(owned, OUTPUTS, |r| &r.0));
-    assert_eq!(out, warm);
-    assert!(moving < BOUND, "scatter_by_key: {moving} allocations, want < {BOUND}");
+        let owned = inputs(records);
+        let (moving, out) = allocations_during(|| scatter_by_key(owned, OUTPUTS, |r| &r.0));
+        assert_eq!(out, warm);
+        assert!(moving < BOUND, "{records}: {moving} allocations to move, want < {BOUND}");
+    }
 
     // The same shuffle through the engine, base partitions included.
     let engine = Engine::new(ClusterConfig::local_test());
-    let data: Vec<(u64, u64)> = inputs().into_iter().flatten().collect();
+    let data: Vec<(u64, u64)> = inputs(RECORDS).into_iter().flatten().collect();
     let (through_engine, count) = allocations_during(|| {
         engine.parallelize(data, INPUTS).partition_by_key(OUTPUTS + 1).count().unwrap()
     });

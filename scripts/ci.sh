@@ -68,7 +68,10 @@ echo "== sanitizers (best effort: miri, then TSan, else skip)"
 # The container has no network, so missing toolchain components (miri,
 # rust-src for -Zbuild-std) cannot be installed on the fly; skip cleanly.
 # The filter covers the engine pool/fusion/partitioner tests (the scatter's
-# hashing pass borrows the inputs across the pool's lifetime-erased runner)
+# hashing pass borrows the inputs across the pool's lifetime-erased runner;
+# its placement runs write disjoint sub-slices of every bucket's spare
+# capacity before the one `set_len`, and a clone that panics midway leaks
+# what was written instead of dropping it twice)
 # and the wide operators' and their shuffle's (a map side drives a chain on
 # that same runner; a chain head hands each partition's input out of a
 # per-partition slot; a broadcast join's table is probed by every task; a
@@ -179,6 +182,26 @@ fi
 if grep -rn 'available_parallelism' crates/*/src src \
     | grep -vE '^crates/engine/src/pool\.rs:[0-9]+: .*get_or_init\(\|\| std::thread::available_parallelism\('; then
   echo "the host's parallelism is read outside its one cached site in pool.rs (see above)" >&2
+  exit 1
+fi
+# Placement is the engine's own SipHash-1-3 (`partitioner.rs`), pinned to
+# fixed values, so no toolchain's `DefaultHasher` can move it: std's hasher
+# is named in code only as the test oracle at the end of `partitioner.rs`.
+# And the engine's one `unsafe` outside the pool is the scatter's `set_len`.
+# Comment lines are skipped.
+oracle_from="$(grep -n '^#\[cfg(test)\]' crates/engine/src/partitioner.rs | head -1 | cut -d: -f1)"
+if grep -rn 'DefaultHasher' crates/*/src \
+    | grep -vE '^[^:]+:[0-9]+: *//' \
+    | awk -F: -v from="$oracle_from" '!($1 == "crates/engine/src/partitioner.rs" && $2 > from)' \
+    | grep .; then
+  echo "std's DefaultHasher is named outside the partitioner's test oracle (see above)" >&2
+  exit 1
+fi
+if grep -rnw 'unsafe' crates/engine/src --exclude=pool.rs \
+    | grep -vE '^[^:]+:[0-9]+: *//' \
+    | grep -vE '^crates/engine/src/partitioner\.rs:[0-9]+: +unsafe \{ bucket\.set_len\(n\) \};$' \
+  || [ "$(grep -cF 'unsafe { bucket.set_len(n) };' crates/engine/src/partitioner.rs)" != 1 ]; then
+  echo "unsafe code in crates/engine/src outside pool.rs and the scatter's set_len (see above)" >&2
   exit 1
 fi
 # A `Value` tuple is one heap object, `Arc<[Value]>`. Code only:
