@@ -62,7 +62,8 @@ impl<T: Key, E: Data> InnerBag<T, E> {
     {
         InnerBag {
             repr: self.repr.flat_map(move |(t, e)| {
-                f(e).into_iter().map(|u| (t.clone(), u)).collect::<Vec<_>>()
+                let t = t.clone();
+                f(e).into_iter().map(move |u| (t.clone(), u))
             }),
             ctx: self.ctx.clone(),
         }

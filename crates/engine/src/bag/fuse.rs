@@ -12,7 +12,9 @@
 //! whole [`Batch`]. Mid-chain batches are owned `Vec`s handed from step to
 //! step, so `into_iter().collect()` reuses the allocation in place where
 //! layouts allow, record clones are elided (ownership moves), and no elided
-//! middle becomes a cached partition set. A chain ends where a node is
+//! middle becomes a cached partition set. Per partition a pass allocates its
+//! output and nothing else: the outputs become the node's one partition set
+//! ([`Parts`]) as they are. A chain ends where a node is
 //! evaluated ([`run_chain`]) or at the map side of the next wide operator
 //! (`shuffle::Shuffle::read`), which runs it in its own pass, combine
 //! included. `with_record_bytes` is metadata: its chain is its parent's. A
@@ -28,7 +30,9 @@
 //! # Sim-transparency invariant
 //!
 //! Chain length changes *wall-clock* execution only. The pass records the
-//! size of every batch an operator reads, per partition, and then issues one
+//! size of every batch an operator reads, per partition — the head's input,
+//! then each intermediate batch in the partition's row of one size table
+//! for the whole pass ([`Row`]), then the output — and issues one
 //! `charge_compute` call per operator: source-first, per-partition counts
 //! read off the operator's two boundaries by its [`ChargeRule`], the
 //! operator's own record size and attribution, and task overhead for a head
@@ -73,9 +77,10 @@
 //! for the chain *shape* — per-iteration cost stays O(chain length) closure
 //! allocations with zero leaked memory after the first iteration.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use super::{to_parts, Bag, Partitioning, Parts};
+use super::{Bag, PartSet, Partitioning, Parts};
 use crate::error::Result;
 use crate::pool::parallel_map_range;
 use crate::trace::{EngineEvent, Rule};
@@ -168,8 +173,8 @@ impl<T: Clone> Batch<'_, T> {
 /// input, a probe's left partition): a materialized partition it reads in
 /// place, or records it owns.
 pub(crate) enum Part<T> {
-    /// A materialized partition, shared.
-    Shared(Arc<Vec<T>>),
+    /// A materialized partition, shared: its set and its index there.
+    Shared(PartSet<T>, usize),
     /// Records this head owns.
     Owned(Vec<T>),
 }
@@ -178,7 +183,7 @@ impl<T> Part<T> {
     /// The records.
     pub(crate) fn as_slice(&self) -> &[T] {
         match self {
-            Part::Shared(p) => p,
+            Part::Shared(set, i) => &set[*i],
             Part::Owned(v) => v,
         }
     }
@@ -187,7 +192,7 @@ impl<T> Part<T> {
     /// when owned.
     pub(crate) fn read<R>(self, f: impl FnOnce(Batch<'_, T>) -> R) -> R {
         match self {
-            Part::Shared(p) => f(Batch::Shared(&p)),
+            Part::Shared(set, i) => f(Batch::Shared(&set[i])),
             Part::Owned(v) => f(Batch::Owned(v)),
         }
     }
@@ -202,12 +207,27 @@ impl<T> Part<T> {
 /// monomorphized code.
 pub(crate) type Step<I, O> = Arc<dyn Fn(usize, Batch<'_, I>) -> Vec<O> + Send + Sync>;
 
-/// Drives one partition of an assembled chain from its head, pushing the
-/// size of every *intermediate* batch (source-first), so each operator's
-/// input and output counts can be read off afterwards. A chain of one has no
-/// intermediates and pushes nothing.
+/// One partition's row of a pass's size table: the size of every
+/// *intermediate* batch of the chain, source-first, written in order. A
+/// chain of one has no intermediates and an empty row.
+pub(crate) struct Row<'a> {
+    cells: &'a [AtomicUsize],
+    written: usize,
+}
+
+impl Row<'_> {
+    /// Record the size of the next intermediate batch.
+    fn push(&mut self, len: usize) {
+        self.cells[self.written].store(len, Ordering::Relaxed);
+        self.written += 1;
+    }
+}
+
+/// Drives one partition of an assembled chain from its head, writing the
+/// size of every intermediate batch into the partition's [`Row`], so each
+/// operator's input and output counts can be read off afterwards.
 pub(crate) trait Drive<T>: Send + Sync {
-    fn drive(&self, pi: usize, mids: &mut Vec<usize>) -> Batch<'_, T>;
+    fn drive(&self, pi: usize, row: &mut Row<'_>) -> Batch<'_, T>;
 
     /// The partitions of a chain of no operators, read as they are.
     fn parts(&self) -> Option<&Parts<T>> {
@@ -220,7 +240,7 @@ pub(crate) trait Drive<T>: Send + Sync {
 struct Materialized<T>(Parts<T>);
 
 impl<T: Data> Drive<T> for Materialized<T> {
-    fn drive(&self, pi: usize, _: &mut Vec<usize>) -> Batch<'_, T> {
+    fn drive(&self, pi: usize, _: &mut Row<'_>) -> Batch<'_, T> {
         Batch::Shared(&self.0[pi])
     }
 
@@ -238,10 +258,10 @@ struct Extend<P, T> {
 }
 
 impl<P: Data, T: Data> Drive<T> for Extend<P, T> {
-    fn drive(&self, pi: usize, mids: &mut Vec<usize>) -> Batch<'_, T> {
-        let input = self.upstream.drive(pi, mids);
+    fn drive(&self, pi: usize, row: &mut Row<'_>) -> Batch<'_, T> {
+        let input = self.upstream.drive(pi, row);
         if !self.first {
-            mids.push(input.as_slice().len());
+            row.push(input.as_slice().len());
         }
         Batch::Owned((self.step)(pi, input))
     }
@@ -256,14 +276,16 @@ struct Headed<X, F> {
 }
 
 impl<X: Send, O: Data, F: Fn(X) -> (Vec<O>, usize) + Send + Sync> Drive<O> for Headed<X, F> {
-    fn drive(&self, pi: usize, mids: &mut Vec<usize>) -> Batch<'_, O> {
+    fn drive(&self, pi: usize, row: &mut Row<'_>) -> Batch<'_, O> {
         let taken = self.slots[pi].lock().expect("partition slot lock poisoned").take();
         let (out, own) = (self.step)(taken.expect("a partition is driven once"));
         // The followers the head absorbed (a join's) read its own count
         // first, then the final one.
         if self.ops > 1 {
-            mids.push(own);
-            mids.resize(self.ops - 1, out.len());
+            row.push(own);
+            for _ in 2..self.ops {
+                row.push(out.len());
+            }
         }
         Batch::Owned(out)
     }
@@ -300,7 +322,7 @@ pub(super) fn chain<T: Data>(parent: &Bag<T>) -> Result<Assembled<T>> {
         return (hook.assemble)();
     }
     let parts = parent.eval()?;
-    let base_counts = parts.iter().map(|p| p.len()).collect();
+    let base_counts = parts.iter().map(Vec::len).collect();
     Ok(Assembled { metas: Vec::new(), base_counts, drive: Box::new(Materialized(parts)) })
 }
 
@@ -373,13 +395,13 @@ fn run_chain<T: Data>(
     fused_name: &OnceLock<&'static str>,
 ) -> Result<Parts<T>> {
     if let Some(parts) = assembled.drive.parts() {
-        return Ok(Arc::clone(parts));
+        return Ok(parts.clone());
     }
     let (out, composite) = pass(engine, assembled, None)?;
     if let Some(composite) = composite {
         fused_name.get_or_init(|| composite);
     }
-    Ok(to_parts(out))
+    Ok(Parts::new(out))
 }
 
 /// A wide operator's map-side combine as the last step of a pass: its
@@ -389,6 +411,10 @@ pub(super) type Tail<'a, T> = (FusedOpMeta, &'a (dyn Fn(Batch<'_, T>) -> Vec<T> 
 /// Run a chain's operators, then `tail` if any, as one pass — one pool
 /// dispatch — and [`settle`] it; returns each partition's output and the
 /// composite name of a fusion.
+///
+/// The sizes of the intermediate batches go into one table for the whole
+/// pass, a [`Row`] of `ops - 1` cells per partition, so that what a pass
+/// allocates per partition is its output and nothing else.
 pub(super) fn pass<T: Data>(
     engine: &Engine,
     chain: Assembled<T>,
@@ -397,30 +423,35 @@ pub(super) fn pass<T: Data>(
     let Assembled { mut metas, base_counts, drive } = chain;
     let partitions = base_counts.len();
     let (chained, ops) = (!metas.is_empty(), metas.len() + usize::from(tail.is_some()));
-    let per_part: Vec<(Vec<T>, Vec<usize>)> = parallel_map_range(partitions, |pi| {
-        let mut mids = Vec::with_capacity(ops - 1);
-        let out = drive.drive(pi, &mut mids);
-        let out = match tail {
+    let width = ops - 1;
+    let table: Vec<AtomicUsize> = (0..partitions * width).map(|_| AtomicUsize::new(0)).collect();
+    let out: Vec<Vec<T>> = parallel_map_range(partitions, |pi| {
+        let mut row = Row { cells: &table[pi * width..][..width], written: 0 };
+        let out = drive.drive(pi, &mut row);
+        match tail {
             Some((_, step)) => {
                 if chained {
-                    mids.push(out.as_slice().len());
+                    row.push(out.as_slice().len());
                 }
                 step(out)
             }
             // The last operator's output: always owned.
             None => out.into_vec(),
-        };
-        (out, mids)
+        }
     });
+    // The cells publish nothing else, and a pool call returns only once every
+    // item has completed (its output slots rely on the same), so `Relaxed`
+    // stores are all read here.
+    let table: Vec<usize> = table.into_iter().map(AtomicUsize::into_inner).collect();
     metas.extend(tail.map(|(meta, _)| meta));
     // Boundary 0 is the head's input and boundary `ops` the final output.
     let boundary = |pi: usize, j: usize| match j {
         0 => base_counts[pi],
-        j if j == ops => per_part[pi].0.len(),
-        j => per_part[pi].1[j - 1],
+        j if j == ops => out[pi].len(),
+        j => table[pi * width + j - 1],
     };
     let composite = settle(engine, &metas, partitions, boundary)?;
-    Ok((per_part.into_iter().map(|(out, _)| out).collect(), composite))
+    Ok((out, composite))
 }
 
 /// Settle a pass that ran `metas` (source-first) over `partitions`
@@ -528,7 +559,7 @@ mod tests {
         assert_eq!(shared.as_slice(), &[1, 2, 3]);
         let owned: Batch<'_, u32> = Batch::Owned(v.clone());
         assert_eq!(owned.as_slice(), &[1, 2, 3]);
-        let part = Part::Shared(Arc::new(v));
+        let part = Part::Shared(Arc::new(vec![v]), 0);
         assert_eq!(part.as_slice(), &[1, 2, 3]);
         assert!(part.read(|b| matches!(b, Batch::Shared(_))));
     }

@@ -6,6 +6,12 @@
 //! evaluates the lineage. Evaluated nodes memoize their partitions (as if
 //! every RDD were cached), so iterative programs do not recompute their
 //! history and simulated costs are charged exactly once per operator.
+//!
+//! Memoized partitions are shared as [`Parts`]: one partition set per pass
+//! (its partitions' `Vec`s in one shared allocation), read by a chain head
+//! through a (set, index) handle, and listed, not copied, by a `union`.
+//! Dropping a node's lineage frees each partition's records and one set per
+//! pass.
 
 mod actions;
 mod fuse;
@@ -43,22 +49,72 @@ use crate::trace::EngineEvent;
 use crate::types::Data;
 use crate::Engine;
 
-/// Evaluated partitions: cheap to clone and share across lineage.
-pub(crate) type Parts<T> = Arc<Vec<Arc<Vec<T>>>>;
+/// One pass's output partitions: every partition's records in its own
+/// `Vec`, the headers side by side in one shared allocation.
+pub(crate) type PartSet<T> = Arc<Vec<Vec<T>>>;
 
-/// Wrap raw partition vectors. Every empty partition of the set shares one
-/// `Arc`, so an empty partition costs no allocation here and no free when
-/// the lineage drops (a lifted operator over many tags leaves many empty).
-pub(crate) fn to_parts<T>(parts: Vec<Vec<T>>) -> Parts<T> {
-    let mut empty: Option<Arc<Vec<T>>> = None;
-    let parts = parts.into_iter().map(|p| {
-        if p.is_empty() {
-            Arc::clone(empty.get_or_insert_with(|| Arc::new(Vec::new())))
-        } else {
-            Arc::new(p)
-        }
-    });
-    Arc::new(parts.collect())
+/// Evaluated partitions, cheap to clone and share across lineage: the
+/// partition sets they are made of, in order, each with the index of its
+/// first partition. A pass's output is one set, so its only per-partition
+/// allocations are its partitions' records (an empty partition has none); a
+/// `union` lists its parents' sets and copies no partition.
+pub(crate) struct Parts<T> {
+    sets: Arc<[(usize, PartSet<T>)]>,
+}
+
+impl<T> Clone for Parts<T> {
+    fn clone(&self) -> Self {
+        Parts { sets: Arc::clone(&self.sets) }
+    }
+}
+
+impl<T> Parts<T> {
+    /// One pass's output partitions, as one set.
+    pub(crate) fn new(parts: Vec<Vec<T>>) -> Self {
+        Parts { sets: std::iter::once((0, Arc::new(parts))).collect() }
+    }
+
+    /// `a`'s partitions, then `b`'s: both lists of sets, one after the other.
+    fn union(a: &Parts<T>, b: &Parts<T>) -> Self {
+        let offset = a.len();
+        let later = b.sets.iter().map(|(start, set)| (offset + start, Arc::clone(set)));
+        Parts { sets: a.sets.iter().cloned().chain(later).collect() }
+    }
+
+    /// Number of partitions.
+    pub(crate) fn len(&self) -> usize {
+        self.sets.last().map_or(0, |(start, set)| start + set.len())
+    }
+
+    /// Every partition, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Vec<T>> + '_ {
+        self.sets.iter().flat_map(|(_, set)| set.iter())
+    }
+
+    /// Every partition, in order, as a chain head's handle on it: its set and
+    /// its index there.
+    pub(crate) fn shared(&self) -> impl Iterator<Item = fuse::Part<T>> + '_ {
+        (self.sets.iter())
+            .flat_map(|(_, set)| (0..set.len()).map(|i| fuse::Part::Shared(Arc::clone(set), i)))
+    }
+
+    /// Whether `other` is a clone of these partitions: the same evaluation's.
+    pub(crate) fn same(&self, other: &Parts<T>) -> bool {
+        Arc::ptr_eq(&self.sets, &other.sets)
+    }
+}
+
+impl<T> std::ops::Index<usize> for Parts<T> {
+    type Output = Vec<T>;
+
+    /// Partition `pi`.
+    fn index(&self, pi: usize) -> &Vec<T> {
+        let (start, set) = match &*self.sets {
+            [one] => one,
+            sets => &sets[sets.partition_point(|(start, _)| *start <= pi) - 1],
+        };
+        &set[pi - start]
+    }
 }
 
 pub(crate) struct Node<T> {
@@ -215,7 +271,7 @@ impl<T: Data> Bag<T> {
         init: impl FnOnce() -> X,
     ) -> Option<Arc<X>> {
         match self.node.cache.get() {
-            Some(Ok(memo)) if Arc::ptr_eq(memo, parts) => {}
+            Some(Ok(memo)) if memo.same(parts) => {}
             _ => return None,
         }
         let kept = self.node.kept.get_or_init(|| Arc::new(init()));
@@ -271,7 +327,7 @@ impl<T: Data> Bag<T> {
 
     /// Explicitly mark this bag for reuse: evaluate the parent once and
     /// share its partitions with every consumer (zero-copy — `Parts` is an
-    /// `Arc` of `Arc`ed partitions, like Spark's `cache()` without the
+    /// `Arc` of shared partition sets, like Spark's `cache()` without the
     /// storage-level bookkeeping).
     ///
     /// The node charges nothing of its own (memoization already makes every
@@ -450,9 +506,9 @@ mod tests {
         assert_eq!(c.num_partitions(), b.num_partitions());
         assert_eq!(c.record_bytes(), b.record_bytes());
         assert_eq!(c.collect().unwrap(), b.collect().unwrap());
-        // Zero-copy: the cache node's partitions are the parent's Arcs.
+        // Zero-copy: the cache node's partitions are the parent's.
         let (cp, bp) = (c.eval().unwrap(), b.eval().unwrap());
-        assert!(cp.iter().zip(bp.iter()).all(|(a, b)| std::sync::Arc::ptr_eq(a, b)));
+        assert!(cp.same(&bp) && cp.iter().zip(bp.iter()).all(|(a, b)| std::ptr::eq(a, b)));
     }
 
     #[test]
@@ -480,17 +536,32 @@ mod tests {
         );
     }
 
-    /// A set's empty partitions are one shared `Arc`: an empty partition
-    /// allocates nothing, and the non-empty ones keep their own.
+    /// A pass's partitions are one set: each partition keeps the buffer the
+    /// pass filled (an empty one has none), and a union lists its parents'
+    /// sets, so every partition it reads is the one its parent holds.
     #[test]
-    fn a_partition_sets_empty_partitions_share_one_allocation() {
-        use std::sync::Arc;
-        let parts = super::to_parts(vec![vec![], vec![1u32], vec![], vec![2, 3], vec![]]);
-        assert_eq!(parts.iter().map(|p| p.len()).collect::<Vec<_>>(), [0, 1, 0, 2, 0]);
-        assert!(Arc::ptr_eq(&parts[0], &parts[2]) && Arc::ptr_eq(&parts[2], &parts[4]));
-        assert!(!Arc::ptr_eq(&parts[1], &parts[3]));
-        let other = super::to_parts(vec![Vec::<u32>::new()]);
-        assert!(!Arc::ptr_eq(&parts[0], &other[0]), "one shared empty per partition set");
+    fn a_partition_set_keeps_its_buffers_and_a_union_shares_them() {
+        use super::Parts;
+        let (a, b) = (vec![vec![], vec![1u32], vec![], vec![2, 3], vec![]], vec![vec![4u32]]);
+        let buffers: Vec<*const u32> = a.iter().chain(&b).map(|p| p.as_ptr()).collect();
+        let (a, b) = (Parts::new(a), Parts::new(b));
+        assert_eq!(a.iter().map(|p| p.len()).collect::<Vec<_>>(), [0, 1, 0, 2, 0]);
+        assert!(
+            a.iter().all(|p| !p.is_empty() || p.capacity() == 0),
+            "an empty partition allocates"
+        );
+        let u = Parts::union(&Parts::union(&a, &b), &a);
+        assert_eq!(u.len(), 11);
+        assert_eq!(
+            (0..u.len()).map(|pi| u[pi].len()).collect::<Vec<_>>(),
+            [0, 1, 0, 2, 0, 1, 0, 1, 0, 2, 0]
+        );
+        let read: Vec<*const u32> = u.iter().map(|p| p.as_ptr()).collect();
+        assert_eq!(read[..6], buffers[..], "a union copies no partition");
+        assert!((0..u.len()).all(|pi| std::ptr::eq(&u[pi], u.iter().nth(pi).unwrap())));
+        let handles: Vec<_> = u.shared().map(|p| p.as_slice().as_ptr()).collect();
+        assert_eq!(handles, read, "a handle reads its partition in place");
+        assert!(a.same(&a.clone()) && !u.same(&Parts::union(&a, &b)));
     }
 
     #[test]

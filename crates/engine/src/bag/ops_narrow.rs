@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use super::fuse::{fusible, Batch, ChargeRule, Step};
-use super::{to_parts, Bag, Partitioning};
+use super::{Bag, Partitioning, Parts};
 use crate::pool::parallel_map_range;
 use crate::types::Data;
 
@@ -91,11 +91,11 @@ impl<T: Data> Bag<T> {
             let per_record = engine.record_cost(bytes);
             let task_costs: Vec<crate::SimTime> =
                 computed.iter().map(|(_, work, _)| per_record * *work).collect();
-            let working_sets: Vec<u64> = computed.iter().map(|(_, _, mem)| *mem).collect();
-            engine.charge_memory("map_with_work", &working_sets)?;
+            let mut working_sets: Vec<u64> = computed.iter().map(|(_, _, mem)| *mem).collect();
+            engine.charge_memory("map_with_work", &mut working_sets)?;
             let records = computed.iter().map(|(o, _, _)| o.len() as u64).sum();
             engine.charge_weighted(&task_costs, records, false)?;
-            Ok(to_parts(computed.into_iter().map(|(o, _, _)| o).collect()))
+            Ok(Parts::new(computed.into_iter().map(|(o, _, _)| o).collect()))
         })
     }
 
@@ -152,7 +152,8 @@ impl<T: Data> Bag<T> {
         )
     }
 
-    /// Concatenate two bags (free metadata operation, like Spark `union`).
+    /// Concatenate two bags (free metadata operation, like Spark `union`):
+    /// the output lists both parents' partition sets, and copies none.
     pub fn union(&self, other: &Bag<T>) -> Bag<T> {
         assert!(self.engine().same_as(other.engine()), "union of bags from different engines");
         let a = self.clone();
@@ -162,9 +163,7 @@ impl<T: Data> Bag<T> {
         Bag::new(self.engine().clone(), "union", bytes, parts, move || {
             let pa = a.eval()?;
             let pb = b.eval()?;
-            let mut all: Vec<Arc<Vec<T>>> = pa.to_vec();
-            all.extend(pb.to_vec());
-            Ok(Arc::new(all))
+            Ok(Parts::union(&pa, &pb))
         })
     }
 

@@ -14,7 +14,7 @@
 //! The narrow chain before an operator runs inside its map side, so the
 //! combine and the scatter move its records; its reduce side heads the chain
 //! after it. A reduce step reads a co-partitioned input straight out of the
-//! shared `Arc<Vec<T>>` partitions (a `Shared` batch) and owns what the
+//! shared partition sets (a `Shared` batch) and owns what the
 //! counting scatter of [`crate::partitioner`] placed (an `Owned` batch);
 //! worker-private hash tables use the deterministic [`crate::fx`] hasher, and
 //! `distinct` dedups an owned batch in place. A join ([`Joined`]) pushes each
@@ -412,7 +412,7 @@ impl<K: Key> JoinIndex<K> {
     fn kept<W: Data>(right: &Bag<(K, W)>, input: &Input<(K, W)>) -> Option<Arc<Self>> {
         let Input::Shared(parts) = input else { return None };
         right.kept(parts, || JoinIndex {
-            parts: parts.iter().map(|_| OnceLock::new()).collect(),
+            parts: (0..parts.len()).map(|_| OnceLock::new()).collect(),
             broadcast: OnceLock::new(),
             #[cfg(test)]
             built: Default::default(),

@@ -11,7 +11,6 @@
 //! every path, event by event).
 
 use std::hash::Hash;
-use std::sync::Arc;
 
 use super::fuse::{self, Assembled, Batch, ChargeRule, FusedOpMeta, Part};
 use super::{Bag, Partitioning, Parts};
@@ -41,7 +40,7 @@ impl<T: Data> Input<T> {
     /// Each partition, whole, for a chain head to take.
     pub(super) fn into_parts(self) -> Vec<Part<T>> {
         match self {
-            Input::Shared(parts) => parts.iter().map(|p| Part::Shared(Arc::clone(p))).collect(),
+            Input::Shared(parts) => parts.shared().collect(),
             Input::Owned(parts) => parts.into_iter().map(Part::Owned).collect(),
         }
     }
@@ -108,7 +107,7 @@ impl Shuffle {
     pub(super) fn read<T: Data>(&self, parent: &Bag<T>) -> Result<Input<T>> {
         let chain = fuse::chain(parent)?;
         Ok(match chain.drive.parts() {
-            Some(parts) => Input::Shared(Arc::clone(parts)),
+            Some(parts) => Input::Shared(parts.clone()),
             None => Input::Owned(fuse::pass(&self.engine, chain, None)?.0),
         })
     }
@@ -149,13 +148,15 @@ impl Shuffle {
             return Side::new(input.into_parts(), bytes, false);
         }
         let (records, parts) = match input {
-            Input::Shared(parts) => (
-                parts.iter().map(|p| p.len()).sum(),
-                match scatter_shared_unless_home(&parts, self.partitions, key_of) {
+            Input::Shared(parts) => {
+                let inputs: Vec<&Vec<T>> = parts.iter().collect();
+                let records = inputs.iter().map(|p| p.len()).sum();
+                let placed = match scatter_shared_unless_home(&inputs, self.partitions, key_of) {
                     Some(buckets) => buckets.into_iter().map(Part::Owned).collect(),
                     None => Input::Shared(parts).into_parts(),
-                },
-            ),
+                };
+                (records, placed)
+            }
             Input::Owned(parts) => (
                 parts.iter().map(Vec::len).sum(),
                 scatter_by_key(parts, self.partitions, key_of)
@@ -241,8 +242,8 @@ impl Shuffle {
     /// materialized by the cost model's `materialize_factor`.
     fn check_memory(&self, operator: &'static str, bytes: impl Iterator<Item = f64>) -> Result<()> {
         let factor = self.engine.config().costs.materialize_factor;
-        let working_sets: Vec<u64> = bytes.map(|b| (b * factor) as u64).collect();
-        self.engine.charge_memory(operator, &working_sets)
+        let mut working_sets: Vec<u64> = bytes.map(|b| (b * factor) as u64).collect();
+        self.engine.charge_memory(operator, &mut working_sets)
     }
 }
 
@@ -258,7 +259,7 @@ mod tests {
         base.count().unwrap();
         let s = Shuffle::new(&e, "test", 2);
         let Ok(Input::Shared(shared)) = s.read(&base) else { panic!("a materialized parent") };
-        assert!(Arc::ptr_eq(&shared, &base.eval().unwrap()), "read in place, not copied");
+        assert!(shared.same(&base.eval().unwrap()), "read in place, not copied");
         let records = e.stats().records;
         let Ok(Input::Owned(owned)) = s.read(&base.map(|x| x + 1)) else { panic!("a chain") };
         assert_eq!(owned.iter().map(Vec::len).sum::<usize>(), 100);

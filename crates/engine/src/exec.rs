@@ -275,7 +275,11 @@ impl Engine {
     /// Memory-check a stage given per-task working sets (bytes, already
     /// including any materialization factor). Spilling advances the clock;
     /// overflow returns a simulated OutOfMemory.
-    pub(crate) fn charge_memory(&self, operator: &'static str, working_sets: &[u64]) -> Result<()> {
+    pub(crate) fn charge_memory(
+        &self,
+        operator: &'static str,
+        working_sets: &mut [u64],
+    ) -> Result<()> {
         let outcome = check_stage_memory(self.config(), operator, working_sets)?;
         if outcome.peak_bytes > 0 {
             self.observe(EngineEvent::MemoryPeak {
@@ -318,7 +322,7 @@ impl Engine {
     pub(crate) fn charge_broadcast(&self, operator: &'static str, bytes: u64) -> Result<()> {
         let expanded = (bytes as f64 * self.config().costs.materialize_factor) as u64;
         // A broadcast must fit on *every single* machine (paper Sec. 9.6).
-        check_stage_memory(self.config(), operator, &[expanded])?;
+        check_stage_memory(self.config(), operator, &mut [expanded])?;
         let start = self.sim_time();
         // Torrent-style distribution: pipeline bound by one machine's link.
         let net = SimTime::from_secs_f64(bytes as f64 / self.config().network_bandwidth as f64);

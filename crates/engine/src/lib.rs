@@ -70,6 +70,7 @@ use std::sync::Arc;
 
 use std::sync::Mutex;
 
+use bag::Parts;
 use sim::{SimClock, Stats};
 use trace::TraceCollector;
 
@@ -323,10 +324,10 @@ impl Engine {
         let parts: Vec<Vec<T>> =
             (0..partitions).map(|_| records.by_ref().take(chunk).collect()).collect();
         let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
-        let parts = bag_parts(parts);
+        let parts = Parts::new(parts);
         Bag::new(self.clone(), "parallelize", record_bytes, partitions, move || {
             engine.charge_compute(&counts, record_bytes, true)?;
-            Ok(Arc::clone(&parts))
+            Ok(parts.clone())
         })
     }
 
@@ -349,7 +350,7 @@ impl Engine {
             });
             let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
             engine.charge_compute(&counts, bytes, true)?;
-            Ok(bag_parts(parts))
+            Ok(Parts::new(parts))
         })
     }
 
@@ -391,8 +392,6 @@ impl<T> Broadcast<T> {
         self.bytes
     }
 }
-
-pub(crate) use bag::to_parts as bag_parts;
 
 #[cfg(test)]
 mod tests {

@@ -16,8 +16,9 @@
 //! as the naive sequential loop, at a host cost of O(records + input
 //! partitions + output partitions) — never (input partitions × output
 //! partitions), which at the paper's 1,200 partitions is 1.44 M. Pass 1
-//! hashes every record once; pass 2 counts each bucket's records; pass 3
-//! moves or clones each record straight into its exact-size bucket. Below
+//! hashes every record once, into one table of destinations for the whole
+//! scatter; pass 2 counts each bucket's records; pass 3 moves or clones
+//! each record straight into its exact-size bucket. Below
 //! `PARALLEL_SCATTER_MIN_RECORDS` records all three run on the calling
 //! thread. From there up pass 1 runs on the pool, one input partition per
 //! item, and so do passes 2 and 3 where the buckets are large enough
@@ -40,6 +41,7 @@
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::pool::parallel_map_range;
@@ -292,12 +294,12 @@ where
     }
 }
 
-/// [`scatter_by_key`] over *shared* partitions (`Arc<Vec<T>>`, the engine's
-/// memoized representation): records are cloned exactly once, straight into
-/// their destination bucket, with no intermediate deep copy of the input.
+/// [`scatter_by_key`] over *shared* partitions: records are cloned exactly
+/// once, straight into their destination bucket, with no intermediate deep
+/// copy of the input.
 ///
-/// This is what lets every shuffle site take its input as `&Parts<T>`
-/// instead of materializing `p.to_vec()` first.
+/// This is what lets every shuffle site read a memoized parent's partitions
+/// in place instead of materializing `p.to_vec()` first.
 pub fn scatter_shared_by_key<T, K, F>(
     inputs: &[Arc<Vec<T>>],
     partitions: usize,
@@ -312,16 +314,17 @@ where
         .unwrap_or_else(|| inputs.iter().map(|p| p.to_vec()).collect())
 }
 
-/// [`scatter_shared_by_key`], or `None` where every record is already home:
-/// the caller keeps the shared partitions as they are, and no record is
-/// cloned.
-pub(crate) fn scatter_shared_unless_home<T, K, F>(
-    inputs: &[Arc<Vec<T>>],
+/// [`scatter_shared_by_key`] over borrowed partitions, or `None` where every
+/// record is already home: the caller keeps the shared partitions as they
+/// are, and no record is cloned.
+pub(crate) fn scatter_shared_unless_home<T, P, K, F>(
+    inputs: &[P],
     partitions: usize,
     key_of: F,
 ) -> Option<Vec<Vec<T>>>
 where
     T: Clone + Send + Sync,
+    P: Borrow<Vec<T>> + Sync,
     K: Hash + ?Sized,
     F: Fn(&T) -> &K + Send + Sync,
 {
@@ -329,14 +332,15 @@ where
 }
 
 /// [`scatter_shared_unless_home`], placing in `runs` runs.
-fn scatter_shared<T, K, F>(
-    inputs: &[Arc<Vec<T>>],
+fn scatter_shared<T, P, K, F>(
+    inputs: &[P],
     partitions: usize,
     key_of: F,
     runs: usize,
 ) -> Option<Vec<Vec<T>>>
 where
     T: Clone + Send + Sync,
+    P: Borrow<Vec<T>> + Sync,
     K: Hash + ?Sized,
     F: Fn(&T) -> &K + Send + Sync,
 {
@@ -345,13 +349,13 @@ where
         return match inputs.len() {
             1 => None,
             _ => Some(vec![concat(
-                inputs.iter().map(|p| p.len()).sum(),
-                inputs.iter().flat_map(|p| p.iter().cloned()),
+                inputs.iter().map(|p| p.borrow().len()).sum(),
+                inputs.iter().flat_map(|p| p.borrow().iter().cloned()),
             )]),
         };
     }
     let dests = destinations(inputs, partitions, key_of)?;
-    Some(place(&dests, partitions, inputs.iter().map(|p| p.iter()), T::clone, runs))
+    Some(place(&dests, partitions, inputs.iter().map(|p| p.borrow().iter()), T::clone, runs))
 }
 
 /// The one bucket of a scatter into one partition: every record, in input
@@ -362,35 +366,52 @@ fn concat<T>(total: usize, records: impl Iterator<Item = T>) -> Vec<T> {
     bucket
 }
 
-/// Pass 1 of the scatter: every record's destination partition, one
-/// `Vec<u32>` per input partition (owned `Vec<T>` or shared `Arc<Vec<T>>`,
-/// borrowed either way) — the only [`partition_for`] call a record gets.
-/// Hashing is order-free, so large scatters run it on the pool, one input
-/// partition per item. Each input also reports whether all its records are
-/// home (destined for its own index); `None` when, with one input per
-/// output, every input is.
-fn destinations<T, P, K, F>(inputs: &[P], partitions: usize, key_of: F) -> Option<Vec<Vec<u32>>>
+/// Every record's destination partition, in one table for the whole
+/// scatter: input `i`'s records' at `ids[starts[i]..starts[i + 1]]`.
+struct Destinations {
+    ids: Vec<u32>,
+    starts: Vec<usize>,
+}
+
+impl Destinations {
+    /// The destinations of inputs `from..to`, in input order.
+    fn of(&self, from: usize, to: usize) -> &[u32] {
+        &self.ids[self.starts[from]..self.starts[to]]
+    }
+}
+
+/// Pass 1 of the scatter: every record's destination partition (inputs owned
+/// `Vec<T>`s or shared, borrowed either way) — the only [`partition_for`]
+/// call a record gets. Hashing is order-free, so large scatters run it on
+/// the pool, one input partition per item, each writing its own range of
+/// the one table. Each input also reports whether all its records are home
+/// (destined for its own index); `None` when, with one input per output,
+/// every input is.
+fn destinations<T, P, K, F>(inputs: &[P], partitions: usize, key_of: F) -> Option<Destinations>
 where
     P: Borrow<Vec<T>> + Sync,
     K: Hash + ?Sized,
     F: Fn(&T) -> &K + Sync,
 {
     assert!(partitions <= u32::MAX as usize, "scatter exceeds u32 destination capacity");
-    let hash_input = |i: usize| -> (Vec<u32>, bool) {
+    let mut starts = Vec::with_capacity(inputs.len() + 1);
+    starts.push(0);
+    for p in inputs {
+        starts.push(starts[starts.len() - 1] + p.borrow().len());
+    }
+    let total = starts[inputs.len()];
+    let ids: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
+    let hash_input = |i: usize| -> bool {
         let part: &Vec<T> = inputs[i].borrow();
         let mut home = true;
-        let ids = part
-            .iter()
-            .map(|rec| {
-                let d = partition_for(key_of(rec), partitions);
-                home &= d == i;
-                d as u32
-            })
-            .collect();
-        (ids, home)
+        for (rec, id) in part.iter().zip(&ids[starts[i]..starts[i + 1]]) {
+            let d = partition_for(key_of(rec), partitions);
+            home &= d == i;
+            id.store(d as u32, Ordering::Relaxed);
+        }
+        home
     };
-    let total: usize = inputs.iter().map(|p| p.borrow().len()).sum();
-    let hashed: Vec<(Vec<u32>, bool)> = if total < PARALLEL_SCATTER_MIN_RECORDS
+    let home: Vec<bool> = if total < PARALLEL_SCATTER_MIN_RECORDS
         || inputs.len() <= 1
         || crate::pool::host_parallelism() <= 1
     {
@@ -398,10 +419,13 @@ where
     } else {
         parallel_map_range(inputs.len(), hash_input)
     };
-    if inputs.len() == partitions && hashed.iter().all(|&(_, home)| home) {
+    if inputs.len() == partitions && home.into_iter().all(|home| home) {
         return None;
     }
-    Some(hashed.into_iter().map(|(ids, _)| ids).collect())
+    // The cells publish nothing else, and a pool call returns only once every
+    // item has completed, so `Relaxed` stores are all read here.
+    let ids = ids.into_iter().map(AtomicU32::into_inner).collect();
+    Some(Destinations { ids, starts })
 }
 
 /// Passes 2 and 3 of the scatter: count each bucket's records, allocate
@@ -416,7 +440,7 @@ where
 /// *iterator* zipped with the ids builds every clone in a temporary first —
 /// twice the time of this loop on 48-byte `Value` pairs.)
 fn place<I, T>(
-    dests: &[Vec<u32>],
+    dests: &Destinations,
     partitions: usize,
     inputs: impl Iterator<Item = I>,
     take: impl Fn(I::Item) -> T + Sync,
@@ -430,12 +454,12 @@ where
         return place_in_runs(dests, partitions, inputs, take, runs);
     }
     let mut counts = vec![0usize; partitions];
-    for &d in dests.iter().flatten() {
+    for &d in &dests.ids {
         counts[d as usize] += 1;
     }
     let mut out: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
-    for (part, ids) in inputs.zip(dests) {
-        for (rec, &d) in part.zip(ids) {
+    for (i, part) in inputs.enumerate() {
+        for (rec, &d) in part.zip(dests.of(i, i + 1)) {
             out[d as usize].push(take(rec));
         }
     }
@@ -444,20 +468,20 @@ where
 
 /// Where each of `runs` runs starts in the inputs, plus the end: contiguous
 /// ranges of input partitions with about the same number of records each
-/// (a range may be empty).
-fn run_bounds(dests: &[Vec<u32>], runs: usize) -> Vec<usize> {
-    let total: usize = dests.iter().map(Vec::len).sum();
+/// (a range may be empty). `starts` is where each input's records start,
+/// plus the total.
+fn run_bounds(starts: &[usize], runs: usize) -> Vec<usize> {
+    let (inputs, total) = (starts.len() - 1, starts[starts.len() - 1]);
     let mut bounds = Vec::with_capacity(runs + 1);
     bounds.push(0);
-    let (mut i, mut seen) = (0, 0);
+    let mut i = 0;
     for run in 1..runs {
-        while i < dests.len() && seen * runs < run * total {
-            seen += dests[i].len();
+        while i < inputs && starts[i] * runs < run * total {
             i += 1;
         }
         bounds.push(i);
     }
-    bounds.push(dests.len());
+    bounds.push(inputs);
     bounds
 }
 
@@ -475,7 +499,7 @@ type Run<'a, I, T> = (Vec<I>, Vec<std::slice::IterMut<'a, MaybeUninit<T>>>);
 /// A panic in `take` unwinds with every bucket still empty: the records
 /// already written leak, and none is dropped twice.
 fn place_in_runs<I, T>(
-    dests: &[Vec<u32>],
+    dests: &Destinations,
     partitions: usize,
     mut inputs: impl Iterator<Item = I>,
     take: impl Fn(I::Item) -> T + Sync,
@@ -485,10 +509,10 @@ where
     I: Iterator + Send,
     T: Send,
 {
-    let bounds = run_bounds(dests, runs);
+    let bounds = run_bounds(&dests.starts, runs);
     let counts: Vec<Vec<usize>> = parallel_map_range(runs, |r| {
         let mut counts = vec![0usize; partitions];
-        for &d in dests[bounds[r]..bounds[r + 1]].iter().flatten() {
+        for &d in dests.of(bounds[r], bounds[r + 1]) {
             counts[d as usize] += 1;
         }
         counts
@@ -519,8 +543,8 @@ where
             .expect("scatter run lock poisoned")
             .take()
             .expect("a run is placed once");
-        for (part, ids) in parts.into_iter().zip(&dests[bounds[r]..bounds[r + 1]]) {
-            for (rec, &d) in part.zip(ids) {
+        for (part, i) in parts.into_iter().zip(bounds[r]..) {
+            for (rec, &d) in part.zip(dests.of(i, i + 1)) {
                 slots[d as usize].next().expect("a slot per counted record").write(take(rec));
             }
         }
@@ -802,14 +826,19 @@ mod tests {
     /// Runs cut the inputs into contiguous ranges of about equal records.
     #[test]
     fn runs_split_inputs_by_record_count() {
-        let dests =
-            |lens: &[usize]| -> Vec<Vec<u32>> { lens.iter().map(|&n| vec![0; n]).collect() };
-        assert_eq!(run_bounds(&dests(&[10, 10, 10, 10]), 2), [0, 2, 4]);
-        assert_eq!(run_bounds(&dests(&[30, 5, 5, 0, 20]), 2), [0, 1, 5]);
-        assert_eq!(run_bounds(&dests(&[1, 1, 1]), 1), [0, 3]);
+        let starts = |lens: &[usize]| -> Vec<usize> {
+            let mut starts = vec![0];
+            for n in lens {
+                starts.push(starts[starts.len() - 1] + n);
+            }
+            starts
+        };
+        assert_eq!(run_bounds(&starts(&[10, 10, 10, 10]), 2), [0, 2, 4]);
+        assert_eq!(run_bounds(&starts(&[30, 5, 5, 0, 20]), 2), [0, 1, 5]);
+        assert_eq!(run_bounds(&starts(&[1, 1, 1]), 1), [0, 3]);
         // More runs than records or inputs: some runs are empty.
-        assert_eq!(run_bounds(&dests(&[0, 4]), 4), [0, 2, 2, 2, 2]);
-        assert_eq!(run_bounds(&dests(&[]), 3), [0, 0, 0, 0]);
+        assert_eq!(run_bounds(&starts(&[0, 4]), 4), [0, 2, 2, 2, 2]);
+        assert_eq!(run_bounds(&starts(&[]), 3), [0, 0, 0, 0]);
     }
 
     /// A record whose `Clone` panics on the `n`th clone (counting from one),

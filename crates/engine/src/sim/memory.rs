@@ -40,19 +40,26 @@ impl MemoryOutcome {
 /// it.) Demand beyond `spill_fraction * memory` spills (charged at disk
 /// bandwidth, write + re-read); demand beyond `oom_fraction * memory` fails
 /// the job.
+///
+/// The top working sets are selected in place (`per_task_working_set` is
+/// left reordered), not sorted: a stage check costs O(tasks).
 pub fn check_stage_memory(
     cfg: &ClusterConfig,
     operator: &str,
-    per_task_working_set: &[u64],
+    per_task_working_set: &mut [u64],
 ) -> Result<MemoryOutcome> {
     let nonempty = per_task_working_set.iter().filter(|&&b| b > 0).count();
     if nonempty == 0 {
         return Ok(MemoryOutcome::FITS);
     }
     let concurrency = nonempty.div_ceil(cfg.machines).min(cfg.cores_per_machine);
-    let mut sorted: Vec<u64> = per_task_working_set.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let peak: u64 = sorted.iter().take(concurrency).sum();
+    let peak: u64 = match concurrency {
+        0 => 0,
+        k => {
+            let (top, kth, _) = per_task_working_set.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+            top.iter().sum::<u64>() + *kth
+        }
+    };
     let mem = cfg.memory_per_machine;
     let oom_limit = (mem as f64 * cfg.costs.oom_fraction) as u64;
     if peak > oom_limit {
@@ -92,7 +99,7 @@ mod tests {
 
     #[test]
     fn small_working_sets_fit() {
-        let out = check_stage_memory(&cfg(), "t", &[MB, MB, MB]).unwrap();
+        let out = check_stage_memory(&cfg(), "t", &mut [MB, MB, MB]).unwrap();
         assert_eq!(out.spilled_bytes, 0);
         assert_eq!(out.spill_time, SimTime::ZERO);
         // 3 non-empty tasks on 2 machines: 2 concurrent on the heaviest.
@@ -101,21 +108,21 @@ mod tests {
 
     #[test]
     fn empty_stage_fits() {
-        assert_eq!(check_stage_memory(&cfg(), "t", &[]).unwrap(), MemoryOutcome::FITS);
-        assert_eq!(check_stage_memory(&cfg(), "t", &[0, 0]).unwrap(), MemoryOutcome::FITS);
+        assert_eq!(check_stage_memory(&cfg(), "t", &mut []).unwrap(), MemoryOutcome::FITS);
+        assert_eq!(check_stage_memory(&cfg(), "t", &mut [0, 0]).unwrap(), MemoryOutcome::FITS);
     }
 
     #[test]
     fn moderate_pressure_spills() {
         // One task of 700 MB on a 1 GB worker with 0.5 spill fraction.
-        let out = check_stage_memory(&cfg(), "t", &[700 * MB]).unwrap();
+        let out = check_stage_memory(&cfg(), "t", &mut [700 * MB]).unwrap();
         assert!(out.spilled_bytes > 0);
         assert!(out.spill_time > SimTime::ZERO);
     }
 
     #[test]
     fn extreme_pressure_ooms() {
-        let err = check_stage_memory(&cfg(), "group_by_key", &[3 * GB]).unwrap_err();
+        let err = check_stage_memory(&cfg(), "group_by_key", &mut [3 * GB]).unwrap_err();
         match err {
             EngineError::OutOfMemory { operator, .. } => assert_eq!(operator, "group_by_key"),
             other => panic!("expected OOM, got {other:?}"),
@@ -127,15 +134,42 @@ mod tests {
         // 16 tasks of 300 MB on 2 machines x 4 cores: 4 concurrent x 300 MB
         // = 1.2 GB > 1 GB -> OOM, even though one task alone fits.
         let c = cfg();
-        let ws = vec![300 * MB; 16];
-        assert!(check_stage_memory(&c, "t", &ws).is_err());
-        assert!(check_stage_memory(&c, "t", &[300 * MB]).is_ok());
+        let mut ws = vec![300 * MB; 16];
+        assert!(check_stage_memory(&c, "t", &mut ws).is_err());
+        assert!(check_stage_memory(&c, "t", &mut [300 * MB]).is_ok());
+    }
+
+    /// The peak is the sum of the `concurrency` heaviest working sets, as a
+    /// full descending sort would give it, ties and empty tasks included.
+    #[test]
+    fn peak_is_the_sum_of_the_heaviest_tasks() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..200u64 {
+            let mut c = ClusterConfig::with_machines(1 + (case % 5) as usize);
+            c.cores_per_machine = 1 + (case % 7) as usize;
+            c.memory_per_machine = u64::MAX / 4;
+            let tasks = (next() % 40) as usize;
+            let ws: Vec<u64> = (0..tasks).map(|_| (next() % 6) * MB).collect();
+            let nonempty = ws.iter().filter(|&&b| b > 0).count();
+            let concurrency = nonempty.div_ceil(c.machines).min(c.cores_per_machine);
+            let mut sorted = ws.clone();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            let want: u64 = sorted.iter().take(concurrency).sum();
+            let out = check_stage_memory(&c, "t", &mut ws.clone()).unwrap();
+            assert_eq!(out.peak_bytes, want, "{ws:?} on {} x {}", c.machines, c.cores_per_machine);
+        }
     }
 
     #[test]
     fn spill_time_scales_with_excess() {
-        let a = check_stage_memory(&cfg(), "t", &[600 * MB]).unwrap();
-        let b = check_stage_memory(&cfg(), "t", &[900 * MB]).unwrap();
+        let a = check_stage_memory(&cfg(), "t", &mut [600 * MB]).unwrap();
+        let b = check_stage_memory(&cfg(), "t", &mut [900 * MB]).unwrap();
         assert!(b.spill_time > a.spill_time);
     }
 }

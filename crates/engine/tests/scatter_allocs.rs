@@ -1,8 +1,8 @@
 //! Allocation-count pin for the shuffle scatter.
 //!
 //! A shuffle must cost its records, not (input partitions × output
-//! partitions). The scatter this pins hashes once into one `Vec<u32>` per
-//! input partition and allocates each output bucket once at its exact size;
+//! partitions). The scatter this pins hashes once into one table of
+//! destinations and allocates each output bucket once at its exact size;
 //! the one it replaced built a private set of output buckets per input
 //! partition — 1,200 × 1,200 = 1.44 M `Vec`s for the shape below, at any
 //! record count. The assertion is on *allocations*, counted by a std-only
@@ -19,8 +19,14 @@
 //! pins a source: `parallelize` moves its records into their partitions and
 //! clones none of them when it is evaluated.
 //!
+//! The last three pin what a pass allocates besides its output: a node's
+//! partitions are one shared set, and a fused chain writes the sizes of its
+//! intermediate batches into one table per pass, so a pass over 1,200
+//! partitions allocates its non-empty output partitions plus a constant,
+//! and a `union` of two evaluated bags lists their sets and copies nothing.
+//!
 //! The counter is process-wide and the harness runs the tests of a binary
-//! concurrently, so each test holds `SERIAL` while it counts.
+//! concurrently, so each test holds `SERIAL` while it runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,11 +80,11 @@ const PLACED_IN_RUNS: u64 = 100_000;
 const INPUTS: usize = 1_200; // the paper's 25 × 16 cluster, 3 partitions per core
 const OUTPUTS: usize = 1_200;
 
-/// The bound is in inputs + outputs (one destination vector per non-empty
-/// input, one bucket per non-empty output, a handful for the pool dispatch
-/// and per placement run; the engine run adds one `Vec` + one `Arc` per
-/// partition on each side of the shuffle), with slack for the harness — two
-/// orders of magnitude under inputs × outputs.
+/// The bound is in inputs + outputs (one bucket per non-empty output, a
+/// handful for the destination table, the pool dispatch and per placement
+/// run; the engine run adds one `Vec` per non-empty partition on each side
+/// of the shuffle), with slack for the harness — two orders of magnitude
+/// under inputs × outputs.
 const BOUND: usize = 10_000;
 
 fn inputs(records: u64) -> Vec<Vec<(u64, u64)>> {
@@ -238,9 +244,93 @@ impl Clone for Counted {
 #[test]
 fn a_source_moves_its_records_and_clones_none() {
     const RECORDS: u64 = 10_000;
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let engine = Engine::new(ClusterConfig::local_test());
     let before = SOURCE_CLONES.load(Ordering::Relaxed);
     let bag = engine.parallelize((0..RECORDS).map(Counted).collect(), 7);
     assert_eq!(bag.count().unwrap(), RECORDS);
     assert_eq!(SOURCE_CLONES.load(Ordering::Relaxed) - before, 0, "a source clones no record");
+}
+
+/// What a pass may allocate beyond its non-empty output partitions: the
+/// chain's assembly, the partition set, the size table, the pool dispatch,
+/// the job, its charges and its decision (about 50 for a fused chain of
+/// three, 20 for one operator).
+const PER_PASS: usize = 100;
+
+/// 3,000 records over 1,200 partitions: chunks of three fill the first
+/// 1,000, and the last 200 are empty. Evaluated, and read once by a pass so
+/// that the pool's workers are running.
+fn spread(engine: &Engine) -> matryoshka_engine::Bag<(u64, u64)> {
+    let base = engine.parallelize((0..3_000u64).map(|i| (i, i * 3)).collect(), INPUTS);
+    assert_eq!(base.map(|r| r.0).count().unwrap(), 3_000);
+    base
+}
+
+/// Non-empty partitions of an evaluated bag (`collect_partitions` copies
+/// them, so call it after counting).
+fn non_empty<T: matryoshka_engine::Data>(bag: &matryoshka_engine::Bag<T>) -> usize {
+    bag.collect_partitions().unwrap().iter().filter(|p| !p.is_empty()).count()
+}
+
+/// `map ▸ filter ▸ map_into` over a materialized parent runs as one pass, and
+/// the filter and the re-keying map reuse the first map's batch in place, so
+/// the pass allocates one `Vec` per non-empty output partition and a
+/// constant. A pass that kept each partition's intermediate batch sizes in a
+/// `Vec` of its own, and wrapped each output partition in an `Arc`, added
+/// 2,200 here.
+#[test]
+fn a_fused_chain_allocates_its_outputs_and_a_constant() {
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let engine = Engine::new(ClusterConfig::local_test());
+    let base = spread(&engine);
+    let chain =
+        base.map(|&(k, v)| (k, v + 1)).filter(|&(k, _)| k % 3 != 2).map_into(|(k, v)| (v, k));
+    let (allocations, count) = allocations_during(|| chain.count().unwrap());
+    assert_eq!(count, 2_000);
+    assert_eq!(chain.op_name(), "fused(map|filter|map)");
+    let outputs = non_empty(&chain);
+    assert_eq!(outputs, 1_000);
+    assert!(
+        allocations <= outputs + PER_PASS,
+        "{allocations} allocations for {outputs} output partitions, want <= {outputs} + {PER_PASS}"
+    );
+}
+
+/// Evaluating a node allocates its partitions' `Vec`s and a constant: a
+/// one-operator pass over a materialized parent, and a source that computes
+/// its partitions.
+#[test]
+fn evaluating_a_node_allocates_its_partitions_and_a_constant() {
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let engine = Engine::new(ClusterConfig::local_test());
+    let base = spread(&engine);
+    let mapped = base.map(|&(k, v)| k ^ v);
+    let (allocations, count) = allocations_during(|| mapped.count().unwrap());
+    assert_eq!(count, 3_000);
+    let outputs = non_empty(&mapped);
+    assert!(allocations <= outputs + PER_PASS, "map: {allocations} for {outputs} partitions");
+
+    let generated = engine.generate(600, INPUTS, |i| i * i);
+    let (allocations, count) = allocations_during(|| generated.count().unwrap());
+    assert_eq!(count, 600);
+    let outputs = non_empty(&generated);
+    assert!(allocations <= outputs + PER_PASS, "generate: {allocations} for {outputs} partitions");
+}
+
+/// A `union` of two evaluated bags is metadata: it lists both parents'
+/// partition sets, allocating a constant and cloning no record.
+#[test]
+fn a_union_of_evaluated_bags_allocates_a_constant_and_clones_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let engine = Engine::new(ClusterConfig::local_test());
+    let a = engine.parallelize((0..3_000).map(Counted).collect(), INPUTS);
+    let b = engine.parallelize((0..1_000).map(Counted).collect(), INPUTS);
+    assert_eq!(a.count().unwrap() + b.count().unwrap(), 4_000);
+    let union = a.union(&b);
+    let clones = SOURCE_CLONES.load(Ordering::Relaxed);
+    let (allocations, count) = allocations_during(|| union.count().unwrap());
+    assert_eq!((count, union.num_partitions()), (4_000, 2 * INPUTS));
+    assert_eq!(SOURCE_CLONES.load(Ordering::Relaxed) - clones, 0, "a union clones no record");
+    assert!(allocations <= PER_PASS, "{allocations} allocations for a union, want <= {PER_PASS}");
 }

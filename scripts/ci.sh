@@ -27,10 +27,13 @@ cargo test -q --release -p matryoshka-ir --test compiled_udf
 
 echo "== clone and allocation pins in the release profile too"
 # They count clones out of shared partitions and the allocations of a
-# scatter or a join build, which the host fast paths (an all-home scatter, a
-# join index kept on a memoized right side) change; the benchmark measures
-# release builds, so the pins hold in that profile as well as in debug.
+# scatter, a join build, a pass (its outputs plus a constant), a `union` and
+# a lifted `flatMap` (nothing per input record), which the host fast paths
+# (an all-home scatter, a join index kept on a memoized right side, in-place
+# `collect`s) change; the benchmark measures release builds, so the pins
+# hold in that profile as well as in debug.
 cargo test -q --release -p matryoshka-engine --test zero_copy --test scatter_allocs
+cargo test -q --release -p matryoshka-core --test inner_allocs
 
 echo "== benchmark builds and smoke-runs against these crates (benchmark/check.sh)"
 # benchmark/ is its own workspace, so nothing above compiles it: a changed
@@ -122,7 +125,8 @@ echo "== deleted switches stay deleted"
 # core's inner bag (no enum of its own), the purity gate is one walk (no
 # per-fact walkers beside it), and no strategy enum outlives its callers;
 # a K-means partial sum is added into its accumulator in place (no helper
-# that builds a new point per merge).
+# that builds a new point per merge); a pass's output partitions are one
+# shared set (no `Arc` per partition inside the shared list).
 # The patterns are split so this file does not match itself; the set
 # operators are matched by definition, which misses std's
 # `HashSet::intersection` and the word "subtracts".
@@ -143,6 +147,7 @@ if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace
   -e 'captures''_memo|Cached''Captures|enum Lif''ted\b|enum Stra''tegy\b' \
   -e 'contains''_barrier|contains_lifted''_udf|lambdas''_pure' \
   -e 'add''_points' \
+  -e 'Arc<Vec<''Arc<Vec<' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2
