@@ -169,9 +169,9 @@ impl<T: Clone> Batch<'_, T> {
     }
 }
 
-/// A whole partition a chain head takes by value (a reduce side's placed
-/// input, a probe's left partition): a materialized partition it reads in
-/// place, or records it owns.
+/// A whole partition a chain head or a scatter takes by value (a map side's
+/// read, a reduce side's placed input, a probe's left partition): a
+/// materialized partition it reads in place, or records it owns.
 pub(crate) enum Part<T> {
     /// A materialized partition, shared: its set and its index there.
     Shared(PartSet<T>, usize),

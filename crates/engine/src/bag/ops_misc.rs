@@ -45,7 +45,7 @@ impl<T: Data> Bag<T> {
         let shuffle = Shuffle::new(self.engine(), "sort_by", partitions);
         let key = Arc::new(key);
         shuffle.node(bytes, Partitioning::Arbitrary, move |s| {
-            let input = s.read(&parent)?.into_parts();
+            let input = s.read(&parent)?;
             // Exact split points from the full key set (a simulator can
             // afford exact quantiles; Spark samples).
             let mut keys: Vec<K> =
@@ -54,16 +54,8 @@ impl<T: Data> Bag<T> {
             let splits: Vec<K> = (1..partitions)
                 .filter_map(|i| keys.get(i * keys.len() / partitions).cloned())
                 .collect();
-            let mut out: Vec<Vec<T>> = (0..partitions).map(|_| Vec::new()).collect();
-            for p in input {
-                p.read(|batch| {
-                    batch.for_each(|x| {
-                        let k = key(&x);
-                        out[splits.partition_point(|s| *s <= k)].push(x);
-                    })
-                });
-            }
-            let side = s.scattered(keys.len(), bytes, out);
+            drop(keys);
+            let side = s.place_by(input, bytes, |x, _| splits.partition_point(|s| *s <= key(x)));
             let key = Arc::clone(&key);
             s.reduce(side, ChargeRule::Input, bytes, move |batch| {
                 let mut p = batch.into_vec();
@@ -128,6 +120,22 @@ mod tests {
         // ...and across partitions ordered.
         let flat: Vec<i64> = parts.into_iter().flatten().collect();
         let mut expect = data;
+        expect.sort();
+        assert_eq!(flat, expect);
+    }
+
+    /// A range placement never reads a hash placement as its own: over a
+    /// bag already hash-partitioned into as many partitions, `sort_by` still
+    /// scatters, and the result is globally sorted.
+    #[test]
+    fn sort_by_after_a_by_key_shuffle_still_sorts() {
+        let e = Engine::local();
+        let data: Vec<(u32, u32)> = (0..400).map(|i| ((i * 7919) % 1000, i)).collect();
+        let placed = e.parallelize(data.clone(), 3).partition_by_key(5);
+        let sorted = placed.sort_by(5, |r| r.0).collect_partitions().unwrap();
+        assert!(sorted.iter().all(|p| !p.is_empty()), "every range holds records");
+        let flat: Vec<u32> = sorted.into_iter().flatten().map(|r| r.0).collect();
+        let mut expect: Vec<u32> = data.into_iter().map(|r| r.0).collect();
         expect.sort();
         assert_eq!(flat, expect);
     }

@@ -32,7 +32,7 @@ use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 use super::fuse::{self, Batch, ChargeRule, FusedOpMeta, Part};
-use super::shuffle::{Input, Shuffle};
+use super::shuffle::Shuffle;
 use super::{Bag, Partitioning};
 use crate::fx::{fx_map, fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
 use crate::types::{Data, Key};
@@ -348,7 +348,6 @@ impl<K: Key, V: Data, W: Data> Joined<K, V, W> {
             if plan.is_none() {
                 let rp = s.read(&right)?;
                 let index = JoinIndex::kept(&right, &rp);
-                let rp = rp.into_parts();
                 let rrecords = rp.iter().map(|p| p.as_slice().len() as u64).sum();
                 engine.charge_driver_collect(rrecords, rbytes);
                 engine.charge_broadcast("broadcast_join", (rrecords as f64 * rbytes) as u64)?;
@@ -360,7 +359,7 @@ impl<K: Key, V: Data, W: Data> Joined<K, V, W> {
                     Some(index) => index.broadcast(&rp),
                     None => Arc::new(Broadcast::build(&rp)),
                 };
-                let left = s.read(&left)?.into_parts();
+                let left = s.read(&left)?;
                 let counts = left.iter().map(|p| p.as_slice().len()).collect();
                 return Ok(fuse::headed(metas, counts, left.into_iter(), move |l| {
                     let value = |i: usize| &rp[table.at[i].0].as_slice()[table.at[i].1].1;
@@ -407,10 +406,9 @@ struct JoinIndex<K> {
 }
 
 impl<K: Key> JoinIndex<K> {
-    /// The index kept on `right`, if `input` is its memoized partitions read
+    /// The index kept on `right`, if `parts` are its memoized partitions read
     /// in place; else `None`, and each join builds its own tables.
-    fn kept<W: Data>(right: &Bag<(K, W)>, input: &Input<(K, W)>) -> Option<Arc<Self>> {
-        let Input::Shared(parts) = input else { return None };
+    fn kept<W: Data>(right: &Bag<(K, W)>, parts: &[Part<(K, W)>]) -> Option<Arc<Self>> {
         right.kept(parts, || JoinIndex {
             parts: (0..parts.len()).map(|_| OnceLock::new()).collect(),
             broadcast: OnceLock::new(),
@@ -577,22 +575,9 @@ impl<T: Data> Bag<T> {
         let (parent, bytes, n) = (self.clone(), self.record_bytes(), n.max(1));
         let shuffle = Shuffle::new(self.engine(), "repartition", n);
         shuffle.node(bytes, Partitioning::Arbitrary, move |s| {
-            let input = s.read(&parent)?.into_parts();
-            // Round-robin: bucket `i` receives exactly this many records.
-            let total: usize = input.iter().map(|p| p.as_slice().len()).sum();
-            let mut out: Vec<Vec<T>> = (0..n)
-                .map(|i| Vec::with_capacity(total / n + usize::from(i < total % n)))
-                .collect();
-            let mut i = 0usize;
-            for p in input {
-                p.read(|batch| {
-                    batch.for_each(|rec| {
-                        out[i % n].push(rec);
-                        i += 1;
-                    })
-                });
-            }
-            let side = s.scattered(total, bytes, out).streamed();
+            // Round-robin: the record at position `i` across the inputs goes
+            // to partition `i % n`.
+            let side = s.place_by(s.read(&parent)?, bytes, move |_, i| i % n).streamed();
             s.reduce(side, ChargeRule::Input, bytes, |batch| batch.into_vec())
         })
     }
@@ -694,6 +679,23 @@ mod tests {
         let b = e.parallelize((0..50).collect::<Vec<u32>>(), 2).repartition(7);
         assert_eq!(b.num_partitions(), 7);
         assert_eq!(sorted(b.collect().unwrap()), (0..50).collect::<Vec<u32>>());
+    }
+
+    /// A round-robin placement never reads a hash placement as its own: over
+    /// a bag already hash-partitioned into as many partitions, `repartition`
+    /// deals the records out in order, position `i` to partition `i % n`.
+    #[test]
+    fn repartition_after_a_by_key_shuffle_deals_round_robin() {
+        let e = Engine::local();
+        let placed = e
+            .parallelize((0..50u32).map(|i| (i % 9, i)).collect::<Vec<_>>(), 3)
+            .partition_by_key(4);
+        let before = placed.collect_partitions().unwrap();
+        let mut expect: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 4];
+        for (i, rec) in before.into_iter().flatten().enumerate() {
+            expect[i % 4].push(rec);
+        }
+        assert_eq!(placed.repartition(4).collect_partitions().unwrap(), expect);
     }
 
     #[test]

@@ -1,22 +1,23 @@
 //! The shuffle stage, the one statement of the protocol under every wide
 //! operator (as Spark runs one shuffle under all of them). An operator names
 //! itself ([`Shuffle::new`]), reads each parent on its map side
-//! ([`Shuffle::read`], or [`Shuffle::combine`] to shrink it there), places
-//! each side into the reduce partitions ([`Shuffle::place`], or its own
-//! buckets via [`Shuffle::scattered`]) and hands the sides to the reduce side
-//! ([`Shuffle::reduce_pair`]). The map side runs an absorbable narrow chain in
-//! its own pass and moves its records into the scatter; the reduce side heads
-//! the chain after it (`fuse::headed`). Charges, their order and
-//! `PartitionStats` events are this file's alone (`tests/golden_sim.rs` pins
-//! every path, event by event).
+//! ([`Shuffle::read`], or [`Shuffle::combine`] to shrink it there) as one
+//! [`Part`] per partition, places each side into the reduce partitions
+//! ([`Shuffle::place`] by key, or [`Shuffle::place_by`] by any other rule)
+//! and hands the sides to the reduce side ([`Shuffle::reduce_pair`]). Every
+//! placement is the partitioner's one counting scatter. The map side runs an
+//! absorbable narrow chain in its own pass and moves its records into the
+//! scatter; the reduce side heads the chain after it (`fuse::headed`).
+//! Charges, their order and `PartitionStats` events are this file's alone
+//! (`tests/golden_sim.rs` pins every path, event by event).
 
 use std::hash::Hash;
 
 use super::fuse::{self, Assembled, Batch, ChargeRule, FusedOpMeta, Part};
-use super::{Bag, Partitioning, Parts};
+use super::{Bag, Partitioning};
 use crate::error::Result;
 use crate::map_output::MapOutputStats;
-use crate::partitioner::{scatter_by_key, scatter_shared_unless_home};
+use crate::partitioner::{partition_for, scatter};
 use crate::types::Data;
 use crate::Engine;
 
@@ -29,26 +30,9 @@ pub(super) struct Shuffle {
     partitions: usize,
 }
 
-/// What a map side read of a parent: its memoized partitions, shared, or the
-/// owned output of the chain it ran.
-pub(super) enum Input<T> {
-    Shared(Parts<T>),
-    Owned(Vec<Vec<T>>),
-}
-
-impl<T: Data> Input<T> {
-    /// Each partition, whole, for a chain head to take.
-    pub(super) fn into_parts(self) -> Vec<Part<T>> {
-        match self {
-            Input::Shared(parts) => parts.shared().collect(),
-            Input::Owned(parts) => parts.into_iter().map(Part::Owned).collect(),
-        }
-    }
-}
-
 /// One side of a shuffle, placed: a [`Part`] per reduce partition, `Shared`
-/// where a materialized input was reused and `Owned` after a scatter or a
-/// map-side pass.
+/// where a materialized input stayed where it was (reused, or all home) and
+/// `Owned` after a scatter or a map-side pass.
 pub(super) struct Side<T> {
     parts: Vec<Part<T>>,
     /// Modeled bytes per record.
@@ -104,11 +88,11 @@ impl Shuffle {
     /// parent (`scripts/ci.sh`): an absorbable chain runs here, in one pass,
     /// and its owned output moves on; any other parent's memoized partitions
     /// are read shared, with no pass.
-    pub(super) fn read<T: Data>(&self, parent: &Bag<T>) -> Result<Input<T>> {
+    pub(super) fn read<T: Data>(&self, parent: &Bag<T>) -> Result<Vec<Part<T>>> {
         let chain = fuse::chain(parent)?;
         Ok(match chain.drive.parts() {
-            Some(parts) => Input::Shared(parts.clone()),
-            None => Input::Owned(fuse::pass(&self.engine, chain, None)?.0),
+            Some(parts) => parts.shared().collect(),
+            None => owned(fuse::pass(&self.engine, chain, None)?.0),
         })
     }
 
@@ -123,60 +107,46 @@ impl Shuffle {
         bytes: f64,
         kept_bytes: f64,
         step: impl Fn(Batch<'_, T>) -> Vec<T> + Sync,
-    ) -> Result<Input<T>> {
+    ) -> Result<Vec<Part<T>>> {
         let meta =
             FusedOpMeta { name: self.name, bytes, charge: ChargeRule::Input, overhead: false };
         let tail = Some((meta, &step as &(dyn Fn(Batch<'_, T>) -> Vec<T> + Sync)));
         let (combined, _) = fuse::pass(&self.engine, fuse::chain(parent)?, tail)?;
         self.check_memory(memory, combined.iter().map(|p| p.len() as f64 * kept_bytes))?;
-        Ok(Input::Owned(combined))
+        Ok(owned(combined))
     }
 
-    /// Place a side by `key_of`: read as it is when [`Shuffle::reuses`] its
-    /// `known` placement, else scattered — records cloned once out of shared
-    /// partitions, moved out of owned ones. A scatter that finds every record
-    /// already home hands the input on as it is, a shared one with no clone;
-    /// it is charged and reported as the shuffle it models all the same.
+    /// Place a side by the hash of `key_of`: read as it is when
+    /// [`Shuffle::reuses`] its `known` placement, else [`Shuffle::place_by`].
     pub(super) fn place<T: Data, K: Hash + ?Sized>(
         &self,
-        input: Input<T>,
+        input: Vec<Part<T>>,
         known: Partitioning,
         bytes: f64,
-        key_of: impl Fn(&T) -> &K + Send + Sync,
+        key_of: impl Fn(&T) -> &K + Sync,
     ) -> Side<T> {
         if self.reuses(known) {
-            return Side::new(input.into_parts(), bytes, false);
+            return Side::new(input, bytes, false);
         }
-        let (records, parts) = match input {
-            Input::Shared(parts) => {
-                let inputs: Vec<&Vec<T>> = parts.iter().collect();
-                let records = inputs.iter().map(|p| p.len()).sum();
-                let placed = match scatter_shared_unless_home(&inputs, self.partitions, key_of) {
-                    Some(buckets) => buckets.into_iter().map(Part::Owned).collect(),
-                    None => Input::Shared(parts).into_parts(),
-                };
-                (records, placed)
-            }
-            Input::Owned(parts) => (
-                parts.iter().map(Vec::len).sum(),
-                scatter_by_key(parts, self.partitions, key_of)
-                    .into_iter()
-                    .map(Part::Owned)
-                    .collect(),
-            ),
-        };
-        self.charged(records, bytes, parts)
+        let partitions = self.partitions;
+        self.place_by(input, bytes, move |rec, _| partition_for(key_of(rec), partitions))
     }
 
-    /// Charge a shuffle of `records` records of `bytes` each, placed into
-    /// `buckets` (an operator's own round-robin or range buckets).
-    pub(super) fn scattered<T>(&self, records: usize, bytes: f64, buckets: Vec<Vec<T>>) -> Side<T> {
-        self.charged(records, bytes, buckets.into_iter().map(Part::Owned).collect())
-    }
-
-    /// Charge a shuffle of `records` records of `bytes` each, which placed
-    /// `parts`.
-    fn charged<T>(&self, records: usize, bytes: f64, parts: Vec<Part<T>>) -> Side<T> {
+    /// Scatter a side of `bytes`-sized records by `dest` (a record and its
+    /// position across the inputs give its partition): records cloned once
+    /// out of shared partitions, moved out of owned ones. A scatter that finds
+    /// every record already home hands the input on as it is, a shared one
+    /// with no clone; it is charged and reported as the shuffle it models all
+    /// the same. Nothing here reads a known placement, so a range or
+    /// round-robin rule always scatters.
+    pub(super) fn place_by<T: Data>(
+        &self,
+        input: Vec<Part<T>>,
+        bytes: f64,
+        dest: impl Fn(&T, usize) -> usize + Sync,
+    ) -> Side<T> {
+        let records: usize = input.iter().map(|p| p.as_slice().len()).sum();
+        let parts = scatter(input, self.partitions, dest);
         self.engine.charge_shuffle(self.name, records as u64, bytes);
         Side::new(parts, bytes, true)
     }
@@ -247,6 +217,11 @@ impl Shuffle {
     }
 }
 
+/// A pass's output partitions, each owned by the head that takes it.
+fn owned<T>(parts: Vec<Vec<T>>) -> Vec<Part<T>> {
+    parts.into_iter().map(Part::Owned).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,11 +233,17 @@ mod tests {
         let base = e.parallelize((0..100u64).collect(), 4);
         base.count().unwrap();
         let s = Shuffle::new(&e, "test", 2);
-        let Ok(Input::Shared(shared)) = s.read(&base) else { panic!("a materialized parent") };
-        assert!(shared.same(&base.eval().unwrap()), "read in place, not copied");
+        let shared = s.read(&base).unwrap();
+        let memo = base.eval().unwrap();
+        assert_eq!(shared.len(), memo.len());
+        for (part, own) in shared.iter().zip(memo.iter()) {
+            let in_place = matches!(part, Part::Shared(set, i) if std::ptr::eq(&set[*i], own));
+            assert!(in_place, "read in place, not copied");
+        }
         let records = e.stats().records;
-        let Ok(Input::Owned(owned)) = s.read(&base.map(|x| x + 1)) else { panic!("a chain") };
-        assert_eq!(owned.iter().map(Vec::len).sum::<usize>(), 100);
+        let owned = s.read(&base.map(|x| x + 1)).unwrap();
+        assert!(owned.iter().all(|p| matches!(p, Part::Owned(_))), "a chain's output moves on");
+        assert_eq!(owned.iter().map(|p| p.as_slice().len()).sum::<usize>(), 100);
         assert_eq!(e.stats().records, records + 100, "the absorbed map is charged once");
     }
 }

@@ -11,15 +11,19 @@
 //! named test here instead of moving placement and every golden with it.
 //!
 //! The *scatter* below is host-side mechanics only: one counting scatter
-//! behind two entry points (move out of owned partitions, clone out of
-//! shared ones) that produces the exact same buckets in the exact same order
-//! as the naive sequential loop, at a host cost of O(records + input
-//! partitions + output partitions) — never (input partitions × output
-//! partitions), which at the paper's 1,200 partitions is 1.44 M. Pass 1
-//! hashes every record once, into one table of destinations for the whole
-//! scatter; pass 2 counts each bucket's records; pass 3 moves or clones
-//! each record straight into its exact-size bucket. Below
-//! `PARALLEL_SCATTER_MIN_RECORDS` records all three run on the calling
+//! with one entry point, `scatter`, under every shuffle. It takes the
+//! shuffle's input partitions as `Part`s (records moved out of owned ones,
+//! cloned once out of shared ones) and a destination rule: a record and its
+//! position across all inputs give its bucket — the key's hash for a by-key
+//! shuffle, a range of sampled splits for `sort_by`, the position modulo the
+//! partition count for `repartition`. It produces the exact same buckets in
+//! the exact same order as the naive sequential loop, at a host cost of
+//! O(records + input partitions + output partitions) — never (input
+//! partitions × output partitions), which at the paper's 1,200 partitions is
+//! 1.44 M. Pass 1 asks the rule once per record, into one table of
+//! destinations for the whole scatter; pass 2 counts each bucket's records;
+//! pass 3 moves or clones each record straight into its exact-size bucket.
+//! Below `PARALLEL_SCATTER_MIN_RECORDS` records all three run on the calling
 //! thread. From there up pass 1 runs on the pool, one input partition per
 //! item, and so do passes 2 and 3 where the buckets are large enough
 //! (`MIN_RUN_BYTES_PER_BUCKET`): per *run*, a contiguous range of input
@@ -29,21 +33,22 @@
 //! another, and every bucket is record-for-record the sequential loop's.
 //!
 //! A scatter whose records are all already home — one input per output, and
-//! every record hashed to its own input's index — places nothing: its first
-//! pass finds that out, and the inputs come back as they are (owned ones as
-//! the same buffers, shared ones with no clone). Those are the buckets the
-//! sequential loop builds, by construction. A co-partitioned loop re-keys
-//! and re-shuffles state that an earlier shuffle of the same key already
-//! placed, so in Listing 4's lifted PageRank 21 of a job's 41 scatters are of
-//! this kind. A scatter into one partition hashes nothing either: every key
-//! lands in partition 0, so its bucket is the inputs concatenated in order.
+//! every record destined for its own input's index — places nothing: its
+//! first pass finds that out, and the inputs come back as they are (owned
+//! ones as the same buffers, shared ones with no clone). Those are the
+//! buckets the sequential loop builds, by construction. A co-partitioned
+//! loop re-keys and re-shuffles state that an earlier shuffle of the same key
+//! already placed, so in Listing 4's lifted PageRank 21 of a job's 41
+//! scatters are of this kind. A scatter into one partition asks the rule
+//! nothing either: every record lands in partition 0, so its bucket is the
+//! inputs concatenated in order.
 
-use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
+use crate::bag::Part;
 use crate::pool::parallel_map_range;
 
 /// Deterministic hash of a key (SipHash-1-3 with zero keys, the value std's
@@ -211,7 +216,7 @@ impl Hasher for SipHasher13 {
     }
 }
 
-/// Below this many total records a scatter runs on the calling thread and
+/// Below this many total records a scatter hashes on the calling thread and
 /// makes no pool call (`avg_distances` runs thousands of tiny scatters per
 /// job). A pool dispatch costs ~1 µs (`engine.pool.dispatch_us`), yet a
 /// lower cut for the hashing pass measured no faster: at 512 on a 2-core
@@ -229,140 +234,77 @@ const PARALLEL_SCATTER_MIN_RECORDS: usize = 4096;
 /// in 0.58x.
 const MIN_RUN_BYTES_PER_BUCKET: usize = 512;
 
-/// How many runs a scatter of `inputs` into `partitions` buckets places in:
-/// one per pool thread, but no more than the inputs, from
-/// `PARALLEL_SCATTER_MIN_RECORDS` records up while each run still writes
-/// `MIN_RUN_BYTES_PER_BUCKET` into an average bucket; else one, on the
-/// calling thread.
-fn runs_for<T, P: Borrow<Vec<T>>>(inputs: &[P], partitions: usize) -> usize {
-    let total: usize = inputs.iter().map(|p| p.borrow().len()).sum();
+/// How many runs a scatter of `total` records from `inputs` input partitions
+/// into `partitions` buckets places in: one per pool thread, but no more than
+/// the inputs, from `PARALLEL_SCATTER_MIN_RECORDS` records up while each run
+/// still writes `MIN_RUN_BYTES_PER_BUCKET` into an average bucket; else one,
+/// on the calling thread.
+fn runs_for<T>(total: usize, inputs: usize, partitions: usize) -> usize {
     if total < PARALLEL_SCATTER_MIN_RECORDS {
         return 1;
     }
     let by_bytes =
         total * std::mem::size_of::<T>() / (partitions.max(1) * MIN_RUN_BYTES_PER_BUCKET);
-    crate::pool::host_parallelism().min(inputs.len()).min(by_bytes).max(1)
+    crate::pool::host_parallelism().min(inputs).min(by_bytes).max(1)
 }
 
-/// Scatter `(key, value)`-shaped records of several input partitions into
-/// `partitions` output buckets by key hash, consuming the inputs (no
-/// per-record clone).
+/// Scatter the records of `inputs` into `partitions` buckets: the record at
+/// position `pos`, counted across all inputs in input order, goes to bucket
+/// `dest(record, pos)` (below `partitions`). Records move out of `Owned`
+/// inputs and are cloned once, straight into their bucket, out of `Shared`
+/// ones.
 ///
 /// Bucket contents and record order are those of the sequential loop over
-/// inputs in input order, whichever thread hashed or placed what. Inputs
-/// whose records are all home come back unchanged, the same buffers.
-pub fn scatter_by_key<T, K, F>(inputs: Vec<Vec<T>>, partitions: usize, key_of: F) -> Vec<Vec<T>>
+/// the inputs in input order, whichever thread hashed or placed what, and
+/// every bucket is allocated at its exact size. Inputs whose records are all
+/// home come back as they are: owned ones as the same buffers, shared ones
+/// with no clone.
+pub(crate) fn scatter<T, F>(inputs: Vec<Part<T>>, partitions: usize, dest: F) -> Vec<Part<T>>
 where
-    T: Send + Sync,
-    K: Hash + ?Sized,
-    F: Fn(&T) -> &K + Send + Sync,
+    T: Clone + Send + Sync,
+    F: Fn(&T, usize) -> usize + Sync,
 {
-    let runs = runs_for(&inputs, partitions);
-    scatter_owned(inputs, partitions, key_of, runs)
+    let total = inputs.iter().map(|p| p.as_slice().len()).sum();
+    let runs = runs_for::<T>(total, inputs.len(), partitions);
+    scatter_in_runs(inputs, partitions, dest, runs)
 }
 
-/// [`scatter_by_key`], placing in `runs` runs. One run frees each input's
-/// buffer as soon as it has moved its records out. Several runs drain the
-/// inputs, and the emptied buffers are freed here, on the calling thread:
-/// glibc frees another thread's blocks under its arena lock.
-fn scatter_owned<T, K, F>(
-    mut inputs: Vec<Vec<T>>,
+/// [`scatter`], placing in `runs` runs. Owned inputs are drained, and their
+/// emptied buffers are freed here, on the calling thread: glibc frees another
+/// thread's blocks under its arena lock.
+fn scatter_in_runs<T, F>(
+    mut inputs: Vec<Part<T>>,
     partitions: usize,
-    key_of: F,
+    dest: F,
     runs: usize,
-) -> Vec<Vec<T>>
+) -> Vec<Part<T>>
 where
-    T: Send + Sync,
-    K: Hash + ?Sized,
-    F: Fn(&T) -> &K + Send + Sync,
+    T: Clone + Send + Sync,
+    F: Fn(&T, usize) -> usize + Sync,
 {
     let partitions = partitions.max(1);
     if partitions == 1 {
         return match inputs.len() {
             1 => inputs,
-            _ => vec![concat(inputs.iter().map(Vec::len).sum(), inputs.into_iter().flatten())],
+            _ => vec![Part::Owned(concat(inputs))],
         };
     }
-    match destinations(&inputs, partitions, key_of) {
-        Some(dests) if runs > 1 => {
-            place(&dests, partitions, inputs.iter_mut().map(|p| p.drain(..)), |rec| rec, runs)
-        }
-        Some(dests) => {
-            place(&dests, partitions, inputs.into_iter().map(Vec::into_iter), |rec| rec, 1)
-        }
-        None => inputs,
-    }
-}
-
-/// [`scatter_by_key`] over *shared* partitions: records are cloned exactly
-/// once, straight into their destination bucket, with no intermediate deep
-/// copy of the input.
-///
-/// This is what lets every shuffle site read a memoized parent's partitions
-/// in place instead of materializing `p.to_vec()` first.
-pub fn scatter_shared_by_key<T, K, F>(
-    inputs: &[Arc<Vec<T>>],
-    partitions: usize,
-    key_of: F,
-) -> Vec<Vec<T>>
-where
-    T: Clone + Send + Sync,
-    K: Hash + ?Sized,
-    F: Fn(&T) -> &K + Send + Sync,
-{
-    scatter_shared_unless_home(inputs, partitions, key_of)
-        .unwrap_or_else(|| inputs.iter().map(|p| p.to_vec()).collect())
-}
-
-/// [`scatter_shared_by_key`] over borrowed partitions, or `None` where every
-/// record is already home: the caller keeps the shared partitions as they
-/// are, and no record is cloned.
-pub(crate) fn scatter_shared_unless_home<T, P, K, F>(
-    inputs: &[P],
-    partitions: usize,
-    key_of: F,
-) -> Option<Vec<Vec<T>>>
-where
-    T: Clone + Send + Sync,
-    P: Borrow<Vec<T>> + Sync,
-    K: Hash + ?Sized,
-    F: Fn(&T) -> &K + Send + Sync,
-{
-    scatter_shared(inputs, partitions, key_of, runs_for(inputs, partitions))
-}
-
-/// [`scatter_shared_unless_home`], placing in `runs` runs.
-fn scatter_shared<T, P, K, F>(
-    inputs: &[P],
-    partitions: usize,
-    key_of: F,
-    runs: usize,
-) -> Option<Vec<Vec<T>>>
-where
-    T: Clone + Send + Sync,
-    P: Borrow<Vec<T>> + Sync,
-    K: Hash + ?Sized,
-    F: Fn(&T) -> &K + Send + Sync,
-{
-    let partitions = partitions.max(1);
-    if partitions == 1 {
-        return match inputs.len() {
-            1 => None,
-            _ => Some(vec![concat(
-                inputs.iter().map(|p| p.borrow().len()).sum(),
-                inputs.iter().flat_map(|p| p.borrow().iter().cloned()),
-            )]),
-        };
-    }
-    let dests = destinations(inputs, partitions, key_of)?;
-    Some(place(&dests, partitions, inputs.iter().map(|p| p.borrow().iter()), T::clone, runs))
+    let Some(dests) = destinations(&inputs, partitions, dest) else { return inputs };
+    let buckets = place_in_runs(&dests, partitions, &mut inputs, runs);
+    drop(inputs);
+    buckets.into_iter().map(Part::Owned).collect()
 }
 
 /// The one bucket of a scatter into one partition: every record, in input
-/// order. Every key hashes to partition 0, so nothing is hashed.
-fn concat<T>(total: usize, records: impl Iterator<Item = T>) -> Vec<T> {
-    let mut bucket = Vec::with_capacity(total);
-    bucket.extend(records);
+/// order. Every rule sends a record to partition 0, so none is asked.
+fn concat<T: Clone>(inputs: Vec<Part<T>>) -> Vec<T> {
+    let mut bucket = Vec::with_capacity(inputs.iter().map(|p| p.as_slice().len()).sum());
+    for part in inputs {
+        match part {
+            Part::Owned(records) => bucket.extend(records),
+            Part::Shared(set, i) => bucket.extend_from_slice(&set[i]),
+        }
+    }
     bucket
 }
 
@@ -380,44 +322,40 @@ impl Destinations {
     }
 }
 
-/// Pass 1 of the scatter: every record's destination partition (inputs owned
-/// `Vec<T>`s or shared, borrowed either way) — the only [`partition_for`]
-/// call a record gets. Hashing is order-free, so large scatters run it on
-/// the pool, one input partition per item, each writing its own range of
-/// the one table. Each input also reports whether all its records are home
-/// (destined for its own index); `None` when, with one input per output,
-/// every input is.
-fn destinations<T, P, K, F>(inputs: &[P], partitions: usize, key_of: F) -> Option<Destinations>
+/// Pass 1 of the scatter: every record's destination partition — the only
+/// call of the rule a record gets. The rule is order-free, so large scatters
+/// run it on the pool, one input partition per item, each writing its own
+/// range of the one table. Each input also reports whether all its records
+/// are home (destined for its own index); `None` when, with one input per
+/// output, every input is.
+fn destinations<T, F>(inputs: &[Part<T>], partitions: usize, dest: F) -> Option<Destinations>
 where
-    P: Borrow<Vec<T>> + Sync,
-    K: Hash + ?Sized,
-    F: Fn(&T) -> &K + Sync,
+    T: Send + Sync,
+    F: Fn(&T, usize) -> usize + Sync,
 {
     assert!(partitions <= u32::MAX as usize, "scatter exceeds u32 destination capacity");
     let mut starts = Vec::with_capacity(inputs.len() + 1);
     starts.push(0);
     for p in inputs {
-        starts.push(starts[starts.len() - 1] + p.borrow().len());
+        starts.push(starts[starts.len() - 1] + p.as_slice().len());
     }
     let total = starts[inputs.len()];
     let ids: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-    let hash_input = |i: usize| -> bool {
-        let part: &Vec<T> = inputs[i].borrow();
+    let route_input = |i: usize| -> bool {
         let mut home = true;
-        for (rec, id) in part.iter().zip(&ids[starts[i]..starts[i + 1]]) {
-            let d = partition_for(key_of(rec), partitions);
+        let records = inputs[i].as_slice().iter().zip(starts[i]..);
+        for ((rec, pos), id) in records.zip(&ids[starts[i]..starts[i + 1]]) {
+            let d = dest(rec, pos);
             home &= d == i;
             id.store(d as u32, Ordering::Relaxed);
         }
         home
     };
-    let home: Vec<bool> = if total < PARALLEL_SCATTER_MIN_RECORDS
-        || inputs.len() <= 1
-        || crate::pool::host_parallelism() <= 1
-    {
-        (0..inputs.len()).map(hash_input).collect()
+    // The pool runs one input, or a host of one core, inline.
+    let home: Vec<bool> = if total < PARALLEL_SCATTER_MIN_RECORDS {
+        (0..inputs.len()).map(route_input).collect()
     } else {
-        parallel_map_range(inputs.len(), hash_input)
+        parallel_map_range(inputs.len(), route_input)
     };
     if inputs.len() == partitions && home.into_iter().all(|home| home) {
         return None;
@@ -426,44 +364,6 @@ where
     // item has completed, so `Relaxed` stores are all read here.
     let ids = ids.into_iter().map(AtomicU32::into_inner).collect();
     Some(Destinations { ids, starts })
-}
-
-/// Passes 2 and 3 of the scatter: count each bucket's records, allocate
-/// every bucket at its exact size (an empty bucket allocates nothing, none
-/// regrows), and move or clone each record into its bucket, walking the
-/// inputs in input order — the sequential loop's order, record for record.
-/// One run does this on the calling thread; more go to
-/// [`place_in_runs`].
-///
-/// `take` turns what the input iterators yield into the stored record at the
-/// write site: the identity for a move, `T::clone` for a borrow. (A cloning
-/// *iterator* zipped with the ids builds every clone in a temporary first —
-/// twice the time of this loop on 48-byte `Value` pairs.)
-fn place<I, T>(
-    dests: &Destinations,
-    partitions: usize,
-    inputs: impl Iterator<Item = I>,
-    take: impl Fn(I::Item) -> T + Sync,
-    runs: usize,
-) -> Vec<Vec<T>>
-where
-    I: Iterator + Send,
-    T: Send,
-{
-    if runs > 1 {
-        return place_in_runs(dests, partitions, inputs, take, runs);
-    }
-    let mut counts = vec![0usize; partitions];
-    for &d in &dests.ids {
-        counts[d as usize] += 1;
-    }
-    let mut out: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
-    for (i, part) in inputs.enumerate() {
-        for (rec, &d) in part.zip(dests.of(i, i + 1)) {
-            out[d as usize].push(take(rec));
-        }
-    }
-    out
 }
 
 /// Where each of `runs` runs starts in the inputs, plus the end: contiguous
@@ -485,30 +385,33 @@ fn run_bounds(starts: &[usize], runs: usize) -> Vec<usize> {
     bounds
 }
 
-/// A run's input partitions and its sub-slice of every bucket.
-type Run<'a, I, T> = (Vec<I>, Vec<std::slice::IterMut<'a, MaybeUninit<T>>>);
+/// One input's records as a run reads them: moved out of an owned input
+/// (drained: its buffer stays with the caller), borrowed from a shared one.
+enum Records<'a, T> {
+    Moved(std::vec::Drain<'a, T>),
+    Cloned(std::slice::Iter<'a, T>),
+}
 
-/// [`place`] on the pool, in `runs` runs (see [`run_bounds`]). Each run
-/// counts its own records per bucket. A prefix sum over the runs cuts every
-/// exact-size bucket's spare capacity into one sub-slice per run, run 0
-/// first, and each run moves or clones its records into its own sub-slices
-/// in input order. Runs are contiguous and in input order, so every bucket
-/// is the sequential loop's; each record moves once, and no run waits for
-/// another.
+/// A run's input partitions and its sub-slice of every bucket.
+type Run<'a, T> = (Vec<Records<'a, T>>, Vec<std::slice::IterMut<'a, MaybeUninit<T>>>);
+
+/// Passes 2 and 3 of the scatter, in `runs` runs on the pool (see
+/// [`run_bounds`]; one run runs on the calling thread). Each run counts its
+/// own records per bucket. A prefix sum over the runs allocates every bucket
+/// at its exact size (an empty bucket allocates nothing, none regrows) and
+/// cuts its spare capacity into one sub-slice per run, run 0 first, and each
+/// run moves or clones its records into its own sub-slices in input order.
+/// Runs are contiguous and in input order, so every bucket is the sequential
+/// loop's; each record moves once, and no run waits for another.
 ///
-/// A panic in `take` unwinds with every bucket still empty: the records
+/// A panic in a clone unwinds with every bucket still empty: the records
 /// already written leak, and none is dropped twice.
-fn place_in_runs<I, T>(
+fn place_in_runs<T: Clone + Send + Sync>(
     dests: &Destinations,
     partitions: usize,
-    mut inputs: impl Iterator<Item = I>,
-    take: impl Fn(I::Item) -> T + Sync,
+    inputs: &mut [Part<T>],
     runs: usize,
-) -> Vec<Vec<T>>
-where
-    I: Iterator + Send,
-    T: Send,
-{
+) -> Vec<Vec<T>> {
     let bounds = run_bounds(&dests.starts, runs);
     let counts: Vec<Vec<usize>> = parallel_map_range(runs, |r| {
         let mut counts = vec![0usize; partitions];
@@ -529,11 +432,15 @@ where
             spare = rest;
         }
     }
-    let work: Vec<Mutex<Option<Run<'_, I, T>>>> = slots
+    let mut records = inputs.iter_mut().map(|part| match part {
+        Part::Owned(v) => Records::Moved(v.drain(..)),
+        Part::Shared(set, i) => Records::Cloned(set[*i].iter()),
+    });
+    let work: Vec<Mutex<Option<Run<'_, T>>>> = slots
         .into_iter()
         .enumerate()
         .map(|(r, slots)| {
-            let parts = inputs.by_ref().take(bounds[r + 1] - bounds[r]).collect();
+            let parts = records.by_ref().take(bounds[r + 1] - bounds[r]).collect();
             Mutex::new(Some((parts, slots)))
         })
         .collect();
@@ -544,8 +451,10 @@ where
             .take()
             .expect("a run is placed once");
         for (part, i) in parts.into_iter().zip(bounds[r]..) {
-            for (rec, &d) in part.zip(dests.of(i, i + 1)) {
-                slots[d as usize].next().expect("a slot per counted record").write(take(rec));
+            let ids = dests.of(i, i + 1);
+            match part {
+                Records::Moved(recs) => write(&mut slots, ids, recs, |rec| rec),
+                Records::Cloned(recs) => write(&mut slots, ids, recs, T::clone),
             }
         }
         slots.iter().all(|s| s.len() == 0)
@@ -563,8 +472,26 @@ where
     out
 }
 
+/// Write one input's records into a run's slots, record `j` into the next
+/// slot of bucket `ids[j]`. `take` turns what the input yields into the
+/// stored record at the write site: the identity for a move, `T::clone` for
+/// a borrow. (A cloning *iterator* zipped with the ids builds every clone in
+/// a temporary first — twice the time of this loop on 48-byte `Value` pairs.)
+fn write<I: Iterator, T>(
+    slots: &mut [std::slice::IterMut<'_, MaybeUninit<T>>],
+    ids: &[u32],
+    records: I,
+    take: impl Fn(I::Item) -> T,
+) {
+    for (rec, &d) in records.zip(ids) {
+        slots[d as usize].next().expect("a slot per counted record").write(take(rec));
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -685,10 +612,31 @@ mod tests {
         assert_eq!(partition_for(&1u64, 0), 0);
     }
 
+    /// Owned parts holding `inputs`.
+    fn owned<T>(inputs: Vec<Vec<T>>) -> Vec<Part<T>> {
+        inputs.into_iter().map(Part::Owned).collect()
+    }
+
+    /// Shared handles on one partition set holding `inputs`.
+    fn shared<T>(inputs: Vec<Vec<T>>) -> Vec<Part<T>> {
+        let set = Arc::new(inputs);
+        (0..set.len()).map(|i| Part::Shared(Arc::clone(&set), i)).collect()
+    }
+
+    /// Each part's records, cloned.
+    fn records<T: Clone>(parts: &[Part<T>]) -> Vec<Vec<T>> {
+        parts.iter().map(|p| p.as_slice().to_vec()).collect()
+    }
+
+    /// The by-key rule of a shuffle into `partitions`: the key's hash.
+    fn by_key<V>(partitions: usize) -> impl Fn(&(u64, V), usize) -> usize + Sync {
+        move |r, _| partition_for(&r.0, partitions)
+    }
+
     #[test]
     fn scatter_groups_same_keys_together() {
         let inputs = vec![vec![(1u64, "a"), (2, "b")], vec![(1, "c"), (3, "d")]];
-        let out = scatter_by_key(inputs, 4, |r| &r.0);
+        let out = records(&scatter(owned(inputs), 4, by_key(4)));
         // All records with key 1 must land in the same partition.
         let p1 = partition_for(&1u64, 4);
         let ones: Vec<_> = out[p1].iter().filter(|r| r.0 == 1).collect();
@@ -700,23 +648,22 @@ mod tests {
     #[test]
     fn scatter_spreads_distinct_keys() {
         let inputs = vec![(0..1000u64).map(|k| (k, ())).collect::<Vec<_>>()];
-        let out = scatter_by_key(inputs, 8, |r| &r.0);
-        let nonempty = out.iter().filter(|p| !p.is_empty()).count();
+        let out = scatter(owned(inputs), 8, by_key(8));
+        let nonempty = out.iter().filter(|p| !p.as_slice().is_empty()).count();
         assert!(nonempty >= 7, "hash partitioning should use nearly all partitions");
     }
 
-    /// Reference implementation: the naive sequential scatter every variant
-    /// must reproduce bit-for-bit (contents *and* order).
+    /// Reference implementation: the naive sequential scatter every placement
+    /// must reproduce bit-for-bit (contents *and* order), the record at
+    /// position `pos` across the inputs going to `dest(record, pos)`.
     fn sequential_scatter<T: Clone>(
         inputs: &[Vec<T>],
         partitions: usize,
-        key_of: impl Fn(&T) -> u64,
+        dest: impl Fn(&T, usize) -> usize,
     ) -> Vec<Vec<T>> {
         let mut out: Vec<Vec<T>> = (0..partitions).map(|_| Vec::new()).collect();
-        for part in inputs {
-            for rec in part {
-                out[(stable_hash(&key_of(rec)) % partitions as u64) as usize].push(rec.clone());
-            }
+        for (pos, rec) in inputs.iter().flatten().enumerate() {
+            out[dest(rec, pos)].push(rec.clone());
         }
         out
     }
@@ -727,12 +674,11 @@ mod tests {
         let inputs: Vec<Vec<(u64, u64)>> = (0..9)
             .map(|p| (0..(1500 + p * 321)).map(|i| ((i * 31 + p) % 4093, i)).collect())
             .collect();
-        let expect = sequential_scatter(&inputs, 13, |r| r.0);
-        let owned = scatter_by_key(inputs.clone(), 13, |r| &r.0);
-        assert_eq!(owned, expect, "owned parallel scatter must match the sequential loop");
-        let shared: Vec<Arc<Vec<(u64, u64)>>> = inputs.into_iter().map(Arc::new).collect();
-        let zero_copy = scatter_shared_by_key(&shared, 13, |r| &r.0);
-        assert_eq!(zero_copy, expect, "shared parallel scatter must match the sequential loop");
+        let expect = sequential_scatter(&inputs, 13, by_key(13));
+        let moved = scatter(owned(inputs.clone()), 13, by_key(13));
+        assert_eq!(records(&moved), expect, "owned parallel scatter must match the loop");
+        let cloned = scatter(shared(inputs), 13, by_key(13));
+        assert_eq!(records(&cloned), expect, "shared parallel scatter must match the loop");
     }
 
     /// splitmix64, the repository's seedable generator: every case is
@@ -745,16 +691,20 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Both entry points equal the naive loop — contents *and* order — over
+    /// The one scatter equals the naive loop — contents *and* order — over
     /// random shapes: 0–64 input partitions (some empty, sometimes all),
     /// 1–1,500 outputs, totals on both sides of `PARALLEL_SCATTER_MIN_RECORDS`,
-    /// uniform / single-key / Zipf-ish keys, a non-`Copy` record type, each
+    /// uniform / single-key / Zipf-ish keys, a non-`Copy` record type, under
+    /// the three rules the engine places by (a key's hash, `sort_by`'s ranges,
+    /// `repartition`'s round robin), with owned, shared and mixed inputs, each
     /// placed in 1–8 runs whatever the host's core count. Every bucket a
-    /// scatter builds has its exact size.
+    /// scatter builds has its exact size; inputs it hands back are the very
+    /// parts it was given.
     #[test]
     fn scatter_equals_the_sequential_loop_on_random_shapes() {
         const CASES: u64 = 240;
         let (mut inline, mut pooled, mut all_empty, mut one_output) = (0, 0, 0, 0);
+        let mut rules = [0; 3];
         for case in 0..CASES {
             let mut rng = case;
             let n_inputs = (splitmix64(&mut rng) % 65) as usize;
@@ -773,8 +723,8 @@ mod tests {
             let open: Vec<usize> =
                 (0..n_inputs).filter(|_| !splitmix64(&mut rng).is_multiple_of(4)).collect();
             let mut inputs: Vec<Vec<(u64, String)>> = vec![Vec::new(); n_inputs];
-            let records = if open.is_empty() { 0 } else { target };
-            for id in 0..records {
+            let records_wanted = if open.is_empty() { 0 } else { target };
+            for id in 0..records_wanted {
                 let r = splitmix64(&mut rng);
                 let key = match key_shape {
                     0 => r,                     // uniform
@@ -792,35 +742,58 @@ mod tests {
             }
             one_output += usize::from(partitions == 1);
 
-            let expect = sequential_scatter(&inputs, partitions, |r| r.0);
+            // `sort_by`'s split points: exact quantiles of every key.
+            let mut keys: Vec<u64> = inputs.iter().flatten().map(|r| r.0).collect();
+            keys.sort_unstable();
+            let splits: Vec<u64> = (1..partitions)
+                .filter_map(|i| keys.get(i * keys.len() / partitions))
+                .copied()
+                .collect();
+            let rule = (splitmix64(&mut rng) % 3) as usize;
+            rules[rule] += 1;
+            let dest = |r: &(u64, String), pos: usize| match rule {
+                0 => partition_for(&r.0, partitions),
+                1 => splits.partition_point(|s| *s <= r.0),
+                _ => pos % partitions,
+            };
+            let expect = sequential_scatter(&inputs, partitions, dest);
             assert_eq!(expect.iter().map(Vec::len).sum::<usize>(), total);
-            let shared: Vec<Arc<Vec<(u64, String)>>> =
-                inputs.iter().cloned().map(Arc::new).collect();
-            let exact =
-                |buckets: &[Vec<(u64, String)>]| buckets.iter().all(|b| b.capacity() == b.len());
+            // The loop's buckets are the inputs: one input into one
+            // partition, or every record home.
+            let passthrough = inputs.len() == partitions && expect == inputs;
+            let set = Arc::new(inputs.clone());
             for runs in 1..=8 {
-                let at = format!("case {case}, {runs} runs");
-                match scatter_shared(&shared, partitions, |r| &r.0, runs) {
-                    // The inputs are the buckets: one of them into one
-                    // partition, or all of them home.
-                    None => assert!(shared.iter().map(|p| p.as_ref()).eq(&expect), "{at}"),
-                    Some(cloned) => {
-                        assert!(cloned == expect, "{at}: shared scatter differs from the loop");
-                        assert!(
-                            exact(&cloned),
-                            "{at}: a shared scatter's bucket is not exact-size"
-                        );
-                        let moved = scatter_owned(inputs.clone(), partitions, |r| &r.0, runs);
-                        assert!(moved == expect, "{at}: owned scatter differs from the loop");
-                        assert!(exact(&moved), "{at}: an owned scatter's bucket is not exact-size");
+                for mix in ["owned", "shared", "mixed"] {
+                    let at = format!("case {case}, rule {rule}, {mix}, {runs} runs");
+                    let given: Vec<Part<(u64, String)>> = (0..n_inputs)
+                        .map(|i| match (mix, i % 3) {
+                            ("owned", _) | ("mixed", 1) => Part::Owned(inputs[i].clone()),
+                            _ => Part::Shared(Arc::clone(&set), i),
+                        })
+                        .collect();
+                    let buffers: Vec<*const (u64, String)> =
+                        given.iter().map(|p| p.as_slice().as_ptr()).collect();
+                    let out = scatter_in_runs(given, partitions, dest, runs);
+                    assert!(records(&out) == expect, "{at}: the scatter differs from the loop");
+                    if passthrough {
+                        let same = out.iter().map(|p| p.as_slice().as_ptr()).eq(buffers);
+                        assert!(same, "{at}: inputs all home are handed back as they are");
+                        continue;
                     }
+                    let exact = out.iter().all(|p| match p {
+                        Part::Owned(bucket) => bucket.capacity() == bucket.len(),
+                        Part::Shared(..) => false,
+                    });
+                    assert!(exact, "{at}: a bucket is shared or not exact-size");
                 }
             }
-            assert!(scatter_by_key(inputs, partitions, |r| &r.0) == expect, "case {case}");
+            let out = scatter(shared(inputs), partitions, dest);
+            assert!(records(&out) == expect, "case {case}");
         }
         // The draw must actually cover what the doc comment promises.
         assert!(inline >= 50 && pooled >= 50, "inline {inline}, pooled {pooled}");
         assert!(all_empty >= 10 && one_output >= 20, "empty {all_empty}, one {one_output}");
+        assert!(rules.iter().all(|&n| n >= 50), "rules drawn {rules:?}");
     }
 
     /// Runs cut the inputs into contiguous ranges of about equal records.
@@ -875,64 +848,82 @@ mod tests {
         }
     }
 
-    /// A clone that panics midway through a pooled scatter unwinds out of
-    /// it: the clones already placed leak, and no record — original or
-    /// clone — is dropped twice.
+    /// A clone that panics midway through a pooled scatter, in a shared
+    /// input placed between owned ones, unwinds out of it: the records
+    /// already placed leak (clones and moved originals alike), every shared
+    /// original is dropped with its set, and no record is dropped twice.
     #[test]
     fn a_panicking_clone_unwinds_with_no_double_drop() {
         use std::sync::atomic::Ordering::SeqCst;
         let records = 2 * PARALLEL_SCATTER_MIN_RECORDS as u64;
-        let shared: Vec<Arc<Vec<(u64, Fused)>>> = (0..6)
-            .map(|p| Arc::new((p..records).step_by(6).map(|i| (i % 991, Fused::new(i))).collect()))
-            .collect();
-        let originals = NEXT_ID.load(SeqCst);
+        let input = |p: u64| -> Vec<(u64, Fused)> {
+            (p..records).step_by(6).map(|i| (i % 991, Fused::new(i))).collect()
+        };
+        // Inputs 2 and 3 are shared, 0, 1, 4 and 5 owned.
+        let first = NEXT_ID.load(SeqCst);
+        let set = Arc::new(vec![input(2), input(3)]);
+        let last = NEXT_ID.load(SeqCst);
+        let shared_records = set.iter().map(Vec::len).sum::<usize>() as u64;
         for runs in [1, 3, 6] {
+            let parts = vec![
+                Part::Owned(input(0)),
+                Part::Owned(input(1)),
+                Part::Shared(Arc::clone(&set), 0),
+                Part::Shared(Arc::clone(&set), 1),
+                Part::Owned(input(4)),
+                Part::Owned(input(5)),
+            ];
             CLONES.store(0, SeqCst);
-            PANIC_AT.store(records / 2, SeqCst);
+            PANIC_AT.store(shared_records / 2, SeqCst);
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                scatter_shared(&shared, 5, |r| &r.0, runs)
+                scatter_in_runs(parts, 5, by_key(5), runs)
             }));
             assert!(unwound.is_err(), "{runs} runs: the clone's panic reaches the caller");
         }
         PANIC_AT.store(u64::MAX, SeqCst);
-        drop(shared);
+        drop(set);
         let mut dropped = std::mem::take(&mut *DROPPED.lock().unwrap());
         dropped.sort_unstable();
         let before = dropped.len();
         dropped.dedup();
         assert_eq!(dropped.len(), before, "a record was dropped twice");
         assert!(dropped.iter().all(|&id| id < NEXT_ID.load(SeqCst)), "a dropped id was never made");
-        assert!((0..originals).all(|id| dropped.binary_search(&id).is_ok()), "an original leaked");
+        let kept = (first..last).filter(|id| dropped.binary_search(id).is_err()).count();
+        assert_eq!(kept, 0, "a shared original leaked");
     }
 
     /// Inputs already placed by key, one per output: every record home.
     fn home_inputs(partitions: usize, records: u64) -> Vec<Vec<(u64, u64)>> {
         let all: Vec<(u64, u64)> = (0..records).map(|i| (i % 997, i)).collect();
-        sequential_scatter(&[all], partitions, |r| r.0)
+        sequential_scatter(&[all], partitions, by_key(partitions))
     }
 
     /// Below and above the pooled-hashing threshold, owned inputs whose
     /// records are all home come back as the same buffers, and shared ones
-    /// place nothing; both are what the sequential loop builds.
+    /// as the same handles; both are what the sequential loop builds.
     #[test]
     fn inputs_all_home_come_back_as_they_are() {
-        for records in [300, 3 * PARALLEL_SCATTER_MIN_RECORDS as u64] {
-            let inputs = home_inputs(7, records);
-            let expect = sequential_scatter(&inputs, 7, |r| r.0);
-            assert_eq!(expect, inputs, "{records}: placed inputs are the loop's buckets");
-            let shared: Vec<Arc<Vec<(u64, u64)>>> = inputs.iter().cloned().map(Arc::new).collect();
-            assert!(scatter_shared_unless_home(&shared, 7, |r| &r.0).is_none(), "{records}");
-            assert_eq!(scatter_shared_by_key(&shared, 7, |r| &r.0), expect, "{records}");
+        for records_in in [300, 3 * PARALLEL_SCATTER_MIN_RECORDS as u64] {
+            let inputs = home_inputs(7, records_in);
+            let expect = sequential_scatter(&inputs, 7, by_key(7));
+            assert_eq!(expect, inputs, "{records_in}: placed inputs are the loop's buckets");
+            let handles = shared(inputs.clone());
+            let buffers: Vec<*const (u64, u64)> =
+                handles.iter().map(|p| p.as_slice().as_ptr()).collect();
+            let out = scatter(handles, 7, by_key(7));
+            assert!(out.iter().all(|p| matches!(p, Part::Shared(..))), "{records_in}: no copy");
+            assert_eq!(out.iter().map(|p| p.as_slice().as_ptr()).collect::<Vec<_>>(), buffers);
             let buffers: Vec<*const (u64, u64)> = inputs.iter().map(|p| p.as_ptr()).collect();
-            let moved = scatter_by_key(inputs, 7, |r| &r.0);
-            assert_eq!(moved, expect, "{records}");
-            let same: Vec<*const (u64, u64)> = moved.iter().map(|p| p.as_ptr()).collect();
-            assert_eq!(same, buffers, "{records}: the same buffers, not copies");
+            let moved = scatter(owned(inputs), 7, by_key(7));
+            assert_eq!(records(&moved), expect, "{records_in}");
+            let same: Vec<*const (u64, u64)> =
+                moved.iter().map(|p| p.as_slice().as_ptr()).collect();
+            assert_eq!(same, buffers, "{records_in}: the same buffers, not copies");
             // One input more than outputs: a scatter, though every record
             // hashes to an index it could keep.
-            let mut wider = home_inputs(7, records);
+            let mut wider = home_inputs(7, records_in);
             wider.push(Vec::new());
-            assert_eq!(scatter_by_key(wider, 7, |r| &r.0), expect, "{records}");
+            assert_eq!(records(&scatter(owned(wider), 7, by_key(7))), expect, "{records_in}");
         }
     }
 
@@ -949,37 +940,39 @@ mod tests {
                 Counted(self.0)
             }
         }
-        let records = 2 * PARALLEL_SCATTER_MIN_RECORDS as u64;
-        let shared: Vec<Arc<Vec<(u64, Counted)>>> = home_inputs(5, records)
+        let records_in = 2 * PARALLEL_SCATTER_MIN_RECORDS as u64;
+        let inputs: Vec<Vec<(u64, Counted)>> = home_inputs(5, records_in)
             .into_iter()
-            .map(|p| Arc::new(p.into_iter().map(|(k, v)| (k, Counted(v))).collect()))
+            .map(|p| p.into_iter().map(|(k, v)| (k, Counted(v))).collect())
             .collect();
+        let handles = shared(inputs);
         CLONES.store(0, Ordering::Relaxed);
-        assert!(scatter_shared_unless_home(&shared, 5, |r| &r.0).is_none());
+        let out = scatter(handles, 5, by_key(5));
+        assert!(out.iter().all(|p| matches!(p, Part::Shared(..))));
         assert_eq!(CLONES.load(Ordering::Relaxed), 0, "an all-home scatter clones nothing");
     }
 
     /// One record out of place and the whole scatter runs, equal to the
-    /// sequential loop through both entry points.
+    /// sequential loop out of shared and owned inputs.
     #[test]
     fn one_misplaced_record_falls_back_to_the_counting_scatter() {
-        for records in [300, 3 * PARALLEL_SCATTER_MIN_RECORDS as u64] {
-            let mut inputs = home_inputs(7, records);
+        for records_in in [300, 3 * PARALLEL_SCATTER_MIN_RECORDS as u64] {
+            let mut inputs = home_inputs(7, records_in);
             let stray = inputs[2].pop().expect("a record to misplace");
             inputs[5].insert(1, stray);
-            let expect = sequential_scatter(&inputs, 7, |r| r.0);
-            assert_ne!(expect, inputs, "{records}: the stray record moves home");
-            let shared: Vec<Arc<Vec<(u64, u64)>>> = inputs.iter().cloned().map(Arc::new).collect();
-            assert_eq!(scatter_shared_unless_home(&shared, 7, |r| &r.0), Some(expect.clone()));
-            assert_eq!(scatter_by_key(inputs, 7, |r| &r.0), expect, "{records}");
+            let expect = sequential_scatter(&inputs, 7, by_key(7));
+            assert_ne!(expect, inputs, "{records_in}: the stray record moves home");
+            let cloned = scatter(shared(inputs.clone()), 7, by_key(7));
+            assert_eq!(records(&cloned), expect, "{records_in}");
+            assert!(cloned.iter().all(|p| matches!(p, Part::Owned(_))), "{records_in}");
+            assert_eq!(records(&scatter(owned(inputs), 7, by_key(7))), expect, "{records_in}");
         }
     }
 
     #[test]
     fn shared_scatter_small_input_serial_path_matches_too() {
-        let inputs: Vec<Arc<Vec<u64>>> = vec![Arc::new((0..50).collect())];
-        let out = scatter_shared_by_key(&inputs, 4, |x| x);
-        let expect = sequential_scatter(&[(0..50).collect()], 4, |x| *x);
-        assert_eq!(out, expect);
+        let out = scatter(shared(vec![(0..50u64).collect()]), 4, |x, _| partition_for(x, 4));
+        let expect = sequential_scatter(&[(0..50).collect()], 4, |x, _| partition_for(x, 4));
+        assert_eq!(records(&out), expect);
     }
 }

@@ -5,8 +5,11 @@
 //! destinations and allocates each output bucket once at its exact size;
 //! the one it replaced built a private set of output buckets per input
 //! partition — 1,200 × 1,200 = 1.44 M `Vec`s for the shape below, at any
-//! record count. The assertion is on *allocations*, counted by a std-only
-//! `#[global_allocator]`, so it does not depend on the host's speed.
+//! record count. The first test runs it under `partition_by_key`, 1,200
+//! partitions to 1,200, out of a materialized parent (records cloned) and
+//! out of an unmaterialized `map` chain (records moved). The assertion is
+//! on *allocations*, counted by a std-only `#[global_allocator]`, so it does
+//! not depend on the host's speed.
 //!
 //! The second test pins a join that pushes its matches: it allocates per
 //! *output record*, not per match × the size of what it matched.
@@ -30,9 +33,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use matryoshka_engine::partitioner::{scatter_by_key, scatter_shared_by_key};
 use matryoshka_engine::{ClusterConfig, Engine, JoinAlgorithm, Rule};
 
 struct CountingAlloc;
@@ -98,25 +100,31 @@ fn inputs(records: u64) -> Vec<Vec<(u64, u64)>> {
 #[test]
 fn a_shuffle_allocates_per_partition_not_per_partition_pair() {
     let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let engine = Engine::new(ClusterConfig::local_test());
     for records in [RECORDS, PLACED_IN_RUNS] {
+        let data: Vec<(u64, u64)> = inputs(records).into_iter().flatten().collect();
+        let base = engine.parallelize(data, INPUTS);
+        assert_eq!(base.count().unwrap(), records);
         // Warm-up: start the pool's workers and fault in whatever is lazy.
-        let warm = scatter_by_key(inputs(records), OUTPUTS, |r| &r.0);
+        let warm = base.partition_by_key(OUTPUTS).collect_partitions().unwrap();
         assert_eq!(warm.iter().map(Vec::len).sum::<usize>(), records as usize);
 
-        let shared: Vec<Arc<Vec<(u64, u64)>>> = inputs(records).into_iter().map(Arc::new).collect();
-        let (cloning, out) =
-            allocations_during(|| scatter_shared_by_key(&shared, OUTPUTS, |r| &r.0));
-        assert_eq!(out, warm, "both entry points build the same buckets");
+        // Out of the materialized parent's shared partitions.
+        let cloned = base.partition_by_key(OUTPUTS);
+        let (cloning, count) = allocations_during(|| cloned.count().unwrap());
+        assert_eq!(count, records);
         assert!(cloning < BOUND, "{records}: {cloning} allocations to clone, want < {BOUND}");
 
-        let owned = inputs(records);
-        let (moving, out) = allocations_during(|| scatter_by_key(owned, OUTPUTS, |r| &r.0));
-        assert_eq!(out, warm);
+        // Out of an unmaterialized `map` chain's owned output.
+        let moved = base.map(|&r| r).partition_by_key(OUTPUTS);
+        let (moving, count) = allocations_during(|| moved.count().unwrap());
+        assert_eq!(count, records);
         assert!(moving < BOUND, "{records}: {moving} allocations to move, want < {BOUND}");
+        assert_eq!(cloned.collect_partitions().unwrap(), warm, "both shapes place alike");
+        assert_eq!(moved.collect_partitions().unwrap(), warm);
     }
 
-    // The same shuffle through the engine, base partitions included.
-    let engine = Engine::new(ClusterConfig::local_test());
+    // The same shuffle from a source, base partitions included.
     let data: Vec<(u64, u64)> = inputs(RECORDS).into_iter().flatten().collect();
     let (through_engine, count) = allocations_during(|| {
         engine.parallelize(data, INPUTS).partition_by_key(OUTPUTS + 1).count().unwrap()

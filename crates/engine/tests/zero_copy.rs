@@ -11,9 +11,7 @@
 //! concurrently in one process.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use matryoshka_engine::partitioner::{scatter_by_key, scatter_shared_by_key};
 use matryoshka_engine::JoinAlgorithm::BroadcastRight;
 use matryoshka_engine::{ClusterConfig, Engine, Partitioning};
 
@@ -242,33 +240,36 @@ fn shuffle_scatter_clones_each_record_exactly_once() {
 
 tracked!(DirectVal, DIRECT_CLONES);
 
-/// The two scatter entry points themselves, below and above the threshold
-/// from which destinations are hashed on the pool: out of shared partitions
-/// a record is cloned exactly once, out of owned partitions it is moved —
-/// zero clones — and both build the same buckets.
+/// The scatter under a shuffle, below and above the threshold from which
+/// destinations are hashed on the pool: a `partition_by_key` over a
+/// materialized parent clones each record exactly once, out of its shared
+/// partitions; one over an unmaterialized `map` chain moves every record the
+/// chain made into its bucket — zero clones. Both build the same partitions.
 #[test]
 fn scatter_clones_once_from_shared_and_never_from_owned() {
     for n in [1_000u64, 10_000] {
-        let inputs = || -> Vec<Vec<(u64, DirectVal)>> {
-            (0..8).map(|p| (0..n / 8).map(|i| (i * 8 + p, DirectVal(i))).collect()).collect()
-        };
-        let shared: Vec<Arc<Vec<(u64, DirectVal)>>> = inputs().into_iter().map(Arc::new).collect();
-        let owned = inputs();
+        let e = engine();
+        let base = e.parallelize((0..n).map(|i| (i, DirectVal(i))).collect::<Vec<_>>(), 8);
+        base.count().unwrap();
         DIRECT_CLONES.store(0, Ordering::Relaxed);
-        let cloned = scatter_shared_by_key(&shared, 6, |r| &r.0);
+        let cloned = base.partition_by_key(6);
+        assert_eq!(cloned.count().unwrap(), n);
         assert_eq!(
             DIRECT_CLONES.load(Ordering::Relaxed),
             n as usize,
-            "{n} records: the shared scatter clones each record exactly once"
+            "{n} records: a scatter out of shared partitions clones each record exactly once"
         );
+        let ids = e.parallelize((0..n).collect::<Vec<u64>>(), 8);
+        ids.count().unwrap();
         DIRECT_CLONES.store(0, Ordering::Relaxed);
-        let moved = scatter_by_key(owned, 6, |r| &r.0);
+        let moved = ids.map(|&i| (i, DirectVal(i))).partition_by_key(6);
+        assert_eq!(moved.count().unwrap(), n);
         assert_eq!(
             DIRECT_CLONES.load(Ordering::Relaxed),
             0,
-            "{n} records: the owned scatter moves every record"
+            "{n} records: a scatter out of a chain's owned output moves every record"
         );
-        assert_eq!(cloned, moved);
+        assert_eq!(cloned.collect_partitions().unwrap(), moved.collect_partitions().unwrap());
     }
 }
 

@@ -126,7 +126,10 @@ echo "== deleted switches stay deleted"
 # per-fact walkers beside it), and no strategy enum outlives its callers;
 # a K-means partial sum is added into its accumulator in place (no helper
 # that builds a new point per merge); a pass's output partitions are one
-# shared set (no `Arc` per partition inside the shared list).
+# shared set (no `Arc` per partition inside the shared list); a shuffle
+# places through the partitioner's one scatter, over the chain head's
+# `Part` handle (no owned-or-shared input type beside it, no per-input-kind
+# scatter entry point, no operator filling its own buckets).
 # The patterns are split so this file does not match itself; the set
 # operators are matched by definition, which misses std's
 # `HashSet::intersection` and the word "subtracts".
@@ -148,6 +151,7 @@ if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace
   -e 'contains''_barrier|contains_lifted''_udf|lambdas''_pure' \
   -e 'add''_points' \
   -e 'Arc<Vec<''Arc<Vec<' \
+  -e 'scatter_shared''_unless_home|scatter_shared''_by_key|fn scatt''ered\b|enum In''put\b' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2
@@ -166,7 +170,7 @@ fi
 # records one, or memory-checks a wide operator's working sets. The one
 # memory check elsewhere is `map_with_work`'s (`ops_narrow.rs`), which
 # prices what its UDF reports.
-if grep -rnE 'charge_shuffle\(|record_map_output\(|record_scatter|materialize_factor|scatter_(shared_)?(by_key|unless_home)\(' \
+if grep -rnE 'charge_shuffle\(|record_map_output\(|record_scatter|materialize_factor|\bscatter\(' \
     crates/engine/src/bag --exclude=shuffle.rs \
   || grep -rnE 'charge_memory\(' crates/engine/src/bag --exclude=shuffle.rs --exclude=ops_narrow.rs; then
   echo "a shuffle is charged, placed or memory-checked outside bag/shuffle.rs (see above)" >&2
