@@ -72,10 +72,7 @@ pub fn run_case_named(
     f: impl FnOnce(&Engine) -> matryoshka_engine::Result<()>,
 ) -> Measurement {
     let trace_dir = std::env::var_os("MATRYOSHKA_TRACE_DIR");
-    let engine = Engine::new(cfg);
-    if trace_dir.is_some() {
-        engine.enable_tracing();
-    }
+    let engine = Engine::new(ClusterConfig { trace_events: trace_dir.is_some(), ..cfg });
     let t0 = engine.sim_time();
     let s0 = engine.stats();
     let outcome = match f(&engine) {

@@ -76,18 +76,11 @@ impl Default for CostModel {
     }
 }
 
-/// Fault-injection model: simulated task failures with retries (Spark
-/// retries a failed task up to `spark.task.maxFailures` times before failing
-/// the job) and simulated whole-machine losses recovered by lineage replay
-/// (see `docs/FAULTS.md`). Failures are deterministic per
-/// (seed, stage, task, attempt) — and machine losses per
-/// (seed, stage, machine, attempt) — so experiments are reproducible.
+/// Fault-injection model: simulated whole-machine losses recovered by
+/// lineage replay (see `docs/FAULTS.md`). Losses are deterministic per
+/// (seed, stage, machine, attempt), so experiments are reproducible.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
-    /// Probability that any given task attempt fails.
-    pub task_failure_rate: f64,
-    /// Attempts per task before the job fails (first run + retries).
-    pub max_attempts: u32,
     /// Determinism seed.
     pub seed: u64,
     /// Probability that any given machine is lost at any given stage
@@ -103,13 +96,7 @@ pub struct FaultConfig {
 
 impl Default for FaultConfig {
     fn default() -> Self {
-        FaultConfig {
-            task_failure_rate: 0.0,
-            max_attempts: 4,
-            seed: 0,
-            machine_loss_rate: 0.0,
-            max_recovery_attempts: 3,
-        }
+        FaultConfig { seed: 0, machine_loss_rate: 0.0, max_recovery_attempts: 3 }
     }
 }
 
@@ -134,9 +121,10 @@ pub struct ClusterConfig {
     pub faults: FaultConfig,
     /// Collect structured [`EngineEvent`](crate::EngineEvent)s (job, stage,
     /// shuffle, broadcast, spill, collect, memory peaks) during execution.
-    /// Off by default: when off, each would-be event costs a single relaxed
-    /// atomic load, keeping untraced runs within measurement noise. Can also
-    /// be toggled later via [`Engine::enable_tracing`](crate::Engine::enable_tracing).
+    /// Off by default: when off, each would-be event costs one branch on a
+    /// flag fixed when the engine is built, keeping untraced runs within
+    /// measurement noise. An engine traces from its first charge or not at
+    /// all.
     pub trace_events: bool,
 }
 

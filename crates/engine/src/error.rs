@@ -25,13 +25,6 @@ pub enum EngineError {
     /// The requested feature is unsupported by this execution strategy
     /// (e.g. the DIQL-like baseline rejecting inner control flow).
     Unsupported(String),
-    /// A simulated task exhausted its retry budget (fault injection).
-    TaskFailed {
-        /// Stage in which the task kept failing.
-        stage: u64,
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
     /// Lineage recovery exhausted its budget: the same machine was lost
     /// `attempts` consecutive times at one stage boundary
     /// (`FaultConfig::max_recovery_attempts`), so the job fails instead of
@@ -71,9 +64,6 @@ impl fmt::Display for EngineError {
             ),
             EngineError::InvalidPlan(msg) => write!(f, "invalid plan: {msg}"),
             EngineError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
-            EngineError::TaskFailed { stage, attempts } => {
-                write!(f, "simulated task failure in stage {stage} after {attempts} attempts")
-            }
             EngineError::RecoveryFailed { stage, machine, attempts } => write!(
                 f,
                 "lineage recovery failed at stage {stage}: machine {machine} lost \

@@ -69,10 +69,8 @@ impl Engine {
 
     /// Charge a stage that processed `records` records from explicit
     /// per-task simulated costs (already including task launch if
-    /// `task_overhead`). Applies the fault model: a failed attempt is re-run
-    /// (its cost charged again, plus a task launch); a task that exhausts
-    /// its attempts fails the job, as Spark's `spark.task.maxFailures` does
-    /// — after the stage that killed it has been observed like any other.
+    /// `task_overhead`): the tasks are packed onto the simulated cores with
+    /// LPT, and a stage-starting charge is then a machine-loss boundary.
     pub(crate) fn charge_weighted(
         &self,
         task_costs: &[SimTime],
@@ -90,60 +88,22 @@ impl Engine {
             // task counts expensive independent of cluster size.
             self.core.clock.advance(self.config().costs.task_schedule * task_costs.len() as u64);
         }
-        let faults = &self.config().faults;
-        // Fault-free runs (the common case) charge straight off the caller's
-        // slice: the per-stage `to_vec` is only paid when the fault model
-        // actually has to rewrite costs for re-run attempts.
-        let mut patched: Vec<SimTime>;
-        let mut failed = None;
-        let effective: &[SimTime] = if faults.task_failure_rate > 0.0 {
-            let threshold = (faults.task_failure_rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
-            let launch = self.config().costs.task_launch;
-            patched = task_costs.to_vec();
-            'tasks: for (i, cost) in patched.iter_mut().enumerate() {
-                let mut attempt = 0u32;
-                while stable_hash(&(faults.seed, stage_id, i as u64, attempt)) <= threshold {
-                    attempt += 1;
-                    if attempt >= faults.max_attempts {
-                        failed =
-                            Some(EngineError::TaskFailed { stage: stage_id, attempts: attempt });
-                        break 'tasks;
-                    }
-                    self.observe(EngineEvent::TaskRetry {
-                        stage: stage_id,
-                        task: i as u64,
-                        attempt,
-                        at: start,
-                    });
-                    // Re-run: the attempt's work is wasted and re-done.
-                    *cost = *cost + *cost + launch;
-                }
-            }
-            &patched
-        } else {
-            task_costs
-        };
-        if failed.is_none() {
-            self.core.clock.advance(lpt_makespan(effective, self.config().total_cores()));
-        }
+        self.core.clock.advance(lpt_makespan(task_costs, self.config().total_cores()));
         self.observe(EngineEvent::Stage {
             stage: stage_id,
             operator: self.current_operator(),
-            tasks: effective.len() as u64,
+            tasks: task_costs.len() as u64,
             records,
             scheduled: task_overhead,
-            busy: effective.iter().copied().sum(),
+            busy: task_costs.iter().copied().sum(),
             start,
             end: self.sim_time(),
         });
-        if let Some(err) = failed {
-            return Err(err);
-        }
         // Machine-loss model (docs/FAULTS.md): only stage-starting charges
         // reach this, and only when enabled — default runs take no lock and
         // stay bit-identical.
-        if task_overhead && faults.machine_loss_rate > 0.0 {
-            self.machine_loss_boundary(stage_id, effective)?;
+        if task_overhead && self.config().faults.machine_loss_rate > 0.0 {
+            self.machine_loss_boundary(stage_id, task_costs)?;
         }
         Ok(())
     }
@@ -368,73 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_slows_jobs_deterministically() {
-        let mut cfg = ClusterConfig::local_test();
-        cfg.faults.task_failure_rate = 0.3;
-        let run = || {
-            let e = Engine::new(cfg.clone());
-            let b = e.generate(10_000, 8, |i| (i % 97, 1u64));
-            b.reduce_by_key(|a, b| a + b).count().unwrap();
-            e.sim_time()
-        };
-        let with_faults = run();
-        let baseline = {
-            let e = Engine::new(ClusterConfig::local_test());
-            let b = e.generate(10_000, 8, |i| (i % 97, 1u64));
-            b.reduce_by_key(|a, b| a + b).count().unwrap();
-            e.sim_time()
-        };
-        assert!(with_faults > baseline, "retries must cost simulated time");
-        assert_eq!(with_faults, run(), "fault injection is deterministic");
-    }
-
-    #[test]
-    fn retries_are_counted_and_traced() {
-        let mut cfg = ClusterConfig::local_test();
-        cfg.faults.task_failure_rate = 0.3;
-        cfg.trace_events = true;
-        let e = Engine::new(cfg);
-        let b = e.generate(10_000, 8, |i| (i % 97, 1u64));
-        b.reduce_by_key(|a, b| a + b).count().unwrap();
-        let retried = e.stats().tasks_retried;
-        assert!(retried > 0, "a 30% failure rate must produce retries");
-        let events = e.events();
-        let retry_events =
-            events.iter().filter(|ev| matches!(ev, crate::EngineEvent::TaskRetry { .. })).count()
-                as u64;
-        assert_eq!(retry_events, retried, "every counted retry must be traced");
-        assert_reconciles(&e);
-    }
-
-    #[test]
-    fn pathological_failure_rate_fails_the_job() {
-        let mut cfg = ClusterConfig::local_test();
-        cfg.faults.task_failure_rate = 0.999999;
-        cfg.faults.max_attempts = 2;
-        cfg.trace_events = true;
-        let e = Engine::new(cfg);
-        let b = e.parallelize((0..100u64).collect::<Vec<_>>(), 4);
-        match b.count() {
-            Err(crate::EngineError::TaskFailed { attempts, .. }) => assert_eq!(attempts, 2),
-            other => panic!("expected TaskFailed, got {other:?}"),
-        }
-        // The stage that killed the job is counted and traced like any other.
-        let stats = e.stats();
-        assert_eq!((stats.stages, stats.tasks, stats.records), (1, 4, 100));
-        assert_eq!((stats.jobs, stats.jobs_failed), (1, 1));
-        assert_reconciles(&e);
-    }
-
-    #[test]
-    fn results_are_unaffected_by_fault_injection() {
-        let mut cfg = ClusterConfig::local_test();
-        cfg.faults.task_failure_rate = 0.2;
-        let e = Engine::new(cfg);
-        let b = e.parallelize((0..1000u64).collect::<Vec<_>>(), 8);
-        assert_eq!(b.map(|x| x * 2).fold(0u64, |a, x| a + x).unwrap(), 999_000);
-    }
-
-    #[test]
     fn task_overhead_charged_only_for_stage_starts() {
         let e = Engine::new(ClusterConfig::local_test());
         let t0 = e.sim_time();
@@ -450,8 +343,7 @@ mod tests {
 
     #[test]
     fn run_job_records_job_events_with_outcome() {
-        let e = Engine::new(ClusterConfig::local_test());
-        e.enable_tracing();
+        let e = Engine::new(ClusterConfig { trace_events: true, ..ClusterConfig::local_test() });
         let ok: crate::Result<u32> = e.run_job("count", || Ok(7));
         assert_eq!(ok.unwrap(), 7);
         let err: crate::Result<u32> =

@@ -23,8 +23,8 @@
 //!
 //! Execution is observable through one schema: every charge site emits a
 //! structured [`EngineEvent`]; the always-on counters ([`StatsSnapshot`]) are
-//! the fold of those events, and the events themselves are kept when
-//! [`Engine::enable_tracing`] or [`ClusterConfig::trace_events`] is on. Beside
+//! the fold of those events, and the events themselves are kept when the
+//! engine was built with [`ClusterConfig::trace_events`] set. Beside
 //! them sit the lowering-[`Decision`] log filled in by `matryoshka-core` and
 //! the JSON / Chrome-trace exporters in the [`trace`] module
 //! ([`Engine::trace_json`], [`Engine::chrome_trace`]). See
@@ -204,21 +204,14 @@ impl Engine {
         Ok(())
     }
 
-    /// Turn structured event collection on for this engine (see
-    /// [`trace`]). Equivalent to constructing the engine with
-    /// [`ClusterConfig::trace_events`] set.
-    pub fn enable_tracing(&self) {
-        self.core.collector.set_enabled(true);
-    }
-
-    /// Whether structured event collection is currently on.
+    /// Whether this engine keeps structured events (see [`trace`]): the
+    /// [`ClusterConfig::trace_events`] it was built with.
     pub fn tracing_enabled(&self) -> bool {
         self.core.collector.enabled()
     }
 
     /// The structured events collected so far, in recording order. Empty
-    /// unless tracing was enabled ([`Engine::enable_tracing`] or
-    /// [`ClusterConfig::trace_events`]).
+    /// unless the engine was built with [`ClusterConfig::trace_events`] set.
     pub fn events(&self) -> Vec<EngineEvent> {
         self.core.collector.events()
     }
@@ -238,8 +231,7 @@ impl Engine {
     }
 
     /// The fold of the collected events; equals [`Engine::stats`] on every
-    /// field when tracing was on from the engine's first charge
-    /// ([`trace::assert_reconciles`]).
+    /// field of a traced engine ([`trace::assert_reconciles`]).
     pub fn trace_summary(&self) -> StatsSnapshot {
         StatsSnapshot::from_events(&self.events())
     }

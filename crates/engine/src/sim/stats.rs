@@ -83,8 +83,8 @@ macro_rules! counters {
 counters! {
     /// Jobs launched (actions executed).
     Jobs = jobs: Sum,
-    /// Jobs whose action returned an error (simulated OOM, exhausted task
-    /// retries, cancellation, ...).
+    /// Jobs whose action returned an error (simulated OOM, exhausted
+    /// lineage recovery, cancellation, ...).
     JobsFailed = jobs_failed: Sum,
     /// Stages executed (source + shuffle boundaries + result stages).
     Stages = stages: Sum,
@@ -103,8 +103,6 @@ counters! {
     /// High-water mark of a single stage's peak concurrent working-set
     /// memory on the heaviest worker.
     PeakMemoryBytes = peak_memory_bytes: Max,
-    /// Task attempts re-run after a simulated fault (`FaultConfig`).
-    TasksRetried = tasks_retried: Sum,
     /// High-water mark of a single post-shuffle partition's bytes.
     PeakPartitionBytes = peak_partition_bytes: Max,
     /// High-water mark of the per-shuffle partition skew ratio

@@ -8,9 +8,9 @@
 //!    is the only way the engine observes anything: every cost-charging site
 //!    in `crate::exec` makes one statement, `engine.observe(event)`, which
 //!    folds the event into the live counters and then *keeps* it only when
-//!    [`ClusterConfig::trace_events`](crate::ClusterConfig::trace_events) or
-//!    [`Engine::enable_tracing`](crate::Engine::enable_tracing) is on (off:
-//!    one relaxed atomic load, no lock, no push, no allocation).
+//!    [`ClusterConfig::trace_events`](crate::ClusterConfig::trace_events) was
+//!    set when the engine was built (off: one branch on a plain flag, no
+//!    lock, no push, no allocation).
 //! 2. **The decision log** — [`Decision`]s appended by the lowering phase
 //!    (crate `matryoshka-core`) whenever runtime cardinalities drive a
 //!    physical choice: partition counts (paper Sec. 8.1), tag-join algorithms
@@ -28,13 +28,12 @@
 //!
 //! [`EngineEvent::effects`] is the one statement of what an event means for
 //! the counters of [`StatsSnapshot`]: the engine's live statistics and
-//! [`StatsSnapshot::from_events`] both fold it, so a run traced from the start
-//! reconciles with [`Engine::stats`](crate::Engine::stats) on every field by
+//! [`StatsSnapshot::from_events`] both fold it, so a traced run reconciles
+//! with [`Engine::stats`](crate::Engine::stats) on every field by
 //! construction ([`assert_reconciles`]; see `docs/OBSERVABILITY.md` at the
 //! repository root).
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::sim::{Counter, SimTime, StatsSnapshot};
@@ -320,18 +319,6 @@ engine_events! {
         /// Simulated time of the check.
         at,
     }
-    /// A task attempt failed under the fault model and was re-run.
-    TaskRetry = "task_retry" {
-        /// Stage whose task failed.
-        stage: u64,
-        /// Index of the failing task within the stage.
-        task: u64,
-        /// Attempt number that failed (1 = the first run failed once).
-        attempt: u32,
-    } when {
-        /// Simulated start time of the stage being retried.
-        at,
-    } => TID_STAGES, "retry", "task retry: stage {stage} task {task}";
     /// A simulated machine was lost at a stage boundary, invalidating the
     /// materialized partitions placed on it (`FaultConfig::machine_loss_rate`;
     /// see `docs/FAULTS.md`).
@@ -515,7 +502,6 @@ impl EngineEvent {
             EngineEvent::MemoryPeak { peak_bytes, .. } => {
                 bump(Counter::PeakMemoryBytes, *peak_bytes)
             }
-            EngineEvent::TaskRetry { .. } => bump(Counter::TasksRetried, 1),
             EngineEvent::MachineLost { partitions_lost, .. } => {
                 bump(Counter::PartitionsLost, *partitions_lost)
             }
@@ -543,18 +529,19 @@ impl EngineEvent {
 }
 
 /// Panic unless the fold of the events `engine` kept equals its live
-/// counters, as whole structs. Holds by construction whenever tracing was on
-/// from the engine's first charge; the first thing to run after touching a
-/// charge site.
+/// counters, as whole structs. Holds by construction on a traced engine (a
+/// trace starts at the engine's first charge); the first thing to run after
+/// touching a charge site.
 #[track_caller]
 pub fn assert_reconciles(engine: &Engine) {
     assert_eq!(engine.trace_summary(), engine.stats(), "fold of the kept events != live counters");
 }
 
-/// The config-gated event store held by each engine: keeping an event costs
-/// one relaxed atomic load when disabled (no lock, no push, no allocation).
+/// The config-gated event store held by each engine: whether it keeps events
+/// is fixed when it is built, and keeping an event costs one branch when
+/// disabled (no lock, no push, no allocation).
 pub(crate) struct TraceCollector {
-    enabled: AtomicBool,
+    enabled: bool,
     events: Mutex<Vec<EngineEvent>>,
 }
 
@@ -565,26 +552,16 @@ const EVENT_CAPACITY: usize = 4096;
 impl TraceCollector {
     pub(crate) fn new(enabled: bool) -> TraceCollector {
         let events = if enabled { Vec::with_capacity(EVENT_CAPACITY) } else { Vec::new() };
-        TraceCollector { enabled: AtomicBool::new(enabled), events: Mutex::new(events) }
+        TraceCollector { enabled, events: Mutex::new(events) }
     }
 
     pub(crate) fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_enabled(&self, on: bool) {
-        if on {
-            let mut ev = self.events.lock().expect("trace collector lock poisoned");
-            if ev.capacity() == 0 {
-                ev.reserve(EVENT_CAPACITY);
-            }
-        }
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// Keep `ev` if the collector is enabled, drop it otherwise.
     pub(crate) fn keep(&self, ev: EngineEvent) {
-        if self.enabled() {
+        if self.enabled {
             self.events.lock().expect("trace collector lock poisoned").push(ev);
         }
     }
@@ -1052,7 +1029,6 @@ mod tests {
             EngineEvent::Spill { operator: "group_by_key", bytes: 100, start: t(5), end: t(6) },
             EngineEvent::Collect { records: 5, bytes: 40, start: t(6), end: t(7) },
             EngineEvent::MemoryPeak { operator: "group_by_key", peak_bytes: 4096, at: t(6) },
-            EngineEvent::TaskRetry { stage: 1, task: 2, attempt: 1, at: t(3) },
             EngineEvent::MachineLost { machine: 1, stage: 1, partitions_lost: 2, at: t(4) },
             EngineEvent::PartitionRecomputed {
                 machine: 1,
@@ -1104,7 +1080,6 @@ mod tests {
             broadcast_bytes: 64,
             collected_records: 5,
             peak_memory_bytes: 4096,
-            tasks_retried: 1,
             peak_partition_bytes: 40,
             peak_partition_skew_milli: 2_000,
             partitions_lost: 2,
@@ -1123,7 +1098,7 @@ mod tests {
         let c = TraceCollector::new(false);
         c.keep(EngineEvent::JobEnd { job: 0, at: SimTime::ZERO, ok: true });
         assert!(c.events().is_empty(), "nothing is kept when tracing is off");
-        c.set_enabled(true);
+        let c = TraceCollector::new(true);
         c.keep(EngineEvent::JobEnd { job: 0, at: SimTime::ZERO, ok: true });
         assert_eq!(c.events().len(), 1);
     }

@@ -301,8 +301,7 @@ fn simulated_clock_is_monotone_and_trace_is_topological() {
     for seed in 0..SEEDS {
         let mut g = Gen::new(seed ^ 0x39);
         let data = g.pairs(200);
-        let e = engine();
-        e.enable_tracing();
+        let e = Engine::new(ClusterConfig { trace_events: true, ..ClusterConfig::local_test() });
         let t0 = e.sim_time();
         let b = e.parallelize(data, 4);
         let grouped = b.map(|(k, v)| (*k, v * 2)).reduce_by_key(|a, b| a + b);

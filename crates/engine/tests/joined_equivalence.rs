@@ -3,12 +3,12 @@
 //! followed by the narrow operator(s) of the same name with every
 //! intermediate held (so nothing fuses). Every seed draws a shape — 1–16
 //! partitions per side with empty ones, duplicate keys on both sides, keys
-//! missing on either side, either plan, sides co-partitioned or not, the
-//! task-failure model on or off — and runs each output shape both ways on
-//! fresh traced engines, with a `map` and a `filter` after the join's own
-//! follower: same records in the same per-partition order, same
-//! simulated time, same [`StatsSnapshot`] up to the two fusion counters, and
-//! the same sequence of charges in the event stream.
+//! missing on either side, either plan, sides co-partitioned or not — and
+//! runs each output shape both ways on fresh traced engines, with a `map`
+//! and a `filter` after the join's own follower: same records in the same
+//! per-partition order, same simulated time, same [`StatsSnapshot`] up to
+//! the two fusion counters, and the same sequence of charges in the event
+//! stream.
 
 use matryoshka_engine::trace::assert_reconciles;
 use matryoshka_engine::{
@@ -35,7 +35,6 @@ struct Case {
     plan: Option<usize>,
     /// Pre-place the left / right side by key into the plan's partition count.
     co_partition: (bool, bool),
-    task_failure_rate: f64,
 }
 
 fn draw_case(seed: u64) -> Case {
@@ -50,8 +49,7 @@ fn draw_case(seed: u64) -> Case {
     let right = (0..right_n).map(|i| (right_lo + below(right_keys), 1_000 + i)).collect();
     let plan = (below(2) == 0).then(|| 1 + below(16) as usize);
     let co_partition = (below(2) == 0, below(2) == 0);
-    let task_failure_rate = if below(3) == 0 { 0.05 } else { 0.0 };
-    Case { left, right, left_parts, right_parts, plan, co_partition, task_failure_rate }
+    Case { left, right, left_parts, right_parts, plan, co_partition }
 }
 
 /// Which of the three pushed shapes a run exercises.
@@ -137,9 +135,7 @@ fn charges(engine: &Engine) -> Vec<Charge> {
 type Outcome = (Result<Vec<Vec<(u64, u64)>>, String>, SimTime, StatsSnapshot, Vec<Charge>);
 
 fn run_case(case: &Case, shape: Shape, push: bool) -> Outcome {
-    let mut cluster = ClusterConfig { trace_events: true, ..ClusterConfig::local_test() };
-    cluster.faults.task_failure_rate = case.task_failure_rate;
-    let e = Engine::new(cluster);
+    let e = Engine::new(ClusterConfig { trace_events: true, ..ClusterConfig::local_test() });
     let place = |bag: Bag<(u64, u64)>, co: bool| match case.plan {
         Some(p) if co => bag.partition_by_key(p),
         _ => bag,
@@ -160,12 +156,11 @@ fn run_case(case: &Case, shape: Shape, push: bool) -> Outcome {
 
 #[test]
 fn pushed_matches_are_unobservable() {
-    let (mut repartitioned, mut broadcast, mut faulty, mut matched) = (0, 0, 0, 0);
+    let (mut repartitioned, mut broadcast, mut matched) = (0, 0, 0);
     for seed in 0..240u64 {
         let case = draw_case(seed);
         repartitioned += usize::from(case.plan.is_some());
         broadcast += usize::from(case.plan.is_none());
-        faulty += usize::from(case.task_failure_rate > 0.0);
         for shape in [Shape::Map, Shape::FlatMap, Shape::Filter] {
             let what = format!("seed {seed}, {shape:?}");
             let (records_c, nanos_c, stats_c, charges_c) = run_case(&case, shape, false);
@@ -185,7 +180,7 @@ fn pushed_matches_are_unobservable() {
             matched += records_p.map_or(0, |parts| parts.concat().len());
         }
     }
-    assert!(repartitioned >= 60 && broadcast >= 60 && faulty >= 40 && matched > 10_000);
+    assert!(repartitioned >= 60 && broadcast >= 60 && matched > 10_000);
 }
 
 /// A pushed pass reports through the fusion channel under the join's name:
@@ -237,9 +232,7 @@ fn a_pushed_pass_reports_as_a_join_headed_chain() {
 fn a_loop_against_a_memoized_relation_matches_one_against_fresh_views() {
     const ITERATIONS: usize = 4;
     let run = |case: &Case, fresh: bool| {
-        let mut cluster = ClusterConfig { trace_events: true, ..ClusterConfig::local_test() };
-        cluster.faults.task_failure_rate = case.task_failure_rate;
-        let e = Engine::new(cluster);
+        let e = Engine::new(ClusterConfig { trace_events: true, ..ClusterConfig::local_test() });
         let p = case.plan.unwrap_or(case.left_parts);
         // One record per key, placed by key: the loop's static relation.
         let relation = e.parallelize(case.right.clone(), case.right_parts);

@@ -9,9 +9,7 @@ use matryoshka_engine::trace::assert_reconciles;
 use matryoshka_engine::{ClusterConfig, Engine, EngineEvent};
 
 fn traced_engine() -> Engine {
-    let engine = Engine::new(ClusterConfig::local_test());
-    engine.enable_tracing();
-    engine
+    Engine::new(ClusterConfig { trace_events: true, ..ClusterConfig::local_test() })
 }
 
 /// One shuffle plan: parallelize -> map -> reduce_by_key -> count.

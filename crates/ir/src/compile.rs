@@ -1,14 +1,15 @@
 //! **UDF compilation**: each pure scalar UDF becomes flat register code
-//! ([`CompiledUdf`]) that behaves as the interpreter ([`crate::lower::eval_pure`],
-//! [`apply_bin`], [`apply_un`]) does, in its order: **flat registers** with a
-//! `Value` slot and an unboxed word slot for every subexpression of proven
-//! `ScalarKind`; **typed programs**, compiled on the first record with the
-//! kinds of the parameter leaves (`v.0`) that feed arithmetic, comparisons or
-//! branches, and run while a per-record guard finds those kinds; **constant
-//! folding**, unless it fails; and **the rerun**: a record turned away, or on
-//! which the typed program fails, runs the generic program. `Fail`
-//! instructions raise the interpreter's errors when reached. See
-//! `docs/ANALYSIS.md`, "UDF compilation".
+//! ([`CompiledUdf`]) that behaves as the reference interpreter
+//! (`tests/support/eval_pure.rs`, over [`apply_bin`] and [`apply_un`]) does,
+//! in its order: **flat registers** with a `Value` slot and an unboxed word
+//! slot for every subexpression of proven `ScalarKind`; **typed programs**,
+//! compiled on the first record with the kinds of the parameter leaves
+//! (`v.0`) that feed arithmetic, comparisons or branches, and run while a
+//! per-record guard finds those kinds; **constant folding**, unless it
+//! fails; and **the rerun**: a record turned away, or on which the typed
+//! program fails, runs the generic program. `Fail` instructions raise the
+//! interpreter's errors when reached. See `docs/ANALYSIS.md`, "UDF
+//! compilation".
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -671,7 +672,8 @@ impl<'a> Compiler<'a> {
 mod tests {
     use super::*;
     use crate::ast::Lambda;
-    use crate::lower::eval_pure;
+
+    include!("../tests/support/eval_pure.rs");
 
     fn compile1(body: Expr, captures: PureEnv) -> CompiledUdf {
         CompiledUdf::new(&Arc::new(body), &["v"], captures, false)

@@ -64,7 +64,7 @@ mod value;
 pub use analyze::{analyze, check, Analysis, Diagnostic, Diagnostics, Severity, Ty};
 pub use compile::CompiledUdf;
 pub use error::{IrError, IrResult};
-pub use lower::{apply_bin, apply_un, eval_pure, Lowering, RtVal};
+pub use lower::{apply_bin, apply_un, Lowering, RtVal};
 pub use parse::{parsing_phase, Dialect};
 pub use prepare::{prepare_program, PrepareError, PreparedProgram};
 pub use syntax::{parse_program, ParseError};

@@ -1,7 +1,7 @@
 //! Differential property tests pinning the compiled UDF evaluator
-//! ([`matryoshka_ir::CompiledUdf`]) to the tree-walking interpreter
-//! ([`matryoshka_ir::eval_pure`]), which stays in the codebase precisely to
-//! serve as this oracle.
+//! ([`matryoshka_ir::CompiledUdf`]) to the tree-walking reference
+//! interpreter `eval_pure` (`support/eval_pure.rs`, test code only), which
+//! stays in the codebase precisely to serve as this oracle.
 //!
 //! For hundreds of seeded random scalar expression trees — nested `let`
 //! chains, shadowing, guaranteed-terminating `loop`s, mixed Long/Double
@@ -19,7 +19,12 @@ use std::sync::Arc;
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::{Bag, Engine};
 use matryoshka_ir::ast::{BinOp, Expr, UnOp};
-use matryoshka_ir::{eval_pure, parsing_phase, CompiledUdf, Dialect, Lowering, RtVal, Value};
+use matryoshka_ir::{
+    apply_bin, apply_un, parsing_phase, CompiledUdf, Dialect, IrError, IrResult, Lowering, RtVal,
+    Value,
+};
+
+include!("support/eval_pure.rs");
 
 /// splitmix64 (same generator the round-trip property tests use).
 struct Rng(u64);

@@ -26,8 +26,9 @@ fn main() {
     let record_bytes = (24 * GB) as f64 / spec.visits as f64;
 
     // --- Matryoshka: the nested-parallel program of Listing 1, flattened.
-    let engine = Engine::new(ClusterConfig::paper_small_cluster());
-    engine.enable_tracing(); // keep the events for the operator printout below
+    // Keep the events for the operator printout below.
+    let engine =
+        Engine::new(ClusterConfig { trace_events: true, ..ClusterConfig::paper_small_cluster() });
     let visits = engine.parallelize_with_bytes(log.clone(), 1200, record_bytes);
     let per_day = group_by_key_into_nested_bag(&engine, &visits, MatryoshkaConfig::optimized())
         .expect("grouping");

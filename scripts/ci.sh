@@ -129,7 +129,10 @@ echo "== deleted switches stay deleted"
 # shared set (no `Arc` per partition inside the shared list); a shuffle
 # places through the partitioner's one scatter, over the chain head's
 # `Part` handle (no owned-or-shared input type beside it, no per-input-kind
-# scatter entry point, no operator filling its own buckets).
+# scatter entry point, no operator filling its own buckets); machine loss is
+# the one fault model (no task retries, their counter, event or error), an
+# engine traces from its first charge or not at all (no switch on a live
+# engine), and the scalar-UDF interpreter is a test oracle (no `pub` one).
 # The patterns are split so this file does not match itself; the set
 # operators are matched by definition, which misses std's
 # `HashSet::intersection` and the word "subtracts".
@@ -152,6 +155,8 @@ if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace
   -e 'add''_points' \
   -e 'Arc<Vec<''Arc<Vec<' \
   -e 'scatter_shared''_unless_home|scatter_shared''_by_key|fn scatt''ered\b|enum In''put\b' \
+  -e 'task_failure''_rate|\bmax_att''empts\b|Task''Retry|task''_retry|tasks''_retried|Task''Failed' \
+  -e 'enable''_tracing|set''_enabled|pub fn eval''_pure' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2

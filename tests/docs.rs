@@ -16,7 +16,9 @@
 //!    the names and folds of `StatsSnapshot::FIELDS`. Its decision-site
 //!    tables must list exactly the sites of `Rule::SITES`, which are the
 //!    `Decision::site`s the `tests/workloads` plans emit, and its "Decision
-//!    rules" table one row per rule, in table order.
+//!    rules" table one row per rule, in table order. The configuration
+//!    table of `docs/FAULTS.md` must list exactly the fields of
+//!    `FaultConfig`, in order, with their defaults.
 //!
 //! All are std-only, like everything else in the workspace.
 
@@ -25,7 +27,7 @@ mod workloads;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use matryoshka::engine::{ClusterConfig, Engine, EngineEvent, Rule, StatsSnapshot};
+use matryoshka::engine::{ClusterConfig, Engine, EngineEvent, FaultConfig, Rule, StatsSnapshot};
 use matryoshka::ir::{analyze, check, parse_program, Dialect};
 
 /// The documentation surface under test: root Markdown + `docs/`.
@@ -222,9 +224,9 @@ fn cell_names(cell: &str) -> Vec<&str> {
 }
 
 /// The body rows (those starting with a backticked cell) of the table under
-/// `heading` in `docs/OBSERVABILITY.md`.
-fn observability_table(heading: &str) -> Vec<String> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/OBSERVABILITY.md");
+/// `heading` in the Markdown file `doc`.
+fn doc_table(doc: &str, heading: &str) -> Vec<String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(doc);
     let src = std::fs::read_to_string(&path).unwrap();
     src.lines()
         .skip_while(|line| line.trim() != heading)
@@ -237,7 +239,7 @@ fn observability_table(heading: &str) -> Vec<String> {
 
 #[test]
 fn event_schema_table_matches_the_engine_descriptor() {
-    let rows = observability_table("## Event schema");
+    let rows = doc_table("docs/OBSERVABILITY.md", "## Event schema");
     assert_eq!(rows.len(), EngineEvent::SCHEMA.len(), "one table row per EngineEvent variant");
     for (row, schema) in rows.iter().zip(EngineEvent::SCHEMA) {
         // `| Event | JSON type | Fields | Emitted when |`; only the last
@@ -253,7 +255,7 @@ fn event_schema_table_matches_the_engine_descriptor() {
 
 #[test]
 fn counters_table_matches_the_generated_fields() {
-    let rows = observability_table("## Counters");
+    let rows = doc_table("docs/OBSERVABILITY.md", "## Counters");
     assert_eq!(rows.len(), StatsSnapshot::FIELDS.len(), "one table row per counter");
     for (row, (name, fold)) in rows.iter().zip(StatsSnapshot::FIELDS) {
         // `| Counter | Fold | Fed by |`
@@ -263,9 +265,29 @@ fn counters_table_matches_the_generated_fields() {
     }
 }
 
+#[test]
+fn fault_config_table_matches_the_struct() {
+    // `FaultConfig { seed: 0, machine_loss_rate: 0.0, .. }`: every field, in
+    // declaration order, with its default.
+    let debug = format!("{:?}", FaultConfig::default());
+    let inner = debug.strip_prefix("FaultConfig { ").and_then(|s| s.strip_suffix(" }")).unwrap();
+    let fields: Vec<(&str, &str)> =
+        inner.split(", ").map(|field| field.split_once(": ").unwrap()).collect();
+    let rows = doc_table("docs/FAULTS.md", "## Configuration");
+    let documented: Vec<(&str, &str)> = rows
+        .iter()
+        .map(|row| {
+            // `| Field of FaultConfig | Default | Meaning |`
+            let cells: Vec<&str> = row.splitn(4, '|').collect();
+            (cell_names(cells[1])[0], cell_names(cells[2])[0])
+        })
+        .collect();
+    assert_eq!(documented, fields, "docs/FAULTS.md (left) vs FaultConfig::default() (right)");
+}
+
 /// The sites the two decision-site tables list (`| site | choice values | ... |`).
 fn documented_decision_sites() -> BTreeSet<String> {
-    let rows = observability_table("## The lowering-decision log");
+    let rows = doc_table("docs/OBSERVABILITY.md", "## The lowering-decision log");
     rows.iter().map(|row| cell_names(row.split('|').nth(1).unwrap())[0].to_string()).collect()
 }
 
@@ -279,7 +301,7 @@ fn decision_site_tables_match_the_rule_table() {
 #[test]
 fn decision_rules_table_follows_the_rule_table() {
     // `| Rule | Site | choice | cardinality, bytes | detail template |`
-    let rows = observability_table("## Decision rules");
+    let rows = doc_table("docs/OBSERVABILITY.md", "## Decision rules");
     let sites: Vec<&str> =
         rows.iter().map(|row| cell_names(row.split('|').nth(2).unwrap())[0]).collect();
     assert_eq!(sites, Rule::SITES, "one row per rule, in table order, with its site");
