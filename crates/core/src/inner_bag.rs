@@ -96,17 +96,6 @@ impl<T: Key, E: Data> InnerBag<T, E> {
         InnerScalar::from_repr(all, self.ctx.clone())
     }
 
-    /// Lifted `reduce`: per-tag reduction. Tags with empty inner bags are
-    /// absent from the result (a `reduce` of an empty bag has no value);
-    /// use [`InnerBag::fold`] for a zero-filled variant. `f(acc, e)` folds
-    /// `e` into `acc` in place.
-    pub fn reduce(&self, f: impl Fn(&mut E, &E) + Send + Sync + 'static) -> InnerScalar<T, E> {
-        let p = self.ctx.scalar_partitions();
-        let bytes = self.scalar_record_bytes::<E>();
-        let reduced = merged(self.repr.map_into(|te| te).with_record_bytes(bytes), p, f);
-        InnerScalar::from_repr(reduced, self.ctx.clone())
-    }
-
     /// Lifted `fold`: per-tag fold seeded with `zero` for **every** tag, so
     /// empty inner bags yield `zero` (via the stored tags bag, Sec. 4.4).
     ///
@@ -403,11 +392,10 @@ mod tests {
     }
 
     #[test]
-    fn reduce_omits_empty_tags_fold_fills_them() {
+    fn fold_fills_empty_tags() {
         let e = Engine::local();
         let c = ctx(&e, vec![0, 1, 2]);
         let b = bag(&e, &c, vec![(0, 5), (0, 7), (1, 1)]);
-        assert_eq!(sorted(b.reduce(|a, x| *a += x).collect().unwrap()), vec![(0, 12), (1, 1)]);
         let folded = b.fold(0i64, |z, x| z + x, |a, b| *a += b);
         assert_eq!(sorted(folded.collect().unwrap()), vec![(0, 12), (1, 1), (2, 0)]);
     }

@@ -49,23 +49,6 @@ impl<T: Data> Bag<T> {
         Ok(self.count()? == 0)
     }
 
-    /// Combine all records with an associative function; `None` when empty.
-    pub fn reduce(&self, f: impl Fn(&T, &T) -> T) -> Result<Option<T>> {
-        self.engine().run_job("reduce", || {
-            let parts = self.eval()?;
-            let mut acc: Option<T> = None;
-            for p in parts.iter() {
-                for x in p.iter() {
-                    acc = Some(match acc {
-                        Some(a) => f(&a, x),
-                        None => x.clone(),
-                    });
-                }
-            }
-            Ok(acc)
-        })
-    }
-
     /// Fold all records starting from `zero`.
     pub fn fold<A: Clone>(&self, zero: A, f: impl Fn(A, &T) -> A) -> Result<A> {
         self.engine().run_job("fold", || {
@@ -79,29 +62,6 @@ impl<T: Data> Bag<T> {
             Ok(acc)
         })
     }
-
-    /// Up to `n` records (driver-side head).
-    pub fn take(&self, n: usize) -> Result<Vec<T>> {
-        self.engine().run_job("take", || {
-            let parts = self.eval()?;
-            let mut out = Vec::with_capacity(n);
-            'outer: for p in parts.iter() {
-                for x in p.iter() {
-                    if out.len() == n {
-                        break 'outer;
-                    }
-                    out.push(x.clone());
-                }
-            }
-            self.engine().charge_driver_collect(out.len() as u64, self.record_bytes());
-            Ok(out)
-        })
-    }
-
-    /// The first record, if any.
-    pub fn first(&self) -> Result<Option<T>> {
-        Ok(self.take(1)?.pop())
-    }
 }
 
 #[cfg(test)]
@@ -109,28 +69,11 @@ mod tests {
     use crate::Engine;
 
     #[test]
-    fn count_reduce_fold_agree() {
+    fn count_and_fold_agree() {
         let e = Engine::local();
         let b = e.parallelize((1..=100u64).collect::<Vec<_>>(), 7);
         assert_eq!(b.count().unwrap(), 100);
-        assert_eq!(b.reduce(|a, x| a + x).unwrap(), Some(5050));
         assert_eq!(b.fold(0u64, |a, x| a + x).unwrap(), 5050);
-    }
-
-    #[test]
-    fn reduce_of_empty_is_none() {
-        let e = Engine::local();
-        assert_eq!(e.empty::<u64>().reduce(|a, b| a + b).unwrap(), None);
-    }
-
-    #[test]
-    fn take_and_first() {
-        let e = Engine::local();
-        let b = e.parallelize(vec![5, 6, 7], 2);
-        assert_eq!(b.take(2).unwrap().len(), 2);
-        assert_eq!(b.take(100).unwrap().len(), 3);
-        assert!(b.first().unwrap().is_some());
-        assert_eq!(e.empty::<i32>().first().unwrap(), None);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Stages: every operator between two shuffles runs as a step of one pass.
 //!
 //! Every narrow operator built by [`fusible`] (`map`, `map_into`, `filter`,
-//! `flat_map`, `map_indexed`, `zip_with_unique_id`, `sample`, `map_values`,
-//! and `key_by` via `map`) states its per-partition logic exactly once, as a
-//! [`Step`]. Every node that can take part in a stage carries a [`FuseHook`]
-//! that assembles the *maximal chain* ending at that node. A chain starts at a
+//! `flat_map`, `zip_with_unique_id` and `map_values`) states its
+//! per-partition logic exactly once, as a [`Step`]. Every node that can take
+//! part in a stage carries a [`FuseHook`] that assembles the *maximal chain*
+//! ending at that node. A chain starts at a
 //! **head** — a materialized partition set, read in place, or the reduce side
 //! of a wide operator or a join's probe, which hand each output partition on
 //! owned — and runs in **one** pool pass: each operator is a single dynamic
@@ -90,10 +90,9 @@ use crate::Engine;
 /// Which side of an operator its `charge_compute` call counts per partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChargeRule {
-    /// Charged on emitted records (`map`, `map_indexed`, `map_values`,
-    /// `zip_with_unique_id`).
+    /// Charged on emitted records (`map`, `map_values`, `zip_with_unique_id`).
     Output,
-    /// Charged on consumed records (`filter`, `sample`).
+    /// Charged on consumed records (`filter`, a wide operator's reduce side).
     Input,
     /// Charged on `max(input, output)` (`flat_map`: expansion is priced by
     /// what it produces).
@@ -127,7 +126,7 @@ pub(crate) struct FusedOpMeta {
 /// One operator's whole-partition input inside a chain: borrowed from the
 /// materialized base partition at the chain head, owned (handed off by the
 /// upstream step) everywhere else. Operators that re-emit their input
-/// (`filter`, `sample`, `zip_with_unique_id`, `map_values`' keys) clone in
+/// (`filter`, `zip_with_unique_id`, `map_values`' keys) clone in
 /// the `Shared` head position — records must leave the shared partition —
 /// and consume the `Owned` vector by value mid-chain, so only a chain's head
 /// ever clones and `into_iter().collect()` can reuse the allocation in place.
@@ -201,10 +200,9 @@ impl<T> Part<T> {
 /// One operator's batch transducer step: receives the partition index and
 /// the operator's entire per-partition input stream (so `enumerate`
 /// positions inside the step are the per-partition offsets that
-/// `map_indexed`/`zip_with_unique_id`/`sample` observe wherever the chain is
-/// cut), and returns the operator's output batch. One dynamic call per
-/// operator per partition; the loop inside is the operator's own
-/// monomorphized code.
+/// `zip_with_unique_id` observes wherever the chain is cut), and returns the
+/// operator's output batch. One dynamic call per operator per partition; the
+/// loop inside is the operator's own monomorphized code.
 pub(crate) type Step<I, O> = Arc<dyn Fn(usize, Batch<'_, I>) -> Vec<O> + Send + Sync>;
 
 /// One partition's row of a pass's size table: the size of every
@@ -472,10 +470,7 @@ fn settle(
         let counts: Vec<usize> = (0..partitions)
             .map(|pi| meta.charge.count(boundary(pi, j), boundary(pi, j + 1)))
             .collect();
-        engine.push_current_op(meta.name);
-        let charged = engine.charge_compute(&counts, meta.bytes, meta.overhead);
-        engine.pop_current_op();
-        charged?;
+        engine.charge_compute(meta.name, &counts, meta.bytes, meta.overhead)?;
     }
     if ops == 1 {
         return Ok(None);

@@ -15,7 +15,6 @@
 
 mod actions;
 mod fuse;
-mod ops_misc;
 mod ops_narrow;
 mod ops_wide;
 mod shuffle;
@@ -235,10 +234,7 @@ impl<T: Data> Bag<T> {
         self.node
             .cache
             .get_or_init(|| {
-                // While this node computes, charge-site events attribute to it.
-                self.node.engine.push_current_op(self.node.name);
                 let result = (self.node.compute)();
-                self.node.engine.pop_current_op();
                 let (records, ok) = match &result {
                     Ok(parts) => (parts.iter().map(|p| p.len() as u64).sum(), true),
                     Err(_) => (0, false),

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use super::fuse::{fusible, Batch, ChargeRule, Step};
 use super::{Bag, Partitioning, Parts};
 use crate::pool::parallel_map_range;
-use crate::types::Data;
+use crate::types::{Data, Key};
 
 /// Simulated resource estimate returned by the UDF of
 /// [`Bag::map_with_work`].
@@ -41,21 +41,6 @@ impl<T: Data> Bag<T> {
             Batch::Owned(xs) => xs.into_iter().map(&f).collect(),
         });
         fusible(self, "map", self.record_bytes(), Partitioning::Arbitrary, ChargeRule::Output, step)
-    }
-
-    /// Element-wise transformation that also sees the record's position:
-    /// `(partition_index, offset_in_partition, record)`. The position is
-    /// deterministic, so it can derive stable per-record tags without extra
-    /// shuffles or state.
-    pub fn map_indexed<U: Data>(
-        &self,
-        f: impl Fn(usize, usize, &T) -> U + Send + Sync + 'static,
-    ) -> Bag<U> {
-        let step: Step<T, U> = Arc::new(move |pi, batch: Batch<'_, T>| {
-            batch.as_slice().iter().enumerate().map(|(i, x)| f(pi, i, x)).collect()
-        });
-        let bytes = self.record_bytes();
-        fusible(self, "map_indexed", bytes, Partitioning::Arbitrary, ChargeRule::Output, step)
     }
 
     /// Element-wise transformation that also reports a simulated resource
@@ -94,7 +79,7 @@ impl<T: Data> Bag<T> {
             let mut working_sets: Vec<u64> = computed.iter().map(|(_, _, mem)| *mem).collect();
             engine.charge_memory("map_with_work", &mut working_sets)?;
             let records = computed.iter().map(|(o, _, _)| o.len() as u64).sum();
-            engine.charge_weighted(&task_costs, records, false)?;
+            engine.charge_weighted("map_with_work", &task_costs, records, false)?;
             Ok(Parts::new(computed.into_iter().map(|(o, _, _)| o).collect()))
         })
     }
@@ -166,16 +151,27 @@ impl<T: Data> Bag<T> {
             Ok(Parts::union(&pa, &pb))
         })
     }
+}
 
-    /// Convenience: key every record by `f` (a `map` producing pairs).
-    pub fn key_by<K: Data>(&self, f: impl Fn(&T) -> K + Send + Sync + 'static) -> Bag<(K, T)> {
-        self.map(move |x| (f(x), x.clone()))
+impl<K: Key, V: Data> Bag<(K, V)> {
+    /// Value-side map that provably preserves the key — and therefore the
+    /// bag's hash partitioning (a narrow op that keeps co-partitioned joins
+    /// co-partitioned, like Spark `mapValues`).
+    pub fn map_values<W: Data>(&self, f: impl Fn(&V) -> W + Send + Sync + 'static) -> Bag<(K, W)> {
+        // Keys clone out of the shared partition at a chain's head and move
+        // for free mid-chain.
+        let step: Step<(K, V), (K, W)> = Arc::new(move |_, batch: Batch<'_, (K, V)>| match batch {
+            Batch::Shared(xs) => xs.iter().map(|(k, v)| (k.clone(), f(v))).collect(),
+            Batch::Owned(xs) => xs.into_iter().map(|(k, v)| (k, f(&v))).collect(),
+        });
+        let bytes = self.record_bytes();
+        fusible(self, "map_values", bytes, self.partitioning(), ChargeRule::Output, step)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Engine, WorkEstimate};
+    use crate::{Engine, Partitioning, WorkEstimate};
 
     #[test]
     fn map_filter_flat_map_semantics() {
@@ -190,31 +186,6 @@ mod tests {
         let mut sorted = out.clone();
         sorted.sort();
         assert_eq!(sorted, vec![-100, -80, -60, -40, -20, 20, 40, 60, 80, 100]);
-    }
-
-    #[test]
-    fn map_indexed_sees_stable_positions() {
-        let e = Engine::local();
-        let b = e.parallelize((0..20u32).collect::<Vec<_>>(), 4);
-        let tagged = b.map_indexed(|pi, i, x| (pi, i, *x)).collect().unwrap();
-        assert_eq!(tagged.len(), 20);
-        // Offsets restart at 0 in every partition and positions are unique.
-        let mut pos: Vec<(usize, usize)> = tagged.iter().map(|(pi, i, _)| (*pi, *i)).collect();
-        pos.sort_unstable();
-        pos.dedup();
-        assert_eq!(pos.len(), 20, "(partition, offset) must be unique");
-        assert!(tagged.iter().any(|(_, i, _)| *i == 0));
-        // Deterministic: a second run tags identically.
-        let again = e
-            .parallelize((0..20u32).collect::<Vec<_>>(), 4)
-            .map_indexed(|pi, i, x| (pi, i, *x))
-            .collect()
-            .unwrap();
-        let mut a = tagged.clone();
-        let mut b2 = again.clone();
-        a.sort_unstable();
-        b2.sort_unstable();
-        assert_eq!(a, b2);
     }
 
     #[test]
@@ -275,11 +246,17 @@ mod tests {
     }
 
     #[test]
-    fn key_by_keys_records() {
+    fn map_values_preserves_partitioning() {
         let e = Engine::local();
-        let b = e.parallelize(vec!["aa".to_string(), "b".to_string()], 1);
-        let mut out = b.key_by(|s| s.len()).collect().unwrap();
-        out.sort_by_key(|(k, _)| *k);
-        assert_eq!(out, vec![(1, "b".to_string()), (2, "aa".to_string())]);
+        let b = e
+            .parallelize((0..100u32).map(|i| (i % 7, i)).collect::<Vec<_>>(), 4)
+            .partition_by_key(5);
+        let m = b.map_values(|v| v * 2);
+        assert_eq!(m.partitioning(), Partitioning::HashByKey { partitions: 5 });
+        // And a by-key op after it skips the shuffle entirely.
+        m.count().unwrap();
+        let s0 = e.stats();
+        m.reduce_by_key_into(5, |a, b| a + b).count().unwrap();
+        assert_eq!(e.stats().since(&s0).shuffle_bytes, 0);
     }
 }

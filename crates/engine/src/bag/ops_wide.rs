@@ -152,12 +152,6 @@ impl<K: Key, V: Data> Bag<(K, V)> {
         self.joined_into(partitions, other).pairs()
     }
 
-    /// Broadcast-hash equi-join: the right side is collected and broadcast,
-    /// the left side is probed in place (no shuffle of the left side).
-    pub fn broadcast_join<W: Data>(&self, other: &Bag<(K, W)>) -> Bag<(K, (V, W))> {
-        self.joined_with(other, JoinAlgorithm::BroadcastRight).pairs()
-    }
-
     /// Plan an equi-join with `algorithm`, leaving what a match becomes to
     /// [`Joined`]. A repartition join defaults to the wider side's partition
     /// count, capped at the default parallelism.
@@ -625,7 +619,8 @@ mod tests {
         let l = e.parallelize(vec![(1u32, "a"), (2, "b"), (2, "B"), (3, "c")], 2);
         let r = e.parallelize(vec![(1u32, 10), (2, 20), (4, 40)], 3);
         let rep = sorted(l.join(&r).collect().unwrap());
-        let bro = sorted(l.broadcast_join(&r).collect().unwrap());
+        let bro =
+            sorted(l.joined_with(&r, JoinAlgorithm::BroadcastRight).pairs().collect().unwrap());
         assert_eq!(rep, bro);
         assert_eq!(rep, vec![(1, ("a", 10)), (2, ("B", 20)), (2, ("b", 20))]);
     }
@@ -636,7 +631,7 @@ mod tests {
         let l = e.parallelize((0..1000u32).map(|i| (i, i)).collect::<Vec<_>>(), 4);
         let r = e.parallelize(vec![(1u32, 1u32)], 1);
         let s0 = e.stats();
-        l.broadcast_join(&r).collect().unwrap();
+        l.joined_with(&r, JoinAlgorithm::BroadcastRight).pairs().collect().unwrap();
         let d = e.stats().since(&s0);
         assert_eq!(d.shuffle_bytes, 0, "broadcast join must not shuffle");
         assert!(d.broadcast_bytes > 0);
@@ -823,8 +818,8 @@ mod tests {
         let a = e.parallelize((0..100u32).map(|i| (i, i)).collect::<Vec<_>>(), 4);
         let b = e.parallelize((50..80u32).map(|i| (i, i)).collect::<Vec<_>>(), 2);
         a.co_group(&b).count().unwrap();
-        a.sort_by(3, |x| *x).count().unwrap();
-        assert_eq!(partition_stats(&e), vec![("co_group", 4, 130), ("sort_by", 3, 100)]);
+        a.repartition(3).count().unwrap();
+        assert_eq!(partition_stats(&e), vec![("co_group", 4, 130), ("repartition", 3, 100)]);
     }
 
     /// The tables kept on `right`'s node: how many were built, or `None`

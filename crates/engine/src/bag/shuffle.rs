@@ -16,7 +16,6 @@ use std::hash::Hash;
 use super::fuse::{self, Assembled, Batch, ChargeRule, FusedOpMeta, Part};
 use super::{Bag, Partitioning};
 use crate::error::Result;
-use crate::map_output::MapOutputStats;
 use crate::partitioner::{partition_for, scatter};
 use crate::types::Data;
 use crate::Engine;
@@ -191,13 +190,9 @@ impl Shuffle {
             .collect();
         if left.scattered || right.scattered {
             let (lb, rb) = (left.bytes, right.bytes);
-            let (partition_records, partition_bytes) = counts
-                .iter()
-                .map(|&(l, r)| ((l + r) as u64, (l as f64 * lb + r as f64 * rb) as u64))
-                .unzip();
-            let operator = self.name;
-            let stats = MapOutputStats { operator, partition_records, partition_bytes };
-            self.engine.record_map_output(&stats);
+            let records = counts.iter().map(|&(l, r)| (l + r) as u64).sum();
+            let bytes = counts.iter().map(|&(l, r)| (l as f64 * lb + r as f64 * rb) as u64);
+            self.engine.record_map_output(self.name, records, bytes.collect());
         }
         let (lh, rh) = (left.held, right.held);
         self.check_memory(memory, counts.iter().map(|&(l, r)| l as f64 * lh + r as f64 * rh))?;

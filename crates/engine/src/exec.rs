@@ -44,13 +44,14 @@ impl Engine {
         out
     }
 
-    /// Charge the compute portion of a stage: one simulated task per
-    /// partition with `counts[i]` records of `bytes` each.
+    /// Charge the compute portion of `operator`'s stage: one simulated task
+    /// per partition with `counts[i]` records of `bytes` each.
     ///
     /// `task_overhead` is true for stage-starting operators (sources, shuffle
     /// reads), which pay driver scheduling and task launch per task.
     pub(crate) fn charge_compute(
         &self,
+        operator: &'static str,
         counts: &[usize],
         bytes: f64,
         task_overhead: bool,
@@ -64,15 +65,17 @@ impl Engine {
                 launch + per_record * n as u64
             })
             .collect();
-        self.charge_weighted(&costs, counts.iter().map(|&n| n as u64).sum(), task_overhead)
+        let records = counts.iter().map(|&n| n as u64).sum();
+        self.charge_weighted(operator, &costs, records, task_overhead)
     }
 
-    /// Charge a stage that processed `records` records from explicit
-    /// per-task simulated costs (already including task launch if
+    /// Charge a stage of `operator` that processed `records` records from
+    /// explicit per-task simulated costs (already including task launch if
     /// `task_overhead`): the tasks are packed onto the simulated cores with
     /// LPT, and a stage-starting charge is then a machine-loss boundary.
     pub(crate) fn charge_weighted(
         &self,
+        operator: &'static str,
         task_costs: &[SimTime],
         records: u64,
         task_overhead: bool,
@@ -91,7 +94,7 @@ impl Engine {
         self.core.clock.advance(lpt_makespan(task_costs, self.config().total_cores()));
         self.observe(EngineEvent::Stage {
             stage: stage_id,
-            operator: self.current_operator(),
+            operator,
             tasks: task_costs.len() as u64,
             records,
             scheduled: task_overhead,
@@ -191,20 +194,36 @@ impl Engine {
         ledger.clear();
     }
 
-    /// Record one shuffle's map-output statistics: pure bookkeeping (no
-    /// simulated time, no simulated memory). Emits the `PartitionStats`
-    /// event that feeds the partition-size high-water marks.
-    pub(crate) fn record_map_output(&self, stats: &crate::map_output::MapOutputStats) {
-        let [p50_bytes, p99_bytes] = stats.percentiles_bytes([50, 99]);
+    /// Record one shuffle's map output, `bytes[i]` modeled bytes of its
+    /// `records` records landing in reduce partition `i`: pure bookkeeping (no
+    /// simulated time, no simulated memory). Emits the `PartitionStats` event
+    /// that feeds the partition-size high-water marks: nearest-rank
+    /// percentiles (the median of an even count is the lower one) and the
+    /// largest partition over the mean, in thousandths (`1000` = balanced);
+    /// all 0 for an empty shuffle.
+    pub(crate) fn record_map_output(
+        &self,
+        operator: &'static str,
+        records: u64,
+        mut bytes: Vec<u64>,
+    ) {
+        bytes.sort_unstable();
+        let (n, total) = (bytes.len(), bytes.iter().sum::<u64>());
+        let rank = |pct: usize| bytes.get((pct * n).div_ceil(100).saturating_sub(1)).copied();
+        let max_bytes = bytes.last().copied().unwrap_or(0);
+        let skew_ratio_milli = match total {
+            0 => 0,
+            _ => (max_bytes as f64 / (total as f64 / n as f64) * 1000.0) as u64,
+        };
         self.observe(EngineEvent::PartitionStats {
-            operator: stats.operator,
-            partitions: stats.partitions() as u64,
-            records: stats.total_records(),
-            bytes: stats.total_bytes(),
-            p50_bytes,
-            p99_bytes,
-            max_bytes: stats.max_bytes(),
-            skew_ratio_milli: stats.skew_ratio_milli(),
+            operator,
+            partitions: n as u64,
+            records,
+            bytes: total,
+            p50_bytes: rank(50).unwrap_or(0),
+            p99_bytes: rank(99).unwrap_or(0),
+            max_bytes,
+            skew_ratio_milli,
             at: self.sim_time(),
         });
     }
@@ -331,14 +350,55 @@ mod tests {
     fn task_overhead_charged_only_for_stage_starts() {
         let e = Engine::new(ClusterConfig::local_test());
         let t0 = e.sim_time();
-        e.charge_compute(&[0, 0, 0, 0], 8.0, false).unwrap();
+        e.charge_compute("t", &[0, 0, 0, 0], 8.0, false).unwrap();
         let narrow = e.sim_time() - t0;
         assert_eq!(narrow, SimTime::ZERO, "narrow op over empty partitions is free");
         let t1 = e.sim_time();
-        e.charge_compute(&[0, 0, 0, 0], 8.0, true).unwrap();
+        e.charge_compute("t", &[0, 0, 0, 0], 8.0, true).unwrap();
         let wide = e.sim_time() - t1;
         assert!(wide > SimTime::ZERO, "stage start pays scheduling/launch even when empty");
         assert_eq!(e.stats().tasks, 4);
+    }
+
+    /// `(partitions, records, bytes, p50, p99, max, skew)` of the
+    /// `PartitionStats` event recorded for `records` of 10 bytes each.
+    fn map_output(records: &[u64]) -> [u64; 7] {
+        let e = Engine::new(ClusterConfig { trace_events: true, ..ClusterConfig::local_test() });
+        e.record_map_output("test", records.iter().sum(), records.iter().map(|n| n * 10).collect());
+        match e.events()[..] {
+            [crate::EngineEvent::PartitionStats {
+                partitions: n,
+                records,
+                bytes,
+                p50_bytes,
+                p99_bytes,
+                max_bytes,
+                skew_ratio_milli,
+                ..
+            }] => [n, records, bytes, p50_bytes, p99_bytes, max_bytes, skew_ratio_milli],
+            ref other => panic!("expected one PartitionStats event, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn totals_and_max_are_exact() {
+        let [n, records, bytes, .., max, _] = map_output(&[1, 2, 3, 10]);
+        assert_eq!([n, records, bytes, max], [4, 16, 160, 100]);
+    }
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let [.., p50, p99, max, _] = map_output(&[1, 2, 3, 4]);
+        assert_eq!([p50, p99, max], [20, 40, 40]);
+        assert_eq!(map_output(&[]), [0; 7]);
+    }
+
+    #[test]
+    fn skew_ratio_is_max_over_mean() {
+        // mean = 4, max = 10 -> 2.5x -> 2500 milli.
+        assert_eq!(map_output(&[1, 2, 3, 10])[6], 2_500);
+        assert_eq!(map_output(&[5, 5, 5, 5])[6], 1_000, "balanced is 1.000x");
+        assert_eq!(map_output(&[0, 0])[6], 0, "empty shuffle has no skew");
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod config;
 mod error;
 mod exec;
 pub mod fx;
-mod map_output;
 pub mod partitioner;
 pub mod pool;
 pub mod sim;
@@ -80,7 +79,6 @@ pub(crate) struct EngineCore {
     stats: Stats,
     collector: TraceCollector,
     decisions: Mutex<Vec<Decision>>,
-    current_op: Mutex<Vec<&'static str>>,
     job_counter: AtomicU64,
     recovery: Mutex<RecoveryLedger>,
     cancelled: AtomicBool,
@@ -133,7 +131,6 @@ impl Engine {
                 stats: Stats::default(),
                 collector,
                 decisions: Mutex::new(Vec::new()),
-                current_op: Mutex::new(Vec::new()),
                 job_counter: AtomicU64::new(0),
                 recovery: Mutex::new(RecoveryLedger::default()),
                 cancelled: AtomicBool::new(false),
@@ -262,28 +259,6 @@ impl Engine {
         self.core.collector.keep(ev);
     }
 
-    /// Push the operator currently being evaluated (used to attribute
-    /// charge-site events to the operator that incurred them).
-    pub(crate) fn push_current_op(&self, op: &'static str) {
-        self.core.current_op.lock().expect("current-op lock poisoned").push(op);
-    }
-
-    pub(crate) fn pop_current_op(&self) {
-        self.core.current_op.lock().expect("current-op lock poisoned").pop();
-    }
-
-    /// The operator currently being evaluated, or `"driver"` outside any
-    /// operator (e.g. a direct `Engine::broadcast`).
-    pub(crate) fn current_operator(&self) -> &'static str {
-        self.core
-            .current_op
-            .lock()
-            .expect("current-op lock poisoned")
-            .last()
-            .copied()
-            .unwrap_or("driver")
-    }
-
     pub(crate) fn next_job_id(&self) -> u64 {
         self.core.job_counter.fetch_add(1, Ordering::Relaxed)
     }
@@ -318,7 +293,7 @@ impl Engine {
         let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
         let parts = Parts::new(parts);
         Bag::new(self.clone(), "parallelize", record_bytes, partitions, move || {
-            engine.charge_compute(&counts, record_bytes, true)?;
+            engine.charge_compute("parallelize", &counts, record_bytes, true)?;
             Ok(parts.clone())
         })
     }
@@ -341,14 +316,9 @@ impl Engine {
                 ((p * chunk).min(n)..((p + 1) * chunk).min(n)).map(&f).collect()
             });
             let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
-            engine.charge_compute(&counts, bytes, true)?;
+            engine.charge_compute("generate", &counts, bytes, true)?;
             Ok(Parts::new(parts))
         })
-    }
-
-    /// An empty bag with one (empty) partition.
-    pub fn empty<T: Data>(&self) -> Bag<T> {
-        self.parallelize(Vec::new(), 1)
     }
 
     /// Ship `value` to every worker as a read-only broadcast variable.
@@ -409,13 +379,6 @@ mod tests {
         let e = Engine::local();
         let g = e.generate(100, 5, |i| i * i);
         assert_eq!(g.collect().unwrap(), (0..100).map(|i| i * i).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn empty_bag_is_empty() {
-        let e = Engine::local();
-        assert_eq!(e.empty::<u8>().count().unwrap(), 0);
-        assert!(e.empty::<u8>().is_empty().unwrap());
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! shuffle's input partitions as `Part`s (records moved out of owned ones,
 //! cloned once out of shared ones) and a destination rule: a record and its
 //! position across all inputs give its bucket — the key's hash for a by-key
-//! shuffle, a range of sampled splits for `sort_by`, the position modulo the
-//! partition count for `repartition`. It produces the exact same buckets in
-//! the exact same order as the naive sequential loop, at a host cost of
+//! shuffle, the position modulo the partition count for `repartition`. It
+//! produces the exact same buckets in the exact same order as the naive
+//! sequential loop, at a host cost of
 //! O(records + input partitions + output partitions) — never (input
 //! partitions × output partitions), which at the paper's 1,200 partitions is
 //! 1.44 M. Pass 1 asks the rule once per record, into one table of
@@ -695,9 +695,9 @@ mod tests {
     /// random shapes: 0–64 input partitions (some empty, sometimes all),
     /// 1–1,500 outputs, totals on both sides of `PARALLEL_SCATTER_MIN_RECORDS`,
     /// uniform / single-key / Zipf-ish keys, a non-`Copy` record type, under
-    /// the three rules the engine places by (a key's hash, `sort_by`'s ranges,
-    /// `repartition`'s round robin), with owned, shared and mixed inputs, each
-    /// placed in 1–8 runs whatever the host's core count. Every bucket a
+    /// three rules (a key's hash, ranges of split points, `repartition`'s
+    /// round robin), with owned, shared and mixed inputs, each placed in 1–8
+    /// runs whatever the host's core count. Every bucket a
     /// scatter builds has its exact size; inputs it hands back are the very
     /// parts it was given.
     #[test]
@@ -742,7 +742,7 @@ mod tests {
             }
             one_output += usize::from(partitions == 1);
 
-            // `sort_by`'s split points: exact quantiles of every key.
+            // Range split points: exact quantiles of every key.
             let mut keys: Vec<u64> = inputs.iter().flatten().map(|r| r.0).collect();
             keys.sort_unstable();
             let splits: Vec<u64> = (1..partitions)

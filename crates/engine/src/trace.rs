@@ -223,8 +223,8 @@ engine_events! {
     Stage = "stage" {
         /// Stage counter value at charge time (stable within a run).
         stage: u64,
-        /// Operator being evaluated when the charge happened (`map`,
-        /// `reduce_by_key`, ... or `driver` outside any operator).
+        /// Operator the charge is issued for (`map`, `reduce_by_key`, ...;
+        /// a fused pass charges each of its operators under its own name).
         operator: &'static str,
         /// Number of simulated tasks.
         tasks: u64,
@@ -381,7 +381,7 @@ engine_events! {
         at,
     } => TID_STAGES, "fusion", "{ops}";
     /// Map-output partition-size distribution of one shuffle (per-wide-stage
-    /// histogram digest; see `MapOutputStats`).
+    /// histogram digest; see `Engine::record_map_output`).
     PartitionStats = "partition_stats" {
         /// Operator that shuffled.
         operator: &'static str,

@@ -36,8 +36,9 @@ enum Op {
     DropMultiples(u64),
     Expand(u64),
     KeyRotate,
-    Positional,
     ZipAdd,
+    /// Keeps a record where the hash of the seed and its unique id falls
+    /// under [`SAMPLE_FRACTION`].
     Sample(u64),
     KeyedAdd,
     /// `reduce_by_key_into` that many partitions.
@@ -64,6 +65,10 @@ fn folded(k: u64, vs: &[u64]) -> u64 {
 }
 
 const SAMPLE_FRACTION: f64 = 0.6;
+
+fn sampled(seed: u64, id: u64) -> bool {
+    stable_hash(&(seed, id)) <= (SAMPLE_FRACTION * u64::MAX as f64) as u64
+}
 
 fn expand(x: u64, c: u64) -> Vec<u64> {
     if x.is_multiple_of(3) {
@@ -104,8 +109,7 @@ fn draw_case(seed: u64) -> Case {
                 0 => Op::Add(splitmix64(&mut rng)),
                 1 => Op::DropMultiples(2 + splitmix64(&mut rng) % 5),
                 2 => Op::Expand(splitmix64(&mut rng)),
-                3 => Op::KeyRotate,
-                4 => Op::Positional,
+                3 | 4 => Op::KeyRotate,
                 5 => Op::ZipAdd,
                 6 => Op::Sample(splitmix64(&mut rng)),
                 7 => Op::KeyedAdd,
@@ -141,12 +145,14 @@ fn apply(bag: &Bag<u64>, op: &Op, held: &mut Held) -> Bag<u64> {
         Op::Add(c) => bag.map(move |&x| x.wrapping_add(c)),
         Op::DropMultiples(m) => bag.filter(move |&x| x % m != 0),
         Op::Expand(c) => bag.flat_map(move |&x| expand(x, c)),
-        Op::KeyRotate => held.keep(bag.key_by(|&x| x % 13)).map(|&(k, v)| v.rotate_left(1) ^ k),
-        Op::Positional => bag.map_indexed(|pi, i, &x| x ^ ((pi as u64) << 32) ^ (i as u64)),
+        Op::KeyRotate => held.keep(bag.map(|&x| (x % 13, x))).map(|&(k, v)| v.rotate_left(1) ^ k),
         Op::ZipAdd => held.keep(bag.zip_with_unique_id()).map(|&(x, id)| x.wrapping_add(id)),
-        Op::Sample(s) => bag.sample(SAMPLE_FRACTION, s),
+        Op::Sample(s) => {
+            let ids = held.keep(bag.zip_with_unique_id());
+            held.keep(ids.filter(move |&(_, id)| sampled(s, id))).map(|&(x, _)| x)
+        }
         Op::KeyedAdd => {
-            let keyed = held.keep(bag.key_by(|&x| x % 11));
+            let keyed = held.keep(bag.map(|&x| (x % 11, x)));
             held.keep(keyed.map_values(|&v| v.wrapping_add(7))).map(|&(k, v)| k ^ v)
         }
         Op::SumByKey(p) => {
@@ -263,23 +269,18 @@ fn reference(parts: Vec<Vec<u64>>, op: &Op) -> Vec<Vec<u64>> {
         return reference_wide(parts, op);
     }
     let nparts = parts.len() as u64;
-    let threshold = (SAMPLE_FRACTION * u64::MAX as f64) as u64;
     parts
         .into_iter()
         .zip(0u64..)
         .map(|(p, pi)| {
-            let indexed = p.iter().copied().zip(0u64..);
+            let ids = p.iter().copied().zip((0u64..).map(|i| i * nparts + pi));
             match *op {
                 Op::Add(c) => p.iter().map(|x| x.wrapping_add(c)).collect(),
                 Op::DropMultiples(m) => p.iter().copied().filter(|x| x % m != 0).collect(),
                 Op::Expand(c) => p.iter().flat_map(|&x| expand(x, c)).collect(),
                 Op::KeyRotate => p.iter().map(|x| x.rotate_left(1) ^ (x % 13)).collect(),
-                Op::Positional => indexed.map(|(x, i)| x ^ (pi << 32) ^ i).collect(),
-                Op::ZipAdd => indexed.map(|(x, i)| x.wrapping_add(i * nparts + pi)).collect(),
-                Op::Sample(s) => indexed
-                    .filter(|(_, i)| stable_hash(&(s, pi, *i)) <= threshold)
-                    .map(|(x, _)| x)
-                    .collect(),
+                Op::ZipAdd => ids.map(|(x, id)| x.wrapping_add(id)).collect(),
+                Op::Sample(s) => ids.filter(|&(_, id)| sampled(s, id)).map(|(x, _)| x).collect(),
                 Op::KeyedAdd => p.iter().map(|x| (x % 11) ^ x.wrapping_add(7)).collect(),
                 _ => unreachable!("wide links run over all partitions"),
             }

@@ -24,7 +24,7 @@
 
 use std::fmt::Debug;
 
-use matryoshka_engine::{ClusterConfig, Engine, Partitioning, StatsSnapshot};
+use matryoshka_engine::{ClusterConfig, Engine, JoinAlgorithm, Partitioning, StatsSnapshot};
 
 /// One program's pinned simulated outcome.
 #[derive(Debug, PartialEq)]
@@ -139,11 +139,6 @@ fn repartition_program(e: &Engine) -> Parts<u64> {
     e.generate(4_000, 3, |i| i * 7).repartition(11).map(|x| x + 1).collect_partitions().unwrap()
 }
 
-/// Range-partitioned `sort_by`.
-fn sort_by_program(e: &Engine) -> Parts<u64> {
-    e.generate(5_000, 6, |i| (i * 7_919) % 10_007).sort_by(5, |x| *x).collect_partitions().unwrap()
-}
-
 /// `group_by_key` and `reduce_by_key` over input already hash-placed by key
 /// into their partition count: both skip the shuffle.
 fn copartitioned_shortcuts(e: &Engine) -> (Parts<(u64, Vec<u64>)>, Parts<(u64, u64)>) {
@@ -158,7 +153,7 @@ fn copartitioned_shortcuts(e: &Engine) -> (Parts<(u64, Vec<u64>)>, Parts<(u64, u
 fn broadcast_join_program(e: &Engine) -> Parts<(u64, (u64, u64))> {
     let l = e.generate(4_000, 8, |i| (i % 50, i));
     let r = e.generate(120, 2, |i| (i % 40, i * 3));
-    l.broadcast_join(&r).collect_partitions().unwrap()
+    l.joined_with(&r, JoinAlgorithm::BroadcastRight).pairs().collect_partitions().unwrap()
 }
 
 /// A `group_by_key` whose reduce-side working sets exceed the spill
@@ -329,24 +324,6 @@ fn golden_repartition() -> Golden {
     }
 }
 
-fn golden_sort_by() -> Golden {
-    Golden {
-        sim_nanos: 312_869_012,
-        stats: StatsSnapshot {
-            jobs: 1,
-            stages: 2,
-            tasks: 11,
-            records: 10_000,
-            shuffle_bytes: 40_000,
-            collected_records: 5_000,
-            peak_memory_bytes: 72_000,
-            peak_partition_bytes: 8_000,
-            peak_partition_skew_milli: 1_000,
-            ..StatsSnapshot::default()
-        },
-    }
-}
-
 fn golden_copartitioned_shortcuts() -> Golden {
     Golden {
         sim_nanos: 925_500_191,
@@ -430,11 +407,6 @@ fn repartition_simulation_is_frozen() {
 }
 
 #[test]
-fn sort_by_simulation_is_frozen() {
-    assert_eq!(run(sort_by_program), golden_sort_by());
-}
-
-#[test]
 fn copartitioned_shortcuts_simulation_is_frozen() {
     assert_eq!(run(copartitioned_shortcuts), golden_copartitioned_shortcuts());
 }
@@ -458,7 +430,6 @@ fn fingerprints() -> Vec<(&'static str, Fingerprint)> {
         ("shuffle_heavy", fingerprint(shuffle_heavy)),
         ("co_group", fingerprint(co_group_program)),
         ("repartition", fingerprint(repartition_program)),
-        ("sort_by", fingerprint(sort_by_program)),
         ("copartitioned_shortcuts", fingerprint(copartitioned_shortcuts)),
         ("broadcast_join", fingerprint(broadcast_join_program)),
         ("spilling_group_by_key", fingerprint(spilling_group_by_key)),
@@ -472,14 +443,13 @@ fn fingerprints() -> Vec<(&'static str, Fingerprint)> {
 /// to a `StageFused` event, with every charge and record where it was. Every
 /// trace hash moved when the task-retry counter was deleted: the exported
 /// summary lost that counter's key (always 0 here), and nothing else.
-const GOLDEN_FINGERPRINTS: [(&str, usize, u64, u64); 10] = [
+const GOLDEN_FINGERPRINTS: [(&str, usize, u64, u64); 9] = [
     ("kmeans", 14, 0x75a4c72feabe2136, 0x07e11f07b4a6665a),
     ("copartitioned_join_loop", 44, 0x6adf2dbb28658735, 0x07e11f07b4a6665a),
     ("distinct", 11, 0x90dece0bc9a618c1, 0x07e11f07b4a6665a),
     ("shuffle_heavy", 25, 0x5e2c340a526482fc, 0x07e11f07b4a6665a),
     ("co_group", 24, 0x035a4f82c2cf6b52, 0xbe7a81831af8f083),
     ("repartition", 11, 0xee6ad0a3e481f4a7, 0xdabbaa27cadea7ef),
-    ("sort_by", 10, 0xb4c2af03d2d7be95, 0x09f5501d7bb70193),
     ("copartitioned_shortcuts", 22, 0x6318b5edeb69ceb7, 0xf23d441e89e23b48),
     ("broadcast_join", 11, 0xc2164252107c4451, 0xcc2ce59446fe265d),
     ("spilling_group_by_key", 12, 0x008a6d5e1abb30cd, 0xfd7c89d49fb52139),
@@ -507,7 +477,6 @@ fn print_actual_values() {
         ("shuffle_heavy", run(shuffle_heavy)),
         ("co_group", run(co_group_program)),
         ("repartition", run(repartition_program)),
-        ("sort_by", run(sort_by_program)),
         ("copartitioned_shortcuts", run(copartitioned_shortcuts)),
         ("broadcast_join", run(broadcast_join_program)),
         ("spilling_group_by_key", run(spilling_group_by_key)),

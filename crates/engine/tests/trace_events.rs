@@ -6,7 +6,7 @@
 //! programs and the job service).
 
 use matryoshka_engine::trace::assert_reconciles;
-use matryoshka_engine::{ClusterConfig, Engine, EngineEvent};
+use matryoshka_engine::{ClusterConfig, Engine, EngineEvent, JoinAlgorithm};
 
 fn traced_engine() -> Engine {
     Engine::new(ClusterConfig { trace_events: true, ..ClusterConfig::local_test() })
@@ -91,7 +91,7 @@ fn broadcast_join_job_traces_broadcast_not_shuffle() {
     let engine = traced_engine();
     let big = engine.parallelize((0..512u64).map(|i| (i % 16, i)).collect::<Vec<_>>(), 4);
     let small = engine.parallelize((0..16u64).map(|i| (i, i * 100)).collect::<Vec<_>>(), 1);
-    let joined = big.broadcast_join(&small).count().unwrap();
+    let joined = big.joined_with(&small, JoinAlgorithm::BroadcastRight).pairs().count().unwrap();
     assert_eq!(joined, 512);
 
     let events = engine.events();
@@ -163,7 +163,8 @@ fn trace_summary_reconciles_with_stats_snapshot() {
     let small = engine.parallelize((0..13u64).map(|i| (i, ())).collect::<Vec<_>>(), 1);
     engine
         .parallelize((0..100u64).map(|i| (i % 13, i)).collect::<Vec<_>>(), 4)
-        .broadcast_join(&small)
+        .joined_with(&small, JoinAlgorithm::BroadcastRight)
+        .pairs()
         .count()
         .unwrap();
 

@@ -98,14 +98,9 @@ pub fn diql_like(engine: &Engine, visits: &Bag<(u32, u64)>) -> Result<BounceRate
     outer_parallel(engine, visits)
 }
 
-/// Sequential oracle over the raw records.
+/// Sequential oracle over the raw records, in day order.
 pub fn reference(visits: &[(u32, u64)]) -> BounceRates {
-    use std::collections::HashMap;
-    let mut by_day: HashMap<u32, Vec<u64>> = HashMap::new();
-    for (d, ip) in visits {
-        by_day.entry(*d).or_default().push(*ip);
-    }
-    sort(by_day.into_iter().map(|(d, ips)| (d, seq::bounce_rate(&ips).value)).collect())
+    split_by_group(visits).iter().map(|(d, ips)| (*d, seq::bounce_rate(ips).value)).collect()
 }
 
 /// Driver-side split of a visit log into per-group vectors (the pre-split

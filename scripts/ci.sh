@@ -132,7 +132,10 @@ echo "== deleted switches stay deleted"
 # scatter entry point, no operator filling its own buckets); machine loss is
 # the one fault model (no task retries, their counter, event or error), an
 # engine traces from its first charge or not at all (no switch on a live
-# engine), and the scalar-UDF interpreter is a test oracle (no `pub` one).
+# engine), and the scalar-UDF interpreter is a test oracle (no `pub` one);
+# a stage's `Stage` event names the operator its charge is issued for (no
+# operator stack beside the charges), and a shuffle's `PartitionStats` event
+# is made from its per-partition counts (no map-output struct between them).
 # The patterns are split so this file does not match itself; the set
 # operators are matched by definition, which misses std's
 # `HashSet::intersection` and the word "subtracts".
@@ -157,9 +160,19 @@ if grep -rnE -e 'interpret_''udfs|BENCH_''micro|hoist_''off|Trace''Summary|trace
   -e 'scatter_shared''_unless_home|scatter_shared''_by_key|fn scatt''ered\b|enum In''put\b' \
   -e 'task_failure''_rate|\bmax_att''empts\b|Task''Retry|task''_retry|tasks''_retried|Task''Failed' \
   -e 'enable''_tracing|set''_enabled|pub fn eval''_pure' \
+  -e 'current''_op|MapOutput''Stats' \
   crates src tests examples scripts docs ./*.md \
   --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
   echo "a deleted switch or artifact is named again (see above)" >&2
+  exit 1
+fi
+# The engine's operators are the flat set the flattening layer lowers onto;
+# the ones no caller reached are matched by definition, so std's `sort_by`,
+# `take` and `first` do not collide.
+if grep -rnE -e 'fn map''_indexed<|fn key''_by<|fn sam''ple\(|fn sort''_by<|fn broadcast''_join<' \
+  -e 'fn take\(&''self|fn first\(&''self|fn empty''<|fn reduce\(&''self' \
+  crates/engine/src/bag crates/engine/src/lib.rs crates/core/src; then
+  echo "a deleted engine operator is defined again (see above)" >&2
   exit 1
 fi
 # A combine is written once: `ops_wide::merge`, whose combiner folds in
@@ -185,7 +198,7 @@ fi
 # through its map side (`Shuffle::read`/`Shuffle::combine` in
 # `bag/shuffle.rs`), which runs an exclusive narrow chain inside its own pass
 # or shares a materialized parent. A bare `.eval()` there would cut the stage.
-if grep -nE '\.eval\(\)' crates/engine/src/bag/ops_wide.rs crates/engine/src/bag/ops_misc.rs; then
+if grep -nE '\.eval\(\)' crates/engine/src/bag/ops_wide.rs; then
   echo "a wide operator evaluates a parent outside its map side (see above)" >&2
   exit 1
 fi

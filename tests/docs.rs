@@ -18,7 +18,9 @@
 //!    `Decision::site`s the `tests/workloads` plans emit, and its "Decision
 //!    rules" table one row per rule, in table order. The configuration
 //!    table of `docs/FAULTS.md` must list exactly the fields of
-//!    `FaultConfig`, in order, with their defaults.
+//!    `FaultConfig`, in order, with their defaults; its "Observability
+//!    surface" tables, `EngineEvent::SCHEMA` variants with exactly their
+//!    fields and the counters those events move.
 //!
 //! All are std-only, like everything else in the workspace.
 
@@ -27,7 +29,9 @@ mod workloads;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use matryoshka::engine::{ClusterConfig, Engine, EngineEvent, FaultConfig, Rule, StatsSnapshot};
+use matryoshka::engine::{
+    ClusterConfig, Engine, EngineEvent, FaultConfig, Rule, SimTime, StatsSnapshot,
+};
 use matryoshka::ir::{analyze, check, parse_program, Dialect};
 
 /// The documentation surface under test: root Markdown + `docs/`.
@@ -283,6 +287,46 @@ fn fault_config_table_matches_the_struct() {
         })
         .collect();
     assert_eq!(documented, fields, "docs/FAULTS.md (left) vs FaultConfig::default() (right)");
+}
+
+/// One sample of the recovery event `variant`, every field non-zero.
+fn recovery_event(variant: &str) -> EngineEvent {
+    let (start, end) = (SimTime::from_nanos(1), SimTime::from_nanos(2));
+    match variant {
+        "MachineLost" => {
+            EngineEvent::MachineLost { machine: 1, stage: 1, partitions_lost: 1, at: start }
+        }
+        "PartitionRecomputed" => {
+            EngineEvent::PartitionRecomputed { machine: 1, stage: 1, partitions: 1, start, end }
+        }
+        "Checkpoint" => EngineEvent::Checkpoint { operator: "checkpoint", bytes: 1, start, end },
+        other => panic!("docs/FAULTS.md lists `{other}`, which is no recovery event"),
+    }
+}
+
+#[test]
+fn fault_observability_tables_match_the_events_and_their_counters() {
+    // `| Event | Fields | Emitted when |`, then `| Counter of StatsSnapshot | Meaning |`.
+    let rows = doc_table("docs/FAULTS.md", "## Observability surface");
+    let (mut events, mut counters) = (Vec::new(), Vec::new());
+    for row in &rows {
+        match row.split('|').collect::<Vec<_>>()[..] {
+            [_, event, fields, _, _] => {
+                let [variant] = cell_names(event)[..] else { panic!("{row}: one event") };
+                let schema = EngineEvent::SCHEMA.iter().find(|s| s.variant == variant);
+                let schema = schema.unwrap_or_else(|| panic!("{variant} is no EngineEvent"));
+                let described: Vec<&str> =
+                    schema.fields.iter().chain(schema.when).copied().collect();
+                assert_eq!(cell_names(fields), described, "{variant}: fields");
+                events.push(recovery_event(variant));
+            }
+            [_, counter, _, _] => counters.extend(cell_names(counter)),
+            _ => panic!("{row}: neither an event row nor a counter row"),
+        }
+    }
+    let folded = StatsSnapshot::from_events(&events).fields();
+    let moved: Vec<&str> = folded.iter().filter(|(_, v)| *v > 0).map(|(name, _)| *name).collect();
+    assert_eq!(counters, moved, "docs/FAULTS.md (left) vs counters its events move (right)");
 }
 
 /// The sites the two decision-site tables list (`| site | choice values | ... |`).
